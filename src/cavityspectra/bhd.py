@@ -20,14 +20,14 @@ to that calibration.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import QuadratureFailure
-from .spectral import _sigma_yy_values, sigma_vacuum
+from .spectral import _FOUR_PI_SQ, _accumulate, q_kernel, w_kernel
 from .imagesum import TruncationPolicy
 from .units import CavityGeometry, FieldPoint, validate_point
 
@@ -187,62 +187,18 @@ def check_balance(
     return abs(amp1 + amp2) / peak
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Adaptive composite Gauss rule settings for the frequency smearing."""
-
-    gauss_points: int = 16
-    max_refinements: int = 10
-    rel_tol: float = 1e-9
-    failure_rel: float = 0.01
-    abs_floor: float | None = None
-
-    def __post_init__(self):
-        if self.gauss_points < 1 or self.max_refinements < 1:
-            raise ValueError("quadrature spec needs at least one node and one refinement")
+#: Gauss-Legendre nodes across the smearing window.  Every kept image term
+#: turns through at most 12 * _REACH radians over the window (about 25
+#: periods), which this rule integrates to rounding.
+_SMEAR_NODES = 160
+#: Smearing with k^2 damps an image at distance D by about exp(-(width D)^2/4);
+#: images with width * D beyond this contribute below 5e-19 of their size.
+_REACH = 13.0
 
 
-_DEFAULT_QUADRATURE = QuadratureSpec()
-
-
-def _adaptive_gauss(f, lo: float, hi: float, spec: QuadratureSpec) -> tuple[float, float]:
-    """Panel-doubling composite Gauss-Legendre integral with change-based error."""
-    nodes, weights = np.polynomial.legendre.leggauss(spec.gauss_points)
-
-    def level(panels: int) -> float:
-        edges = np.linspace(lo, hi, panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * np.diff(edges)
-        x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-        w = (half[:, None] * weights[None, :]).ravel()
-        return float(w @ f(x))
-
-    prev = level(1)
-    best, change = prev, math.inf
-    for refinement in range(1, spec.max_refinements + 1):
-        best = level(2**refinement)
-        change = abs(best - prev)
-        if change <= spec.rel_tol * abs(best):
-            break
-        prev = best
-    return best, change
-
-
-def _smearing_window(kernel: LOKernel) -> tuple[float, float]:
-    lo, hi = kernel.support()
-    if lo <= 0.0:
-        raise ValueError("kernel support must lie inside (0, inf): omega_lo - 6*width > 0")
-    return lo, hi
-
-
-def _split_at_discontinuities(lo: float, hi: float, geometry: CavityGeometry) -> list[tuple[float, float]]:
-    """Sub-intervals of [lo, hi] that never straddle a density jump at k pi/a."""
-    step = math.pi / geometry.a
-    first = math.floor(lo / step) + 1
-    last = math.ceil(hi / step) - 1
-    cuts = [k * step for k in range(first, last + 1) if lo < k * step < hi]
-    edges = [lo, *cuts, hi]
-    return list(zip(edges[:-1], edges[1:]))
+@functools.cache
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(_SMEAR_NODES)
 
 
 def smeared_density(
@@ -251,48 +207,68 @@ def smeared_density(
     kernel: LOKernel,
     geometry: CavityGeometry,
     policy: TruncationPolicy,
-    quadrature: QuadratureSpec = _DEFAULT_QUADRATURE,
+    quadrature: None = None,
 ) -> float:
     """Frequency-smeared density integral k(omega)^2 sigma_yy over the kernel support.
 
-    The window is +-6 kernel widths around the LO frequency, split at the
-    density's jump points (multiples of pi/a) so no Gauss panel straddles a
-    discontinuity; Gauss nodes are strictly interior, which keeps every
-    density evaluation off the jumps.  Both points must share the plate
-    distance x (the closed-form density covers equal-x pairs only; that is
-    the geometry of the proposed detector).  Raises QuadratureFailure when
-    the accumulated change estimate exceeds 1% of the result and the
-    absolute floor.
+    One fixed Gauss-Legendre rule over the window of +-6 kernel widths around
+    the LO frequency.  Each translated or reflected image term enters only if
+    its distance D satisfies width * D <= 13, and only for image indices the
+    policy's cutoff allows; the smearing damps every dropped term below
+    rounding.  The kept terms are smooth in omega (the jumps at multiples of
+    pi/a come from the infinite sum only), and their oscillation across the
+    window is bounded, so one node count serves every LO.  Terms are
+    accumulated pairwise as in :func:`~cavityspectra.spectral.sigma_yy`, which
+    makes the result vanish exactly on a plate.  Both points must share the
+    plate distance x (the closed-form density covers equal-x pairs only; that
+    is the geometry of the proposed detector).
+
+    ``quadrature`` is not a setting: it must be None.  It stays in the
+    signature because perfbench's span recorder keys smear calls by it.
     """
+    if quadrature is not None:
+        raise ValueError("the smearing rule is fixed; quadrature must be None")
     _require_y_polarization(kernel)
     validate_point(pt1, geometry)
     validate_point(pt2, geometry)
     if pt1.x != pt2.x:
         raise ValueError("smearing requires both points at the same plate distance x")
-    lo, hi = _smearing_window(kernel)
-    pair = FieldPoint(x=pt1.x, y=pt2.y - pt1.y)
+    x = pt1.x
+    dy = pt2.y - pt1.y
+    y2 = dy * dy
+    L = geometry.L
+    reach2 = (_REACH / kernel.width) ** 2
 
-    def integrand(omega: np.ndarray) -> np.ndarray:
-        k = kernel(omega)
-        values, _ = _sigma_yy_values(omega, pair, geometry, policy)
-        return k * k * values
+    nodes, weights = _legendre_rule()
+    lo, hi = kernel.support()
+    half = 0.5 * (hi - lo)
+    omegas = 0.5 * (lo + hi) + half * nodes
+    w = omegas[:, None, None]
 
-    total = 0.0
-    err = 0.0
-    for seg_lo, seg_hi in _split_at_discontinuities(lo, hi, geometry):
-        part, change = _adaptive_gauss(integrand, seg_lo, seg_hi, quadrature)
-        total += part
-        err += change
+    def terms(dist2: np.ndarray) -> np.ndarray:
+        """Q(omega D) - y^2 W(omega D)/D^2 per node and distance; 0 beyond the reach."""
+        u = w * np.sqrt(dist2)
+        values = q_kernel(u)
+        if y2 != 0.0:  # y2 == 0, also by underflow, leaves no W part (and D = 0 at n = 0)
+            values = values - y2 * (w_kernel(u) / dist2)
+        return np.where(dist2 <= reach2, values, 0.0)
 
-    floor = quadrature.abs_floor
-    if floor is None:
-        floor = 1e-10 * kernel.squared_integral() * sigma_vacuum(kernel.omega_lo, 0.0)
-    if err > quadrature.failure_rel * abs(total) and err > floor:
-        raise QuadratureFailure(
-            f"smearing quadrature error estimate {err:.3e} exceeds "
-            f"{quadrature.failure_rel:.0%} of |result| = {abs(total):.3e} and the floor {floor:.3e}"
-        )
-    return total
+    n = np.arange(1, policy.n_terms + 1, dtype=float)
+    # rows: translated, reflected at 2x - nL, reflected at 2x + nL; for n >= 1
+    # the first reflected image is the nearest, so the kept indices are a prefix
+    dist2 = np.stack([(n * L) ** 2, (2.0 * x - n * L) ** 2, (2.0 * x + n * L) ** 2]) + y2
+    kept = int(np.count_nonzero(dist2[1] <= reach2))
+    ta, tbp, tbn = np.moveaxis(terms(dist2[:, :kept]), 1, 0)
+    pairs = (ta - tbp) + (ta - tbn)
+    if policy.accelerate:
+        # dropped pairs smear to zero, so their partial sums repeat the last kept one
+        pairs = np.pad(pairs, ((0, 0), (0, policy.n_terms - kept)))
+    t0a, t0b = terms(np.array([[y2], [4.0 * x * x + y2]]))[:, :, 0].T
+    totals, _ = _accumulate(pairs, t0a - t0b, policy.accelerate)
+
+    k = kernel(omegas)
+    density = (omegas * omegas * omegas) / _FOUR_PI_SQ * totals
+    return float(half * (weights @ (k * k * density)))
 
 
 @dataclass(frozen=True)
@@ -354,18 +330,19 @@ def variance_current(
     kernel: LOKernel,
     geometry: CavityGeometry,
     policy: TruncationPolicy,
-    quadrature: QuadratureSpec = _DEFAULT_QUADRATURE,
 ) -> float:
     """Ground-state variance of the detector output (four smeared-density terms).
 
     calibration^2 * [R(1,1) + R(1,2) + R(2,1) + R(2,2)]; the cross term is
-    symmetric and computed once.
+    symmetric and computed once, and R(2,2) equals R(1,1) because both
+    diodes share the plate distance x.
     """
-    r11 = smeared_density(config.diode1, config.diode1, kernel, geometry, policy, quadrature)
-    r22 = smeared_density(config.diode2, config.diode2, kernel, geometry, policy, quadrature)
-    r12 = smeared_density(config.diode1, config.diode2, kernel, geometry, policy, quadrature)
+    if config.diode1.x != config.diode2.x:
+        raise ValueError("the detector variance requires both diodes at the same plate distance x")
+    r11 = smeared_density(config.diode1, config.diode1, kernel, geometry, policy)
+    r12 = smeared_density(config.diode1, config.diode2, kernel, geometry, policy)
     c2 = config.calibration * config.calibration
-    return c2 * ((r11 + r12) + (r12 + r22))
+    return c2 * ((r11 + r12) + (r12 + r11))
 
 
 def variance_approx(
@@ -374,12 +351,11 @@ def variance_approx(
     config: DetectorConfig,
     geometry: CavityGeometry,
     policy: TruncationPolicy,
-    quadrature: QuadratureSpec = _DEFAULT_QUADRATURE,
 ) -> float:
     """Far-separation variance: twice the single-diode diagonal term.
 
     Valid when the diodes are transversely far apart, so the cross terms of
     :func:`variance_current` are small against the diagonal ones.
     """
-    r = smeared_density(diode, diode, kernel, geometry, policy, quadrature)
+    r = smeared_density(diode, diode, kernel, geometry, policy)
     return 2.0 * config.calibration * config.calibration * r

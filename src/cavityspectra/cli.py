@@ -552,6 +552,9 @@ def main(argv=None) -> int:
     try:
         _apply_config(ns, argv)
         return ns.func(ns)
+    except ValueError as exc:
+        print(f"argument error: {exc}", file=sys.stderr)
+        return 2
     except NumericalGuardError as exc:
         print(f"numerical guard violation: {exc}", file=sys.stderr)
         return 3

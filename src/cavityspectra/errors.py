@@ -2,7 +2,7 @@
 
 
 class NumericalGuardError(Exception):
-    """Base class for guard violations (pole proximity, quadrature, extrapolation)."""
+    """Base class for guard violations (pole proximity, extrapolation, time window)."""
 
 
 class LightConeProximity(NumericalGuardError):
@@ -22,10 +22,6 @@ class LightConeProximity(NumericalGuardError):
             f"within guard band {guard:g} of the {branch} image light cone at "
             f"image index n={image_index} (|separation| = {gap:.6e})"
         )
-
-
-class QuadratureFailure(NumericalGuardError):
-    """Frequency quadrature did not converge to the requested accuracy."""
 
 
 class ExtrapolationDivergence(NumericalGuardError):

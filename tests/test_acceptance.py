@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import cavityspectra as cs
-from cavityspectra.bhd import DetectorConfig, LOKernel, LOMode, QuadratureSpec
+from cavityspectra.bhd import DetectorConfig, LOKernel, LOMode
 from cavityspectra.cli import FIG2_CUTOFF, main
 from cavityspectra.imagesum import TruncationPolicy
 from cavityspectra.units import CavityGeometry, FieldPoint, build_grid
@@ -167,16 +167,15 @@ def test_criterion_08_oracle_agreement():
 
 def test_criterion_09_detector_consistency():
     policy = TruncationPolicy(n_terms=1000)
-    quad = QuadratureSpec(rel_tol=1e-7)
     kernel = LOKernel(omega_lo=TWO_PI, width=TWO_PI / 20.0)
     config = DetectorConfig(FieldPoint(0.75, 0.0), FieldPoint(0.75, 50.0), calibration=1.3)
 
-    variance = cs.variance_current(config, kernel, G, policy, quad)
-    approx = cs.variance_approx(config.diode1, kernel, config, G, policy, quad)
+    variance = cs.variance_current(config, kernel, G, policy)
+    approx = cs.variance_approx(config.diode1, kernel, config, G, policy)
     gap = abs(variance - approx) / approx
 
     doubled = LOKernel(omega_lo=TWO_PI, width=TWO_PI / 20.0, amplitude=2.0)
-    quadrupled = cs.variance_current(config, doubled, G, policy, quad)
+    quadrupled = cs.variance_current(config, doubled, G, policy)
     scaling_dev = abs(quadrupled / variance - 4.0)
 
     p = PI / 50.0

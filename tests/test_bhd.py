@@ -8,7 +8,6 @@ from cavityspectra.bhd import (
     DetectorConfig,
     LOKernel,
     LOMode,
-    QuadratureSpec,
     check_balance,
     dispersion_omega,
     lo_mode_fields,
@@ -18,14 +17,56 @@ from cavityspectra.bhd import (
     variance_approx,
     variance_current,
 )
-from cavityspectra.errors import QuadratureFailure
+import cavityspectra.bhd as bhd
 from cavityspectra.imagesum import TruncationPolicy
-from cavityspectra.spectral import sigma_vacuum, sigma_yy_diag
+from cavityspectra.spectral import _sigma_yy_values, sigma_vacuum, sigma_yy_diag
 from cavityspectra.units import CavityGeometry, FieldPoint, from_internal
 
 G = CavityGeometry(1.0)
 PI = math.pi
 TWO_PI = 2.0 * math.pi
+README_KERNEL = LOKernel(omega_lo=TWO_PI, width=TWO_PI / 20.0)
+
+
+def _scale(kernel):
+    return kernel.squared_integral() * sigma_vacuum(kernel.omega_lo, 0.0)
+
+
+def _adaptive_reference(pt1, pt2, kernel, policy):
+    """Independent smearing: panel-doubling composite 16-point Gauss rule over
+    the full image sum, on sub-intervals split at the density jumps k pi/a.
+
+    Each sub-interval refines until successive levels agree within 1e-14 of
+    the density scale.
+    """
+    pair = FieldPoint(pt1.x, pt2.y - pt1.y)
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    tol = 1e-14 * _scale(kernel)
+
+    def level(lo, hi, panels):
+        edges = np.linspace(lo, hi, panels + 1)
+        half = 0.5 * np.diff(edges)
+        om = (0.5 * (edges[:-1] + edges[1:])[:, None] + half[:, None] * nodes).ravel()
+        k = kernel(om)
+        values, _ = _sigma_yy_values(om, pair, G, policy)
+        return float((half[:, None] * weights).ravel() @ (k * k * values))
+
+    lo, hi = kernel.support()
+    step = PI / G.a
+    jumps = [m * step for m in range(math.ceil(lo / step), math.floor(hi / step) + 1) if lo < m * step < hi]
+    edges = [lo, *jumps, hi]
+    total = 0.0
+    for seg_lo, seg_hi in zip(edges[:-1], edges[1:]):
+        prev = level(seg_lo, seg_hi, 1)
+        for refinement in range(1, 11):
+            value = level(seg_lo, seg_hi, 2**refinement)
+            if abs(value - prev) <= tol:
+                break
+            prev = value
+        else:
+            raise AssertionError("reference quadrature did not converge")
+        total += value
+    return total
 
 
 class TestKernel:
@@ -161,7 +202,7 @@ class TestSmearedDensity:
     def test_preconditions(self):
         policy = TruncationPolicy(n_terms=50)
         pt = FieldPoint(0.5, 0.0)
-        with pytest.raises(ValueError):  # support reaches below zero frequency
+        with pytest.raises(ValueError):  # too wide: the window would reach below zero frequency
             smeared_density(pt, pt, LOKernel(omega_lo=1.0, width=0.1999999999), G, policy)
         with pytest.raises(ValueError):  # unequal plate distances unsupported
             smeared_density(FieldPoint(0.4, 0.0), FieldPoint(0.5, 0.0),
@@ -170,12 +211,36 @@ class TestSmearedDensity:
             smeared_density(pt, pt, LOKernel(omega_lo=5.0, width=0.2, polarization=(1.0, 0.0, 0.0)),
                             G, policy)
 
-    def test_quadrature_failure_raised(self):
-        starved = QuadratureSpec(gauss_points=1, max_refinements=1, rel_tol=0.0)
-        kernel = LOKernel(omega_lo=TWO_PI, width=TWO_PI / 10.0)
-        pt = FieldPoint(0.75, 0.0)
-        with pytest.raises(QuadratureFailure):
-            smeared_density(pt, pt, kernel, G, TruncationPolicy(n_terms=200), starved)
+    @pytest.mark.parametrize("y", [0.0, 1.0, 50.0])
+    def test_agrees_with_the_adaptive_reference(self, y):
+        policy = TruncationPolicy(n_terms=200)
+        p1, p2 = FieldPoint(0.75, 0.0), FieldPoint(0.75, y)
+        r = smeared_density(p1, p2, README_KERNEL, G, policy)
+        ref = _adaptive_reference(p1, p2, README_KERNEL, policy)
+        assert abs(r - ref) <= 1e-12 * _scale(README_KERNEL)
+
+    def test_images_are_selected_by_distance(self):
+        # every image is at least 500 away, where the smearing leaves nothing
+        r = smeared_density(FieldPoint(0.75, 0.0), FieldPoint(0.75, 500.0), README_KERNEL, G,
+                            TruncationPolicy(n_terms=1000))
+        assert abs(r) <= 1e-14 * _scale(README_KERNEL)
+
+    def test_image_cutoff_is_honoured(self):
+        # the distance cut alone keeps indices up to |n| ~ 200 for this LO
+        kernel = LOKernel(omega_lo=TWO_PI, width=TWO_PI / 200.0)
+        p1, p2 = FieldPoint(0.75, 0.0), FieldPoint(0.75, 0.5)
+        policy = TruncationPolicy(n_terms=50)
+        r = smeared_density(p1, p2, kernel, G, policy)
+        assert abs(r - _adaptive_reference(p1, p2, kernel, policy)) <= 1e-12 * _scale(kernel)
+        uncut = smeared_density(p1, p2, kernel, G, TruncationPolicy(n_terms=1000))
+        assert abs(uncut - r) > 1e-6 * _scale(kernel)
+
+    @pytest.mark.parametrize("accelerate", [False, True])
+    @pytest.mark.parametrize("y", [0.0, 1.3])
+    def test_vanishes_exactly_on_the_plate(self, y, accelerate):
+        pt1, pt2 = FieldPoint(0.0, 0.0), FieldPoint(0.0, y)
+        policy = TruncationPolicy(n_terms=100, accelerate=accelerate)
+        assert smeared_density(pt1, pt2, README_KERNEL, G, policy) == 0.0
 
 
 class TestCurrents:
@@ -210,29 +275,36 @@ class TestCurrents:
         assert mean_current(config, kernel, [comp]) == pytest.approx(expected, rel=1e-15)
 
     def test_variance_scales_exactly_with_amplitude_squared(self):
-        quad = QuadratureSpec(rel_tol=1e-7)
         policy = TruncationPolicy(n_terms=300)
         kernel1, config = self._setup(amplitude=1.0)
         kernel2, _ = self._setup(amplitude=2.0)
-        v1 = variance_current(config, kernel1, G, policy, quad)
-        v2 = variance_current(config, kernel2, G, policy, quad)
+        v1 = variance_current(config, kernel1, G, policy)
+        v2 = variance_current(config, kernel2, G, policy)
         assert v2 / v1 == pytest.approx(4.0, rel=1e-12)
 
     def test_far_separation_approximation(self):
-        quad = QuadratureSpec(rel_tol=1e-7)
         policy = TruncationPolicy(n_terms=300)
         kernel, config = self._setup()
-        v4 = variance_current(config, kernel, G, policy, quad)
-        va = variance_approx(config.diode1, kernel, config, G, policy, quad)
+        v4 = variance_current(config, kernel, G, policy)
+        va = variance_approx(config.diode1, kernel, config, G, policy)
         assert v4 == pytest.approx(va, rel=0.1)
         assert v4 > 0.0
 
     def test_variance_scales_with_the_calibration_squared(self):
         # the calibration-to-zero limit sends the variance to zero quadratically
-        quad = QuadratureSpec(rel_tol=1e-7)
         policy = TruncationPolicy(n_terms=60)
         kernel = LOKernel(omega_lo=TWO_PI, width=TWO_PI / 20.0)
         diodes = (FieldPoint(0.75, 0.0), FieldPoint(0.75, 50.0))
-        small = variance_current(DetectorConfig(*diodes, calibration=1e-6), kernel, G, policy, quad)
-        big = variance_current(DetectorConfig(*diodes, calibration=1.0), kernel, G, policy, quad)
+        small = variance_current(DetectorConfig(*diodes, calibration=1e-6), kernel, G, policy)
+        big = variance_current(DetectorConfig(*diodes, calibration=1.0), kernel, G, policy)
         assert small == pytest.approx(1e-12 * big, rel=1e-12)
+
+    def test_unequal_plate_distances_rejected_before_smearing(self, monkeypatch):
+        def no_smearing(*args, **kwargs):
+            raise AssertionError("smeared before validating the diodes")
+
+        monkeypatch.setattr(bhd, "smeared_density", no_smearing)
+        kernel, _ = self._setup()
+        config = DetectorConfig(FieldPoint(0.75, 0.0), FieldPoint(0.5, 50.0))
+        with pytest.raises(ValueError):
+            variance_current(config, kernel, G, TruncationPolicy(n_terms=60))

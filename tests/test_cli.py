@@ -148,6 +148,19 @@ class TestPlumbing:
             run(["spectral-diag"])  # --omega missing
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["bhd", "--omega-lo", "6.283185307179586", "--x1", "0.75", "--y1", "0",
+         "--x2", "0.5", "--y2", "50"],
+        ["spectral-diag", "--omega", "-1"],
+        ["spectral-diag", "--omega", "5.0", "--x", "2"],
+        ["spectral-diag", "--omega", "5.0", "--n-terms", "-3"],
+    ])
+    def test_invalid_values_exit_two_with_one_line(self, argv, capsys):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("argument error: ")
+        assert err.count("\n") == 1
+
     def test_io_failure_exits_four(self):
         assert run(["twopoint", "--s", "0.3", "--x", "0.4",
                     "--out", "/nonexistent-dir/x.csv"]) == 4
