@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spectral import _FOUR_PI_SQ, _accumulate, q_kernel, w_kernel
+from .spectral import _FOUR_PI_SQ, _Q, _W, _accumulate, _spliced, q_kernel
 from .imagesum import TruncationPolicy
 from .units import CavityGeometry, FieldPoint, validate_point
 
@@ -248,9 +248,11 @@ def smeared_density(
     def terms(dist2: np.ndarray) -> np.ndarray:
         """Q(omega D) - y^2 W(omega D)/D^2 per node and distance; 0 beyond the reach."""
         u = w * np.sqrt(dist2)
-        values = q_kernel(u)
-        if y2 != 0.0:  # y2 == 0, also by underflow, leaves no W part (and D = 0 at n = 0)
-            values = values - y2 * (w_kernel(u) / dist2)
+        if y2 == 0.0:  # also by underflow: no W part (and D = 0 at n = 0)
+            values = q_kernel(u)
+        else:
+            q, wk = _spliced(u, _Q, _W)
+            values = q - y2 * (wk / dist2)
         return np.where(dist2 <= reach2, values, 0.0)
 
     n = np.arange(1, policy.n_terms + 1, dtype=float)

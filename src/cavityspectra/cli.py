@@ -1,9 +1,8 @@
 """Command-line interface: density grids, figure data, detector predictions, validation.
 
-Outputs are deterministic: fixed evaluation order, shortest round-trip float
-formatting, and a worker pool (size taken from the CAVITYSPECTRA_WORKERS
-environment variable) whose results are gathered in grid order.  CSV is the
-contract; JSON mirrors it and SVG renderings are a convenience.
+Outputs are deterministic: fixed evaluation order and shortest round-trip
+float formatting.  CSV is the contract; JSON mirrors it and SVG renderings
+are a convenience.
 
 All numeric I/O is in internal units: lengths in units of the plate
 separation a, frequencies in units of c/a.  The --a-microns flag fixes the
@@ -18,9 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -38,6 +35,7 @@ from .imagesum import TruncationPolicy, two_point_yy_closed, two_point_yy_fd
 from .oracle import OracleConfig, convergence_report, sigma_via_numeric_ft
 from .spectral import (
     _sigma_diag_values,
+    _sigma_yy_values,
     sigma_vacuum,
     sigma_vacuum_from_kernels,
     sigma_yy,
@@ -53,7 +51,6 @@ from .units import (
 )
 from . import svgplot
 
-WORKERS_ENV = "CAVITYSPECTRA_WORKERS"
 DENSITY_COLUMNS = ("omega", "x", "y", "sigma", "err", "n_terms")
 _TWO_PI = 2.0 * math.pi
 _FOUR_PI = 4.0 * math.pi
@@ -92,24 +89,6 @@ def _emit(ns, header, rows) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from exc
-    return max(1, n)
-
-
-def _map_ordered(fn, items):
-    """Evaluate fn over items, possibly in a thread pool, gathered in order."""
-    workers = _worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _note_discontinuities(omegas) -> None:
@@ -170,14 +149,34 @@ def _policy(ns) -> TruncationPolicy:
 
 # -- density commands --------------------------------------------------------
 
+#: Most points x image pairs one vectorised density call evaluates (one point
+#: when --n-terms is larger); bounds the memory of a grid whatever --y-steps.
+_BLOCK_ELEMENTS = 2**17
+
+
+def _grid(lo: float, hi: float, count: int, flag: str) -> list[float]:
+    if count < 1:
+        raise ValueError(f"{flag} must be at least 1, got {count}")
+    return np.linspace(lo, hi, count).tolist()
+
+
+def _density_row(omega: float, x: float, ys, policy):
+    """sigma_yy at (x, y) for each y: [values, errs], evaluated in blocks of points."""
+    block = max(1, _BLOCK_ELEMENTS // max(1, policy.n_terms))
+    points = [FieldPoint(x=x, y=y) for y in ys]
+    parts = [_sigma_yy_values(np.asarray([omega], dtype=float), points[i:i + block], _INTERNAL, policy)
+             for i in range(0, len(points), block)]
+    return [np.concatenate(column)[:, 0].tolist() for column in zip(*parts)]
+
+
 def cmd_spectral_diag(ns) -> int:
     policy = _policy(ns)
     if ns.x is not None:
         xs = [float(ns.x)]
     else:
-        xs = np.linspace(0.0, 1.0, ns.x_steps).tolist()
+        xs = _grid(0.0, 1.0, ns.x_steps, "--x-steps")
+    samples = [sigma_yy_diag(ns.omega, x, _INTERNAL, policy) for x in xs]
     _note_discontinuities([ns.omega])
-    samples = _map_ordered(lambda x: sigma_yy_diag(ns.omega, x, _INTERNAL, policy), xs)
     sub = bool(ns.omega < math.pi)
     rows = [(s.omega, x, 0.0, s.value, s.err, s.terms, sub) for x, s in zip(xs, samples)]
     _emit(ns, DENSITY_COLUMNS + ("sub_cutoff",), rows)
@@ -189,14 +188,13 @@ def cmd_spectral_diag(ns) -> int:
 
 def cmd_spectral_map(ns) -> int:
     policy = _policy(ns)
-    xs = np.linspace(0.0, 1.0, ns.x_steps).tolist()
-    ys = np.linspace(ns.y_range[0], ns.y_range[1], ns.y_steps).tolist()
+    xs = _grid(0.0, 1.0, ns.x_steps, "--x-steps")
+    ys = _grid(ns.y_range[0], ns.y_range[1], ns.y_steps, "--y-steps")
+    rows = []
+    for x in xs:
+        values, errs = _density_row(ns.omega, x, ys, policy)
+        rows += [(ns.omega, x, y, v, e, policy.n_terms) for y, v, e in zip(ys, values, errs)]
     _note_discontinuities([ns.omega])
-    points = [(x, y) for x in xs for y in ys]
-    samples = _map_ordered(
-        lambda xy: sigma_yy(ns.omega, FieldPoint(x=xy[0], y=xy[1]), _INTERNAL, policy), points
-    )
-    rows = [(s.omega, x, y, s.value, s.err, s.terms) for (x, y), s in zip(points, samples)]
     _emit(ns, DENSITY_COLUMNS, rows)
     if getattr(ns, "svg", None):
         grid = [[rows[i * len(ys) + j][3] for j in range(len(ys))] for i in range(len(xs))]
@@ -206,13 +204,11 @@ def cmd_spectral_map(ns) -> int:
 
 def cmd_spectral_slice(ns) -> int:
     policy = _policy(ns)
-    ys = np.linspace(ns.y_range[0], ns.y_range[1], ns.y_steps).tolist()
-    _note_discontinuities([ns.omega])
+    ys = _grid(ns.y_range[0], ns.y_range[1], ns.y_steps, "--y-steps")
     diagonal = sigma_yy_diag(ns.omega, ns.x, _INTERNAL, policy).value
-    samples = _map_ordered(
-        lambda y: sigma_yy(ns.omega, FieldPoint(x=ns.x, y=y), _INTERNAL, policy), ys
-    )
-    rows = [(s.omega, ns.x, y, s.value / diagonal) for y, s in zip(ys, samples)]
+    values, _ = _density_row(ns.omega, ns.x, ys, policy)
+    _note_discontinuities([ns.omega])
+    rows = [(ns.omega, ns.x, y, v / diagonal) for y, v in zip(ys, values)]
     _emit(ns, ("omega", "x", "y", "ratio"), rows)
     if getattr(ns, "svg", None):
         svgplot.render_line_plot(ns.svg, ys, [[r[3] for r in rows]], labels=("ratio",),

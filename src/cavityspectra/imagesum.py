@@ -66,16 +66,15 @@ class TruncationPolicy:
     """Symmetric truncation of the image sums.
 
     ``n_terms`` is the cutoff N: image indices n in [-N, N] are included.
-    With ``pair_symmetric`` the +n and -n terms are accumulated together in
-    ascending |n| and the n = 0 term is added last; this symmetric order is
-    also what makes several boundary cancellations exact in floating point.
-    ``accelerate`` averages the trailing symmetric partial sums (Cesaro
-    style) to damp the oscillatory tail of the spectral sums.
+    Every sum accumulates the +n and -n terms together in ascending |n| and
+    adds the n = 0 term last; this symmetric order is what makes several
+    boundary cancellations exact in floating point.  ``accelerate`` averages
+    the trailing symmetric partial sums (Cesaro style) to damp the
+    oscillatory tail of the spectral sums.
     """
 
     n_terms: int = 1000
     accelerate: bool = False
-    pair_symmetric: bool = True
 
     def __post_init__(self):
         if self.n_terms < 0:
@@ -115,10 +114,9 @@ def image_sum(
         -(1/4 pi^2) * sum_n 1 / ((p.x + sign*q.x - n L)^2 + dy^2 + dz^2 - dt^2)
 
     Coordinates are in internal units; the default geometry is the canonical
-    a = 1 (image period L = 2).  With ``pair_symmetric`` the +-n terms are
-    accumulated together in ascending |n| and the n = 0 term added last,
-    otherwise strictly in order n = -N .. N.  Raises LightConeProximity when
-    any denominator lies inside the guard band.
+    a = 1 (image period L = 2).  The +-n terms are accumulated together in
+    ascending |n| and the n = 0 term added last.  Raises LightConeProximity
+    when any denominator lies inside the guard band.
     """
     if sign not in (-1, 1):
         raise ValueError(f"sign must be -1 or +1, got {sign!r}")
@@ -140,12 +138,8 @@ def image_sum(
     _raise_near_cone(d_plus, np.arange(1, N + 1), branch)
     _raise_near_cone(d_minus, -np.arange(1, N + 1), branch)
 
-    if policy.pair_symmetric:
-        terms = 1.0 / d_plus + 1.0 / d_minus
-        total = float(np.cumsum(terms)[-1]) + 1.0 / d0
-    else:
-        terms = np.concatenate((1.0 / d_minus[::-1], [1.0 / d0], 1.0 / d_plus))
-        total = float(np.cumsum(terms)[-1])
+    terms = 1.0 / d_plus + 1.0 / d_minus
+    total = float(np.cumsum(terms)[-1]) + 1.0 / d0
     return -total / _FOUR_PI_SQ
 
 

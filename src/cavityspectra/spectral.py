@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -69,45 +70,49 @@ def _vacuum_coefficients() -> np.ndarray:
     return np.asarray(coeffs)
 
 
-_Q_COEFFS = _series_coefficients(1)
-_W_COEFFS = _series_coefficients(3)
-_VAC_COEFFS = _vacuum_coefficients()
+def _q_family(k: int):
+    """Q (k = 1) or W (k = 3): Taylor coefficients and the direct form s/u + k c/u^2 - k s/u^3."""
+
+    def direct(u, s, c):
+        u2 = u * u
+        return s / u + k * c / u2 - k * s / (u2 * u)
+
+    return _series_coefficients(k), direct
 
 
-def _spliced(u, coeffs, direct):
+def _vac_direct(u, s, c):
+    u2 = u * u
+    return s / (u2 * u) - c / u2
+
+
+_Q = _q_family(1)
+_W = _q_family(3)
+_VAC = (_vacuum_coefficients(), _vac_direct)
+
+
+def _spliced(u, *kernels):
+    """Kernels at u >= 0 from one argument check, one splice and one sin/cos.
+
+    Each kernel is (Taylor coefficients in u^2, direct form f(u, sin u, cos u));
+    the series serves u < SERIES_THRESHOLD.  Returns one value per kernel, a
+    float for scalar u and an array of u's shape otherwise.
+    """
     arr = np.asarray(u, dtype=float)
-    scalar = arr.ndim == 0
     flat = np.atleast_1d(arr)
     if np.any(flat < 0.0) or not np.all(np.isfinite(flat)):
         raise ValueError("kernel argument must be finite and nonnegative")
-    out = np.empty_like(flat)
     small = flat < SERIES_THRESHOLD
-    if np.any(small):
-        us = flat[small]
-        out[small] = npoly.polyval(us * us, coeffs)
     big = ~small
-    if np.any(big):
-        out[big] = direct(flat[big])
-    if scalar:
-        return float(out[0])
-    return out.reshape(arr.shape)
-
-
-def _q_direct(u):
-    s, c = np.sin(u), np.cos(u)
-    u2 = u * u
-    return s / u + c / u2 - s / (u2 * u)
-
-
-def _w_direct(u):
-    s, c = np.sin(u), np.cos(u)
-    u2 = u * u
-    return s / u + 3.0 * c / u2 - 3.0 * s / (u2 * u)
-
-
-def _vac_direct(u):
-    u2 = u * u
-    return np.sin(u) / (u2 * u) - np.cos(u) / u2
+    us, ub = flat[small], flat[big]
+    s, c = np.sin(ub), np.cos(ub)
+    results = []
+    for coeffs, direct in kernels:
+        out = np.empty_like(flat)
+        if us.size:  # most arrays have no small u, and polyval has a large fixed cost
+            out[small] = npoly.polyval(us * us, coeffs)
+        out[big] = direct(ub, s, c)
+        results.append(float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape))
+    return results
 
 
 def q_kernel(u):
@@ -115,7 +120,7 @@ def q_kernel(u):
 
     Q(0) = 2/3; Q(n pi) = (-1)^n / (n pi)^2.
     """
-    return _spliced(u, _Q_COEFFS, _q_direct)
+    return _spliced(u, _Q)[0]
 
 
 def w_kernel(u):
@@ -123,7 +128,7 @@ def w_kernel(u):
 
     W(0) = 0 with leading term -u^2/15; W(n pi) = 3 (-1)^n / (n pi)^2.
     """
-    return _spliced(u, _W_COEFFS, _w_direct)
+    return _spliced(u, _W)[0]
 
 
 @dataclass(frozen=True)
@@ -178,57 +183,59 @@ def _sigma_diag_values(omegas: np.ndarray, x: float, geometry: CavityGeometry, p
     """Vectorized coincident-point density: (values, errs) over an omega array."""
     _check_omegas(omegas)
     L = geometry.L
-    N = policy.n_terms
     w = omegas[:, None]
-    if N > 0:
-        n = np.arange(1, N + 1, dtype=float)[None, :]
-        qa = q_kernel(w * (n * L))
-        q_bp = q_kernel(w * np.abs(2.0 * x - n * L))
-        q_bn = q_kernel(w * np.abs(2.0 * x + n * L))
-        pairs = (qa - q_bp) + (qa - q_bn)
-    else:
-        pairs = np.empty((omegas.size, 0))
+    n = np.arange(1, policy.n_terms + 1, dtype=float)[None, :]
+    qa = q_kernel(w * (n * L))
+    # each reflected term is subtracted as it is made, so one array fewer is live
+    pairs = (qa - q_kernel(w * np.abs(2.0 * x - n * L))) + (qa - q_kernel(w * np.abs(2.0 * x + n * L)))
     term0 = _TWO_THIRDS - q_kernel(omegas * (2.0 * x))
     totals, last = _accumulate(pairs, term0, policy.accelerate)
     pref = (omegas * omegas * omegas) / _FOUR_PI_SQ
     return pref * totals, pref * last
 
 
-def _sigma_yy_values(omegas: np.ndarray, point: FieldPoint, geometry: CavityGeometry, policy: TruncationPolicy):
-    """Vectorized two-point density: (values, errs) over an omega array."""
-    y2 = point.y * point.y
-    if y2 == 0.0:
-        # includes subnormal y whose square underflows: the y^2 terms are then
-        # identically zero and the coincident-point form is the analytic limit
-        return _sigma_diag_values(omegas, point.x, geometry, policy)
+def _sigma_yy_values(omegas: np.ndarray, points: Sequence[FieldPoint], geometry: CavityGeometry, policy: TruncationPolicy):
+    """Vectorized two-point density for points of one x: (values, errs), shape (points, omegas).
+
+    Element for element the arithmetic is that of a single point, so a row
+    evaluated at once equals its points evaluated one by one, bit for bit.
+    """
     _check_omegas(omegas)
+    x = points[0].x
+    if any(p.x != x for p in points):
+        raise ValueError("one density call takes points of a single plate distance x")
+    y2 = np.array([p.y * p.y for p in points], dtype=float)
+    values, errs = np.empty((2, y2.size, omegas.size))
+    # y^2 == 0 includes subnormal y whose square underflows: the y^2 terms are
+    # then identically zero and the coincident-point form is the analytic limit
+    on_axis = y2 == 0.0
+    if np.any(on_axis):
+        values[on_axis], errs[on_axis] = _sigma_diag_values(omegas, x, geometry, policy)
+
     L = geometry.L
-    N = policy.n_terms
-    w = omegas[:, None]
+    w = omegas[None, :, None]
+    y2 = y2[~on_axis][:, None, None]
 
-    def branch(dist2):
+    def images(dist2):
+        """Q(omega D) and W(omega D)/D^2 over (points, omegas, images)."""
         # dist2 >= y^2 > 0 for every image, so the W/dist^2 terms are regular
-        u = w * np.sqrt(dist2)[None, :]
-        return q_kernel(u), w_kernel(u) / dist2[None, :]
+        q, wk = _spliced(w * np.sqrt(dist2), _Q, _W)
+        return q, wk / dist2
 
-    if N > 0:
-        n = np.arange(1, N + 1, dtype=float)
-        qa, wa = branch((n * L) ** 2 + y2)
-        q_bp, w_bp = branch((2.0 * point.x - n * L) ** 2 + y2)
-        q_bn, w_bn = branch((2.0 * point.x + n * L) ** 2 + y2)
-        pairs = ((qa - q_bp) + (qa - q_bn)) + y2 * ((w_bp - wa) + (w_bn - wa))
-    else:
-        pairs = np.empty((omegas.size, 0))
-    a2_0 = y2
-    b2_0 = (2.0 * point.x) ** 2 + y2
-    u_a0 = omegas * math.sqrt(a2_0)
-    u_b0 = omegas * math.sqrt(b2_0)
-    term0 = (q_kernel(u_a0) - q_kernel(u_b0)) + y2 * (
-        w_kernel(u_b0) / b2_0 - w_kernel(u_a0) / a2_0
-    )
+    n = np.arange(1, policy.n_terms + 1, dtype=float)
+    qa, wa = images((n * L) ** 2 + y2)
+    q_bp, w_bp = images((2.0 * x - n * L) ** 2 + y2)
+    q_bn, w_bn = images((2.0 * x + n * L) ** 2 + y2)
+    pairs = ((qa - q_bp) + (qa - q_bn)) + y2 * ((w_bp - wa) + (w_bn - wa))
+    q_a0, w_a0 = images(y2)
+    # (2x)^2 stays a Python float power, as in the pinned baselines: numpy's
+    # x*x differs from it in the last bit for about 1 in 1000 x
+    q_b0, w_b0 = images((2.0 * x) ** 2 + y2)
+    term0 = ((q_a0 - q_b0) + y2 * (w_b0 - w_a0))[..., 0]
     totals, last = _accumulate(pairs, term0, policy.accelerate)
     pref = (omegas * omegas * omegas) / _FOUR_PI_SQ
-    return pref * totals, pref * last
+    values[~on_axis], errs[~on_axis] = pref * totals, pref * last
+    return values, errs
 
 
 def sigma_yy(
@@ -247,8 +254,8 @@ def sigma_yy(
     not a rigorous bound.
     """
     validate_point(point, geometry)
-    values, errs = _sigma_yy_values(np.asarray([omega], dtype=float), point, geometry, policy)
-    return SpectralSample(omega=omega, value=float(values[0]), err=float(errs[0]), terms=policy.n_terms)
+    values, errs = _sigma_yy_values(np.asarray([omega], dtype=float), [point], geometry, policy)
+    return SpectralSample(omega=omega, value=float(values[0, 0]), err=float(errs[0, 0]), terms=policy.n_terms)
 
 
 def sigma_yy_diag(
@@ -277,7 +284,7 @@ def sigma_vacuum(omega, y: float = 0.0):
     arr = np.asarray(omega, dtype=float)
     _check_omegas(np.atleast_1d(arr))
     u = arr * abs(y)
-    bracket = _spliced(u, _VAC_COEFFS, _vac_direct)
+    bracket = _spliced(u, _VAC)[0]
     value = (arr * arr * arr) / _TWO_PI_SQ * bracket
     return float(value) if arr.ndim == 0 else value
 
@@ -294,8 +301,8 @@ def sigma_vacuum_from_kernels(omega: float, y: float) -> float:
     pref = (omega * omega * omega) / _FOUR_PI_SQ
     if y == 0.0:
         return pref * q_kernel(0.0)
-    u = omega * abs(y)
-    return pref * (q_kernel(u) - w_kernel(u))
+    q, w = _spliced(omega * abs(y), _Q, _W)
+    return pref * (q - w)
 
 
 def normalized_difference(

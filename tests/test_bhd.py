@@ -48,8 +48,8 @@ def _adaptive_reference(pt1, pt2, kernel, policy):
         half = 0.5 * np.diff(edges)
         om = (0.5 * (edges[:-1] + edges[1:])[:, None] + half[:, None] * nodes).ravel()
         k = kernel(om)
-        values, _ = _sigma_yy_values(om, pair, G, policy)
-        return float((half[:, None] * weights).ravel() @ (k * k * values))
+        values, _ = _sigma_yy_values(om, [pair], G, policy)
+        return float((half[:, None] * weights).ravel() @ (k * k * values[0]))
 
     lo, hi = kernel.support()
     step = PI / G.a

@@ -1,10 +1,16 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from cavityspectra import cli
 from cavityspectra.cli import main
-from cavityspectra.spectral import sigma_vacuum
+from cavityspectra.imagesum import TruncationPolicy
+from cavityspectra.spectral import sigma_vacuum, sigma_yy, sigma_yy_diag
+from cavityspectra.units import CavityGeometry, FieldPoint
+
+G = CavityGeometry(1.0)
 
 
 def run(argv):
@@ -44,13 +50,36 @@ class TestDensityCommands:
         middle = lines[3].split(",")  # y = 0 row: ratio is identically 1
         assert float(middle[3]) == 1.0
 
-    def test_worker_pool_is_deterministic(self, tmp_path, monkeypatch):
-        args = ["spectral-map", "--x-steps", "4", "--y-steps", "7", "--n-terms", "80"]
-        monkeypatch.setenv("CAVITYSPECTRA_WORKERS", "1")
-        run(args + ["--out", str(tmp_path / "w1.csv")])
-        monkeypatch.setenv("CAVITYSPECTRA_WORKERS", "4")
-        run(args + ["--out", str(tmp_path / "w4.csv")])
-        assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w4.csv").read_bytes()
+    def test_blocked_grid_matches_per_point_values(self, tmp_path):
+        # 3000 image pairs make a block of 43 points, so each 51-point row spans
+        # two blocks; the rows include y = 0 and the plates x = 0 and x = 1
+        n_terms, omega = 3000, 7.3
+        ys = np.linspace(-5.0, 5.0, 51)
+        assert cli._BLOCK_ELEMENTS // n_terms < ys.size and 0.0 in ys
+        for accelerate in (False, True):
+            policy = TruncationPolicy(n_terms=n_terms, accelerate=accelerate)
+            common = ["--omega", str(omega), "--y-range", "-5", "5", "--y-steps", "51",
+                      "--n-terms", str(n_terms)] + (["--accelerate"] if accelerate else [])
+            assert run(["spectral-map", "--x-steps", "3", *common,
+                        "--out", str(tmp_path / "map.csv")]) == 0
+            assert run(["spectral-slice", "--x", "0.75", *common,
+                        "--out", str(tmp_path / "slice.csv")]) == 0
+
+            rows = [line.split(",") for line in (tmp_path / "map.csv").read_text().splitlines()[1:]]
+            assert len(rows) == 3 * ys.size
+            for row in rows:
+                x, y = float(row[1]), float(row[2])
+                want = sigma_yy(omega, FieldPoint(x=x, y=y), G, policy)
+                assert row[3:5] == [repr(want.value), repr(want.err)]
+                if y == 0.0:
+                    diag = sigma_yy_diag(omega, x, G, policy)
+                    assert row[3:5] == [repr(diag.value), repr(diag.err)]
+
+            diagonal = sigma_yy_diag(omega, 0.75, G, policy).value
+            rows = [line.split(",") for line in (tmp_path / "slice.csv").read_text().splitlines()[1:]]
+            assert [row[3] for row in rows] == [
+                repr(sigma_yy(omega, FieldPoint(x=0.75, y=float(y)), G, policy).value / diagonal)
+                for y in ys]
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "diag.json"
@@ -154,12 +183,19 @@ class TestPlumbing:
         ["spectral-diag", "--omega", "-1"],
         ["spectral-diag", "--omega", "5.0", "--x", "2"],
         ["spectral-diag", "--omega", "5.0", "--n-terms", "-3"],
+        ["spectral-map", "--x-steps", "0"],
+        ["spectral-map", "--y-steps", "0", "--svg", "SVG"],
+        ["spectral-slice", "--y-steps", "0", "--svg", "SVG"],
+        ["spectral-diag", "--omega", "5.0", "--x-steps", "0", "--svg", "SVG"],
     ])
-    def test_invalid_values_exit_two_with_one_line(self, argv, capsys):
+    def test_invalid_values_exit_two_with_one_line(self, argv, tmp_path, capsys):
+        out, svg = tmp_path / "out.csv", tmp_path / "out.svg"
+        argv = [str(svg) if a == "SVG" else a for a in argv] + ["--out", str(out)]
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("argument error: ")
         assert err.count("\n") == 1
+        assert not out.exists() and not svg.exists()
 
     def test_io_failure_exits_four(self):
         assert run(["twopoint", "--s", "0.3", "--x", "0.4",

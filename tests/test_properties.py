@@ -1,5 +1,6 @@
 """Property suites: symmetries, scale covariance, determinism."""
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -107,12 +108,21 @@ def test_repeated_evaluation_is_bit_identical():
 
 
 def test_parallel_evaluation_matches_sequential():
-    from concurrent.futures import ThreadPoolExecutor
-
+    # the library keeps no shared mutable state, so concurrent callers get the
+    # values a single caller gets
     policy = TruncationPolicy(n_terms=300)
     points = [FieldPoint(x=float(x), y=float(y))
               for x in np.linspace(0.0, 1.0, 5) for y in (0.0, 3.3)]
     sequential = [sigma_yy(5.1, pt, G, policy).value for pt in points]
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        parallel = list(pool.map(lambda pt: sigma_yy(5.1, pt, G, policy).value, points))
+    parallel = [None] * len(points)
+
+    def evaluate(i):
+        parallel[i] = sigma_yy(5.1, points[i], G, policy).value
+
+    threads = [threading.Thread(target=evaluate, args=(i,)) for i in range(len(points))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60.0)
+    assert not any(t.is_alive() for t in threads)
     assert sequential == parallel

@@ -53,13 +53,9 @@ class TestKernels:
 
     def test_series_splice_continuity(self):
         u0 = np.asarray([SERIES_THRESHOLD])
-        for coeffs, direct in (
-            (sp._Q_COEFFS, sp._q_direct),
-            (sp._W_COEFFS, sp._w_direct),
-            (sp._VAC_COEFFS, sp._vac_direct),
-        ):
+        for coeffs, direct in (sp._Q, sp._W, sp._VAC):
             series = float(npoly.polyval(SERIES_THRESHOLD**2, coeffs))
-            assert abs(series - float(direct(u0)[0])) <= 1e-14
+            assert abs(series - float(direct(u0, np.sin(u0), np.cos(u0))[0])) <= 1e-14
 
 
 class TestVacuumDensity:
