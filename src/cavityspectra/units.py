@@ -138,9 +138,8 @@ class FrequencyGrid:
             raise ValueError("grid must be a one-dimensional, nonempty sequence")
         if np.any(np.diff(pts) <= 0.0):
             raise ValueError("grid points must be strictly increasing")
-        gap = _distance_to_pi_multiple(pts)
         # displaced points sit at distance exactly delta; allow rounding slack
-        if np.any(gap < self.delta * (1.0 - 1e-12)):
+        if np.any(_inside_band(pts, self.delta)):
             raise ValueError("grid point inside the guard band around a multiple of pi")
 
     def __len__(self) -> int:
@@ -153,6 +152,10 @@ class FrequencyGrid:
 def _distance_to_pi_multiple(omega):
     k = np.round(np.asarray(omega, dtype=float) / math.pi)
     return np.abs(omega - k * math.pi)
+
+
+def _inside_band(omega, delta):
+    return _distance_to_pi_multiple(omega) < delta * (1.0 - 1e-12)
 
 
 def near_discontinuity(omega: float, delta: float = DEFAULT_GUARD) -> bool:
@@ -187,6 +190,12 @@ def build_grid(omega_min: float, omega_max: float, count: int, delta: float = DE
     inside = np.abs(d) < delta
     shift = np.where(d >= 0.0, delta, -delta)
     pts = np.where(inside, k * math.pi + shift, pts)
+    # k*pi + shift can round to just inside the band when ulp(k*pi) exceeds
+    # the slack (k >= 11 at delta = 1e-3): step such points outward an ulp
+    short = _inside_band(pts, delta)
+    while np.any(short):
+        pts = np.where(short, np.nextafter(pts, pts + shift), pts)
+        short = _inside_band(pts, delta)
     if np.any(np.diff(pts) <= 0.0):
         raise ValueError("guard displacement produced a non-increasing grid")
     return FrequencyGrid(points=pts, delta=delta)

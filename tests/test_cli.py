@@ -187,6 +187,8 @@ class TestPlumbing:
         ["spectral-map", "--y-steps", "0", "--svg", "SVG"],
         ["spectral-slice", "--y-steps", "0", "--svg", "SVG"],
         ["spectral-diag", "--omega", "5.0", "--x-steps", "0", "--svg", "SVG"],
+        ["spectral-slice", "--x", "0", "--y-steps", "3"],
+        ["spectral-slice", "--x", "1", "--y-steps", "3", "--svg", "SVG"],
     ])
     def test_invalid_values_exit_two_with_one_line(self, argv, tmp_path, capsys):
         out, svg = tmp_path / "out.csv", tmp_path / "out.svg"

@@ -1,12 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 
+from cavityspectra import oracle
 from cavityspectra.errors import ExtrapolationDivergence, TailTooLarge
 from cavityspectra.imagesum import TruncationPolicy
 from cavityspectra.oracle import (
     OracleConfig,
     _check_contraction,
+    _correlation_complex,
     _extrapolate_to_zero,
     convergence_report,
     sigma_via_numeric_ft,
@@ -70,10 +73,11 @@ class TestNumericTransform:
         assert got == pytest.approx(ref, rel=1e-2)
 
     def test_diagonal_agreement(self):
-        for omega, x in [(4.4, 0.5), (7.6, 0.5)]:
-            got = sigma_via_numeric_ft(omega, FieldPoint(x, 0.0), G, POLICY, QUICK)
+        omegas, x = [4.4, 7.6], 0.5
+        got = sigma_via_numeric_ft(omegas, FieldPoint(x, 0.0), G, POLICY, QUICK)
+        for omega, value in zip(omegas, got):
             ref = sigma_yy_diag(omega, x, G, POLICY).value
-            assert abs(got - ref) / max(abs(ref), sigma_vacuum(omega, 0.0)) <= 0.02
+            assert abs(value - ref) / max(abs(ref), sigma_vacuum(omega, 0.0)) <= 0.02
 
     def test_diagonal_agreement_at_a_jump_frequency(self):
         # both routes settle on the midpoint-like value of the truncated sum
@@ -96,6 +100,81 @@ class TestNumericTransform:
     def test_frequency_validated(self):
         with pytest.raises(ValueError):
             sigma_via_numeric_ft(0.0, FieldPoint(0.5, 0.0), G, POLICY, QUICK)
+        for bad in ([4.4, 0.0], [4.4, math.nan], [4.4, math.inf], [[4.4, 7.6]]):
+            with pytest.raises(ValueError):
+                sigma_via_numeric_ft(bad, FieldPoint(0.5, 0.0), G, POLICY, QUICK)
+
+
+def _term_by_term(z2, x, y, n_images):
+    """The docstring formula of _correlation_complex, one image term at a time."""
+    y2 = y * y
+
+    def term(d2):
+        return (d2 + z2 - 2.0 * y2) / (z2 - d2) ** 3
+
+    total = term(y2) - term((2.0 * x) ** 2 + y2)
+    for n in range(1, n_images + 1):
+        for k in (n, -n):
+            total = total + term((k * G.L) ** 2 + y2) - term((2.0 * x - k * G.L) ** 2 + y2)
+    return total / PI**2
+
+
+class TestBatchedTransform:
+    # eps/6 = 0.033 and 2 pi/(32 omega) = 0.026 at omega = 7.6: the two
+    # frequencies get different steps at the coarsest regulator, one step after
+    # it, so the batch evaluates four correlation grids instead of six
+    SPLIT = OracleConfig(eps_schedule=(0.2, 0.1, 0.05), s_max=60.0, samples_per_cycle=32)
+
+    def test_batch_equals_single_frequency_calls(self, monkeypatch):
+        point, omegas = FieldPoint(0.5, 0.0), [4.4, 7.6, 4.4]
+        grids = []
+        evaluate = oracle._correlation_complex
+
+        def counting(z2, *args):
+            grids.append(z2.size)
+            return evaluate(z2, *args)
+
+        monkeypatch.setattr(oracle, "_correlation_complex", counting)
+        batch = sigma_via_numeric_ft(omegas, point, G, POLICY, self.SPLIT)
+        assert len(grids) == 4 and len(set(grids)) == 4
+        singles = [sigma_via_numeric_ft(w, point, G, POLICY, self.SPLIT) for w in omegas]
+        assert isinstance(batch, np.ndarray) and batch.shape == (3,)
+        assert all(type(v) is float for v in singles)
+        assert batch.tolist() == singles
+
+    def test_float_in_float_out_sequence_in_array_out(self):
+        point = FieldPoint(0.5, 0.0)
+        single = sigma_via_numeric_ft(4.4, point, G, POLICY, QUICK)
+        assert type(single) is float
+        assert sigma_via_numeric_ft(np.float64(4.4), point, G, POLICY, QUICK) == single
+        assert sigma_via_numeric_ft((4.4,), point, G, POLICY, QUICK).tolist() == [single]
+        assert sigma_via_numeric_ft([], point, G, POLICY, QUICK).shape == (0,)
+
+    @pytest.mark.parametrize("x", [0.3, 0.5])
+    @pytest.mark.parametrize("y", [0.0, 1.3])
+    def test_fused_poles_match_the_term_by_term_formula(self, x, y):
+        # 20 001 samples span three evaluation blocks; at x = a/2 reflected
+        # poles coincide pairwise and are merged
+        z2 = (np.linspace(0.0, 30.0, 20_001) - 0.0125j) ** 2
+        assert z2.size > 2 * oracle._BLOCK_SAMPLES
+        got = _correlation_complex(z2, FieldPoint(x, y), G, 20, False)
+        ref = _term_by_term(z2, x, y, 20)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12
+        vac = _correlation_complex(z2, FieldPoint(x, y), G, 20, True)
+        assert np.max(np.abs(vac * PI**2 * (z2 - y * y) ** 2 - 1.0)) <= 1e-12
+
+    def test_the_correlation_vanishes_on_the_plate(self):
+        # every translated pole cancels against its reflected partner
+        z2 = (np.linspace(0.0, 30.0, 2001) - 0.05j) ** 2
+        assert not np.any(_correlation_complex(z2, FieldPoint(0.0, 0.7), G, 20, False))
+
+    def test_a_failing_frequency_fails_the_batch_and_is_named(self):
+        far = FieldPoint(0.75, 45.0)
+        with pytest.raises(TailTooLarge, match=f"omega = {TWO_PI!r}:"):
+            sigma_via_numeric_ft([7.6, TWO_PI], far, G, POLICY)
+        coarse = OracleConfig(eps_schedule=(0.2, 0.1, 0.05), s_max=60.0)
+        with pytest.raises(ExtrapolationDivergence, match="omega = 10.6:"):
+            sigma_via_numeric_ft([4.4, 7.6, 10.6], FieldPoint(0.5, 0.0), G, POLICY, coarse)
 
 
 class TestConvergenceReport:
