@@ -5,9 +5,9 @@ float formatting.  CSV is the contract; JSON mirrors it and SVG renderings
 are a convenience.
 
 All numeric I/O is in internal units: lengths in units of the plate
-separation a, frequencies in units of c/a.  The --a-microns flag fixes the
-physical scale those units refer to (it feeds the SI conversions reported by
-the ``bhd`` command).
+separation a, frequencies in units of c/a.  The ``bhd`` command's
+--a-microns flag fixes the physical scale those units refer to (it feeds the
+SI frequency column).  Each subcommand accepts only the flags it reads.
 
 Exit codes: 0 success, 1 validation failure, 2 argument error, 3 numerical
 guard violation, 4 I/O failure.
@@ -104,17 +104,18 @@ def _note_discontinuities(omegas) -> None:
 
 # -- argument plumbing -------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, include_svg: bool = False, n_terms_default: int | None = 1000) -> None:
-    p.add_argument("--a-microns", type=float, default=1.0,
-                   help="plate separation in micrometres (physical scale of the internal units)")
+def _add_cutoff(p: argparse.ArgumentParser, n_terms_default: int | None = 1000, accelerate: bool = True) -> None:
     p.add_argument("--n-terms", type=int, default=n_terms_default,
                    help="symmetric image-sum cutoff N"
                         + ("" if n_terms_default else " (default: the figure recipe's own count)"))
-    p.add_argument("--accelerate", action="store_true",
-                   help="average trailing partial sums to damp the oscillatory tail")
+    if accelerate:
+        p.add_argument("--accelerate", action="store_true",
+                       help="average trailing partial sums to damp the oscillatory tail")
+
+
+def _add_output(p: argparse.ArgumentParser, include_svg: bool = False) -> None:
     p.add_argument("--out", help="output file (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--config", help="JSON file of option defaults (explicit flags win)")
     if include_svg:
         p.add_argument("--svg", help="also render a simple SVG to this path")
 
@@ -208,10 +209,15 @@ def cmd_spectral_slice(ns) -> int:
                          "that normalizes the slice vanishes")
     policy = _policy(ns)
     ys = _grid(ns.y_range[0], ns.y_range[1], ns.y_steps, "--y-steps")
-    diagonal = sigma_yy_diag(ns.omega, ns.x, _INTERNAL, policy).value
+    diagonal = sigma_yy_diag(ns.omega, ns.x, _INTERNAL, policy)
     values, _ = _density_row(ns.omega, ns.x, ys, policy)
     _note_discontinuities([ns.omega])
-    rows = [(ns.omega, ns.x, y, v / diagonal) for y, v in zip(ys, values)]
+    if abs(diagonal.value) <= diagonal.err:
+        # near a plate the truncated coincident density is residual, not signal
+        print(f"note: the coincident density at x = {ns.x:g}, omega = {ns.omega:g} is "
+              f"{diagonal.value:.3g}, within its truncation estimate err = {diagonal.err:.3g}; "
+              "the ratios are normalized by truncation residual", file=sys.stderr)
+    rows = [(ns.omega, ns.x, y, v / diagonal.value) for y, v in zip(ys, values)]
     _emit(ns, ("omega", "x", "y", "ratio"), rows)
     if getattr(ns, "svg", None):
         svgplot.render_line_plot(ns.svg, ys, [[r[3] for r in rows]], labels=("ratio",),
@@ -229,25 +235,22 @@ def _fig4_left_rows(policy, omega_count=96, x_count=41):
     omegas = _fig4_omega_grid(omega_count)
     xs = np.linspace(0.0, 1.0, x_count)
     vac = sigma_vacuum(omegas, 0.0)
-    columns = []
-    for x in xs:
-        values, _ = _sigma_diag_values(omegas, float(x), _INTERNAL, policy)
-        columns.append((values - vac) / vac)
+    values, _ = _sigma_diag_values(omegas, xs.tolist(), _INTERNAL, policy)
+    columns = (values - vac) / vac
     rows = []
     for j, w in enumerate(omegas):
         for i, x in enumerate(xs):
-            rows.append((float(w), float(x), float(columns[i][j])))
+            rows.append((float(w), float(x), float(columns[i, j])))
     return rows, omegas, xs, columns
 
 
 def _fig4_right_rows(policy, omega_count=160):
     omegas = _fig4_omega_grid(omega_count)
     vac = sigma_vacuum(omegas, 0.0)
-    dbs = {}
-    for x in (0.25, 0.5):
-        values, _ = _sigma_diag_values(omegas, x, _INTERNAL, policy)
-        ratio = values / vac
-        dbs[x] = [10.0 * math.log10(r) if r > 0.0 else None for r in ratio]
+    xs = (0.25, 0.5)
+    values, _ = _sigma_diag_values(omegas, xs, _INTERNAL, policy)
+    dbs = {x: [10.0 * math.log10(r) if r > 0.0 else None for r in ratio]
+           for x, ratio in zip(xs, values / vac)}
     rows = []
     for j, w in enumerate(omegas):
         d025, d05 = dbs[0.25][j], dbs[0.5][j]
@@ -312,7 +315,7 @@ def cmd_figure(ns) -> int:
 # -- two-point and detector commands ------------------------------------------
 
 def cmd_twopoint(ns) -> int:
-    policy = _policy(ns)
+    policy = TruncationPolicy(n_terms=ns.n_terms)
     value = two_point_yy_closed(ns.s, FieldPoint(x=ns.x, y=ns.y), _INTERNAL, policy)
     _emit(ns, ("s", "x", "y", "value", "n_terms"), [(ns.s, ns.x, ns.y, value, policy.n_terms)])
     return 0
@@ -491,42 +494,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectral-diag", help="coincident-point density over x at fixed omega")
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", help="JSON file of option defaults (explicit flags win)")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("spectral-diag", cmd_spectral_diag, "coincident-point density over x at fixed omega")
     p.add_argument("--omega", type=float, required=True, help="frequency in c/a units")
     p.add_argument("--x", type=float, help="single evaluation point (units of a)")
     p.add_argument("--x-steps", type=int, default=21, help="grid size over [0, a] when --x is absent")
-    _add_common(p, include_svg=True)
-    p.set_defaults(func=cmd_spectral_diag)
+    _add_cutoff(p)
+    _add_output(p, include_svg=True)
 
-    p = sub.add_parser("spectral-map", help="two-point density over the (x, y) plane")
+    p = command("spectral-map", cmd_spectral_map, "two-point density over the (x, y) plane")
     p.add_argument("--omega", type=float, default=_TWO_PI)
     p.add_argument("--x-steps", type=int, default=21)
     p.add_argument("--y-range", type=float, nargs=2, default=(-50.0, 50.0), metavar=("YMIN", "YMAX"))
     p.add_argument("--y-steps", type=int, default=101)
-    _add_common(p, include_svg=True)
-    p.set_defaults(func=cmd_spectral_map)
+    _add_cutoff(p)
+    _add_output(p, include_svg=True)
 
-    p = sub.add_parser("spectral-slice", help="density normalized by its coincident value, over y")
+    p = command("spectral-slice", cmd_spectral_slice, "density normalized by its coincident value, over y")
     p.add_argument("--omega", type=float, default=_TWO_PI)
     p.add_argument("--x", type=float, default=0.75)
     p.add_argument("--y-range", type=float, nargs=2, default=(-50.0, 50.0), metavar=("YMIN", "YMAX"))
     p.add_argument("--y-steps", type=int, default=201)
-    _add_common(p, include_svg=True)
-    p.set_defaults(func=cmd_spectral_slice)
+    _add_cutoff(p)
+    _add_output(p, include_svg=True)
 
-    p = sub.add_parser("figure", help="reproduce a bundled figure data set")
+    p = command("figure", cmd_figure, "reproduce a bundled figure data set")
     p.add_argument("name", choices=("fig2-left", "fig2-right", "fig4-left", "fig4-right"))
-    _add_common(p, include_svg=True, n_terms_default=None)
-    p.set_defaults(func=cmd_figure)
+    _add_cutoff(p, n_terms_default=None)
+    _add_output(p, include_svg=True)
 
-    p = sub.add_parser("twopoint", help="closed-form two-point function at time separation s")
+    p = command("twopoint", cmd_twopoint, "closed-form two-point function at time separation s")
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--y", type=float, default=0.0)
-    _add_common(p)
-    p.set_defaults(func=cmd_twopoint)
+    _add_cutoff(p, accelerate=False)
+    _add_output(p)
 
-    p = sub.add_parser("bhd", help="balanced-homodyne-detector response prediction")
+    p = command("bhd", cmd_bhd, "balanced-homodyne-detector response prediction")
     p.add_argument("--omega-lo", type=float, required=True, help="LO frequency in c/a units")
     p.add_argument("--x1", type=float, required=True)
     p.add_argument("--y1", type=float, required=True)
@@ -537,13 +546,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calibration", type=float, default=1.0)
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--lo-p", type=float, help="LO transverse wave number (default pi/|y2-y1|)")
-    _add_common(p)
-    p.set_defaults(func=cmd_bhd)
+    p.add_argument("--a-microns", type=float, default=1.0,
+                   help="plate separation in micrometres (scale of the SI frequency column)")
+    _add_cutoff(p)
+    _add_output(p)
 
-    p = sub.add_parser("validate", help="run oracle cross-checks and invariant suites")
+    p = command("validate", cmd_validate, "run oracle cross-checks and invariant suites")
     p.add_argument("--quick", action="store_true", help="shorter oracle schedule (3 points)")
-    _add_common(p)
-    p.set_defaults(func=cmd_validate)
 
     return parser
 

@@ -53,15 +53,6 @@ class SpacetimePoint:
 
 
 @dataclass(frozen=True)
-class ImageDistances:
-    """Distances to the n-th translated (A) and reflected (B) image."""
-
-    n: int
-    A: float
-    B: float
-
-
-@dataclass(frozen=True)
 class TruncationPolicy:
     """Symmetric truncation of the image sums.
 
@@ -79,14 +70,6 @@ class TruncationPolicy:
     def __post_init__(self):
         if self.n_terms < 0:
             raise ValueError("cutoff must be nonnegative")
-
-
-def image_distances(n: int, point: FieldPoint, geometry: CavityGeometry) -> ImageDistances:
-    """Distances from the source to its n-th translated and reflected image."""
-    L = geometry.L
-    a_dist = math.hypot(n * L, point.y)
-    b_dist = math.hypot(2.0 * point.x - n * L, point.y)
-    return ImageDistances(n=n, A=a_dist, B=b_dist)
 
 
 def _raise_near_cone(gaps: np.ndarray, indices: np.ndarray, branch: str) -> None:

@@ -24,6 +24,14 @@ ascending |n| with the n = 0 term last, which keeps several boundary
 identities exact in floating point.  All quantities are in internal units
 (c = 1), so results scale as omega^3 while every other argument appears as a
 frequency-distance product.
+
+Grids evaluate each distinct image term once.  The translated distances
+n L do not depend on x, so one coincident-point call over many x evaluates
+Q(omega n L) once and only the reflected terms per x.  The two-point density
+depends on y only through y^2, so points of a row that share y^2 (a grid
+symmetric in y holds each value twice) are evaluated once.  Neither changes
+the floating-point operations of any element: a grid equals its points
+evaluated one by one, bit for bit.
 """
 from __future__ import annotations
 
@@ -73,16 +81,35 @@ def _vacuum_coefficients() -> np.ndarray:
 def _q_family(k: int):
     """Q (k = 1) or W (k = 3): Taylor coefficients and the direct form s/u + k c/u^2 - k s/u^3."""
 
+    def k_times_over(v, d, out=None):
+        """k * v / d; the product by k = 1 is exact and is skipped."""
+        if k == 1:
+            return np.divide(v, d, out=out)
+        t = np.multiply(v, k, out=out)
+        t /= d
+        return t
+
     def direct(u, s, c):
+        # s / u + k * c / u2 - k * s / (u2 * u), operation for operation, with
+        # the temporaries reused in place
         u2 = u * u
-        return s / u + k * c / u2 - k * s / (u2 * u)
+        out = s / u
+        t = k_times_over(c, u2)
+        out += t
+        u2 *= u
+        out -= k_times_over(s, u2, out=t)
+        return out
 
     return _series_coefficients(k), direct
 
 
 def _vac_direct(u, s, c):
     u2 = u * u
-    return s / (u2 * u) - c / u2
+    out = u2 * u
+    np.divide(s, out, out=out)
+    np.divide(c, u2, out=u2)
+    out -= u2
+    return out
 
 
 _Q = _q_family(1)
@@ -94,23 +121,27 @@ def _spliced(u, *kernels):
     """Kernels at u >= 0 from one argument check, one splice and one sin/cos.
 
     Each kernel is (Taylor coefficients in u^2, direct form f(u, sin u, cos u));
-    the series serves u < SERIES_THRESHOLD.  Returns one value per kernel, a
-    float for scalar u and an array of u's shape otherwise.
+    the direct form is evaluated over the whole array and the series then
+    overwrites the entries with u < SERIES_THRESHOLD.  Returns one value per
+    kernel, a float for scalar u and an array of u's shape otherwise.
     """
     arr = np.asarray(u, dtype=float)
     flat = np.atleast_1d(arr)
     if np.any(flat < 0.0) or not np.all(np.isfinite(flat)):
         raise ValueError("kernel argument must be finite and nonnegative")
     small = flat < SERIES_THRESHOLD
-    big = ~small
-    us, ub = flat[small], flat[big]
-    s, c = np.sin(ub), np.cos(ub)
+    us2 = None
+    if small.any():  # most arrays have no small u, and polyval has a large fixed cost
+        us = flat[small]
+        us2 = us * us
+        # the series overwrites these entries; 1 keeps the direct form free of 0/0
+        flat = np.where(small, 1.0, flat)
+    s, c = np.sin(flat), np.cos(flat)
     results = []
     for coeffs, direct in kernels:
-        out = np.empty_like(flat)
-        if us.size:  # most arrays have no small u, and polyval has a large fixed cost
-            out[small] = npoly.polyval(us * us, coeffs)
-        out[big] = direct(ub, s, c)
+        out = direct(flat, s, c)
+        if us2 is not None:
+            out[small] = npoly.polyval(us2, coeffs)
         results.append(float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape))
     return results
 
@@ -179,38 +210,54 @@ def _accumulate(pairs: np.ndarray, term0: np.ndarray, accelerate: bool):
     return totals, np.abs(pairs[..., -1])
 
 
-def _sigma_diag_values(omegas: np.ndarray, x: float, geometry: CavityGeometry, policy: TruncationPolicy):
-    """Vectorized coincident-point density: (values, errs) over an omega array."""
+def _sigma_diag_values(omegas: np.ndarray, xs: Sequence[float], geometry: CavityGeometry, policy: TruncationPolicy):
+    """Vectorized coincident-point density: (values, errs), shape (xs, omegas).
+
+    The translated images Q(omega n L) do not depend on x: they are evaluated
+    once per call, the reflected ones once per x, so temporaries stay at
+    omegas x images whatever the number of x.
+    """
     _check_omegas(omegas)
-    L = geometry.L
     w = omegas[:, None]
-    n = np.arange(1, policy.n_terms + 1, dtype=float)[None, :]
-    qa = q_kernel(w * (n * L))
-    # each reflected term is subtracted as it is made, so one array fewer is live
-    pairs = (qa - q_kernel(w * np.abs(2.0 * x - n * L))) + (qa - q_kernel(w * np.abs(2.0 * x + n * L)))
-    term0 = _TWO_THIRDS - q_kernel(omegas * (2.0 * x))
-    totals, last = _accumulate(pairs, term0, policy.accelerate)
+    nL = np.arange(1, policy.n_terms + 1, dtype=float)[None, :] * geometry.L
+    qa = q_kernel(w * nL)
     pref = (omegas * omegas * omegas) / _FOUR_PI_SQ
-    return pref * totals, pref * last
+    values, errs = np.empty((2, len(xs), omegas.size))
+    for i, x in enumerate(xs):
+        # (qa - Q(omega B-)) + (qa - Q(omega B+)), each reflected term folded in as it is made
+        pairs = q_kernel(w * np.abs(2.0 * x - nL))
+        np.subtract(qa, pairs, out=pairs)
+        reflected = q_kernel(w * np.abs(2.0 * x + nL))
+        np.subtract(qa, reflected, out=reflected)
+        pairs += reflected
+        term0 = _TWO_THIRDS - q_kernel(omegas * (2.0 * x))
+        totals, last = _accumulate(pairs, term0, policy.accelerate)
+        values[i], errs[i] = pref * totals, pref * last
+    return values, errs
 
 
 def _sigma_yy_values(omegas: np.ndarray, points: Sequence[FieldPoint], geometry: CavityGeometry, policy: TruncationPolicy):
     """Vectorized two-point density for points of one x: (values, errs), shape (points, omegas).
 
-    Element for element the arithmetic is that of a single point, so a row
-    evaluated at once equals its points evaluated one by one, bit for bit.
+    The density depends on y only through y^2: each distinct y^2 is evaluated
+    once and its values are copied to every point that shares it.  Element for
+    element the arithmetic is that of a single point, so a row evaluated at
+    once equals its points evaluated one by one, bit for bit.
     """
     _check_omegas(omegas)
     x = points[0].x
     if any(p.x != x for p in points):
         raise ValueError("one density call takes points of a single plate distance x")
     y2 = np.array([p.y * p.y for p in points], dtype=float)
+    inverse = None
+    if y2.size > 1:
+        y2, inverse = np.unique(y2, return_inverse=True)
     values, errs = np.empty((2, y2.size, omegas.size))
     # y^2 == 0 includes subnormal y whose square underflows: the y^2 terms are
     # then identically zero and the coincident-point form is the analytic limit
     on_axis = y2 == 0.0
     if np.any(on_axis):
-        values[on_axis], errs[on_axis] = _sigma_diag_values(omegas, x, geometry, policy)
+        values[on_axis], errs[on_axis] = _sigma_diag_values(omegas, [x], geometry, policy)
 
     L = geometry.L
     w = omegas[None, :, None]
@@ -220,13 +267,26 @@ def _sigma_yy_values(omegas: np.ndarray, points: Sequence[FieldPoint], geometry:
         """Q(omega D) and W(omega D)/D^2 over (points, omegas, images)."""
         # dist2 >= y^2 > 0 for every image, so the W/dist^2 terms are regular
         q, wk = _spliced(w * np.sqrt(dist2), _Q, _W)
-        return q, wk / dist2
+        wk /= dist2
+        return q, wk
 
-    n = np.arange(1, policy.n_terms + 1, dtype=float)
-    qa, wa = images((n * L) ** 2 + y2)
-    q_bp, w_bp = images((2.0 * x - n * L) ** 2 + y2)
-    q_bn, w_bn = images((2.0 * x + n * L) ** 2 + y2)
-    pairs = ((qa - q_bp) + (qa - q_bn)) + y2 * ((w_bp - wa) + (w_bn - wa))
+    nL = np.arange(1, policy.n_terms + 1, dtype=float) * L
+    qa, wa = images(nL ** 2 + y2)
+
+    def reflected(dist2):
+        """qa - Q(omega B) and W(omega B)/B^2 - wa for one reflected family."""
+        q, wk = images(dist2)
+        np.subtract(qa, q, out=q)
+        wk -= wa
+        return q, wk
+
+    # ((qa - q_b-) + (qa - q_b+)) + y^2 ((w_b- - wa) + (w_b+ - wa))
+    pairs, w_pairs = reflected((2.0 * x - nL) ** 2 + y2)
+    q_bn, w_bn = reflected((2.0 * x + nL) ** 2 + y2)
+    pairs += q_bn
+    w_pairs += w_bn
+    w_pairs *= y2
+    pairs += w_pairs
     q_a0, w_a0 = images(y2)
     # (2x)^2 stays a Python float power, as in the pinned baselines: numpy's
     # x*x differs from it in the last bit for about 1 in 1000 x
@@ -235,7 +295,9 @@ def _sigma_yy_values(omegas: np.ndarray, points: Sequence[FieldPoint], geometry:
     totals, last = _accumulate(pairs, term0, policy.accelerate)
     pref = (omegas * omegas * omegas) / _FOUR_PI_SQ
     values[~on_axis], errs[~on_axis] = pref * totals, pref * last
-    return values, errs
+    if inverse is None:
+        return values, errs
+    return values[inverse], errs[inverse]
 
 
 def sigma_yy(
@@ -270,8 +332,8 @@ def sigma_yy_diag(
     (every translated term cancels its reflected partner exactly).
     """
     validate_point(FieldPoint(x=x, y=0.0), geometry)
-    values, errs = _sigma_diag_values(np.asarray([omega], dtype=float), x, geometry, policy)
-    return SpectralSample(omega=omega, value=float(values[0]), err=float(errs[0]), terms=policy.n_terms)
+    values, errs = _sigma_diag_values(np.asarray([omega], dtype=float), [x], geometry, policy)
+    return SpectralSample(omega=omega, value=float(values[0, 0]), err=float(errs[0, 0]), terms=policy.n_terms)
 
 
 def sigma_vacuum(omega, y: float = 0.0):

@@ -101,24 +101,6 @@ def from_internal(value: float, unit: str, geometry: CavityGeometry) -> float:
     return value * a_m / SPEED_OF_LIGHT  # time
 
 
-# -- covariant rescaling -----------------------------------------------------
-#
-# All spectral quantities obey S(omega; a) = lam^-3 * S(lam*omega; a/lam) with
-# transverse coordinates scaled by 1/lam.  These helpers supply the lambda
-# machinery used by the scale-invariance tests.
-
-def rescale_geometry(geometry: CavityGeometry, lam: float) -> CavityGeometry:
-    return CavityGeometry(a=geometry.a / lam)
-
-
-def rescale_point(point: FieldPoint, lam: float) -> FieldPoint:
-    return FieldPoint(x=point.x / lam, y=point.y / lam)
-
-
-def rescale_frequency(omega: float, lam: float) -> float:
-    return omega * lam
-
-
 @dataclass(frozen=True)
 class FrequencyGrid:
     """Strictly increasing frequencies, none within ``delta`` of a multiple of pi.

@@ -50,6 +50,26 @@ class TestDensityCommands:
         middle = lines[3].split(",")  # y = 0 row: ratio is identically 1
         assert float(middle[3]) == 1.0
 
+    def test_slice_notes_a_residual_normalization(self, tmp_path, capsys):
+        # next to the far plate the N = 1000 coincident density is smaller than its err
+        out = tmp_path / "slice.csv"
+        assert run(["spectral-slice", "--omega", "5", "--x", "0.9999", "--y-range", "-1", "1",
+                    "--y-steps", "3", "--out", str(out)]) == 0
+        diag = sigma_yy_diag(5.0, 0.9999, G, TruncationPolicy(n_terms=1000))
+        assert abs(diag.value) <= diag.err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("note: ")
+        assert all(part in err for part in ("x = 0.9999", "omega = 5 ", f"is {diag.value:.3g},",
+                                            f"err = {diag.err:.3g}"))
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[3] for row in rows] == [
+            repr(sigma_yy(5.0, FieldPoint(x=0.9999, y=y), G, TruncationPolicy(n_terms=1000)).value
+                 / diag.value) for y in (-1.0, 0.0, 1.0)]
+
+        assert run(["figure", "fig2-right", "--out", str(tmp_path / "f2r.csv")]) == 0
+        err = capsys.readouterr().err
+        assert "truncation" not in err and err.count("\n") == 1  # the jump note alone
+
     def test_blocked_grid_matches_per_point_values(self, tmp_path):
         # 3000 image pairs make a block of 43 points, so each 51-point row spans
         # two blocks; the rows include y = 0 and the plates x = 0 and x = 1
@@ -198,6 +218,23 @@ class TestPlumbing:
         assert err.startswith("argument error: ")
         assert err.count("\n") == 1
         assert not out.exists() and not svg.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--n-terms", "5"],
+        ["validate", "--accelerate"],
+        ["validate", "--format", "json"],
+        ["validate"],  # --out, appended below
+        ["figure", "fig4-right", "--a-microns", "3"],
+        ["spectral-diag", "--omega", "5.0", "--x", "0.5", "--a-microns", "3"],
+        ["twopoint", "--s", "0.3", "--x", "0.4", "--accelerate"],
+    ])
+    def test_flags_a_command_does_not_read_are_usage_errors(self, argv, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_io_failure_exits_four(self):
         assert run(["twopoint", "--s", "0.3", "--x", "0.4",

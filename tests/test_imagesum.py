@@ -6,11 +6,11 @@ from cavityspectra.errors import LightConeProximity
 from cavityspectra.imagesum import (
     SpacetimePoint,
     TruncationPolicy,
-    image_distances,
     image_sum,
     two_point_yy_closed,
     two_point_yy_fd,
     two_point_yy_vacuum,
+    _squared_image_distances,
 )
 from cavityspectra.units import CavityGeometry, FieldPoint
 
@@ -19,18 +19,19 @@ PI_SQ = math.pi**2
 
 
 class TestImageDistances:
+    # the squared distances the closed-form sums use, against math.hypot
     def test_central_image(self):
-        d = image_distances(0, FieldPoint(x=0.3, y=0.0), G)
-        assert d.A == 0.0 and d.B == 0.6
+        _, _, _, a2_0, b2_0 = _squared_image_distances(FieldPoint(x=0.3, y=0.0), 0, G.L)
+        assert a2_0 == 0.0 and b2_0 == math.hypot(0.6, 0.0) ** 2
 
     def test_transverse_offset_only(self):
-        d = image_distances(0, FieldPoint(x=0.4, y=3.0), G)
-        assert d.A == 3.0
-        assert d.B == pytest.approx(math.sqrt(4 * 0.4**2 + 9.0), rel=1e-15)
+        _, _, _, a2_0, b2_0 = _squared_image_distances(FieldPoint(x=0.4, y=3.0), 0, G.L)
+        assert a2_0 == math.hypot(0.0, 3.0) ** 2
+        assert b2_0 == pytest.approx(math.hypot(0.8, 3.0) ** 2, rel=1e-15)
 
     def test_first_reflected_image_vanishes_at_the_far_plate(self):
-        d = image_distances(1, FieldPoint(x=1.0, y=0.0), G)
-        assert d.B == 0.0 and d.A == 2.0
+        a2, b2_pos, _, _, _ = _squared_image_distances(FieldPoint(x=1.0, y=0.0), 1, G.L)
+        assert b2_pos[0] == 0.0 and a2[0] == math.hypot(2.0, 0.0) ** 2
 
 
 class TestImageSum:

@@ -8,14 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cavityspectra.imagesum import SpacetimePoint, TruncationPolicy, image_sum
 from cavityspectra.spectral import sigma_yy, sigma_yy_diag
-from cavityspectra.units import (
-    CavityGeometry,
-    FieldPoint,
-    build_grid,
-    rescale_frequency,
-    rescale_geometry,
-    rescale_point,
-)
+from cavityspectra.units import CavityGeometry, FieldPoint, build_grid
 
 G = CavityGeometry(1.0)
 PI = math.pi
@@ -35,6 +28,28 @@ def test_y_parity_is_exact_at_every_cutoff(x, y, omega):
     plus = sigma_yy(omega, FieldPoint(x=x, y=y), G, policy)
     minus = sigma_yy(omega, FieldPoint(x=x, y=-y), G, policy)
     assert plus.value == minus.value and plus.err == minus.err
+
+
+# All spectral quantities obey S(omega; a) = lam^-3 * S(lam*omega; a/lam) with
+# transverse coordinates scaled by 1/lam.
+def rescale_geometry(geometry: CavityGeometry, lam: float) -> CavityGeometry:
+    return CavityGeometry(a=geometry.a / lam)
+
+
+def rescale_point(point: FieldPoint, lam: float) -> FieldPoint:
+    return FieldPoint(x=point.x / lam, y=point.y / lam)
+
+
+def rescale_frequency(omega: float, lam: float) -> float:
+    return omega * lam
+
+
+def test_rescaling_is_the_covariant_triple():
+    geometry = CavityGeometry(1.0)
+    point = FieldPoint(0.5, 12.0)
+    assert rescale_geometry(geometry, 2.0).a == 0.5
+    assert rescale_point(point, 2.0) == FieldPoint(0.25, 6.0)
+    assert rescale_frequency(3.0, 2.0) == 6.0
 
 
 @settings(max_examples=40, deadline=None)

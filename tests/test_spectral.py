@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,22 @@ class TestKernels:
         u = np.array([0.0, 0.3, 0.5, 2.0, 40.0])
         assert np.array_equal(q_kernel(u), np.array([q_kernel(float(v)) for v in u]))
         assert np.array_equal(w_kernel(u), np.array([w_kernel(float(v)) for v in u]))
+
+    @pytest.mark.parametrize("u", [
+        np.linspace(0.5, 60.0, 257),  # every argument at or above the splice
+        np.array([3.0, 0.0, 0.49, 1e-300, 0.5, 7.5, 0.2, 40.0]),  # sub-splice entries mixed in
+    ])
+    def test_arrays_equal_scalar_calls_without_warnings(self, u):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kernel in (q_kernel, w_kernel):
+                values = kernel(u)
+                assert np.array_equal(values, [kernel(float(v)) for v in u])
+                assert np.array_equal(kernel(u.reshape(-1, 1)), values[:, None])
+            # sigma_vacuum's kernel argument is omega |y|: y = 0 puts every omega at u = 0
+            omegas = u[u > 0.0]
+            for y in (0.0, 0.3, 1.7):
+                assert np.array_equal(sigma_vacuum(omegas, y), [sigma_vacuum(float(w), y) for w in omegas])
 
     def test_negative_argument_rejected(self):
         with pytest.raises(ValueError):
@@ -156,6 +173,38 @@ class TestTwoPointDensity:
             a = sigma_yy(omega, FieldPoint(x=x, y=y), G, policy)
             b = sigma_yy(omega, FieldPoint(x=x, y=-y), G, policy)
             assert a.value == b.value
+
+
+class TestSharedImageTerms:
+    OMEGAS = np.array([0.7, 2.2, PI + 1e-3, 5.0, 7.9, 4.0 * PI - 1e-3])
+
+    @pytest.mark.parametrize("n_terms", [0, 1, 300])
+    @pytest.mark.parametrize("accelerate", [False, True])
+    def test_multi_x_call_equals_each_x_alone(self, n_terms, accelerate):
+        # one call shares the translated images across x; both plates included
+        policy = TruncationPolicy(n_terms=n_terms, accelerate=accelerate)
+        xs = [0.0, 0.05, 0.3, 0.5, 0.75, 0.9999, 1.0]
+        values, errs = sp._sigma_diag_values(self.OMEGAS, xs, G, policy)
+        assert values.shape == errs.shape == (len(xs), self.OMEGAS.size)
+        for i, x in enumerate(xs):
+            for j, omega in enumerate(self.OMEGAS):
+                s = sigma_yy_diag(float(omega), x, G, policy)
+                assert (values[i, j], errs[i, j]) == (s.value, s.err)
+        assert np.all(values[0] == 0.0)
+
+    @pytest.mark.parametrize("accelerate", [False, True])
+    def test_points_sharing_y_squared_equal_single_points(self, accelerate):
+        # mixed signs, repeats, y = 0 and subnormal y whose square underflows to 0
+        policy = TruncationPolicy(n_terms=200, accelerate=accelerate)
+        ys = [1.3, -1.3, 0.0, 5e-324, -1e-170, 0.4, 45.0, -0.4, 1.3, -0.0]
+        for x in (0.0, 0.31, 0.75):
+            points = [FieldPoint(x=x, y=y) for y in ys]
+            values, errs = sp._sigma_yy_values(self.OMEGAS, points, G, policy)
+            assert values.shape == errs.shape == (len(ys), self.OMEGAS.size)
+            for i, point in enumerate(points):
+                for j, omega in enumerate(self.OMEGAS):
+                    s = sigma_yy(float(omega), point, G, policy)
+                    assert (values[i, j], errs[i, j]) == (s.value, s.err)
 
 
 class TestDerivedQuantities:

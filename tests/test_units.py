@@ -11,9 +11,6 @@ from cavityspectra.units import (
     build_grid,
     from_internal,
     near_discontinuity,
-    rescale_frequency,
-    rescale_geometry,
-    rescale_point,
     to_internal,
     validate_point,
 )
@@ -80,15 +77,6 @@ class TestConversions:
             to_internal(math.nan, "length", MICRON_GEOMETRY)
         with pytest.raises(ValueError):
             from_internal(math.inf, "time", MICRON_GEOMETRY)
-
-
-class TestRescaling:
-    def test_covariant_triple(self):
-        geometry = CavityGeometry(1.0)
-        point = FieldPoint(0.5, 12.0)
-        assert rescale_geometry(geometry, 2.0).a == 0.5
-        assert rescale_point(point, 2.0) == FieldPoint(0.25, 6.0)
-        assert rescale_frequency(3.0, 2.0) == 6.0
 
 
 class TestBuildGrid:
