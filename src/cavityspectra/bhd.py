@@ -332,32 +332,20 @@ def variance_current(
     kernel: LOKernel,
     geometry: CavityGeometry,
     policy: TruncationPolicy,
-) -> float:
-    """Ground-state variance of the detector output (four smeared-density terms).
+) -> tuple[float, float]:
+    """Ground-state variance of the detector output and its far-separation approximation.
 
-    calibration^2 * [R(1,1) + R(1,2) + R(2,1) + R(2,2)]; the cross term is
-    symmetric and computed once, and R(2,2) equals R(1,1) because both
-    diodes share the plate distance x.
+    The variance is calibration^2 * [R(1,1) + R(1,2) + R(2,1) + R(2,2)] (four
+    smeared-density terms); the cross term is symmetric and computed once,
+    and R(2,2) equals R(1,1) because both diodes share the plate distance x.
+    The approximation is twice the single-diode diagonal term,
+    2 calibration^2 R(1,1), valid when the diodes are transversely far apart
+    so that the cross terms are small against the diagonal ones.  Returns
+    (variance, approximation) from two smears.
     """
     if config.diode1.x != config.diode2.x:
         raise ValueError("the detector variance requires both diodes at the same plate distance x")
     r11 = smeared_density(config.diode1, config.diode1, kernel, geometry, policy)
     r12 = smeared_density(config.diode1, config.diode2, kernel, geometry, policy)
     c2 = config.calibration * config.calibration
-    return c2 * ((r11 + r12) + (r12 + r11))
-
-
-def variance_approx(
-    diode: FieldPoint,
-    kernel: LOKernel,
-    config: DetectorConfig,
-    geometry: CavityGeometry,
-    policy: TruncationPolicy,
-) -> float:
-    """Far-separation variance: twice the single-diode diagonal term.
-
-    Valid when the diodes are transversely far apart, so the cross terms of
-    :func:`variance_current` are small against the diagonal ones.
-    """
-    r = smeared_density(diode, diode, kernel, geometry, policy)
-    return 2.0 * config.calibration * config.calibration * r
+    return c2 * ((r11 + r12) + (r12 + r11)), 2.0 * c2 * r11

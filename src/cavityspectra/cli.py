@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -27,13 +28,13 @@ from .bhd import (
     LOMode,
     check_balance,
     mean_current,
-    variance_approx,
     variance_current,
 )
 from .errors import NumericalGuardError
 from .imagesum import TruncationPolicy, two_point_yy_closed, two_point_yy_fd
 from .oracle import OracleConfig, convergence_report, sigma_via_numeric_ft
 from .spectral import (
+    _BLOCK_ELEMENTS,
     _sigma_diag_values,
     _sigma_yy_values,
     sigma_vacuum,
@@ -47,6 +48,7 @@ from .units import (
     build_grid,
     from_internal,
     near_discontinuity,
+    validate_point,
     DEFAULT_GUARD,
 )
 from . import svgplot
@@ -128,6 +130,11 @@ def _explicit_dests(argv) -> set[str]:
     return dests
 
 
+#: Namespace entries that are not flags a config file may set: the
+#: subcommand, its handler, the config path and the figure name argument.
+_NOT_CONFIGURABLE = frozenset({"command", "func", "config", "name"})
+
+
 def _apply_config(ns: argparse.Namespace, argv) -> None:
     path = getattr(ns, "config", None)
     if not path:
@@ -137,11 +144,13 @@ def _apply_config(ns: argparse.Namespace, argv) -> None:
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object of option values")
     explicit = _explicit_dests(argv)
+    options = set(vars(ns)) - _NOT_CONFIGURABLE
     for key, value in data.items():
         dest = key.replace("-", "_")
-        if dest == "config" or dest in explicit or not hasattr(ns, dest):
-            continue
-        setattr(ns, dest, value)
+        if dest not in options:
+            raise ValueError(f"config key {key!r} is not an option of {ns.command}")
+        if dest not in explicit:
+            setattr(ns, dest, value)
 
 
 def _policy(ns) -> TruncationPolicy:
@@ -150,11 +159,6 @@ def _policy(ns) -> TruncationPolicy:
 
 # -- density commands --------------------------------------------------------
 
-#: Most points x image pairs one vectorised density call evaluates (one point
-#: when --n-terms is larger); bounds the memory of a grid whatever --y-steps.
-_BLOCK_ELEMENTS = 2**17
-
-
 def _grid(lo: float, hi: float, count: int, flag: str) -> list[float]:
     if count < 1:
         raise ValueError(f"{flag} must be at least 1, got {count}")
@@ -162,7 +166,11 @@ def _grid(lo: float, hi: float, count: int, flag: str) -> list[float]:
 
 
 def _density_row(omega: float, x: float, ys, policy):
-    """sigma_yy at (x, y) for each y: [values, errs], evaluated in blocks of points."""
+    """sigma_yy at (x, y) for each y: [values, errs], evaluated in blocks of points.
+
+    A block holds at most _BLOCK_ELEMENTS points x image pairs (one point when
+    --n-terms is larger), which bounds the memory of a grid whatever --y-steps.
+    """
     block = max(1, _BLOCK_ELEMENTS // max(1, policy.n_terms))
     points = [FieldPoint(x=x, y=y) for y in ys]
     parts = [_sigma_yy_values(np.asarray([omega], dtype=float), points[i:i + block], _INTERNAL, policy)
@@ -174,12 +182,14 @@ def cmd_spectral_diag(ns) -> int:
     policy = _policy(ns)
     if ns.x is not None:
         xs = [float(ns.x)]
+        validate_point(FieldPoint(x=xs[0], y=0.0), _INTERNAL)
     else:
         xs = _grid(0.0, 1.0, ns.x_steps, "--x-steps")
-    samples = [sigma_yy_diag(ns.omega, x, _INTERNAL, policy) for x in xs]
+    values, errs = _sigma_diag_values(np.asarray([ns.omega], dtype=float), xs, _INTERNAL, policy)
     _note_discontinuities([ns.omega])
     sub = bool(ns.omega < math.pi)
-    rows = [(s.omega, x, 0.0, s.value, s.err, s.terms, sub) for x, s in zip(xs, samples)]
+    rows = [(ns.omega, x, 0.0, v, e, policy.n_terms, sub)
+            for x, v, e in zip(xs, values[:, 0].tolist(), errs[:, 0].tolist())]
     _emit(ns, DENSITY_COLUMNS + ("sub_cutoff",), rows)
     if getattr(ns, "svg", None):
         svgplot.render_line_plot(ns.svg, xs, [[r[3] for r in rows]],
@@ -331,8 +341,7 @@ def cmd_bhd(ns) -> int:
         calibration=ns.calibration,
     )
     mean = mean_current(config, kernel)
-    variance = variance_current(config, kernel, _INTERNAL, policy)
-    approx = variance_approx(config.diode1, kernel, config, _INTERNAL, policy)
+    variance, approx = variance_current(config, kernel, _INTERNAL, policy)
 
     if ns.lo_p is not None:
         p = ns.lo_p
@@ -487,8 +496,20 @@ def cmd_validate(ns) -> int:
 
 # -- parser ------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads any token opening with '-' and a digit as a value.
+
+    argparse's own pattern misses scientific notation, so `--y1 -1e-05` would
+    read as a flag with no value; no flag of this CLI starts with a digit.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cavityspectra",
         description="Ground-state field spectra between conducting plates and homodyne-detector response",
     )

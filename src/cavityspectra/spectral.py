@@ -25,12 +25,16 @@ identities exact in floating point.  All quantities are in internal units
 (c = 1), so results scale as omega^3 while every other argument appears as a
 frequency-distance product.
 
-Grids evaluate each distinct image term once.  The translated distances
-n L do not depend on x, so one coincident-point call over many x evaluates
-Q(omega n L) once and only the reflected terms per x.  The two-point density
-depends on y only through y^2, so points of a row that share y^2 (a grid
-symmetric in y holds each value twice) are evaluated once.  Neither changes
-the floating-point operations of any element: a grid equals its points
+Grids evaluate each distinct image term once.  A coincident-point call
+over many x evaluates Q once per distinct image distance: the translated
+distances n L do not depend on x, on a grid symmetric under x -> a - x the
+reflected distance |2x - n L| at x equals 2(a - x) + (n - 1) L at a - x, and
+on an evenly spaced grid the reflected families of different x overlap (the
+fig4-left grid needs 83 041 distances, 20 106 of them distinct).  The
+two-point density depends on y only through y^2, so points of a row that
+share y^2 (a grid symmetric in y holds each value twice) are evaluated
+once.  Neither changes the floating-point operations of any element: equal
+distance bits give equal kernel bits, and a grid equals its points
 evaluated one by one, bit for bit.
 """
 from __future__ import annotations
@@ -54,6 +58,10 @@ _SERIES_TERMS = 10
 _FOUR_PI_SQ = 4.0 * math.pi**2
 _TWO_PI_SQ = 2.0 * math.pi**2
 _TWO_THIRDS = 2.0 / 3.0
+
+#: Most elements one vectorised kernel or gather array holds: density calls
+#: split their frequencies or points into blocks that stay within it.
+_BLOCK_ELEMENTS = 2**17
 
 
 def _series_coefficients(cos_weight: int) -> np.ndarray:
@@ -213,26 +221,46 @@ def _accumulate(pairs: np.ndarray, term0: np.ndarray, accelerate: bool):
 def _sigma_diag_values(omegas: np.ndarray, xs: Sequence[float], geometry: CavityGeometry, policy: TruncationPolicy):
     """Vectorized coincident-point density: (values, errs), shape (xs, omegas).
 
-    The translated images Q(omega n L) do not depend on x: they are evaluated
-    once per call, the reflected ones once per x, so temporaries stay at
-    omegas x images whatever the number of x.
+    Q is evaluated once per distinct image distance of a pool of x: the
+    translated n L, and per x the reflected |2x - n L| and 2x + n L and the
+    n = 0 term 2x.  On symmetric or evenly spaced grids many of them coincide
+    (see the module docstring).  The families are gathered back from the
+    distinct values and accumulated as for a single x.  Pools of x and blocks
+    of frequencies keep every kernel and gather array within _BLOCK_ELEMENTS
+    (one x per pool when its 3 n + 1 distances alone exceed it).
     """
     _check_omegas(omegas)
-    w = omegas[:, None]
-    nL = np.arange(1, policy.n_terms + 1, dtype=float)[None, :] * geometry.L
-    qa = q_kernel(w * nL)
+    n = policy.n_terms
+    nL = np.arange(1, n + 1, dtype=float) * geometry.L
     pref = (omegas * omegas * omegas) / _FOUR_PI_SQ
     values, errs = np.empty((2, len(xs), omegas.size))
-    for i, x in enumerate(xs):
-        # (qa - Q(omega B-)) + (qa - Q(omega B+)), each reflected term folded in as it is made
-        pairs = q_kernel(w * np.abs(2.0 * x - nL))
-        np.subtract(qa, pairs, out=pairs)
-        reflected = q_kernel(w * np.abs(2.0 * x + nL))
-        np.subtract(qa, reflected, out=reflected)
-        pairs += reflected
-        term0 = _TWO_THIRDS - q_kernel(omegas * (2.0 * x))
-        totals, last = _accumulate(pairs, term0, policy.accelerate)
-        values[i], errs[i] = pref * totals, pref * last
+    pool = max(1, _BLOCK_ELEMENTS // (3 * n + 1))
+    for start in range(0, len(xs), pool):
+        x2 = 2.0 * np.asarray(xs[start:start + pool], dtype=float)[:, None]
+        # per x: the n terms of |2x - n L|, the n of 2x + n L, then 2x
+        distances = np.concatenate([nL, np.concatenate([np.abs(x2 - nL), x2 + nL, x2], axis=1).ravel()])
+        if x2.size > 1:
+            distances, index = np.unique(distances, return_inverse=True)
+        else:
+            index = np.arange(distances.size)
+        translated, index = index[:n], index[n:].reshape(x2.size, 2 * n + 1)
+        rows = max(1, _BLOCK_ELEMENTS // distances.size)
+        for lo in range(0, omegas.size, rows):
+            block = slice(lo, lo + rows)
+            q = q_kernel(omegas[block, None] * distances)
+            # np.take copies into C-ordered (frequencies, x, images) arrays: only in
+            # that layout does _accumulate's accelerated mean round as for one x
+            qa = np.take(q, translated, axis=1)[:, None, :]
+            # (qa - Q(omega B-)) + (qa - Q(omega B+)), each reflected term folded in as it is gathered
+            pairs = np.take(q, index[:, :n], axis=1)
+            np.subtract(qa, pairs, out=pairs)
+            reflected = np.take(q, index[:, n:2 * n], axis=1)
+            np.subtract(qa, reflected, out=reflected)
+            pairs += reflected
+            term0 = _TWO_THIRDS - np.take(q, index[:, 2 * n], axis=1)
+            totals, last = _accumulate(pairs, term0, policy.accelerate)
+            scale = pref[block, None]
+            values[start:start + pool, block], errs[start:start + pool, block] = (scale * totals).T, (scale * last).T
     return values, errs
 
 

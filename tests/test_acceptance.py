@@ -170,12 +170,11 @@ def test_criterion_09_detector_consistency():
     kernel = LOKernel(omega_lo=TWO_PI, width=TWO_PI / 20.0)
     config = DetectorConfig(FieldPoint(0.75, 0.0), FieldPoint(0.75, 50.0), calibration=1.3)
 
-    variance = cs.variance_current(config, kernel, G, policy)
-    approx = cs.variance_approx(config.diode1, kernel, config, G, policy)
+    variance, approx = cs.variance_current(config, kernel, G, policy)
     gap = abs(variance - approx) / approx
 
     doubled = LOKernel(omega_lo=TWO_PI, width=TWO_PI / 20.0, amplitude=2.0)
-    quadrupled = cs.variance_current(config, doubled, G, policy)
+    quadrupled, _ = cs.variance_current(config, doubled, G, policy)
     scaling_dev = abs(quadrupled / variance - 4.0)
 
     p = PI / 50.0

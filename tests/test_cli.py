@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -101,6 +102,18 @@ class TestDensityCommands:
                 repr(sigma_yy(omega, FieldPoint(x=0.75, y=float(y)), G, policy).value / diagonal)
                 for y in ys]
 
+    def test_spectral_diag_rows_equal_single_points(self, tmp_path):
+        # one density call over the x grid gives each x's single-point bits
+        out = tmp_path / "diag.csv"
+        assert run(["spectral-diag", "--omega", "2.1", "--x-steps", "41", "--n-terms", "300",
+                    "--accelerate", "--out", str(out)]) == 0
+        policy = TruncationPolicy(n_terms=300, accelerate=True)
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[1] for row in rows] == [repr(x) for x in np.linspace(0.0, 1.0, 41).tolist()]
+        for row in rows:
+            s = sigma_yy_diag(2.1, float(row[1]), G, policy)
+            assert row == ["2.1", row[1], "0.0", repr(s.value), repr(s.err), "300", "true"]
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "diag.json"
         run(["spectral-diag", "--omega", "5.0", "--x", "0.25", "--format", "json", "--out", str(out)])
@@ -192,6 +205,47 @@ class TestPlumbing:
         assert len(lines) == 1 + 4  # flag wins over config
         assert lines[1].split(",")[5] == "40"  # config supplies the cutoff
 
+    def test_config_keys_may_be_spelt_with_dashes(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n-terms": 40, "accelerate": True}))
+        via_config, via_flags = tmp_path / "c.csv", tmp_path / "f.csv"
+        assert run(["spectral-diag", "--omega", "5.0", "--x-steps", "3", "--config", str(cfg),
+                    "--out", str(via_config)]) == 0
+        assert run(["spectral-diag", "--omega", "5.0", "--x-steps", "3", "--n-terms", "40",
+                    "--accelerate", "--out", str(via_flags)]) == 0
+        assert via_config.read_bytes() == via_flags.read_bytes()
+
+    @pytest.mark.parametrize("argv, key", [
+        (["spectral-diag", "--omega", "5.0", "--x", "0.5"], "n_terms_typo"),
+        (["spectral-diag", "--omega", "5.0", "--x", "0.5"], "a-microns"),  # a flag of bhd only
+        (["figure", "fig4-right", "--out", os.devnull], "name"),  # an argument, not a flag
+        (["twopoint", "--s", "0.3", "--x", "0.4"], "func"),
+        (["validate", "--quick"], "n_terms"),
+    ])
+    def test_config_keys_without_a_flag_are_argument_errors(self, argv, key, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 5}))
+        assert run(argv + ["--config", str(cfg)]) == 2
+        assert capsys.readouterr() == ("", f"argument error: config key {key!r} is not an option of {argv[0]}\n")
+
+    @pytest.mark.parametrize("argv, scientific, decimal", [
+        (["bhd", "--omega-lo", "7", "--x1", ".5", "--y1", "SCI", "--x2", ".5", "--y2", "1",
+          "--n-terms", "60"], "-1e-05", "-0.00001"),
+        (["bhd", "--omega-lo", "7", "--x1", ".5", "--y1", "0", "--x2", ".5", "--y2", "1",
+          "--t0", "SCI", "--n-terms", "60"], "-2.5E-1", "-0.25"),
+        (["spectral-map", "--omega", "5", "--x-steps", "2", "--y-range", "SCI", "50",
+          "--y-steps", "3", "--n-terms", "40"], "-5e-05", "-0.00005"),
+        (["spectral-slice", "--omega", "5", "--x", "0.3", "--y-range", "-2", "SCI",
+          "--y-steps", "3", "--n-terms", "40"], "-1e-1", "-0.1"),
+        (["twopoint", "--s", "0.3", "--x", "0.4", "--y", "SCI"], "-8e-1", "-0.8"),
+    ])
+    def test_negative_values_in_scientific_notation_are_values(self, argv, scientific, decimal, capsys):
+        outputs = []
+        for value in (scientific, decimal):
+            assert run([value if a == "SCI" else a for a in argv]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and outputs[0].count("\n") >= 2
+
     def test_argument_errors_exit_two(self):
         with pytest.raises(SystemExit) as exc:
             run(["spectral-diag"])  # --omega missing
@@ -209,6 +263,7 @@ class TestPlumbing:
         ["spectral-diag", "--omega", "5.0", "--x-steps", "0", "--svg", "SVG"],
         ["spectral-slice", "--x", "0", "--y-steps", "3"],
         ["spectral-slice", "--x", "1", "--y-steps", "3", "--svg", "SVG"],
+        ["spectral-diag", "--omega", "-1e-3", "--x", "0.5"],  # reaches the value check
     ])
     def test_invalid_values_exit_two_with_one_line(self, argv, tmp_path, capsys):
         out, svg = tmp_path / "out.csv", tmp_path / "out.svg"

@@ -181,9 +181,10 @@ class TestSharedImageTerms:
     @pytest.mark.parametrize("n_terms", [0, 1, 300])
     @pytest.mark.parametrize("accelerate", [False, True])
     def test_multi_x_call_equals_each_x_alone(self, n_terms, accelerate):
-        # one call shares the translated images across x; both plates included
+        # one call evaluates each distinct image distance once; both plates and
+        # the fig4-left grid, symmetric under x -> a - x, included
         policy = TruncationPolicy(n_terms=n_terms, accelerate=accelerate)
-        xs = [0.0, 0.05, 0.3, 0.5, 0.75, 0.9999, 1.0]
+        xs = [0.0, 0.05, 0.3, 0.9999] + np.linspace(0.0, 1.0, 41).tolist()
         values, errs = sp._sigma_diag_values(self.OMEGAS, xs, G, policy)
         assert values.shape == errs.shape == (len(xs), self.OMEGAS.size)
         for i, x in enumerate(xs):
@@ -191,6 +192,37 @@ class TestSharedImageTerms:
                 s = sigma_yy_diag(float(omega), x, G, policy)
                 assert (values[i, j], errs[i, j]) == (s.value, s.err)
         assert np.all(values[0] == 0.0)
+
+    @pytest.fixture
+    def kernel_sizes(self, monkeypatch):
+        """Sizes of the arrays the spectral module hands to q_kernel from now on."""
+        sizes = []
+
+        def counting(u, kernel=sp.q_kernel):
+            sizes.append(np.size(u))
+            return kernel(u)
+
+        monkeypatch.setattr(sp, "q_kernel", counting)
+        return sizes
+
+    def test_kernel_sees_each_distinct_distance_once(self, kernel_sizes):
+        n, xs = 300, np.linspace(0.0, 1.0, 41).tolist()
+        sp._sigma_diag_values(self.OMEGAS, xs, G, TruncationPolicy(n_terms=n))
+        distances = n + len(xs) * (2 * n + 1)  # translated, then per x both reflected and 2x
+        # one pool and one block of frequencies fit the budget: a single kernel call
+        assert len(kernel_sizes) == 1 and kernel_sizes[0] <= sp._BLOCK_ELEMENTS
+        assert kernel_sizes[0] < self.OMEGAS.size * distances // 2
+
+    def test_pools_of_x_bound_the_kernel_arrays(self, kernel_sizes):
+        # 301 x at N = 1000 need 602 301 distances: the call splits them into pools
+        policy = TruncationPolicy(n_terms=1000, accelerate=True)
+        xs = np.linspace(0.0, 1.0, 301).tolist()
+        values, errs = sp._sigma_diag_values(self.OMEGAS[:2], xs, G, policy)
+        assert len(kernel_sizes) > 1 and max(kernel_sizes) <= sp._BLOCK_ELEMENTS
+        for i, x in enumerate(xs):
+            for j, omega in enumerate(self.OMEGAS[:2]):
+                s = sigma_yy_diag(float(omega), x, G, policy)
+                assert (values[i, j], errs[i, j]) == (s.value, s.err)
 
     @pytest.mark.parametrize("accelerate", [False, True])
     def test_points_sharing_y_squared_equal_single_points(self, accelerate):
