@@ -27,11 +27,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .spectral import _FOUR_PI_SQ, _Q, _W, _accumulate, _spliced, q_kernel
+from .spectral import _sigma_yy_values
 from .imagesum import TruncationPolicy
 from .units import CavityGeometry, FieldPoint, validate_point
 
-_Y_AXIS = (0.0, 1.0, 0.0)
 _KERNEL_SUPPORT_SIGMAS = 6.0
 _DISPERSION_TOL = 1e-12
 
@@ -41,14 +40,13 @@ class LOKernel:
     """Gaussian local-oscillator amplitude profile k(omega).
 
     Sharp concentration is enforced as width <= omega_lo/10.  ``t0`` shifts
-    the LO phase; ``polarization`` must be the y axis for cavity use (the
-    density computed here is the yy component only).
+    the LO phase.  The LO is polarized along y: the density computed here is
+    the yy component only.
     """
 
     omega_lo: float
     width: float
     amplitude: float = 1.0
-    polarization: tuple[float, float, float] = _Y_AXIS
     t0: float = 0.0
 
     def __post_init__(self):
@@ -60,9 +58,6 @@ class LOKernel:
             raise ValueError("kernel amplitude must be nonnegative")
         if self.width > self.omega_lo / 10.0:
             raise ValueError("kernel must be sharply concentrated: width <= omega_lo/10")
-        norm = math.sqrt(sum(c * c for c in self.polarization))
-        if not math.isclose(norm, 1.0, rel_tol=0.0, abs_tol=1e-12):
-            raise ValueError("polarization must be a unit vector")
 
     def __call__(self, omega):
         d = (np.asarray(omega, dtype=float) - self.omega_lo) / self.width
@@ -75,14 +70,6 @@ class LOKernel:
     def support(self) -> tuple[float, float]:
         half = _KERNEL_SUPPORT_SIGMAS * self.width
         return (self.omega_lo - half, self.omega_lo + half)
-
-
-def _require_y_polarization(kernel: LOKernel) -> None:
-    off = max(abs(kernel.polarization[0] - _Y_AXIS[0]),
-              abs(kernel.polarization[1] - _Y_AXIS[1]),
-              abs(kernel.polarization[2] - _Y_AXIS[2]))
-    if off > 1e-12:
-        raise ValueError("only y-polarized local oscillators are supported by the yy density")
 
 
 @dataclass(frozen=True)
@@ -187,13 +174,18 @@ def check_balance(
     return abs(amp1 + amp2) / peak
 
 
-#: Gauss-Legendre nodes across the smearing window.  Every kept image term
-#: turns through at most 12 * _REACH radians over the window (about 25
-#: periods), which this rule integrates to rounding.
+#: Gauss-Legendre nodes per panel of the smearing window.
 _SMEAR_NODES = 160
 #: Smearing with k^2 damps an image at distance D by about exp(-(width D)^2/4);
 #: images with width * D beyond this contribute below 5e-19 of their size.
 _REACH = 13.0
+#: One panel integrates to rounding every image term that turns through at
+#: most 12 * _PANEL_REACH radians over it (about 50 periods; the rule fails
+#: near 12 * 38).
+_PANEL_REACH = 2.0 * _REACH
+#: Most panels of one smear, which bounds its node arrays; only an LO wider
+#: than about 6600/a needs more, and gets its farthest images under-resolved.
+_MAX_PANELS = 1024
 
 
 @functools.cache
@@ -211,66 +203,52 @@ def smeared_density(
 ) -> float:
     """Frequency-smeared density integral k(omega)^2 sigma_yy over the kernel support.
 
-    One fixed Gauss-Legendre rule over the window of +-6 kernel widths around
-    the LO frequency.  Each translated or reflected image term enters only if
-    its distance D satisfies width * D <= 13, and only for image indices the
-    policy's cutoff allows; the smearing damps every dropped term below
-    rounding.  The kept terms are smooth in omega (the jumps at multiples of
-    pi/a come from the infinite sum only), and their oscillation across the
-    window is bounded, so one node count serves every LO.  Terms are
-    accumulated pairwise as in :func:`~cavityspectra.spectral.sigma_yy`, which
-    makes the result vanish exactly on a plate.  Both points must share the
-    plate distance x (the closed-form density covers equal-x pairs only; that
-    is the geometry of the proposed detector).
+    A fixed 160-node Gauss-Legendre rule over the window of +-6 kernel widths
+    around the LO frequency, applied to the two-point density of
+    :mod:`~cavityspectra.spectral` at its nodes.  That density sums only the
+    image indices whose nearest image, the reflected one at |2x - n L|, lies
+    within width * D <= 13, within the policy's cutoff; the smearing damps
+    every dropped term below rounding, and the result is 0 when the offset
+    alone puts every image beyond that reach.  Acceleration applies only when
+    no index is dropped.  The kept terms are smooth in omega (the jumps at
+    multiples of pi/a come from the infinite sum only).  A kept index also
+    brings in its translated and far reflected images; when the farthest of
+    them turns through more than 12 * 26 radians over the window (wide LOs
+    far above the cutoff), the window splits into equal panels of 160 nodes.
+    Both points must share the plate distance x (the closed-form density
+    covers equal-x pairs only; that is the geometry of the proposed
+    detector).
 
     ``quadrature`` is not a setting: it must be None.  It stays in the
     signature because perfbench's span recorder keys smear calls by it.
     """
     if quadrature is not None:
         raise ValueError("the smearing rule is fixed; quadrature must be None")
-    _require_y_polarization(kernel)
     validate_point(pt1, geometry)
     validate_point(pt2, geometry)
     if pt1.x != pt2.x:
         raise ValueError("smearing requires both points at the same plate distance x")
     x = pt1.x
     dy = pt2.y - pt1.y
-    y2 = dy * dy
-    L = geometry.L
     reach2 = (_REACH / kernel.width) ** 2
+    if dy * dy > reach2:  # every image is at least |dy| away
+        return 0.0
+    # for n >= 1 the reflected image at 2x - nL is the nearest, so the kept indices are a prefix
+    n = np.arange(1, policy.n_terms + 1, dtype=float)
+    kept = int(np.count_nonzero((2.0 * x - n * geometry.L) ** 2 + dy * dy <= reach2))
+    kept_policy = TruncationPolicy(kept, accelerate=policy.accelerate and kept == policy.n_terms)
+    # the farthest image the kept indices bring in is the reflected one at 2x + kept L
+    far = math.hypot(2.0 * x + kept * geometry.L, dy)
+    panels = min(_MAX_PANELS, max(1, math.ceil(kernel.width * far / _PANEL_REACH)))
 
     nodes, weights = _legendre_rule()
-    lo, hi = kernel.support()
-    half = 0.5 * (hi - lo)
-    omegas = 0.5 * (lo + hi) + half * nodes
-    w = omegas[:, None, None]
-
-    def terms(dist2: np.ndarray) -> np.ndarray:
-        """Q(omega D) - y^2 W(omega D)/D^2 per node and distance; 0 beyond the reach."""
-        u = w * np.sqrt(dist2)
-        if y2 == 0.0:  # also by underflow: no W part (and D = 0 at n = 0)
-            values = q_kernel(u)
-        else:
-            q, wk = _spliced(u, _Q, _W)
-            values = q - y2 * (wk / dist2)
-        return np.where(dist2 <= reach2, values, 0.0)
-
-    n = np.arange(1, policy.n_terms + 1, dtype=float)
-    # rows: translated, reflected at 2x - nL, reflected at 2x + nL; for n >= 1
-    # the first reflected image is the nearest, so the kept indices are a prefix
-    dist2 = np.stack([(n * L) ** 2, (2.0 * x - n * L) ** 2, (2.0 * x + n * L) ** 2]) + y2
-    kept = int(np.count_nonzero(dist2[1] <= reach2))
-    ta, tbp, tbn = np.moveaxis(terms(dist2[:, :kept]), 1, 0)
-    pairs = (ta - tbp) + (ta - tbn)
-    if policy.accelerate:
-        # dropped pairs smear to zero, so their partial sums repeat the last kept one
-        pairs = np.pad(pairs, ((0, 0), (0, policy.n_terms - kept)))
-    t0a, t0b = terms(np.array([[y2], [4.0 * x * x + y2]]))[:, :, 0].T
-    totals, _ = _accumulate(pairs, t0a - t0b, policy.accelerate)
-
+    edges = np.linspace(*kernel.support(), panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    omegas = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half[:, None] * nodes
+    density, _ = _sigma_yy_values(omegas.ravel(), [FieldPoint(x, dy)], geometry, kept_policy)
     k = kernel(omegas)
-    density = (omegas * omegas * omegas) / _FOUR_PI_SQ * totals
-    return float(half * (weights @ (k * k * density)))
+    integrand = k * k * density.reshape(omegas.shape)
+    return float(sum(h * (weights @ row) for h, row in zip(half, integrand)))
 
 
 @dataclass(frozen=True)
@@ -315,7 +293,6 @@ def mean_current(
     each component:  calibration * sum_c k(w_c) (amp1 + amp2) cos(w_c t0 + phase).
     A field that is balanced like the LO itself (opposite amplitudes) gives 0.
     """
-    _require_y_polarization(kernel)
     if not classical_field:
         return 0.0
     total = 0.0

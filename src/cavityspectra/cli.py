@@ -32,11 +32,11 @@ from .bhd import (
 )
 from .errors import NumericalGuardError
 from .imagesum import TruncationPolicy, two_point_yy_closed, two_point_yy_fd
-from .oracle import OracleConfig, convergence_report, sigma_via_numeric_ft
+from .oracle import OracleConfig, sigma_via_numeric_ft
 from .spectral import (
-    _BLOCK_ELEMENTS,
     _sigma_diag_values,
     _sigma_yy_values,
+    convergence_report,
     sigma_vacuum,
     sigma_vacuum_from_kernels,
     sigma_yy,
@@ -166,16 +166,10 @@ def _grid(lo: float, hi: float, count: int, flag: str) -> list[float]:
 
 
 def _density_row(omega: float, x: float, ys, policy):
-    """sigma_yy at (x, y) for each y: [values, errs], evaluated in blocks of points.
-
-    A block holds at most _BLOCK_ELEMENTS points x image pairs (one point when
-    --n-terms is larger), which bounds the memory of a grid whatever --y-steps.
-    """
-    block = max(1, _BLOCK_ELEMENTS // max(1, policy.n_terms))
-    points = [FieldPoint(x=x, y=y) for y in ys]
-    parts = [_sigma_yy_values(np.asarray([omega], dtype=float), points[i:i + block], _INTERNAL, policy)
-             for i in range(0, len(points), block)]
-    return [np.concatenate(column)[:, 0].tolist() for column in zip(*parts)]
+    """sigma_yy at (x, y) for each y: [values, errs] (spectral bounds the memory of the row)."""
+    values, errs = _sigma_yy_values(np.asarray([omega], dtype=float), [FieldPoint(x=x, y=y) for y in ys],
+                                    _INTERNAL, policy)
+    return values[:, 0].tolist(), errs[:, 0].tolist()
 
 
 def cmd_spectral_diag(ns) -> int:

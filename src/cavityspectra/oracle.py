@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ExtrapolationDivergence, TailTooLarge
 from .imagesum import TruncationPolicy
-from .spectral import SpectralSample, sigma_vacuum, sigma_yy
+from .spectral import sigma_vacuum
 from .units import CavityGeometry, FieldPoint, validate_point
 
 _PI_SQ = math.pi**2
@@ -303,26 +303,3 @@ def sigma_via_numeric_ft(
             for eps in config.eps_schedule]
     results = [_settle(w, [run[i] for run in runs], config.eps_schedule) for i, w in enumerate(ws)]
     return results[0] if omegas.ndim == 0 else np.array(results)
-
-
-def convergence_report(
-    omega: float,
-    point: FieldPoint,
-    geometry: CavityGeometry,
-    n_list: Sequence[int],
-    accelerate: bool = False,
-) -> list[SpectralSample]:
-    """Density at a fixed point for increasing cutoffs, for convergence studies.
-
-    Successive differences between rows are expected to shrink; the cli
-    validation command renders this as a table.
-    """
-    if len(n_list) == 0:
-        raise ValueError("cutoff list must be nonempty")
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("cutoff list must be strictly increasing")
-    rows = []
-    for n in n_list:
-        policy = TruncationPolicy(n_terms=int(n), accelerate=accelerate)
-        rows.append(sigma_yy(omega, point, geometry, policy))
-    return rows

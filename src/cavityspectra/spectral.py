@@ -184,18 +184,6 @@ class SpectralSample:
             raise ValueError("error estimate and term count must be nonnegative")
 
 
-@dataclass(frozen=True)
-class SuppressionValue:
-    """Density ratio against vacuum; ``db`` is defined only for positive ratios."""
-
-    ratio: float
-    db: float | None
-
-    def __post_init__(self):
-        if (self.db is not None) != (self.ratio > 0.0):
-            raise ValueError("db must be present exactly when the ratio is positive")
-
-
 def _check_omegas(omegas: np.ndarray) -> None:
     if np.any(omegas <= 0.0) or not np.all(np.isfinite(omegas)):
         raise ValueError("frequencies must be positive and finite")
@@ -268,9 +256,11 @@ def _sigma_yy_values(omegas: np.ndarray, points: Sequence[FieldPoint], geometry:
     """Vectorized two-point density for points of one x: (values, errs), shape (points, omegas).
 
     The density depends on y only through y^2: each distinct y^2 is evaluated
-    once and its values are copied to every point that shares it.  Element for
-    element the arithmetic is that of a single point, so a row evaluated at
-    once equals its points evaluated one by one, bit for bit.
+    once and its values are copied to every point that shares it.  Blocks of
+    distinct y^2 and of frequencies keep every (points, frequencies, images)
+    array within _BLOCK_ELEMENTS.  Element for element the arithmetic is that
+    of a single point, so a row evaluated at once equals its points evaluated
+    one by one, bit for bit.
     """
     _check_omegas(omegas)
     x = points[0].x
@@ -286,10 +276,26 @@ def _sigma_yy_values(omegas: np.ndarray, points: Sequence[FieldPoint], geometry:
     on_axis = y2 == 0.0
     if np.any(on_axis):
         values[on_axis], errs[on_axis] = _sigma_diag_values(omegas, [x], geometry, policy)
+    nL = np.arange(1, policy.n_terms + 1, dtype=float) * geometry.L
+    # points x frequencies per block: as many frequencies as fit, then points
+    rows = max(1, _BLOCK_ELEMENTS // max(1, nL.size))
+    freqs = max(1, min(omegas.size, rows))
+    off_axis = np.flatnonzero(~on_axis)
+    for start in range(0, off_axis.size, rows // freqs):
+        pool = off_axis[start:start + rows // freqs]
+        for lo in range(0, omegas.size, freqs):
+            block = slice(lo, lo + freqs)
+            values[pool, block], errs[pool, block] = _off_axis_block(
+                omegas[block], y2[pool], x, nL, policy.accelerate)
+    if inverse is None:
+        return values, errs
+    return values[inverse], errs[inverse]
 
-    L = geometry.L
+
+def _off_axis_block(omegas: np.ndarray, y2: np.ndarray, x: float, nL: np.ndarray, accelerate: bool):
+    """Two-point density at plate distance x for y^2 > 0: (values, errs), shape (y2, omegas)."""
     w = omegas[None, :, None]
-    y2 = y2[~on_axis][:, None, None]
+    y2 = y2[:, None, None]
 
     def images(dist2):
         """Q(omega D) and W(omega D)/D^2 over (points, omegas, images)."""
@@ -298,7 +304,6 @@ def _sigma_yy_values(omegas: np.ndarray, points: Sequence[FieldPoint], geometry:
         wk /= dist2
         return q, wk
 
-    nL = np.arange(1, policy.n_terms + 1, dtype=float) * L
     qa, wa = images(nL ** 2 + y2)
 
     def reflected(dist2):
@@ -320,12 +325,9 @@ def _sigma_yy_values(omegas: np.ndarray, points: Sequence[FieldPoint], geometry:
     # x*x differs from it in the last bit for about 1 in 1000 x
     q_b0, w_b0 = images((2.0 * x) ** 2 + y2)
     term0 = ((q_a0 - q_b0) + y2 * (w_b0 - w_a0))[..., 0]
-    totals, last = _accumulate(pairs, term0, policy.accelerate)
+    totals, last = _accumulate(pairs, term0, accelerate)
     pref = (omegas * omegas * omegas) / _FOUR_PI_SQ
-    values[~on_axis], errs[~on_axis] = pref * totals, pref * last
-    if inverse is None:
-        return values, errs
-    return values[inverse], errs[inverse]
+    return pref * totals, pref * last
 
 
 def sigma_yy(
@@ -395,33 +397,21 @@ def sigma_vacuum_from_kernels(omega: float, y: float) -> float:
     return pref * (q - w)
 
 
-def normalized_difference(
+def convergence_report(
     omega: float,
-    x: float,
+    point: FieldPoint,
     geometry: CavityGeometry,
-    policy: TruncationPolicy,
-) -> float:
-    """(sigma(omega, x, x) - sigma_vacuum) / sigma_vacuum at coincident points.
+    n_list: Sequence[int],
+    accelerate: bool = False,
+) -> list[SpectralSample]:
+    """Density at a fixed point for increasing cutoffs, for convergence studies.
 
-    Equals -1 exactly on a plate and, up to the truncation residual, -1
-    everywhere below the cavity cutoff omega = pi/a.
+    Successive differences between rows are expected to shrink; the cli
+    validation command renders this as a table.
     """
-    vac = sigma_vacuum(omega, 0.0)
-    return (sigma_yy_diag(omega, x, geometry, policy).value - vac) / vac
-
-
-def suppression_db(
-    omega: float,
-    x: float,
-    geometry: CavityGeometry,
-    policy: TruncationPolicy,
-) -> SuppressionValue:
-    """Vacuum-fluctuation suppression 10 log10(sigma/sigma_vacuum) at (omega, x).
-
-    Below the cavity cutoff the truncated ratio hovers around zero and may be
-    slightly negative; the decibel value is then undefined and only the ratio
-    is reported.
-    """
-    ratio = sigma_yy_diag(omega, x, geometry, policy).value / sigma_vacuum(omega, 0.0)
-    db = 10.0 * math.log10(ratio) if ratio > 0.0 else None
-    return SuppressionValue(ratio=ratio, db=db)
+    if len(n_list) == 0:
+        raise ValueError("cutoff list must be nonempty")
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError("cutoff list must be strictly increasing")
+    return [sigma_yy(omega, point, geometry, TruncationPolicy(n_terms=int(n), accelerate=accelerate))
+            for n in n_list]

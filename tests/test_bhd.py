@@ -17,6 +17,7 @@ from cavityspectra.bhd import (
     variance_current,
 )
 import cavityspectra.bhd as bhd
+import cavityspectra.spectral as sp
 from cavityspectra.imagesum import TruncationPolicy
 from cavityspectra.spectral import _sigma_yy_values, sigma_vacuum, sigma_yy_diag
 from cavityspectra.units import CavityGeometry, FieldPoint, from_internal
@@ -85,8 +86,6 @@ class TestKernel:
             LOKernel(omega_lo=10.0, width=0.0)
         with pytest.raises(ValueError):
             LOKernel(omega_lo=10.0, width=0.5, amplitude=-1.0)
-        with pytest.raises(ValueError):
-            LOKernel(omega_lo=10.0, width=0.5, polarization=(0.0, 2.0, 0.0))
 
 
 class TestMode:
@@ -206,33 +205,63 @@ class TestSmearedDensity:
         with pytest.raises(ValueError):  # unequal plate distances unsupported
             smeared_density(FieldPoint(0.4, 0.0), FieldPoint(0.5, 0.0),
                             LOKernel(omega_lo=5.0, width=0.2), G, policy)
-        with pytest.raises(ValueError):  # density is the yy component only
-            smeared_density(pt, pt, LOKernel(omega_lo=5.0, width=0.2, polarization=(1.0, 0.0, 0.0)),
-                            G, policy)
 
-    @pytest.mark.parametrize("y", [0.0, 1.0, 50.0])
-    def test_agrees_with_the_adaptive_reference(self, y):
-        policy = TruncationPolicy(n_terms=200)
-        p1, p2 = FieldPoint(0.75, 0.0), FieldPoint(0.75, y)
-        r = smeared_density(p1, p2, README_KERNEL, G, policy)
-        ref = _adaptive_reference(p1, p2, README_KERNEL, policy)
-        assert abs(r - ref) <= 1e-12 * _scale(README_KERNEL)
+    @pytest.mark.parametrize("kernel, x, y, accelerate, n_terms", [
+        *(pytest.param(README_KERNEL, 0.75, y, False, 200, id=repr(y)) for y in (0.0, 1.0, 50.0)),
+        *(pytest.param(README_KERNEL, 0.75, y, True, 200, id=f"{y!r}-accelerate") for y in (0.0, 1.0, 50.0)),
+        # the widest kernel at a high LO: kept indices bring in images with width * D up to 25
+        pytest.param(LOKernel(omega_lo=40.0, width=4.0), 0.75, 1.7, False, 20, id="widest"),
+        pytest.param(LOKernel(omega_lo=40.0, width=4.0), 0.99, 1.7, True, 20, id="widest-0.99-accelerate"),
+    ])
+    def test_agrees_with_the_adaptive_reference(self, kernel, x, y, accelerate, n_terms):
+        policy = TruncationPolicy(n_terms=n_terms, accelerate=accelerate)
+        p1, p2 = FieldPoint(x, 0.0), FieldPoint(x, y)
+        r = smeared_density(p1, p2, kernel, G, policy)
+        ref = _adaptive_reference(p1, p2, kernel, policy)
+        assert abs(r - ref) <= 1e-12 * _scale(kernel)
 
     def test_images_are_selected_by_distance(self):
         # every image is at least 500 away, where the smearing leaves nothing
         r = smeared_density(FieldPoint(0.75, 0.0), FieldPoint(0.75, 500.0), README_KERNEL, G,
                             TruncationPolicy(n_terms=1000))
-        assert abs(r) <= 1e-14 * _scale(README_KERNEL)
+        assert r == 0.0
 
-    def test_image_cutoff_is_honoured(self):
+    @pytest.mark.parametrize("omega_lo", [150.0, 300.0])
+    def test_wide_kernels_far_above_the_cutoff_agree_with_the_reference(self, omega_lo):
+        # a kept index brings in images with width * D of 59 and 118, too many
+        # periods for one panel of the rule: the window splits into panels
+        kernel = LOKernel(omega_lo=omega_lo, width=omega_lo / 10.0)
+        p1, p2 = FieldPoint(0.97, 0.0), FieldPoint(0.97, 0.01)
+        policy = TruncationPolicy(n_terms=20)
+        r = smeared_density(p1, p2, kernel, G, policy)
+        assert abs(r - _adaptive_reference(p1, p2, kernel, policy)) <= 1e-12 * _scale(kernel)
+
+    @pytest.mark.parametrize("accelerate", [False, True])
+    def test_image_cutoff_is_honoured(self, accelerate):
         # the distance cut alone keeps indices up to |n| ~ 200 for this LO
         kernel = LOKernel(omega_lo=TWO_PI, width=TWO_PI / 200.0)
         p1, p2 = FieldPoint(0.75, 0.0), FieldPoint(0.75, 0.5)
-        policy = TruncationPolicy(n_terms=50)
+        policy = TruncationPolicy(n_terms=50, accelerate=accelerate)
         r = smeared_density(p1, p2, kernel, G, policy)
         assert abs(r - _adaptive_reference(p1, p2, kernel, policy)) <= 1e-12 * _scale(kernel)
-        uncut = smeared_density(p1, p2, kernel, G, TruncationPolicy(n_terms=1000))
+        uncut = smeared_density(p1, p2, kernel, G, TruncationPolicy(n_terms=1000, accelerate=accelerate))
         assert abs(uncut - r) > 1e-6 * _scale(kernel)
+
+    @pytest.mark.parametrize("y", [0.0, 0.7])
+    def test_kernel_arrays_stay_within_the_block_budget(self, y, monkeypatch):
+        # of 20 000 image pairs a narrow LO keeps the 13 000 within its reach
+        sizes = []
+
+        def recording(u, *kernels, spliced=sp._spliced):
+            sizes.append(np.size(u))
+            return spliced(u, *kernels)
+
+        monkeypatch.setattr(sp, "_spliced", recording)
+        kernel = LOKernel(omega_lo=6.3, width=5e-4)
+        r = smeared_density(FieldPoint(0.4, 0.0), FieldPoint(0.4, y), kernel, G, TruncationPolicy(n_terms=20_000))
+        assert sizes and max(sizes) <= sp._BLOCK_ELEMENTS
+        assert sum(sizes) == 160 * (3 * 13_000 + (1 if y == 0.0 else 2))  # three families and n = 0
+        assert math.isfinite(r) and r != 0.0
 
     @pytest.mark.parametrize("accelerate", [False, True])
     @pytest.mark.parametrize("y", [0.0, 1.3])

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from cavityspectra import cli
+from cavityspectra import cli, spectral
 from cavityspectra.cli import main
 from cavityspectra.imagesum import TruncationPolicy
 from cavityspectra.spectral import sigma_vacuum, sigma_yy, sigma_yy_diag
@@ -76,7 +76,7 @@ class TestDensityCommands:
         # two blocks; the rows include y = 0 and the plates x = 0 and x = 1
         n_terms, omega = 3000, 7.3
         ys = np.linspace(-5.0, 5.0, 51)
-        assert cli._BLOCK_ELEMENTS // n_terms < ys.size and 0.0 in ys
+        assert spectral._BLOCK_ELEMENTS // n_terms < ys.size and 0.0 in ys
         for accelerate in (False, True):
             policy = TruncationPolicy(n_terms=n_terms, accelerate=accelerate)
             common = ["--omega", str(omega), "--y-range", "-5", "5", "--y-steps", "51",

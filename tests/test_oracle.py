@@ -11,10 +11,9 @@ from cavityspectra.oracle import (
     _check_contraction,
     _correlation_complex,
     _extrapolate_to_zero,
-    convergence_report,
     sigma_via_numeric_ft,
 )
-from cavityspectra.spectral import q_kernel, sigma_vacuum, sigma_yy_diag
+from cavityspectra.spectral import convergence_report, q_kernel, sigma_vacuum, sigma_yy_diag
 from cavityspectra.units import CavityGeometry, FieldPoint
 
 G = CavityGeometry(1.0)

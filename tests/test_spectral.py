@@ -6,18 +6,16 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 import cavityspectra.spectral as sp
+from cavityspectra import cli
 from cavityspectra.imagesum import TruncationPolicy
 from cavityspectra.spectral import (
     SERIES_THRESHOLD,
     SpectralSample,
-    SuppressionValue,
-    normalized_difference,
     q_kernel,
     sigma_vacuum,
     sigma_vacuum_from_kernels,
     sigma_yy,
     sigma_yy_diag,
-    suppression_db,
     w_kernel,
 )
 from cavityspectra.units import CavityGeometry, FieldPoint, build_grid
@@ -224,6 +222,29 @@ class TestSharedImageTerms:
                 s = sigma_yy_diag(float(omega), x, G, policy)
                 assert (values[i, j], errs[i, j]) == (s.value, s.err)
 
+    def test_blocks_of_points_and_frequencies_bound_the_kernel_arrays(self, monkeypatch):
+        # 3000 image pairs leave room for 43 frequencies per block: 60 frequencies
+        # take two blocks per point, and 2 frequencies take 21 points per block
+        sizes = []
+
+        def recording(u, *kernels, spliced=sp._spliced):
+            sizes.append(np.size(u))
+            return spliced(u, *kernels)
+
+        monkeypatch.setattr(sp, "_spliced", recording)
+        policy = TruncationPolicy(n_terms=3000, accelerate=True)
+        omegas = np.linspace(0.5, 13.0, 60)
+        ys = np.linspace(-4.0, 4.0, 45)  # y = 0 included
+        for om, points in ((omegas, [FieldPoint(x=0.3, y=y) for y in ys[::11]]),
+                           (omegas[::30], [FieldPoint(x=0.3, y=y) for y in ys])):
+            sizes.clear()
+            values, errs = sp._sigma_yy_values(om, points, G, policy)
+            assert len(sizes) > 5 and max(sizes) <= sp._BLOCK_ELEMENTS
+            for i, point in enumerate(points):
+                for j, omega in enumerate(om):
+                    s = sigma_yy(float(omega), point, G, policy)
+                    assert (values[i, j], errs[i, j]) == (s.value, s.err)
+
     @pytest.mark.parametrize("accelerate", [False, True])
     def test_points_sharing_y_squared_equal_single_points(self, accelerate):
         # mixed signs, repeats, y = 0 and subnormal y whose square underflows to 0
@@ -239,42 +260,50 @@ class TestSharedImageTerms:
                     assert (values[i, j], errs[i, j]) == (s.value, s.err)
 
 
+def _normalized_difference(omega, x, policy):
+    """(sigma(omega, x, x) - sigma_vacuum) / sigma_vacuum, as the fig4-left recipe computes it."""
+    vac = sigma_vacuum(omega, 0.0)
+    return (sigma_yy_diag(omega, x, G, policy).value - vac) / vac
+
+
 class TestDerivedQuantities:
     def test_normalized_difference_at_the_plate(self):
-        assert normalized_difference(5.0, 0.0, G, TruncationPolicy(n_terms=100)) == -1.0
+        assert _normalized_difference(5.0, 0.0, TruncationPolicy(n_terms=100)) == -1.0
 
     def test_normalized_difference_below_cutoff(self):
         policy = TruncationPolicy(n_terms=1000, accelerate=True)
         for omega in (1.0, 2.0, 3.0):
-            assert normalized_difference(omega, 0.5, G, policy) == pytest.approx(-1.0, abs=0.05)
+            assert _normalized_difference(omega, 0.5, policy) == pytest.approx(-1.0, abs=0.05)
 
     def test_normalized_difference_regression_pin(self):
         # frozen at the first validated build: omega = 4 pi - 1e-3, x = a/2, N = 10^4
-        value = normalized_difference(4.0 * PI - 1e-3, 0.5, G, TruncationPolicy(n_terms=10_000))
+        value = _normalized_difference(4.0 * PI - 1e-3, 0.5, TruncationPolicy(n_terms=10_000))
         assert value == pytest.approx(-0.015509349251662025, rel=1e-9)
         assert -1.0 < value
 
     def test_suppression_matches_the_ratio(self):
-        s = suppression_db(5.0, 0.3, G, TruncationPolicy(n_terms=500))
-        assert s.ratio > 0.0
-        assert s.db == pytest.approx(10.0 * math.log10(s.ratio), rel=1e-15)
-
-    def test_suppression_simple_values(self):
-        # pure log arithmetic on the ratio
-        assert SuppressionValue(ratio=1.0, db=0.0).db == 0.0
-        assert 10.0 * math.log10(0.5) == pytest.approx(-3.0103, abs=1e-4)
+        # every fig4-right value is 10 log10 of the coincident density over vacuum
+        policy = TruncationPolicy(n_terms=1000)
+        rows, omegas, _ = cli._fig4_right_rows(policy)
+        assert len(rows) > 100
+        for omega, d025, d05 in rows:
+            for x, db in ((0.25, d025), (0.5, d05)):
+                ratio = sigma_yy_diag(omega, x, G, policy).value / sigma_vacuum(omega, 0.0)
+                assert db == 10.0 * math.log10(ratio)
 
     def test_suppression_undefined_below_cutoff(self):
         # frozen sample where the truncated ratio comes out slightly negative
-        s = suppression_db(2.0, 0.5, G, TruncationPolicy(n_terms=1000))
-        assert s.db is None
-        assert s.ratio == pytest.approx(-5.4e-4, abs=2e-4)
-
-    def test_suppression_value_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            SuppressionValue(ratio=-1.0, db=3.0)
-        with pytest.raises(ValueError):
-            SuppressionValue(ratio=2.0, db=None)
+        policy = TruncationPolicy(n_terms=1000)
+        assert sigma_yy_diag(2.0, 0.5, G, policy).value / sigma_vacuum(2.0, 0.0) == pytest.approx(-5.4e-4, abs=2e-4)
+        # fig4-right has no dB value where a ratio is <= 0, and drops the row
+        rows, omegas, dbs = cli._fig4_right_rows(policy)
+        for x in (0.25, 0.5):
+            for omega, db in zip(omegas, dbs[x]):
+                ratio = sigma_yy_diag(float(omega), x, G, policy).value / sigma_vacuum(float(omega), 0.0)
+                assert (db is None) == (ratio <= 0.0)
+        dropped = [w for j, w in enumerate(omegas) if dbs[0.25][j] is None or dbs[0.5][j] is None]
+        assert dropped and all(w < PI for w in dropped)
+        assert len(rows) == len(omegas) - len(dropped)
 
     def test_sample_validation(self):
         with pytest.raises(ValueError):
