@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .spectral import _sigma_yy_values
-from .imagesum import TruncationPolicy
+from .imagesum import SMOOTHING_WINDOW, TruncationPolicy
 from .units import CavityGeometry, FieldPoint, validate_point
 
 _KERNEL_SUPPORT_SIGMAS = 6.0
@@ -183,9 +183,6 @@ _REACH = 13.0
 #: most 12 * _PANEL_REACH radians over it (about 50 periods; the rule fails
 #: near 12 * 38).
 _PANEL_REACH = 2.0 * _REACH
-#: Most panels of one smear, which bounds its node arrays; only an LO wider
-#: than about 6600/a needs more, and gets its farthest images under-resolved.
-_MAX_PANELS = 1024
 
 
 @functools.cache
@@ -209,9 +206,11 @@ def smeared_density(
     image indices whose nearest image, the reflected one at |2x - n L|, lies
     within width * D <= 13, within the policy's cutoff; the smearing damps
     every dropped term below rounding, and the result is 0 when the offset
-    alone puts every image beyond that reach.  Acceleration applies only when
-    no index is dropped.  The kept terms are smooth in omega (the jumps at
-    multiples of pi/a come from the infinite sum only).  A kept index also
+    alone puts every image beyond that reach.  Accelerated, the sum averages
+    its last SMOOTHING_WINDOW partial sums; indices are dropped only when
+    every one of those sums already holds all the kept ones, and the plain
+    sum over the kept ones then equals that mean.  The kept terms are smooth
+    in omega (the jumps at multiples of pi/a come from the infinite sum only).  A kept index also
     brings in its translated and far reflected images; when the farthest of
     them turns through more than 12 * 26 radians over the window (wide LOs
     far above the cutoff), the window splits into equal panels of 160 nodes.
@@ -236,10 +235,12 @@ def smeared_density(
     # for n >= 1 the reflected image at 2x - nL is the nearest, so the kept indices are a prefix
     n = np.arange(1, policy.n_terms + 1, dtype=float)
     kept = int(np.count_nonzero((2.0 * x - n * geometry.L) ** 2 + dy * dy <= reach2))
+    if policy.accelerate and policy.n_terms - kept < SMOOTHING_WINDOW - 1:
+        kept = policy.n_terms  # the averaged window reaches into the kept partial sums
     kept_policy = TruncationPolicy(kept, accelerate=policy.accelerate and kept == policy.n_terms)
     # the farthest image the kept indices bring in is the reflected one at 2x + kept L
     far = math.hypot(2.0 * x + kept * geometry.L, dy)
-    panels = min(_MAX_PANELS, max(1, math.ceil(kernel.width * far / _PANEL_REACH)))
+    panels = max(1, math.ceil(kernel.width * far / _PANEL_REACH))
 
     nodes, weights = _legendre_rule()
     edges = np.linspace(*kernel.support(), panels + 1)

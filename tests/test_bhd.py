@@ -212,6 +212,9 @@ class TestSmearedDensity:
         # the widest kernel at a high LO: kept indices bring in images with width * D up to 25
         pytest.param(LOKernel(omega_lo=40.0, width=4.0), 0.75, 1.7, False, 20, id="widest"),
         pytest.param(LOKernel(omega_lo=40.0, width=4.0), 0.99, 1.7, True, 20, id="widest-0.99-accelerate"),
+        # 4 indices within reach: the averaged partial sums reach back into the kept ones
+        *(pytest.param(LOKernel(omega_lo=40.0, width=2.0), 0.75, 0.0, True, n, id=f"window-{n}-accelerate")
+          for n in (5, 8, 10)),
     ])
     def test_agrees_with_the_adaptive_reference(self, kernel, x, y, accelerate, n_terms):
         policy = TruncationPolicy(n_terms=n_terms, accelerate=accelerate)
