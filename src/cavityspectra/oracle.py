@@ -24,9 +24,10 @@ One call takes any number of frequencies at one point.  The grid depends on
 the frequency only through the step, which is eps/6 for every frequency
 below 1.5 pi/eps (about 94 c/a at the default largest eps), so at each eps
 the frequencies share one evaluation of G per distinct grid and only the
-e^{i omega s} weighting is done per frequency.  G itself is summed over the
-distinct pole positions D^2, each evaluated once with its images' summed
-weight through a single complex reciprocal, in blocks of samples.
+e^{i omega s} weighting is done per frequency.  G is the untruncated image
+lattice (N = oo), summed in closed form through the Mittag-Leffler expansion
+of cot: one complex tangent per sample, whatever the number of images, in
+blocks of samples.
 """
 from __future__ import annotations
 
@@ -37,7 +38,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ExtrapolationDivergence, TailTooLarge
-from .imagesum import TruncationPolicy
 from .spectral import sigma_vacuum
 from .units import CavityGeometry, FieldPoint, validate_point
 
@@ -73,63 +73,56 @@ class OracleConfig:
             raise ValueError("need at least 8 quadrature samples per oscillation")
 
 
-#: Samples of the complex time grid the pole sum handles at once: its three
-#: complex temporaries stay cache-sized whatever the window length.
+#: Samples of the complex time grid the lattice sum handles at once: its
+#: dozen complex temporaries stay small whatever the window length.
 _BLOCK_SAMPLES = 8192
-
-
-def _poles(point: FieldPoint, geometry: CavityGeometry, n_images: int, vacuum_only: bool):
-    """Distinct poles of the correlation: (D^2, 2 (D^2 - y^2), summed weight) each.
-
-    Translated images weigh +1 and reflected ones -1; the n and -n translated
-    terms share one pole, as do coinciding reflected ones (x = a/2), and poles
-    whose weights cancel (every interior one on a plate) are dropped.
-    """
-    weights = {0.0: 1.0}
-    if not vacuum_only:
-        L, x = geometry.L, point.x
-        terms = [((2.0 * x) ** 2, -1.0)]
-        for n in range(1, n_images + 1):
-            terms += [((n * L) ** 2, 2.0),
-                      ((2.0 * x - n * L) ** 2, -1.0),
-                      ((2.0 * x + n * L) ** 2, -1.0)]
-        for base2, weight in terms:
-            weights[base2] = weights.get(base2, 0.0) + weight
-    y2 = point.y * point.y
-    return [(base2 + y2, 2.0 * base2, weight) for base2, weight in weights.items() if weight != 0.0]
 
 
 def _correlation_complex(
     z2: np.ndarray,
     point: FieldPoint,
     geometry: CavityGeometry,
-    n_images: int,
     vacuum_only: bool,
 ) -> np.ndarray:
     """Closed-form two-point function on a 1-D array of complex squared times z2.
 
-    Per image the translated and reflected contributions collapse to
-    (D^2 + z2 - 2 y^2)/(z2 - D^2)^3 with the appropriate sign; restricting to
-    the n = 0 translated term gives the free-space 1/(pi^2 (z2 - y^2)^2).
-    Each distinct pole D^2 is evaluated once, with one reciprocal
-    g = 1/(z2 - D^2), in the equal form g^2 (1 + 2 (D^2 - y^2) g).
+    With zeta^2 = z2 - y^2, an image at distance D^2 = b^2 + y^2 contributes
+    (zeta^2 + b^2)/(zeta^2 - b^2)^3 / pi^2, translated images (b = m L) with
+    weight +1 and reflected ones (b = m L + beta, beta = 2x mod L) with -1;
+    the n = 0 translated term alone, kept for ``vacuum_only``, is the
+    free-space 1/(pi^2 zeta^4).  Over all m in Z a lattice sums to
+    d/dt (t dP/dt) at t = zeta^2, where the Mittag-Leffler expansion of cot
+    (DLMF 4.22.3) gives P = sum 1/(t - b^2) =
+    (k/2 zeta) [cot(k(zeta - beta)) + cot(k(zeta + beta))], k = pi/L.  The
+    cot addition formula writes both lattices in T = cot(k zeta): with
+    E = 1 + T^2, u = sin^2(k beta) E and r = 1/(1 - u), translated minus
+    reflected lattice is
+
+        G = -k u r [2 k^2 T (E + (E + 2) r + 4 T^2 r^2)
+                    + k (E + 2 T^2 r)/zeta + T/zeta^2] / (4 pi^2 zeta),
+
+    so every sample costs one complex tangent, whatever the number of images,
+    and G is exactly 0 on a plate, where beta = 0.
     """
-    poles = _poles(point, geometry, n_images, vacuum_only)
+    y2 = point.y * point.y
+    k = math.pi / geometry.L
+    q = math.sin(k * math.fmod(2.0 * point.x, geometry.L)) ** 2
     total = np.empty_like(z2)
     for start in range(0, z2.size, _BLOCK_SAMPLES):
-        block = z2[start:start + _BLOCK_SAMPLES]
-        acc = np.zeros_like(block)
-        g = np.empty_like(block)
-        term = np.empty_like(block)
-        for d2, c, weight in poles:
-            np.subtract(block, d2, out=g)
-            np.reciprocal(g, out=g)
-            np.multiply(g, weight * c, out=term)
-            term += weight
-            term *= g
-            term *= g
-            acc += term
-        total[start:start + _BLOCK_SAMPLES] = acc
+        zeta2 = z2[start:start + _BLOCK_SAMPLES] - y2
+        if vacuum_only:
+            g = np.reciprocal(zeta2)
+            total[start:start + _BLOCK_SAMPLES] = g * g
+            continue
+        zeta = np.sqrt(zeta2)
+        t = np.reciprocal(np.tan(k * zeta))
+        t2 = t * t
+        e = 1.0 + t2
+        r = np.reciprocal(1.0 - q * e)
+        bracket = (2.0 * k * k) * t * (e + (e + 2.0) * r + 4.0 * t2 * r * r)
+        bracket += k * (e + 2.0 * t2 * r) / zeta
+        bracket += t / zeta2
+        total[start:start + _BLOCK_SAMPLES] = (-0.25 * k * q) * e * r * bracket / zeta
     return total / _PI_SQ
 
 
@@ -145,8 +138,12 @@ def _window_end(s_max: float, point: FieldPoint, geometry: CavityGeometry, vacuu
     L = geometry.L
     y = point.y
     lo, hi = s_max - 1.5 * L, s_max + 1.5 * L
+    # an image at transverse offset y lies at D = hypot(base, y): the bases
+    # that reach [lo, hi] run from sqrt(lo^2 - y^2) to sqrt(hi^2 - y^2)
+    base_lo = math.sqrt(max(lo * lo - y * y, 0.0))
+    base_hi = math.sqrt(max(hi * hi - y * y, 0.0))
     candidates = set()
-    for n in range(max(0, int(lo / L) - 2), int(hi / L) + 3):
+    for n in range(max(0, int(base_lo / L) - 2), int(base_hi / L) + 3):
         for base in (n * L, abs(2.0 * point.x - n * L), 2.0 * point.x + n * L):
             d = math.hypot(base, y)
             if lo <= d <= hi:
@@ -186,7 +183,6 @@ def _regulated_transforms(
     s_end: float,
     point: FieldPoint,
     geometry: CavityGeometry,
-    n_images: int,
     eps: float,
     config: OracleConfig,
     vacuum_only: bool,
@@ -206,7 +202,7 @@ def _regulated_transforms(
         step = s_end / m
         s = np.arange(m + 1) * step
         z = s - 1j * eps
-        g = _correlation_complex(z * z, point, geometry, n_images, vacuum_only)
+        g = _correlation_complex(z * z, point, geometry, vacuum_only)
         for i, size in enumerate(sizes):
             if size == m:
                 estimates[i] = _windowed_integral(omegas[i], s, step, g)
@@ -266,7 +262,6 @@ def sigma_via_numeric_ft(
     omega,
     point: FieldPoint,
     geometry: CavityGeometry,
-    policy: TruncationPolicy,
     config: OracleConfig = OracleConfig(),
     vacuum_only: bool = False,
 ):
@@ -277,11 +272,10 @@ def sigma_via_numeric_ft(
     The frequencies share the correlation grids, so a sequence costs about
     as much as a single frequency.
 
-    Images with light cones beyond the time window cannot contribute to the
-    windowed integral, so the image count is capped at the window horizon
-    (never above ``policy.n_terms``).  ``vacuum_only`` restricts the
-    correlation to its n = 0 translated term, which must reproduce the
-    free-space density -- the oracle's own calibration run.
+    The transformed correlation is the untruncated image lattice (N = oo),
+    summed in closed form.  ``vacuum_only`` restricts it to its n = 0
+    translated term, which must reproduce the free-space density -- the
+    oracle's own calibration run.
 
     Raises TailTooLarge when the estimated out-of-window contribution exceeds
     1% of the larger of |result| and a vacuum-scale floor, and
@@ -294,12 +288,10 @@ def sigma_via_numeric_ft(
     if not np.all(np.isfinite(omegas) & (omegas > 0.0)):
         raise ValueError("frequency must be positive")
     validate_point(point, geometry)
-    horizon = int(math.ceil(config.s_max / geometry.L)) + 2
-    n_images = min(policy.n_terms, horizon)
     s_end = _window_end(config.s_max, point, geometry, vacuum_only)
 
     ws = omegas.reshape(-1).tolist()
-    runs = [_regulated_transforms(ws, s_end, point, geometry, n_images, eps, config, vacuum_only)
+    runs = [_regulated_transforms(ws, s_end, point, geometry, eps, config, vacuum_only)
             for eps in config.eps_schedule]
     results = [_settle(w, [run[i] for run in runs], config.eps_schedule) for i, w in enumerate(ws)]
     return results[0] if omegas.ndim == 0 else np.array(results)

@@ -156,7 +156,7 @@ def test_criterion_08_oracle_agreement():
     schedule = {0.25: (3.6, 6.9, 9.7), 0.5: (4.4, 7.6, 10.6, 12.2), 0.75: (5.2, 8.4, 11.4)}
     worst = 0.0
     for x, omegas in schedule.items():
-        got = cs.sigma_via_numeric_ft(omegas, FieldPoint(x=x, y=0.0), G, policy)
+        got = cs.sigma_via_numeric_ft(omegas, FieldPoint(x=x, y=0.0), G)
         for omega, value in zip(omegas, got):
             ref = cs.sigma_yy_diag(omega, x, G, policy).value
             worst = max(worst, abs(value - ref) / max(abs(ref), cs.sigma_vacuum(omega, 0.0)))

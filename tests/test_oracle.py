@@ -67,45 +67,70 @@ class TestExtrapolation:
 
 class TestNumericTransform:
     def test_free_space_calibration(self):
-        got = sigma_via_numeric_ft(TWO_PI, FieldPoint(0.5, 0.3), G, POLICY, QUICK, vacuum_only=True)
+        got = sigma_via_numeric_ft(TWO_PI, FieldPoint(0.5, 0.3), G, QUICK, vacuum_only=True)
         ref = sigma_vacuum(TWO_PI, 0.3)
         assert got == pytest.approx(ref, rel=1e-2)
 
     def test_diagonal_agreement(self):
         omegas, x = [4.4, 7.6], 0.5
-        got = sigma_via_numeric_ft(omegas, FieldPoint(x, 0.0), G, POLICY, QUICK)
+        got = sigma_via_numeric_ft(omegas, FieldPoint(x, 0.0), G, QUICK)
         for omega, value in zip(omegas, got):
             ref = sigma_yy_diag(omega, x, G, POLICY).value
             assert abs(value - ref) / max(abs(ref), sigma_vacuum(omega, 0.0)) <= 0.02
 
     def test_diagonal_agreement_at_a_jump_frequency(self):
         # both routes settle on the midpoint-like value of the truncated sum
-        got = sigma_via_numeric_ft(TWO_PI, FieldPoint(0.25, 0.0), G, POLICY)
+        got = sigma_via_numeric_ft(TWO_PI, FieldPoint(0.25, 0.0), G)
         ref = sigma_yy_diag(TWO_PI, 0.25, G, POLICY).value
         assert got == pytest.approx(ref, rel=0.02)
 
     def test_sub_cutoff_transform_vanishes(self):
         # needs the full default window: the residual scales with the image
         # horizon the window can see
-        got = sigma_via_numeric_ft(2.0, FieldPoint(0.5, 0.0), G, POLICY)
+        got = sigma_via_numeric_ft(2.0, FieldPoint(0.5, 0.0), G)
         assert abs(got) < 0.05 * sigma_vacuum(2.0, 0.0)
 
     def test_window_horizon_guard(self):
         # at the discontinuity frequency the transverse correlations reach far
         # beyond any finite window: the oracle must refuse, not mislead
         with pytest.raises(TailTooLarge):
-            sigma_via_numeric_ft(TWO_PI, FieldPoint(0.75, 45.0), G, POLICY)
+            sigma_via_numeric_ft(TWO_PI, FieldPoint(0.75, 45.0), G)
+
+    @pytest.mark.parametrize("x", [0.25, 0.5, 0.75])
+    def test_the_image_lattice_agrees_with_the_pole_sum_cut_at_the_window_horizon(self, x, monkeypatch):
+        # the image sum the oracle transformed before the closed form: images
+        # with light cones beyond the window cut off, at the horizon count
+        omegas = [4.4, 7.6, 10.6]
+        point = FieldPoint(x, 0.0)
+        lattice = sigma_via_numeric_ft(omegas, point, G, QUICK)
+        horizon = int(math.ceil(QUICK.s_max / G.L)) + 2
+        monkeypatch.setattr(oracle, "_correlation_complex",
+                            lambda z2, point, geometry, vacuum_only: _term_by_term(z2, point.x, point.y, horizon))
+        poles = sigma_via_numeric_ft(omegas, point, G, QUICK)
+        for omega, a, b in zip(omegas, lattice, poles):
+            assert abs(a - b) <= 1e-7 * sigma_vacuum(omega, 0.0)
+
+    @pytest.mark.parametrize("y", [100.0, 150.0, 190.0])
+    def test_the_window_ends_midway_between_poles_at_large_offsets(self, y):
+        x, s_max = 0.25, 200.0
+        end = oracle._window_end(s_max, FieldPoint(x, y), G, False)
+        bases = [base for n in range(200) for base in (n * G.L, abs(2.0 * x - n * G.L), 2.0 * x + n * G.L)]
+        distances = [math.hypot(base, y) for base in bases]
+        below = max(d for d in distances if d < end)
+        above = min(d for d in distances if d > end)
+        assert abs(end - s_max) <= G.L
+        assert end == pytest.approx(0.5 * (below + above), abs=1e-12)
 
     def test_frequency_validated(self):
         with pytest.raises(ValueError):
-            sigma_via_numeric_ft(0.0, FieldPoint(0.5, 0.0), G, POLICY, QUICK)
+            sigma_via_numeric_ft(0.0, FieldPoint(0.5, 0.0), G, QUICK)
         for bad in ([4.4, 0.0], [4.4, math.nan], [4.4, math.inf], [[4.4, 7.6]]):
             with pytest.raises(ValueError):
-                sigma_via_numeric_ft(bad, FieldPoint(0.5, 0.0), G, POLICY, QUICK)
+                sigma_via_numeric_ft(bad, FieldPoint(0.5, 0.0), G, QUICK)
 
 
 def _term_by_term(z2, x, y, n_images):
-    """The docstring formula of _correlation_complex, one image term at a time."""
+    """The image sum of _correlation_complex's docstring, one term per image, cut at n_images."""
     y2 = y * y
 
     def term(d2):
@@ -134,46 +159,64 @@ class TestBatchedTransform:
             return evaluate(z2, *args)
 
         monkeypatch.setattr(oracle, "_correlation_complex", counting)
-        batch = sigma_via_numeric_ft(omegas, point, G, POLICY, self.SPLIT)
+        batch = sigma_via_numeric_ft(omegas, point, G, self.SPLIT)
         assert len(grids) == 4 and len(set(grids)) == 4
-        singles = [sigma_via_numeric_ft(w, point, G, POLICY, self.SPLIT) for w in omegas]
+        singles = [sigma_via_numeric_ft(w, point, G, self.SPLIT) for w in omegas]
         assert isinstance(batch, np.ndarray) and batch.shape == (3,)
         assert all(type(v) is float for v in singles)
         assert batch.tolist() == singles
 
     def test_float_in_float_out_sequence_in_array_out(self):
         point = FieldPoint(0.5, 0.0)
-        single = sigma_via_numeric_ft(4.4, point, G, POLICY, QUICK)
+        single = sigma_via_numeric_ft(4.4, point, G, QUICK)
         assert type(single) is float
-        assert sigma_via_numeric_ft(np.float64(4.4), point, G, POLICY, QUICK) == single
-        assert sigma_via_numeric_ft((4.4,), point, G, POLICY, QUICK).tolist() == [single]
-        assert sigma_via_numeric_ft([], point, G, POLICY, QUICK).shape == (0,)
+        assert sigma_via_numeric_ft(np.float64(4.4), point, G, QUICK) == single
+        assert sigma_via_numeric_ft((4.4,), point, G, QUICK).tolist() == [single]
+        assert sigma_via_numeric_ft([], point, G, QUICK).shape == (0,)
 
-    @pytest.mark.parametrize("x", [0.3, 0.5])
-    @pytest.mark.parametrize("y", [0.0, 1.3])
-    def test_fused_poles_match_the_term_by_term_formula(self, x, y):
-        # 20 001 samples span three evaluation blocks; at x = a/2 reflected
-        # poles coincide pairwise and are merged
+    @pytest.mark.parametrize("x, y, n_images", [
+        (0.3, 0.0, 20), (0.5, 0.0, 20), (0.3, 1.3, 20), (0.5, 1.3, 20), (0.5, 0.0, 200), (0.3, 1.3, 200)])
+    def test_closed_form_matches_the_image_sum_within_its_tail_bound(self, x, y, n_images):
+        # 20 001 samples span three evaluation blocks.  Every image the cut
+        # drops lies at |b| >= B = n_images L, one sequence of spacing L per
+        # lattice and side, and bounds its term by h(b) = (b^2 + T)/(b^2 - T)^3
+        # with T = |z2 - y^2| < B^2; h decreases and h <= -d/db b/(b^2 - T)^2,
+        # so each sequence sums to at most h(B) + B/(L (B^2 - T)^2) ~ B^-3.
         z2 = (np.linspace(0.0, 30.0, 20_001) - 0.0125j) ** 2
         assert z2.size > 2 * oracle._BLOCK_SAMPLES
-        got = _correlation_complex(z2, FieldPoint(x, y), G, 20, False)
-        ref = _term_by_term(z2, x, y, 20)
-        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12
-        vac = _correlation_complex(z2, FieldPoint(x, y), G, 20, True)
-        assert np.max(np.abs(vac * PI**2 * (z2 - y * y) ** 2 - 1.0)) <= 1e-12
+        got = _correlation_complex(z2, FieldPoint(x, y), G, False)
+        ref = _term_by_term(z2, x, y, n_images)
+        b, t = n_images * G.L, np.abs(z2 - y * y)
+        assert np.all(b * b > t)
+        tail = 4.0 * ((b * b + t) / (b * b - t) ** 3 + b / (G.L * (b * b - t) ** 2)) / PI**2
+        assert np.all(np.abs(got - ref) <= tail + 1e-12 * np.abs(ref))
+
+    def test_vacuum_only_is_the_free_space_term(self):
+        z2 = (np.linspace(0.0, 30.0, 20_001) - 0.0125j) ** 2
+        vac = _correlation_complex(z2, FieldPoint(0.3, 1.3), G, True)
+        assert np.max(np.abs(vac * PI**2 * (z2 - 1.3 * 1.3) ** 2 - 1.0)) <= 1e-12
 
     def test_the_correlation_vanishes_on_the_plate(self):
-        # every translated pole cancels against its reflected partner
+        # beta = 2x mod L is 0 on either plate, and the lattices cancel exactly
         z2 = (np.linspace(0.0, 30.0, 2001) - 0.05j) ** 2
-        assert not np.any(_correlation_complex(z2, FieldPoint(0.0, 0.7), G, 20, False))
+        for x in (0.0, G.a):
+            assert not np.any(_correlation_complex(z2, FieldPoint(x, 0.7), G, False))
+
+    @pytest.mark.parametrize("x", [0.1, 0.3, 0.37])
+    @pytest.mark.parametrize("y", [0.0, 1.3])
+    def test_the_correlation_is_symmetric_about_the_midplane(self, x, y):
+        z2 = (np.linspace(0.0, 200.0, 20_001) - 0.0125j) ** 2
+        got = _correlation_complex(z2, FieldPoint(x, y), G, False)
+        mirror = _correlation_complex(z2, FieldPoint(G.a - x, y), G, False)
+        assert np.max(np.abs(mirror - got) / np.abs(got)) <= 1e-13
 
     def test_a_failing_frequency_fails_the_batch_and_is_named(self):
         far = FieldPoint(0.75, 45.0)
         with pytest.raises(TailTooLarge, match=f"omega = {TWO_PI!r}:"):
-            sigma_via_numeric_ft([7.6, TWO_PI], far, G, POLICY)
+            sigma_via_numeric_ft([7.6, TWO_PI], far, G)
         coarse = OracleConfig(eps_schedule=(0.2, 0.1, 0.05), s_max=60.0)
         with pytest.raises(ExtrapolationDivergence, match="omega = 10.6:"):
-            sigma_via_numeric_ft([4.4, 7.6, 10.6], FieldPoint(0.5, 0.0), G, POLICY, coarse)
+            sigma_via_numeric_ft([4.4, 7.6, 10.6], FieldPoint(0.5, 0.0), G, coarse)
 
 
 class TestConvergenceReport:
