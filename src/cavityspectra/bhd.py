@@ -20,18 +20,16 @@ to that calibration.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .spectral import _sigma_yy_values
-from .imagesum import SMOOTHING_WINDOW, TruncationPolicy
+from .spectral import _SmearedLO, _sigma_yy_values
+from .imagesum import TruncationPolicy
 from .units import CavityGeometry, FieldPoint, validate_point
 
-_KERNEL_SUPPORT_SIGMAS = 6.0
 _DISPERSION_TOL = 1e-12
 
 
@@ -66,10 +64,6 @@ class LOKernel:
     def squared_integral(self) -> float:
         """Closed form of integral k(omega)^2 domega for the Gaussian profile."""
         return self.amplitude * self.amplitude * self.width * math.sqrt(math.pi)
-
-    def support(self) -> tuple[float, float]:
-        half = _KERNEL_SUPPORT_SIGMAS * self.width
-        return (self.omega_lo - half, self.omega_lo + half)
 
 
 @dataclass(frozen=True)
@@ -174,22 +168,6 @@ def check_balance(
     return abs(amp1 + amp2) / peak
 
 
-#: Gauss-Legendre nodes per panel of the smearing window.
-_SMEAR_NODES = 160
-#: Smearing with k^2 damps an image at distance D by about exp(-(width D)^2/4);
-#: images with width * D beyond this contribute below 5e-19 of their size.
-_REACH = 13.0
-#: One panel integrates to rounding every image term that turns through at
-#: most 12 * _PANEL_REACH radians over it (about 50 periods; the rule fails
-#: near 12 * 38).
-_PANEL_REACH = 2.0 * _REACH
-
-
-@functools.cache
-def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(_SMEAR_NODES)
-
-
 def smeared_density(
     pt1: FieldPoint,
     pt2: FieldPoint,
@@ -198,58 +176,28 @@ def smeared_density(
     policy: TruncationPolicy,
     quadrature: None = None,
 ) -> float:
-    """Frequency-smeared density integral k(omega)^2 sigma_yy over the kernel support.
+    """Frequency-smeared density: integral k(omega)^2 sigma_yy over all frequencies.
 
-    A fixed 160-node Gauss-Legendre rule over the window of +-6 kernel widths
-    around the LO frequency, applied to the two-point density of
-    :mod:`~cavityspectra.spectral` at its nodes.  That density sums only the
-    image indices whose nearest image, the reflected one at |2x - n L|, lies
-    within width * D <= 13, within the policy's cutoff; the smearing damps
-    every dropped term below rounding, and the result is 0 when the offset
-    alone puts every image beyond that reach.  Accelerated, the sum averages
-    its last SMOOTHING_WINDOW partial sums; indices are dropped only when
-    every one of those sums already holds all the kept ones, and the plain
-    sum over the kept ones then equals that mean.  The kept terms are smooth
-    in omega (the jumps at multiples of pi/a come from the infinite sum only).  A kept index also
-    brings in its translated and far reflected images; when the farthest of
-    them turns through more than 12 * 26 radians over the window (wide LOs
-    far above the cutoff), the window splits into equal panels of 160 nodes.
-    Both points must share the plate distance x (the closed-form density
-    covers equal-x pairs only; that is the geometry of the proposed
+    The two-point density of :mod:`~cavityspectra.spectral` with the LO in
+    place of its frequency axis (``spectral._SmearedLO``): each image term is
+    smeared in closed form, and the image sum over all of the policy's
+    n_terms indices, its +-n pairing and its accelerated mean stay as they
+    are.  Both points must share the plate distance x (the closed-form
+    density covers equal-x pairs only; that is the geometry of the proposed
     detector).
 
     ``quadrature`` is not a setting: it must be None.  It stays in the
     signature because perfbench's span recorder keys smear calls by it.
     """
     if quadrature is not None:
-        raise ValueError("the smearing rule is fixed; quadrature must be None")
+        raise ValueError("the smearing is in closed form; quadrature must be None")
     validate_point(pt1, geometry)
     validate_point(pt2, geometry)
     if pt1.x != pt2.x:
         raise ValueError("smearing requires both points at the same plate distance x")
-    x = pt1.x
-    dy = pt2.y - pt1.y
-    reach2 = (_REACH / kernel.width) ** 2
-    if dy * dy > reach2:  # every image is at least |dy| away
-        return 0.0
-    # for n >= 1 the reflected image at 2x - nL is the nearest, so the kept indices are a prefix
-    n = np.arange(1, policy.n_terms + 1, dtype=float)
-    kept = int(np.count_nonzero((2.0 * x - n * geometry.L) ** 2 + dy * dy <= reach2))
-    if policy.accelerate and policy.n_terms - kept < SMOOTHING_WINDOW - 1:
-        kept = policy.n_terms  # the averaged window reaches into the kept partial sums
-    kept_policy = TruncationPolicy(kept, accelerate=policy.accelerate and kept == policy.n_terms)
-    # the farthest image the kept indices bring in is the reflected one at 2x + kept L
-    far = math.hypot(2.0 * x + kept * geometry.L, dy)
-    panels = max(1, math.ceil(kernel.width * far / _PANEL_REACH))
-
-    nodes, weights = _legendre_rule()
-    edges = np.linspace(*kernel.support(), panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    omegas = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half[:, None] * nodes
-    density, _ = _sigma_yy_values(omegas.ravel(), [FieldPoint(x, dy)], geometry, kept_policy)
-    k = kernel(omegas)
-    integrand = k * k * density.reshape(omegas.shape)
-    return float(sum(h * (weights @ row) for h, row in zip(half, integrand)))
+    lo = _SmearedLO(kernel.omega_lo, kernel.width, kernel.squared_integral())
+    density, _ = _sigma_yy_values(lo, [FieldPoint(pt1.x, pt2.y - pt1.y)], geometry, policy)
+    return float(density[0, 0])
 
 
 @dataclass(frozen=True)

@@ -277,10 +277,11 @@ def sigma_via_numeric_ft(
     translated term, which must reproduce the free-space density -- the
     oracle's own calibration run.
 
-    Raises TailTooLarge when the estimated out-of-window contribution exceeds
-    1% of the larger of |result| and a vacuum-scale floor, and
-    ExtrapolationDivergence when the regulator sequence stops contracting
-    above the noise floor; either names the offending frequency.
+    Raises TailTooLarge when the window ends before the light cone at s = |y|
+    or the estimated out-of-window contribution exceeds 1% of the larger of
+    |result| and a vacuum-scale floor, and ExtrapolationDivergence when the
+    regulator sequence stops contracting above the noise floor; either names
+    the offending frequency.
     """
     omegas = np.asarray(omega, dtype=float)
     if omegas.ndim > 1:
@@ -291,6 +292,9 @@ def sigma_via_numeric_ft(
     s_end = _window_end(config.s_max, point, geometry, vacuum_only)
 
     ws = omegas.reshape(-1).tolist()
+    if s_end <= abs(point.y):  # the truncated integrals would all be about 0 and pass the tail guard
+        raise TailTooLarge(f"omega = {ws[0]!r}: the window ends at s = {s_end:g}, "
+                           f"before the nearest light cone at s = |y| = {abs(point.y):g}")
     runs = [_regulated_transforms(ws, s_end, point, geometry, eps, config, vacuum_only)
             for eps in config.eps_schedule]
     results = [_settle(w, [run[i] for run in runs], config.eps_schedule) for i, w in enumerate(ws)]

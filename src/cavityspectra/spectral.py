@@ -23,7 +23,8 @@ remainder encodes the plates.  The sums are accumulated pairwise over +-n in
 ascending |n| with the n = 0 term last, which keeps several boundary
 identities exact in floating point.  All quantities are in internal units
 (c = 1), so results scale as omega^3 while every other argument appears as a
-frequency-distance product.
+frequency-distance product.  Smeared by a Gaussian LO profile, the same sums
+take each image term's exact Gaussian integral in place of omega (``_SmearedLO``).
 
 Grids evaluate each distinct image term once.  A coincident-point call
 over many x evaluates Q once per distinct image distance: the translated
@@ -206,7 +207,76 @@ def _accumulate(pairs: np.ndarray, term0: np.ndarray, accelerate: bool):
     return totals, np.abs(pairs[..., -1])
 
 
-def _sigma_diag_values(omegas: np.ndarray, xs: Sequence[float], geometry: CavityGeometry, policy: TruncationPolicy):
+class _Frequencies:
+    """Pointwise frequency axis of a density: kernels at omega D, prefactor omega^3 / 4 pi^2."""
+
+    def __init__(self, omegas):
+        self.omegas, self.size, self.q0 = omegas, omegas.size, _TWO_THIRDS  # q0 = Q(0)
+        self.pref = (omegas * omegas * omegas) / _FOUR_PI_SQ
+
+    def __getitem__(self, block):
+        return _Frequencies(self.omegas[block])
+
+    def kernels(self, distances, count=2):
+        """Q, then W unless count is 1, at omega D: the frequencies take the axis -2 of distances."""
+        u = self.omegas[:, None] * distances
+        return [q_kernel(u)] if count == 1 else _spliced(u, _Q, _W)
+
+
+class _SmearedLO:
+    """The LO in place of the frequency axis: one row, the density smeared by k(omega)^2.
+
+    For k^2 = A^2 exp(-(omega - omega_lo)^2 / width^2), c = omega_lo + i width^2 D/2
+    and P2 = c^2 + width^2/2, the Gaussian integrates each image term exactly:
+    per unit A^2 width sqrt(pi) (the prefactor carries it), omega^3 K(omega D)
+    with K = Q (kappa = 1) or W (kappa = 3) smears to
+
+        Kbar(D) = e^{-width^2 D^2/4} [Im(e^{i omega_lo D} P2)/D
+                  + kappa Re(e^{i omega_lo D} c)/D^2 - kappa sin(omega_lo D)/D^3],
+
+    or below the splice to sum_j c_j M_{2j+3} D^{2j}: K's Taylor coefficients
+    times the Gaussian moments M.  At D (omega_lo + 6 width) = SERIES_THRESHOLD
+    the direct Wbar would lose 1e-12 of itself, so the splice sits at 1.
+    """
+
+    def __init__(self, omega_lo: float, width: float, weight: float):
+        self.omega_lo, self.half_w2, self.top = omega_lo, 0.5 * width * width, omega_lo + 6.0 * width
+        self.size, self.pref = 1, np.array([weight / _FOUR_PI_SQ])
+        moments = [1.0, omega_lo]  # M_m = omega_lo M_{m-1} + (m - 1) (width^2/2) M_{m-2}
+        for m in range(2, 2 * _SERIES_TERMS + 2):
+            moments.append(omega_lo * moments[-1] + (m - 1) * self.half_w2 * moments[-2])
+        self.series = [coeffs * moments[3::2] for coeffs in (_Q[0], _W[0])]
+        self.q0 = self.series[0][0]  # Qbar(0) = (2/3) M3, as the series gives it
+
+    def __getitem__(self, block):
+        return self
+
+    def kernels(self, d, count=2):
+        """Qbar, then Wbar unless count is 1, at the distances d >= 0."""
+        small = d * self.top < 1.0
+        dd = np.where(small, 1.0, d)  # the series overwrites these entries
+        w0, b = self.omega_lo, self.half_w2 * dd  # b = Im c
+        s, c = np.sin(w0 * dd), np.cos(w0 * dd)
+        re1 = w0 * c - b * s  # Re(e^{i omega_lo D} c)
+        im2 = w0 * (w0 * s + b * c) + b * re1 + self.half_w2 * s  # Im(e^{i omega_lo D} P2)
+        gauss = np.exp(-0.5 * b * dd)
+        out = []
+        for kappa, coeffs in zip((1.0, 3.0)[:count], self.series):
+            k = gauss * (im2 + kappa * (re1 - s / dd) / dd) / dd
+            if small.any():
+                k[small] = npoly.polyval(d[small] ** 2, coeffs)
+            out.append(k)
+        return out
+
+
+def _axis(omegas):
+    if not isinstance(omegas, np.ndarray):
+        return omegas  # a _SmearedLO, or a block of _Frequencies
+    _check_omegas(omegas)
+    return _Frequencies(omegas)
+
+
+def _sigma_diag_values(omegas, xs: Sequence[float], geometry: CavityGeometry, policy: TruncationPolicy):
     """Vectorized coincident-point density: (values, errs), shape (xs, omegas).
 
     Q is evaluated once per distinct image distance of a pool of x: the
@@ -217,11 +287,10 @@ def _sigma_diag_values(omegas: np.ndarray, xs: Sequence[float], geometry: Cavity
     of frequencies keep every kernel and gather array within _BLOCK_ELEMENTS
     (one x per pool when its 3 n + 1 distances alone exceed it).
     """
-    _check_omegas(omegas)
+    axis = _axis(omegas)
     n = policy.n_terms
     nL = np.arange(1, n + 1, dtype=float) * geometry.L
-    pref = (omegas * omegas * omegas) / _FOUR_PI_SQ
-    values, errs = np.empty((2, len(xs), omegas.size))
+    values, errs = np.empty((2, len(xs), axis.size))
     pool = max(1, _BLOCK_ELEMENTS // (3 * n + 1))
     for start in range(0, len(xs), pool):
         x2 = 2.0 * np.asarray(xs[start:start + pool], dtype=float)[:, None]
@@ -233,9 +302,10 @@ def _sigma_diag_values(omegas: np.ndarray, xs: Sequence[float], geometry: Cavity
             index = np.arange(distances.size)
         translated, index = index[:n], index[n:].reshape(x2.size, 2 * n + 1)
         rows = max(1, _BLOCK_ELEMENTS // distances.size)
-        for lo in range(0, omegas.size, rows):
+        for lo in range(0, axis.size, rows):
             block = slice(lo, lo + rows)
-            q = q_kernel(omegas[block, None] * distances)
+            rows_axis = axis[block]
+            q = rows_axis.kernels(distances[None], 1)[0]
             # np.take copies into C-ordered (frequencies, x, images) arrays: only in
             # that layout does _accumulate's accelerated mean round as for one x
             qa = np.take(q, translated, axis=1)[:, None, :]
@@ -245,14 +315,14 @@ def _sigma_diag_values(omegas: np.ndarray, xs: Sequence[float], geometry: Cavity
             reflected = np.take(q, index[:, n:2 * n], axis=1)
             np.subtract(qa, reflected, out=reflected)
             pairs += reflected
-            term0 = _TWO_THIRDS - np.take(q, index[:, 2 * n], axis=1)
+            term0 = rows_axis.q0 - np.take(q, index[:, 2 * n], axis=1)
             totals, last = _accumulate(pairs, term0, policy.accelerate)
-            scale = pref[block, None]
+            scale = rows_axis.pref[:, None]
             values[start:start + pool, block], errs[start:start + pool, block] = (scale * totals).T, (scale * last).T
     return values, errs
 
 
-def _sigma_yy_values(omegas: np.ndarray, points: Sequence[FieldPoint], geometry: CavityGeometry, policy: TruncationPolicy):
+def _sigma_yy_values(omegas, points: Sequence[FieldPoint], geometry: CavityGeometry, policy: TruncationPolicy):
     """Vectorized two-point density for points of one x: (values, errs), shape (points, omegas).
 
     The density depends on y only through y^2: each distinct y^2 is evaluated
@@ -262,7 +332,7 @@ def _sigma_yy_values(omegas: np.ndarray, points: Sequence[FieldPoint], geometry:
     of a single point, so a row evaluated at once equals its points evaluated
     one by one, bit for bit.
     """
-    _check_omegas(omegas)
+    axis = _axis(omegas)
     x = points[0].x
     if any(p.x != x for p in points):
         raise ValueError("one density call takes points of a single plate distance x")
@@ -270,37 +340,36 @@ def _sigma_yy_values(omegas: np.ndarray, points: Sequence[FieldPoint], geometry:
     inverse = None
     if y2.size > 1:
         y2, inverse = np.unique(y2, return_inverse=True)
-    values, errs = np.empty((2, y2.size, omegas.size))
+    values, errs = np.empty((2, y2.size, axis.size))
     # y^2 == 0 includes subnormal y whose square underflows: the y^2 terms are
     # then identically zero and the coincident-point form is the analytic limit
     on_axis = y2 == 0.0
     if np.any(on_axis):
-        values[on_axis], errs[on_axis] = _sigma_diag_values(omegas, [x], geometry, policy)
+        values[on_axis], errs[on_axis] = _sigma_diag_values(axis, [x], geometry, policy)
     nL = np.arange(1, policy.n_terms + 1, dtype=float) * geometry.L
     # points x frequencies per block: as many frequencies as fit, then points
     rows = max(1, _BLOCK_ELEMENTS // max(1, nL.size))
-    freqs = max(1, min(omegas.size, rows))
+    freqs = max(1, min(axis.size, rows))
     off_axis = np.flatnonzero(~on_axis)
     for start in range(0, off_axis.size, rows // freqs):
         pool = off_axis[start:start + rows // freqs]
-        for lo in range(0, omegas.size, freqs):
+        for lo in range(0, axis.size, freqs):
             block = slice(lo, lo + freqs)
             values[pool, block], errs[pool, block] = _off_axis_block(
-                omegas[block], y2[pool], x, nL, policy.accelerate)
+                axis[block], y2[pool], x, nL, policy.accelerate)
     if inverse is None:
         return values, errs
     return values[inverse], errs[inverse]
 
 
-def _off_axis_block(omegas: np.ndarray, y2: np.ndarray, x: float, nL: np.ndarray, accelerate: bool):
+def _off_axis_block(axis, y2: np.ndarray, x: float, nL: np.ndarray, accelerate: bool):
     """Two-point density at plate distance x for y^2 > 0: (values, errs), shape (y2, omegas)."""
-    w = omegas[None, :, None]
     y2 = y2[:, None, None]
 
     def images(dist2):
         """Q(omega D) and W(omega D)/D^2 over (points, omegas, images)."""
         # dist2 >= y^2 > 0 for every image, so the W/dist^2 terms are regular
-        q, wk = _spliced(w * np.sqrt(dist2), _Q, _W)
+        q, wk = axis.kernels(np.sqrt(dist2))
         wk /= dist2
         return q, wk
 
@@ -326,8 +395,7 @@ def _off_axis_block(omegas: np.ndarray, y2: np.ndarray, x: float, nL: np.ndarray
     q_b0, w_b0 = images((2.0 * x) ** 2 + y2)
     term0 = ((q_a0 - q_b0) + y2 * (w_b0 - w_a0))[..., 0]
     totals, last = _accumulate(pairs, term0, accelerate)
-    pref = (omegas * omegas * omegas) / _FOUR_PI_SQ
-    return pref * totals, pref * last
+    return axis.pref * totals, axis.pref * last
 
 
 def sigma_yy(

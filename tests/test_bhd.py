@@ -32,6 +32,11 @@ def _scale(kernel):
     return kernel.squared_integral() * sigma_vacuum(kernel.omega_lo, 0.0)
 
 
+def _window(kernel):
+    """LO frequency +- 6 widths, beyond which k^2 is below exp(-36) of its peak."""
+    return kernel.omega_lo - 6.0 * kernel.width, kernel.omega_lo + 6.0 * kernel.width
+
+
 def _adaptive_reference(pt1, pt2, kernel, policy):
     """Independent smearing: panel-doubling composite 16-point Gauss rule over
     the full image sum, on sub-intervals split at the density jumps k pi/a.
@@ -51,7 +56,7 @@ def _adaptive_reference(pt1, pt2, kernel, policy):
         values, _ = _sigma_yy_values(om, [pair], G, policy)
         return float((half[:, None] * weights).ravel() @ (k * k * values[0]))
 
-    lo, hi = kernel.support()
+    lo, hi = _window(kernel)
     step = PI / G.a
     jumps = [m * step for m in range(math.ceil(lo / step), math.floor(hi / step) + 1) if lo < m * step < hi]
     edges = [lo, *jumps, hi]
@@ -192,7 +197,7 @@ class TestSmearedDensity:
         r = smeared_density(pt, pt, kernel, G, TruncationPolicy(n_terms=1000))
         # same-kernel smearing of the free-space density
         nodes, weights = np.polynomial.legendre.leggauss(200)
-        lo, hi = kernel.support()
+        lo, hi = _window(kernel)
         om = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
         r_vacuum = float(np.sum(0.5 * (hi - lo) * weights * kernel(om) ** 2 * sigma_vacuum(om, 0.0)))
         assert abs(r) < 0.05 * r_vacuum
@@ -209,10 +214,10 @@ class TestSmearedDensity:
     @pytest.mark.parametrize("kernel, x, y, accelerate, n_terms", [
         *(pytest.param(README_KERNEL, 0.75, y, False, 200, id=repr(y)) for y in (0.0, 1.0, 50.0)),
         *(pytest.param(README_KERNEL, 0.75, y, True, 200, id=f"{y!r}-accelerate") for y in (0.0, 1.0, 50.0)),
-        # the widest kernel at a high LO: kept indices bring in images with width * D up to 25
+        # the widest kernel at a high LO: images up to width * D = 25 count
         pytest.param(LOKernel(omega_lo=40.0, width=4.0), 0.75, 1.7, False, 20, id="widest"),
         pytest.param(LOKernel(omega_lo=40.0, width=4.0), 0.99, 1.7, True, 20, id="widest-0.99-accelerate"),
-        # 4 indices within reach: the averaged partial sums reach back into the kept ones
+        # 4 indices within width * D <= 13: the averaged partial sums end beyond them
         *(pytest.param(LOKernel(omega_lo=40.0, width=2.0), 0.75, 0.0, True, n, id=f"window-{n}-accelerate")
           for n in (5, 8, 10)),
     ])
@@ -231,8 +236,8 @@ class TestSmearedDensity:
 
     @pytest.mark.parametrize("omega_lo", [150.0, 300.0])
     def test_wide_kernels_far_above_the_cutoff_agree_with_the_reference(self, omega_lo):
-        # a kept index brings in images with width * D of 59 and 118, too many
-        # periods for one panel of the rule: the window splits into panels
+        # images with width * D up to 59 and 118 still count; their terms turn
+        # through thousands of radians over the LO window
         kernel = LOKernel(omega_lo=omega_lo, width=omega_lo / 10.0)
         p1, p2 = FieldPoint(0.97, 0.0), FieldPoint(0.97, 0.01)
         policy = TruncationPolicy(n_terms=20)
@@ -241,7 +246,7 @@ class TestSmearedDensity:
 
     @pytest.mark.parametrize("accelerate", [False, True])
     def test_image_cutoff_is_honoured(self, accelerate):
-        # the distance cut alone keeps indices up to |n| ~ 200 for this LO
+        # this LO reaches images up to |n| ~ 200, beyond the cutoff
         kernel = LOKernel(omega_lo=TWO_PI, width=TWO_PI / 200.0)
         p1, p2 = FieldPoint(0.75, 0.0), FieldPoint(0.75, 0.5)
         policy = TruncationPolicy(n_terms=50, accelerate=accelerate)
@@ -251,19 +256,20 @@ class TestSmearedDensity:
         assert abs(uncut - r) > 1e-6 * _scale(kernel)
 
     @pytest.mark.parametrize("y", [0.0, 0.7])
-    def test_kernel_arrays_stay_within_the_block_budget(self, y, monkeypatch):
-        # of 20 000 image pairs a narrow LO keeps the 13 000 within its reach
+    def test_smeared_kernels_see_each_image_once_within_the_block_budget(self, y, monkeypatch):
+        # 20 000 image pairs, all summed: each image distance reaches the smeared
+        # kernels once, with no frequency-node axis
         sizes = []
 
-        def recording(u, *kernels, spliced=sp._spliced):
-            sizes.append(np.size(u))
-            return spliced(u, *kernels)
+        def recording(lo, d, count=2, kernels=sp._SmearedLO.kernels):
+            sizes.append(np.size(d))
+            return kernels(lo, d, count)
 
-        monkeypatch.setattr(sp, "_spliced", recording)
+        monkeypatch.setattr(sp._SmearedLO, "kernels", recording)
         kernel = LOKernel(omega_lo=6.3, width=5e-4)
         r = smeared_density(FieldPoint(0.4, 0.0), FieldPoint(0.4, y), kernel, G, TruncationPolicy(n_terms=20_000))
         assert sizes and max(sizes) <= sp._BLOCK_ELEMENTS
-        assert sum(sizes) == 160 * (3 * 13_000 + (1 if y == 0.0 else 2))  # three families and n = 0
+        assert sum(sizes) == 3 * 20_000 + (1 if y == 0.0 else 2)  # three families and n = 0
         assert math.isfinite(r) and r != 0.0
 
     @pytest.mark.parametrize("accelerate", [False, True])
@@ -272,6 +278,41 @@ class TestSmearedDensity:
         pt1, pt2 = FieldPoint(0.0, 0.0), FieldPoint(0.0, y)
         policy = TruncationPolicy(n_terms=100, accelerate=accelerate)
         assert smeared_density(pt1, pt2, README_KERNEL, G, policy) == 0.0
+
+
+class TestSmearedKernels:
+    KERNELS = [README_KERNEL, LOKernel(TWO_PI, TWO_PI / 200.0), LOKernel(40.0, 4.0),
+               LOKernel(150.0, 15.0), LOKernel(1.0, 0.1), LOKernel(6.3, 5e-4)]
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: f"{k.omega_lo:g}-{k.width:g}")
+    def test_series_and_direct_forms_agree_on_both_sides_of_the_splice(self, kernel):
+        # the series is accurate to rounding well past the splice at D top = 1,
+        # where the direct form takes over
+        lo = sp._SmearedLO(kernel.omega_lo, kernel.width, 1.0)
+        d = np.array([0.5, 0.95, 1.0 - 1e-9, 1.0 + 1e-9, 1.05, 1.5]) / lo.top
+        spliced = lo.kernels(d)
+        lo.top = 0.0  # every distance takes the series
+        for k, series in zip(spliced, lo.kernels(d)):
+            assert np.all(np.abs(k - series) <= 1e-13 * np.abs(series))
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: f"{k.omega_lo:g}-{k.width:g}")
+    def test_the_on_axis_term_is_the_free_space_closed_form(self, kernel):
+        # Qbar(0)/4 pi^2 per unit integral of k^2: the smeared vacuum density
+        w0, w = kernel.omega_lo, kernel.width
+        lo = sp._SmearedLO(w0, w, 1.0)
+        (q0,) = lo.kernels(np.zeros(1), 1)
+        assert q0[0] == lo.q0
+        assert q0[0] / (4.0 * PI**2) == pytest.approx((w0**3 + 1.5 * w0 * w * w) / (6.0 * PI**2), rel=1e-15)
+
+    @pytest.mark.parametrize("accelerate", [False, True])
+    @pytest.mark.parametrize("y", [0.0, 0.3])
+    @pytest.mark.parametrize("x", [1e-4, 0.9999])
+    def test_near_plate_smears_agree_with_the_adaptive_reference(self, x, y, accelerate):
+        # the n = 0 reflected image at 2x = 2e-4 takes the series
+        policy = TruncationPolicy(n_terms=200, accelerate=accelerate)
+        p1, p2 = FieldPoint(x, 0.0), FieldPoint(x, y)
+        r = smeared_density(p1, p2, README_KERNEL, G, policy)
+        assert abs(r - _adaptive_reference(p1, p2, README_KERNEL, policy)) <= 1e-12 * _scale(README_KERNEL)
 
 
 class TestCurrents:

@@ -13,7 +13,7 @@ from cavityspectra.oracle import (
     _extrapolate_to_zero,
     sigma_via_numeric_ft,
 )
-from cavityspectra.spectral import convergence_report, q_kernel, sigma_vacuum, sigma_yy_diag
+from cavityspectra.spectral import convergence_report, q_kernel, sigma_vacuum, sigma_yy, sigma_yy_diag
 from cavityspectra.units import CavityGeometry, FieldPoint
 
 G = CavityGeometry(1.0)
@@ -95,6 +95,15 @@ class TestNumericTransform:
         # beyond any finite window: the oracle must refuse, not mislead
         with pytest.raises(TailTooLarge):
             sigma_via_numeric_ft(TWO_PI, FieldPoint(0.75, 45.0), G)
+
+    def test_a_window_ending_before_the_offset_is_refused(self):
+        # the window never reaches the light cone at s = |y| = 300: every
+        # truncated integral is about 0, so the tail estimate alone would pass
+        # a result of about 0 where the density is 1.5% of the vacuum scale
+        point = FieldPoint(0.5, 300.0)
+        assert abs(sigma_yy(10.6, point, G, POLICY).value) > 0.01 * sigma_vacuum(10.6, 0.0)
+        with pytest.raises(TailTooLarge, match="omega = 7.6:"):
+            sigma_via_numeric_ft([7.6, 10.6], point, G)
 
     @pytest.mark.parametrize("x", [0.25, 0.5, 0.75])
     def test_the_image_lattice_agrees_with_the_pole_sum_cut_at_the_window_horizon(self, x, monkeypatch):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cavityspectra.bhd import LOKernel, smeared_density
 from cavityspectra.imagesum import SpacetimePoint, TruncationPolicy, image_sum
 from cavityspectra.spectral import sigma_yy, sigma_yy_diag
 from cavityspectra.units import CavityGeometry, FieldPoint, build_grid
@@ -81,6 +82,34 @@ def test_mirror_symmetry_within_twice_the_error_estimate(omega, x, n_terms):
     near = sigma_yy_diag(omega, x, G, policy)
     far = sigma_yy_diag(omega, 1.0 - x, G, policy)
     assert abs(near.value - far.value) <= 2.0 * max(near.err, far.err)
+
+
+SMEAR_KERNEL = LOKernel(omega_lo=2.0 * PI, width=PI / 10.0)
+
+
+@pytest.mark.parametrize("accelerate", [False, True])
+@pytest.mark.parametrize("y", [0.0, 0.7, 3.0])
+@pytest.mark.parametrize("x", [0.02, 0.3, 0.45])
+def test_smeared_density_is_mirror_symmetric(x, y, accelerate):
+    # the LO damps every image beyond the cutoff, so the truncated sums of x and
+    # a - x hold the same terms and differ by rounding only
+    policy = TruncationPolicy(n_terms=200, accelerate=accelerate)
+    near = smeared_density(FieldPoint(x, 0.0), FieldPoint(x, y), SMEAR_KERNEL, G, policy)
+    far = smeared_density(FieldPoint(1.0 - x, 0.0), FieldPoint(1.0 - x, y), SMEAR_KERNEL, G, policy)
+    assert far == pytest.approx(near, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.7, 3.0, 10.0])
+@pytest.mark.parametrize("x, y", [(0.3, 0.0), (0.75, 1.0)])
+def test_smeared_density_scale_covariance(lam, x, y):
+    # a -> lam a with the points, omega_lo and the width -> 1/lam: the density
+    # scales as lam^-3 and the frequency measure as lam^-1
+    policy = TruncationPolicy(n_terms=300)
+    base = smeared_density(FieldPoint(x, 0.0), FieldPoint(x, y), SMEAR_KERNEL, G, policy)
+    kernel = LOKernel(SMEAR_KERNEL.omega_lo / lam, SMEAR_KERNEL.width / lam)
+    scaled = smeared_density(FieldPoint(lam * x, 0.0), FieldPoint(lam * x, lam * y), kernel,
+                             CavityGeometry(lam), policy)
+    assert scaled * lam**4 == pytest.approx(base, rel=1e-12, abs=0.0)
 
 
 def test_truncated_density_is_positive_above_cutoff():
