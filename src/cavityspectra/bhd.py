@@ -173,30 +173,34 @@ def smeared_density(
     pt2: FieldPoint,
     kernel: LOKernel,
     geometry: CavityGeometry,
-    policy: TruncationPolicy,
+    policy: None = None,
     quadrature: None = None,
 ) -> float:
     """Frequency-smeared density: integral k(omega)^2 sigma_yy over all frequencies.
 
     The two-point density of :mod:`~cavityspectra.spectral` with the LO in
     place of its frequency axis (``spectral._SmearedLO``): each image term is
-    smeared in closed form, and the image sum over all of the policy's
-    n_terms indices, its +-n pairing and its accelerated mean stay as they
-    are.  Both points must share the plate distance x (the closed-form
-    density covers equal-x pairs only; that is the geometry of the proposed
-    detector).
+    smeared in closed form and damped by exp(-(width D)^2/4), and the image
+    sum, with its +-n pairing, runs to the N that the LO width sizes
+    (``_SmearedLO.image_terms``, about 6/(width a)): the terms beyond it are
+    bounded below rounding of the scale A^2 width sqrt(pi) sigma_vacuum(omega_lo),
+    so the result is the N = infinity smear.  Both points must share the
+    plate distance x (the closed-form density covers equal-x pairs only;
+    that is the geometry of the proposed detector).
 
-    ``quadrature`` is not a setting: it must be None.  It stays in the
-    signature because perfbench's span recorder keys smear calls by it.
+    ``policy`` and ``quadrature`` are not settings: both must be None.  They
+    stay in the signature because perfbench's span recorder keys smear calls
+    by them.
     """
-    if quadrature is not None:
-        raise ValueError("the smearing is in closed form; quadrature must be None")
+    if policy is not None or quadrature is not None:
+        raise ValueError("the smear is in closed form at N = infinity; policy and quadrature must be None")
     validate_point(pt1, geometry)
     validate_point(pt2, geometry)
     if pt1.x != pt2.x:
         raise ValueError("smearing requires both points at the same plate distance x")
     lo = _SmearedLO(kernel.omega_lo, kernel.width, kernel.squared_integral())
-    density, _ = _sigma_yy_values(lo, [FieldPoint(pt1.x, pt2.y - pt1.y)], geometry, policy)
+    sized = TruncationPolicy(n_terms=lo.image_terms(geometry.L))
+    density, _ = _sigma_yy_values(lo, [FieldPoint(pt1.x, pt2.y - pt1.y)], geometry, sized)
     return float(density[0, 0])
 
 
@@ -257,7 +261,6 @@ def variance_current(
     config: DetectorConfig,
     kernel: LOKernel,
     geometry: CavityGeometry,
-    policy: TruncationPolicy,
 ) -> tuple[float, float]:
     """Ground-state variance of the detector output and its far-separation approximation.
 
@@ -271,7 +274,7 @@ def variance_current(
     """
     if config.diode1.x != config.diode2.x:
         raise ValueError("the detector variance requires both diodes at the same plate distance x")
-    r11 = smeared_density(config.diode1, config.diode1, kernel, geometry, policy)
-    r12 = smeared_density(config.diode1, config.diode2, kernel, geometry, policy)
+    r11 = smeared_density(config.diode1, config.diode1, kernel, geometry)
+    r12 = smeared_density(config.diode1, config.diode2, kernel, geometry)
     c2 = config.calibration * config.calibration
     return c2 * ((r11 + r12) + (r12 + r11)), 2.0 * c2 * r11

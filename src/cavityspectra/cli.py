@@ -10,11 +10,13 @@ separation a, frequencies in units of c/a.  The ``bhd`` command's
 SI frequency column).  Each subcommand accepts only the flags it reads.
 
 Exit codes: 0 success, 1 validation failure, 2 argument error, 3 numerical
-guard violation, 4 I/O failure.
+guard violation, 4 I/O failure.  ``main`` returns them, usage errors
+included, and builds its parser once per process.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -63,6 +65,8 @@ _INTERNAL = CavityGeometry(1.0)
 # -- output plumbing ---------------------------------------------------------
 
 def _fmt(value) -> str:
+    if type(value) is float:  # nearly every cell: one repr, no isinstance chain
+        return repr(value)
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -131,8 +135,8 @@ def _explicit_dests(argv) -> set[str]:
 
 
 #: Namespace entries that are not flags a config file may set: the
-#: subcommand, its handler, the config path and the figure name argument.
-_NOT_CONFIGURABLE = frozenset({"command", "func", "config", "name"})
+#: subcommand, the config path and the figure name argument.
+_NOT_CONFIGURABLE = frozenset({"command", "config", "name"})
 
 
 def _apply_config(ns: argparse.Namespace, argv) -> None:
@@ -326,16 +330,15 @@ def cmd_twopoint(ns) -> int:
 
 
 def cmd_bhd(ns) -> int:
-    policy = _policy(ns)
     width = ns.width if ns.width is not None else ns.omega_lo / 20.0
-    kernel = LOKernel(omega_lo=ns.omega_lo, width=width, amplitude=ns.amplitude, t0=ns.t0)
+    kernel = LOKernel(omega_lo=ns.omega_lo, width=width, amplitude=ns.amplitude)
     config = DetectorConfig(
         diode1=FieldPoint(x=ns.x1, y=ns.y1),
         diode2=FieldPoint(x=ns.x2, y=ns.y2),
         calibration=ns.calibration,
     )
     mean = mean_current(config, kernel)
-    variance, approx = variance_current(config, kernel, _INTERNAL, policy)
+    variance, approx = variance_current(config, kernel, _INTERNAL)
 
     if ns.lo_p is not None:
         p = ns.lo_p
@@ -511,20 +514,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help):
+    def command(name, help):
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="JSON file of option defaults (explicit flags win)")
-        p.set_defaults(func=func)
         return p
 
-    p = command("spectral-diag", cmd_spectral_diag, "coincident-point density over x at fixed omega")
+    p = command("spectral-diag", "coincident-point density over x at fixed omega")
     p.add_argument("--omega", type=float, required=True, help="frequency in c/a units")
     p.add_argument("--x", type=float, help="single evaluation point (units of a)")
     p.add_argument("--x-steps", type=int, default=21, help="grid size over [0, a] when --x is absent")
     _add_cutoff(p)
     _add_output(p, include_svg=True)
 
-    p = command("spectral-map", cmd_spectral_map, "two-point density over the (x, y) plane")
+    p = command("spectral-map", "two-point density over the (x, y) plane")
     p.add_argument("--omega", type=float, default=_TWO_PI)
     p.add_argument("--x-steps", type=int, default=21)
     p.add_argument("--y-range", type=float, nargs=2, default=(-50.0, 50.0), metavar=("YMIN", "YMAX"))
@@ -532,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cutoff(p)
     _add_output(p, include_svg=True)
 
-    p = command("spectral-slice", cmd_spectral_slice, "density normalized by its coincident value, over y")
+    p = command("spectral-slice", "density normalized by its coincident value, over y")
     p.add_argument("--omega", type=float, default=_TWO_PI)
     p.add_argument("--x", type=float, default=0.75)
     p.add_argument("--y-range", type=float, nargs=2, default=(-50.0, 50.0), metavar=("YMIN", "YMAX"))
@@ -540,19 +542,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cutoff(p)
     _add_output(p, include_svg=True)
 
-    p = command("figure", cmd_figure, "reproduce a bundled figure data set")
+    p = command("figure", "reproduce a bundled figure data set")
     p.add_argument("name", choices=("fig2-left", "fig2-right", "fig4-left", "fig4-right"))
     _add_cutoff(p, n_terms_default=None)
     _add_output(p, include_svg=True)
 
-    p = command("twopoint", cmd_twopoint, "closed-form two-point function at time separation s")
+    p = command("twopoint", "closed-form two-point function at time separation s")
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--y", type=float, default=0.0)
     _add_cutoff(p, accelerate=False)
     _add_output(p)
 
-    p = command("bhd", cmd_bhd, "balanced-homodyne-detector response prediction")
+    p = command("bhd", "balanced-homodyne-detector response prediction")
     p.add_argument("--omega-lo", type=float, required=True, help="LO frequency in c/a units")
     p.add_argument("--x1", type=float, required=True)
     p.add_argument("--y1", type=float, required=True)
@@ -561,26 +563,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=float, help="LO kernel width (default omega_lo/20)")
     p.add_argument("--amplitude", type=float, default=1.0)
     p.add_argument("--calibration", type=float, default=1.0)
-    p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--lo-p", type=float, help="LO transverse wave number (default pi/|y2-y1|)")
     p.add_argument("--a-microns", type=float, default=1.0,
                    help="plate separation in micrometres (scale of the SI frequency column)")
-    _add_cutoff(p)
-    _add_output(p)
+    _add_output(p)  # no cutoff: the LO width sizes the smear's image sum
 
-    p = command("validate", cmd_validate, "run oracle cross-checks and invariant suites")
+    p = command("validate", "run oracle cross-checks and invariant suites")
     p.add_argument("--quick", action="store_true", help="shorter oracle schedule (3 points)")
 
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of this process: built on the first call of main, then reused."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    try:
+        ns = _shared_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's own exit: 2 for a usage error, 0 for --help
+        return exc.code
+    # the handler is looked up at call time, so a replaced cmd_* is the one that runs
+    handler = globals()["cmd_" + ns.command.replace("-", "_")]
     try:
         _apply_config(ns, argv)
-        return ns.func(ns)
+        return handler(ns)
     except ValueError as exc:
         print(f"argument error: {exc}", file=sys.stderr)
         return 2

@@ -59,6 +59,11 @@ _SERIES_TERMS = 10
 _FOUR_PI_SQ = 4.0 * math.pi**2
 _TWO_PI_SQ = 2.0 * math.pi**2
 _TWO_THIRDS = 2.0 / 3.0
+#: Unit roundoff of a float: a smear sums images until its tail bound is below this share of its scale.
+_ROUNDING = 2.0**-53
+#: Most image pairs one smear sums (its arrays hold a few floats per image):
+#: an LO narrower than about 6e-6 c/a needs more and is refused.
+_MAX_SMEAR_TERMS = 2**20
 
 #: Most elements one vectorised kernel or gather array holds: density calls
 #: split their frequencies or points into blocks that stay within it.
@@ -237,6 +242,9 @@ class _SmearedLO:
     or below the splice to sum_j c_j M_{2j+3} D^{2j}: K's Taylor coefficients
     times the Gaussian moments M.  At D (omega_lo + 6 width) = SERIES_THRESHOLD
     the direct Wbar would lose 1e-12 of itself, so the splice sits at 1.
+
+    The Gaussian factor makes the image sum converge: ``image_terms`` sizes
+    it from ``tail_bound``, so a smear needs no cutoff of its own.
     """
 
     def __init__(self, omega_lo: float, width: float, weight: float):
@@ -250,6 +258,50 @@ class _SmearedLO:
 
     def __getitem__(self, block):
         return self
+
+    def tail_bound(self, n: int, L: float) -> float:
+        """Bound on the summed image terms of index |m| > n, per unit prefactor (inf while w n L < sqrt 2).
+
+        With |c| <= omega_lo + w^2 D/2 and |P2| <= |c|^2 + w^2/2, and y^2 <= D^2
+        for the y^2 Wbar/D^2 terms, each image contributes at most
+
+            f(D) = e^{-w^2 D^2/4} [(2 omega_lo^2 + 3 w^2)/D + w^4 D/2 + 4 omega_lo/D^2 + 4/D^3],
+
+        which decreases for w D >= sqrt 2.  Index m holds four images (two
+        translated at m L, the reflected ones at |2x -+ m L| with 0 <= 2x <= L),
+        all at D >= (m - 1) L, so m = n + 1 + k adds at most
+        4 f(D_n + k L) with D_n = n L.  Since (D_n + k L)^2 >= D_n^2 + 2 k D_n L,
+        the Gaussian there is at most e^{-w^2 D_n^2/4} r^k with
+        r = e^{-w^2 D_n L/2}, and the sum over k is geometric.
+        """
+        w2, d = 2.0 * self.half_w2, n * L
+        if w2 * d * d < 2.0:
+            return math.inf
+        r = math.exp(-0.5 * w2 * d * L)
+        s = -1.0 / math.expm1(-0.5 * w2 * d * L)  # 1/(1 - r)
+        w0 = self.omega_lo
+        poly = (2.0 * w0 * w0 + 3.0 * w2) / d + 4.0 * w0 / (d * d) + 4.0 / (d * d * d)
+        return 4.0 * math.exp(-0.25 * w2 * d * d) * s * (poly + 0.5 * w2 * w2 * (d + L * r * s))
+
+    def image_terms(self, L: float) -> int:
+        """Smallest N whose tail bound is below rounding of the scale A^2 w sqrt(pi) sigma_vac(omega_lo).
+
+        Per unit prefactor that scale is (2/3) omega_lo^3.  The bound is
+        nonincreasing in N wherever it is finite, so bisection finds the
+        smallest N; it is about 12/(w L), a cost of O(1/w) image terms.  An N
+        above _MAX_SMEAR_TERMS is refused with a ValueError.
+        """
+        tol = _ROUNDING * _TWO_THIRDS * self.omega_lo ** 3
+        lo, hi = 0, 1  # the bound fails at lo and holds at hi once the doubling ends
+        while self.tail_bound(hi, L) > tol:
+            if hi >= _MAX_SMEAR_TERMS:
+                raise ValueError(f"the LO is too narrow: its smear would sum more than {_MAX_SMEAR_TERMS} "
+                                 "image pairs (about 6/(width a))")
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if self.tail_bound(mid, L) > tol else (lo, mid)
+        return hi
 
     def kernels(self, d, count=2):
         """Qbar, then Wbar unless count is 1, at the distances d >= 0."""

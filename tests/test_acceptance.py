@@ -166,15 +166,14 @@ def test_criterion_08_oracle_agreement():
 
 
 def test_criterion_09_detector_consistency():
-    policy = TruncationPolicy(n_terms=1000)
     kernel = LOKernel(omega_lo=TWO_PI, width=TWO_PI / 20.0)
     config = DetectorConfig(FieldPoint(0.75, 0.0), FieldPoint(0.75, 50.0), calibration=1.3)
 
-    variance, approx = cs.variance_current(config, kernel, G, policy)
+    variance, approx = cs.variance_current(config, kernel, G)
     gap = abs(variance - approx) / approx
 
     doubled = LOKernel(omega_lo=TWO_PI, width=TWO_PI / 20.0, amplitude=2.0)
-    quadrupled, _ = cs.variance_current(config, doubled, G, policy)
+    quadrupled, _ = cs.variance_current(config, doubled, G)
     scaling_dev = abs(quadrupled / variance - 4.0)
 
     p = PI / 50.0

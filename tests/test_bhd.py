@@ -26,10 +26,16 @@ G = CavityGeometry(1.0)
 PI = math.pi
 TWO_PI = 2.0 * math.pi
 README_KERNEL = LOKernel(omega_lo=TWO_PI, width=TWO_PI / 20.0)
+_TWO_THIRDS = 2.0 / 3.0
 
 
 def _scale(kernel):
     return kernel.squared_integral() * sigma_vacuum(kernel.omega_lo, 0.0)
+
+
+def _sized(kernel):
+    """The image-sum policy a smear with this kernel runs: the N its tail bound sizes."""
+    return TruncationPolicy(n_terms=sp._SmearedLO(kernel.omega_lo, kernel.width, 1.0).image_terms(G.L))
 
 
 def _window(kernel):
@@ -163,14 +169,14 @@ class TestSmearedDensity:
     def test_zero_amplitude(self):
         kernel = LOKernel(omega_lo=5.0, width=0.2, amplitude=0.0)
         pt = FieldPoint(0.5, 0.0)
-        assert smeared_density(pt, pt, kernel, G, TruncationPolicy(n_terms=100)) == 0.0
+        assert smeared_density(pt, pt, kernel, G) == 0.0
 
     def test_narrow_band_limit(self):
         policy = TruncationPolicy(n_terms=1000)
         for omega_lo in (5.0, 11.0):
             kernel = LOKernel(omega_lo=omega_lo, width=omega_lo / 100.0)
             pt = FieldPoint(0.6, 0.0)
-            r = smeared_density(pt, pt, kernel, G, policy)
+            r = smeared_density(pt, pt, kernel, G)
             sigma = sigma_yy_diag(omega_lo, 0.6, G, policy).value
             assert r / kernel.squared_integral() == pytest.approx(sigma, rel=1e-2)
 
@@ -181,20 +187,19 @@ class TestSmearedDensity:
         devs = []
         for frac in (100.0, 50.0):
             kernel = LOKernel(omega_lo=5.0, width=5.0 / frac)
-            r = smeared_density(pt, pt, kernel, G, policy)
+            r = smeared_density(pt, pt, kernel, G)
             devs.append(abs(r / kernel.squared_integral() - sigma))
         assert 2.5 < devs[1] / devs[0] < 6.0
 
     def test_symmetry_in_the_two_points(self):
-        policy = TruncationPolicy(n_terms=300)
         kernel = LOKernel(omega_lo=7.0, width=0.3)
         p1, p2 = FieldPoint(0.4, 1.0), FieldPoint(0.4, 3.5)
-        assert smeared_density(p1, p2, kernel, G, policy) == smeared_density(p2, p1, kernel, G, policy)
+        assert smeared_density(p1, p2, kernel, G) == smeared_density(p2, p1, kernel, G)
 
     def test_sub_cutoff_smearing_vanishes(self):
         kernel = LOKernel(omega_lo=2.0, width=0.1)
         pt = FieldPoint(0.5, 0.0)
-        r = smeared_density(pt, pt, kernel, G, TruncationPolicy(n_terms=1000))
+        r = smeared_density(pt, pt, kernel, G)
         # same-kernel smearing of the free-space density
         nodes, weights = np.polynomial.legendre.leggauss(200)
         lo, hi = _window(kernel)
@@ -203,62 +208,110 @@ class TestSmearedDensity:
         assert abs(r) < 0.05 * r_vacuum
 
     def test_preconditions(self):
-        policy = TruncationPolicy(n_terms=50)
         pt = FieldPoint(0.5, 0.0)
         with pytest.raises(ValueError):  # too wide: the window would reach below zero frequency
-            smeared_density(pt, pt, LOKernel(omega_lo=1.0, width=0.1999999999), G, policy)
+            smeared_density(pt, pt, LOKernel(omega_lo=1.0, width=0.1999999999), G)
         with pytest.raises(ValueError):  # unequal plate distances unsupported
-            smeared_density(FieldPoint(0.4, 0.0), FieldPoint(0.5, 0.0),
-                            LOKernel(omega_lo=5.0, width=0.2), G, policy)
+            smeared_density(FieldPoint(0.4, 0.0), FieldPoint(0.5, 0.0), LOKernel(omega_lo=5.0, width=0.2), G)
+        with pytest.raises(ValueError):  # the LO width sizes the image sum: no policy
+            smeared_density(pt, pt, README_KERNEL, G, TruncationPolicy(n_terms=50))
+        with pytest.raises(ValueError):  # the smear is in closed form: no quadrature
+            smeared_density(pt, pt, README_KERNEL, G, quadrature=16)
 
-    @pytest.mark.parametrize("kernel, x, y, accelerate, n_terms", [
-        *(pytest.param(README_KERNEL, 0.75, y, False, 200, id=repr(y)) for y in (0.0, 1.0, 50.0)),
-        *(pytest.param(README_KERNEL, 0.75, y, True, 200, id=f"{y!r}-accelerate") for y in (0.0, 1.0, 50.0)),
-        # the widest kernel at a high LO: images up to width * D = 25 count
-        pytest.param(LOKernel(omega_lo=40.0, width=4.0), 0.75, 1.7, False, 20, id="widest"),
-        pytest.param(LOKernel(omega_lo=40.0, width=4.0), 0.99, 1.7, True, 20, id="widest-0.99-accelerate"),
-        # 4 indices within width * D <= 13: the averaged partial sums end beyond them
-        *(pytest.param(LOKernel(omega_lo=40.0, width=2.0), 0.75, 0.0, True, n, id=f"window-{n}-accelerate")
-          for n in (5, 8, 10)),
+    @pytest.mark.parametrize("width", [5e-6, 1e-300])
+    def test_an_lo_whose_smear_needs_too_many_images_is_refused(self, width):
+        # 5e-6 needs about 1.1e6 image pairs; at 1e-300 the squared width underflows to 0
+        pt = FieldPoint(0.4, 0.0)
+        with pytest.raises(ValueError, match="too narrow"):
+            smeared_density(pt, pt, LOKernel(omega_lo=6.3, width=width), G)
+
+    @pytest.mark.parametrize("kernel, x, y", [
+        *(pytest.param(README_KERNEL, 0.75, y, id=repr(y)) for y in (0.0, 1.0, 50.0)),
+        *(pytest.param(LOKernel(TWO_PI, TWO_PI / 100.0), 0.3, y, id=f"narrow-{y!r}") for y in (0.0, 0.5, 2.0)),
+        # the widest kernel at a high LO sums two image pairs
+        pytest.param(LOKernel(omega_lo=40.0, width=4.0), 0.75, 1.7, id="widest"),
+        pytest.param(LOKernel(omega_lo=40.0, width=4.0), 0.99, 1.7, id="widest-0.99"),
+        *(pytest.param(LOKernel(omega_lo=40.0, width=2.0), 0.75, y, id=f"wide-{y!r}") for y in (0.0, 0.4, 3.0)),
     ])
-    def test_agrees_with_the_adaptive_reference(self, kernel, x, y, accelerate, n_terms):
-        policy = TruncationPolicy(n_terms=n_terms, accelerate=accelerate)
+    def test_agrees_with_the_adaptive_reference(self, kernel, x, y):
         p1, p2 = FieldPoint(x, 0.0), FieldPoint(x, y)
-        r = smeared_density(p1, p2, kernel, G, policy)
-        ref = _adaptive_reference(p1, p2, kernel, policy)
+        r = smeared_density(p1, p2, kernel, G)
+        ref = _adaptive_reference(p1, p2, kernel, _sized(kernel))
         assert abs(r - ref) <= 1e-12 * _scale(kernel)
 
     def test_images_are_selected_by_distance(self):
         # every image is at least 500 away, where the smearing leaves nothing
-        r = smeared_density(FieldPoint(0.75, 0.0), FieldPoint(0.75, 500.0), README_KERNEL, G,
-                            TruncationPolicy(n_terms=1000))
+        r = smeared_density(FieldPoint(0.75, 0.0), FieldPoint(0.75, 500.0), README_KERNEL, G)
         assert r == 0.0
 
     @pytest.mark.parametrize("omega_lo", [150.0, 300.0])
     def test_wide_kernels_far_above_the_cutoff_agree_with_the_reference(self, omega_lo):
-        # images with width * D up to 59 and 118 still count; their terms turn
-        # through thousands of radians over the LO window
+        # one image pair is summed; its terms turn through thousands of radians
+        # over the LO window
         kernel = LOKernel(omega_lo=omega_lo, width=omega_lo / 10.0)
         p1, p2 = FieldPoint(0.97, 0.0), FieldPoint(0.97, 0.01)
-        policy = TruncationPolicy(n_terms=20)
-        r = smeared_density(p1, p2, kernel, G, policy)
-        assert abs(r - _adaptive_reference(p1, p2, kernel, policy)) <= 1e-12 * _scale(kernel)
+        r = smeared_density(p1, p2, kernel, G)
+        assert abs(r - _adaptive_reference(p1, p2, kernel, _sized(kernel))) <= 1e-12 * _scale(kernel)
 
-    @pytest.mark.parametrize("accelerate", [False, True])
-    def test_image_cutoff_is_honoured(self, accelerate):
-        # this LO reaches images up to |n| ~ 200, beyond the cutoff
-        kernel = LOKernel(omega_lo=TWO_PI, width=TWO_PI / 200.0)
-        p1, p2 = FieldPoint(0.75, 0.0), FieldPoint(0.75, 0.5)
-        policy = TruncationPolicy(n_terms=50, accelerate=accelerate)
-        r = smeared_density(p1, p2, kernel, G, policy)
-        assert abs(r - _adaptive_reference(p1, p2, kernel, policy)) <= 1e-12 * _scale(kernel)
-        uncut = smeared_density(p1, p2, kernel, G, TruncationPolicy(n_terms=1000, accelerate=accelerate))
-        assert abs(uncut - r) > 1e-6 * _scale(kernel)
+    @pytest.mark.parametrize("y", [0.0, 0.7])
+    def test_default_smear_reaches_the_converged_narrow_lo_value(self, y):
+        # this LO reaches images up to |n| ~ 11 000: a fixed N = 1000 was 0.25% off
+        # the detector variance; the sized N agrees with N = 40 000 to rounding
+        kernel = LOKernel(omega_lo=6.3, width=5e-4)
+        pair = [FieldPoint(0.4, y)]
+        lo = sp._SmearedLO(kernel.omega_lo, kernel.width, kernel.squared_integral())
+        r = smeared_density(FieldPoint(0.4, 0.0), pair[0], kernel, G)
+        converged = float(_sigma_yy_values(lo, pair, G, TruncationPolicy(n_terms=40_000))[0][0, 0])
+        truncated = float(_sigma_yy_values(lo, pair, G, TruncationPolicy(n_terms=1000))[0][0, 0])
+        assert abs(r - converged) <= 2.0**-52 * _scale(kernel)
+        assert abs(truncated - converged) > 1e-3 * abs(converged)
+
+    def test_narrow_lo_variance_is_the_converged_value(self):
+        # the README's narrow-LO bhd example; N = 12 000, 20 000 and 40 000 agree to rounding
+        config = DetectorConfig(FieldPoint(0.4, 0.0), FieldPoint(0.4, 0.7))
+        variance, _ = variance_current(config, LOKernel(omega_lo=6.3, width=5e-4), G)
+        assert variance == pytest.approx(0.01293250156115, rel=1e-9)
+
+    @pytest.mark.parametrize("kernel, x, y", [
+        *(pytest.param(README_KERNEL, 0.75, y, id=f"readme-{y!r}") for y in (0.0, 1.0, 50.0)),
+        pytest.param(LOKernel(6.3, 5e-4), 0.4, 0.0, id="narrow-0.0"),
+        pytest.param(LOKernel(6.3, 5e-4), 0.4, 0.7, id="narrow-0.7"),
+        pytest.param(LOKernel(TWO_PI, TWO_PI / 200.0), 0.02, 2.0, id="near-plate"),
+        pytest.param(LOKernel(20.0, 0.2), 1.0, 0.3, id="far-plate"),
+        pytest.param(LOKernel(1.0, 0.1), 0.5, 0.3, id="sub-cutoff"),
+        pytest.param(LOKernel(40.0, 4.0), 0.99, 1.7, id="widest"),
+        pytest.param(LOKernel(150.0, 15.0), 0.97, 0.01, id="widest-high"),
+    ])
+    def test_sized_sum_agrees_with_four_times_as_many_images_to_rounding(self, kernel, x, y):
+        # the tail beyond the sized N is bounded below rounding of the scale
+        n = _sized(kernel).n_terms
+        lo = sp._SmearedLO(kernel.omega_lo, kernel.width, kernel.squared_integral())
+        assert lo.tail_bound(n, G.L) <= 2.0**-53 * _TWO_THIRDS * kernel.omega_lo**3
+        pair = [FieldPoint(x, y)]
+        sized, longer = (float(_sigma_yy_values(lo, pair, G, TruncationPolicy(n_terms=m))[0][0, 0])
+                         for m in (n, 4 * n))
+        assert abs(sized - longer) <= 2.0**-52 * _scale(kernel)
+
+    @pytest.mark.parametrize("kernel", [README_KERNEL, LOKernel(1.0, 0.1), LOKernel(20.0, 0.2),
+                                        LOKernel(TWO_PI, TWO_PI / 200.0)],
+                             ids=lambda k: f"{k.omega_lo:g}-{k.width:g}")
+    def test_the_tail_bound_is_a_bound_and_the_sized_n_the_smallest(self, kernel):
+        lo = sp._SmearedLO(kernel.omega_lo, kernel.width, 4.0 * PI**2)  # unit prefactor
+        n = lo.image_terms(G.L)
+        tol = 2.0**-53 * _TWO_THIRDS * kernel.omega_lo**3
+        assert lo.tail_bound(n - 1, G.L) > tol >= lo.tail_bound(n, G.L)
+        # where the tail is far above rounding, the summed terms beyond m stay within it
+        for x, y in [(0.0, 0.0), (0.02, 0.3), (0.5, 0.0), (0.97, 2.0), (1.0, 0.3)]:
+            pair = [FieldPoint(x, y)]
+            converged = float(_sigma_yy_values(lo, pair, G, TruncationPolicy(n_terms=4 * n))[0][0, 0])
+            for m in range(max(1, n // 8), n, max(1, n // 8)):
+                head = float(_sigma_yy_values(lo, pair, G, TruncationPolicy(n_terms=m))[0][0, 0])
+                assert abs(head - converged) <= lo.tail_bound(m, G.L)
 
     @pytest.mark.parametrize("y", [0.0, 0.7])
     def test_smeared_kernels_see_each_image_once_within_the_block_budget(self, y, monkeypatch):
-        # 20 000 image pairs, all summed: each image distance reaches the smeared
-        # kernels once, with no frequency-node axis
+        # about 11 000 image pairs, all summed: each image distance reaches the
+        # smeared kernels once, with no frequency-node axis
         sizes = []
 
         def recording(lo, d, count=2, kernels=sp._SmearedLO.kernels):
@@ -267,17 +320,18 @@ class TestSmearedDensity:
 
         monkeypatch.setattr(sp._SmearedLO, "kernels", recording)
         kernel = LOKernel(omega_lo=6.3, width=5e-4)
-        r = smeared_density(FieldPoint(0.4, 0.0), FieldPoint(0.4, y), kernel, G, TruncationPolicy(n_terms=20_000))
+        n = _sized(kernel).n_terms
+        r = smeared_density(FieldPoint(0.4, 0.0), FieldPoint(0.4, y), kernel, G)
         assert sizes and max(sizes) <= sp._BLOCK_ELEMENTS
-        assert sum(sizes) == 3 * 20_000 + (1 if y == 0.0 else 2)  # three families and n = 0
+        assert sum(sizes) == 3 * n + (1 if y == 0.0 else 2)  # three families and n = 0
         assert math.isfinite(r) and r != 0.0
 
-    @pytest.mark.parametrize("accelerate", [False, True])
+    @pytest.mark.parametrize("kernel", [README_KERNEL, LOKernel(TWO_PI, TWO_PI / 200.0)],
+                             ids=lambda k: f"{k.omega_lo:g}-{k.width:g}")
     @pytest.mark.parametrize("y", [0.0, 1.3])
-    def test_vanishes_exactly_on_the_plate(self, y, accelerate):
+    def test_vanishes_exactly_on_the_plate(self, y, kernel):
         pt1, pt2 = FieldPoint(0.0, 0.0), FieldPoint(0.0, y)
-        policy = TruncationPolicy(n_terms=100, accelerate=accelerate)
-        assert smeared_density(pt1, pt2, README_KERNEL, G, policy) == 0.0
+        assert smeared_density(pt1, pt2, kernel, G) == 0.0
 
 
 class TestSmearedKernels:
@@ -304,15 +358,15 @@ class TestSmearedKernels:
         assert q0[0] == lo.q0
         assert q0[0] / (4.0 * PI**2) == pytest.approx((w0**3 + 1.5 * w0 * w * w) / (6.0 * PI**2), rel=1e-15)
 
-    @pytest.mark.parametrize("accelerate", [False, True])
+    @pytest.mark.parametrize("kernel", [README_KERNEL, LOKernel(TWO_PI, TWO_PI / 60.0)],
+                             ids=lambda k: f"{k.omega_lo:g}-{k.width:g}")
     @pytest.mark.parametrize("y", [0.0, 0.3])
     @pytest.mark.parametrize("x", [1e-4, 0.9999])
-    def test_near_plate_smears_agree_with_the_adaptive_reference(self, x, y, accelerate):
+    def test_near_plate_smears_agree_with_the_adaptive_reference(self, x, y, kernel):
         # the n = 0 reflected image at 2x = 2e-4 takes the series
-        policy = TruncationPolicy(n_terms=200, accelerate=accelerate)
         p1, p2 = FieldPoint(x, 0.0), FieldPoint(x, y)
-        r = smeared_density(p1, p2, README_KERNEL, G, policy)
-        assert abs(r - _adaptive_reference(p1, p2, README_KERNEL, policy)) <= 1e-12 * _scale(README_KERNEL)
+        r = smeared_density(p1, p2, kernel, G)
+        assert abs(r - _adaptive_reference(p1, p2, kernel, _sized(kernel))) <= 1e-12 * _scale(kernel)
 
 
 class TestCurrents:
@@ -347,27 +401,24 @@ class TestCurrents:
         assert mean_current(config, kernel, [comp]) == pytest.approx(expected, rel=1e-15)
 
     def test_variance_scales_exactly_with_amplitude_squared(self):
-        policy = TruncationPolicy(n_terms=300)
         kernel1, config = self._setup(amplitude=1.0)
         kernel2, _ = self._setup(amplitude=2.0)
-        v1, _ = variance_current(config, kernel1, G, policy)
-        v2, _ = variance_current(config, kernel2, G, policy)
+        v1, _ = variance_current(config, kernel1, G)
+        v2, _ = variance_current(config, kernel2, G)
         assert v2 / v1 == pytest.approx(4.0, rel=1e-12)
 
     def test_far_separation_approximation(self):
-        policy = TruncationPolicy(n_terms=300)
         kernel, config = self._setup()
-        v4, va = variance_current(config, kernel, G, policy)
+        v4, va = variance_current(config, kernel, G)
         assert v4 == pytest.approx(va, rel=0.1)
         assert v4 > 0.0
 
     def test_variance_scales_with_the_calibration_squared(self):
         # the calibration-to-zero limit sends the variance to zero quadratically
-        policy = TruncationPolicy(n_terms=60)
         kernel = LOKernel(omega_lo=TWO_PI, width=TWO_PI / 20.0)
         diodes = (FieldPoint(0.75, 0.0), FieldPoint(0.75, 50.0))
-        small, _ = variance_current(DetectorConfig(*diodes, calibration=1e-6), kernel, G, policy)
-        big, _ = variance_current(DetectorConfig(*diodes, calibration=1.0), kernel, G, policy)
+        small, _ = variance_current(DetectorConfig(*diodes, calibration=1e-6), kernel, G)
+        big, _ = variance_current(DetectorConfig(*diodes, calibration=1.0), kernel, G)
         assert small == pytest.approx(1e-12 * big, rel=1e-12)
 
     def test_unequal_plate_distances_rejected_before_smearing(self, monkeypatch):
@@ -378,4 +429,4 @@ class TestCurrents:
         kernel, _ = self._setup()
         config = DetectorConfig(FieldPoint(0.75, 0.0), FieldPoint(0.5, 50.0))
         with pytest.raises(ValueError):
-            variance_current(config, kernel, G, TruncationPolicy(n_terms=60))
+            variance_current(config, kernel, G)

@@ -12,6 +12,8 @@ from cavityspectra.spectral import sigma_vacuum, sigma_yy, sigma_yy_diag
 from cavityspectra.units import CavityGeometry, FieldPoint
 
 G = CavityGeometry(1.0)
+BHD_README = ["bhd", "--omega-lo", "6.283185307179586", "--x1", "0.75", "--y1", "0",
+              "--x2", "0.75", "--y2", "50"]
 
 
 def run(argv):
@@ -176,7 +178,7 @@ class TestDetectorAndTwoPoint:
     def test_bhd_row(self, tmp_path):
         out = tmp_path / "bhd.csv"
         code = run(["bhd", "--omega-lo", str(2 * math.pi), "--x1", "0.75", "--y1", "0",
-                    "--x2", "0.75", "--y2", "50", "--n-terms", "100", "--out", str(out)])
+                    "--x2", "0.75", "--y2", "50", "--out", str(out)])
         assert code == 0
         header, row = out.read_text().splitlines()
         assert header == ("omega_lo,omega_lo_rad_per_s,mean_current,variance,"
@@ -189,7 +191,7 @@ class TestDetectorAndTwoPoint:
     def test_bhd_below_dispersion_omits_residual(self, tmp_path, capsys):
         out = tmp_path / "bhd.csv"
         assert run(["bhd", "--omega-lo", "2.0", "--x1", "0.5", "--y1", "0",
-                    "--x2", "0.5", "--y2", "10", "--n-terms", "60", "--out", str(out)]) == 0
+                    "--x2", "0.5", "--y2", "10", "--out", str(out)]) == 0
         assert out.read_text().splitlines()[1].endswith(",")
         assert "no running mode" in capsys.readouterr().err
 
@@ -229,10 +231,10 @@ class TestPlumbing:
         assert capsys.readouterr() == ("", f"argument error: config key {key!r} is not an option of {argv[0]}\n")
 
     @pytest.mark.parametrize("argv, scientific, decimal", [
-        (["bhd", "--omega-lo", "7", "--x1", ".5", "--y1", "SCI", "--x2", ".5", "--y2", "1",
-          "--n-terms", "60"], "-1e-05", "-0.00001"),
-        (["bhd", "--omega-lo", "7", "--x1", ".5", "--y1", "0", "--x2", ".5", "--y2", "1",
-          "--t0", "SCI", "--n-terms", "60"], "-2.5E-1", "-0.25"),
+        (["bhd", "--omega-lo", "7", "--x1", ".5", "--y1", "SCI", "--x2", ".5", "--y2", "1"],
+         "-1e-05", "-0.00001"),
+        (["bhd", "--omega-lo", "7", "--x1", ".5", "--y1", "0", "--x2", ".5", "--y2", "SCI"],
+         "-2.5E-1", "-0.25"),
         (["spectral-map", "--omega", "5", "--x-steps", "2", "--y-range", "SCI", "50",
           "--y-steps", "3", "--n-terms", "40"], "-5e-05", "-0.00005"),
         (["spectral-slice", "--omega", "5", "--x", "0.3", "--y-range", "-2", "SCI",
@@ -246,10 +248,13 @@ class TestPlumbing:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1] and outputs[0].count("\n") >= 2
 
-    def test_argument_errors_exit_two(self):
-        with pytest.raises(SystemExit) as exc:
-            run(["spectral-diag"])  # --omega missing
-        assert exc.value.code == 2
+    def test_argument_errors_exit_two(self, capsys):
+        assert run(["spectral-diag"]) == 2  # --omega missing: returned, not raised
+        assert "the following arguments are required: --omega" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert run(["bhd", "--help"]) == 0
+        assert "--omega-lo" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", [
         ["bhd", "--omega-lo", "6.283185307179586", "--x1", "0.75", "--y1", "0",
@@ -264,6 +269,8 @@ class TestPlumbing:
         ["spectral-slice", "--x", "0", "--y-steps", "3"],
         ["spectral-slice", "--x", "1", "--y-steps", "3", "--svg", "SVG"],
         ["spectral-diag", "--omega", "-1e-3", "--x", "0.5"],  # reaches the value check
+        ["bhd", "--omega-lo", "6.3", "--width", "1e-9", "--x1", "0.4", "--y1", "0",
+         "--x2", "0.4", "--y2", "0.7"],  # an LO too narrow to smear
     ])
     def test_invalid_values_exit_two_with_one_line(self, argv, tmp_path, capsys):
         out, svg = tmp_path / "out.csv", tmp_path / "out.svg"
@@ -282,14 +289,60 @@ class TestPlumbing:
         ["figure", "fig4-right", "--a-microns", "3"],
         ["spectral-diag", "--omega", "5.0", "--x", "0.5", "--a-microns", "3"],
         ["twopoint", "--s", "0.3", "--x", "0.4", "--accelerate"],
+        # the LO width sizes the smear's image sum, and t0 would only phase a classical field
+        [*BHD_README, "--n-terms", "5"],
+        [*BHD_README, "--accelerate"],
+        [*BHD_README, "--t0", "1.7"],
     ])
     def test_flags_a_command_does_not_read_are_usage_errors(self, argv, tmp_path, capsys):
         out = tmp_path / "out.csv"
-        with pytest.raises(SystemExit) as exc:
-            run(argv + ["--out", str(out)])
-        assert exc.value.code == 2
+        assert run(argv + ["--out", str(out)]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_a_sequence_of_calls_prints_what_each_call_prints_alone(self, tmp_path, capsys):
+        # one parser serves every call of a process: no call may leave state for the next
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n-terms": 40, "accelerate": True}))
+        narrow = tmp_path / "narrow.json"
+        narrow.write_text(json.dumps({"width": 0.05}))
+        calls = [
+            BHD_README,
+            ["spectral-diag", "--omega", "5.0", "--x-steps", "3", "--config", str(cfg)],
+            ["spectral-diag", "--omega", "5.0", "--x-steps", "3"],  # the config's values do not stay
+            ["spectral-diag"],  # usage error: --omega missing
+            [*BHD_README, "--n-terms", "5"],  # usage error: a flag bhd does not read
+            ["twopoint", "--s", "0.3", "--x", "0.4", "--y", "0.8", "--format", "json"],
+            ["spectral-map", "--x-steps", "2", "--y-steps", "3", "--n-terms", "20"],
+            ["bhd", "--omega-lo", "7", "--x1", ".5", "--y1", "0", "--x2", ".5", "--y2", "1",
+             "--config", str(narrow)],
+            ["twopoint", "--s", "0.3", "--x", "0.4", "--y", "0.8"],
+            BHD_README,
+        ]
+        in_sequence = [(run(argv), capsys.readouterr()) for argv in calls]
+        alone = []
+        for argv in calls:
+            cli._shared_parser.cache_clear()
+            alone.append((run(argv), capsys.readouterr()))
+        assert in_sequence == alone
+        assert [code for code, _ in alone] == [0, 0, 0, 2, 2, 0, 0, 0, 0, 0]
+        assert in_sequence[1][1].out != in_sequence[2][1].out
+
+    def test_a_handler_replaced_after_the_first_call_is_the_one_that_runs(self, monkeypatch, capsys):
+        assert run(BHD_README) == 0
+        seen = []
+
+        def handler(ns):
+            seen.append(ns.omega_lo)
+            return 7
+
+        def no_parser():
+            raise AssertionError("main built a second parser")
+
+        monkeypatch.setattr(cli, "cmd_bhd", handler)
+        monkeypatch.setattr(cli, "build_parser", no_parser)
+        assert run(BHD_README) == 7
+        assert seen == [2.0 * math.pi]
 
     def test_io_failure_exits_four(self):
         assert run(["twopoint", "--s", "0.3", "--x", "0.4",
