@@ -169,10 +169,9 @@ def _grid(lo: float, hi: float, count: int, flag: str) -> list[float]:
     return np.linspace(lo, hi, count).tolist()
 
 
-def _density_row(omega: float, x: float, ys, policy):
-    """sigma_yy at (x, y) for each y: [values, errs] (spectral bounds the memory of the row)."""
-    values, errs = _sigma_yy_values(np.asarray([omega], dtype=float), [FieldPoint(x=x, y=y) for y in ys],
-                                    _INTERNAL, policy)
+def _densities(omega: float, points, policy):
+    """sigma_yy at each point: [values, errs] (one call; spectral bounds its memory)."""
+    values, errs = _sigma_yy_values(np.asarray([omega], dtype=float), points, _INTERNAL, policy)
     return values[:, 0].tolist(), errs[:, 0].tolist()
 
 
@@ -199,10 +198,9 @@ def cmd_spectral_map(ns) -> int:
     policy = _policy(ns)
     xs = _grid(0.0, 1.0, ns.x_steps, "--x-steps")
     ys = _grid(ns.y_range[0], ns.y_range[1], ns.y_steps, "--y-steps")
-    rows = []
-    for x in xs:
-        values, errs = _density_row(ns.omega, x, ys, policy)
-        rows += [(ns.omega, x, y, v, e, policy.n_terms) for y, v, e in zip(ys, values, errs)]
+    points = [FieldPoint(x=x, y=y) for x in xs for y in ys]
+    values, errs = _densities(ns.omega, points, policy)
+    rows = [(ns.omega, p.x, p.y, v, e, policy.n_terms) for p, v, e in zip(points, values, errs)]
     _note_discontinuities([ns.omega])
     _emit(ns, DENSITY_COLUMNS, rows)
     if getattr(ns, "svg", None):
@@ -217,15 +215,17 @@ def cmd_spectral_slice(ns) -> int:
                          "that normalizes the slice vanishes")
     policy = _policy(ns)
     ys = _grid(ns.y_range[0], ns.y_range[1], ns.y_steps, "--y-steps")
-    diagonal = sigma_yy_diag(ns.omega, ns.x, _INTERNAL, policy)
-    values, _ = _density_row(ns.omega, ns.x, ys, policy)
+    validate_point(FieldPoint(x=ns.x, y=0.0), _INTERNAL)
+    # the coincident point (x, 0) rides along as the last point of the row
+    values, errs = _densities(ns.omega, [FieldPoint(x=ns.x, y=y) for y in ys + [0.0]], policy)
+    diagonal, diagonal_err = values.pop(), errs[-1]
     _note_discontinuities([ns.omega])
-    if abs(diagonal.value) <= diagonal.err:
+    if abs(diagonal) <= diagonal_err:
         # near a plate the truncated coincident density is residual, not signal
         print(f"note: the coincident density at x = {ns.x:g}, omega = {ns.omega:g} is "
-              f"{diagonal.value:.3g}, within its truncation estimate err = {diagonal.err:.3g}; "
+              f"{diagonal:.3g}, within its truncation estimate err = {diagonal_err:.3g}; "
               "the ratios are normalized by truncation residual", file=sys.stderr)
-    rows = [(ns.omega, ns.x, y, v / diagonal.value) for y, v in zip(ys, values)]
+    rows = [(ns.omega, ns.x, y, v / diagonal) for y, v in zip(ys, values)]
     _emit(ns, ("omega", "x", "y", "ratio"), rows)
     if getattr(ns, "svg", None):
         svgplot.render_line_plot(ns.svg, ys, [[r[3] for r in rows]], labels=("ratio",),
@@ -372,13 +372,11 @@ def _check_vacuum_diagonal():
 
 def _check_vacuum_embedding():
     omegas = build_grid(0.5, _FOUR_PI, 20).points
-    ys = np.linspace(0.0, 8.0, 20)
     worst = 0.0
-    for w in omegas:
-        for y in ys:
-            ref = sigma_vacuum(float(w), float(y))
-            got = sigma_vacuum_from_kernels(float(w), float(y))
-            worst = max(worst, abs(got - ref) / abs(ref))
+    for y in np.linspace(0.0, 8.0, 20).tolist():
+        ref = sigma_vacuum(omegas, y)
+        got = sigma_vacuum_from_kernels(omegas, y)
+        worst = max(worst, float(np.max(np.abs(got - ref) / np.abs(ref))))
     return worst <= 1e-12, f"max relative deviation {worst:.2e} on a 20x20 grid (tolerance 1e-12)"
 
 def _check_boundary_zeros():

@@ -36,6 +36,10 @@ _PI_SQ = math.pi**2
 #: acceleration (used by the spectral module; defined with the policy type).
 SMOOTHING_WINDOW = 8
 
+#: Most image pairs one sum may include: a density holds a few floats per
+#: image, so a cutoff beyond this would ask for gigabytes before any value.
+MAX_IMAGE_TERMS = 2**20
+
 
 @dataclass(frozen=True)
 class SpacetimePoint:
@@ -61,7 +65,8 @@ class TruncationPolicy:
     adds the n = 0 term last; this symmetric order is what makes several
     boundary cancellations exact in floating point.  ``accelerate`` averages
     the trailing symmetric partial sums (Cesaro style) to damp the
-    oscillatory tail of the spectral sums.
+    oscillatory tail of the spectral sums.  A cutoff above MAX_IMAGE_TERMS
+    is refused.
     """
 
     n_terms: int = 1000
@@ -70,6 +75,8 @@ class TruncationPolicy:
     def __post_init__(self):
         if self.n_terms < 0:
             raise ValueError("cutoff must be nonnegative")
+        if self.n_terms > MAX_IMAGE_TERMS:
+            raise ValueError(f"cutoff {self.n_terms} exceeds the {MAX_IMAGE_TERMS} image pairs one sum may include")
 
 
 def _raise_near_cone(gaps: np.ndarray, indices: np.ndarray, branch: str) -> None:

@@ -32,11 +32,13 @@ distances n L do not depend on x, on a grid symmetric under x -> a - x the
 reflected distance |2x - n L| at x equals 2(a - x) + (n - 1) L at a - x, and
 on an evenly spaced grid the reflected families of different x overlap (the
 fig4-left grid needs 83 041 distances, 20 106 of them distinct).  The
-two-point density depends on y only through y^2, so points of a row that
-share y^2 (a grid symmetric in y holds each value twice) are evaluated
-once.  Neither changes the floating-point operations of any element: equal
-distance bits give equal kernel bits, and a grid equals its points
-evaluated one by one, bit for bit.
+two-point density depends on y only through y^2, and a call over many x
+evaluates Q and W once per distinct squared image base b^2 (with
+D^2 = b^2 + y^2) and distinct y^2: the fig2-left grid needs 21 x 1 502
+bases per y^2, 10 038 of them distinct, and its 101 y hold 50 distinct
+y^2 > 0.  None of this changes the floating-point operations of any
+element: equal distance bits give equal kernel bits, and a grid equals its
+points evaluated one by one, bit for bit.
 """
 from __future__ import annotations
 
@@ -49,7 +51,7 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .imagesum import SMOOTHING_WINDOW, TruncationPolicy
+from .imagesum import MAX_IMAGE_TERMS, SMOOTHING_WINDOW, TruncationPolicy
 from .units import CavityGeometry, FieldPoint, validate_point
 
 #: Kernel arguments below this use the Taylor series; above, the direct form.
@@ -61,13 +63,14 @@ _TWO_PI_SQ = 2.0 * math.pi**2
 _TWO_THIRDS = 2.0 / 3.0
 #: Unit roundoff of a float: a smear sums images until its tail bound is below this share of its scale.
 _ROUNDING = 2.0**-53
-#: Most image pairs one smear sums (its arrays hold a few floats per image):
-#: an LO narrower than about 6e-6 c/a needs more and is refused.
-_MAX_SMEAR_TERMS = 2**20
 
 #: Most elements one vectorised kernel or gather array holds: density calls
-#: split their frequencies or points into blocks that stay within it.
+#: split their x into pools whose arrays stay within it.
 _BLOCK_ELEMENTS = 2**17
+#: Most elements of one block of a pool (frequencies, y^2 and x by images):
+#: 256 KiB of floats, so the few arrays a block keeps live stay in a core's
+#: L2 cache.  Blocks of 2^17 made the fig2 recipes up to 30% slower.
+_CACHE_ELEMENTS = 2**15
 
 
 def _series_coefficients(cos_weight: int) -> np.ndarray:
@@ -289,13 +292,13 @@ class _SmearedLO:
         Per unit prefactor that scale is (2/3) omega_lo^3.  The bound is
         nonincreasing in N wherever it is finite, so bisection finds the
         smallest N; it is about 12/(w L), a cost of O(1/w) image terms.  An N
-        above _MAX_SMEAR_TERMS is refused with a ValueError.
+        above MAX_IMAGE_TERMS is refused with a ValueError.
         """
         tol = _ROUNDING * _TWO_THIRDS * self.omega_lo ** 3
         lo, hi = 0, 1  # the bound fails at lo and holds at hi once the doubling ends
         while self.tail_bound(hi, L) > tol:
-            if hi >= _MAX_SMEAR_TERMS:
-                raise ValueError(f"the LO is too narrow: its smear would sum more than {_MAX_SMEAR_TERMS} "
+            if hi >= MAX_IMAGE_TERMS:
+                raise ValueError(f"the LO is too narrow: its smear would sum more than {MAX_IMAGE_TERMS} "
                                  "image pairs (about 6/(width a))")
             lo, hi = hi, 2 * hi
         while hi - lo > 1:
@@ -335,9 +338,10 @@ def _sigma_diag_values(omegas, xs: Sequence[float], geometry: CavityGeometry, po
     translated n L, and per x the reflected |2x - n L| and 2x + n L and the
     n = 0 term 2x.  On symmetric or evenly spaced grids many of them coincide
     (see the module docstring).  The families are gathered back from the
-    distinct values and accumulated as for a single x.  Pools of x and blocks
-    of frequencies keep every kernel and gather array within _BLOCK_ELEMENTS
-    (one x per pool when its 3 n + 1 distances alone exceed it).
+    distinct values and accumulated as for a single x.  Pools of x keep
+    every kernel and gather array within _BLOCK_ELEMENTS (one x per pool
+    when its 3 n + 1 distances alone exceed it), and blocks of frequencies
+    within _CACHE_ELEMENTS where one frequency row fits.
     """
     axis = _axis(omegas)
     n = policy.n_terms
@@ -353,7 +357,7 @@ def _sigma_diag_values(omegas, xs: Sequence[float], geometry: CavityGeometry, po
         else:
             index = np.arange(distances.size)
         translated, index = index[:n], index[n:].reshape(x2.size, 2 * n + 1)
-        rows = max(1, _BLOCK_ELEMENTS // distances.size)
+        rows = max(1, _CACHE_ELEMENTS // max(distances.size, x2.size * max(1, n)))
         for lo in range(0, axis.size, rows):
             block = slice(lo, lo + rows)
             rows_axis = axis[block]
@@ -375,79 +379,134 @@ def _sigma_diag_values(omegas, xs: Sequence[float], geometry: CavityGeometry, po
 
 
 def _sigma_yy_values(omegas, points: Sequence[FieldPoint], geometry: CavityGeometry, policy: TruncationPolicy):
-    """Vectorized two-point density for points of one x: (values, errs), shape (points, omegas).
+    """Vectorized two-point density: (values, errs), shape (points, omegas).
 
-    The density depends on y only through y^2: each distinct y^2 is evaluated
-    once and its values are copied to every point that shares it.  Blocks of
-    distinct y^2 and of frequencies keep every (points, frequencies, images)
-    array within _BLOCK_ELEMENTS.  Element for element the arithmetic is that
-    of a single point, so a row evaluated at once equals its points evaluated
-    one by one, bit for bit.
+    The density depends on y only through y^2: each distinct (x, y^2) is
+    evaluated once and its values are copied to every point that shares it.
+    Points on the axis (y^2 == 0) take one coincident-point call over their
+    x.  The others go in pools of x (see ``_off_axis_pool``), whose image
+    terms are evaluated once per distinct image distance.  Element for
+    element the arithmetic is that of a single point, so a grid evaluated at
+    once equals its points evaluated one by one, bit for bit.
     """
     axis = _axis(omegas)
     x = points[0].x
-    if any(p.x != x for p in points):
-        raise ValueError("one density call takes points of a single plate distance x")
     y2 = np.array([p.y * p.y for p in points], dtype=float)
     inverse = None
-    if y2.size > 1:
-        y2, inverse = np.unique(y2, return_inverse=True)
-    values, errs = np.empty((2, y2.size, axis.size))
+    if all(p.x == x for p in points):
+        xs = np.array([x], dtype=float)
+        if y2.size > 1:
+            y2, inverse = np.unique(y2, return_inverse=True)
+        key_x, key_y = np.zeros(y2.size, dtype=np.intp), np.arange(y2.size)
+    else:
+        xs, xi = np.unique(np.array([p.x for p in points], dtype=float), return_inverse=True)
+        y2, yi = np.unique(y2, return_inverse=True)
+        keys, inverse = np.unique(xi * y2.size + yi, return_inverse=True)
+        key_x, key_y = np.divmod(keys, y2.size)
+    values, errs = np.empty((2, key_x.size, axis.size))
     # y^2 == 0 includes subnormal y whose square underflows: the y^2 terms are
     # then identically zero and the coincident-point form is the analytic limit
-    on_axis = y2 == 0.0
+    on_axis = y2[key_y] == 0.0
     if np.any(on_axis):
-        values[on_axis], errs[on_axis] = _sigma_diag_values(axis, [x], geometry, policy)
+        values[on_axis], errs[on_axis] = _sigma_diag_values(axis, xs[key_x[on_axis]].tolist(), geometry, policy)
+    off = np.flatnonzero(~on_axis)
     nL = np.arange(1, policy.n_terms + 1, dtype=float) * geometry.L
-    # points x frequencies per block: as many frequencies as fit, then points
-    rows = max(1, _BLOCK_ELEMENTS // max(1, nL.size))
-    freqs = max(1, min(axis.size, rows))
-    off_axis = np.flatnonzero(~on_axis)
-    for start in range(0, off_axis.size, rows // freqs):
-        pool = off_axis[start:start + rows // freqs]
-        for lo in range(0, axis.size, freqs):
-            block = slice(lo, lo + freqs)
-            values[pool, block], errs[pool, block] = _off_axis_block(
-                axis[block], y2[pool], x, nL, policy.accelerate)
+    pool = max(1, _BLOCK_ELEMENTS // (3 * nL.size + 2))
+    for start in range(0, xs.size, pool):
+        keys = off[(key_x[off] >= start) & (key_x[off] < start + pool)]
+        if keys.size:
+            values[keys], errs[keys] = _off_axis_pool(axis, xs[start:start + pool], key_x[keys] - start,
+                                                      y2[key_y[keys]], nL, policy.accelerate)
     if inverse is None:
         return values, errs
     return values[inverse], errs[inverse]
 
 
-def _off_axis_block(axis, y2: np.ndarray, x: float, nL: np.ndarray, accelerate: bool):
-    """Two-point density at plate distance x for y^2 > 0: (values, errs), shape (y2, omegas)."""
-    y2 = y2[:, None, None]
+def _off_axis_pool(axis, xs: np.ndarray, lx: np.ndarray, y2: np.ndarray, nL: np.ndarray, accelerate: bool):
+    """Two-point density of distinct points at y^2 > 0: (values, errs), shape (points, omegas).
 
-    def images(dist2):
-        """Q(omega D) and W(omega D)/D^2 over (points, omegas, images)."""
-        # dist2 >= y^2 > 0 for every image, so the W/dist^2 terms are regular
-        q, wk = axis.kernels(np.sqrt(dist2))
-        wk /= dist2
-        return q, wk
-
-    qa, wa = images(nL ** 2 + y2)
-
-    def reflected(dist2):
-        """qa - Q(omega B) and W(omega B)/B^2 - wa for one reflected family."""
-        q, wk = images(dist2)
-        np.subtract(qa, q, out=q)
-        wk -= wa
-        return q, wk
-
-    # ((qa - q_b-) + (qa - q_b+)) + y^2 ((w_b- - wa) + (w_b+ - wa))
-    pairs, w_pairs = reflected((2.0 * x - nL) ** 2 + y2)
-    q_bn, w_bn = reflected((2.0 * x + nL) ** 2 + y2)
-    pairs += q_bn
-    w_pairs += w_bn
-    w_pairs *= y2
-    pairs += w_pairs
-    q_a0, w_a0 = images(y2)
+    Point i sits at plate distance xs[lx[i]] with y^2 = y2[i].  Its image
+    terms are Q(omega D) and W(omega D)/D^2 at D^2 = b^2 + y^2, over the
+    squared bases b^2: (n L)^2 and 0, which no x changes, and per x
+    (2x - n L)^2, (2x + n L)^2 and (2x)^2.  With one x the bases are
+    evaluated as they are and each family is a slice of the kernel arrays.
+    With many, each distinct base is evaluated once per distinct y^2 and the
+    reflected families are gathered back per x.  A block of distinct y^2
+    rows and frequencies evaluates every pair of its rows and of the x of
+    its points (on a grid, exactly its points).  Its kernel arrays stay
+    within _CACHE_ELEMENTS, or one y^2 row when the bases alone exceed it.
+    Its gathers hold rows x x x n elements, at most 2 _CACHE_ELEMENTS (an x
+    shares its reflected bases only with its mirror a - x), or with one row
+    at most _BLOCK_ELEMENTS / 3.
+    """
+    n = nL.size
+    x2 = 2.0 * xs[:, None]
     # (2x)^2 stays a Python float power, as in the pinned baselines: numpy's
     # x*x differs from it in the last bit for about 1 in 1000 x
-    q_b0, w_b0 = images((2.0 * x) ** 2 + y2)
-    term0 = ((q_a0 - q_b0) + y2 * (w_b0 - w_a0))[..., 0]
+    reflected = np.concatenate([(x2 - nL) ** 2, (x2 + nL) ** 2, [[(2.0 * x) ** 2] for x in xs.tolist()]], axis=1)
+    bases = np.concatenate([nL ** 2, [0.0], reflected.ravel()])
+    if xs.size == 1:
+        rows = np.arange(y2.size)
+
+        def families(k, _):
+            k = k[:, :, None]
+            return k[..., :n], k[..., n], k[..., n + 1:2 * n + 1], k[..., 2 * n + 1:3 * n + 1], k[..., 3 * n + 1]
+    else:
+        bases, index = np.unique(bases, return_inverse=True)
+        y2, rows = np.unique(y2, return_inverse=True)
+        translated, a0, per_x = index[:n], index[n:n + 1], index[n + 1:].reshape(xs.size, 2 * n + 1)
+
+        def families(k, block_x):
+            # np.take copies into C-ordered (y^2, frequencies, x, images) arrays: only in
+            # that layout does _accumulate's accelerated mean round as for one point
+            b = per_x[block_x]
+            return (np.take(k, translated, axis=2)[:, :, None], np.take(k, a0, axis=2),
+                    np.take(k, b[:, :n], axis=2), np.take(k, b[:, n:2 * n], axis=2), np.take(k, b[:, 2 * n], axis=2))
+    values, errs = np.empty((2, lx.size, axis.size))
+    per_block = max(1, _CACHE_ELEMENTS // bases.size)  # (y^2, frequency) rows of one block
+    freqs = min(axis.size, per_block)
+    step = per_block // freqs
+    for r0 in range(0, y2.size, step):
+        points = np.flatnonzero((rows >= r0) & (rows < r0 + step))
+        block_x, at = np.unique(lx[points], return_inverse=True) if xs.size > 1 else (lx[:1], lx[points])
+        y2_rows = y2[r0:r0 + step]
+        dist2 = (bases + y2_rows[:, None])[:, None, :]
+        d = np.sqrt(dist2)
+        for lo in range(0, axis.size, freqs):
+            block = slice(lo, lo + freqs)
+            rows_axis = axis[block]
+            q, w = rows_axis.kernels(d)
+            w /= dist2  # D^2 >= y^2 > 0 for every image, so the W/D^2 terms are regular
+            v, e = _off_axis_block(rows_axis.pref[:, None], y2_rows, families(q, block_x), families(w, block_x),
+                                   accelerate)
+            values[points, block], errs[points, block] = v[rows[points] - r0, :, at], e[rows[points] - r0, :, at]
+    return values, errs
+
+
+def _off_axis_block(pref, y2: np.ndarray, q, w, accelerate: bool):
+    """Two-point density from its image families: (values, errs), shape (y^2, frequencies, x).
+
+    q holds Q(omega D) and w holds W(omega D)/D^2 per family, over
+    (y^2, frequencies, x, images) for the n terms and (y^2, frequencies, x)
+    for n = 0, the translated families with one x that broadcasts: the
+    translated n L, the translated n = 0 at |y|, the reflected |2x - n L|
+    and 2x + n L (both overwritten) and the reflected n = 0 at 2x.
+    """
+    qa, q_a0, pairs, q_bn, q_b0 = q
+    wa, w_a0, w_pairs, w_bn, w_b0 = w
+    y2 = y2[:, None, None]
+    # ((qa - q_b-) + (qa - q_b+)) + y^2 ((w_b- - wa) + (w_b+ - wa))
+    np.subtract(qa, pairs, out=pairs)
+    w_pairs -= wa
+    np.subtract(qa, q_bn, out=q_bn)
+    w_bn -= wa
+    pairs += q_bn
+    w_pairs += w_bn
+    w_pairs *= y2[..., None]
+    pairs += w_pairs
+    term0 = (q_a0 - q_b0) + y2 * (w_b0 - w_a0)
     totals, last = _accumulate(pairs, term0, accelerate)
-    return axis.pref * totals, axis.pref * last
+    return pref * totals, pref * last
 
 
 def sigma_yy(
@@ -501,8 +560,8 @@ def sigma_vacuum(omega, y: float = 0.0):
     return float(value) if arr.ndim == 0 else value
 
 
-def sigma_vacuum_from_kernels(omega: float, y: float) -> float:
-    """Vacuum density via the n = 0 translated term of the cavity sum.
+def sigma_vacuum_from_kernels(omega, y: float):
+    """Vacuum density via the n = 0 translated term of the cavity sum; scalar or array omega.
 
     That term is Q(omega A0) - (y^2/A0^2) W(omega A0) with A0 = |y| (so the
     ratio is exactly 1 for y != 0 and the combination limits to Q(0) = 2/3 at

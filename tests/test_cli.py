@@ -74,11 +74,13 @@ class TestDensityCommands:
         assert "truncation" not in err and err.count("\n") == 1  # the jump note alone
 
     def test_blocked_grid_matches_per_point_values(self, tmp_path):
-        # 3000 image pairs make a block of 43 points, so each 51-point row spans
-        # two blocks; the rows include y = 0 and the plates x = 0 and x = 1
+        # at 3000 image pairs one block holds 3 distinct y^2 (3 n + 2 image bases
+        # each for the slice's one x, about as many distinct ones for the map's
+        # three), so the 25 distinct y^2 > 0 of each 51-point row span nine
+        # blocks; the rows include y = 0 and the plates x = 0 and x = 1
         n_terms, omega = 3000, 7.3
         ys = np.linspace(-5.0, 5.0, 51)
-        assert spectral._BLOCK_ELEMENTS // n_terms < ys.size and 0.0 in ys
+        assert spectral._CACHE_ELEMENTS // (3 * n_terms + 2) == 3 and 0.0 in ys
         for accelerate in (False, True):
             policy = TruncationPolicy(n_terms=n_terms, accelerate=accelerate)
             common = ["--omega", str(omega), "--y-range", "-5", "5", "--y-steps", "51",
@@ -103,6 +105,37 @@ class TestDensityCommands:
             assert [row[3] for row in rows] == [
                 repr(sigma_yy(omega, FieldPoint(x=0.75, y=float(y)), G, policy).value / diagonal)
                 for y in ys]
+
+    @pytest.mark.parametrize("argv", [
+        ["spectral-map", "--x-steps", "4", "--y-range", "-2", "2", "--y-steps", "5"],
+        ["spectral-slice", "--x", "0.3", "--y-range", "-2", "2", "--y-steps", "5"],
+    ])
+    def test_map_and_slice_make_one_density_call(self, argv, monkeypatch, tmp_path):
+        # the slice's coincident value rides along as the point (x, 0) of its row
+        calls = []
+
+        def counting(*args, engine=cli._sigma_yy_values):
+            calls.append(len(args[1]))
+            return engine(*args)
+
+        def refused(*args):
+            raise AssertionError("a second density call")
+
+        monkeypatch.setattr(cli, "_sigma_yy_values", counting)
+        monkeypatch.setattr(cli, "sigma_yy_diag", refused)
+        assert run([*argv, "--n-terms", "40", "--out", str(tmp_path / "out.csv")]) == 0
+        assert calls == ([20] if argv[0] == "spectral-map" else [6])  # 4 x 5, and 5 + 1
+
+    def test_a_cutoff_above_the_image_cap_is_refused_before_any_evaluation(self, monkeypatch, capsys):
+        def refused(*args):
+            raise AssertionError("evaluated a density")
+
+        monkeypatch.setattr(cli, "_sigma_diag_values", refused)
+        for argv in (["spectral-diag", "--omega", "6.0", "--x", "0.5", "--n-terms", "10000000"],
+                     ["twopoint", "--s", "0.3", "--x", "0.4", "--n-terms", str(2**20 + 1)]):
+            assert run(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("argument error: cutoff ") and err.count("\n") == 1
 
     def test_spectral_diag_rows_equal_single_points(self, tmp_path):
         # one density call over the x grid gives each x's single-point bits

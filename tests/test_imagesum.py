@@ -3,7 +3,9 @@ import math
 import pytest
 
 from cavityspectra.errors import LightConeProximity
+from cavityspectra import spectral
 from cavityspectra.imagesum import (
+    MAX_IMAGE_TERMS,
     SpacetimePoint,
     TruncationPolicy,
     image_sum,
@@ -16,6 +18,21 @@ from cavityspectra.units import CavityGeometry, FieldPoint
 
 G = CavityGeometry(1.0)
 PI_SQ = math.pi**2
+
+
+class TestTruncationPolicy:
+    def test_cutoffs_beyond_the_image_cap_are_refused(self):
+        # constructing a policy evaluates nothing, so the cap itself costs no memory here
+        assert MAX_IMAGE_TERMS == 2**20
+        assert TruncationPolicy(n_terms=MAX_IMAGE_TERMS).n_terms == MAX_IMAGE_TERMS
+        for n_terms in (MAX_IMAGE_TERMS + 1, 10_000_000):
+            with pytest.raises(ValueError, match=f"cutoff {n_terms} exceeds"):
+                TruncationPolicy(n_terms=n_terms)
+        with pytest.raises(ValueError, match="nonnegative"):
+            TruncationPolicy(n_terms=-1)
+
+    def test_the_smear_shares_the_cap(self):
+        assert spectral.MAX_IMAGE_TERMS is MAX_IMAGE_TERMS
 
 
 class TestImageDistances:

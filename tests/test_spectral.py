@@ -101,6 +101,13 @@ class TestVacuumDensity:
                 got = sigma_vacuum_from_kernels(float(omega), float(y))
                 assert got == pytest.approx(ref, rel=1e-12)
 
+    def test_embedding_over_a_frequency_array_equals_scalar_calls(self):
+        omegas = build_grid(0.5, 4 * PI, 20).points
+        for y in (0.0, 1e-3, 0.4, 8.0):
+            got, ref = sigma_vacuum_from_kernels(omegas, y), sigma_vacuum(omegas, y)
+            assert got.tolist() == [sigma_vacuum_from_kernels(float(w), y) for w in omegas]
+            assert ref.tolist() == [sigma_vacuum(float(w), y) for w in omegas]
+
     def test_positive_frequency_required(self):
         with pytest.raises(ValueError):
             sigma_vacuum(0.0, 0.0)
@@ -207,9 +214,10 @@ class TestSharedImageTerms:
         n, xs = 300, np.linspace(0.0, 1.0, 41).tolist()
         sp._sigma_diag_values(self.OMEGAS, xs, G, TruncationPolicy(n_terms=n))
         distances = n + len(xs) * (2 * n + 1)  # translated, then per x both reflected and 2x
-        # one pool and one block of frequencies fit the budget: a single kernel call
-        assert len(kernel_sizes) == 1 and kernel_sizes[0] <= sp._BLOCK_ELEMENTS
-        assert kernel_sizes[0] < self.OMEGAS.size * distances // 2
+        # one pool: each block of frequencies sees the same distinct distances
+        assert len(kernel_sizes) > 1 and max(kernel_sizes) <= sp._CACHE_ELEMENTS
+        assert len(set(kernel_sizes)) == 1
+        assert sum(kernel_sizes) < self.OMEGAS.size * distances // 2
 
     def test_pools_of_x_bound_the_kernel_arrays(self, kernel_sizes):
         # 301 x at N = 1000 need 602 301 distances: the call splits them into pools
@@ -223,8 +231,8 @@ class TestSharedImageTerms:
                 assert (values[i, j], errs[i, j]) == (s.value, s.err)
 
     def test_blocks_of_points_and_frequencies_bound_the_kernel_arrays(self, monkeypatch):
-        # 3000 image pairs leave room for 43 frequencies per block: 60 frequencies
-        # take two blocks per point, and 2 frequencies take 21 points per block
+        # 3000 image pairs make 9002 image bases per y^2, room for 3 frequencies per
+        # block: 60 frequencies take 20 blocks per y^2, and 2 frequencies one y^2 per block
         sizes = []
 
         def recording(u, *kernels, spliced=sp._spliced):
@@ -258,6 +266,73 @@ class TestSharedImageTerms:
                 for j, omega in enumerate(self.OMEGAS):
                     s = sigma_yy(float(omega), point, G, policy)
                     assert (values[i, j], errs[i, j]) == (s.value, s.err)
+
+    @pytest.mark.parametrize("axis", ["frequencies", "smeared"])
+    @pytest.mark.parametrize("n_terms", [0, 1, 200])
+    @pytest.mark.parametrize("accelerate", [False, True])
+    def test_many_x_call_equals_each_point_alone(self, axis, n_terms, accelerate):
+        # both plates, an interior x and mirror pairs x, a - x; y = 0, +- pairs,
+        # repeats and subnormal y whose square underflows; a full grid, then the
+        # same points scattered so that blocks hold pairs (x, y^2) nobody asked for
+        policy = TruncationPolicy(n_terms=n_terms, accelerate=accelerate)
+        omegas = self.OMEGAS if axis == "frequencies" else sp._SmearedLO(TWO_PI, TWO_PI / 20.0, 1.3)
+        xs = [0.0, 1.0, 0.31, 0.69, 0.25, 0.75]
+        ys = [0.0, 1.3, -1.3, 5e-324, -1e-170, 0.4, 45.0, -0.4, 1.3, -0.0]
+        grid = [FieldPoint(x=x, y=y) for x in xs for y in ys]
+        scattered = [FieldPoint(x=x, y=y) for x, y in zip(xs * 2, ys + ys[:2])][::-1]
+        for points in (grid, scattered):
+            values, errs = sp._sigma_yy_values(omegas, points, G, policy)
+            assert values.shape == errs.shape == (len(points), self.OMEGAS.size if axis == "frequencies" else 1)
+            for i, point in enumerate(points):
+                alone = sp._sigma_yy_values(omegas, [point], G, policy)
+                assert np.array_equal(values[i], alone[0][0]) and np.array_equal(errs[i], alone[1][0])
+
+    def test_the_fig2_left_grid_evaluates_each_distinct_image_base_once(self, monkeypatch, tmp_path):
+        # 21 x share 10 038 distinct squared image bases of their 21 x 1 502, and
+        # the 101 y hold 50 distinct y^2 > 0: one call evaluates 50 x 10 038 Q and W
+        sizes = []
+
+        def recording(u, *kernels, spliced=sp._spliced):
+            if len(kernels) == 2:  # Q and W: the off-axis terms (the axis takes Q alone)
+                sizes.append(np.size(u))
+            return spliced(u, *kernels)
+
+        monkeypatch.setattr(sp, "_spliced", recording)
+        assert cli.main(["figure", "fig2-left", "--out", str(tmp_path / "fig2-left.csv")]) == 0
+        assert sum(sizes) == 50 * 10_038
+        assert max(sizes) <= sp._CACHE_ELEMENTS
+
+    def test_pools_of_many_x_keep_every_array_within_the_block_budget(self, monkeypatch):
+        # at N = 3000 a pool holds 14 x (3 N + 2 bases each), so 41 x take three
+        # pools; a kernel block is one y^2 row of a pool's distinct bases
+        policy = TruncationPolicy(n_terms=3000, accelerate=True)
+        xs, ys = np.linspace(0.0, 1.0, 41).tolist(), [0.0, -0.6, 2.5, 0.6]
+        points = [FieldPoint(x=x, y=y) for x in xs for y in ys]
+        kernels, gathers, pools = [], [], []
+
+        def spliced(u, *k, inner=sp._spliced):
+            kernels.append(np.size(u))
+            return inner(u, *k)
+
+        def take(*args, inner=np.take, **kwargs):
+            out = inner(*args, **kwargs)
+            gathers.append(out.size)
+            return out
+
+        def pool(axis, xs, *args, inner=sp._off_axis_pool):
+            pools.append(xs.size)
+            return inner(axis, xs, *args)
+
+        monkeypatch.setattr(sp, "_spliced", spliced)
+        monkeypatch.setattr(np, "take", take)
+        monkeypatch.setattr(sp, "_off_axis_pool", pool)
+        values, errs = sp._sigma_yy_values(self.OMEGAS[:2], points, G, policy)
+        assert pools == [14, 14, 13]
+        assert max(kernels) <= sp._BLOCK_ELEMENTS and max(gathers) <= sp._BLOCK_ELEMENTS
+        monkeypatch.undo()
+        for i in range(0, len(points), 7):
+            alone = sp._sigma_yy_values(self.OMEGAS[:2], [points[i]], G, policy)
+            assert np.array_equal(values[i], alone[0][0]) and np.array_equal(errs[i], alone[1][0])
 
 
 def _normalized_difference(omega, x, policy):
