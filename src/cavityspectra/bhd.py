@@ -52,8 +52,8 @@ class LOKernel:
             raise ValueError("LO frequency must be positive")
         if not (self.width > 0.0 and math.isfinite(self.width)):
             raise ValueError("kernel width must be positive")
-        if self.amplitude < 0.0:
-            raise ValueError("kernel amplitude must be nonnegative")
+        if not 0.0 <= self.amplitude < math.inf:
+            raise ValueError("kernel amplitude must be nonnegative and finite")
         if self.width > self.omega_lo / 10.0:
             raise ValueError("kernel must be sharply concentrated: width <= omega_lo/10")
 
@@ -96,43 +96,15 @@ class LOMode:
         if not (self.omega > 0.0 and math.isfinite(self.omega)):
             raise ValueError("mode frequency must be positive")
 
-    @classmethod
-    def from_wavenumbers(cls, geometry: CavityGeometry, n: int = 1, p: float = 0.0, k: float = 0.0) -> "LOMode":
-        return cls(omega=dispersion_omega(n, p, k, geometry), n=n, p=p, k=k)
-
     def dispersion_residual(self, geometry: CavityGeometry) -> float:
         """Relative mismatch between omega^2 and (n pi/a)^2 + p^2 + k^2."""
         target = (self.n * math.pi / geometry.a) ** 2 + self.p * self.p + self.k * self.k
         return abs(self.omega * self.omega - target) / (self.omega * self.omega)
 
 
-def dispersion_omega(n: int, p: float, k: float, geometry: CavityGeometry) -> float:
-    """Mode frequency sqrt((n pi/a)^2 + p^2 + k^2) in internal units (c = 1)."""
-    if n < 1:
-        raise ValueError("transverse mode index must be >= 1")
-    return math.sqrt((n * math.pi / geometry.a) ** 2 + p * p + k * k)
-
-
 def _check_mode(mode: LOMode, geometry: CavityGeometry) -> None:
     if mode.dispersion_residual(geometry) > _DISPERSION_TOL:
         raise ValueError("mode frequency inconsistent with the dispersion relation")
-
-
-def lo_mode_fields(mode: LOMode, t: float, x: float, y: float, z: float, geometry: CavityGeometry) -> tuple[float, float]:
-    """Electric field components (F_x, F_y) of the LO mode at (t, x, y, z).
-
-    F_y dominates for small p:
-        F_x = -omega p  cos(k z - omega t) cos(n pi x/a) sin(p y)
-        F_y =  omega q_n cos(k z - omega t) sin(n pi x/a) cos(p y),  q_n = n pi/a.
-    """
-    _check_mode(mode, geometry)
-    if not (0.0 <= x <= geometry.a):
-        raise ValueError(f"x = {x!r} outside the cavity strip [0, {geometry.a!r}]")
-    qn = mode.n * math.pi / geometry.a
-    running = math.cos(mode.k * z - mode.omega * t)
-    f_x = -mode.omega * mode.p * running * math.cos(qn * x) * math.sin(mode.p * y)
-    f_y = mode.omega * qn * running * math.sin(qn * x) * math.cos(mode.p * y)
-    return f_x, f_y
 
 
 def _mode_amplitude(mode: LOMode, point: FieldPoint, geometry: CavityGeometry) -> float:

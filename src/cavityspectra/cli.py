@@ -33,12 +33,13 @@ from .bhd import (
     variance_current,
 )
 from .errors import NumericalGuardError
-from .imagesum import TruncationPolicy, two_point_yy_closed, two_point_yy_fd
-from .oracle import OracleConfig, sigma_via_numeric_ft
+from .imagesum import TruncationPolicy, two_point_yy_closed, two_point_yy_fd, two_point_yy_lattice
 from .spectral import (
     _sigma_diag_values,
     _sigma_yy_values,
     convergence_report,
+    laplace_modes_diag,
+    sigma_modes_diag,
     sigma_vacuum,
     sigma_vacuum_from_kernels,
     sigma_yy,
@@ -424,34 +425,32 @@ def _check_two_point_routes():
         worst = max(worst, abs(fd - closed) / abs(closed))
     return worst <= 1e-4, f"max relative gap closed-form vs stencil {worst:.2e} (tolerance 1e-4)"
 
-def _check_oracle(full: bool):
+def _check_exact_modes():
+    # (a) the kernels against the exact mode sum at y = 0, one call per point x
     policy = TruncationPolicy(n_terms=1000)
-    config = OracleConfig() if full else OracleConfig(s_max=60.0)
-    vac_ref = sigma_vacuum(_TWO_PI, 0.3)
-    vac_got = sigma_via_numeric_ft(_TWO_PI, FieldPoint(x=0.5, y=0.3), _INTERNAL, config,
-                                   vacuum_only=True)
-    vac_dev = abs(vac_got - vac_ref) / abs(vac_ref)
-    ok = vac_dev <= 0.01
-    details = [f"free-space calibration {vac_dev:.2%}"]
-
-    # frequencies per diagonal point x: one transform call evaluates all of them
-    if full:
-        schedule = {0.25: (3.6, 6.9, 9.7), 0.5: (4.4, 7.6, 10.6, 12.2), 0.75: (5.2, 8.4, 11.4)}
-    else:
-        schedule = {0.5: (4.4, 7.6, 10.6)}
+    schedule = {0.25: (3.6, 6.9, 9.7), 0.5: (4.4, 7.6, 10.6, 12.2), 0.75: (5.2, 8.4, 11.4)}
     worst = 0.0
     for x, omegas in schedule.items():
-        got = sigma_via_numeric_ft(omegas, FieldPoint(x=x, y=0.0), _INTERNAL, config)
-        for w, value in zip(omegas, got.tolist()):
-            closed = sigma_yy_diag(w, x, _INTERNAL, policy)
-            scale = max(abs(closed.value), sigma_vacuum(w, 0.0))
-            worst = max(worst, abs(value - closed.value) / scale)
-    ok &= worst <= 0.02
+        omegas = np.asarray(omegas)
+        values, _ = _sigma_diag_values(omegas, [x], _INTERNAL, policy)
+        exact = sigma_modes_diag(omegas, x, _INTERNAL)
+        scale = np.maximum(np.abs(exact), sigma_vacuum(omegas, 0.0))
+        worst = max(worst, float(np.max(np.abs(values[0] - exact) / scale)))
+    # (b) the mode sum against the untruncated lattice: its Laplace transform
+    # is the correlation at z^2 = -eps^2, scaled by its vacuum term 1/(pi^2 eps^4)
+    eps = np.array([0.05, 0.3, 1.0, 3.0])
+    xs = (0.1, 0.25, 0.5, 0.75, 0.97)
+    rule = 0.0
+    for x in xs:
+        lattice = two_point_yy_lattice(-(eps * eps) + 0j, FieldPoint(x=x, y=0.0), _INTERNAL).real
+        modes = np.array([laplace_modes_diag(e, x, _INTERNAL) for e in eps.tolist()])
+        rule = max(rule, float(np.max(np.abs(modes - lattice) * math.pi**2 * eps**4)))
+    ok = worst <= 1e-3 and rule <= 1e-12
     count = sum(len(omegas) for omegas in schedule.values())
-    details.append(f"max transform-vs-kernels gap {worst:.2%} over {count} points (tolerance 2%): "
-                   f"transform of the untruncated image lattice (N = inf) against the kernels at "
-                   f"N = {policy.n_terms}, plus quadrature error")
-    return ok, "; ".join(details)
+    return ok, (f"max kernels-vs-modes gap {worst:.1e} of scale over {count} points (tolerance 1e-3), "
+                f"the truncation error of N = {policy.n_terms}; max Laplace sum-rule gap, modes vs the "
+                f"untruncated lattice, {rule:.1e} of 1/(pi^2 eps^4) over {eps.size * len(xs)} (eps, x) "
+                "(tolerance 1e-12)")
 
 def _check_convergence_table():
     rows = convergence_report(_TWO_PI, FieldPoint(x=0.25, y=0.0), _INTERNAL, [100, 1000, 10000])
@@ -465,12 +464,16 @@ def _check_convergence_table():
 def _check_suppression_dip():
     policy = TruncationPolicy(n_terms=1000)
     rows, _, _ = _fig4_right_rows(policy)
-    best = min(min(r[1], r[2]) for r in rows if math.pi < r[0] < _FOUR_PI)
-    return best <= -3.0, f"deepest suppression {best:.2f} dB in (pi, 4 pi) (needs <= -3 dB)"
+    inside = [r for r in rows if math.pi < r[0] < _FOUR_PI]
+    best = min(min(r[1], r[2]) for r in inside)
+    omegas = np.array([r[0] for r in inside])
+    vac = sigma_vacuum(omegas, 0.0)
+    exact = min(float(np.min(10.0 * np.log10(sigma_modes_diag(omegas, x, _INTERNAL) / vac))) for x in (0.25, 0.5))
+    return best <= -3.0, (f"deepest suppression {best:.2f} dB in (pi, 4 pi) (needs <= -3 dB); "
+                          f"{exact:.2f} dB from the exact mode sum on the same grid")
 
 
 def cmd_validate(ns) -> int:
-    full = not ns.quick
     checks = [
         ("vacuum diagonal closed form", _check_vacuum_diagonal),
         ("vacuum embedding of the image sum", _check_vacuum_embedding),
@@ -478,7 +481,7 @@ def cmd_validate(ns) -> int:
         ("sub-cutoff vanishing", _check_sub_cutoff),
         ("off-diagonal decay at large |y|", _check_offdiagonal_decay),
         ("two-point closed form vs stencil", _check_two_point_routes),
-        ("numeric Fourier transform", lambda: _check_oracle(full)),
+        ("exact mode sum at y = 0", _check_exact_modes),
         ("image-sum convergence table", _check_convergence_table),
         ("suppression dips below -3 dB", _check_suppression_dip),
     ]
@@ -566,8 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="plate separation in micrometres (scale of the SI frequency column)")
     _add_output(p)  # no cutoff: the LO width sizes the smear's image sum
 
-    p = command("validate", "run oracle cross-checks and invariant suites")
-    p.add_argument("--quick", action="store_true", help="shorter oracle schedule (3 points)")
+    command("validate", "run exact-reference cross-checks and invariant suites")
 
     return parser
 

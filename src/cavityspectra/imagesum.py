@@ -6,7 +6,9 @@ over mirror images spaced by the period L = 2a.  Two routes are provided:
 
 * a closed form for the equal-x two-point function, with image distances
   A_n = sqrt((nL)^2 + y^2) (translated copies) and
-  B_n = sqrt((2x - nL)^2 + y^2) (reflected copies);
+  B_n = sqrt((2x - nL)^2 + y^2) (reflected copies), truncated at real time
+  separations and summed over the whole image lattice (N = oo) at complex
+  ones;
 * the scalar image sums themselves plus a finite-difference Laplacian
   (d^2/dx^2 + d^2/dz^2), which serves as an independent cross-check of the
   closed form.
@@ -163,9 +165,13 @@ def two_point_yy_closed(
     its analytic limit s^2/s^6 = 1/s^4 with the y^2 part vanishing.
     """
     validate_point(point, geometry)
-    if not math.isfinite(s):
-        raise ValueError("time separation must be finite")
     N = policy.n_terms
+    # every gap s^2 - D^2 is at most s^2 + y^2 + ((N + 1) L)^2 in size and the
+    # closed form cubes it: refuse where that overflows rather than return nan
+    reach = s * s + point.y * point.y + ((N + 1) * geometry.L) ** 2
+    if not math.isfinite(reach * reach * reach):
+        raise ValueError(f"time separation s = {s!r} at offset y = {point.y!r}: "
+                         "the cubed light-cone gaps s^2 - D^2 overflow")
     a2, b2_pos, b2_neg, a2_0, b2_0 = _squared_image_distances(point, N, geometry.L)
     s2 = s * s
     y2 = point.y * point.y
@@ -197,15 +203,59 @@ def two_point_yy_closed(
     return total / _PI_SQ
 
 
-def two_point_yy_vacuum(s: float, y: float) -> float:
-    """Free-space two-point function of E_y: the single n = 0 translated term.
+#: Samples the lattice sum handles at once: its dozen complex temporaries
+#: stay small however many samples a call takes.
+_BLOCK_SAMPLES = 8192
 
-    Restricting the image sum to that term collapses it to 1/(pi^2 (s^2-y^2)^2).
+
+def two_point_yy_lattice(
+    z2: np.ndarray,
+    point: FieldPoint,
+    geometry: CavityGeometry,
+    vacuum_only: bool = False,
+) -> np.ndarray:
+    """Untruncated (N = oo) two-point function on a 1-D array of complex squared times z2.
+
+    With zeta^2 = z2 - y^2, an image at distance D^2 = b^2 + y^2 contributes
+    (zeta^2 + b^2)/(zeta^2 - b^2)^3 / pi^2, translated images (b = m L) with
+    weight +1 and reflected ones (b = m L + beta, beta = 2x mod L) with -1;
+    the n = 0 translated term alone, kept for ``vacuum_only``, is the
+    free-space 1/(pi^2 zeta^4).  Over all m in Z a lattice sums to
+    d/dt (t dP/dt) at t = zeta^2, where the Mittag-Leffler expansion of cot
+    (DLMF 4.22.3) gives P = sum 1/(t - b^2) =
+    (k/2 zeta) [cot(k(zeta - beta)) + cot(k(zeta + beta))], k = pi/L.  The
+    cot addition formula writes both lattices in T = cot(k zeta): with
+    E = 1 + T^2, u = sin^2(k beta) E and r = 1/(1 - u), translated minus
+    reflected lattice is
+
+        G = -k u r [2 k^2 T (E + (E + 2) r + 4 T^2 r^2)
+                    + k (E + 2 T^2 r)/zeta + T/zeta^2] / (4 pi^2 zeta),
+
+    so every sample costs one complex tangent, whatever the number of images,
+    and G is exactly 0 on a plate, where beta = 0.  At real z2 = s^2 it is
+    the N = oo limit of :func:`two_point_yy_closed`; at z2 = -eps^2 it is the
+    Laplace transform of the spectral density (``spectral.laplace_modes_diag``).
     """
-    gap = s * s - y * y
-    if abs(gap) < GUARD_BAND:
-        raise LightConeProximity(0, "translated", abs(gap), GUARD_BAND)
-    return 1.0 / (_PI_SQ * gap * gap)
+    y2 = point.y * point.y
+    k = math.pi / geometry.L
+    q = math.sin(k * math.fmod(2.0 * point.x, geometry.L)) ** 2
+    total = np.empty_like(z2)
+    for start in range(0, z2.size, _BLOCK_SAMPLES):
+        zeta2 = z2[start:start + _BLOCK_SAMPLES] - y2
+        if vacuum_only:
+            g = np.reciprocal(zeta2)
+            total[start:start + _BLOCK_SAMPLES] = g * g
+            continue
+        zeta = np.sqrt(zeta2)
+        t = np.reciprocal(np.tan(k * zeta))
+        t2 = t * t
+        e = 1.0 + t2
+        r = np.reciprocal(1.0 - q * e)
+        bracket = (2.0 * k * k) * t * (e + (e + 2.0) * r + 4.0 * t2 * r * r)
+        bracket += k * (e + 2.0 * t2 * r) / zeta
+        bracket += t / zeta2
+        total[start:start + _BLOCK_SAMPLES] = (-0.25 * k * q) * e * r * bracket / zeta
+    return total / _PI_SQ
 
 
 def two_point_yy_fd(

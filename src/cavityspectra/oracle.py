@@ -25,9 +25,8 @@ the frequency only through the step, which is eps/6 for every frequency
 below 1.5 pi/eps (about 94 c/a at the default largest eps), so at each eps
 the frequencies share one evaluation of G per distinct grid and only the
 e^{i omega s} weighting is done per frequency.  G is the untruncated image
-lattice (N = oo), summed in closed form through the Mittag-Leffler expansion
-of cot: one complex tangent per sample, whatever the number of images, in
-blocks of samples.
+lattice (N = oo) of ``imagesum.two_point_yy_lattice``, summed in closed form:
+one complex tangent per sample, whatever the number of images.
 """
 from __future__ import annotations
 
@@ -38,10 +37,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ExtrapolationDivergence, TailTooLarge
+from .imagesum import two_point_yy_lattice as _correlation_complex
 from .spectral import sigma_vacuum
 from .units import CavityGeometry, FieldPoint, validate_point
-
-_PI_SQ = math.pi**2
 
 #: Relative budget for the estimated out-of-window tail.
 _TAIL_BUDGET = 0.01
@@ -71,59 +69,6 @@ class OracleConfig:
             raise ValueError("integration window must be positive")
         if self.samples_per_cycle < 8:
             raise ValueError("need at least 8 quadrature samples per oscillation")
-
-
-#: Samples of the complex time grid the lattice sum handles at once: its
-#: dozen complex temporaries stay small whatever the window length.
-_BLOCK_SAMPLES = 8192
-
-
-def _correlation_complex(
-    z2: np.ndarray,
-    point: FieldPoint,
-    geometry: CavityGeometry,
-    vacuum_only: bool,
-) -> np.ndarray:
-    """Closed-form two-point function on a 1-D array of complex squared times z2.
-
-    With zeta^2 = z2 - y^2, an image at distance D^2 = b^2 + y^2 contributes
-    (zeta^2 + b^2)/(zeta^2 - b^2)^3 / pi^2, translated images (b = m L) with
-    weight +1 and reflected ones (b = m L + beta, beta = 2x mod L) with -1;
-    the n = 0 translated term alone, kept for ``vacuum_only``, is the
-    free-space 1/(pi^2 zeta^4).  Over all m in Z a lattice sums to
-    d/dt (t dP/dt) at t = zeta^2, where the Mittag-Leffler expansion of cot
-    (DLMF 4.22.3) gives P = sum 1/(t - b^2) =
-    (k/2 zeta) [cot(k(zeta - beta)) + cot(k(zeta + beta))], k = pi/L.  The
-    cot addition formula writes both lattices in T = cot(k zeta): with
-    E = 1 + T^2, u = sin^2(k beta) E and r = 1/(1 - u), translated minus
-    reflected lattice is
-
-        G = -k u r [2 k^2 T (E + (E + 2) r + 4 T^2 r^2)
-                    + k (E + 2 T^2 r)/zeta + T/zeta^2] / (4 pi^2 zeta),
-
-    so every sample costs one complex tangent, whatever the number of images,
-    and G is exactly 0 on a plate, where beta = 0.
-    """
-    y2 = point.y * point.y
-    k = math.pi / geometry.L
-    q = math.sin(k * math.fmod(2.0 * point.x, geometry.L)) ** 2
-    total = np.empty_like(z2)
-    for start in range(0, z2.size, _BLOCK_SAMPLES):
-        zeta2 = z2[start:start + _BLOCK_SAMPLES] - y2
-        if vacuum_only:
-            g = np.reciprocal(zeta2)
-            total[start:start + _BLOCK_SAMPLES] = g * g
-            continue
-        zeta = np.sqrt(zeta2)
-        t = np.reciprocal(np.tan(k * zeta))
-        t2 = t * t
-        e = 1.0 + t2
-        r = np.reciprocal(1.0 - q * e)
-        bracket = (2.0 * k * k) * t * (e + (e + 2.0) * r + 4.0 * t2 * r * r)
-        bracket += k * (e + 2.0 * t2 * r) / zeta
-        bracket += t / zeta2
-        total[start:start + _BLOCK_SAMPLES] = (-0.25 * k * q) * e * r * bracket / zeta
-    return total / _PI_SQ
 
 
 def _window_end(s_max: float, point: FieldPoint, geometry: CavityGeometry, vacuum_only: bool) -> float:

@@ -256,6 +256,8 @@ class _SmearedLO:
         moments = [1.0, omega_lo]  # M_m = omega_lo M_{m-1} + (m - 1) (width^2/2) M_{m-2}
         for m in range(2, 2 * _SERIES_TERMS + 2):
             moments.append(omega_lo * moments[-1] + (m - 1) * self.half_w2 * moments[-2])
+        if not math.isfinite(moments[-1]):  # about omega_lo^21: overflows above omega_lo ~ 1e14
+            raise ValueError(f"LO frequency {omega_lo!r} is too large: the Gaussian moments of its smear overflow")
         self.series = [coeffs * moments[3::2] for coeffs in (_Q[0], _W[0])]
         self.q0 = self.series[0][0]  # Qbar(0) = (2/3) M3, as the series gives it
 
@@ -574,6 +576,66 @@ def sigma_vacuum_from_kernels(omega, y: float):
         return pref * q_kernel(0.0)
     q, w = _spliced(omega * abs(y), _Q, _W)
     return pref * (q - w)
+
+
+def _guided_modes(reach: float, x: float, geometry: CavityGeometry):
+    """Wave numbers q_n = n pi/a of the modes n = 1 .. floor(reach a/pi) + 1, and sin^2(q_n x).
+
+    x is folded to min(x, a - x), so both plates give exact zeros and the
+    mirror a - x the same sines up to the rounding of a - x.  More than
+    MAX_IMAGE_TERMS modes are refused.
+    """
+    validate_point(FieldPoint(x=x, y=0.0), geometry)
+    count = int(reach * geometry.a / math.pi) + 1
+    if count > MAX_IMAGE_TERMS:
+        raise ValueError(f"{count} guided modes exceed the {MAX_IMAGE_TERMS} one mode sum may include")
+    q = np.arange(1, count + 1) * math.pi / geometry.a
+    s = np.sin(q * min(x, geometry.a - x))
+    return q, s * s
+
+
+def sigma_modes_diag(omega, x: float, geometry: CavityGeometry):
+    """Exact coincident-point density from the guided modes: sigma_yy_diag at N = infinity.
+
+    The image sum is the Poisson dual of the mode expansion, and at y = 0 it
+    sums to the finite
+
+        sigma(omega; x, 0) = (1/4 pi a) sum_n sin^2(q_n x) (omega^2 + q_n^2),  q_n = n pi/a,
+
+    over the modes with q_n <= omega.  A mode exactly at its threshold
+    (q_n == omega) has weight 1/2, the image sum's midpoint at the jump.  The
+    density is 0 below the first cutoff pi/a and on the plates, and symmetric
+    under x -> a - x.  Accepts scalar or array omega.
+    """
+    arr = np.asarray(omega, dtype=float)
+    w = np.atleast_1d(arr)
+    _check_omegas(w)
+    q, s2 = _guided_modes(float(np.max(w, initial=0.0)), x, geometry)
+    w = w[:, None]
+    weight = np.where(q < w, 1.0, np.where(q == w, 0.5, 0.0))
+    value = (weight * s2 * (w * w + q * q)).sum(axis=1) / (4.0 * math.pi * geometry.a)
+    return float(value[0]) if arr.ndim == 0 else value.reshape(arr.shape)
+
+
+#: Modes of a Laplace sum reach eps q_n = 60, where e^{-eps q_n} (eps q_n)^2 is 3e-23.
+_LAPLACE_REACH = 60.0
+
+
+def laplace_modes_diag(eps: float, x: float, geometry: CavityGeometry) -> float:
+    """Laplace transform of :func:`sigma_modes_diag`, integral_0^oo sigma e^{-eps omega} d omega, exactly.
+
+    Each mode contributes from its threshold q on:
+    integral_q^oo (omega^2 + q^2) e^{-eps omega} d omega = e^{-eps q} (2 q^2/eps + 2 q/eps^2 + 2/eps^3),
+    so the transform is (1/4 pi a) sum_n sin^2(q_n x) e^{-eps q_n} (...), summed
+    while eps q_n <= 60.  The time-domain correlation at imaginary time s = -i eps
+    is the same number (the Laplace sum rule): ``imagesum.two_point_yy_lattice``
+    at z^2 = -eps^2, whose n = 0 image alone gives 1/(pi^2 eps^4).
+    """
+    if not (eps > 0.0 and math.isfinite(eps)):
+        raise ValueError("the Laplace variable must be positive and finite")
+    q, s2 = _guided_modes(_LAPLACE_REACH / eps, x, geometry)
+    terms = s2 * np.exp(-eps * q) * (2.0 * q * q / eps + 2.0 * q / eps ** 2 + 2.0 / eps ** 3)
+    return float(terms.sum()) / (4.0 * math.pi * geometry.a)
 
 
 def convergence_report(

@@ -9,8 +9,6 @@ from cavityspectra.bhd import (
     LOKernel,
     LOMode,
     check_balance,
-    dispersion_omega,
-    lo_mode_fields,
     mean_current,
     mode_field_components,
     smeared_density,
@@ -97,22 +95,32 @@ class TestKernel:
             LOKernel(omega_lo=10.0, width=0.0)
         with pytest.raises(ValueError):
             LOKernel(omega_lo=10.0, width=0.5, amplitude=-1.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="nonnegative and finite"):
+                LOKernel(omega_lo=10.0, width=0.5, amplitude=bad)
+
+    def test_an_lo_whose_smear_moments_overflow_is_refused(self):
+        # the moments reach about omega_lo^21, beyond the float range above omega_lo ~ 1e14
+        point = FieldPoint(0.5, 0.0)
+        assert math.isfinite(smeared_density(point, point, LOKernel(omega_lo=1e14, width=5e12), G))
+        for omega_lo in (1e15, 1e300):
+            with pytest.raises(ValueError, match="Gaussian moments of its smear overflow"):
+                smeared_density(point, point, LOKernel(omega_lo=omega_lo, width=omega_lo / 20.0), G)
 
 
 class TestMode:
     def test_cutoff_frequency(self):
-        assert dispersion_omega(1, 0.0, 0.0, G) == pytest.approx(PI, rel=1e-15)
+        assert LOMode(omega=PI, n=1).dispersion_residual(G) <= 1e-15
 
     def test_mixed_wavenumbers(self):
-        assert dispersion_omega(1, 0.0, PI, G) == pytest.approx(math.sqrt(2.0) * PI, rel=1e-15)
+        assert LOMode(omega=math.sqrt(2.0) * PI, n=1, k=PI).dispersion_residual(G) <= 1e-15
 
     def test_si_cutoff_frequency(self):
-        omega = dispersion_omega(1, 0.0, 0.0, G)
-        si = from_internal(omega, "frequency", CavityGeometry(1.0))  # a = 1 um
+        si = from_internal(PI, "frequency", CavityGeometry(1.0))  # a = 1 um
         assert si == pytest.approx(9.42e14, rel=1e-3)
 
     def test_mode_invariants(self):
-        mode = LOMode.from_wavenumbers(G, n=1, p=0.1, k=2.0)
+        mode = LOMode(omega=math.sqrt(PI**2 + 0.1**2 + 2.0**2), n=1, p=0.1, k=2.0)
         assert mode.dispersion_residual(G) <= 1e-12
         with pytest.raises(ValueError):
             LOMode(omega=1.0, n=0, p=0.0, k=0.0)
@@ -121,27 +129,26 @@ class TestMode:
 
     def test_inconsistent_mode_rejected_by_operations(self):
         bad = LOMode(omega=7.0, n=1, p=0.0, k=0.0)
+        config = DetectorConfig(FieldPoint(0.5, 0.0), FieldPoint(0.5, 1.0))
         with pytest.raises(ValueError):
-            lo_mode_fields(bad, 0.0, 0.5, 0.0, 0.0, G)
+            check_balance(config, bad, G)
+        with pytest.raises(ValueError):
+            mode_field_components(bad, config, G)
 
 
-class TestModeFields:
+class TestModeAmplitudes:
+    # the time-peak F_y = omega q_n sin(q_n x) cos(p y) of the TE mode at each diode
+    MODE = LOMode(omega=math.sqrt(PI**2 + 0.05**2 + 1.0), p=0.05, k=1.0)
+
     def test_boundary_condition(self):
-        mode = LOMode.from_wavenumbers(G, p=0.05, k=1.0)
-        _, f_y = lo_mode_fields(mode, 0.3, 0.0, 2.0, 0.1, G)
-        assert f_y == 0.0
+        config = DetectorConfig(FieldPoint(0.0, 2.0), FieldPoint(0.0, 0.0))
+        (component,) = mode_field_components(self.MODE, config, G)
+        assert component.amplitude1 == 0.0 and component.amplitude2 == 0.0
 
     def test_midplane_peak(self):
-        mode = LOMode.from_wavenumbers(G, p=0.05, k=1.0)
-        f_x, f_y = lo_mode_fields(mode, 0.0, 0.5, 0.0, 0.0, G)
-        assert f_y == pytest.approx(mode.omega * PI, rel=1e-15)
-        assert f_x == 0.0
-
-    def test_zero_transverse_wavenumber_kills_fx(self):
-        mode = LOMode.from_wavenumbers(G, p=0.0, k=2.0)
-        for x, y in [(0.2, 1.0), (0.7, -3.0)]:
-            f_x, _ = lo_mode_fields(mode, 0.1, x, y, 0.4, G)
-            assert f_x == 0.0
+        config = DetectorConfig(FieldPoint(0.5, 0.0), FieldPoint(0.5, 0.0))
+        (component,) = mode_field_components(self.MODE, config, G)
+        assert component.amplitude1 == pytest.approx(self.MODE.omega * PI, rel=1e-15)
 
 
 class TestBalance:

@@ -255,7 +255,7 @@ class TestPlumbing:
         (["spectral-diag", "--omega", "5.0", "--x", "0.5"], "a-microns"),  # a flag of bhd only
         (["figure", "fig4-right", "--out", os.devnull], "name"),  # an argument, not a flag
         (["twopoint", "--s", "0.3", "--x", "0.4"], "func"),
-        (["validate", "--quick"], "n_terms"),
+        (["validate"], "n_terms"),
     ])
     def test_config_keys_without_a_flag_are_argument_errors(self, argv, key, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -304,6 +304,11 @@ class TestPlumbing:
         ["spectral-diag", "--omega", "-1e-3", "--x", "0.5"],  # reaches the value check
         ["bhd", "--omega-lo", "6.3", "--width", "1e-9", "--x1", "0.4", "--y1", "0",
          "--x2", "0.4", "--y2", "0.7"],  # an LO too narrow to smear
+        ["bhd", "--omega-lo", "1e300", "--x1", "0.5", "--y1", "0", "--x2", "0.5", "--y2", "1"],
+        [*BHD_README, "--amplitude", "inf"],
+        [*BHD_README, "--amplitude", "nan"],
+        ["twopoint", "--s", "1e308", "--x", "0.5", "--y", "1"],
+        ["twopoint", "--s", "0.3", "--x", "0.5", "--y", "1e200"],
     ])
     def test_invalid_values_exit_two_with_one_line(self, argv, tmp_path, capsys):
         out, svg = tmp_path / "out.csv", tmp_path / "out.svg"
@@ -315,6 +320,7 @@ class TestPlumbing:
         assert not out.exists() and not svg.exists()
 
     @pytest.mark.parametrize("argv", [
+        ["validate", "--quick"],
         ["validate", "--n-terms", "5"],
         ["validate", "--accelerate"],
         ["validate", "--format", "json"],
@@ -381,8 +387,33 @@ class TestPlumbing:
         assert run(["twopoint", "--s", "0.3", "--x", "0.4",
                     "--out", "/nonexistent-dir/x.csv"]) == 4
 
-    def test_validate_quick_passes(self, capsys):
-        assert run(["validate", "--quick"]) == 0
+    def test_validate_passes(self, capsys):
+        assert run(["validate"]) == 0
         out = capsys.readouterr().out
         assert "9/9 validation checks passed" in out
         assert "FAIL" not in out
+        assert "-3.19 dB in (pi, 4 pi) (needs <= -3 dB); -3.21 dB from the exact mode sum" in out
+
+
+class TestExactModeCheck:
+    """validate's check 7: the kernels against the mode sum, the mode sum against the lattice."""
+
+    def test_passes(self):
+        ok, detail = cli._check_exact_modes()
+        assert ok, detail
+
+    def test_fails_when_a_kernel_is_mutated(self, monkeypatch):
+        coeffs, _ = spectral._Q
+
+        def flipped_cos(u, s, c):  # Q with the sign of its cos term flipped
+            return s / u - c / (u * u) - s / (u * u * u)
+
+        monkeypatch.setattr(spectral, "_Q", (coeffs, flipped_cos))
+        ok, detail = cli._check_exact_modes()
+        assert not ok, detail
+
+    def test_fails_when_the_lattice_is_mutated(self, monkeypatch):
+        lattice = cli.two_point_yy_lattice
+        monkeypatch.setattr(cli, "two_point_yy_lattice", lambda *args: lattice(*args) * (1.0 + 1e-10))
+        ok, detail = cli._check_exact_modes()
+        assert not ok, detail

@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from cavityspectra.errors import LightConeProximity
-from cavityspectra import spectral
+from cavityspectra import imagesum, oracle, spectral
 from cavityspectra.imagesum import (
     MAX_IMAGE_TERMS,
     SpacetimePoint,
@@ -11,7 +12,7 @@ from cavityspectra.imagesum import (
     image_sum,
     two_point_yy_closed,
     two_point_yy_fd,
-    two_point_yy_vacuum,
+    two_point_yy_lattice,
     _squared_image_distances,
 )
 from cavityspectra.units import CavityGeometry, FieldPoint
@@ -108,10 +109,15 @@ class TestImageSum:
 
 
 class TestTwoPointClosed:
-    def test_vacuum_term_at_zero_time(self):
-        # the single translated image at s = 0 collapses to 1/(pi^2 y^4)
-        for y in (0.5, 1.0, 2.5):
-            assert two_point_yy_vacuum(0.0, y) == pytest.approx(1.0 / (PI_SQ * y**4), rel=1e-14)
+    @pytest.mark.parametrize("s, y", [(1e308, 1.0), (0.3, 1e200), (0.3, 1e100), (math.inf, 1.0), (math.nan, 1.0)])
+    def test_overflowing_gaps_are_refused(self, s, y):
+        # the cubes of s^2 - D^2 overflow: a nan or a RuntimeWarning would follow
+        with pytest.raises(ValueError, match="cubed light-cone gaps"):
+            two_point_yy_closed(s, FieldPoint(x=0.5, y=y), G, TruncationPolicy(n_terms=1000))
+
+    def test_the_largest_admitted_offset_stays_finite(self):
+        with np.errstate(all="raise"):
+            assert two_point_yy_closed(0.3, FieldPoint(x=0.5, y=1e50), G, TruncationPolicy(n_terms=1000)) == 0.0
 
     def test_pole_raises_with_image_index(self):
         # s equal to the distance of the first translated image (A_1 = L = 2)
@@ -181,3 +187,94 @@ class TestTwoPointStencil:
     def test_invalid_step(self):
         with pytest.raises(ValueError):
             two_point_yy_fd(0.3, FieldPoint(0.5, 1.0), G, TruncationPolicy(n_terms=10), h=0.0)
+
+
+def _term_by_term(z2, x, y, n_images):
+    """The image sum of two_point_yy_lattice's docstring, one term per image, cut at n_images."""
+    y2 = y * y
+
+    def term(d2):
+        return (d2 + z2 - 2.0 * y2) / (z2 - d2) ** 3
+
+    total = term(y2) - term((2.0 * x) ** 2 + y2)
+    for n in range(1, n_images + 1):
+        for k in (n, -n):
+            total = total + term((k * G.L) ** 2 + y2) - term((2.0 * x - k * G.L) ** 2 + y2)
+    return total / PI_SQ
+
+
+class TestLattice:
+    def test_the_oracle_transforms_this_lattice(self):
+        assert oracle._correlation_complex is two_point_yy_lattice
+
+    # the values of oracle._correlation_complex, the lattice's earlier home,
+    # frozen before the move: (s - i eps)^2 at eps 0.0125 and 0.05, then -eps^2
+    Z2 = [(0.3 - 0.0125j) ** 2, (2.7 - 0.0125j) ** 2, (45.1 - 0.05j) ** 2, -0.05**2 + 0j, -9.0 + 0j]
+    FROZEN = {
+        (0.3, 0.0, False): [(14.611135807415247 + 1.8359916282887916j), (-8.61572832250192 - 3.4224030217736785j),
+                            (0.012653965661629444 - 0.010425494648673699j), (16212.165834377103 + 0j),
+                            (3.0914446679479255e-05 + 0j)],
+        (0.5, 1.3, False): [(0.030771858453653808 - 0.00038093605424882436j),
+                            (0.5317567694185027 + 0.051341263313585524j), (0.1095580208579476 - 1.289550576721665j),
+                            (0.026499039624757047 + 0j), (1.839957559304106e-05 + 0j)],
+        (0.97, 0.4, False): [(3.544239584019759 - 1.1277206476493578j),
+                             (-0.003196802680671517 - 0.0003293784059970069j),
+                             (2.4184674374953013e-05 - 1.4617658131706021e-05j), (0.323797671905313 + 0j),
+                             (3.8134185773848357e-07 + 0j)],
+        (0.5, 1.3, True): [(0.03956825047391644 - 0.0003709242745150228j),
+                           (0.003229677337155407 + 7.787177990733518e-05j),
+                           (2.453074425732396e-08 + 1.0887491883377145e-10j), (0.03537063852118029 + 0j),
+                           (0.0008866349450352069 + 0j)],
+    }
+
+    @pytest.mark.parametrize("x, y, vacuum_only", list(FROZEN))
+    def test_returns_the_bits_it_returned_in_the_oracle(self, x, y, vacuum_only):
+        got = two_point_yy_lattice(np.array(self.Z2), FieldPoint(x, y), G, vacuum_only)
+        assert got.tolist() == self.FROZEN[x, y, vacuum_only]
+
+    @pytest.mark.parametrize("x, y, n_images", [
+        (0.3, 0.0, 20), (0.5, 0.0, 20), (0.3, 1.3, 20), (0.5, 1.3, 20), (0.5, 0.0, 200), (0.3, 1.3, 200)])
+    def test_closed_form_matches_the_image_sum_within_its_tail_bound(self, x, y, n_images):
+        # 20 001 samples span three evaluation blocks.  Every image the cut
+        # drops lies at |b| >= B = n_images L, one sequence of spacing L per
+        # lattice and side, and bounds its term by h(b) = (b^2 + T)/(b^2 - T)^3
+        # with T = |z2 - y^2| < B^2; h decreases and h <= -d/db b/(b^2 - T)^2,
+        # so each sequence sums to at most h(B) + B/(L (B^2 - T)^2) ~ B^-3.
+        z2 = (np.linspace(0.0, 30.0, 20_001) - 0.0125j) ** 2
+        assert z2.size > 2 * imagesum._BLOCK_SAMPLES
+        got = two_point_yy_lattice(z2, FieldPoint(x, y), G)
+        ref = _term_by_term(z2, x, y, n_images)
+        b, t = n_images * G.L, np.abs(z2 - y * y)
+        assert np.all(b * b > t)
+        tail = 4.0 * ((b * b + t) / (b * b - t) ** 3 + b / (G.L * (b * b - t) ** 2)) / PI_SQ
+        assert np.all(np.abs(got - ref) <= tail + 1e-12 * np.abs(ref))
+
+    def test_vacuum_only_is_the_free_space_term(self):
+        z2 = (np.linspace(0.0, 30.0, 20_001) - 0.0125j) ** 2
+        vac = two_point_yy_lattice(z2, FieldPoint(0.3, 1.3), G, vacuum_only=True)
+        assert np.max(np.abs(vac * PI_SQ * (z2 - 1.3 * 1.3) ** 2 - 1.0)) <= 1e-12
+        # at s = 0 the single translated image collapses to 1/(pi^2 y^4)
+        for y in (0.5, 1.0, 2.5):
+            at_zero = two_point_yy_lattice(np.zeros(1, dtype=complex), FieldPoint(0.3, y), G, vacuum_only=True)
+            assert at_zero[0] == pytest.approx(1.0 / (PI_SQ * y**4), rel=1e-14)
+
+    def test_the_correlation_vanishes_on_the_plate(self):
+        # beta = 2x mod L is 0 on either plate, and the lattices cancel exactly
+        z2 = (np.linspace(0.0, 30.0, 2001) - 0.05j) ** 2
+        for x in (0.0, G.a):
+            assert not np.any(two_point_yy_lattice(z2, FieldPoint(x, 0.7), G))
+
+    @pytest.mark.parametrize("x", [0.1, 0.3, 0.37])
+    @pytest.mark.parametrize("y", [0.0, 1.3])
+    def test_the_correlation_is_symmetric_about_the_midplane(self, x, y):
+        z2 = (np.linspace(0.0, 200.0, 20_001) - 0.0125j) ** 2
+        got = two_point_yy_lattice(z2, FieldPoint(x, y), G)
+        mirror = two_point_yy_lattice(z2, FieldPoint(G.a - x, y), G)
+        assert np.max(np.abs(mirror - got) / np.abs(got)) <= 1e-13
+
+    @pytest.mark.parametrize("s, x, y", [(0.3, 0.35, 1.1), (0.55, 0.25, 1.2), (3.3, 0.3, 0.4)])
+    def test_at_real_time_it_is_the_untruncated_closed_form(self, s, x, y):
+        lattice = two_point_yy_lattice(np.array([s * s + 0j]), FieldPoint(x, y), G)[0]
+        closed = two_point_yy_closed(s, FieldPoint(x, y), G, TruncationPolicy(n_terms=100_000))
+        assert abs(lattice.imag) <= 1e-12 * abs(lattice.real)
+        assert lattice.real == pytest.approx(closed, rel=1e-11)

@@ -9,7 +9,6 @@ from cavityspectra.imagesum import TruncationPolicy
 from cavityspectra.oracle import (
     OracleConfig,
     _check_contraction,
-    _correlation_complex,
     _extrapolate_to_zero,
     sigma_via_numeric_ft,
 )
@@ -139,7 +138,7 @@ class TestNumericTransform:
 
 
 def _term_by_term(z2, x, y, n_images):
-    """The image sum of _correlation_complex's docstring, one term per image, cut at n_images."""
+    """The image sum of the lattice the oracle transforms, one term per image, cut at n_images."""
     y2 = y * y
 
     def term(d2):
@@ -182,42 +181,6 @@ class TestBatchedTransform:
         assert sigma_via_numeric_ft(np.float64(4.4), point, G, QUICK) == single
         assert sigma_via_numeric_ft((4.4,), point, G, QUICK).tolist() == [single]
         assert sigma_via_numeric_ft([], point, G, QUICK).shape == (0,)
-
-    @pytest.mark.parametrize("x, y, n_images", [
-        (0.3, 0.0, 20), (0.5, 0.0, 20), (0.3, 1.3, 20), (0.5, 1.3, 20), (0.5, 0.0, 200), (0.3, 1.3, 200)])
-    def test_closed_form_matches_the_image_sum_within_its_tail_bound(self, x, y, n_images):
-        # 20 001 samples span three evaluation blocks.  Every image the cut
-        # drops lies at |b| >= B = n_images L, one sequence of spacing L per
-        # lattice and side, and bounds its term by h(b) = (b^2 + T)/(b^2 - T)^3
-        # with T = |z2 - y^2| < B^2; h decreases and h <= -d/db b/(b^2 - T)^2,
-        # so each sequence sums to at most h(B) + B/(L (B^2 - T)^2) ~ B^-3.
-        z2 = (np.linspace(0.0, 30.0, 20_001) - 0.0125j) ** 2
-        assert z2.size > 2 * oracle._BLOCK_SAMPLES
-        got = _correlation_complex(z2, FieldPoint(x, y), G, False)
-        ref = _term_by_term(z2, x, y, n_images)
-        b, t = n_images * G.L, np.abs(z2 - y * y)
-        assert np.all(b * b > t)
-        tail = 4.0 * ((b * b + t) / (b * b - t) ** 3 + b / (G.L * (b * b - t) ** 2)) / PI**2
-        assert np.all(np.abs(got - ref) <= tail + 1e-12 * np.abs(ref))
-
-    def test_vacuum_only_is_the_free_space_term(self):
-        z2 = (np.linspace(0.0, 30.0, 20_001) - 0.0125j) ** 2
-        vac = _correlation_complex(z2, FieldPoint(0.3, 1.3), G, True)
-        assert np.max(np.abs(vac * PI**2 * (z2 - 1.3 * 1.3) ** 2 - 1.0)) <= 1e-12
-
-    def test_the_correlation_vanishes_on_the_plate(self):
-        # beta = 2x mod L is 0 on either plate, and the lattices cancel exactly
-        z2 = (np.linspace(0.0, 30.0, 2001) - 0.05j) ** 2
-        for x in (0.0, G.a):
-            assert not np.any(_correlation_complex(z2, FieldPoint(x, 0.7), G, False))
-
-    @pytest.mark.parametrize("x", [0.1, 0.3, 0.37])
-    @pytest.mark.parametrize("y", [0.0, 1.3])
-    def test_the_correlation_is_symmetric_about_the_midplane(self, x, y):
-        z2 = (np.linspace(0.0, 200.0, 20_001) - 0.0125j) ** 2
-        got = _correlation_complex(z2, FieldPoint(x, y), G, False)
-        mirror = _correlation_complex(z2, FieldPoint(G.a - x, y), G, False)
-        assert np.max(np.abs(mirror - got) / np.abs(got)) <= 1e-13
 
     def test_a_failing_frequency_fails_the_batch_and_is_named(self):
         far = FieldPoint(0.75, 45.0)

@@ -7,11 +7,13 @@ from numpy.polynomial import polynomial as npoly
 
 import cavityspectra.spectral as sp
 from cavityspectra import cli
-from cavityspectra.imagesum import TruncationPolicy
+from cavityspectra.imagesum import TruncationPolicy, two_point_yy_lattice
 from cavityspectra.spectral import (
     SERIES_THRESHOLD,
     SpectralSample,
+    laplace_modes_diag,
     q_kernel,
+    sigma_modes_diag,
     sigma_vacuum,
     sigma_vacuum_from_kernels,
     sigma_yy,
@@ -150,6 +152,80 @@ class TestDiagonalDensity:
             sigma_yy_diag(-1.0, 0.3, G, TruncationPolicy(n_terms=10))
         with pytest.raises(ValueError):
             sigma_yy_diag(2.0, 1.5, G, TruncationPolicy(n_terms=10))
+
+
+class TestExactModeSum:
+    # validate's ten points, and the jump omega = 2 pi where the threshold mode weighs 1/2
+    POINTS = [(0.25, 3.6), (0.25, 6.9), (0.25, 9.7), (0.5, 4.4), (0.5, 7.6), (0.5, 10.6), (0.5, 12.2),
+              (0.75, 5.2), (0.75, 8.4), (0.75, 11.4), (0.25, TWO_PI), (0.5, TWO_PI), (0.75, TWO_PI)]
+
+    @pytest.mark.parametrize("x, omega", POINTS)
+    def test_the_image_sum_converges_to_it(self, x, omega):
+        # at N = 10^5 the image sum is within 3.4e-6 of scale at these points
+        # (5.0e-4 at N = 1000); a threshold mode of full weight would be off by 0.75
+        exact = sigma_modes_diag(omega, x, G)
+        truncated = sigma_yy_diag(omega, x, G, TruncationPolicy(n_terms=100_000)).value
+        assert abs(truncated - exact) <= 1e-5 * max(abs(exact), sigma_vacuum(omega, 0.0))
+
+    def test_the_threshold_mode_weighs_one_half(self):
+        x = 0.25
+        below = math.sin(PI * x) ** 2 * (TWO_PI**2 + PI**2)
+        at = 0.5 * math.sin(TWO_PI * x) ** 2 * (2.0 * TWO_PI**2)
+        assert sigma_modes_diag(TWO_PI, x, G) == pytest.approx((below + at) / (4.0 * PI), rel=1e-15)
+
+    def test_zero_below_the_first_cutoff_and_on_the_plates(self):
+        omegas = np.array([0.1, 1.0, PI - 1e-12, PI + 1e-3, 7.6, 12.2])
+        for x in (0.1, 0.5, 0.97):
+            below = sigma_modes_diag(omegas[:3], x, G)
+            assert below.tolist() == [0.0, 0.0, 0.0]
+        for x in (0.0, G.a):
+            assert sigma_modes_diag(omegas, x, G).tolist() == [0.0] * omegas.size
+
+    @pytest.mark.parametrize("x", [0.1, 0.25, 0.3, 0.37])
+    def test_mirror_symmetric(self, x):
+        omegas = np.array([3.6, TWO_PI, 7.6, 12.2])
+        got, mirror = sigma_modes_diag(omegas, x, G), sigma_modes_diag(omegas, G.a - x, G)
+        assert np.max(np.abs(mirror - got) / got) <= 1e-14
+
+    def test_scalar_in_float_out_and_geometry_scaling(self):
+        value = sigma_modes_diag(7.6, 0.3, G)
+        assert type(value) is float
+        assert sigma_modes_diag(np.array([7.6]), 0.3, G).tolist() == [value]
+        # lengths in units of a: sigma(omega; x, a) = sigma(omega a; x/a, 1)/a^3
+        wide = CavityGeometry(2.5)
+        assert sigma_modes_diag(7.6 / 2.5, 0.3 * 2.5, wide) == pytest.approx(value / 2.5**3, rel=1e-13)
+
+    def test_invalid_input_is_refused(self):
+        with pytest.raises(ValueError):
+            sigma_modes_diag(0.0, 0.5, G)
+        with pytest.raises(ValueError):
+            sigma_modes_diag(5.0, 1.5, G)
+        with pytest.raises(ValueError, match="guided modes exceed"):
+            sigma_modes_diag(1e7, 0.5, G)
+        for eps in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                laplace_modes_diag(eps, 0.5, G)
+        with pytest.raises(ValueError, match="guided modes exceed"):
+            laplace_modes_diag(1e-5, 0.5, G)
+
+    @pytest.mark.parametrize("x", [1e-3, 0.1, 0.25, 0.5, 0.75, 0.97, 1.0 - 1e-3])
+    def test_laplace_sum_rule(self, x):
+        # integral sigma e^{-eps omega} d omega is the correlation at s = -i eps,
+        # that is the untruncated lattice at z^2 = -eps^2
+        eps = np.array([0.05, 0.3, 1.0, 3.0])
+        lattice = two_point_yy_lattice(-(eps * eps) + 0j, FieldPoint(x, 0.0), G)
+        for e, g in zip(eps.tolist(), lattice.tolist()):
+            assert abs(laplace_modes_diag(e, x, G) - g.real) <= 1e-12 / (PI**2 * e**4)
+
+    def test_laplace_transform_of_the_mode_sum(self):
+        # midpoint rule between the jumps at n pi, where the density is smooth
+        eps, x, cells = 1.0, 0.3, 4000
+        h = PI / cells
+        total = 0.0
+        for n in range(1, 20):
+            w = n * PI + (np.arange(cells) + 0.5) * h
+            total += h * float(np.sum(sigma_modes_diag(w, x, G) * np.exp(-eps * w)))
+        assert total == pytest.approx(laplace_modes_diag(eps, x, G), rel=1e-6)
 
 
 class TestTwoPointDensity:
