@@ -1,5 +1,7 @@
 """Ground-state electric-field spectra in a plane-mirror cavity and homodyne detection."""
 
+import importlib
+
 from .errors import (
     ExtrapolationDivergence,
     LightConeProximity,
@@ -38,20 +40,32 @@ from .spectral import (
     sigma_yy_diag,
     w_kernel,
 )
-from .bhd import (
-    ClassicalComponent,
-    DetectorConfig,
-    LOKernel,
-    LOMode,
-    check_balance,
-    mean_current,
-    mode_field_components,
-    smeared_density,
-    variance_current,
-)
-from .oracle import OracleConfig, sigma_via_numeric_ft
 
 __version__ = "0.1.0"
+
+#: Names of the detector and oracle modules, which load on first access:
+#: most commands run neither, and ``import cavityspectra.cli`` pays for
+#: every module it loads.
+_LAZY = {
+    **dict.fromkeys(
+        ("ClassicalComponent", "DetectorConfig", "LOKernel", "LOMode", "check_balance",
+         "mean_current", "mode_field_components", "smeared_density", "variance_current"),
+        "bhd",
+    ),
+    **dict.fromkeys(("OracleConfig", "sigma_via_numeric_ft"), "oracle"),
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # looked up on every access, so the name follows its module's attribute
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
 
 __all__ = [
     "CavityGeometry",

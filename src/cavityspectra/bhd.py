@@ -242,11 +242,15 @@ def variance_current(
     The approximation is twice the single-diode diagonal term,
     2 calibration^2 R(1,1), valid when the diodes are transversely far apart
     so that the cross terms are small against the diagonal ones.  Returns
-    (variance, approximation) from two smears.
+    (variance, approximation) from two smears; a calibration so large that
+    either overflows is refused with a ValueError.
     """
     if config.diode1.x != config.diode2.x:
         raise ValueError("the detector variance requires both diodes at the same plate distance x")
     r11 = smeared_density(config.diode1, config.diode1, kernel, geometry)
     r12 = smeared_density(config.diode1, config.diode2, kernel, geometry)
     c2 = config.calibration * config.calibration
-    return c2 * ((r11 + r12) + (r12 + r11)), 2.0 * c2 * r11
+    variance, approx = c2 * ((r11 + r12) + (r12 + r11)), 2.0 * c2 * r11
+    if math.isinf(variance) or math.isinf(approx):
+        raise ValueError(f"the detector variance overflows at calibration {config.calibration!r}")
+    return variance, approx

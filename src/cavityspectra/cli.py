@@ -11,27 +11,20 @@ SI frequency column).  Each subcommand accepts only the flags it reads.
 
 Exit codes: 0 success, 1 validation failure, 2 argument error, 3 numerical
 guard violation, 4 I/O failure.  ``main`` returns them, usage errors
-included, and builds its parser once per process.
+included, and builds its parser once per process.  A command imports the
+modules only it uses (the detector, json, the SVG renderer) when it runs, so
+each launch loads only what it runs.
 """
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import re
 import sys
 
 import numpy as np
 
-from .bhd import (
-    DetectorConfig,
-    LOKernel,
-    LOMode,
-    check_balance,
-    mean_current,
-    variance_current,
-)
 from .errors import NumericalGuardError
 from .imagesum import TruncationPolicy, two_point_yy_closed, two_point_yy_fd, two_point_yy_lattice
 from .spectral import (
@@ -54,7 +47,6 @@ from .units import (
     validate_point,
     DEFAULT_GUARD,
 )
-from . import svgplot
 
 DENSITY_COLUMNS = ("omega", "x", "y", "sigma", "err", "n_terms")
 _TWO_PI = 2.0 * math.pi
@@ -84,6 +76,7 @@ def _rows_to_csv(header, rows) -> str:
 
 
 def _rows_to_json(header, rows) -> str:
+    import json
     payload = [dict(zip(header, row)) for row in rows]
     return json.dumps(payload, indent=1, default=float) + "\n"
 
@@ -144,6 +137,7 @@ def _apply_config(ns: argparse.Namespace, argv) -> None:
     path = getattr(ns, "config", None)
     if not path:
         return
+    import json
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -190,6 +184,7 @@ def cmd_spectral_diag(ns) -> int:
             for x, v, e in zip(xs, values[:, 0].tolist(), errs[:, 0].tolist())]
     _emit(ns, DENSITY_COLUMNS + ("sub_cutoff",), rows)
     if getattr(ns, "svg", None):
+        from . import svgplot
         svgplot.render_line_plot(ns.svg, xs, [[r[3] for r in rows]],
                                  labels=("sigma",), title=f"diagonal density, omega={ns.omega:g}")
     return 0
@@ -205,6 +200,7 @@ def cmd_spectral_map(ns) -> int:
     _note_discontinuities([ns.omega])
     _emit(ns, DENSITY_COLUMNS, rows)
     if getattr(ns, "svg", None):
+        from . import svgplot
         grid = [[rows[i * len(ys) + j][3] for j in range(len(ys))] for i in range(len(xs))]
         svgplot.render_heatmap(ns.svg, xs, ys, grid, title=f"density map, omega={ns.omega:g}")
     return 0
@@ -229,6 +225,7 @@ def cmd_spectral_slice(ns) -> int:
     rows = [(ns.omega, ns.x, y, v / diagonal) for y, v in zip(ys, values)]
     _emit(ns, ("omega", "x", "y", "ratio"), rows)
     if getattr(ns, "svg", None):
+        from . import svgplot
         svgplot.render_line_plot(ns.svg, ys, [[r[3] for r in rows]], labels=("ratio",),
                                  title=f"normalized density, x={ns.x:g}, omega={ns.omega:g}")
     return 0
@@ -306,6 +303,7 @@ def cmd_figure(ns) -> int:
         ns.out = out
         _emit(ns, ("omega", "x", "normdiff"), rows)
         if ns.svg:
+            from . import svgplot
             svgplot.render_heatmap(ns.svg, xs.tolist(), omegas.tolist(),
                                    [c.tolist() for c in columns],
                                    title="normalized difference vs (x, omega)")
@@ -315,6 +313,7 @@ def cmd_figure(ns) -> int:
     ns.out = out
     _emit(ns, ("omega_over_c_per_a", "db_x025", "db_x05"), rows)
     if ns.svg:
+        from . import svgplot
         svgplot.render_line_plot(ns.svg, omegas.tolist(), [dbs[0.25], dbs[0.5]],
                                  labels=("x=0.25a", "x=0.5a"),
                                  title="suppression of vacuum fluctuations [dB]")
@@ -331,6 +330,7 @@ def cmd_twopoint(ns) -> int:
 
 
 def cmd_bhd(ns) -> int:
+    from .bhd import DetectorConfig, LOKernel, LOMode, check_balance, mean_current, variance_current
     width = ns.width if ns.width is not None else ns.omega_lo / 20.0
     kernel = LOKernel(omega_lo=ns.omega_lo, width=width, amplitude=ns.amplitude)
     config = DetectorConfig(
@@ -338,6 +338,7 @@ def cmd_bhd(ns) -> int:
         diode2=FieldPoint(x=ns.x2, y=ns.y2),
         calibration=ns.calibration,
     )
+    omega_si = from_internal(ns.omega_lo, "frequency", CavityGeometry(ns.a_microns))
     mean = mean_current(config, kernel)
     variance, approx = variance_current(config, kernel, _INTERNAL)
 
@@ -356,7 +357,6 @@ def cmd_bhd(ns) -> int:
         print("note: omega_lo below the cavity dispersion for the requested p; "
               "no running mode, balance residual omitted", file=sys.stderr)
 
-    omega_si = from_internal(ns.omega_lo, "frequency", CavityGeometry(ns.a_microns))
     header = ("omega_lo", "omega_lo_rad_per_s", "mean_current", "variance",
               "variance_approx", "balance_residual")
     _emit(ns, header, [(ns.omega_lo, omega_si, mean, variance, approx, residual)])

@@ -43,13 +43,12 @@ points evaluated one by one, bit for bit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .imagesum import MAX_IMAGE_TERMS, SMOOTHING_WINDOW, TruncationPolicy
 from .units import CavityGeometry, FieldPoint, validate_point
@@ -63,6 +62,11 @@ _TWO_PI_SQ = 2.0 * math.pi**2
 _TWO_THIRDS = 2.0 / 3.0
 #: Unit roundoff of a float: a smear sums images until its tail bound is below this share of its scale.
 _ROUNDING = 2.0**-53
+#: exp(-t) rounds to 0.0 for every t above this (at 745.13 it is the smallest subnormal).
+_EXP_UNDERFLOW = 745.2
+#: Largest frequency a density takes: its omega^3 prefactor, at most 1e300,
+#: keeps every density finite (a cube above the largest float would print inf).
+_MAX_OMEGA = 1e100
 
 #: Most elements one vectorised kernel or gather array holds: density calls
 #: split their x into pools whose arrays stay within it.
@@ -76,13 +80,14 @@ _CACHE_ELEMENTS = 2**15
 def _series_coefficients(cos_weight: int) -> np.ndarray:
     """Taylor coefficients in u^2 of sin(u)/u + w cos(u)/u^2 - w sin(u)/u^3.
 
-    Computed as exact rationals so each coefficient is correctly rounded;
-    with ten terms the truncation error at the splice point is ~1e-26.
+    The m-th is (-1)^m [1/(2m+1)! - w (2m+2)/(2m+3)!], one exact ratio of
+    integers whose true division is correctly rounded; with ten terms the
+    truncation error at the splice point is ~1e-26.
     """
     coeffs = []
     for m in range(_SERIES_TERMS):
-        c = Fraction(1, factorial(2 * m + 1)) - Fraction(cos_weight * (2 * m + 2), factorial(2 * m + 3))
-        coeffs.append(float(c if m % 2 == 0 else -c))
+        c = ((2 * m + 2) * (2 * m + 3) - cos_weight * (2 * m + 2)) / factorial(2 * m + 3)
+        coeffs.append(c if m % 2 == 0 else -c)
     return np.asarray(coeffs)
 
 
@@ -90,9 +95,17 @@ def _vacuum_coefficients() -> np.ndarray:
     """Taylor coefficients in u^2 of sin(u)/u^3 - cos(u)/u^2 (limit 1/3)."""
     coeffs = []
     for m in range(_SERIES_TERMS):
-        c = Fraction(2 * m + 2, factorial(2 * m + 3))
-        coeffs.append(float(c if m % 2 == 0 else -c))
+        c = (2 * m + 2) / factorial(2 * m + 3)  # correctly rounded, as for the kernels
+        coeffs.append(c if m % 2 == 0 else -c)
     return np.asarray(coeffs)
+
+
+def _polyval(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Horner sum of coeffs[j] x^j: numpy.polynomial.polynomial.polyval, operation for operation."""
+    out = coeffs[-1] + x * 0
+    for c in coeffs[-2::-1]:
+        out = c + out * x
+    return out
 
 
 def _q_family(k: int):
@@ -148,7 +161,7 @@ def _spliced(u, *kernels):
         raise ValueError("kernel argument must be finite and nonnegative")
     small = flat < SERIES_THRESHOLD
     us2 = None
-    if small.any():  # most arrays have no small u, and polyval has a large fixed cost
+    if small.any():  # most arrays have no small u, and the series has a fixed cost
         us = flat[small]
         us2 = us * us
         # the series overwrites these entries; 1 keeps the direct form free of 0/0
@@ -158,7 +171,7 @@ def _spliced(u, *kernels):
     for coeffs, direct in kernels:
         out = direct(flat, s, c)
         if us2 is not None:
-            out[small] = npoly.polyval(us2, coeffs)
+            out[small] = _polyval(us2, coeffs)
         results.append(float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape))
     return results
 
@@ -194,8 +207,8 @@ class SpectralSample:
 
 
 def _check_omegas(omegas: np.ndarray) -> None:
-    if np.any(omegas <= 0.0) or not np.all(np.isfinite(omegas)):
-        raise ValueError("frequencies must be positive and finite")
+    if not np.all((omegas > 0.0) & (omegas <= _MAX_OMEGA)):
+        raise ValueError(f"frequencies must be positive and at most {_MAX_OMEGA:g}")
 
 
 def _accumulate(pairs: np.ndarray, term0: np.ndarray, accelerate: bool):
@@ -252,6 +265,7 @@ class _SmearedLO:
 
     def __init__(self, omega_lo: float, width: float, weight: float):
         self.omega_lo, self.half_w2, self.top = omega_lo, 0.5 * width * width, omega_lo + 6.0 * width
+        self.reach = 2.0 * math.sqrt(_EXP_UNDERFLOW) / width  # e^{-(width D)^2/4} is 0.0 beyond
         self.size, self.pref = 1, np.array([weight / _FOUR_PI_SQ])
         moments = [1.0, omega_lo]  # M_m = omega_lo M_{m-1} + (m - 1) (width^2/2) M_{m-2}
         for m in range(2, 2 * _SERIES_TERMS + 2):
@@ -309,19 +323,26 @@ class _SmearedLO:
         return hi
 
     def kernels(self, d, count=2):
-        """Qbar, then Wbar unless count is 1, at the distances d >= 0."""
+        """Qbar, then Wbar unless count is 1, at the distances d >= 0, inf included.
+
+        Both are exactly 0 beyond ``reach``, where the Gaussian factor underflows.
+        """
         small = d * self.top < 1.0
-        dd = np.where(small, 1.0, d)  # the series overwrites these entries
+        far = d > self.reach
+        # the series overwrites the small entries; at the far ones the bracket at d
+        # may be inf or nan, and the zero Gaussian times the bracket at 1 is exactly 0
+        dd = np.where(small | far, 1.0, d)
         w0, b = self.omega_lo, self.half_w2 * dd  # b = Im c
         s, c = np.sin(w0 * dd), np.cos(w0 * dd)
         re1 = w0 * c - b * s  # Re(e^{i omega_lo D} c)
         im2 = w0 * (w0 * s + b * c) + b * re1 + self.half_w2 * s  # Im(e^{i omega_lo D} P2)
         gauss = np.exp(-0.5 * b * dd)
+        gauss[far] = 0.0
         out = []
         for kappa, coeffs in zip((1.0, 3.0)[:count], self.series):
             k = gauss * (im2 + kappa * (re1 - s / dd) / dd) / dd
             if small.any():
-                k[small] = npoly.polyval(d[small] ** 2, coeffs)
+                k[small] = _polyval(d[small] ** 2, coeffs)
             out.append(k)
         return out
 
@@ -496,7 +517,9 @@ def _off_axis_block(pref, y2: np.ndarray, q, w, accelerate: bool):
     """
     qa, q_a0, pairs, q_bn, q_b0 = q
     wa, w_a0, w_pairs, w_bn, w_b0 = w
-    y2 = y2[:, None, None]
+    # a y^2 that overflows to inf reaches here only from a smear, whose kernels
+    # are then 0: y^2 W/D^2 <= W, so the largest float in its place gives 0, not inf * 0
+    y2 = np.minimum(y2, sys.float_info.max)[:, None, None]
     # ((qa - q_b-) + (qa - q_b+)) + y^2 ((w_b- - wa) + (w_b+ - wa))
     np.subtract(qa, pairs, out=pairs)
     w_pairs -= wa

@@ -10,6 +10,7 @@ units), so grid points are kept a guard distance away from them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,36 +70,56 @@ def validate_point(point: FieldPoint, geometry: CavityGeometry) -> None:
         )
 
 
-def to_internal(value: float, unit: str, geometry: CavityGeometry) -> float:
-    """Convert a physical value to internal units (c = 1, lengths in units of a).
+def _separation_in_metres(value: float, unit: str, geometry: CavityGeometry) -> float:
+    """The plate separation in metres, once the arguments of a conversion pass their checks.
 
-    ``geometry.a`` is interpreted in micrometres here.  Supported unit tags:
-    ``length`` (micrometres), ``frequency`` (rad/s), ``time`` (seconds).
+    A separation below the smallest normal float in metres is refused: its
+    product with MICRON underflows, so the conversions would divide by 0 or
+    lose precision.
     """
     if unit not in _UNIT_TAGS:
         raise ValueError(f"unknown unit tag {unit!r}; expected one of {_UNIT_TAGS}")
     if not math.isfinite(value):
         raise ValueError(f"cannot convert non-finite value {value!r}")
     a_m = geometry.a * MICRON
+    if not a_m >= sys.float_info.min:
+        raise ValueError(f"plate separation {geometry.a!r} micrometres is below the smallest "
+                         "normal float in metres")
+    return a_m
+
+
+def _finite_result(result: float, value: float, unit: str) -> float:
+    if not math.isfinite(result):
+        raise ValueError(f"{unit} {value!r} overflows in the conversion")
+    return result
+
+
+def to_internal(value: float, unit: str, geometry: CavityGeometry) -> float:
+    """Convert a physical value to internal units (c = 1, lengths in units of a).
+
+    ``geometry.a`` is interpreted in micrometres here.  Supported unit tags:
+    ``length`` (micrometres), ``frequency`` (rad/s), ``time`` (seconds).
+    """
+    a_m = _separation_in_metres(value, unit, geometry)
     if unit == "length":
-        return value / geometry.a
-    if unit == "frequency":
-        return value * a_m / SPEED_OF_LIGHT
-    return value * SPEED_OF_LIGHT / a_m  # time
+        result = value / geometry.a
+    elif unit == "frequency":
+        result = value * a_m / SPEED_OF_LIGHT
+    else:  # time
+        result = value * SPEED_OF_LIGHT / a_m
+    return _finite_result(result, value, unit)
 
 
 def from_internal(value: float, unit: str, geometry: CavityGeometry) -> float:
     """Inverse of :func:`to_internal`."""
-    if unit not in _UNIT_TAGS:
-        raise ValueError(f"unknown unit tag {unit!r}; expected one of {_UNIT_TAGS}")
-    if not math.isfinite(value):
-        raise ValueError(f"cannot convert non-finite value {value!r}")
-    a_m = geometry.a * MICRON
+    a_m = _separation_in_metres(value, unit, geometry)
     if unit == "length":
-        return value * geometry.a
-    if unit == "frequency":
-        return value * SPEED_OF_LIGHT / a_m
-    return value * a_m / SPEED_OF_LIGHT  # time
+        result = value * geometry.a
+    elif unit == "frequency":
+        result = value * SPEED_OF_LIGHT / a_m
+    else:  # time
+        result = value * a_m / SPEED_OF_LIGHT
+    return _finite_result(result, value, unit)
 
 
 @dataclass(frozen=True)

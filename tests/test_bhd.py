@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -365,6 +366,17 @@ class TestSmearedKernels:
         assert q0[0] == lo.q0
         assert q0[0] / (4.0 * PI**2) == pytest.approx((w0**3 + 1.5 * w0 * w * w) / (6.0 * PI**2), rel=1e-15)
 
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: f"{k.omega_lo:g}-{k.width:g}")
+    def test_both_are_exactly_zero_where_the_gaussian_underflows(self, kernel):
+        # e^{-(width D)^2/4} underflows for width D above about 54.6; at 1e154 and beyond the
+        # bracket's own products overflow, and D = inf is the distance of a y^2 that overflowed
+        lo = sp._SmearedLO(kernel.omega_lo, kernel.width, 1.0)
+        d = np.array([60.0 / kernel.width, 1e154, 1.3e154, math.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in lo.kernels(d):
+                assert np.array_equal(k, np.zeros(d.size))
+
     @pytest.mark.parametrize("kernel", [README_KERNEL, LOKernel(TWO_PI, TWO_PI / 60.0)],
                              ids=lambda k: f"{k.omega_lo:g}-{k.width:g}")
     @pytest.mark.parametrize("y", [0.0, 0.3])
@@ -427,6 +439,18 @@ class TestCurrents:
         small, _ = variance_current(DetectorConfig(*diodes, calibration=1e-6), kernel, G)
         big, _ = variance_current(DetectorConfig(*diodes, calibration=1.0), kernel, G)
         assert small == pytest.approx(1e-12 * big, rel=1e-12)
+
+    @pytest.mark.parametrize("y2", [1e150, 1e300])  # y2^2 finite, then overflowing to inf
+    def test_far_diodes_leave_the_diagonal_terms_alone(self, y2):
+        config = DetectorConfig(FieldPoint(0.75, 0.0), FieldPoint(0.75, y2))
+        variance, approx = variance_current(config, README_KERNEL, G)
+        assert math.isfinite(variance) and variance == approx
+
+    def test_a_variance_that_overflows_is_refused(self):
+        diodes = (FieldPoint(0.75, 0.0), FieldPoint(0.75, 50.0))
+        assert math.isfinite(variance_current(DetectorConfig(*diodes, calibration=1e150), README_KERNEL, G)[0])
+        with pytest.raises(ValueError, match="variance overflows"):
+            variance_current(DetectorConfig(*diodes, calibration=1e200), README_KERNEL, G)
 
     def test_unequal_plate_distances_rejected_before_smearing(self, monkeypatch):
         def no_smearing(*args, **kwargs):

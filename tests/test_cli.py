@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cavityspectra
 from cavityspectra import cli, spectral
 from cavityspectra.cli import main
 from cavityspectra.imagesum import TruncationPolicy
@@ -221,6 +224,14 @@ class TestDetectorAndTwoPoint:
         assert float(vals[5]) == pytest.approx(0.0, abs=1e-12)  # balanced by construction
         assert float(vals[3]) == pytest.approx(float(vals[4]), rel=0.1)
 
+    def test_bhd_with_an_offset_whose_square_overflows_prints_the_approximation(self, capsys):
+        assert run(["bhd", "--omega-lo", "6.283185307179586", "--x1", "0.75", "--y1", "0",
+                    "--x2", "0.75", "--y2", "1e300"]) == 0
+        captured = capsys.readouterr()
+        variance, approx = captured.out.splitlines()[1].split(",")[3:5]
+        assert variance == approx == "5.788430355070876"
+        assert captured.err == ""
+
     def test_bhd_below_dispersion_omits_residual(self, tmp_path, capsys):
         out = tmp_path / "bhd.csv"
         assert run(["bhd", "--omega-lo", "2.0", "--x1", "0.5", "--y1", "0",
@@ -309,6 +320,10 @@ class TestPlumbing:
         [*BHD_README, "--amplitude", "nan"],
         ["twopoint", "--s", "1e308", "--x", "0.5", "--y", "1"],
         ["twopoint", "--s", "0.3", "--x", "0.5", "--y", "1e200"],
+        [*BHD_README, "--a-microns", "1e-320"],  # a separation that underflows in metres
+        [*BHD_README, "--a-microns", "1e-300"],  # an SI frequency that overflows
+        ["spectral-diag", "--omega", "1e300", "--x", "0.5"],  # a density that would overflow
+        [*BHD_README, "--calibration", "1e200"],  # a variance that would overflow
     ])
     def test_invalid_values_exit_two_with_one_line(self, argv, tmp_path, capsys):
         out, svg = tmp_path / "out.csv", tmp_path / "out.svg"
@@ -393,6 +408,28 @@ class TestPlumbing:
         assert "9/9 validation checks passed" in out
         assert "FAIL" not in out
         assert "-3.19 dB in (pi, 4 pi) (needs <= -3 dB); -3.21 dB from the exact mode sum" in out
+
+
+class TestLeanImport:
+    def test_the_parser_loads_no_module_that_only_some_commands_use(self):
+        # a fresh interpreter: this one has loaded every module the other tests use
+        src = os.path.dirname(os.path.dirname(cavityspectra.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = ("import sys; import cavityspectra.cli as c; c.build_parser(); "
+                "print(' '.join(m for m in sys.argv[1:] if m in sys.modules))")
+        lazy = ["fractions", "decimal", "numpy.polynomial", "json",
+                "cavityspectra.bhd", "cavityspectra.oracle", "cavityspectra.svgplot"]
+        done = subprocess.run([sys.executable, "-c", code, *lazy], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert done.stdout.split() == []
+
+    def test_every_public_name_resolves(self):
+        for name in cavityspectra.__all__:
+            assert getattr(cavityspectra, name) is not None
+        assert set(cavityspectra.__all__) <= set(dir(cavityspectra))
+        assert cavityspectra.variance_current is cavityspectra.bhd.variance_current
+        with pytest.raises(AttributeError):
+            cavityspectra.no_such_name
 
 
 class TestExactModeCheck:

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -67,6 +68,22 @@ class TestKernels:
             q_kernel(-0.1)
         with pytest.raises(ValueError):
             w_kernel(np.array([0.1, -2.0]))
+
+    def test_series_coefficients_are_the_correctly_rounded_rationals(self):
+        def reference(m, k):  # (-1)^m [1/(2m+1)! - k (2m+2)/(2m+3)!], or (-1)^m (2m+2)/(2m+3)!
+            c = Fraction(2 * m + 2, math.factorial(2 * m + 3))
+            if k is not None:
+                c = Fraction(1, math.factorial(2 * m + 1)) - k * c
+            return float(c if m % 2 == 0 else -c)
+
+        for (coeffs, _), k in ((sp._Q, 1), (sp._W, 3), (sp._VAC, None)):
+            expected = np.array([reference(m, k) for m in range(sp._SERIES_TERMS)])
+            assert coeffs.tobytes() == expected.tobytes()
+
+    def test_horner_sum_is_polyval_bit_for_bit(self):
+        x = np.random.default_rng(7).uniform(0.0, 2.0, 100_000) ** 4  # [0, 16), dense near 0
+        for coeffs in (sp._Q[0], sp._W[0], sp._VAC[0]):
+            assert sp._polyval(x, coeffs).tobytes() == npoly.polyval(x, coeffs).tobytes()
 
     def test_series_splice_continuity(self):
         u0 = np.asarray([SERIES_THRESHOLD])

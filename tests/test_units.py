@@ -70,6 +70,23 @@ class TestConversions:
         out = from_internal(to_internal(value, unit, MICRON_GEOMETRY), unit, MICRON_GEOMETRY)
         assert out == pytest.approx(value, rel=1e-15)
 
+    @pytest.mark.parametrize("convert", [to_internal, from_internal])
+    @pytest.mark.parametrize("unit", ["length", "frequency", "time"])
+    def test_a_separation_below_the_normal_floats_in_metres_is_refused(self, convert, unit):
+        # 1e-300 um is 1e-306 m, a normal float; 1e-303 um is 1e-309 m, subnormal
+        assert math.isfinite(convert(1e-20, unit, CavityGeometry(1e-300)))
+        for a in (1e-303, 1e-320):
+            with pytest.raises(ValueError, match="smallest normal float"):
+                convert(1.0, unit, CavityGeometry(a))
+
+    def test_a_result_that_overflows_is_refused(self):
+        with pytest.raises(ValueError, match="overflows"):
+            from_internal(6.28, "frequency", CavityGeometry(1e-300))
+        with pytest.raises(ValueError, match="overflows"):
+            to_internal(1e300, "time", CavityGeometry(1e-300))
+        with pytest.raises(ValueError, match="overflows"):
+            to_internal(1e300, "length", CavityGeometry(1e-300))
+
     def test_unknown_tag_and_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             to_internal(1.0, "mass", MICRON_GEOMETRY)
