@@ -190,15 +190,23 @@ def two_point_yy_closed(
     _raise_near_cone(dBp, idx, "reflected")
     _raise_near_cone(dBn, -idx, "reflected")
 
-    def per_image(a2v, da, b2v, db):
-        main = (a2v + s2) / da**3 - (b2v + s2) / db**3
-        trans = 1.0 / db**3 - 1.0 / da**3
+    def per_image(translated, inv_a3, b2v, db3):
+        # translated = (A^2 + s^2)/dA^3 and inv_a3 = 1/dA^3 are shared by both
+        # reflected families; every gap is cubed once, always by **3, whose
+        # numpy and Python float results differ in the last bit from a*a*a
+        main = translated - (b2v + s2) / db3
+        trans = 1.0 / db3 - inv_a3
         return main + 2.0 * y2 * trans
 
-    term0 = per_image(a2_0, dA0, b2_0, dB0)
+    dA0_3 = dA0**3
+    term0 = per_image((a2_0 + s2) / dA0_3, 1.0 / dA0_3, b2_0, dB0**3)
     if N == 0:
         return term0 / _PI_SQ
-    pairs = per_image(a2, dA, b2_pos, dBp) + per_image(a2, dA, b2_neg, dBn)
+    dA3 = dA**3
+    translated, inv_a3 = (a2 + s2) / dA3, 1.0 / dA3
+    del a2, dA, dA3  # spent: at large N each is megabytes
+    pairs = per_image(translated, inv_a3, b2_pos, dBp**3)
+    pairs += per_image(translated, inv_a3, b2_neg, dBn**3)
     total = float(np.cumsum(pairs)[-1]) + term0
     return total / _PI_SQ
 

@@ -31,7 +31,7 @@ over many x evaluates Q once per distinct image distance: the translated
 distances n L do not depend on x, on a grid symmetric under x -> a - x the
 reflected distance |2x - n L| at x equals 2(a - x) + (n - 1) L at a - x, and
 on an evenly spaced grid the reflected families of different x overlap (the
-fig4-left grid needs 83 041 distances, 20 106 of them distinct).  The
+fig4-left grid needs 83 041 distances, 40 075 of them distinct).  The
 two-point density depends on y only through y^2, and a call over many x
 evaluates Q and W once per distinct squared image base b^2 (with
 D^2 = b^2 + y^2) and distinct y^2: the fig2-left grid needs 21 x 1 502
@@ -211,21 +211,48 @@ def _check_omegas(omegas: np.ndarray) -> None:
         raise ValueError(f"frequencies must be positive and at most {_MAX_OMEGA:g}")
 
 
-def _accumulate(pairs: np.ndarray, term0: np.ndarray, accelerate: bool):
-    """Row-wise pairwise accumulation: pairs in ascending |n|, n = 0 last.
+class _PartialSums:
+    """Row-wise symmetric partial sums over pairs fed in blocks of ascending |n|.
 
-    Acceleration replaces the plain total with the mean of the trailing
-    SMOOTHING_WINDOW symmetric partial sums.  Returns (totals, |last pair|).
+    Each block's first pair is seeded with the running total, so every
+    partial sum equals that of one cumsum over all the pairs, bit for bit,
+    and the trailing SMOOTHING_WINDOW partial sums are kept across blocks
+    for the accelerated mean.
     """
-    if pairs.shape[-1] == 0:
-        return term0.copy(), np.zeros_like(term0)
-    partial = np.cumsum(pairs, axis=-1)
-    if accelerate:
-        k = min(SMOOTHING_WINDOW, pairs.shape[-1])
-        totals = term0 + partial[..., -k:].mean(axis=-1)
-    else:
-        totals = partial[..., -1] + term0
-    return totals, np.abs(pairs[..., -1])
+
+    def __init__(self):
+        self.window = None  # the trailing partial sums so far
+
+    def add(self, pairs: np.ndarray) -> None:
+        """Take the next block of pairs, overwriting its first pair."""
+        if pairs.shape[-1] == 0:
+            return
+        self.last = np.abs(pairs[..., -1])
+        if self.window is not None:
+            pairs[..., 0] += self.window[..., -1]
+        partial = np.cumsum(pairs, axis=-1)
+        if self.window is not None and partial.shape[-1] < SMOOTHING_WINDOW:
+            partial = np.concatenate([self.window, partial], axis=-1)
+        self.window = partial[..., -SMOOTHING_WINDOW:]
+
+    def totals(self, term0: np.ndarray, accelerate: bool):
+        """(totals, |last pair|) with the n = 0 term added last.
+
+        Acceleration replaces the plain total with the mean of the trailing
+        SMOOTHING_WINDOW partial sums.
+        """
+        if self.window is None:
+            return term0.copy(), np.zeros_like(term0)
+        if accelerate:
+            return term0 + self.window.mean(axis=-1), self.last
+        return self.window[..., -1] + term0, self.last
+
+
+def _accumulate(pairs: np.ndarray, term0: np.ndarray, accelerate: bool):
+    """Row-wise pairwise accumulation of one block: pairs in ascending |n|, n = 0 last."""
+    sums = _PartialSums()
+    sums.add(pairs)
+    return sums.totals(term0, accelerate)
 
 
 class _Frequencies:
@@ -364,13 +391,19 @@ def _sigma_diag_values(omegas, xs: Sequence[float], geometry: CavityGeometry, po
     distinct values and accumulated as for a single x.  Pools of x keep
     every kernel and gather array within _BLOCK_ELEMENTS (one x per pool
     when its 3 n + 1 distances alone exceed it), and blocks of frequencies
-    within _CACHE_ELEMENTS where one frequency row fits.
+    within _CACHE_ELEMENTS where one frequency row fits.  An x whose
+    distances alone exceed _BLOCK_ELEMENTS goes in blocks of images
+    (``_diag_in_blocks``), so its memory is bounded in N.
     """
     axis = _axis(omegas)
     n = policy.n_terms
-    nL = np.arange(1, n + 1, dtype=float) * geometry.L
     values, errs = np.empty((2, len(xs), axis.size))
-    pool = max(1, _BLOCK_ELEMENTS // (3 * n + 1))
+    if 3 * n + 1 > _BLOCK_ELEMENTS:
+        for i, x in enumerate(xs):
+            values[i], errs[i] = _diag_in_blocks(axis, float(x), n, geometry.L, policy.accelerate)
+        return values, errs
+    nL = np.arange(1, n + 1, dtype=float) * geometry.L
+    pool = _BLOCK_ELEMENTS // (3 * n + 1)
     for start in range(0, len(xs), pool):
         x2 = 2.0 * np.asarray(xs[start:start + pool], dtype=float)[:, None]
         # per x: the n terms of |2x - n L|, the n of 2x + n L, then 2x
@@ -401,6 +434,42 @@ def _sigma_diag_values(omegas, xs: Sequence[float], geometry: CavityGeometry, po
     return values, errs
 
 
+def _image_blocks(n: int, L: float):
+    """(n L, whether last) over blocks of ascending n = 1..N.
+
+    A block's three image families and the two n = 0 terms fit _BLOCK_ELEMENTS.
+    """
+    step = max(1, (_BLOCK_ELEMENTS - 2) // 3)
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        yield np.arange(lo + 1, hi + 1, dtype=float) * L, hi == n
+
+
+def _diag_in_blocks(axis, x: float, n: int, L: float, accelerate: bool):
+    """Coincident-point density at one x in blocks of images: (values, errs) over the axis.
+
+    Each block evaluates its own distances n L, |2x - n L| and 2x + n L (the
+    last block also 2x, the n = 0 term) and feeds one partial sum per
+    frequency, so the sums, the accelerated mean and err are those of a
+    single block, bit for bit.
+    """
+    x2 = 2.0 * x
+    values, errs = np.empty((2, axis.size))
+    rows = [_PartialSums() for _ in range(axis.size)]
+    for nL, last_block in _image_blocks(n, L):
+        m = nL.size
+        distances = np.concatenate([nL, np.abs(x2 - nL), x2 + nL, [x2] if last_block else []])[None]
+        for f, sums in enumerate(rows):
+            rows_axis = axis[f:f + 1]
+            q = rows_axis.kernels(distances, 1)[0]
+            qa = q[:, :m]
+            sums.add((qa - q[:, m:2 * m]) + (qa - q[:, 2 * m:3 * m]))
+            if last_block:
+                totals, last = sums.totals(rows_axis.q0 - q[:, 3 * m], accelerate)
+                values[f], errs[f] = (rows_axis.pref * totals).item(), (rows_axis.pref * last).item()
+    return values, errs
+
+
 def _sigma_yy_values(omegas, points: Sequence[FieldPoint], geometry: CavityGeometry, policy: TruncationPolicy):
     """Vectorized two-point density: (values, errs), shape (points, omegas).
 
@@ -410,11 +479,15 @@ def _sigma_yy_values(omegas, points: Sequence[FieldPoint], geometry: CavityGeome
     x.  The others go in pools of x (see ``_off_axis_pool``), whose image
     terms are evaluated once per distinct image distance.  Element for
     element the arithmetic is that of a single point, so a grid evaluated at
-    once equals its points evaluated one by one, bit for bit.
+    once equals its points evaluated one by one, bit for bit.  A pointwise
+    density refuses an offset whose square overflows; a smear takes it.
     """
     axis = _axis(omegas)
     x = points[0].x
     y2 = np.array([p.y * p.y for p in points], dtype=float)
+    if isinstance(axis, _Frequencies) and np.isinf(y2).any():
+        y = points[int(np.argmax(np.isinf(y2)))].y
+        raise ValueError(f"transverse offset y = {y!r}: its square y^2 overflows")
     inverse = None
     if all(p.x == x for p in points):
         xs = np.array([x], dtype=float)
@@ -433,19 +506,18 @@ def _sigma_yy_values(omegas, points: Sequence[FieldPoint], geometry: CavityGeome
     if np.any(on_axis):
         values[on_axis], errs[on_axis] = _sigma_diag_values(axis, xs[key_x[on_axis]].tolist(), geometry, policy)
     off = np.flatnonzero(~on_axis)
-    nL = np.arange(1, policy.n_terms + 1, dtype=float) * geometry.L
-    pool = max(1, _BLOCK_ELEMENTS // (3 * nL.size + 2))
+    pool = max(1, _BLOCK_ELEMENTS // (3 * policy.n_terms + 2))
     for start in range(0, xs.size, pool):
         keys = off[(key_x[off] >= start) & (key_x[off] < start + pool)]
         if keys.size:
             values[keys], errs[keys] = _off_axis_pool(axis, xs[start:start + pool], key_x[keys] - start,
-                                                      y2[key_y[keys]], nL, policy.accelerate)
+                                                      y2[key_y[keys]], policy.n_terms, geometry.L, policy.accelerate)
     if inverse is None:
         return values, errs
     return values[inverse], errs[inverse]
 
 
-def _off_axis_pool(axis, xs: np.ndarray, lx: np.ndarray, y2: np.ndarray, nL: np.ndarray, accelerate: bool):
+def _off_axis_pool(axis, xs: np.ndarray, lx: np.ndarray, y2: np.ndarray, n: int, L: float, accelerate: bool):
     """Two-point density of distinct points at y^2 > 0: (values, errs), shape (points, omegas).
 
     Point i sits at plate distance xs[lx[i]] with y^2 = y2[i].  Its image
@@ -460,9 +532,12 @@ def _off_axis_pool(axis, xs: np.ndarray, lx: np.ndarray, y2: np.ndarray, nL: np.
     within _CACHE_ELEMENTS, or one y^2 row when the bases alone exceed it.
     Its gathers hold rows x x x n elements, at most 2 _CACHE_ELEMENTS (an x
     shares its reflected bases only with its mirror a - x), or with one row
-    at most _BLOCK_ELEMENTS / 3.
+    at most _BLOCK_ELEMENTS / 3.  One x whose bases alone exceed
+    _BLOCK_ELEMENTS goes in blocks of images (``_off_axis_in_blocks``).
     """
-    n = nL.size
+    if 3 * n + 2 > _BLOCK_ELEMENTS:  # then a pool holds one x
+        return _off_axis_in_blocks(axis, float(xs[0]), y2, n, L, accelerate)
+    nL = np.arange(1, n + 1, dtype=float) * L
     x2 = 2.0 * xs[:, None]
     # (2x)^2 stays a Python float power, as in the pinned baselines: numpy's
     # x*x differs from it in the last bit for about 1 in 1000 x
@@ -473,7 +548,7 @@ def _off_axis_pool(axis, xs: np.ndarray, lx: np.ndarray, y2: np.ndarray, nL: np.
 
         def families(k, _):
             k = k[:, :, None]
-            return k[..., :n], k[..., n], k[..., n + 1:2 * n + 1], k[..., 2 * n + 1:3 * n + 1], k[..., 3 * n + 1]
+            return k[..., :n], k[..., n + 1:2 * n + 1], k[..., 2 * n + 1:3 * n + 1], k[..., n], k[..., 3 * n + 1]
     else:
         bases, index = np.unique(bases, return_inverse=True)
         y2, rows = np.unique(y2, return_inverse=True)
@@ -483,8 +558,8 @@ def _off_axis_pool(axis, xs: np.ndarray, lx: np.ndarray, y2: np.ndarray, nL: np.
             # np.take copies into C-ordered (y^2, frequencies, x, images) arrays: only in
             # that layout does _accumulate's accelerated mean round as for one point
             b = per_x[block_x]
-            return (np.take(k, translated, axis=2)[:, :, None], np.take(k, a0, axis=2),
-                    np.take(k, b[:, :n], axis=2), np.take(k, b[:, n:2 * n], axis=2), np.take(k, b[:, 2 * n], axis=2))
+            return (np.take(k, translated, axis=2)[:, :, None], np.take(k, b[:, :n], axis=2),
+                    np.take(k, b[:, n:2 * n], axis=2), np.take(k, a0, axis=2), np.take(k, b[:, 2 * n], axis=2))
     values, errs = np.empty((2, lx.size, axis.size))
     per_block = max(1, _CACHE_ELEMENTS // bases.size)  # (y^2, frequency) rows of one block
     freqs = min(axis.size, per_block)
@@ -500,23 +575,62 @@ def _off_axis_pool(axis, xs: np.ndarray, lx: np.ndarray, y2: np.ndarray, nL: np.
             rows_axis = axis[block]
             q, w = rows_axis.kernels(d)
             w /= dist2  # D^2 >= y^2 > 0 for every image, so the W/D^2 terms are regular
-            v, e = _off_axis_block(rows_axis.pref[:, None], y2_rows, families(q, block_x), families(w, block_x),
-                                   accelerate)
+            pairs, term0 = _off_axis_terms(y2_rows, families(q, block_x), families(w, block_x))
+            totals, last = _accumulate(pairs, term0, accelerate)
+            pref = rows_axis.pref[:, None]
+            v, e = pref * totals, pref * last
             values[points, block], errs[points, block] = v[rows[points] - r0, :, at], e[rows[points] - r0, :, at]
     return values, errs
 
 
-def _off_axis_block(pref, y2: np.ndarray, q, w, accelerate: bool):
-    """Two-point density from its image families: (values, errs), shape (y^2, frequencies, x).
+def _off_axis_in_blocks(axis, x: float, y2: np.ndarray, n: int, L: float, accelerate: bool):
+    """Two-point density at one x in blocks of images: (values, errs), shape (y^2, omegas).
+
+    As in ``_diag_in_blocks``, each block evaluates its own squared bases
+    (n L)^2, (2x - n L)^2 and (2x + n L)^2 (the last block also the n = 0
+    bases 0 and (2x)^2) at every y^2 and feeds one partial sum per y^2 and
+    frequency, so the result is that of a single block, bit for bit.
+    """
+    x2 = 2.0 * x
+    values, errs = np.empty((2, y2.size, axis.size))
+    rows = [[_PartialSums() for _ in range(axis.size)] for _ in range(y2.size)]
+    for nL, last_block in _image_blocks(n, L):
+        m = nL.size
+        # (2x)^2 a Python float power, as in _off_axis_pool
+        bases = np.concatenate([nL ** 2, (x2 - nL) ** 2, (x2 + nL) ** 2, [0.0, x2 ** 2] if last_block else []])
+
+        def families(k):
+            k = k[:, :, None]
+            return (k[..., :m], k[..., m:2 * m], k[..., 2 * m:3 * m],
+                    *((k[..., 3 * m], k[..., 3 * m + 1]) if last_block else ()))
+        for r in range(y2.size):
+            dist2 = (bases + y2[r])[None, None]
+            d = np.sqrt(dist2)
+            for f, sums in enumerate(rows[r]):
+                rows_axis = axis[f:f + 1]
+                q, w = rows_axis.kernels(d)
+                w /= dist2
+                pairs, term0 = _off_axis_terms(y2[r:r + 1], families(q), families(w))
+                sums.add(pairs)
+                if last_block:
+                    totals, last = sums.totals(term0, accelerate)
+                    pref = rows_axis.pref[:, None]
+                    values[r, f], errs[r, f] = (pref * totals).item(), (pref * last).item()
+    return values, errs
+
+
+def _off_axis_terms(y2: np.ndarray, q, w):
+    """Image pairs and n = 0 term of the two-point density (None without the n = 0 families).
 
     q holds Q(omega D) and w holds W(omega D)/D^2 per family, over
     (y^2, frequencies, x, images) for the n terms and (y^2, frequencies, x)
     for n = 0, the translated families with one x that broadcasts: the
-    translated n L, the translated n = 0 at |y|, the reflected |2x - n L|
-    and 2x + n L (both overwritten) and the reflected n = 0 at 2x.
+    translated n L, the reflected |2x - n L| and 2x + n L (both
+    overwritten), then, if present, the translated n = 0 at |y| and the
+    reflected n = 0 at 2x.  The pairs take the shape of the reflected families.
     """
-    qa, q_a0, pairs, q_bn, q_b0 = q
-    wa, w_a0, w_pairs, w_bn, w_b0 = w
+    qa, pairs, q_bn, *q0 = q
+    wa, w_pairs, w_bn, *w0 = w
     # a y^2 that overflows to inf reaches here only from a smear, whose kernels
     # are then 0: y^2 W/D^2 <= W, so the largest float in its place gives 0, not inf * 0
     y2 = np.minimum(y2, sys.float_info.max)[:, None, None]
@@ -529,9 +643,10 @@ def _off_axis_block(pref, y2: np.ndarray, q, w, accelerate: bool):
     w_pairs += w_bn
     w_pairs *= y2[..., None]
     pairs += w_pairs
-    term0 = (q_a0 - q_b0) + y2 * (w_b0 - w_a0)
-    totals, last = _accumulate(pairs, term0, accelerate)
-    return pref * totals, pref * last
+    if not q0:
+        return pairs, None
+    (q_a0, q_b0), (w_a0, w_b0) = q0, w0
+    return pairs, (q_a0 - q_b0) + y2 * (w_b0 - w_a0)
 
 
 def sigma_yy(

@@ -324,6 +324,10 @@ class TestPlumbing:
         [*BHD_README, "--a-microns", "1e-300"],  # an SI frequency that overflows
         ["spectral-diag", "--omega", "1e300", "--x", "0.5"],  # a density that would overflow
         [*BHD_README, "--calibration", "1e200"],  # a variance that would overflow
+        # offsets whose square overflows
+        ["spectral-map", "--y-range", "-1e300", "1e300", "--x-steps", "2", "--y-steps", "2"],
+        ["spectral-slice", "--x", "0.5", "--y-range", "1e200", "1e200", "--y-steps", "1"],
+        ["spectral-map", "--omega", "6", "--y-range", "1e160", "1e160", "--x-steps", "2", "--y-steps", "1"],
     ])
     def test_invalid_values_exit_two_with_one_line(self, argv, tmp_path, capsys):
         out, svg = tmp_path / "out.csv", tmp_path / "out.svg"

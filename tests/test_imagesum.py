@@ -108,7 +108,70 @@ class TestImageSum:
             image_sum(0, p, p, TruncationPolicy(n_terms=1))
 
 
+def _former_two_point_yy_closed(s, point, geometry, policy):
+    """two_point_yy_closed as it was before each light-cone gap was cubed once: the reference."""
+    imagesum.validate_point(point, geometry)
+    N = policy.n_terms
+    reach = s * s + point.y * point.y + ((N + 1) * geometry.L) ** 2
+    if not math.isfinite(reach * reach * reach):
+        raise ValueError(f"time separation s = {s!r} at offset y = {point.y!r}: "
+                         "the cubed light-cone gaps s^2 - D^2 overflow")
+    a2, b2_pos, b2_neg, a2_0, b2_0 = _squared_image_distances(point, N, geometry.L)
+    s2 = s * s
+    y2 = point.y * point.y
+
+    dA0 = s2 - a2_0
+    dB0 = s2 - b2_0
+    if abs(dA0) < imagesum.GUARD_BAND:
+        raise LightConeProximity(0, "translated", abs(dA0), imagesum.GUARD_BAND)
+    if abs(dB0) < imagesum.GUARD_BAND:
+        raise LightConeProximity(0, "reflected", abs(dB0), imagesum.GUARD_BAND)
+    dA = s2 - a2
+    dBp = s2 - b2_pos
+    dBn = s2 - b2_neg
+    idx = np.arange(1, N + 1)
+    imagesum._raise_near_cone(dA, idx, "translated")
+    imagesum._raise_near_cone(dBp, idx, "reflected")
+    imagesum._raise_near_cone(dBn, -idx, "reflected")
+
+    def per_image(a2v, da, b2v, db):
+        main = (a2v + s2) / da**3 - (b2v + s2) / db**3
+        trans = 1.0 / db**3 - 1.0 / da**3
+        return main + 2.0 * y2 * trans
+
+    term0 = per_image(a2_0, dA0, b2_0, dB0)
+    if N == 0:
+        return term0 / PI_SQ
+    pairs = per_image(a2, dA, b2_pos, dBp) + per_image(a2, dA, b2_neg, dBn)
+    total = float(np.cumsum(pairs)[-1]) + term0
+    return total / PI_SQ
+
+
+def _outcome(f, *args):
+    try:
+        return repr(f(*args))
+    except (ValueError, LightConeProximity) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 class TestTwoPointClosed:
+    def test_equals_the_former_form_bit_for_bit(self):
+        # a seeded sweep over cutoffs, times and points, with values and refusals compared as text;
+        # s = 2 at y = 0 lies on the first translated light cone and s = 1e308 or y = 1e200 overflow
+        rng = np.random.default_rng(15)
+        outcomes = []
+        for _ in range(400):
+            n_terms = int(rng.choice([0, 1, 10, 400, 1000]))
+            s = float(rng.choice([rng.uniform(0.0, 5.0), rng.uniform(0.0, 0.5), rng.uniform(0.0, 3000.0), 2.0, 1e308]))
+            x = float(rng.choice([rng.uniform(0.0, 1.0), 0.0, 1.0, 0.5]))
+            y = float(rng.choice([rng.uniform(-3.0, 3.0), rng.uniform(-1e3, 1e3), 0.0, 1e50, 1e200]))
+            args = (s, FieldPoint(x=x, y=y), G, TruncationPolicy(n_terms=n_terms))
+            outcomes.append(_outcome(two_point_yy_closed, *args))
+            assert outcomes[-1] == _outcome(_former_two_point_yy_closed, *args), args
+        kinds = [o.split(":")[0] for o in outcomes]
+        assert kinds.count("LightConeProximity") > 10 and kinds.count("ValueError") > 10
+        assert len(kinds) - kinds.count("LightConeProximity") - kinds.count("ValueError") > 100
+
     @pytest.mark.parametrize("s, y", [(1e308, 1.0), (0.3, 1e200), (0.3, 1e100), (math.inf, 1.0), (math.nan, 1.0)])
     def test_overflowing_gaps_are_refused(self, s, y):
         # the cubes of s^2 - D^2 overflow: a nan or a RuntimeWarning would follow

@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -272,6 +274,11 @@ class TestTwoPointDensity:
             b = sigma_yy(omega, FieldPoint(x=x, y=-y), G, policy)
             assert a.value == b.value
 
+    @pytest.mark.parametrize("y", [1e200, -1e300, 1e160])
+    def test_an_offset_whose_square_overflows_is_refused(self, y):
+        with pytest.raises(ValueError, match=re.escape(f"transverse offset y = {y!r}: its square y^2 overflows")):
+            sigma_yy(6.0, FieldPoint(x=0.5, y=y), G, TruncationPolicy(n_terms=10))
+
 
 class TestSharedImageTerms:
     OMEGAS = np.array([0.7, 2.2, PI + 1e-3, 5.0, 7.9, 4.0 * PI - 1e-3])
@@ -426,6 +433,54 @@ class TestSharedImageTerms:
         for i in range(0, len(points), 7):
             alone = sp._sigma_yy_values(self.OMEGAS[:2], [points[i]], G, policy)
             assert np.array_equal(values[i], alone[0][0]) and np.array_equal(errs[i], alone[1][0])
+
+
+class TestImageBlocks:
+    """One point whose images exceed _BLOCK_ELEMENTS is summed in blocks of images."""
+
+    OMEGAS = np.array([0.7, 5.0, 4.0 * PI - 1e-3])
+
+    # at N = 1000 a block of 3000 holds 999 pairs, 301 holds 99 and 29 holds 9: with 3000
+    # and 29 one pair is left for the last block, whose accelerated mean reaches back
+    @pytest.mark.parametrize("block", [3000, 301, 29])
+    @pytest.mark.parametrize("axis", ["frequencies", "smeared"])
+    @pytest.mark.parametrize("accelerate", [False, True])
+    def test_blocks_equal_one_block_bit_for_bit(self, block, axis, accelerate, monkeypatch):
+        policy = TruncationPolicy(n_terms=1000, accelerate=accelerate)
+        omegas = self.OMEGAS if axis == "frequencies" else sp._SmearedLO(TWO_PI, TWO_PI / 20.0, 1.3)
+        points = [FieldPoint(x=0.31, y=y) for y in (0.0, 0.4, -1.3, 45.0)]
+        xs = [0.31, 0.75]
+
+        def evaluate():
+            return (*sp._sigma_yy_values(omegas, points, G, policy), *sp._sigma_diag_values(omegas, xs, G, policy))
+
+        sizes = []
+
+        def recording(u, *kernels, spliced=sp._spliced):
+            sizes.append(np.size(u))
+            return spliced(u, *kernels)
+
+        monkeypatch.setattr(sp, "_spliced", recording)
+        whole, calls = evaluate(), len(sizes)
+        sizes.clear()
+        monkeypatch.setattr(sp, "_BLOCK_ELEMENTS", block)
+        blocked = evaluate()
+        assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
+        if axis == "frequencies":
+            assert len(sizes) > calls and max(sizes) <= block
+
+    def test_one_point_at_a_million_images_holds_a_few_blocks(self):
+        policy = TruncationPolicy(n_terms=10**6)
+        tracemalloc.start()
+        try:
+            sigma_yy(6.0, FieldPoint(x=0.5, y=0.7), G, policy)
+            sigma_yy_diag(6.0, 0.5, G, policy)
+            sp._sigma_yy_values(sp._SmearedLO(6.3, 1e-3, 1.0), [FieldPoint(x=0.4, y=0.7)], G, policy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block array is 1 MiB; the 3 N + 2 image bases alone would be 24 MB
+        assert peak < 24 * 2**20
 
 
 def _normalized_difference(omega, x, policy):
