@@ -30,8 +30,8 @@ Grids evaluate each distinct image term once.  A coincident-point call
 over many x evaluates Q once per distinct image distance: the translated
 distances n L do not depend on x, on a grid symmetric under x -> a - x the
 reflected distance |2x - n L| at x equals 2(a - x) + (n - 1) L at a - x, and
-on an evenly spaced grid the reflected families of different x overlap (the
-fig4-left grid needs 83 041 distances, 40 075 of them distinct).  The
+on an evenly spaced grid the reflected families of different x overlap (41
+evenly spaced x at N = 1000 need 83 041 distances, 40 075 of them distinct).  The
 two-point density depends on y only through y^2, and a call over many x
 evaluates Q and W once per distinct squared image base b^2 (with
 D^2 = b^2 + y^2) and distinct y^2: the fig2-left grid needs 21 x 1 502

@@ -262,9 +262,8 @@ def test_criterion_11_figure_regression(tmp_path):
         all_ok &= same
         details.append(f"{name}: {'match' if same else 'MISMATCH'} (max |delta| {worst:.1e})")
 
-    # qualitative shape checks; the sub-cutoff plateau check stays clear of
-    # the finite-truncation transition layer hugging the jump at omega = pi
-    # (the guarded grid point at pi - 1e-3 sits mid-transition by design)
+    # qualitative shape checks; fig4-left is the exact mode sum, -1 at every
+    # omega < pi, and its plateau check keeps its margin below the jump at pi
     _, slice_rows = _read_csv(tmp_path / "fig2-right.csv")
     slice_ok = all(abs(r[3]) < 0.1 for r in slice_rows if abs(r[2]) >= 40.0)
     _, nd_rows = _read_csv(tmp_path / "fig4-left.csv")

@@ -11,7 +11,7 @@ import cavityspectra
 from cavityspectra import cli, spectral
 from cavityspectra.cli import main
 from cavityspectra.imagesum import TruncationPolicy
-from cavityspectra.spectral import sigma_vacuum, sigma_yy, sigma_yy_diag
+from cavityspectra.spectral import _sigma_diag_values, sigma_modes_diag, sigma_vacuum, sigma_yy, sigma_yy_diag
 from cavityspectra.units import CavityGeometry, FieldPoint
 
 G = CavityGeometry(1.0)
@@ -181,7 +181,7 @@ class TestFigureCommands:
             w, x, nd = (float(v) for v in line.split(","))
             if x == 0.0:
                 assert nd == -1.0
-            if w < math.pi - 0.01:  # plateau clear of the jump's transition layer
+            if w < math.pi - 0.01:  # the sub-cutoff plateau, with a margin below the jump
                 assert nd == pytest.approx(-1.0, abs=0.01)
 
     def test_fig2_right_svg_smoke(self, tmp_path):
@@ -196,6 +196,40 @@ class TestFigureCommands:
         out = tmp_path / "f2l.csv"
         assert run(["figure", "fig2-left", "--out", str(out), "--n-terms", "30"]) == 0
         assert out.read_text().splitlines()[1].split(",")[5] == "30"
+
+
+class TestFig4Recipes:
+    """The fig4 recipes against the mode sum they draw from and the image sum that converges to it."""
+
+    def test_left_rows_are_the_mode_sum_bit_for_bit(self):
+        rows, omegas, xs, _ = cli._fig4_left_rows()
+        vac = sigma_vacuum(omegas, 0.0)
+        want = [((sigma_modes_diag(omegas, x, G) - vac) / vac).tolist() for x in xs.tolist()]
+        assert len(rows) == omegas.size * xs.size
+        for k, (w, x, nd) in enumerate(rows):
+            j, i = divmod(k, xs.size)
+            assert (w, x, nd) == (omegas[j], xs[i], want[i][j])
+            assert type(w) is type(x) is type(nd) is float
+
+    def test_the_image_sum_at_large_n_meets_the_rows_off_the_jumps(self):
+        rows, omegas, xs, columns = cli._fig4_left_rows()
+        picks = [9, 30, 55, 84]  # omega near 1.3, 4.0, 7.3 and 11.1: clear of every n pi
+        assert all(abs(w - round(w / math.pi) * math.pi) > 0.1 for w in omegas[picks])
+        cols = [10, 20, 30, 39]  # x = a/4, a/2, 3a/4 and 0.975 a
+        values, _ = _sigma_diag_values(omegas[picks], xs[cols].tolist(), G, TruncationPolicy(n_terms=100_000))
+        vac = sigma_vacuum(omegas[picks], 0.0)
+        gap = np.abs((values - vac) / vac - columns[cols][:, picks])
+        assert gap.max() <= 2e-5
+
+    def test_more_images_close_the_gap_at_the_guard_point_below_pi(self):
+        _, omegas, xs, columns = cli._fig4_left_rows()
+        j = int(np.argmin(np.abs(omegas - (math.pi - 1e-3))))
+        assert abs(omegas[j] - (math.pi - 1e-3)) < 1e-12
+        w, vac = omegas[j:j + 1], sigma_vacuum(omegas[j], 0.0)
+        for i in (10, 20, 30, 39):
+            gaps = [abs((_sigma_diag_values(w, [float(xs[i])], G, TruncationPolicy(n_terms=n))[0][0, 0] - vac) / vac
+                        - columns[i, j]) for n in (1000, 100_000)]
+            assert gaps[1] < gaps[0]
 
 
 class TestDetectorAndTwoPoint:
@@ -328,6 +362,9 @@ class TestPlumbing:
         ["spectral-map", "--y-range", "-1e300", "1e300", "--x-steps", "2", "--y-steps", "2"],
         ["spectral-slice", "--x", "0.5", "--y-range", "1e200", "1e200", "--y-steps", "1"],
         ["spectral-map", "--omega", "6", "--y-range", "1e160", "1e160", "--x-steps", "2", "--y-steps", "1"],
+        # the fig4 recipes draw from the exact mode sum, which has no cutoff to set
+        ["figure", "fig4-left", "--n-terms", "10", "--svg", "SVG"],
+        ["figure", "fig4-right", "--accelerate"],
     ])
     def test_invalid_values_exit_two_with_one_line(self, argv, tmp_path, capsys):
         out, svg = tmp_path / "out.csv", tmp_path / "out.svg"
@@ -411,7 +448,7 @@ class TestPlumbing:
         out = capsys.readouterr().out
         assert "9/9 validation checks passed" in out
         assert "FAIL" not in out
-        assert "-3.19 dB in (pi, 4 pi) (needs <= -3 dB); -3.21 dB from the exact mode sum" in out
+        assert "-3.21 dB in (pi, 4 pi) (needs <= -3 dB), on the fig4-right rows, from the exact mode sum" in out
 
 
 class TestLeanImport:

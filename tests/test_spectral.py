@@ -505,27 +505,24 @@ class TestDerivedQuantities:
         assert -1.0 < value
 
     def test_suppression_matches_the_ratio(self):
-        # every fig4-right value is 10 log10 of the coincident density over vacuum
-        policy = TruncationPolicy(n_terms=1000)
-        rows, omegas, _ = cli._fig4_right_rows(policy)
+        # every fig4-right value is 10 log10 of the exact coincident density over vacuum
+        rows, omegas, _ = cli._fig4_right_rows()
         assert len(rows) > 100
         for omega, d025, d05 in rows:
             for x, db in ((0.25, d025), (0.5, d05)):
-                ratio = sigma_yy_diag(omega, x, G, policy).value / sigma_vacuum(omega, 0.0)
-                assert db == 10.0 * math.log10(ratio)
+                assert db == 10.0 * math.log10(sigma_modes_diag(omega, x, G) / sigma_vacuum(omega, 0.0))
 
     def test_suppression_undefined_below_cutoff(self):
         # frozen sample where the truncated ratio comes out slightly negative
         policy = TruncationPolicy(n_terms=1000)
         assert sigma_yy_diag(2.0, 0.5, G, policy).value / sigma_vacuum(2.0, 0.0) == pytest.approx(-5.4e-4, abs=2e-4)
-        # fig4-right has no dB value where a ratio is <= 0, and drops the row
-        rows, omegas, dbs = cli._fig4_right_rows(policy)
+        # fig4-right has no dB value where the exact density is 0 (below pi), and drops the row
+        rows, omegas, dbs = cli._fig4_right_rows()
         for x in (0.25, 0.5):
-            for omega, db in zip(omegas, dbs[x]):
-                ratio = sigma_yy_diag(float(omega), x, G, policy).value / sigma_vacuum(float(omega), 0.0)
-                assert (db is None) == (ratio <= 0.0)
+            for omega, db in zip(omegas.tolist(), dbs[x]):
+                assert (db is None) == (sigma_modes_diag(omega, x, G) <= 0.0)
         dropped = [w for j, w in enumerate(omegas) if dbs[0.25][j] is None or dbs[0.5][j] is None]
-        assert dropped and all(w < PI for w in dropped)
+        assert dropped == [w for w in omegas.tolist() if w < PI] and len(dropped) == 39
         assert len(rows) == len(omegas) - len(dropped)
 
     def test_sample_validation(self):
