@@ -33,6 +33,7 @@ from .spectral import (
     convergence_report,
     laplace_modes_diag,
     q_kernel,
+    sigma_modes,
     sigma_modes_diag,
     sigma_vacuum,
     sigma_vacuum_from_kernels,
@@ -95,6 +96,7 @@ __all__ = [
     "mode_field_components",
     "near_discontinuity",
     "q_kernel",
+    "sigma_modes",
     "sigma_modes_diag",
     "sigma_vacuum",
     "sigma_vacuum_from_kernels",

@@ -34,9 +34,9 @@ on an evenly spaced grid the reflected families of different x overlap (41
 evenly spaced x at N = 1000 need 83 041 distances, 40 075 of them distinct).  The
 two-point density depends on y only through y^2, and a call over many x
 evaluates Q and W once per distinct squared image base b^2 (with
-D^2 = b^2 + y^2) and distinct y^2: the fig2-left grid needs 21 x 1 502
-bases per y^2, 10 038 of them distinct, and its 101 y hold 50 distinct
-y^2 > 0.  None of this changes the floating-point operations of any
+D^2 = b^2 + y^2) and distinct y^2: the default 21 x 101 grid of
+``spectral-map`` at N = 500 needs 21 x 1 502 bases per y^2, 10 038 of them
+distinct, and its 101 y hold 50 distinct y^2 > 0.  None of this changes the floating-point operations of any
 element: equal distance bits give equal kernel bits, and a grid equals its
 points evaluated one by one, bit for bit.
 """
@@ -73,7 +73,7 @@ _MAX_OMEGA = 1e100
 _BLOCK_ELEMENTS = 2**17
 #: Most elements of one block of a pool (frequencies, y^2 and x by images):
 #: 256 KiB of floats, so the few arrays a block keeps live stay in a core's
-#: L2 cache.  Blocks of 2^17 made the fig2 recipes up to 30% slower.
+#: L2 cache.  Blocks of 2^17 made the 21 x 101 spectral-map grid up to 30% slower.
 _CACHE_ELEMENTS = 2**15
 
 
@@ -716,19 +716,21 @@ def sigma_vacuum_from_kernels(omega, y: float):
     return pref * (q - w)
 
 
-def _guided_modes(reach: float, x: float, geometry: CavityGeometry):
-    """Wave numbers q_n = n pi/a of the modes n = 1 .. floor(reach a/pi) + 1, and sin^2(q_n x).
+def _guided_modes(reach: float, xs: Sequence[float], geometry: CavityGeometry):
+    """Wave numbers q_n = n pi/a of the modes n = 1 .. floor(reach a/pi) + 1, and sin^2(q_n x), shape (xs, modes).
 
-    x is folded to min(x, a - x), so both plates give exact zeros and the
-    mirror a - x the same sines up to the rounding of a - x.  More than
+    Each x is folded to min(x, a - x), so both plates give exact zeros and
+    the mirror a - x the same sines up to the rounding of a - x.  More than
     MAX_IMAGE_TERMS modes are refused.
     """
-    validate_point(FieldPoint(x=x, y=0.0), geometry)
+    for x in xs:
+        validate_point(FieldPoint(x=x, y=0.0), geometry)
     count = int(reach * geometry.a / math.pi) + 1
     if count > MAX_IMAGE_TERMS:
         raise ValueError(f"{count} guided modes exceed the {MAX_IMAGE_TERMS} one mode sum may include")
     q = np.arange(1, count + 1) * math.pi / geometry.a
-    s = np.sin(q * min(x, geometry.a - x))
+    folded = np.array([min(x, geometry.a - x) for x in xs], dtype=float)
+    s = np.sin(np.multiply.outer(folded, q))
     return q, s * s
 
 
@@ -748,11 +750,89 @@ def sigma_modes_diag(omega, x: float, geometry: CavityGeometry):
     arr = np.asarray(omega, dtype=float)
     w = np.atleast_1d(arr)
     _check_omegas(w)
-    q, s2 = _guided_modes(float(np.max(w, initial=0.0)), x, geometry)
+    q, s2 = _guided_modes(float(np.max(w, initial=0.0)), [x], geometry)
     w = w[:, None]
     weight = np.where(q < w, 1.0, np.where(q == w, 0.5, 0.0))
     value = (weight * s2 * (w * w + q * q)).sum(axis=1) / (4.0 * math.pi * geometry.a)
     return float(value[0]) if arr.ndim == 0 else value.reshape(arr.shape)
+
+
+#: Most trapezoid nodes one Bessel argument r may take: r needs floor(r) + 100,
+#: so r = kappa |y| of 130 973 and above is refused.
+MAX_BESSEL_NODES = _BLOCK_ELEMENTS
+_BESSEL_MARGIN = 100
+
+
+def _bessel_j0_j2(r: np.ndarray):
+    """J_0(r) and J_2(r) at distinct r >= 0, by the periodic trapezoid rule on DLMF 10.9.2.
+
+    J_n(r) = (i^-n/pi) integral_0^pi cos(r cos t) cos(n t) dt for even n.
+    The integrand is smooth and 2 pi-periodic, so the trapezoid rule converges
+    geometrically once its node count exceeds r (Trefethen & Weideman, SIAM
+    Rev. 56, 2014): with 2M nodes its error is of the order of J_2M(r), below
+    rounding for M = floor(r) + 100.  By the symmetry t -> 2 pi - t the 2M
+    nodes take M values, the midpoints t_k = pi (k + 1/2)/M of [0, pi].  The
+    nodes of all r lie in one flat array, in blocks of whole r within
+    _BLOCK_ELEMENTS, and each r's sums are one segment of it, so an r gives
+    the same bits in any call.  J_0(0) = 1 and J_2(0) = 0 exactly.
+    """
+    counts = np.floor(r).astype(np.intp) + _BESSEL_MARGIN
+    j0, j2 = np.ones(r.size), np.zeros(r.size)
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < r.size:
+        # the r in [lo, hi) fill one block; an r that needs more nodes than a
+        # block holds (sigma_modes refuses those) takes a block of its own
+        hi = max(int(np.searchsorted(ends, ends[lo] - counts[lo] + _BLOCK_ELEMENTS, side="right")), lo + 1)
+        m = counts[lo:hi]
+        starts = np.cumsum(m) - m
+        per_node = np.repeat(m, m)
+        t = (np.arange(starts[-1] + m[-1]) - np.repeat(starts, m) + 0.5) * (math.pi / per_node)
+        c = np.cos(t)
+        terms = np.cos(np.repeat(r[lo:hi], m) * c)
+        j0[lo:hi] = np.add.reduceat(terms, starts) / m
+        j2[lo:hi] = -np.add.reduceat(terms * (2.0 * c * c - 1.0), starts) / m  # cos 2t
+        lo = hi
+    zero = r == 0.0
+    j0[zero], j2[zero] = 1.0, 0.0
+    return j0, j2
+
+
+def sigma_modes(omega: float, xs: Sequence[float], ys: Sequence[float], geometry: CavityGeometry) -> np.ndarray:
+    """Exact two-point density from the guided modes, over the grid xs x ys: sigma_yy at N = infinity.
+
+    Between (x, 0) and (x, y) the image sum adds up to the finite
+
+        sigma = sigma_vacuum(omega, 0) (3 pi/2 omega a) sum_n w_n sin^2(q_n x)
+                [(J_0 + J_2)(kappa_n |y|) + (q_n/omega)^2 (J_0 - J_2)(kappa_n |y|)],
+
+    q_n = n pi/a, kappa_n = sqrt(omega^2 - q_n^2), with the weights w_n of
+    :func:`sigma_modes_diag` (1 below omega, 1/2 at threshold, where kappa_n = 0
+    and the mode does not decay in y).  At y = 0 it is sigma_modes_diag.  J_0
+    and J_2 are evaluated once per distinct kappa_n |y| (``_bessel_j0_j2``);
+    an argument that would need more than MAX_BESSEL_NODES nodes is refused
+    with a ValueError.  Returns an array of shape (len(xs), len(ys)).
+    """
+    _check_omegas(np.array([omega], dtype=float))
+    y = np.abs(np.asarray(ys, dtype=float))
+    if not np.all(np.isfinite(y)):
+        raise ValueError("transverse offsets must be finite")
+    q, s2 = _guided_modes(omega, xs, geometry)
+    guided = q <= omega
+    q, s2w = q[guided], s2[:, guided] * np.where(q < omega, 1.0, 0.5)[guided]
+    kappa = np.sqrt((omega - q) * (omega + q))
+    r, index = np.unique(np.multiply.outer(kappa, y), return_inverse=True)
+    if r.size and not np.floor(r[-1]) + _BESSEL_MARGIN <= MAX_BESSEL_NODES:
+        raise ValueError(f"kappa |y| = {r[-1]:g} at omega = {omega:g}: J_0 and J_2 there would take more than "
+                         f"{MAX_BESSEL_NODES} trapezoid nodes (every |y| up to "
+                         f"{(MAX_BESSEL_NODES - _BESSEL_MARGIN) / omega:.3g} a fits)")
+    j0, j2 = _bessel_j0_j2(r)
+    j0, j2 = j0[index].reshape(q.size, y.size), j2[index].reshape(q.size, y.size)
+    bracket = (j0 + j2) + ((q / omega) ** 2)[:, None] * (j0 - j2)
+    values = np.zeros((s2w.shape[0], y.size))
+    for n in range(q.size):  # ascending n, so each point sums its modes in one order
+        values += np.multiply.outer(s2w[:, n], bracket[n])
+    return values * (omega * omega / (4.0 * math.pi * geometry.a))
 
 
 #: Modes of a Laplace sum reach eps q_n = 60, where e^{-eps q_n} (eps q_n)^2 is 3e-23.
@@ -771,8 +851,8 @@ def laplace_modes_diag(eps: float, x: float, geometry: CavityGeometry) -> float:
     """
     if not (eps > 0.0 and math.isfinite(eps)):
         raise ValueError("the Laplace variable must be positive and finite")
-    q, s2 = _guided_modes(_LAPLACE_REACH / eps, x, geometry)
-    terms = s2 * np.exp(-eps * q) * (2.0 * q * q / eps + 2.0 * q / eps ** 2 + 2.0 / eps ** 3)
+    q, s2 = _guided_modes(_LAPLACE_REACH / eps, [x], geometry)
+    terms = s2[0] * np.exp(-eps * q) * (2.0 * q * q / eps + 2.0 * q / eps ** 2 + 2.0 / eps ** 3)
     return float(terms.sum()) / (4.0 * math.pi * geometry.a)
 
 

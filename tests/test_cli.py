@@ -11,8 +11,15 @@ import cavityspectra
 from cavityspectra import cli, spectral
 from cavityspectra.cli import main
 from cavityspectra.imagesum import TruncationPolicy
-from cavityspectra.spectral import _sigma_diag_values, sigma_modes_diag, sigma_vacuum, sigma_yy, sigma_yy_diag
-from cavityspectra.units import CavityGeometry, FieldPoint
+from cavityspectra.spectral import (
+    _sigma_diag_values,
+    sigma_modes,
+    sigma_modes_diag,
+    sigma_vacuum,
+    sigma_yy,
+    sigma_yy_diag,
+)
+from cavityspectra.units import CavityGeometry, FieldPoint, build_grid, near_discontinuity
 
 G = CavityGeometry(1.0)
 BHD_README = ["bhd", "--omega-lo", "6.283185307179586", "--x1", "0.75", "--y1", "0",
@@ -192,10 +199,53 @@ class TestFigureCommands:
         assert svg.read_text().startswith("<svg")
         assert out.read_text().splitlines()[0] == "omega,x,y,ratio"
 
-    def test_figure_recipe_cutoff_can_be_overridden(self, tmp_path):
+    def test_a_fig2_recipe_refuses_a_cutoff(self, tmp_path, capsys):
         out = tmp_path / "f2l.csv"
-        assert run(["figure", "fig2-left", "--out", str(out), "--n-terms", "30"]) == 0
-        assert out.read_text().splitlines()[1].split(",")[5] == "30"
+        assert run(["figure", "fig2-left", "--out", str(out), "--n-terms", "30"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("argument error: fig2-left draws from the exact guided-mode sum: ")
+        assert err.count("\n") == 1 and not out.exists()
+
+    def test_the_fig2_right_cutoff_can_be_overridden(self, tmp_path):
+        # fig2-right is the spectral-slice recipe at 2 pi, N = 500 unless --n-terms says otherwise
+        out, want = tmp_path / "f2r.csv", tmp_path / "slice.csv"
+        assert run(["figure", "fig2-right", "--out", str(out), "--n-terms", "30"]) == 0
+        assert run(["spectral-slice", "--omega", repr(2.0 * math.pi), "--x", "0.75", "--y-range", "-50", "50",
+                    "--y-steps", "201", "--n-terms", "30", "--out", str(want)]) == 0
+        assert run(["figure", "fig2-right", "--out", str(tmp_path / "default.csv")]) == 0
+        assert out.read_bytes() == want.read_bytes() != (tmp_path / "default.csv").read_bytes()
+
+
+class TestFig2Recipes:
+    """fig2-left: the off-axis mode sum at the guard point below the jump at 2 pi."""
+
+    def test_the_frequency_is_the_guard_point_below_two_pi(self):
+        assert cli.FIG2_OMEGA == build_grid(6.0, 2.0 * math.pi - 1e-4, 2).points[-1]
+        assert cli.FIG2_OMEGA < 2.0 * math.pi and not near_discontinuity(cli.FIG2_OMEGA)
+
+    def test_left_rows_are_the_mode_sum_bit_for_bit(self, tmp_path):
+        rows, xs, ys, _ = cli._fig2_left_rows()
+        want = sigma_modes(cli.FIG2_OMEGA, xs, ys, G)
+        assert (len(xs), len(ys)) == (21, 101) and len(rows) == want.size
+        for k, row in enumerate(rows):
+            i, j = divmod(k, len(ys))
+            assert row == (cli.FIG2_OMEGA, xs[i], ys[j], want[i, j])
+            assert all(type(v) is float for v in row)
+        out = tmp_path / "f2l.csv"
+        assert run(["figure", "fig2-left", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "omega,x,y,sigma"
+        assert lines[1:] == [",".join(repr(v) for v in row) for row in rows]
+
+    def test_a_bessel_argument_above_the_node_cap_is_refused_in_one_line(self, monkeypatch, tmp_path, capsys):
+        # fig2-left reaches kappa_1 |y| = 50 sqrt(omega^2 - pi^2) = 272.0 (372 nodes); a cap of 300 refuses it
+        monkeypatch.setattr(spectral, "MAX_BESSEL_NODES", 300)
+        out = tmp_path / "f2l.csv"
+        assert run(["figure", "fig2-left", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("argument error: kappa |y| = 272.012 at omega = 6.28219: ")
+        assert "more than 300 trapezoid nodes (every |y| up to 31.8 a fits)" in err
+        assert err.count("\n") == 1 and not out.exists()
 
 
 class TestFig4Recipes:
@@ -362,9 +412,10 @@ class TestPlumbing:
         ["spectral-map", "--y-range", "-1e300", "1e300", "--x-steps", "2", "--y-steps", "2"],
         ["spectral-slice", "--x", "0.5", "--y-range", "1e200", "1e200", "--y-steps", "1"],
         ["spectral-map", "--omega", "6", "--y-range", "1e160", "1e160", "--x-steps", "2", "--y-steps", "1"],
-        # the fig4 recipes draw from the exact mode sum, which has no cutoff to set
+        # fig2-left and the fig4 recipes draw from the exact mode sum, which has no cutoff to set
         ["figure", "fig4-left", "--n-terms", "10", "--svg", "SVG"],
         ["figure", "fig4-right", "--accelerate"],
+        ["figure", "fig2-left", "--accelerate", "--svg", "SVG"],
     ])
     def test_invalid_values_exit_two_with_one_line(self, argv, tmp_path, capsys):
         out, svg = tmp_path / "out.csv", tmp_path / "out.svg"
@@ -449,6 +500,19 @@ class TestPlumbing:
         assert "9/9 validation checks passed" in out
         assert "FAIL" not in out
         assert "-3.21 dB in (pi, 4 pi) (needs <= -3 dB), on the fig4-right rows, from the exact mode sum" in out
+        assert ("max |sigma(x,y)/sigma(x,x)| = 0.0216 for |y| in [40a, 50a] (tolerance 10%), from the exact "
+                "mode sum at the fig2-left frequency omega = 2 pi - 0.001; on the jump omega = 2 pi it is 0.62") in out
+        assert "; off the axis 1.5e-04 over 3 points (tolerance 1e-3);" in out
+
+    def test_csv_text_caches_float_reprs_byte_for_byte(self):
+        # repeated floats share one repr; 0.0 and -0.0 compare equal but print apart
+        cells = [0.0, -0.0, 0.1, 0.1, -0.0, 0.0, 1e300, math.nan, math.nan, -math.inf, 3, None, True,
+                 np.float64(-0.0), 5e-324, -5e-324, 2.5, 2.5]
+        rows = [tuple(cells[k:k + 3]) for k in range(len(cells) - 2)] + [tuple(reversed(cells))]
+        text = cli._rows_to_csv(("a", "b", "c"), rows)
+        uncached = "a,b,c\n" + "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
+        assert text == uncached
+        assert "0.0,-0.0,0.1" in text and "-0.0,0.0,1e+300" in text
 
 
 class TestLeanImport:

@@ -16,6 +16,7 @@ from cavityspectra.spectral import (
     SpectralSample,
     laplace_modes_diag,
     q_kernel,
+    sigma_modes,
     sigma_modes_diag,
     sigma_vacuum,
     sigma_vacuum_from_kernels,
@@ -247,6 +248,95 @@ class TestExactModeSum:
         assert total == pytest.approx(laplace_modes_diag(eps, x, G), rel=1e-6)
 
 
+class TestOffAxisModeSum:
+    """sigma_modes: the density off the axis at N = infinity, with J_0 and J_2 by the trapezoid rule."""
+
+    #: J_0(r) and J_2(r) to 17 digits (mpmath, 40 digits), at the largest argument the cap admits too
+    PINS = [(0.0, 1.0, 0.0), (1e-8, 1.0, 1.25e-17), (1.0, 0.7651976865579666, 0.11490348493190047),
+            (10.0, -0.24593576445134835, 0.2546303136851206), (300.0, -0.03329855487630567, 0.03308597200045567),
+            (130972.0, -0.00046461785481720304, 0.0004645849440272878)]
+    #: three points off the jumps, the off-axis points of validate check 7
+    OFF_JUMP = [(7.6, 0.3, 0.4), (10.6, 0.5, 2.2), (5.2, 0.75, 1.3)]
+
+    def test_bessel_functions_against_pinned_values(self):
+        r = np.array([p[0] for p in self.PINS])
+        assert math.floor(r[-1]) + 100 == sp.MAX_BESSEL_NODES
+        j0, j2 = sp._bessel_j0_j2(r)
+        # each node's argument r cos t is rounded to about r ulp, which the sum averages over ~r nodes
+        tol = 2.0**-52 * (10.0 + np.sqrt(r))
+        assert np.all(np.abs(j0 - [p[1] for p in self.PINS]) <= tol)
+        assert np.all(np.abs(j2 - [p[2] for p in self.PINS]) <= tol)
+        assert (j0[0], j2[0]) == (1.0, 0.0)
+
+    def test_an_argument_gives_the_same_bits_in_any_call(self):
+        r = np.linspace(0.0, 2000.0, 301)  # about 3.2e5 nodes: three blocks
+        j0, j2 = sp._bessel_j0_j2(r)
+        for k in (0, 1, 150, 299, 300):
+            alone = sp._bessel_j0_j2(r[k:k + 1])
+            assert (alone[0][0], alone[1][0]) == (j0[k], j2[k])
+
+    def test_an_argument_that_needs_more_than_a_block_takes_one_of_its_own(self, monkeypatch):
+        r = np.array([0.5, 10.0, 300.0, 1.0])
+        want = sp._bessel_j0_j2(r)
+        monkeypatch.setattr(sp, "_BLOCK_ELEMENTS", 150)  # r = 300 needs 400 nodes
+        got = sp._bessel_j0_j2(r)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("omega", [2.0, PI + 1e-3, 4.4, TWO_PI - 1e-3, TWO_PI, 7.6, 12.2])
+    def test_on_the_axis_it_is_the_coincident_mode_sum(self, omega):
+        xs = np.linspace(0.0, 1.0, 21).tolist()
+        got = sigma_modes(omega, xs, [0.0, -0.0], G)
+        want = np.array([sigma_modes_diag(omega, x, G) for x in xs])
+        assert np.array_equal(got[:, 0], got[:, 1])
+        assert np.all(np.abs(got[:, 0] - want) <= 1e-14 * np.abs(want))
+
+    def test_exactly_symmetric_under_the_mirror_x_to_a_minus_x(self):
+        xs = [0.0, 0.125, 0.25, 0.35, 0.4, 0.4375, 0.5]
+        mirrors = [G.a - x for x in xs]
+        assert all(G.a - m == x for x, m in zip(xs, mirrors))
+        ys = np.linspace(-50.0, 50.0, 41).tolist()
+        for omega in (4.4, TWO_PI - 1e-3, TWO_PI, 10.6):
+            assert np.array_equal(sigma_modes(omega, xs, ys, G), sigma_modes(omega, mirrors, ys, G))
+
+    def test_a_grid_equals_its_points_one_by_one(self):
+        xs, ys = [0.1, 0.3, 0.75], [-3.0, 0.0, 0.4, 3.0, 12.5]
+        grid = sigma_modes(10.6, xs, ys, G)
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                assert sigma_modes(10.6, [x], [y], G)[0, 0] == grid[i, j]
+
+    def test_the_image_sum_at_large_n_meets_it_off_the_jumps(self):
+        # N = 10^5 gaps 2.0e-7, 5.3e-7 and 1.5e-6 of vacuum; N = 1000 gaps 7.7e-5, 1.6e-5, 1.5e-4
+        for omega, x, y in self.OFF_JUMP:
+            exact = sigma_modes(omega, [x], [y], G)[0, 0]
+            truncated = sigma_yy(omega, FieldPoint(x=x, y=y), G, TruncationPolicy(n_terms=100_000)).value
+            assert abs(truncated - exact) <= 2e-5 * sigma_vacuum(omega, 0.0)
+
+    def test_the_threshold_mode_does_not_decay(self):
+        # on the jump 2 pi the n = 2 mode has kappa = 0: its term is |y|-independent
+        far = sigma_modes(TWO_PI, [0.75], [40.0, 45.0, 50.0, 0.0], G)[0]
+        below = sigma_modes(TWO_PI - 1e-3, [0.75], [40.0, 45.0, 50.0, 0.0], G)[0]
+        assert np.all(np.abs(far[:3] / far[3]) > 0.6) and np.all(np.abs(below[:3] / below[3]) < 0.03)
+
+    def test_zero_below_the_first_cutoff_and_on_the_plates(self):
+        assert not sigma_modes(PI - 1e-3, [0.3, 0.5], [0.0, 2.0], G).any()
+        assert not sigma_modes(7.6, [0.0, G.a], [0.0, 2.0], G).any()
+
+    def test_refusals(self):
+        with pytest.raises(ValueError):
+            sigma_modes(0.0, [0.5], [1.0], G)
+        with pytest.raises(ValueError):
+            sigma_modes(5.0, [1.5], [1.0], G)
+        with pytest.raises(ValueError, match="transverse offsets must be finite"):
+            sigma_modes(5.0, [0.5], [math.inf], G)
+        # kappa_1 = sqrt(7.6^2 - pi^2): |y| = 130 972/kappa_1 fits the node cap, 1% more does not
+        kappa = math.sqrt(7.6**2 - PI**2)
+        sigma_modes(7.6, [0.5], [130_972.0 / kappa], G)
+        with pytest.raises(ValueError, match=r"^kappa \|y\| = 132282 at omega = 7.6: J_0 and J_2 there would take "
+                                             r"more than 131072 trapezoid nodes \(every \|y\| up to 1.72e\+04 a fits\)$"):
+            sigma_modes(7.6, [0.5], [1.01 * 130_972.0 / kappa], G)
+
+
 class TestTwoPointDensity:
     def test_coincident_limit_equals_diagonal_bitwise(self):
         policy = TruncationPolicy(n_terms=777)
@@ -388,8 +478,9 @@ class TestSharedImageTerms:
                 assert np.array_equal(values[i], alone[0][0]) and np.array_equal(errs[i], alone[1][0])
 
     def test_the_fig2_left_grid_evaluates_each_distinct_image_base_once(self, monkeypatch, tmp_path):
-        # 21 x share 10 038 distinct squared image bases of their 21 x 1 502, and
-        # the 101 y hold 50 distinct y^2 > 0: one call evaluates 50 x 10 038 Q and W
+        # the fig2-left grid at 2 pi on images, N = 500: 21 x share 10 038 distinct squared
+        # image bases of their 21 x 1 502, and the 101 y hold 50 distinct y^2 > 0, so one
+        # call evaluates 50 x 10 038 Q and W
         sizes = []
 
         def recording(u, *kernels, spliced=sp._spliced):
@@ -398,7 +489,8 @@ class TestSharedImageTerms:
             return spliced(u, *kernels)
 
         monkeypatch.setattr(sp, "_spliced", recording)
-        assert cli.main(["figure", "fig2-left", "--out", str(tmp_path / "fig2-left.csv")]) == 0
+        assert cli.main(["spectral-map", "--omega", repr(TWO_PI), "--x-steps", "21", "--y-range", "-50", "50",
+                         "--y-steps", "101", "--n-terms", "500", "--out", str(tmp_path / "map.csv")]) == 0
         assert sum(sizes) == 50 * 10_038
         assert max(sizes) <= sp._CACHE_ELEMENTS
 
