@@ -119,17 +119,6 @@ def _note_discontinuities(omegas) -> None:
 
 # -- argument plumbing -------------------------------------------------------
 
-def _add_cutoff(p: argparse.ArgumentParser, n_terms_default: int | None = 1000, accelerate: bool = True) -> None:
-    n_help, scope = "symmetric image-sum cutoff N", ""
-    if n_terms_default is None:  # figure: fig2-right has its own count, the others need none
-        n_help += f" (default: fig2-right's own count, {FIG2_CUTOFF})"
-        scope = "; fig2-right only, the other recipes draw from the exact mode sum"
-    p.add_argument("--n-terms", type=int, default=n_terms_default, help=n_help + scope)
-    if accelerate:
-        p.add_argument("--accelerate", action="store_true",
-                       help="average trailing partial sums to damp the oscillatory tail" + scope)
-
-
 def _add_output(p: argparse.ArgumentParser, include_svg: bool = False) -> None:
     p.add_argument("--out", help="output file (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -137,40 +126,48 @@ def _add_output(p: argparse.ArgumentParser, include_svg: bool = False) -> None:
         p.add_argument("--svg", help="also render a simple SVG to this path")
 
 
-def _explicit_dests(argv) -> set[str]:
-    dests = set()
-    for token in argv:
-        if token.startswith("--"):
-            dests.add(token[2:].split("=", 1)[0].replace("-", "_"))
-    return dests
+#: Options a config file may not set: help, the config path and the figure name argument.
+_NOT_CONFIGURABLE = frozenset({"help", "config", "name"})
 
 
-#: Namespace entries that are not flags a config file may set: the
-#: subcommand, the config path and the figure name argument.
-_NOT_CONFIGURABLE = frozenset({"command", "config", "name"})
+def _config_value(key: str, value, action: argparse.Action):
+    """A config value converted and checked as the flag's command-line text would be.
+
+    It is a JSON string or number, or a list of nargs of them where the flag
+    takes nargs values; each goes through str(), the flag's type and choices.
+    """
+    items = value if action.nargs and isinstance(value, list) else [value]
+    if len(items) != (action.nargs or 1) or not all(type(v) in (str, int, float) for v in items):  # a bool is not
+        what = f"a list of {action.nargs} strings or numbers" if action.nargs else "a string or a number"
+        raise ValueError(f"config key {key!r} takes {what}, got {value!r}")
+    convert = action.type or str
+    try:
+        items = [convert(str(v)) for v in items]
+    except ValueError:
+        raise ValueError(f"config key {key!r}: invalid {convert.__name__} value {value!r}") from None
+    if action.choices is not None and any(v not in action.choices for v in items):
+        raise ValueError(f"config key {key!r} must be one of {', '.join(map(repr, action.choices))}, got {value!r}")
+    return items if action.nargs else items[0]
 
 
-def _apply_config(ns: argparse.Namespace, argv) -> None:
-    path = getattr(ns, "config", None)
-    if not path:
-        return
+def _apply_config(ns: argparse.Namespace, argv) -> argparse.Namespace:
+    """ns with the values of its --config file, which the flags of argv override."""
+    if not getattr(ns, "config", None):
+        return ns
     import json
-    with open(path, encoding="utf-8") as fh:
+    with open(ns.config, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object of option values")
-    explicit = _explicit_dests(argv)
-    options = set(vars(ns)) - _NOT_CONFIGURABLE
+    command = _shared_parser().commands[ns.command]
+    config = argparse.Namespace(command=ns.command)
     for key, value in data.items():
         dest = key.replace("-", "_")
-        if dest not in options:
+        if dest not in command.options or dest in _NOT_CONFIGURABLE:
             raise ValueError(f"config key {key!r} is not an option of {ns.command}")
-        if dest not in explicit:
-            setattr(ns, dest, value)
-
-
-def _policy(ns) -> TruncationPolicy:
-    return TruncationPolicy(n_terms=ns.n_terms, accelerate=ns.accelerate)
+        setattr(config, dest, _config_value(key, value, command.options[dest]))
+    # argparse fills in only what its namespace lacks: the config's values stand where no flag is given
+    return command.parse_args(argv[1:], config)
 
 
 # -- density commands --------------------------------------------------------
@@ -188,7 +185,7 @@ def _densities(omega: float, points, policy):
 
 
 def cmd_spectral_diag(ns) -> int:
-    policy = _policy(ns)
+    policy = TruncationPolicy(n_terms=ns.n_terms)
     if ns.x is not None:
         xs = [float(ns.x)]
         validate_point(FieldPoint(x=xs[0], y=0.0), _INTERNAL)
@@ -208,7 +205,7 @@ def cmd_spectral_diag(ns) -> int:
 
 
 def cmd_spectral_map(ns) -> int:
-    policy = _policy(ns)
+    policy = TruncationPolicy(n_terms=ns.n_terms)
     xs = _grid(0.0, 1.0, ns.x_steps, "--x-steps")
     ys = _grid(ns.y_range[0], ns.y_range[1], ns.y_steps, "--y-steps")
     points = [FieldPoint(x=x, y=y) for x in xs for y in ys]
@@ -227,7 +224,7 @@ def cmd_spectral_slice(ns) -> int:
     if ns.x in (0.0, _INTERNAL.a):
         raise ValueError(f"--x {ns.x!r} lies on a plate, where the coincident density "
                          "that normalizes the slice vanishes")
-    policy = _policy(ns)
+    policy = TruncationPolicy(n_terms=ns.n_terms)
     ys = _grid(ns.y_range[0], ns.y_range[1], ns.y_steps, "--y-steps")
     validate_point(FieldPoint(x=ns.x, y=0.0), _INTERNAL)
     # the coincident point (x, 0) rides along as the last point of the row
@@ -306,9 +303,8 @@ def _fig4_right_rows(omega_count=160):
 def cmd_figure(ns) -> int:
     name = ns.name
     out = ns.out or f"{name}.csv"
-    if name != "fig2-right" and (ns.n_terms is not None or ns.accelerate):
-        raise ValueError(f"{name} draws from the exact guided-mode sum: --n-terms and "
-                         "--accelerate apply to fig2-right only")
+    if name != "fig2-right" and ns.n_terms is not None:
+        raise ValueError(f"{name} draws from the exact guided-mode sum: --n-terms applies to fig2-right only")
     ns.out = out
 
     if name == "fig2-left":
@@ -322,7 +318,7 @@ def cmd_figure(ns) -> int:
         sub = argparse.Namespace(
             omega=_TWO_PI, x=0.75, y_range=(-50.0, 50.0), y_steps=201,
             n_terms=ns.n_terms if ns.n_terms is not None else FIG2_CUTOFF,
-            accelerate=ns.accelerate, out=out, format=ns.format, svg=ns.svg,
+            out=out, format=ns.format, svg=ns.svg,
         )
         return cmd_spectral_slice(sub)
     if name == "fig4-left":
@@ -419,7 +415,7 @@ def _check_boundary_zeros():
     return ok, "; ".join(details)
 
 def _check_sub_cutoff():
-    policy = TruncationPolicy(n_terms=1000, accelerate=True)
+    policy = TruncationPolicy(n_terms=1000)
     worst = 0.0
     for w in (1.0, 2.0, 3.0):
         for x in (0.25, 0.5, 0.75):
@@ -532,11 +528,19 @@ class _Parser(argparse.ArgumentParser):
 
     argparse's own pattern misses scientific notation, so `--y1 -1e-05` would
     read as a flag with no value; no flag of this CLI starts with a digit.
+    ``options`` maps the dest of each argument added to its action, which
+    converts and checks the values of a config file.
     """
 
     def __init__(self, *args, **kwargs):
+        self.options = {}
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"-\.?\d")
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.options[action.dest] = action
+        return action
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -545,17 +549,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Ground-state field spectra between conducting plates and homodyne-detector response",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # name -> the subcommand's parser
 
     def command(name, help):
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="JSON file of option defaults (explicit flags win)")
         return p
 
+    cutoff = {"type": int, "default": 1000, "help": "symmetric image-sum cutoff N"}
+
     p = command("spectral-diag", "coincident-point density over x at fixed omega")
     p.add_argument("--omega", type=float, required=True, help="frequency in c/a units")
     p.add_argument("--x", type=float, help="single evaluation point (units of a)")
     p.add_argument("--x-steps", type=int, default=21, help="grid size over [0, a] when --x is absent")
-    _add_cutoff(p)
+    p.add_argument("--n-terms", **cutoff)
     _add_output(p, include_svg=True)
 
     p = command("spectral-map", "two-point density over the (x, y) plane")
@@ -563,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-steps", type=int, default=21)
     p.add_argument("--y-range", type=float, nargs=2, default=(-50.0, 50.0), metavar=("YMIN", "YMAX"))
     p.add_argument("--y-steps", type=int, default=101)
-    _add_cutoff(p)
+    p.add_argument("--n-terms", **cutoff)
     _add_output(p, include_svg=True)
 
     p = command("spectral-slice", "density normalized by its coincident value, over y")
@@ -571,19 +578,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, default=0.75)
     p.add_argument("--y-range", type=float, nargs=2, default=(-50.0, 50.0), metavar=("YMIN", "YMAX"))
     p.add_argument("--y-steps", type=int, default=201)
-    _add_cutoff(p)
+    p.add_argument("--n-terms", **cutoff)
     _add_output(p, include_svg=True)
 
     p = command("figure", "reproduce a bundled figure data set")
     p.add_argument("name", choices=("fig2-left", "fig2-right", "fig4-left", "fig4-right"))
-    _add_cutoff(p, n_terms_default=None)
+    # fig2-right has its own count, and the other recipes need none
+    p.add_argument("--n-terms", type=int, help=f"symmetric image-sum cutoff N (default: fig2-right's own count, "
+                   f"{FIG2_CUTOFF}); fig2-right only, the other recipes draw from the exact mode sum")
     _add_output(p, include_svg=True)
 
     p = command("twopoint", "closed-form two-point function at time separation s")
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--y", type=float, default=0.0)
-    _add_cutoff(p, accelerate=False)
+    p.add_argument("--n-terms", **cutoff)
     _add_output(p)
 
     p = command("bhd", "balanced-homodyne-detector response prediction")
@@ -620,8 +629,7 @@ def main(argv=None) -> int:
     # the handler is looked up at call time, so a replaced cmd_* is the one that runs
     handler = globals()["cmd_" + ns.command.replace("-", "_")]
     try:
-        _apply_config(ns, argv)
-        return handler(ns)
+        return handler(_apply_config(ns, argv))
     except ValueError as exc:
         print(f"argument error: {exc}", file=sys.stderr)
         return 2

@@ -34,10 +34,6 @@ GUARD_BAND = 1e-6
 _FOUR_PI_SQ = 4.0 * math.pi**2
 _PI_SQ = math.pi**2
 
-#: Number of trailing symmetric partial sums averaged when a policy asks for
-#: acceleration (used by the spectral module; defined with the policy type).
-SMOOTHING_WINDOW = 8
-
 #: Most image pairs one sum may include: a density holds a few floats per
 #: image, so a cutoff beyond this would ask for gigabytes before any value.
 MAX_IMAGE_TERMS = 2**20
@@ -65,16 +61,18 @@ class TruncationPolicy:
     ``n_terms`` is the cutoff N: image indices n in [-N, N] are included.
     Every sum accumulates the +n and -n terms together in ascending |n| and
     adds the n = 0 term last; this symmetric order is what makes several
-    boundary cancellations exact in floating point.  ``accelerate`` averages
-    the trailing symmetric partial sums (Cesaro style) to damp the
-    oscillatory tail of the spectral sums.  A cutoff above MAX_IMAGE_TERMS
-    is refused.
+    boundary cancellations exact in floating point.  A numpy integer cutoff
+    is stored as an int; one that is not an integer (a bool included), is
+    negative or is above MAX_IMAGE_TERMS is refused with a ValueError.
     """
 
     n_terms: int = 1000
-    accelerate: bool = False
 
     def __post_init__(self):
+        if isinstance(self.n_terms, bool) or not isinstance(self.n_terms, (int, np.integer)):
+            raise ValueError(f"cutoff must be an integer, got {self.n_terms!r}")
+        # stored as an int: a small numpy integer would overflow in the block sizes
+        object.__setattr__(self, "n_terms", int(self.n_terms))
         if self.n_terms < 0:
             raise ValueError("cutoff must be nonnegative")
         if self.n_terms > MAX_IMAGE_TERMS:

@@ -69,14 +69,14 @@ def test_criterion_03_boundary_zeros():
 
 
 def test_criterion_04_sub_cutoff_vanishing():
-    policy = TruncationPolicy(n_terms=1000, accelerate=True)
+    policy = TruncationPolicy(n_terms=1000)
     worst = 0.0
     for omega in (1.0, 2.0, 3.0):
         for x in (0.25, 0.5, 0.75):
             ratio = abs(cs.sigma_yy_diag(omega, x, G, policy).value) / cs.sigma_vacuum(omega, 0.0)
             worst = max(worst, ratio)
     ok = _report(4, "density vanishes below the cavity cutoff",
-                 worst < 0.05, f"max |sigma|/vacuum {worst:.2%} at N=1000 accelerated (tol 5%)")
+                 worst < 0.05, f"max |sigma|/vacuum {worst:.2%} at N=1000 (tol 5%)")
     assert ok
 
 

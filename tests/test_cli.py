@@ -91,30 +91,28 @@ class TestDensityCommands:
         n_terms, omega = 3000, 7.3
         ys = np.linspace(-5.0, 5.0, 51)
         assert spectral._CACHE_ELEMENTS // (3 * n_terms + 2) == 3 and 0.0 in ys
-        for accelerate in (False, True):
-            policy = TruncationPolicy(n_terms=n_terms, accelerate=accelerate)
-            common = ["--omega", str(omega), "--y-range", "-5", "5", "--y-steps", "51",
-                      "--n-terms", str(n_terms)] + (["--accelerate"] if accelerate else [])
-            assert run(["spectral-map", "--x-steps", "3", *common,
-                        "--out", str(tmp_path / "map.csv")]) == 0
-            assert run(["spectral-slice", "--x", "0.75", *common,
-                        "--out", str(tmp_path / "slice.csv")]) == 0
+        policy = TruncationPolicy(n_terms=n_terms)
+        common = ["--omega", str(omega), "--y-range", "-5", "5", "--y-steps", "51", "--n-terms", str(n_terms)]
+        assert run(["spectral-map", "--x-steps", "3", *common,
+                    "--out", str(tmp_path / "map.csv")]) == 0
+        assert run(["spectral-slice", "--x", "0.75", *common,
+                    "--out", str(tmp_path / "slice.csv")]) == 0
 
-            rows = [line.split(",") for line in (tmp_path / "map.csv").read_text().splitlines()[1:]]
-            assert len(rows) == 3 * ys.size
-            for row in rows:
-                x, y = float(row[1]), float(row[2])
-                want = sigma_yy(omega, FieldPoint(x=x, y=y), G, policy)
-                assert row[3:5] == [repr(want.value), repr(want.err)]
-                if y == 0.0:
-                    diag = sigma_yy_diag(omega, x, G, policy)
-                    assert row[3:5] == [repr(diag.value), repr(diag.err)]
+        rows = [line.split(",") for line in (tmp_path / "map.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 3 * ys.size
+        for row in rows:
+            x, y = float(row[1]), float(row[2])
+            want = sigma_yy(omega, FieldPoint(x=x, y=y), G, policy)
+            assert row[3:5] == [repr(want.value), repr(want.err)]
+            if y == 0.0:
+                diag = sigma_yy_diag(omega, x, G, policy)
+                assert row[3:5] == [repr(diag.value), repr(diag.err)]
 
-            diagonal = sigma_yy_diag(omega, 0.75, G, policy).value
-            rows = [line.split(",") for line in (tmp_path / "slice.csv").read_text().splitlines()[1:]]
-            assert [row[3] for row in rows] == [
-                repr(sigma_yy(omega, FieldPoint(x=0.75, y=float(y)), G, policy).value / diagonal)
-                for y in ys]
+        diagonal = sigma_yy_diag(omega, 0.75, G, policy).value
+        rows = [line.split(",") for line in (tmp_path / "slice.csv").read_text().splitlines()[1:]]
+        assert [row[3] for row in rows] == [
+            repr(sigma_yy(omega, FieldPoint(x=0.75, y=float(y)), G, policy).value / diagonal)
+            for y in ys]
 
     @pytest.mark.parametrize("argv", [
         ["spectral-map", "--x-steps", "4", "--y-range", "-2", "2", "--y-steps", "5"],
@@ -151,8 +149,8 @@ class TestDensityCommands:
         # one density call over the x grid gives each x's single-point bits
         out = tmp_path / "diag.csv"
         assert run(["spectral-diag", "--omega", "2.1", "--x-steps", "41", "--n-terms", "300",
-                    "--accelerate", "--out", str(out)]) == 0
-        policy = TruncationPolicy(n_terms=300, accelerate=True)
+                    "--out", str(out)]) == 0
+        policy = TruncationPolicy(n_terms=300)
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert [row[1] for row in rows] == [repr(x) for x in np.linspace(0.0, 1.0, 41).tolist()]
         for row in rows:
@@ -335,15 +333,51 @@ class TestPlumbing:
         assert len(lines) == 1 + 4  # flag wins over config
         assert lines[1].split(",")[5] == "40"  # config supplies the cutoff
 
+    def test_an_abbreviated_flag_wins_over_the_config(self, tmp_path):
+        # argparse reads --x-st as --x-steps, so the flag, not the config, sets the grid
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"x-steps": 3}))
+        out = tmp_path / "d.csv"
+        assert run(["spectral-diag", "--omega", "5.0", "--x-st", "4", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 4
+
     def test_config_keys_may_be_spelt_with_dashes(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n-terms": 40, "accelerate": True}))
+        cfg.write_text(json.dumps({"n-terms": 40, "x-steps": 3}))
         via_config, via_flags = tmp_path / "c.csv", tmp_path / "f.csv"
-        assert run(["spectral-diag", "--omega", "5.0", "--x-steps", "3", "--config", str(cfg),
+        assert run(["spectral-diag", "--omega", "5.0", "--config", str(cfg),
                     "--out", str(via_config)]) == 0
         assert run(["spectral-diag", "--omega", "5.0", "--x-steps", "3", "--n-terms", "40",
-                    "--accelerate", "--out", str(via_flags)]) == 0
+                    "--out", str(via_flags)]) == 0
         assert via_config.read_bytes() == via_flags.read_bytes()
+
+    def test_config_values_are_converted_as_flags_are(self, tmp_path):
+        # numbers and numeric strings go through each flag's type, as their command-line text would
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"omega": 5, "x-steps": "2", "y-range": [-2, "2.5"], "y-steps": 3,
+                                   "n-terms": 40, "format": "json"}))
+        via_config, via_flags = tmp_path / "c.json", tmp_path / "f.json"
+        assert run(["spectral-map", "--config", str(cfg), "--out", str(via_config)]) == 0
+        assert run(["spectral-map", "--omega", "5", "--x-steps", "2", "--y-range", "-2", "2.5", "--y-steps", "3",
+                    "--n-terms", "40", "--format", "json", "--out", str(via_flags)]) == 0
+        assert via_config.read_bytes() == via_flags.read_bytes()
+
+    @pytest.mark.parametrize("argv, config, message", [
+        (["spectral-diag", "--omega", "3"], {"x-steps": "a"}, "config key 'x-steps': invalid int value 'a'"),
+        (["spectral-diag", "--omega", "3"], {"n-terms": 2.5}, "config key 'n-terms': invalid int value 2.5"),
+        (["spectral-map"], {"y-range": [1]}, "config key 'y-range' takes a list of 2 strings or numbers, got [1]"),
+        (["spectral-slice"], {"x": None}, "config key 'x' takes a string or a number, got None"),
+        (["spectral-diag", "--omega", "3"], {"format": "xml"},
+         "config key 'format' must be one of 'csv', 'json', got 'xml'"),
+        (["spectral-diag", "--omega", "3"], {"x-steps": True},
+         "config key 'x-steps' takes a string or a number, got True"),
+    ])
+    def test_config_values_a_flag_would_refuse_are_argument_errors(self, argv, config, message, tmp_path, capsys):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        cfg.write_text(json.dumps(config))
+        assert run(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"argument error: {message}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, key", [
         (["spectral-diag", "--omega", "5.0", "--x", "0.5"], "n_terms_typo"),
@@ -351,6 +385,8 @@ class TestPlumbing:
         (["figure", "fig4-right", "--out", os.devnull], "name"),  # an argument, not a flag
         (["twopoint", "--s", "0.3", "--x", "0.4"], "func"),
         (["validate"], "n_terms"),
+        (["spectral-diag", "--omega", "5.0", "--x", "0.5"], "help"),
+        (["spectral-diag", "--omega", "5.0", "--x", "0.5"], "accelerate"),  # no density takes an accelerated mean
     ])
     def test_config_keys_without_a_flag_are_argument_errors(self, argv, key, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -414,8 +450,7 @@ class TestPlumbing:
         ["spectral-map", "--omega", "6", "--y-range", "1e160", "1e160", "--x-steps", "2", "--y-steps", "1"],
         # fig2-left and the fig4 recipes draw from the exact mode sum, which has no cutoff to set
         ["figure", "fig4-left", "--n-terms", "10", "--svg", "SVG"],
-        ["figure", "fig4-right", "--accelerate"],
-        ["figure", "fig2-left", "--accelerate", "--svg", "SVG"],
+        ["figure", "fig2-left", "--n-terms", "500", "--svg", "SVG"],
     ])
     def test_invalid_values_exit_two_with_one_line(self, argv, tmp_path, capsys):
         out, svg = tmp_path / "out.csv", tmp_path / "out.svg"
@@ -435,6 +470,12 @@ class TestPlumbing:
         ["figure", "fig4-right", "--a-microns", "3"],
         ["spectral-diag", "--omega", "5.0", "--x", "0.5", "--a-microns", "3"],
         ["twopoint", "--s", "0.3", "--x", "0.4", "--accelerate"],
+        # no density takes an accelerated mean: the flag is gone from every command
+        ["spectral-diag", "--omega", "5.0", "--x", "0.5", "--accelerate"],
+        ["spectral-map", "--x-steps", "2", "--y-steps", "2", "--accelerate"],
+        ["spectral-slice", "--y-steps", "3", "--accelerate"],
+        ["figure", "fig4-right", "--accelerate"],
+        ["figure", "fig2-right", "--accelerate"],
         # the LO width sizes the smear's image sum, and t0 would only phase a classical field
         [*BHD_README, "--n-terms", "5"],
         [*BHD_README, "--accelerate"],
@@ -449,7 +490,7 @@ class TestPlumbing:
     def test_a_sequence_of_calls_prints_what_each_call_prints_alone(self, tmp_path, capsys):
         # one parser serves every call of a process: no call may leave state for the next
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n-terms": 40, "accelerate": True}))
+        cfg.write_text(json.dumps({"n-terms": 40, "format": "json"}))
         narrow = tmp_path / "narrow.json"
         narrow.write_text(json.dumps({"width": 0.05}))
         calls = [
@@ -499,6 +540,7 @@ class TestPlumbing:
         out = capsys.readouterr().out
         assert "9/9 validation checks passed" in out
         assert "FAIL" not in out
+        assert "[PASS] sub-cutoff vanishing: max |sigma|/sigma_vacuum = 0.0029 below cutoff (tolerance 5%)" in out
         assert "-3.21 dB in (pi, 4 pi) (needs <= -3 dB), on the fig4-right rows, from the exact mode sum" in out
         assert ("max |sigma(x,y)/sigma(x,x)| = 0.0216 for |y| in [40a, 50a] (tolerance 10%), from the exact "
                 "mode sum at the fig2-left frequency omega = 2 pi - 0.001; on the jump omega = 2 pi it is 0.62") in out

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,19 @@ class TestTruncationPolicy:
                 TruncationPolicy(n_terms=n_terms)
         with pytest.raises(ValueError, match="nonnegative"):
             TruncationPolicy(n_terms=-1)
+
+    @pytest.mark.parametrize("n_terms", [True, False, 2.5, 1000.0, "10", None, np.float64(3.0)])
+    def test_a_cutoff_that_is_not_an_integer_is_refused(self, n_terms):
+        with pytest.raises(ValueError, match=re.escape(f"cutoff must be an integer, got {n_terms!r}")):
+            TruncationPolicy(n_terms=n_terms)
+
+    @pytest.mark.parametrize("n_terms", [np.int64(40), np.int32(40), np.uint16(40)])
+    def test_a_numpy_integer_cutoff_sums_as_the_int(self, n_terms):
+        policy = TruncationPolicy(n_terms=n_terms)
+        assert type(policy.n_terms) is int and policy == TruncationPolicy(n_terms=40)
+        point = FieldPoint(x=0.3, y=0.7)
+        assert (spectral.sigma_yy(6.0, point, G, policy).value
+                == spectral.sigma_yy(6.0, point, G, TruncationPolicy(n_terms=40)).value)
 
     def test_the_smear_shares_the_cap(self):
         assert spectral.MAX_IMAGE_TERMS is MAX_IMAGE_TERMS

@@ -58,13 +58,12 @@ def test_rescaling_is_the_covariant_triple():
     x=st.floats(min_value=0.0, max_value=1.0),
     omega=st.sampled_from(OMEGAS),
     lam_exp=st.sampled_from((-2, -1, 1, 2, 3)),
-    accelerate=st.booleans(),
 )
-def test_scale_covariance_is_exact_for_binary_scalings(x, omega, lam_exp, accelerate):
+def test_scale_covariance_is_exact_for_binary_scalings(x, omega, lam_exp):
     # S(omega; a) = lam^-3 S(lam omega; a/lam) holds term by term; powers of
     # two keep every floating-point operation exactly scaled
     lam = 2.0**lam_exp
-    policy = TruncationPolicy(n_terms=150, accelerate=accelerate)
+    policy = TruncationPolicy(n_terms=150)
     base = sigma_yy_diag(omega, x, G, policy)
     point = rescale_point(FieldPoint(x=x, y=0.0), lam)
     scaled = sigma_yy_diag(
@@ -115,7 +114,7 @@ def test_truncated_density_is_positive_above_cutoff():
     # the exact density is a positive measure; above the cavity cutoff the
     # truncated sum may undershoot by at most the reported estimate
     grid = build_grid(PI + 0.05, 4.0 * PI, 40).points
-    for policy in (TruncationPolicy(n_terms=500), TruncationPolicy(n_terms=1000, accelerate=True)):
+    for policy in (TruncationPolicy(n_terms=500), TruncationPolicy(n_terms=1000)):
         for omega in grid:
             for x in np.linspace(0.05, 0.95, 7):
                 s = sigma_yy_diag(float(omega), float(x), G, policy)
@@ -142,7 +141,7 @@ def test_plate_cancellation_for_arbitrary_partners(qx, y, z, t):
 
 
 def test_repeated_evaluation_is_bit_identical():
-    policy = TruncationPolicy(n_terms=400, accelerate=True)
+    policy = TruncationPolicy(n_terms=400)
     point = FieldPoint(x=0.37, y=4.2)
     reference = sigma_yy(9.1, point, G, policy)
     for _ in range(3):

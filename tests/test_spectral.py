@@ -151,7 +151,7 @@ class TestDiagonalDensity:
         assert s.err == 0.0
 
     def test_sub_cutoff_residual_is_small(self):
-        policy = TruncationPolicy(n_terms=1000, accelerate=True)
+        policy = TruncationPolicy(n_terms=1000)
         for omega in (1.0, 2.0, 3.0):
             for x in (0.25, 0.5, 0.75):
                 s = sigma_yy_diag(omega, x, G, policy)
@@ -374,11 +374,10 @@ class TestSharedImageTerms:
     OMEGAS = np.array([0.7, 2.2, PI + 1e-3, 5.0, 7.9, 4.0 * PI - 1e-3])
 
     @pytest.mark.parametrize("n_terms", [0, 1, 300])
-    @pytest.mark.parametrize("accelerate", [False, True])
-    def test_multi_x_call_equals_each_x_alone(self, n_terms, accelerate):
+    def test_multi_x_call_equals_each_x_alone(self, n_terms):
         # one call evaluates each distinct image distance once; both plates and
         # the fig4-left grid, symmetric under x -> a - x, included
-        policy = TruncationPolicy(n_terms=n_terms, accelerate=accelerate)
+        policy = TruncationPolicy(n_terms=n_terms)
         xs = [0.0, 0.05, 0.3, 0.9999] + np.linspace(0.0, 1.0, 41).tolist()
         values, errs = sp._sigma_diag_values(self.OMEGAS, xs, G, policy)
         assert values.shape == errs.shape == (len(xs), self.OMEGAS.size)
@@ -411,7 +410,7 @@ class TestSharedImageTerms:
 
     def test_pools_of_x_bound_the_kernel_arrays(self, kernel_sizes):
         # 301 x at N = 1000 need 602 301 distances: the call splits them into pools
-        policy = TruncationPolicy(n_terms=1000, accelerate=True)
+        policy = TruncationPolicy(n_terms=1000)
         xs = np.linspace(0.0, 1.0, 301).tolist()
         values, errs = sp._sigma_diag_values(self.OMEGAS[:2], xs, G, policy)
         assert len(kernel_sizes) > 1 and max(kernel_sizes) <= sp._BLOCK_ELEMENTS
@@ -430,7 +429,7 @@ class TestSharedImageTerms:
             return spliced(u, *kernels)
 
         monkeypatch.setattr(sp, "_spliced", recording)
-        policy = TruncationPolicy(n_terms=3000, accelerate=True)
+        policy = TruncationPolicy(n_terms=3000)
         omegas = np.linspace(0.5, 13.0, 60)
         ys = np.linspace(-4.0, 4.0, 45)  # y = 0 included
         for om, points in ((omegas, [FieldPoint(x=0.3, y=y) for y in ys[::11]]),
@@ -443,10 +442,9 @@ class TestSharedImageTerms:
                     s = sigma_yy(float(omega), point, G, policy)
                     assert (values[i, j], errs[i, j]) == (s.value, s.err)
 
-    @pytest.mark.parametrize("accelerate", [False, True])
-    def test_points_sharing_y_squared_equal_single_points(self, accelerate):
+    def test_points_sharing_y_squared_equal_single_points(self):
         # mixed signs, repeats, y = 0 and subnormal y whose square underflows to 0
-        policy = TruncationPolicy(n_terms=200, accelerate=accelerate)
+        policy = TruncationPolicy(n_terms=200)
         ys = [1.3, -1.3, 0.0, 5e-324, -1e-170, 0.4, 45.0, -0.4, 1.3, -0.0]
         for x in (0.0, 0.31, 0.75):
             points = [FieldPoint(x=x, y=y) for y in ys]
@@ -459,12 +457,11 @@ class TestSharedImageTerms:
 
     @pytest.mark.parametrize("axis", ["frequencies", "smeared"])
     @pytest.mark.parametrize("n_terms", [0, 1, 200])
-    @pytest.mark.parametrize("accelerate", [False, True])
-    def test_many_x_call_equals_each_point_alone(self, axis, n_terms, accelerate):
+    def test_many_x_call_equals_each_point_alone(self, axis, n_terms):
         # both plates, an interior x and mirror pairs x, a - x; y = 0, +- pairs,
         # repeats and subnormal y whose square underflows; a full grid, then the
         # same points scattered so that blocks hold pairs (x, y^2) nobody asked for
-        policy = TruncationPolicy(n_terms=n_terms, accelerate=accelerate)
+        policy = TruncationPolicy(n_terms=n_terms)
         omegas = self.OMEGAS if axis == "frequencies" else sp._SmearedLO(TWO_PI, TWO_PI / 20.0, 1.3)
         xs = [0.0, 1.0, 0.31, 0.69, 0.25, 0.75]
         ys = [0.0, 1.3, -1.3, 5e-324, -1e-170, 0.4, 45.0, -0.4, 1.3, -0.0]
@@ -476,6 +473,12 @@ class TestSharedImageTerms:
             for i, point in enumerate(points):
                 alone = sp._sigma_yy_values(omegas, [point], G, policy)
                 assert np.array_equal(values[i], alone[0][0]) and np.array_equal(errs[i], alone[1][0])
+
+    def test_an_empty_frequency_array_gives_empty_rows(self):
+        points = [FieldPoint(x=0.3, y=y) for y in (0.0, 0.5)] + [FieldPoint(x=0.6, y=0.5)]
+        for n_terms in (10, 50_000):
+            values, errs = sp._sigma_yy_values(np.array([]), points, G, TruncationPolicy(n_terms=n_terms))
+            assert values.shape == errs.shape == (3, 0)
 
     def test_the_fig2_left_grid_evaluates_each_distinct_image_base_once(self, monkeypatch, tmp_path):
         # the fig2-left grid at 2 pi on images, N = 500: 21 x share 10 038 distinct squared
@@ -497,7 +500,7 @@ class TestSharedImageTerms:
     def test_pools_of_many_x_keep_every_array_within_the_block_budget(self, monkeypatch):
         # at N = 3000 a pool holds 14 x (3 N + 2 bases each), so 41 x take three
         # pools; a kernel block is one y^2 row of a pool's distinct bases
-        policy = TruncationPolicy(n_terms=3000, accelerate=True)
+        policy = TruncationPolicy(n_terms=3000)
         xs, ys = np.linspace(0.0, 1.0, 41).tolist(), [0.0, -0.6, 2.5, 0.6]
         points = [FieldPoint(x=x, y=y) for x in xs for y in ys]
         kernels, gathers, pools = [], [], []
@@ -533,12 +536,11 @@ class TestImageBlocks:
     OMEGAS = np.array([0.7, 5.0, 4.0 * PI - 1e-3])
 
     # at N = 1000 a block of 3000 holds 999 pairs, 301 holds 99 and 29 holds 9: with 3000
-    # and 29 one pair is left for the last block, whose accelerated mean reaches back
+    # and 29 one pair is left for the last block, which takes the running total over
     @pytest.mark.parametrize("block", [3000, 301, 29])
     @pytest.mark.parametrize("axis", ["frequencies", "smeared"])
-    @pytest.mark.parametrize("accelerate", [False, True])
-    def test_blocks_equal_one_block_bit_for_bit(self, block, axis, accelerate, monkeypatch):
-        policy = TruncationPolicy(n_terms=1000, accelerate=accelerate)
+    def test_blocks_equal_one_block_bit_for_bit(self, block, axis, monkeypatch):
+        policy = TruncationPolicy(n_terms=1000)
         omegas = self.OMEGAS if axis == "frequencies" else sp._SmearedLO(TWO_PI, TWO_PI / 20.0, 1.3)
         points = [FieldPoint(x=0.31, y=y) for y in (0.0, 0.4, -1.3, 45.0)]
         xs = [0.31, 0.75]
@@ -560,6 +562,34 @@ class TestImageBlocks:
         assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
         if axis == "frequencies":
             assert len(sizes) > calls and max(sizes) <= block
+
+    def test_many_points_at_the_real_block_size_equal_each_point_alone(self, monkeypatch):
+        # at N = 50 000 the 3 N + 1 image terms of one x span four blocks of _BLOCK_ELEMENTS
+        policy = TruncationPolicy(n_terms=50_000)
+        assert 3 * policy.n_terms + 1 > sp._BLOCK_ELEMENTS
+        omegas = np.array([2.2, 9.1])
+        xs = [0.31, 0.5, 0.9]
+        points = [FieldPoint(x=x, y=y) for x, y in ((0.31, 0.0), (0.31, 0.7), (0.5, -0.7), (0.9, 0.0), (0.9, 2.0))]
+        smeared = sp._SmearedLO(TWO_PI, TWO_PI / 20.0, 1.3)
+
+        def evaluate():
+            return (sp._sigma_diag_values(omegas, xs, G, policy), sp._sigma_yy_values(omegas, points, G, policy),
+                    sp._sigma_yy_values(smeared, points, G, policy))
+
+        blocked = evaluate()
+        diag = blocked[0]
+        for i, x in enumerate(xs):
+            for j, omega in enumerate(omegas.tolist()):
+                s = sigma_yy_diag(omega, x, G, policy)
+                assert (diag[0][i, j], diag[1][i, j]) == (s.value, s.err)
+        for axis, (values, errs) in ((omegas, blocked[1]), (smeared, blocked[2])):
+            for i, point in enumerate(points):
+                alone = sp._sigma_yy_values(axis, [point], G, policy)
+                assert np.array_equal(values[i], alone[0][0]) and np.array_equal(errs[i], alone[1][0])
+        # and the blocks equal one block, a single cumsum over all the pairs of each point
+        monkeypatch.setattr(sp, "_BLOCK_ELEMENTS", 2**18)
+        whole = evaluate()
+        assert all(np.array_equal(a, b) for pair in zip(whole, blocked) for a, b in zip(*pair))
 
     def test_one_point_at_a_million_images_holds_a_few_blocks(self):
         policy = TruncationPolicy(n_terms=10**6)
@@ -586,7 +616,7 @@ class TestDerivedQuantities:
         assert _normalized_difference(5.0, 0.0, TruncationPolicy(n_terms=100)) == -1.0
 
     def test_normalized_difference_below_cutoff(self):
-        policy = TruncationPolicy(n_terms=1000, accelerate=True)
+        policy = TruncationPolicy(n_terms=1000)
         for omega in (1.0, 2.0, 3.0):
             assert _normalized_difference(omega, 0.5, policy) == pytest.approx(-1.0, abs=0.05)
 
