@@ -2,12 +2,7 @@
 
 import importlib
 
-from .errors import (
-    ExtrapolationDivergence,
-    LightConeProximity,
-    NumericalGuardError,
-    TailTooLarge,
-)
+from .errors import LightConeProximity, NumericalGuardError
 from .units import (
     CavityGeometry,
     FieldPoint,
@@ -44,17 +39,14 @@ from .spectral import (
 
 __version__ = "0.1.0"
 
-#: Names of the detector and oracle modules, which load on first access:
-#: most commands run neither, and ``import cavityspectra.cli`` pays for
-#: every module it loads.
-_LAZY = {
-    **dict.fromkeys(
-        ("ClassicalComponent", "DetectorConfig", "LOKernel", "LOMode", "check_balance",
-         "mean_current", "mode_field_components", "smeared_density", "variance_current"),
-        "bhd",
-    ),
-    **dict.fromkeys(("OracleConfig", "sigma_via_numeric_ft"), "oracle"),
-}
+#: Names of the detector module, which loads on first access: most commands
+#: do not run it, and ``import cavityspectra.cli`` pays for every module it
+#: loads.
+_LAZY = dict.fromkeys(
+    ("ClassicalComponent", "DetectorConfig", "LOKernel", "LOMode", "check_balance",
+     "mean_current", "mode_field_components", "smeared_density", "variance_current"),
+    "bhd",
+)
 
 
 def __getattr__(name):
@@ -72,7 +64,6 @@ __all__ = [
     "CavityGeometry",
     "ClassicalComponent",
     "DetectorConfig",
-    "ExtrapolationDivergence",
     "FieldPoint",
     "FrequencyGrid",
     "GUARD_BAND",
@@ -80,11 +71,9 @@ __all__ = [
     "LOMode",
     "LightConeProximity",
     "NumericalGuardError",
-    "OracleConfig",
     "SERIES_THRESHOLD",
     "SpacetimePoint",
     "SpectralSample",
-    "TailTooLarge",
     "TruncationPolicy",
     "build_grid",
     "check_balance",
@@ -100,7 +89,6 @@ __all__ = [
     "sigma_modes_diag",
     "sigma_vacuum",
     "sigma_vacuum_from_kernels",
-    "sigma_via_numeric_ft",
     "sigma_yy",
     "sigma_yy_diag",
     "smeared_density",

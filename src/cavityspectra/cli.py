@@ -1,4 +1,4 @@
-"""Command-line interface: density grids, figure data, detector predictions, validation.
+"""Command-line interface: density grids, figure data, detector predictions.
 
 Outputs are deterministic: fixed evaluation order and shortest round-trip
 float formatting.  CSV is the contract; JSON mirrors it and SVG renderings
@@ -12,8 +12,9 @@ SI frequency column).  Each subcommand accepts only the flags it reads.
 Exit codes: 0 success, 1 validation failure, 2 argument error, 3 numerical
 guard violation, 4 I/O failure.  ``main`` returns them, usage errors
 included, and builds its parser once per process.  A command imports the
-modules only it uses (the detector, json, the SVG renderer) when it runs, so
-each launch loads only what it runs.
+modules only it uses (the detector, json, the SVG renderer, the ``oracle``
+checks that ``validate`` prints) when it runs, so each launch loads only what
+it runs.
 """
 from __future__ import annotations
 
@@ -26,18 +27,8 @@ import sys
 import numpy as np
 
 from .errors import NumericalGuardError
-from .imagesum import TruncationPolicy, two_point_yy_closed, two_point_yy_fd, two_point_yy_lattice
-from .spectral import (
-    _sigma_diag_values,
-    _sigma_yy_values,
-    convergence_report,
-    laplace_modes_diag,
-    sigma_modes,
-    sigma_modes_diag,
-    sigma_vacuum,
-    sigma_vacuum_from_kernels,
-    sigma_yy_diag,
-)
+from .imagesum import TruncationPolicy, two_point_yy_closed
+from .spectral import _sigma_diag_values, _sigma_yy_values, sigma_modes, sigma_modes_diag, sigma_vacuum
 from .units import (
     CavityGeometry,
     FieldPoint,
@@ -351,6 +342,8 @@ def cmd_twopoint(ns) -> int:
 
 
 def cmd_bhd(ns) -> int:
+    if ns.lo_p is not None and not ns.lo_p >= 0.0:  # nan included
+        raise ValueError(f"--lo-p must be a nonnegative wave number, got {ns.lo_p!r}")
     from .bhd import DetectorConfig, LOKernel, LOMode, check_balance, mean_current, variance_current
     width = ns.width if ns.width is not None else ns.omega_lo / 20.0
     kernel = LOKernel(omega_lo=ns.omega_lo, width=width, amplitude=ns.amplitude)
@@ -386,138 +379,14 @@ def cmd_bhd(ns) -> int:
 
 # -- validation --------------------------------------------------------------
 
-def _check_vacuum_diagonal():
-    omegas = build_grid(0.1, _FOUR_PI, 50).points
-    exact = omegas**3 / (6.0 * math.pi**2)
-    dev = float(np.max(np.abs(sigma_vacuum(omegas, 0.0) - exact) / exact))
-    return dev <= 1e-12, f"max relative deviation {dev:.2e} (tolerance 1e-12)"
-
-def _check_vacuum_embedding():
-    omegas = build_grid(0.5, _FOUR_PI, 20).points
-    worst = 0.0
-    for y in np.linspace(0.0, 8.0, 20).tolist():
-        ref = sigma_vacuum(omegas, y)
-        got = sigma_vacuum_from_kernels(omegas, y)
-        worst = max(worst, float(np.max(np.abs(got - ref) / np.abs(ref))))
-    return worst <= 1e-12, f"max relative deviation {worst:.2e} on a 20x20 grid (tolerance 1e-12)"
-
-def _check_boundary_zeros():
-    policy_small = TruncationPolicy(n_terms=500)
-    policy_big = TruncationPolicy(n_terms=10_000)
-    details = []
-    ok = True
-    for w in (2.0, 5.0, 8.0, 11.0):
-        at0 = sigma_yy_diag(w, 0.0, _INTERNAL, policy_small).value
-        ok &= at0 == 0.0
-        resid = abs(sigma_yy_diag(w, 1.0, _INTERNAL, policy_big).value) / sigma_vacuum(w, 0.0)
-        ok &= resid <= 1e-3
-        details.append(f"omega={w:g}: plate0={at0:g}, plate-a residual {resid:.2e}")
-    return ok, "; ".join(details)
-
-def _check_sub_cutoff():
-    policy = TruncationPolicy(n_terms=1000)
-    worst = 0.0
-    for w in (1.0, 2.0, 3.0):
-        for x in (0.25, 0.5, 0.75):
-            ratio = abs(sigma_yy_diag(w, x, _INTERNAL, policy).value) / sigma_vacuum(w, 0.0)
-            worst = max(worst, ratio)
-    return worst < 0.05, f"max |sigma|/sigma_vacuum = {worst:.4f} below cutoff (tolerance 5%)"
-
-def _check_offdiagonal_decay():
-    # the fig2-right ratio from the exact mode sum at the fig2-left frequency, and on the jump beside it
-    ys = np.linspace(40.0, 50.0, 5).tolist()
-    ys += [-y for y in ys] + [0.0]
-    ratios = []
-    for w in (FIG2_OMEGA, _TWO_PI):
-        values = sigma_modes(w, [0.75], ys, _INTERNAL)[0]
-        ratios.append(float(np.max(np.abs(values[:-1] / values[-1]))))
-    worst, jump = ratios
-    return worst < 0.10, (f"max |sigma(x,y)/sigma(x,x)| = {worst:.4f} for |y| in [40a, 50a] (tolerance 10%), "
-                          f"from the exact mode sum at the fig2-left frequency omega = 2 pi - {DEFAULT_GUARD:g}; "
-                          f"on the jump omega = 2 pi it is {jump:.2f}: the n = 2 mode sits at threshold "
-                          "and does not decay (see README)")
-
-def _check_two_point_routes():
-    policy = TruncationPolicy(n_terms=400)
-    samples = [(0.3, 0.35, 1.1), (0.2, 0.6, 0.9), (0.45, 0.75, 1.4), (0.15, 0.5, 0.7), (0.55, 0.25, 1.2)]
-    worst = 0.0
-    for s, x, y in samples:
-        point = FieldPoint(x=x, y=y)
-        closed = two_point_yy_closed(s, point, _INTERNAL, policy)
-        fd = two_point_yy_fd(s, point, _INTERNAL, policy, h=1e-3)
-        worst = max(worst, abs(fd - closed) / abs(closed))
-    return worst <= 1e-4, f"max relative gap closed-form vs stencil {worst:.2e} (tolerance 1e-4)"
-
-def _check_exact_modes():
-    # (a) the kernels against the exact mode sum at y = 0, one call per point x
-    policy = TruncationPolicy(n_terms=1000)
-    schedule = {0.25: (3.6, 6.9, 9.7), 0.5: (4.4, 7.6, 10.6, 12.2), 0.75: (5.2, 8.4, 11.4)}
-    worst = 0.0
-    for x, omegas in schedule.items():
-        omegas = np.asarray(omegas)
-        values, _ = _sigma_diag_values(omegas, [x], _INTERNAL, policy)
-        exact = sigma_modes_diag(omegas, x, _INTERNAL)
-        scale = np.maximum(np.abs(exact), sigma_vacuum(omegas, 0.0))
-        worst = max(worst, float(np.max(np.abs(values[0] - exact) / scale)))
-    # (b) the same off the axis, one point per call: the two-point kernels against the mode sum
-    off_axis = ((7.6, 0.3, 0.4), (10.6, 0.5, 2.2), (5.2, 0.75, 1.3))
-    off = 0.0
-    for w, x, y in off_axis:
-        value = _sigma_yy_values(np.asarray([w]), [FieldPoint(x=x, y=y)], _INTERNAL, policy)[0][0, 0]
-        exact = sigma_modes(w, [x], [y], _INTERNAL)[0, 0]
-        off = max(off, abs(value - exact) / max(abs(exact), sigma_vacuum(w, 0.0)))
-    # (c) the mode sum against the untruncated lattice: its Laplace transform
-    # is the correlation at z^2 = -eps^2, scaled by its vacuum term 1/(pi^2 eps^4)
-    eps = np.array([0.05, 0.3, 1.0, 3.0])
-    xs = (0.1, 0.25, 0.5, 0.75, 0.97)
-    rule = 0.0
-    for x in xs:
-        lattice = two_point_yy_lattice(-(eps * eps) + 0j, FieldPoint(x=x, y=0.0), _INTERNAL).real
-        modes = np.array([laplace_modes_diag(e, x, _INTERNAL) for e in eps.tolist()])
-        rule = max(rule, float(np.max(np.abs(modes - lattice) * math.pi**2 * eps**4)))
-    ok = worst <= 1e-3 and off <= 1e-3 and rule <= 1e-12
-    count = sum(len(omegas) for omegas in schedule.values())
-    return ok, (f"max kernels-vs-modes gap {worst:.1e} of scale over {count} points (tolerance 1e-3), "
-                f"the truncation error of N = {policy.n_terms}; off the axis {off:.1e} over {len(off_axis)} "
-                "points (tolerance 1e-3); max Laplace sum-rule gap, modes vs the "
-                f"untruncated lattice, {rule:.1e} of 1/(pi^2 eps^4) over {eps.size * len(xs)} (eps, x) "
-                "(tolerance 1e-12)")
-
-def _check_convergence_table():
-    rows = convergence_report(_TWO_PI, FieldPoint(x=0.25, y=0.0), _INTERNAL, [100, 1000, 10000])
-    print("    N        value          err")
-    for r in rows:
-        print(f"    {r.terms:<8d} {r.value:<14.8g} {r.err:.3e}")
-    deltas = [abs(b.value - a.value) for a, b in zip(rows, rows[1:])]
-    ok = all(d2 < d1 for d1, d2 in zip(deltas, deltas[1:]))
-    return ok, "successive differences " + " > ".join(f"{d:.2e}" for d in deltas)
-
-def _check_suppression_dip():
-    # the rows fig4-right emits; check 7 ties the truncated kernels to the same mode sum
-    rows, _, _ = _fig4_right_rows()
-    best = min(min(r[1], r[2]) for r in rows if math.pi < r[0] < _FOUR_PI)
-    return best <= -3.0, (f"deepest suppression {best:.2f} dB in (pi, 4 pi) (needs <= -3 dB), "
-                          "on the fig4-right rows, from the exact mode sum")
-
-
 def cmd_validate(ns) -> int:
-    checks = [
-        ("vacuum diagonal closed form", _check_vacuum_diagonal),
-        ("vacuum embedding of the image sum", _check_vacuum_embedding),
-        ("boundary zeros at the plates", _check_boundary_zeros),
-        ("sub-cutoff vanishing", _check_sub_cutoff),
-        ("off-diagonal decay at large |y|", _check_offdiagonal_decay),
-        ("two-point closed form vs stencil", _check_two_point_routes),
-        ("exact mode sum on and off the axis", _check_exact_modes),
-        ("image-sum convergence table", _check_convergence_table),
-        ("suppression dips below -3 dB", _check_suppression_dip),
-    ]
+    from .oracle import CHECKS
     failures = 0
-    for name, fn in checks:
+    for name, fn in CHECKS:
         ok, detail = fn()
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
         failures += 0 if ok else 1
-    print(f"{len(checks) - failures}/{len(checks)} validation checks passed")
+    print(f"{len(CHECKS) - failures}/{len(CHECKS)} validation checks passed")
     return 0 if failures == 0 else 1
 
 

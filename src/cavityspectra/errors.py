@@ -2,7 +2,7 @@
 
 
 class NumericalGuardError(Exception):
-    """Base class for guard violations (pole proximity, extrapolation, time window)."""
+    """Base class for guard violations (image light-cone proximity)."""
 
 
 class LightConeProximity(NumericalGuardError):
@@ -23,10 +23,3 @@ class LightConeProximity(NumericalGuardError):
             f"image index n={image_index} (|separation| = {gap:.6e})"
         )
 
-
-class ExtrapolationDivergence(NumericalGuardError):
-    """Regulator sequence is not contracting; extrapolation would be meaningless."""
-
-
-class TailTooLarge(NumericalGuardError):
-    """Estimated contribution beyond the time-integration window exceeds budget."""

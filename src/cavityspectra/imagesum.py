@@ -163,6 +163,8 @@ def two_point_yy_closed(
     its analytic limit s^2/s^6 = 1/s^4 with the y^2 part vanishing.
     """
     validate_point(point, geometry)
+    if not math.isfinite(s):
+        raise ValueError(f"time separation s must be finite, got {s!r}")
     N = policy.n_terms
     # every gap s^2 - D^2 is at most s^2 + y^2 + ((N + 1) L)^2 in size and the
     # closed form cubes it: refuse where that overflows rather than return nan
@@ -218,15 +220,13 @@ def two_point_yy_lattice(
     z2: np.ndarray,
     point: FieldPoint,
     geometry: CavityGeometry,
-    vacuum_only: bool = False,
 ) -> np.ndarray:
     """Untruncated (N = oo) two-point function on a 1-D array of complex squared times z2.
 
     With zeta^2 = z2 - y^2, an image at distance D^2 = b^2 + y^2 contributes
     (zeta^2 + b^2)/(zeta^2 - b^2)^3 / pi^2, translated images (b = m L) with
     weight +1 and reflected ones (b = m L + beta, beta = 2x mod L) with -1;
-    the n = 0 translated term alone, kept for ``vacuum_only``, is the
-    free-space 1/(pi^2 zeta^4).  Over all m in Z a lattice sums to
+    the n = 0 translated term alone is the free-space 1/(pi^2 zeta^4).  Over all m in Z a lattice sums to
     d/dt (t dP/dt) at t = zeta^2, where the Mittag-Leffler expansion of cot
     (DLMF 4.22.3) gives P = sum 1/(t - b^2) =
     (k/2 zeta) [cot(k(zeta - beta)) + cot(k(zeta + beta))], k = pi/L.  The
@@ -248,10 +248,6 @@ def two_point_yy_lattice(
     total = np.empty_like(z2)
     for start in range(0, z2.size, _BLOCK_SAMPLES):
         zeta2 = z2[start:start + _BLOCK_SAMPLES] - y2
-        if vacuum_only:
-            g = np.reciprocal(zeta2)
-            total[start:start + _BLOCK_SAMPLES] = g * g
-            continue
         zeta = np.sqrt(zeta2)
         t = np.reciprocal(np.tan(k * zeta))
         t2 = t * t

@@ -1,246 +1,155 @@
-"""Independent validation of the frequency-domain densities.
+"""The references ``validate`` checks the library against.
 
-The spectral module obtains the density by Fourier-transforming each image
-term analytically.  Here the same density is computed the hard way instead:
-the closed-form time-domain two-point function is continued to complex time
-s -> s - i*eps, which lifts its poles off the real axis, and
-
-    sigma(omega) = (1/2 pi) * integral ds  e^{i omega s} G(s - i eps)
-
-is evaluated by trapezoid quadrature over a finite window for a decreasing
-schedule of regulators, then polynomial-extrapolated to eps -> 0 (Richardson
-via Neville's scheme).  The regulated integrand is analytic along the real
-axis with all poles a distance eps above it, so the uniform trapezoid rule is
-exponentially accurate once the step resolves eps; the sign of the exponent
-(s - i*eps, e^{+i omega s}) is fixed by requiring the free-space run to
-reproduce the positive vacuum density.
-
-G is even in s with real coefficients, so the full-line integral reduces to
-(1/pi) Re of the half-line one.  Only images whose light cones fall inside
-the time window contribute appreciably; the window is snapped to end midway
-between image distances so the boundary never cuts through a regulated pole.
-
-One call takes any number of frequencies at one point.  The grid depends on
-the frequency only through the step, which is eps/6 for every frequency
-below 1.5 pi/eps (about 94 c/a at the default largest eps), so at each eps
-the frequencies share one evaluation of G per distinct grid and only the
-e^{i omega s} weighting is done per frequency.  G is the untruncated image
-lattice (N = oo) of ``imagesum.two_point_yy_lattice``, summed in closed form:
-one complex tangent per sample, whatever the number of images.
+Each check compares a computed quantity with a closed form, an exact
+reference (the guided-mode sums, the untruncated image lattice) or an
+invariant, and returns (ok, detail); ``CHECKS`` lists them with their names
+in the order ``validate`` prints them.  The CLI imports this module only when
+``validate`` runs.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import ExtrapolationDivergence, TailTooLarge
-from .imagesum import two_point_yy_lattice as _correlation_complex
-from .spectral import sigma_vacuum
-from .units import CavityGeometry, FieldPoint, validate_point
-
-#: Relative budget for the estimated out-of-window tail.
-_TAIL_BUDGET = 0.01
-#: Noise floor (relative to the density scale) below which the regulator
-#: sequence is considered converged rather than divergent.
-_DIVERGENCE_FLOOR = 5e-3
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    """Regulator schedule and quadrature density for the numeric transform."""
-
-    eps_schedule: tuple[float, ...] = (0.05, 0.025, 0.0125)
-    s_max: float = 200.0
-    samples_per_cycle: int = 8
-
-    def __post_init__(self):
-        eps = tuple(float(e) for e in self.eps_schedule)
-        object.__setattr__(self, "eps_schedule", eps)
-        if len(eps) < 2:
-            raise ValueError("need at least two regulator values to extrapolate")
-        if any(e <= 0.0 for e in eps):
-            raise ValueError("regulator values must be positive")
-        if any(nxt >= cur for cur, nxt in zip(eps, eps[1:])):
-            raise ValueError("regulator schedule must be strictly decreasing")
-        if self.s_max <= 0.0:
-            raise ValueError("integration window must be positive")
-        if self.samples_per_cycle < 8:
-            raise ValueError("need at least 8 quadrature samples per oscillation")
+from .cli import _FOUR_PI, _INTERNAL, _TWO_PI, FIG2_OMEGA, _fig4_right_rows
+from .imagesum import TruncationPolicy, two_point_yy_closed, two_point_yy_fd, two_point_yy_lattice
+from .spectral import (
+    _sigma_diag_values,
+    _sigma_yy_values,
+    convergence_report,
+    laplace_modes_diag,
+    sigma_modes,
+    sigma_modes_diag,
+    sigma_vacuum,
+    sigma_vacuum_from_kernels,
+    sigma_yy_diag,
+)
+from .units import DEFAULT_GUARD, FieldPoint, build_grid
 
 
-def _window_end(s_max: float, point: FieldPoint, geometry: CavityGeometry, vacuum_only: bool) -> float:
-    """Snap the window end into the widest gap between nearby pole positions.
+def _check_vacuum_diagonal():
+    omegas = build_grid(0.1, _FOUR_PI, 50).points
+    exact = omegas**3 / (6.0 * math.pi**2)
+    dev = float(np.max(np.abs(sigma_vacuum(omegas, 0.0) - exact) / exact))
+    return dev <= 1e-12, f"max relative deviation {dev:.2e} (tolerance 1e-12)"
 
-    The integrand has regulated poles at every translated and reflected image
-    distance; ending the window on one would corrupt the trapezoid endpoint
-    and the tail estimate.
-    """
-    if vacuum_only:
-        return s_max
-    L = geometry.L
-    y = point.y
-    lo, hi = s_max - 1.5 * L, s_max + 1.5 * L
-    # an image at transverse offset y lies at D = hypot(base, y): the bases
-    # that reach [lo, hi] run from sqrt(lo^2 - y^2) to sqrt(hi^2 - y^2)
-    base_lo = math.sqrt(max(lo * lo - y * y, 0.0))
-    base_hi = math.sqrt(max(hi * hi - y * y, 0.0))
-    candidates = set()
-    for n in range(max(0, int(base_lo / L) - 2), int(base_hi / L) + 3):
-        for base in (n * L, abs(2.0 * point.x - n * L), 2.0 * point.x + n * L):
-            d = math.hypot(base, y)
-            if lo <= d <= hi:
-                candidates.add(d)
-    poles = sorted(candidates)
-    if len(poles) < 2:
-        return s_max
-    best_mid, best_gap = s_max, 0.0
-    for a, b in zip(poles, poles[1:]):
-        mid = 0.5 * (a + b)
-        if abs(mid - s_max) <= L and (b - a) > best_gap:
-            best_gap, best_mid = b - a, mid
-    return best_mid
+def _check_vacuum_embedding():
+    omegas = build_grid(0.5, _FOUR_PI, 20).points
+    worst = 0.0
+    for y in np.linspace(0.0, 8.0, 20).tolist():
+        ref = sigma_vacuum(omegas, y)
+        got = sigma_vacuum_from_kernels(omegas, y)
+        worst = max(worst, float(np.max(np.abs(got - ref) / np.abs(ref))))
+    return worst <= 1e-12, f"max relative deviation {worst:.2e} on a 20x20 grid (tolerance 1e-12)"
 
+def _check_boundary_zeros():
+    policy_small = TruncationPolicy(n_terms=500)
+    policy_big = TruncationPolicy(n_terms=10_000)
+    details = []
+    ok = True
+    for w in (2.0, 5.0, 8.0, 11.0):
+        at0 = sigma_yy_diag(w, 0.0, _INTERNAL, policy_small).value
+        ok &= at0 == 0.0
+        resid = abs(sigma_yy_diag(w, 1.0, _INTERNAL, policy_big).value) / sigma_vacuum(w, 0.0)
+        ok &= resid <= 1e-3
+        details.append(f"omega={w:g}: plate0={at0:g}, plate-a residual {resid:.2e}")
+    return ok, "; ".join(details)
 
-def _windowed_integral(omega: float, s: np.ndarray, step: float, g: np.ndarray) -> tuple[float, float]:
-    """Trapezoid transform of G on the grid s: (density estimate, estimated window tail)."""
-    m = s.size - 1
-    f = np.exp(1j * omega * s) * g
+def _check_sub_cutoff():
+    policy = TruncationPolicy(n_terms=1000)
+    worst = 0.0
+    for w in (1.0, 2.0, 3.0):
+        for x in (0.25, 0.5, 0.75):
+            ratio = abs(sigma_yy_diag(w, x, _INTERNAL, policy).value) / sigma_vacuum(w, 0.0)
+            worst = max(worst, ratio)
+    return worst < 0.05, f"max |sigma|/sigma_vacuum = {worst:.4f} below cutoff (tolerance 5%)"
 
-    partial = np.cumsum(f)
-    def integral_to(j: int) -> float:
-        return step * float(np.real(partial[j] - 0.5 * f[0] - 0.5 * f[j])) / math.pi
+def _check_offdiagonal_decay():
+    # the fig2-right ratio from the exact mode sum at the fig2-left frequency, and on the jump beside it
+    ys = np.linspace(40.0, 50.0, 5).tolist()
+    ys += [-y for y in ys] + [0.0]
+    ratios = []
+    for w in (FIG2_OMEGA, _TWO_PI):
+        values = sigma_modes(w, [0.75], ys, _INTERNAL)[0]
+        ratios.append(float(np.max(np.abs(values[:-1] / values[-1]))))
+    worst, jump = ratios
+    return worst < 0.10, (f"max |sigma(x,y)/sigma(x,x)| = {worst:.4f} for |y| in [40a, 50a] (tolerance 10%), "
+                          f"from the exact mode sum at the fig2-left frequency omega = 2 pi - {DEFAULT_GUARD:g}; "
+                          f"on the jump omega = 2 pi it is {jump:.2f}: the n = 2 mode sits at threshold "
+                          "and does not decay (see README)")
 
-    value = integral_to(m)
-    # Window-sensitivity tail estimate: the trailing image contributions
-    # alternate, so the median of several truncated integrals sits near the
-    # settled value and is robust to a cut landing on a regulated pole ring.
-    cuts = [int(round(frac * m)) for frac in np.linspace(0.80, 0.95, 8)]
-    settled = float(np.median([integral_to(j) for j in cuts]))
-    tail = abs(value - settled)
-    return value, tail
+def _check_two_point_routes():
+    policy = TruncationPolicy(n_terms=400)
+    samples = [(0.3, 0.35, 1.1), (0.2, 0.6, 0.9), (0.45, 0.75, 1.4), (0.15, 0.5, 0.7), (0.55, 0.25, 1.2)]
+    worst = 0.0
+    for s, x, y in samples:
+        point = FieldPoint(x=x, y=y)
+        closed = two_point_yy_closed(s, point, _INTERNAL, policy)
+        fd = two_point_yy_fd(s, point, _INTERNAL, policy, h=1e-3)
+        worst = max(worst, abs(fd - closed) / abs(closed))
+    return worst <= 1e-4, f"max relative gap closed-form vs stencil {worst:.2e} (tolerance 1e-4)"
 
+def _check_exact_modes():
+    # (a) the kernels against the exact mode sum at y = 0, one call per point x
+    policy = TruncationPolicy(n_terms=1000)
+    schedule = {0.25: (3.6, 6.9, 9.7), 0.5: (4.4, 7.6, 10.6, 12.2), 0.75: (5.2, 8.4, 11.4)}
+    worst = 0.0
+    for x, omegas in schedule.items():
+        omegas = np.asarray(omegas)
+        values, _ = _sigma_diag_values(omegas, [x], _INTERNAL, policy)
+        exact = sigma_modes_diag(omegas, x, _INTERNAL)
+        scale = np.maximum(np.abs(exact), sigma_vacuum(omegas, 0.0))
+        worst = max(worst, float(np.max(np.abs(values[0] - exact) / scale)))
+    # (b) the same off the axis, one point per call: the two-point kernels against the mode sum
+    off_axis = ((7.6, 0.3, 0.4), (10.6, 0.5, 2.2), (5.2, 0.75, 1.3))
+    off = 0.0
+    for w, x, y in off_axis:
+        value = _sigma_yy_values(np.asarray([w]), [FieldPoint(x=x, y=y)], _INTERNAL, policy)[0][0, 0]
+        exact = sigma_modes(w, [x], [y], _INTERNAL)[0, 0]
+        off = max(off, abs(value - exact) / max(abs(exact), sigma_vacuum(w, 0.0)))
+    # (c) the mode sum against the untruncated lattice: its Laplace transform
+    # is the correlation at z^2 = -eps^2, scaled by its vacuum term 1/(pi^2 eps^4)
+    eps = np.array([0.05, 0.3, 1.0, 3.0])
+    xs = (0.1, 0.25, 0.5, 0.75, 0.97)
+    rule = 0.0
+    for x in xs:
+        lattice = two_point_yy_lattice(-(eps * eps) + 0j, FieldPoint(x=x, y=0.0), _INTERNAL).real
+        modes = np.array([laplace_modes_diag(e, x, _INTERNAL) for e in eps.tolist()])
+        rule = max(rule, float(np.max(np.abs(modes - lattice) * math.pi**2 * eps**4)))
+    ok = worst <= 1e-3 and off <= 1e-3 and rule <= 1e-12
+    count = sum(len(omegas) for omegas in schedule.values())
+    return ok, (f"max kernels-vs-modes gap {worst:.1e} of scale over {count} points (tolerance 1e-3), "
+                f"the truncation error of N = {policy.n_terms}; off the axis {off:.1e} over {len(off_axis)} "
+                "points (tolerance 1e-3); max Laplace sum-rule gap, modes vs the "
+                f"untruncated lattice, {rule:.1e} of 1/(pi^2 eps^4) over {eps.size * len(xs)} (eps, x) "
+                "(tolerance 1e-12)")
 
-def _regulated_transforms(
-    omegas: list[float],
-    s_end: float,
-    point: FieldPoint,
-    geometry: CavityGeometry,
-    eps: float,
-    config: OracleConfig,
-    vacuum_only: bool,
-) -> list[tuple[float, float]]:
-    """Regulated transforms at one eps: (density estimate, estimated window tail) per frequency.
+def _check_convergence_table():
+    rows = convergence_report(_TWO_PI, FieldPoint(x=0.25, y=0.0), _INTERNAL, [100, 1000, 10000])
+    print("    N        value          err")
+    for r in rows:
+        print(f"    {r.terms:<8d} {r.value:<14.8g} {r.err:.3e}")
+    deltas = [abs(b.value - a.value) for a, b in zip(rows, rows[1:])]
+    ok = all(d2 < d1 for d1, d2 in zip(deltas, deltas[1:]))
+    return ok, "successive differences " + " > ".join(f"{d:.2e}" for d in deltas)
 
-    Frequencies whose steps give the same sample count share the grid, and G
-    is evaluated once per grid.
-    """
-    # The step must resolve both the oscillation and the regulated poles; the
-    # pole factor is cubic, whose spectrum decays like xi^2 e^{-eps xi}, so
-    # eps/6 is needed for the aliasing terms to be negligible.
-    sizes = [int(math.ceil(s_end / min(2.0 * math.pi / (w * config.samples_per_cycle), eps / 6.0)))
-             for w in omegas]
-    estimates = [None] * len(omegas)
-    for m in dict.fromkeys(sizes):
-        step = s_end / m
-        s = np.arange(m + 1) * step
-        z = s - 1j * eps
-        g = _correlation_complex(z * z, point, geometry, vacuum_only)
-        for i, size in enumerate(sizes):
-            if size == m:
-                estimates[i] = _windowed_integral(omegas[i], s, step, g)
-    return estimates
-
-
-def _extrapolate_to_zero(eps: Sequence[float], values: Sequence[float]) -> float:
-    """Neville polynomial extrapolation of (eps, value) pairs to eps = 0."""
-    work = list(values)
-    m = len(work)
-    for level in range(1, m):
-        for i in range(m - level):
-            e_lo, e_hi = eps[i], eps[i + level]
-            work[i] = (e_hi * work[i] - e_lo * work[i + 1]) / (e_hi - e_lo)
-    return work[0]
-
-
-def _check_contraction(values: Sequence[float], scale: float) -> None:
-    """Raise unless the last two regulator refinements contract (or sit in noise)."""
-    d_prev = values[-2] - values[-3]
-    d_last = values[-1] - values[-2]
-    floor = _DIVERGENCE_FLOOR * scale
-    if max(abs(d_prev), abs(d_last)) <= floor:
-        return
-    if abs(d_last) > abs(d_prev) or d_prev * d_last < 0.0:
-        raise ExtrapolationDivergence(
-            f"regulator estimates not contracting: successive changes "
-            f"{d_prev:.3e} then {d_last:.3e}"
-        )
-
-
-def _settle(omega: float, estimates: Sequence[tuple[float, float]], eps_schedule: Sequence[float]) -> float:
-    """Extrapolate one frequency's regulated estimates to eps = 0, enforcing both guards."""
-    values = [value for value, _ in estimates]
-    scale = max(abs(values[-1]), sigma_vacuum(omega, 0.0))
-    if len(values) >= 3:
-        try:
-            _check_contraction(values, scale)
-        except ExtrapolationDivergence as exc:
-            raise ExtrapolationDivergence(f"omega = {omega!r}: {exc}") from None
-    result = _extrapolate_to_zero(eps_schedule, values)
-
-    tail = max(tail for _, tail in estimates)
-    # The budget is taken against the density scale (result or the vacuum
-    # diagonal, whichever is larger), matching how oracle agreement is scored;
-    # a pure |result| denominator would reject sub-cutoff and far-off-diagonal
-    # points whose exact values are legitimately tiny.
-    if tail > _TAIL_BUDGET * max(abs(result), sigma_vacuum(omega, 0.0)):
-        raise TailTooLarge(
-            f"omega = {omega!r}: estimated tail {tail:.3e} beyond the window exceeds "
-            f"{_TAIL_BUDGET:.0%} of the density scale"
-        )
-    return result
+def _check_suppression_dip():
+    # the rows fig4-right emits; check 7 ties the truncated kernels to the same mode sum
+    rows, _, _ = _fig4_right_rows()
+    best = min(min(r[1], r[2]) for r in rows if math.pi < r[0] < _FOUR_PI)
+    return best <= -3.0, (f"deepest suppression {best:.2f} dB in (pi, 4 pi) (needs <= -3 dB), "
+                          "on the fig4-right rows, from the exact mode sum")
 
 
-def sigma_via_numeric_ft(
-    omega,
-    point: FieldPoint,
-    geometry: CavityGeometry,
-    config: OracleConfig = OracleConfig(),
-    vacuum_only: bool = False,
-):
-    """Spectral density from the regulated numeric Fourier transform.
-
-    ``omega`` is one frequency or a 1-D sequence of them at the one point: a
-    float returns a float and a sequence an array, as ``sigma_vacuum`` does.
-    The frequencies share the correlation grids, so a sequence costs about
-    as much as a single frequency.
-
-    The transformed correlation is the untruncated image lattice (N = oo),
-    summed in closed form.  ``vacuum_only`` restricts it to its n = 0
-    translated term, which must reproduce the free-space density -- the
-    oracle's own calibration run.
-
-    Raises TailTooLarge when the window ends before the light cone at s = |y|
-    or the estimated out-of-window contribution exceeds 1% of the larger of
-    |result| and a vacuum-scale floor, and ExtrapolationDivergence when the
-    regulator sequence stops contracting above the noise floor; either names
-    the offending frequency.
-    """
-    omegas = np.asarray(omega, dtype=float)
-    if omegas.ndim > 1:
-        raise ValueError("frequencies must be one value or a 1-D sequence")
-    if not np.all(np.isfinite(omegas) & (omegas > 0.0)):
-        raise ValueError("frequency must be positive")
-    validate_point(point, geometry)
-    s_end = _window_end(config.s_max, point, geometry, vacuum_only)
-
-    ws = omegas.reshape(-1).tolist()
-    if s_end <= abs(point.y):  # the truncated integrals would all be about 0 and pass the tail guard
-        raise TailTooLarge(f"omega = {ws[0]!r}: the window ends at s = {s_end:g}, "
-                           f"before the nearest light cone at s = |y| = {abs(point.y):g}")
-    runs = [_regulated_transforms(ws, s_end, point, geometry, eps, config, vacuum_only)
-            for eps in config.eps_schedule]
-    results = [_settle(w, [run[i] for run in runs], config.eps_schedule) for i, w in enumerate(ws)]
-    return results[0] if omegas.ndim == 0 else np.array(results)
+CHECKS = (
+    ("vacuum diagonal closed form", _check_vacuum_diagonal),
+    ("vacuum embedding of the image sum", _check_vacuum_embedding),
+    ("boundary zeros at the plates", _check_boundary_zeros),
+    ("sub-cutoff vanishing", _check_sub_cutoff),
+    ("off-diagonal decay at large |y|", _check_offdiagonal_decay),
+    ("two-point closed form vs stencil", _check_two_point_routes),
+    ("exact mode sum on and off the axis", _check_exact_modes),
+    ("image-sum convergence table", _check_convergence_table),
+    ("suppression dips below -3 dB", _check_suppression_dip),
+)

@@ -817,4 +817,4 @@ def convergence_report(
         raise ValueError("cutoff list must be nonempty")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("cutoff list must be strictly increasing")
-    return [sigma_yy(omega, point, geometry, TruncationPolicy(n_terms=int(n))) for n in n_list]
+    return [sigma_yy(omega, point, geometry, TruncationPolicy(n_terms=n)) for n in n_list]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import cavityspectra
-from cavityspectra import cli, spectral
+from cavityspectra import cli, oracle, spectral
 from cavityspectra.cli import main
 from cavityspectra.imagesum import TruncationPolicy
 from cavityspectra.spectral import (
@@ -130,7 +130,7 @@ class TestDensityCommands:
             raise AssertionError("a second density call")
 
         monkeypatch.setattr(cli, "_sigma_yy_values", counting)
-        monkeypatch.setattr(cli, "sigma_yy_diag", refused)
+        monkeypatch.setattr(cli, "_sigma_diag_values", refused)
         assert run([*argv, "--n-terms", "40", "--out", str(tmp_path / "out.csv")]) == 0
         assert calls == ([20] if argv[0] == "spectral-map" else [6])  # 4 x 5, and 5 + 1
 
@@ -314,12 +314,22 @@ class TestDetectorAndTwoPoint:
         assert variance == approx == "5.788430355070876"
         assert captured.err == ""
 
-    def test_bhd_below_dispersion_omits_residual(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["bhd", "--omega-lo", "2.0", "--x1", "0.5", "--y1", "0", "--x2", "0.5", "--y2", "10"],
+        [*BHD_README, "--lo-p", "1e200"],  # finite, beyond the dispersion
+    ])
+    def test_bhd_below_dispersion_omits_residual(self, argv, tmp_path, capsys):
         out = tmp_path / "bhd.csv"
-        assert run(["bhd", "--omega-lo", "2.0", "--x1", "0.5", "--y1", "0",
-                    "--x2", "0.5", "--y2", "10", "--out", str(out)]) == 0
+        assert run([*argv, "--out", str(out)]) == 0
         assert out.read_text().splitlines()[1].endswith(",")
         assert "no running mode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lo_p", ["nan", "-100"])
+    def test_bhd_refuses_a_negative_or_nan_lo_p(self, lo_p, tmp_path, capsys):
+        out = tmp_path / "bhd.csv"
+        assert run([*BHD_README, "--lo-p", lo_p, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"argument error: --lo-p must be a nonnegative wave number, got {float(lo_p)!r}\n"
+        assert not out.exists()
 
 
 class TestPlumbing:
@@ -440,6 +450,7 @@ class TestPlumbing:
         [*BHD_README, "--amplitude", "nan"],
         ["twopoint", "--s", "1e308", "--x", "0.5", "--y", "1"],
         ["twopoint", "--s", "0.3", "--x", "0.5", "--y", "1e200"],
+        ["twopoint", "--s", "nan", "--x", "0.5"],
         [*BHD_README, "--a-microns", "1e-320"],  # a separation that underflows in metres
         [*BHD_README, "--a-microns", "1e-300"],  # an SI frequency that overflows
         ["spectral-diag", "--omega", "1e300", "--x", "0.5"],  # a density that would overflow
@@ -583,7 +594,7 @@ class TestExactModeCheck:
     """validate's check 7: the kernels against the mode sum, the mode sum against the lattice."""
 
     def test_passes(self):
-        ok, detail = cli._check_exact_modes()
+        ok, detail = oracle._check_exact_modes()
         assert ok, detail
 
     def test_fails_when_a_kernel_is_mutated(self, monkeypatch):
@@ -593,11 +604,11 @@ class TestExactModeCheck:
             return s / u - c / (u * u) - s / (u * u * u)
 
         monkeypatch.setattr(spectral, "_Q", (coeffs, flipped_cos))
-        ok, detail = cli._check_exact_modes()
+        ok, detail = oracle._check_exact_modes()
         assert not ok, detail
 
     def test_fails_when_the_lattice_is_mutated(self, monkeypatch):
-        lattice = cli.two_point_yy_lattice
-        monkeypatch.setattr(cli, "two_point_yy_lattice", lambda *args: lattice(*args) * (1.0 + 1e-10))
-        ok, detail = cli._check_exact_modes()
+        lattice = oracle.two_point_yy_lattice
+        monkeypatch.setattr(oracle, "two_point_yy_lattice", lambda *args: lattice(*args) * (1.0 + 1e-10))
+        ok, detail = oracle._check_exact_modes()
         assert not ok, detail
