@@ -169,6 +169,14 @@ def _grid(lo: float, hi: float, count: int, flag: str) -> list[float]:
     return np.linspace(lo, hi, count).tolist()
 
 
+def _y_grid(ns) -> list[float]:
+    """The --y-range grid of --y-steps points; inf or nan bounds, or a span that overflows, are refused."""
+    lo, hi = ns.y_range
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"--y-range must be finite bounds with a finite span, got {lo!r} {hi!r}")
+    return _grid(lo, hi, ns.y_steps, "--y-steps")
+
+
 def _densities(omega: float, points, policy):
     """sigma_yy at each point: [values, errs] (one call; spectral bounds its memory)."""
     values, errs = _sigma_yy_values(np.asarray([omega], dtype=float), points, _INTERNAL, policy)
@@ -198,7 +206,7 @@ def cmd_spectral_diag(ns) -> int:
 def cmd_spectral_map(ns) -> int:
     policy = TruncationPolicy(n_terms=ns.n_terms)
     xs = _grid(0.0, 1.0, ns.x_steps, "--x-steps")
-    ys = _grid(ns.y_range[0], ns.y_range[1], ns.y_steps, "--y-steps")
+    ys = _y_grid(ns)
     points = [FieldPoint(x=x, y=y) for x in xs for y in ys]
     values, errs = _densities(ns.omega, points, policy)
     rows = [(ns.omega, p.x, p.y, v, e, policy.n_terms) for p, v, e in zip(points, values, errs)]
@@ -216,7 +224,7 @@ def cmd_spectral_slice(ns) -> int:
         raise ValueError(f"--x {ns.x!r} lies on a plate, where the coincident density "
                          "that normalizes the slice vanishes")
     policy = TruncationPolicy(n_terms=ns.n_terms)
-    ys = _grid(ns.y_range[0], ns.y_range[1], ns.y_steps, "--y-steps")
+    ys = _y_grid(ns)
     validate_point(FieldPoint(x=ns.x, y=0.0), _INTERNAL)
     # the coincident point (x, 0) rides along as the last point of the row
     values, errs = _densities(ns.omega, [FieldPoint(x=ns.x, y=y) for y in ys + [0.0]], policy)
@@ -393,10 +401,11 @@ def cmd_validate(ns) -> int:
 # -- parser ------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that reads any token opening with '-' and a digit as a value.
+    """ArgumentParser that reads any token opening with '-' and a digit, inf or nan as a value.
 
-    argparse's own pattern misses scientific notation, so `--y1 -1e-05` would
-    read as a flag with no value; no flag of this CLI starts with a digit.
+    argparse's own pattern misses scientific notation and the non-finite
+    floats, so `--y1 -1e-05` or `--lo-p -inf` would read as a flag with no
+    value; no flag of this CLI starts with a single dash.
     ``options`` maps the dest of each argument added to its action, which
     converts and checks the values of a config file.
     """
@@ -404,7 +413,7 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         self.options = {}
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)

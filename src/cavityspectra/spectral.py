@@ -21,29 +21,21 @@ with the translated/reflected image distances A_n, B_n.  Restricting the sum
 to the n = 0 translated term reproduces the free-space (vacuum) density; the
 remainder encodes the plates.  The sums are accumulated pairwise over +-n in
 ascending |n| with the n = 0 term last, which keeps several boundary
-identities exact in floating point.  Every density is one loop: pools of x,
-blocks of ascending |n| within each pool (one block unless the images of one
-x exceed _BLOCK_ELEMENTS), and blocks of frequencies and y^2 within each;
-the running total carried from block to block (``_PartialSums``) makes a
-sum in many blocks equal one in a single block, bit for bit.  All
+identities exact in floating point.  Every density is one loop: one plate
+distance x at a time, blocks of ascending |n| (one block unless the images
+of the x exceed _BLOCK_ELEMENTS), and blocks of frequencies and y^2 within
+each; the running total carried from block to block (``_PartialSums``)
+makes a sum in many blocks equal one in a single block, bit for bit.  All
 quantities are in internal units (c = 1), so results scale as omega^3 while
 every other argument appears as a frequency-distance product.  Smeared by
 a Gaussian LO profile, the same sums take each image term's exact Gaussian
 integral in place of omega (``_SmearedLO``).
 
-Grids evaluate each distinct image term once.  A coincident-point call
-over many x evaluates Q once per distinct image distance: the translated
-distances n L do not depend on x, on a grid symmetric under x -> a - x the
-reflected distance |2x - n L| at x equals 2(a - x) + (n - 1) L at a - x, and
-on an evenly spaced grid the reflected families of different x overlap (41
-evenly spaced x at N = 1000 need 83 041 distances, 40 075 of them distinct).  The
-two-point density depends on y only through y^2, and a call over many x
-evaluates Q and W once per distinct squared image base b^2 (with
-D^2 = b^2 + y^2) and distinct y^2: the default 21 x 101 grid of
-``spectral-map`` at N = 500 needs 21 x 1 502 bases per y^2, 10 038 of them
-distinct, and its 101 y hold 50 distinct y^2 > 0.  None of this changes the floating-point operations of any
-element: equal distance bits give equal kernel bits, and a grid equals its
-points evaluated one by one, bit for bit.
+The two-point density depends on y only through y^2, so the points of one
+x that share a y^2 share its evaluation; the 101 y of the default
+``spectral-map`` row hold 50 distinct y^2 > 0 and y = 0.  Element for
+element the arithmetic is that of a single point: a grid equals its points
+evaluated one by one, bit for bit.
 """
 from __future__ import annotations
 
@@ -73,12 +65,13 @@ _EXP_UNDERFLOW = 745.2
 #: keeps every density finite (a cube above the largest float would print inf).
 _MAX_OMEGA = 1e100
 
-#: Most elements one vectorised kernel or gather array holds: density calls
-#: split their x into pools whose arrays stay within it.
+#: Most elements of one block of images (its three families and the n = 0
+#: terms): the images of one point beyond it are summed in several blocks.
 _BLOCK_ELEMENTS = 2**17
-#: Most elements of one block of a pool (frequencies, y^2 and x by images):
+#: Most elements of one kernel block (frequencies or y^2 rows by images):
 #: 256 KiB of floats, so the few arrays a block keeps live stay in a core's
-#: L2 cache.  Blocks of 2^17 made the 21 x 101 spectral-map grid up to 30% slower.
+#: L2 cache.  Blocks of 2^17 made the 21 x 101 spectral-map grid 25-70% slower
+#: (best of 7, three rounds, 2-vCPU VM).
 _CACHE_ELEMENTS = 2**15
 
 
@@ -383,185 +376,119 @@ def _image_blocks(n: int, L: float):
 def _sigma_diag_values(omegas, xs: Sequence[float], geometry: CavityGeometry, policy: TruncationPolicy):
     """Vectorized coincident-point density: (values, errs), shape (xs, omegas).
 
-    Q is evaluated once per distinct image distance of a pool of x: the
-    translated n L, and per x the reflected |2x - n L| and 2x + n L and the
-    n = 0 term 2x.  On symmetric or evenly spaced grids many of them coincide
-    (see the module docstring).  With one x each family is a slice of the
-    kernel array; with many the families are gathered back from the distinct
-    values and accumulated as for a single x.  Pools of x keep every kernel
-    and gather array within _BLOCK_ELEMENTS, one x per pool when its 3 N + 1
-    distances alone exceed it.  Each pool sums its images in blocks
-    (``_image_blocks``, the n = 0 term with the last): one block unless the
-    pool's one x exceeds _BLOCK_ELEMENTS, so memory is bounded in N.  Blocks
-    of frequencies stay within _CACHE_ELEMENTS where one frequency row fits,
-    and take one row each when the images span blocks.
+    One x at a time: Q at its image distances, the translated n L, the
+    reflected |2x - n L| and 2x + n L and the n = 0 term 2x, each family a
+    slice of one kernel array.  The images are summed in blocks
+    (``_image_blocks``, the n = 0 term with the last): one block unless they
+    exceed _BLOCK_ELEMENTS, so memory is bounded in N.  Blocks of frequencies
+    stay within _CACHE_ELEMENTS where one frequency row fits, and take one row
+    each when the images span blocks.
     """
     axis = _axis(omegas)
     n = policy.n_terms
     values, errs = np.empty((2, len(xs), axis.size))
-    pool = max(1, _BLOCK_ELEMENTS // (3 * n + 1))
-    for start in range(0, len(xs), pool):
-        part = slice(start, start + pool)
-        x2 = 2.0 * np.asarray(xs[part], dtype=float)[:, None]
+    for i, x2 in enumerate((2.0 * np.asarray(xs, dtype=float)).tolist()):
         sums = None
         for nL, last_block in _image_blocks(n, geometry.L):
             m = nL.size
-            # n L, then |2x - n L| and 2x + n L for each x in turn, then (last block) each 2x
-            n0 = [x2.ravel()] if last_block else []
-            distances = np.concatenate([nL, np.abs(x2 - nL).ravel(), (x2 + nL).ravel(), *n0])
-            if x2.size == 1:  # each family is a slice of the kernel array
-
-                def families(q):
-                    q = q[:, None, :]
-                    return q[..., :m], q[..., m:2 * m], q[..., 2 * m:3 * m], q[..., 3 * m:]
-            else:  # each distinct distance is evaluated once and the families gathered back
-                distances, index = np.unique(distances, return_inverse=True)
-                end = m + 2 * x2.size * m
-                minus, plus = index[m:end].reshape(2, x2.size, m)
-
-                def families(q):
-                    return (np.take(q, index[:m], axis=1)[:, None, :], np.take(q, minus, axis=1),
-                            np.take(q, plus, axis=1), np.take(q, index[end:, None], axis=1))
-            if sums is None:  # the first block sizes the pool's frequency blocks, a row each if images span blocks
-                rows = max(1, _CACHE_ELEMENTS // max(distances.size, x2.size * max(1, n))) if last_block else 1
+            # n L, |2x - n L| and 2x + n L, then (last block) 2x
+            distances = np.concatenate([nL, np.abs(x2 - nL), x2 + nL, [x2] if last_block else []])
+            if sums is None:  # the first block sizes the frequency blocks, a row each if images span blocks
+                rows = max(1, _CACHE_ELEMENTS // distances.size) if last_block else 1
                 sums = [_PartialSums() for _ in range(0, axis.size, rows)]
             for lo, acc in zip(range(0, axis.size, rows), sums):
                 block = slice(lo, lo + rows)
                 rows_axis = axis[block]
-                qa, pairs, reflected, n0 = families(rows_axis.kernels(distances[None], 1)[0])
-                # (qa - Q(omega B-)) + (qa - Q(omega B+)), over (frequencies, x, images)
+                q = rows_axis.kernels(distances[None], 1)[0]
+                qa, pairs, reflected = q[:, :m], q[:, m:2 * m], q[:, 2 * m:3 * m]
+                # (qa - Q(omega B-)) + (qa - Q(omega B+)), over (frequencies, images)
                 np.subtract(qa, pairs, out=pairs)
                 np.subtract(qa, reflected, out=reflected)
                 pairs += reflected
                 acc.add(pairs)
                 if last_block:
-                    totals, last = acc.totals(rows_axis.q0 - n0[..., 0])
-                    scale = rows_axis.pref[:, None]
-                    values[part, block], errs[part, block] = (scale * totals).T, (scale * last).T
+                    totals, last = acc.totals(rows_axis.q0 - q[:, 3 * m])
+                    values[i, block], errs[i, block] = rows_axis.pref * totals, rows_axis.pref * last
     return values, errs
 
 
 def _sigma_yy_values(omegas, points: Sequence[FieldPoint], geometry: CavityGeometry, policy: TruncationPolicy):
     """Vectorized two-point density: (values, errs), shape (points, omegas).
 
-    The density depends on y only through y^2: each distinct (x, y^2) is
-    evaluated once and its values are copied to every point that shares it.
-    Points on the axis (y^2 == 0) take one coincident-point call over their
-    x.  The others go in pools of x (see ``_off_axis_pool``), whose image
-    terms are evaluated once per distinct image distance.  Element for
-    element the arithmetic is that of a single point, so a grid evaluated at
-    once equals its points evaluated one by one, bit for bit.  A pointwise
-    density refuses an offset whose square overflows; a smear takes it.
+    The points are taken one plate distance x at a time.  The density depends
+    on y only through y^2: each distinct y^2 of an x is evaluated once and its
+    values are copied to every point that shares it, y^2 == 0 by one
+    coincident-point call and the others together (``_off_axis_pool``).
+    Element for element the arithmetic is that of a single point, so a grid
+    evaluated at once equals its points evaluated one by one, bit for bit.  A
+    pointwise density refuses an offset whose square overflows; a smear takes it.
     """
     axis = _axis(omegas)
-    x = points[0].x
     y2 = np.array([p.y * p.y for p in points], dtype=float)
     if isinstance(axis, _Frequencies) and np.isinf(y2).any():
         y = points[int(np.argmax(np.isinf(y2)))].y
         raise ValueError(f"transverse offset y = {y!r}: its square y^2 overflows")
-    inverse = None
-    if all(p.x == x for p in points):
-        xs = np.array([x], dtype=float)
-        if y2.size > 1:
-            y2, inverse = np.unique(y2, return_inverse=True)
-        key_x, key_y = np.zeros(y2.size, dtype=np.intp), np.arange(y2.size)
-    else:
-        xs, xi = np.unique(np.array([p.x for p in points], dtype=float), return_inverse=True)
-        y2, yi = np.unique(y2, return_inverse=True)
-        keys, inverse = np.unique(xi * y2.size + yi, return_inverse=True)
-        key_x, key_y = np.divmod(keys, y2.size)
-    values, errs = np.empty((2, key_x.size, axis.size))
-    # y^2 == 0 includes subnormal y whose square underflows: the y^2 terms are
-    # then identically zero and the coincident-point form is the analytic limit
-    on_axis = y2[key_y] == 0.0
-    if np.any(on_axis):
-        values[on_axis], errs[on_axis] = _sigma_diag_values(axis, xs[key_x[on_axis]].tolist(), geometry, policy)
-    off = np.flatnonzero(~on_axis)
-    pool = max(1, _BLOCK_ELEMENTS // (3 * policy.n_terms + 2))
-    for start in range(0, xs.size, pool):
-        keys = off[(key_x[off] >= start) & (key_x[off] < start + pool)]
-        if keys.size:
-            values[keys], errs[keys] = _off_axis_pool(axis, xs[start:start + pool], key_x[keys] - start,
-                                                      y2[key_y[keys]], policy.n_terms, geometry.L)
-    if inverse is None:
-        return values, errs
-    return values[inverse], errs[inverse]
+    x_of = np.array([p.x for p in points], dtype=float)
+    values, errs = np.empty((2, len(points), axis.size))
+    for x in dict.fromkeys(x_of.tolist()):
+        at = np.flatnonzero(x_of == x)
+        y2_x, rows = np.unique(y2[at], return_inverse=True) if at.size > 1 else (y2[at], slice(None))
+        # y^2 == 0 includes subnormal y whose square underflows: the y^2 terms are
+        # then identically zero and the coincident-point form is the analytic limit;
+        # the distinct y^2 ascend, so only the first can be 0
+        on_axis = int(y2_x[0] == 0.0)
+        v, e = np.empty((2, y2_x.size, axis.size))
+        if on_axis:
+            v[:1], e[:1] = _sigma_diag_values(axis, [x], geometry, policy)
+        if on_axis < y2_x.size:
+            v[on_axis:], e[on_axis:] = _off_axis_pool(axis, x, y2_x[on_axis:], policy.n_terms, geometry.L)
+        values[at], errs[at] = v[rows], e[rows]
+    return values, errs
 
 
-def _off_axis_pool(axis, xs: np.ndarray, lx: np.ndarray, y2: np.ndarray, n: int, L: float):
-    """Two-point density of distinct points at y^2 > 0: (values, errs), shape (points, omegas).
+def _off_axis_pool(axis, x: float, y2: np.ndarray, n: int, L: float):
+    """Two-point density at plate distance x and distinct y^2 > 0: (values, errs), shape (y2, omegas).
 
-    Point i sits at plate distance xs[lx[i]] with y^2 = y2[i].  Its image
-    terms are Q(omega D) and W(omega D)/D^2 at D^2 = b^2 + y^2, over the
-    squared bases b^2: (n L)^2 and 0, which no x changes, and per x
-    (2x - n L)^2, (2x + n L)^2 and (2x)^2.  With one x the bases are
-    evaluated as they are and each family is a slice of the kernel arrays.
-    With many, each distinct base is evaluated once per distinct y^2 and the
-    reflected families are gathered back per x.  A block of distinct y^2
-    rows and frequencies evaluates every pair of its rows and of the x of
-    its points (on a grid, exactly its points).  Its kernel arrays stay
-    within _CACHE_ELEMENTS, or one y^2 row when the bases alone exceed it.
-    Its gathers hold rows x x x n elements, at most 2 _CACHE_ELEMENTS (an x
-    shares its reflected bases only with its mirror a - x), or with one row
-    at most _BLOCK_ELEMENTS / 3.  The images are summed in blocks
-    (``_image_blocks``, the n = 0 bases with the last): one block unless the
-    pool's one x has bases that alone exceed _BLOCK_ELEMENTS, which then go
-    one y^2 row and frequency at a time.
+    The image terms are Q(omega D) and W(omega D)/D^2 at D^2 = b^2 + y^2,
+    over the squared bases b^2: (n L)^2, (2x - n L)^2 and (2x + n L)^2, and
+    for n = 0 the bases 0 and (2x)^2, each family a slice of the kernel
+    arrays.  A block of y^2 rows and frequencies keeps its kernel arrays
+    within _CACHE_ELEMENTS, or takes one y^2 row when the bases alone exceed
+    it.  The images are summed in blocks (``_image_blocks``, the n = 0 bases
+    with the last): one block unless the bases exceed _BLOCK_ELEMENTS, which
+    then go one y^2 row and frequency at a time.
     """
-    if xs.size > 1:
-        y2, rows = np.unique(y2, return_inverse=True)
-    else:
-        rows = np.arange(y2.size)
-    values, errs = np.empty((2, lx.size, axis.size))
-    x2 = 2.0 * xs[:, None]
+    values, errs = np.empty((2, y2.size, axis.size))
+    x2 = 2.0 * x
     sums = {}  # one running total per block of y^2 rows and frequencies
     for nL, last_block in _image_blocks(n, L):
         m = nL.size
-        # (n L)^2, (2x - n L)^2 and (2x + n L)^2 per x, then (last block) 0 and each (2x)^2, a Python
-        # float power as in the pinned baselines: numpy's x*x differs from it in the last bit for about
-        # 1 in 1000 x
-        n0 = [[0.0], [(2.0 * x) ** 2 for x in xs.tolist()]] if last_block else []
-        bases = np.concatenate([nL ** 2, ((x2 - nL) ** 2).ravel(), ((x2 + nL) ** 2).ravel(), *n0])
-        if xs.size == 1:
+        # (n L)^2, (2x - n L)^2 and (2x + n L)^2, then (last block) 0 and (2x)^2, a Python float power as
+        # in the pinned baselines: numpy's x*x differs from it in the last bit for about 1 in 1000 x
+        bases = np.concatenate([nL ** 2, (x2 - nL) ** 2, (x2 + nL) ** 2, [0.0, x2 ** 2] if last_block else []])
 
-            def families(k, _):
-                k = k[:, :, None]
-                n0 = (k[..., 3 * m], k[..., 3 * m + 1]) if last_block else ()
-                return (k[..., :m], k[..., m:2 * m], k[..., 2 * m:3 * m], *n0)
-        else:
-            bases, index = np.unique(bases, return_inverse=True)
-            end = m + 2 * xs.size * m
-            minus, plus = index[m:end].reshape(2, xs.size, m)
-            a0, b0 = index[end:end + 1], index[end + 1:]
-
-            def families(k, block_x):
-                n0 = (np.take(k, a0, axis=2), np.take(k, b0[block_x], axis=2)) if last_block else ()
-                return (np.take(k, index[:m], axis=2)[:, :, None], np.take(k, minus[block_x], axis=2),
-                        np.take(k, plus[block_x], axis=2), *n0)
-        if not sums:  # the first block sizes the pool's blocks, a y^2 row and frequency each if images span blocks
+        def families(k):
+            n0 = (k[..., 3 * m], k[..., 3 * m + 1]) if last_block else ()
+            return (k[..., :m], k[..., m:2 * m], k[..., 2 * m:3 * m], *n0)
+        if not sums:  # the first block sizes the blocks, a y^2 row and frequency each if images span blocks
             per_block = max(1, _CACHE_ELEMENTS // bases.size) if last_block else 1
             freqs = max(1, min(axis.size, per_block))  # an empty frequency axis takes no block
             step = per_block // freqs
         for r0 in range(0, y2.size, step):
-            points = np.flatnonzero((rows >= r0) & (rows < r0 + step))
-            point_rows = rows[points] - r0
-            block_x, at = np.unique(lx[points], return_inverse=True) if xs.size > 1 else (lx[:1], lx[points])
-            y2_rows = y2[r0:r0 + step]
-            dist2 = (bases + y2_rows[:, None])[:, None, :]
+            rows = slice(r0, r0 + step)
+            dist2 = (bases + y2[rows, None])[:, None, :]
             d = np.sqrt(dist2)
             for lo in range(0, axis.size, freqs):
                 block = slice(lo, lo + freqs)
                 rows_axis = axis[block]
                 q, w = rows_axis.kernels(d)
                 w /= dist2  # D^2 >= y^2 > 0 for every image, so the W/D^2 terms are regular
-                pairs, term0 = _off_axis_terms(y2_rows, families(q, block_x), families(w, block_x))
+                pairs, term0 = _off_axis_terms(y2[rows], families(q), families(w))
                 acc = sums.setdefault((r0, lo), _PartialSums())
                 acc.add(pairs)
                 if last_block:
                     totals, last = acc.totals(term0)
-                    pref = rows_axis.pref[:, None]
-                    v, e = pref * totals, pref * last
-                    values[points, block], errs[points, block] = v[point_rows, :, at], e[point_rows, :, at]
+                    values[rows, block], errs[rows, block] = rows_axis.pref * totals, rows_axis.pref * last
     return values, errs
 
 
@@ -569,17 +496,16 @@ def _off_axis_terms(y2: np.ndarray, q, w):
     """Image pairs and n = 0 term of the two-point density (None without the n = 0 families).
 
     q holds Q(omega D) and w holds W(omega D)/D^2 per family, over
-    (y^2, frequencies, x, images) for the n terms and (y^2, frequencies, x)
-    for n = 0, the translated families with one x that broadcasts: the
-    translated n L, the reflected |2x - n L| and 2x + n L (both
+    (y^2, frequencies, images) for the n terms and (y^2, frequencies) for
+    n = 0: the translated n L, the reflected |2x - n L| and 2x + n L (both
     overwritten), then, if present, the translated n = 0 at |y| and the
-    reflected n = 0 at 2x.  The pairs take the shape of the reflected families.
+    reflected n = 0 at 2x.
     """
     qa, pairs, q_bn, *q0 = q
     wa, w_pairs, w_bn, *w0 = w
     # a y^2 that overflows to inf reaches here only from a smear, whose kernels
     # are then 0: y^2 W/D^2 <= W, so the largest float in its place gives 0, not inf * 0
-    y2 = np.minimum(y2, sys.float_info.max)[:, None, None]
+    y2 = np.minimum(y2, sys.float_info.max)[:, None]
     # ((qa - q_b-) + (qa - q_b+)) + y^2 ((w_b- - wa) + (w_b+ - wa))
     np.subtract(qa, pairs, out=pairs)
     w_pairs -= wa

@@ -85,8 +85,7 @@ class TestDensityCommands:
 
     def test_blocked_grid_matches_per_point_values(self, tmp_path):
         # at 3000 image pairs one block holds 3 distinct y^2 (3 n + 2 image bases
-        # each for the slice's one x, about as many distinct ones for the map's
-        # three), so the 25 distinct y^2 > 0 of each 51-point row span nine
+        # each), so the 25 distinct y^2 > 0 of each x's 51-point row span nine
         # blocks; the rows include y = 0 and the plates x = 0 and x = 1
         n_terms, omega = 3000, 7.3
         ys = np.linspace(-5.0, 5.0, 51)
@@ -324,7 +323,7 @@ class TestDetectorAndTwoPoint:
         assert out.read_text().splitlines()[1].endswith(",")
         assert "no running mode" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("lo_p", ["nan", "-100"])
+    @pytest.mark.parametrize("lo_p", ["nan", "-100", "-inf", "-NaN"])
     def test_bhd_refuses_a_negative_or_nan_lo_p(self, lo_p, tmp_path, capsys):
         out = tmp_path / "bhd.csv"
         assert run([*BHD_README, "--lo-p", lo_p, "--out", str(out)]) == 2
@@ -462,7 +461,13 @@ class TestPlumbing:
         # fig2-left and the fig4 recipes draw from the exact mode sum, which has no cutoff to set
         ["figure", "fig4-left", "--n-terms", "10", "--svg", "SVG"],
         ["figure", "fig2-left", "--n-terms", "500", "--svg", "SVG"],
+        [*BHD_README, "--y1", "-inf"],  # read as a value, not as a flag
+        # grid ranges with an infinite bound or a span that overflows
+        ["spectral-map", "--y-range", "0", "inf", "--x-steps", "2", "--y-steps", "2", "--svg", "SVG"],
+        ["spectral-slice", "--y-range", "-1.7e308", "1.7e308", "--y-steps", "3"],
+        ["spectral-map", "--y-range", "-inf", "5"],
     ])
+    @pytest.mark.filterwarnings("error")  # a warning would print lines of its own outside the test
     def test_invalid_values_exit_two_with_one_line(self, argv, tmp_path, capsys):
         out, svg = tmp_path / "out.csv", tmp_path / "out.svg"
         argv = [str(svg) if a == "SVG" else a for a in argv] + ["--out", str(out)]

@@ -376,8 +376,8 @@ class TestSharedImageTerms:
 
     @pytest.mark.parametrize("n_terms", [0, 1, 300])
     def test_multi_x_call_equals_each_x_alone(self, n_terms):
-        # one call evaluates each distinct image distance once; both plates and
-        # the fig4-left grid, symmetric under x -> a - x, included
+        # one call takes its x one at a time; both plates and the fig4-left
+        # grid, symmetric under x -> a - x, included
         policy = TruncationPolicy(n_terms=n_terms)
         xs = [0.0, 0.05, 0.3, 0.9999] + np.linspace(0.0, 1.0, 41).tolist()
         values, errs = sp._sigma_diag_values(self.OMEGAS, xs, G, policy)
@@ -400,17 +400,8 @@ class TestSharedImageTerms:
         monkeypatch.setattr(sp, "q_kernel", counting)
         return sizes
 
-    def test_kernel_sees_each_distinct_distance_once(self, kernel_sizes):
-        n, xs = 300, np.linspace(0.0, 1.0, 41).tolist()
-        sp._sigma_diag_values(self.OMEGAS, xs, G, TruncationPolicy(n_terms=n))
-        distances = n + len(xs) * (2 * n + 1)  # translated, then per x both reflected and 2x
-        # one pool: each block of frequencies sees the same distinct distances
-        assert len(kernel_sizes) > 1 and max(kernel_sizes) <= sp._CACHE_ELEMENTS
-        assert len(set(kernel_sizes)) == 1
-        assert sum(kernel_sizes) < self.OMEGAS.size * distances // 2
-
     def test_pools_of_x_bound_the_kernel_arrays(self, kernel_sizes):
-        # 301 x at N = 1000 need 602 301 distances: the call splits them into pools
+        # 301 x at N = 1000 need 602 301 distances: the call takes them one x at a time
         policy = TruncationPolicy(n_terms=1000)
         xs = np.linspace(0.0, 1.0, 301).tolist()
         values, errs = sp._sigma_diag_values(self.OMEGAS[:2], xs, G, policy)
@@ -481,50 +472,27 @@ class TestSharedImageTerms:
             values, errs = sp._sigma_yy_values(np.array([]), points, G, TruncationPolicy(n_terms=n_terms))
             assert values.shape == errs.shape == (3, 0)
 
-    def test_the_fig2_left_grid_evaluates_each_distinct_image_base_once(self, monkeypatch, tmp_path):
-        # the fig2-left grid at 2 pi on images, N = 500: 21 x share 10 038 distinct squared
-        # image bases of their 21 x 1 502, and the 101 y hold 50 distinct y^2 > 0, so one
-        # call evaluates 50 x 10 038 Q and W
-        sizes = []
-
-        def recording(u, *kernels, spliced=sp._spliced):
-            if len(kernels) == 2:  # Q and W: the off-axis terms (the axis takes Q alone)
-                sizes.append(np.size(u))
-            return spliced(u, *kernels)
-
-        monkeypatch.setattr(sp, "_spliced", recording)
-        assert cli.main(["spectral-map", "--omega", repr(TWO_PI), "--x-steps", "21", "--y-range", "-50", "50",
-                         "--y-steps", "101", "--n-terms", "500", "--out", str(tmp_path / "map.csv")]) == 0
-        assert sum(sizes) == 50 * 10_038
-        assert max(sizes) <= sp._CACHE_ELEMENTS
-
-    def test_pools_of_many_x_keep_every_array_within_the_block_budget(self, monkeypatch):
-        # at N = 3000 a pool holds 14 x (3 N + 2 bases each), so 41 x take three
-        # pools; a kernel block is one y^2 row of a pool's distinct bases
+    def test_many_x_take_one_off_axis_call_each_within_the_cache_budget(self, monkeypatch):
+        # at N = 3000 one x has 3 N + 2 = 9002 squared image bases, so a kernel
+        # block holds three of its y^2 rows
         policy = TruncationPolicy(n_terms=3000)
         xs, ys = np.linspace(0.0, 1.0, 41).tolist(), [0.0, -0.6, 2.5, 0.6]
         points = [FieldPoint(x=x, y=y) for x in xs for y in ys]
-        kernels, gathers, pools = [], [], []
+        kernels, calls = [], []
 
         def spliced(u, *k, inner=sp._spliced):
             kernels.append(np.size(u))
             return inner(u, *k)
 
-        def take(*args, inner=np.take, **kwargs):
-            out = inner(*args, **kwargs)
-            gathers.append(out.size)
-            return out
-
-        def pool(axis, xs, *args, inner=sp._off_axis_pool):
-            pools.append(xs.size)
-            return inner(axis, xs, *args)
+        def pool(axis, x, y2, *args, inner=sp._off_axis_pool):
+            calls.append((x, y2.tolist()))
+            return inner(axis, x, y2, *args)
 
         monkeypatch.setattr(sp, "_spliced", spliced)
-        monkeypatch.setattr(np, "take", take)
         monkeypatch.setattr(sp, "_off_axis_pool", pool)
         values, errs = sp._sigma_yy_values(self.OMEGAS[:2], points, G, policy)
-        assert pools == [14, 14, 13]
-        assert max(kernels) <= sp._BLOCK_ELEMENTS and max(gathers) <= sp._BLOCK_ELEMENTS
+        assert calls == [(x, [0.36, 6.25]) for x in xs]
+        assert max(kernels) <= sp._CACHE_ELEMENTS
         monkeypatch.undo()
         for i in range(0, len(points), 7):
             alone = sp._sigma_yy_values(self.OMEGAS[:2], [points[i]], G, policy)
