@@ -28,18 +28,16 @@ import numpy as np
 
 from .errors import NumericalGuardError
 from .imagesum import TruncationPolicy, two_point_yy_closed
-from .spectral import _sigma_diag_values, _sigma_yy_values, sigma_modes, sigma_modes_diag, sigma_vacuum
+from .spectral import _sigma_yy_values, sigma_modes, sigma_modes_diag, sigma_vacuum
 from .units import (
     CavityGeometry,
     FieldPoint,
     build_grid,
     from_internal,
     near_discontinuity,
-    validate_point,
     DEFAULT_GUARD,
 )
 
-DENSITY_COLUMNS = ("omega", "x", "y", "sigma", "err", "n_terms")
 _TWO_PI = 2.0 * math.pi
 _FOUR_PI = 4.0 * math.pi
 
@@ -103,7 +101,7 @@ def _note_discontinuities(omegas) -> None:
         listed = ", ".join(f"{w:g}" for w in flagged)
         print(
             f"note: omega in {{{listed}}} lies within {DEFAULT_GUARD:g} of a spectral "
-            "discontinuity at n*pi; the truncated sum there is midpoint-like",
+            "discontinuity at n*pi; the threshold mode weighs 1/2",
             file=sys.stderr,
         )
 
@@ -177,71 +175,75 @@ def _y_grid(ns) -> list[float]:
     return _grid(lo, hi, ns.y_steps, "--y-steps")
 
 
-def _densities(omega: float, points, policy):
-    """sigma_yy at each point: [values, errs] (one call; spectral bounds its memory)."""
-    values, errs = _sigma_yy_values(np.asarray([omega], dtype=float), points, _INTERNAL, policy)
-    return values[:, 0].tolist(), errs[:, 0].tolist()
+def _map_rows(omega: float, xs: list[float], ys: list[float]):
+    """sigma_modes over the grid xs x ys: rows (omega, x, y, sigma), x outer and y inner, and the grid."""
+    grid = sigma_modes(omega, xs, ys, _INTERNAL)
+    rows = list(zip([omega] * grid.size, np.repeat(xs, len(ys)).tolist(), ys * len(xs), grid.ravel().tolist()))
+    return rows, grid
 
+
+def _emit_map(ns, rows, xs, ys, grid) -> int:
+    omega = rows[0][0]
+    _note_discontinuities([omega])
+    _emit(ns, ("omega", "x", "y", "sigma"), rows)
+    if ns.svg:
+        from . import svgplot
+        svgplot.render_heatmap(ns.svg, xs, ys, grid.tolist(), title=f"density map, omega={omega:g}")
+    return 0
+
+
+def _slice_rows(omega: float, x: float, ys: list[float], values: list[float]):
+    """Rows (omega, x, y, ratio): the densities at ys, each divided by the last of values, the one at y = 0."""
+    diagonal = values[-1]
+    return [(omega, x, y, v / diagonal) for y, v in zip(ys, values)]
+
+
+def _emit_slice(ns, rows) -> int:
+    omega, x = rows[0][:2]
+    _note_discontinuities([omega])
+    _emit(ns, ("omega", "x", "y", "ratio"), rows)
+    if ns.svg:
+        from . import svgplot
+        svgplot.render_line_plot(ns.svg, [r[2] for r in rows], [[r[3] for r in rows]], labels=("ratio",),
+                                 title=f"normalized density, x={x:g}, omega={omega:g}")
+    return 0
+
+
+# The density commands draw from the finite sums over the guided modes, off the
+# axis (sigma_modes) and on it (sigma_modes_diag): exact, with no cutoff to choose.
 
 def cmd_spectral_diag(ns) -> int:
-    policy = TruncationPolicy(n_terms=ns.n_terms)
-    if ns.x is not None:
-        xs = [float(ns.x)]
-        validate_point(FieldPoint(x=xs[0], y=0.0), _INTERNAL)
-    else:
-        xs = _grid(0.0, 1.0, ns.x_steps, "--x-steps")
-    values, errs = _sigma_diag_values(np.asarray([ns.omega], dtype=float), xs, _INTERNAL, policy)
+    xs = [float(ns.x)] if ns.x is not None else _grid(0.0, 1.0, ns.x_steps, "--x-steps")
+    values = [sigma_modes_diag(ns.omega, x, _INTERNAL) for x in xs]
     _note_discontinuities([ns.omega])
     sub = bool(ns.omega < math.pi)
-    rows = [(ns.omega, x, 0.0, v, e, policy.n_terms, sub)
-            for x, v, e in zip(xs, values[:, 0].tolist(), errs[:, 0].tolist())]
-    _emit(ns, DENSITY_COLUMNS + ("sub_cutoff",), rows)
-    if getattr(ns, "svg", None):
+    rows = [(ns.omega, x, 0.0, v, sub) for x, v in zip(xs, values)]
+    _emit(ns, ("omega", "x", "y", "sigma", "sub_cutoff"), rows)
+    if ns.svg:
         from . import svgplot
-        svgplot.render_line_plot(ns.svg, xs, [[r[3] for r in rows]],
-                                 labels=("sigma",), title=f"diagonal density, omega={ns.omega:g}")
+        svgplot.render_line_plot(ns.svg, xs, [values], labels=("sigma",),
+                                 title=f"diagonal density, omega={ns.omega:g}")
     return 0
 
 
 def cmd_spectral_map(ns) -> int:
-    policy = TruncationPolicy(n_terms=ns.n_terms)
     xs = _grid(0.0, 1.0, ns.x_steps, "--x-steps")
     ys = _y_grid(ns)
-    points = [FieldPoint(x=x, y=y) for x in xs for y in ys]
-    values, errs = _densities(ns.omega, points, policy)
-    rows = [(ns.omega, p.x, p.y, v, e, policy.n_terms) for p, v, e in zip(points, values, errs)]
-    _note_discontinuities([ns.omega])
-    _emit(ns, DENSITY_COLUMNS, rows)
-    if getattr(ns, "svg", None):
-        from . import svgplot
-        grid = [[rows[i * len(ys) + j][3] for j in range(len(ys))] for i in range(len(xs))]
-        svgplot.render_heatmap(ns.svg, xs, ys, grid, title=f"density map, omega={ns.omega:g}")
-    return 0
+    rows, grid = _map_rows(ns.omega, xs, ys)
+    return _emit_map(ns, rows, xs, ys, grid)
 
 
 def cmd_spectral_slice(ns) -> int:
-    if ns.x in (0.0, _INTERNAL.a):
-        raise ValueError(f"--x {ns.x!r} lies on a plate, where the coincident density "
-                         "that normalizes the slice vanishes")
-    policy = TruncationPolicy(n_terms=ns.n_terms)
+    if ns.omega < math.pi / _INTERNAL.a:
+        raise ValueError(f"--omega {ns.omega!r} lies below the first cutoff pi/a = {math.pi / _INTERNAL.a!r}, "
+                         "where the coincident density that normalizes the slice vanishes")
     ys = _y_grid(ns)
-    validate_point(FieldPoint(x=ns.x, y=0.0), _INTERNAL)
-    # the coincident point (x, 0) rides along as the last point of the row
-    values, errs = _densities(ns.omega, [FieldPoint(x=ns.x, y=y) for y in ys + [0.0]], policy)
-    diagonal, diagonal_err = values.pop(), errs[-1]
-    _note_discontinuities([ns.omega])
-    if abs(diagonal) <= diagonal_err:
-        # near a plate the truncated coincident density is residual, not signal
-        print(f"note: the coincident density at x = {ns.x:g}, omega = {ns.omega:g} is "
-              f"{diagonal:.3g}, within its truncation estimate err = {diagonal_err:.3g}; "
-              "the ratios are normalized by truncation residual", file=sys.stderr)
-    rows = [(ns.omega, ns.x, y, v / diagonal) for y, v in zip(ys, values)]
-    _emit(ns, ("omega", "x", "y", "ratio"), rows)
-    if getattr(ns, "svg", None):
-        from . import svgplot
-        svgplot.render_line_plot(ns.svg, ys, [[r[3] for r in rows]], labels=("ratio",),
-                                 title=f"normalized density, x={ns.x:g}, omega={ns.omega:g}")
-    return 0
+    # the coincident point (x, 0) rides along as the last column of the row
+    values = sigma_modes(ns.omega, [ns.x], ys + [0.0], _INTERNAL)[0].tolist()
+    if values[-1] == 0.0:
+        raise ValueError(f"--x {ns.x!r} lies on a plate or within rounding of one, where the coincident "
+                         "density that normalizes the slice vanishes")
+    return _emit_slice(ns, _slice_rows(ns.omega, ns.x, ys, values))
 
 
 # -- figure data -------------------------------------------------------------
@@ -250,9 +252,8 @@ def _fig4_omega_grid(count: int):
     return build_grid(_FOUR_PI / count, _FOUR_PI, count).points
 
 
-# fig2-left and the fig4 recipes draw from the finite sum over the guided
-# modes: off the axis (sigma_modes) and on it, y = 0 (sigma_modes_diag).  Each
-# is exact, with no cutoff to choose.
+# fig2-left and the fig4 recipes draw from the guided-mode sums as the density
+# commands do; fig2-right still sums images.
 
 #: Frequency of fig2-left: the guard point just below the jump at 2 pi, where
 #: build_grid would place it.  On the jump itself the n = 2 mode sits at
@@ -270,10 +271,16 @@ def _fig2_left_rows(x_count=21, y_count=101):
     """The density over x in [0, a] and y in [-50 a, 50 a]; rows x outer, y inner."""
     xs = np.linspace(0.0, 1.0, x_count).tolist()
     ys = np.linspace(-50.0, 50.0, y_count).tolist()
-    grid = sigma_modes(FIG2_OMEGA, xs, ys, _INTERNAL)
-    rows = list(zip([FIG2_OMEGA] * grid.size, np.repeat(xs, y_count).tolist(), ys * x_count,
-                    grid.ravel().tolist()))
+    rows, grid = _map_rows(FIG2_OMEGA, xs, ys)
     return rows, xs, ys, grid
+
+
+def _fig2_right_rows(y_count=201):
+    """The N = FIG2_CUTOFF image sum at x = 3a/4 over y in [-50 a, 50 a], divided by its value at y = 0."""
+    ys = np.linspace(-50.0, 50.0, y_count).tolist()
+    points = [FieldPoint(x=0.75, y=y) for y in ys + [0.0]]
+    values, _ = _sigma_yy_values(np.asarray([_TWO_PI]), points, _INTERNAL, TruncationPolicy(n_terms=FIG2_CUTOFF))
+    return _slice_rows(_TWO_PI, 0.75, ys, values[:, 0].tolist())
 
 
 def _fig4_left_rows(omega_count=96, x_count=41):
@@ -301,25 +308,12 @@ def _fig4_right_rows(omega_count=160):
 
 def cmd_figure(ns) -> int:
     name = ns.name
-    out = ns.out or f"{name}.csv"
-    if name != "fig2-right" and ns.n_terms is not None:
-        raise ValueError(f"{name} draws from the exact guided-mode sum: --n-terms applies to fig2-right only")
-    ns.out = out
+    ns.out = ns.out or f"{name}.csv"
 
     if name == "fig2-left":
-        rows, xs, ys, grid = _fig2_left_rows()
-        _emit(ns, ("omega", "x", "y", "sigma"), rows)
-        if ns.svg:
-            from . import svgplot
-            svgplot.render_heatmap(ns.svg, xs, ys, grid.tolist(), title=f"density map, omega={FIG2_OMEGA:g}")
-        return 0
+        return _emit_map(ns, *_fig2_left_rows())
     if name == "fig2-right":
-        sub = argparse.Namespace(
-            omega=_TWO_PI, x=0.75, y_range=(-50.0, 50.0), y_steps=201,
-            n_terms=ns.n_terms if ns.n_terms is not None else FIG2_CUTOFF,
-            out=out, format=ns.format, svg=ns.svg,
-        )
-        return cmd_spectral_slice(sub)
+        return _emit_slice(ns, _fig2_right_rows())
     if name == "fig4-left":
         rows, omegas, xs, columns = _fig4_left_rows()
         _emit(ns, ("omega", "x", "normdiff"), rows)
@@ -434,13 +428,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON file of option defaults (explicit flags win)")
         return p
 
-    cutoff = {"type": int, "default": 1000, "help": "symmetric image-sum cutoff N"}
-
     p = command("spectral-diag", "coincident-point density over x at fixed omega")
     p.add_argument("--omega", type=float, required=True, help="frequency in c/a units")
     p.add_argument("--x", type=float, help="single evaluation point (units of a)")
     p.add_argument("--x-steps", type=int, default=21, help="grid size over [0, a] when --x is absent")
-    p.add_argument("--n-terms", **cutoff)
     _add_output(p, include_svg=True)
 
     p = command("spectral-map", "two-point density over the (x, y) plane")
@@ -448,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-steps", type=int, default=21)
     p.add_argument("--y-range", type=float, nargs=2, default=(-50.0, 50.0), metavar=("YMIN", "YMAX"))
     p.add_argument("--y-steps", type=int, default=101)
-    p.add_argument("--n-terms", **cutoff)
     _add_output(p, include_svg=True)
 
     p = command("spectral-slice", "density normalized by its coincident value, over y")
@@ -456,21 +446,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, default=0.75)
     p.add_argument("--y-range", type=float, nargs=2, default=(-50.0, 50.0), metavar=("YMIN", "YMAX"))
     p.add_argument("--y-steps", type=int, default=201)
-    p.add_argument("--n-terms", **cutoff)
     _add_output(p, include_svg=True)
 
     p = command("figure", "reproduce a bundled figure data set")
     p.add_argument("name", choices=("fig2-left", "fig2-right", "fig4-left", "fig4-right"))
-    # fig2-right has its own count, and the other recipes need none
-    p.add_argument("--n-terms", type=int, help=f"symmetric image-sum cutoff N (default: fig2-right's own count, "
-                   f"{FIG2_CUTOFF}); fig2-right only, the other recipes draw from the exact mode sum")
     _add_output(p, include_svg=True)
 
     p = command("twopoint", "closed-form two-point function at time separation s")
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--y", type=float, default=0.0)
-    p.add_argument("--n-terms", **cutoff)
+    p.add_argument("--n-terms", type=int, default=1000, help="symmetric image-sum cutoff N")
     _add_output(p)
 
     p = command("bhd", "balanced-homodyne-detector response prediction")

@@ -32,8 +32,8 @@ a Gaussian LO profile, the same sums take each image term's exact Gaussian
 integral in place of omega (``_SmearedLO``).
 
 The two-point density depends on y only through y^2, so the points of one
-x that share a y^2 share its evaluation; the 101 y of the default
-``spectral-map`` row hold 50 distinct y^2 > 0 and y = 0.  Element for
+x that share a y^2 share its evaluation; the 201 y of the ``fig2-right``
+slice hold 100 distinct y^2 > 0 and y = 0.  Element for
 element the arithmetic is that of a single point: a grid equals its points
 evaluated one by one, bit for bit.
 """
@@ -70,7 +70,7 @@ _MAX_OMEGA = 1e100
 _BLOCK_ELEMENTS = 2**17
 #: Most elements of one kernel block (frequencies or y^2 rows by images):
 #: 256 KiB of floats, so the few arrays a block keeps live stay in a core's
-#: L2 cache.  Blocks of 2^17 made the 21 x 101 spectral-map grid 25-70% slower
+#: L2 cache.  Blocks of 2^17 made a 21 x 101 grid at N = 1000 25-70% slower
 #: (best of 7, three rounds, 2-vCPU VM).
 _CACHE_ELEMENTS = 2**15
 

@@ -13,6 +13,7 @@ import cavityspectra as cs
 from cavityspectra.bhd import DetectorConfig, LOKernel, LOMode
 from cavityspectra.cli import FIG2_OMEGA, main
 from cavityspectra.imagesum import TruncationPolicy
+from cavityspectra.spectral import _sigma_yy_values
 from cavityspectra.units import CavityGeometry, FieldPoint, build_grid
 
 G = CavityGeometry(1.0)
@@ -190,7 +191,7 @@ def test_criterion_09_detector_consistency():
     assert ok
 
 
-def test_criterion_10_property_suites(tmp_path):
+def test_criterion_10_property_suites():
     # mirror symmetry within twice the error estimate
     mirror_ok = True
     for omega in (2.3, 5.1, 7.9, 11.3):
@@ -218,16 +219,16 @@ def test_criterion_10_property_suites(tmp_path):
             scaled = cs.sigma_yy_diag(5.1 * lam, 0.3 / lam, CavityGeometry(1.0 / lam), pol).value
             scaling_ok &= base == scaled / lam**3
 
-    # blocked grid: a spectral-map whose 51-point rows span two blocks of
-    # 43 points (3000 pairs) equals per-point sigma_yy bit for bit, y = 0 included
+    # blocked grid: at 3000 pairs one block holds 3 distinct y^2, so the 25
+    # distinct y^2 > 0 of each 51-point row span nine blocks; the 3 x 51 grid in
+    # one call equals per-point sigma_yy bit for bit, y = 0 and the plates included
     grid_policy = TruncationPolicy(n_terms=3000)
-    main(["spectral-map", "--omega", "7.3", "--x-steps", "3", "--y-range", "-5", "5",
-          "--y-steps", "51", "--n-terms", "3000", "--out", str(tmp_path / "map.csv")])
+    points = [FieldPoint(x, y) for x in (0.0, 0.5, 1.0) for y in np.linspace(-5.0, 5.0, 51).tolist()]
+    values, errs = _sigma_yy_values(np.array([7.3]), points, G, grid_policy)
     blocked_ok = True
-    for line in (tmp_path / "map.csv").read_text().splitlines()[1:]:
-        fields = line.split(",")
-        want = cs.sigma_yy(7.3, FieldPoint(float(fields[1]), float(fields[2])), G, grid_policy)
-        blocked_ok &= fields[3:5] == [repr(want.value), repr(want.err)]
+    for point, value, err in zip(points, values[:, 0].tolist(), errs[:, 0].tolist()):
+        want = cs.sigma_yy(7.3, point, G, grid_policy)
+        blocked_ok &= (value, err) == (want.value, want.err)
 
     ok = _report(10, "property suites",
                  mirror_ok and parity_ok and scaling_ok and blocked_ok,

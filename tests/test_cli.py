@@ -16,10 +16,8 @@ from cavityspectra.spectral import (
     sigma_modes,
     sigma_modes_diag,
     sigma_vacuum,
-    sigma_yy,
-    sigma_yy_diag,
 )
-from cavityspectra.units import CavityGeometry, FieldPoint, build_grid, near_discontinuity
+from cavityspectra.units import CavityGeometry, build_grid, near_discontinuity
 
 G = CavityGeometry(1.0)
 BHD_README = ["bhd", "--omega-lo", "6.283185307179586", "--x1", "0.75", "--y1", "0",
@@ -32,86 +30,75 @@ def run(argv):
 
 class TestDensityCommands:
     def test_spectral_diag_flags_sub_cutoff(self, tmp_path, capsys):
+        # below the first cutoff pi/a no mode is guided: the density is exactly 0
         out = tmp_path / "diag.csv"
         assert run(["spectral-diag", "--omega", "2", "--x", "0.5", "--out", str(out)]) == 0
         header, row = out.read_text().splitlines()
-        assert header == "omega,x,y,sigma,err,n_terms,sub_cutoff"
-        fields = row.split(",")
-        assert fields[-1] == "true"
-        assert abs(float(fields[3])) < 0.05 * sigma_vacuum(2.0, 0.0)
+        assert header == "omega,x,y,sigma,sub_cutoff"
+        assert row == "2.0,0.5,0.0,0.0,true"
 
     def test_density_columns_are_the_contract(self, tmp_path):
         out = tmp_path / "map.csv"
-        assert run(["spectral-map", "--x-steps", "3", "--y-steps", "5",
-                    "--n-terms", "50", "--out", str(out)]) == 0
+        assert run(["spectral-map", "--x-steps", "3", "--y-steps", "5", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "omega,x,y,sigma,err,n_terms"
-        assert len(lines) == 1 + 3 * 5
-        assert all(line.split(",")[5] == "50" for line in lines[1:])
+        assert lines[0] == "omega,x,y,sigma"
+        xs, ys = [0.0, 0.5, 1.0], np.linspace(-50.0, 50.0, 5).tolist()
+        want = sigma_modes(2.0 * math.pi, xs, ys, G).tolist()
+        assert lines[1:] == [f"{2.0 * math.pi!r},{x!r},{y!r},{want[i][j]!r}"
+                             for i, x in enumerate(xs) for j, y in enumerate(ys)]
 
     def test_map_notes_the_discontinuity(self, tmp_path, capsys):
         out = tmp_path / "map.csv"
-        run(["spectral-map", "--x-steps", "2", "--y-steps", "2", "--n-terms", "20", "--out", str(out)])
-        assert "discontinuity" in capsys.readouterr().err
+        run(["spectral-map", "--x-steps", "2", "--y-steps", "2", "--out", str(out)])
+        assert capsys.readouterr().err == ("note: omega in {6.28319} lies within 0.001 of a spectral "
+                                           "discontinuity at n*pi; the threshold mode weighs 1/2\n")
 
     def test_slice_emits_normalized_ratio(self, tmp_path):
         out = tmp_path / "slice.csv"
         assert run(["spectral-slice", "--omega", "5.0", "--x", "0.75", "--y-range", "-2", "2",
-                    "--y-steps", "5", "--n-terms", "100", "--out", str(out)]) == 0
+                    "--y-steps", "5", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "omega,x,y,ratio"
         middle = lines[3].split(",")  # y = 0 row: ratio is identically 1
         assert float(middle[3]) == 1.0
 
-    def test_slice_notes_a_residual_normalization(self, tmp_path, capsys):
-        # next to the far plate the N = 1000 coincident density is smaller than its err
-        out = tmp_path / "slice.csv"
-        assert run(["spectral-slice", "--omega", "5", "--x", "0.9999", "--y-range", "-1", "1",
-                    "--y-steps", "3", "--out", str(out)]) == 0
-        diag = sigma_yy_diag(5.0, 0.9999, G, TruncationPolicy(n_terms=1000))
-        assert abs(diag.value) <= diag.err
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("note: ")
-        assert all(part in err for part in ("x = 0.9999", "omega = 5 ", f"is {diag.value:.3g},",
-                                            f"err = {diag.err:.3g}"))
-        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-        assert [row[3] for row in rows] == [
-            repr(sigma_yy(5.0, FieldPoint(x=0.9999, y=y), G, TruncationPolicy(n_terms=1000)).value
-                 / diag.value) for y in (-1.0, 0.0, 1.0)]
+    def test_slice_near_either_plate_is_the_mode_sum_ratio(self, tmp_path, capsys):
+        # the geometry is symmetric under x -> a - x; next to the far plate the
+        # N = 1000 image sum's coincident value was residual, and the ratio read 1.0028
+        ratios = []
+        for x in (0.9999, 1e-4):
+            out = tmp_path / f"slice-{x}.csv"
+            assert run(["spectral-slice", "--omega", "5", "--x", repr(x), "--y-range", "-1", "1",
+                        "--y-steps", "3", "--out", str(out)]) == 0
+            assert capsys.readouterr().err == ""
+            row = sigma_modes(5.0, [x], [-1.0, 0.0, 1.0, 0.0], G)[0].tolist()
+            lines = out.read_text().splitlines()[1:]
+            assert lines == [f"5.0,{x!r},{y!r},{v / row[-1]!r}" for y, v in zip((-1.0, 0.0, 1.0), row)]
+            ratios.append([float(line.split(",")[3]) for line in lines])
+        assert np.abs(np.subtract(*ratios)).max() <= 1e-12
+        assert ratios[0][0] == pytest.approx(-0.232791, abs=1e-6)
 
-        assert run(["figure", "fig2-right", "--out", str(tmp_path / "f2r.csv")]) == 0
-        err = capsys.readouterr().err
-        assert "truncation" not in err and err.count("\n") == 1  # the jump note alone
-
-    def test_blocked_grid_matches_per_point_values(self, tmp_path):
-        # at 3000 image pairs one block holds 3 distinct y^2 (3 n + 2 image bases
-        # each), so the 25 distinct y^2 > 0 of each x's 51-point row span nine
-        # blocks; the rows include y = 0 and the plates x = 0 and x = 1
-        n_terms, omega = 3000, 7.3
-        ys = np.linspace(-5.0, 5.0, 51)
-        assert spectral._CACHE_ELEMENTS // (3 * n_terms + 2) == 3 and 0.0 in ys
-        policy = TruncationPolicy(n_terms=n_terms)
-        common = ["--omega", str(omega), "--y-range", "-5", "5", "--y-steps", "51", "--n-terms", str(n_terms)]
+    def test_map_and_slice_rows_equal_single_points(self, tmp_path):
+        # the rows include y = 0 and the plates x = 0 and x = 1
+        omega = 7.3
+        ys = np.linspace(-5.0, 5.0, 51).tolist()
+        assert 0.0 in ys
+        common = ["--omega", str(omega), "--y-range", "-5", "5", "--y-steps", "51"]
         assert run(["spectral-map", "--x-steps", "3", *common,
                     "--out", str(tmp_path / "map.csv")]) == 0
         assert run(["spectral-slice", "--x", "0.75", *common,
                     "--out", str(tmp_path / "slice.csv")]) == 0
 
         rows = [line.split(",") for line in (tmp_path / "map.csv").read_text().splitlines()[1:]]
-        assert len(rows) == 3 * ys.size
+        assert len(rows) == 3 * len(ys)
         for row in rows:
             x, y = float(row[1]), float(row[2])
-            want = sigma_yy(omega, FieldPoint(x=x, y=y), G, policy)
-            assert row[3:5] == [repr(want.value), repr(want.err)]
-            if y == 0.0:
-                diag = sigma_yy_diag(omega, x, G, policy)
-                assert row[3:5] == [repr(diag.value), repr(diag.err)]
+            assert row[3] == repr(float(sigma_modes(omega, [x], [y], G)[0, 0]))
 
-        diagonal = sigma_yy_diag(omega, 0.75, G, policy).value
+        diagonal = float(sigma_modes(omega, [0.75], [0.0], G)[0, 0])
         rows = [line.split(",") for line in (tmp_path / "slice.csv").read_text().splitlines()[1:]]
         assert [row[3] for row in rows] == [
-            repr(sigma_yy(omega, FieldPoint(x=0.75, y=float(y)), G, policy).value / diagonal)
-            for y in ys]
+            repr(float(sigma_modes(omega, [0.75], [y], G)[0, 0]) / diagonal) for y in ys]
 
     @pytest.mark.parametrize("argv", [
         ["spectral-map", "--x-steps", "4", "--y-range", "-2", "2", "--y-steps", "5"],
@@ -121,40 +108,36 @@ class TestDensityCommands:
         # the slice's coincident value rides along as the point (x, 0) of its row
         calls = []
 
-        def counting(*args, engine=cli._sigma_yy_values):
-            calls.append(len(args[1]))
-            return engine(*args)
+        def counting(omega, xs, ys, geometry, engine=cli.sigma_modes):
+            calls.append((len(xs), len(ys)))
+            return engine(omega, xs, ys, geometry)
 
         def refused(*args):
             raise AssertionError("a second density call")
 
-        monkeypatch.setattr(cli, "_sigma_yy_values", counting)
-        monkeypatch.setattr(cli, "_sigma_diag_values", refused)
-        assert run([*argv, "--n-terms", "40", "--out", str(tmp_path / "out.csv")]) == 0
-        assert calls == ([20] if argv[0] == "spectral-map" else [6])  # 4 x 5, and 5 + 1
+        monkeypatch.setattr(cli, "sigma_modes", counting)
+        monkeypatch.setattr(cli, "sigma_modes_diag", refused)
+        monkeypatch.setattr(cli, "_sigma_yy_values", refused)
+        assert run([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+        assert calls == ([(4, 5)] if argv[0] == "spectral-map" else [(1, 6)])  # 4 x 5, and 5 + 1
 
     def test_a_cutoff_above_the_image_cap_is_refused_before_any_evaluation(self, monkeypatch, capsys):
         def refused(*args):
             raise AssertionError("evaluated a density")
 
-        monkeypatch.setattr(cli, "_sigma_diag_values", refused)
-        for argv in (["spectral-diag", "--omega", "6.0", "--x", "0.5", "--n-terms", "10000000"],
-                     ["twopoint", "--s", "0.3", "--x", "0.4", "--n-terms", str(2**20 + 1)]):
-            assert run(argv) == 2
-            err = capsys.readouterr().err
-            assert err.startswith("argument error: cutoff ") and err.count("\n") == 1
+        monkeypatch.setattr(cli, "two_point_yy_closed", refused)
+        assert run(["twopoint", "--s", "0.3", "--x", "0.4", "--n-terms", str(2**20 + 1)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("argument error: cutoff ") and err.count("\n") == 1
 
     def test_spectral_diag_rows_equal_single_points(self, tmp_path):
-        # one density call over the x grid gives each x's single-point bits
+        # one sigma_modes_diag call per x, as the fig4 recipes make them
         out = tmp_path / "diag.csv"
-        assert run(["spectral-diag", "--omega", "2.1", "--x-steps", "41", "--n-terms", "300",
-                    "--out", str(out)]) == 0
-        policy = TruncationPolicy(n_terms=300)
+        assert run(["spectral-diag", "--omega", "7.3", "--x-steps", "41", "--out", str(out)]) == 0
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert [row[1] for row in rows] == [repr(x) for x in np.linspace(0.0, 1.0, 41).tolist()]
         for row in rows:
-            s = sigma_yy_diag(2.1, float(row[1]), G, policy)
-            assert row == ["2.1", row[1], "0.0", repr(s.value), repr(s.err), "300", "true"]
+            assert row == ["7.3", row[1], "0.0", repr(sigma_modes_diag(7.3, float(row[1]), G)), "false"]
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "diag.json"
@@ -188,29 +171,14 @@ class TestFigureCommands:
             if w < math.pi - 0.01:  # the sub-cutoff plateau, with a margin below the jump
                 assert nd == pytest.approx(-1.0, abs=0.01)
 
-    def test_fig2_right_svg_smoke(self, tmp_path):
+    def test_fig2_right_svg_smoke(self, tmp_path, capsys):
         out = tmp_path / "f2r.csv"
         svg = tmp_path / "f2r.svg"
-        assert run(["figure", "fig2-right", "--out", str(out), "--svg", str(svg),
-                    "--n-terms", "100"]) == 0
+        assert run(["figure", "fig2-right", "--out", str(out), "--svg", str(svg)]) == 0
         assert svg.read_text().startswith("<svg")
         assert out.read_text().splitlines()[0] == "omega,x,y,ratio"
-
-    def test_a_fig2_recipe_refuses_a_cutoff(self, tmp_path, capsys):
-        out = tmp_path / "f2l.csv"
-        assert run(["figure", "fig2-left", "--out", str(out), "--n-terms", "30"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("argument error: fig2-left draws from the exact guided-mode sum: ")
-        assert err.count("\n") == 1 and not out.exists()
-
-    def test_the_fig2_right_cutoff_can_be_overridden(self, tmp_path):
-        # fig2-right is the spectral-slice recipe at 2 pi, N = 500 unless --n-terms says otherwise
-        out, want = tmp_path / "f2r.csv", tmp_path / "slice.csv"
-        assert run(["figure", "fig2-right", "--out", str(out), "--n-terms", "30"]) == 0
-        assert run(["spectral-slice", "--omega", repr(2.0 * math.pi), "--x", "0.75", "--y-range", "-50", "50",
-                    "--y-steps", "201", "--n-terms", "30", "--out", str(want)]) == 0
-        assert run(["figure", "fig2-right", "--out", str(tmp_path / "default.csv")]) == 0
-        assert out.read_bytes() == want.read_bytes() != (tmp_path / "default.csv").read_bytes()
+        assert err.startswith("note: omega in {6.28319}") and err.count("\n") == 1  # the jump note alone
 
 
 class TestFig2Recipes:
@@ -334,13 +302,12 @@ class TestDetectorAndTwoPoint:
 class TestPlumbing:
     def test_config_file_supplies_defaults_and_flags_win(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n_terms": 40, "x_steps": 3}))
-        out = tmp_path / "d.csv"
+        cfg.write_text(json.dumps({"format": "json", "x_steps": 3}))
+        out = tmp_path / "d.json"
         run(["spectral-diag", "--omega", "5.0", "--config", str(cfg),
              "--x-steps", "4", "--out", str(out)])
-        lines = out.read_text().splitlines()
-        assert len(lines) == 1 + 4  # flag wins over config
-        assert lines[1].split(",")[5] == "40"  # config supplies the cutoff
+        rows = json.loads(out.read_text())  # config supplies the format
+        assert len(rows) == 4  # flag wins over config
 
     def test_an_abbreviated_flag_wins_over_the_config(self, tmp_path):
         # argparse reads --x-st as --x-steps, so the flag, not the config, sets the grid
@@ -352,11 +319,11 @@ class TestPlumbing:
 
     def test_config_keys_may_be_spelt_with_dashes(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n-terms": 40, "x-steps": 3}))
+        cfg.write_text(json.dumps({"x-steps": 3}))
         via_config, via_flags = tmp_path / "c.csv", tmp_path / "f.csv"
         assert run(["spectral-diag", "--omega", "5.0", "--config", str(cfg),
                     "--out", str(via_config)]) == 0
-        assert run(["spectral-diag", "--omega", "5.0", "--x-steps", "3", "--n-terms", "40",
+        assert run(["spectral-diag", "--omega", "5.0", "--x-steps", "3",
                     "--out", str(via_flags)]) == 0
         assert via_config.read_bytes() == via_flags.read_bytes()
 
@@ -364,16 +331,16 @@ class TestPlumbing:
         # numbers and numeric strings go through each flag's type, as their command-line text would
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"omega": 5, "x-steps": "2", "y-range": [-2, "2.5"], "y-steps": 3,
-                                   "n-terms": 40, "format": "json"}))
+                                   "format": "json"}))
         via_config, via_flags = tmp_path / "c.json", tmp_path / "f.json"
         assert run(["spectral-map", "--config", str(cfg), "--out", str(via_config)]) == 0
         assert run(["spectral-map", "--omega", "5", "--x-steps", "2", "--y-range", "-2", "2.5", "--y-steps", "3",
-                    "--n-terms", "40", "--format", "json", "--out", str(via_flags)]) == 0
+                    "--format", "json", "--out", str(via_flags)]) == 0
         assert via_config.read_bytes() == via_flags.read_bytes()
 
     @pytest.mark.parametrize("argv, config, message", [
         (["spectral-diag", "--omega", "3"], {"x-steps": "a"}, "config key 'x-steps': invalid int value 'a'"),
-        (["spectral-diag", "--omega", "3"], {"n-terms": 2.5}, "config key 'n-terms': invalid int value 2.5"),
+        (["twopoint", "--s", "0.3", "--x", "0.4"], {"n-terms": 2.5}, "config key 'n-terms': invalid int value 2.5"),
         (["spectral-map"], {"y-range": [1]}, "config key 'y-range' takes a list of 2 strings or numbers, got [1]"),
         (["spectral-slice"], {"x": None}, "config key 'x' takes a string or a number, got None"),
         (["spectral-diag", "--omega", "3"], {"format": "xml"},
@@ -409,9 +376,9 @@ class TestPlumbing:
         (["bhd", "--omega-lo", "7", "--x1", ".5", "--y1", "0", "--x2", ".5", "--y2", "SCI"],
          "-2.5E-1", "-0.25"),
         (["spectral-map", "--omega", "5", "--x-steps", "2", "--y-range", "SCI", "50",
-          "--y-steps", "3", "--n-terms", "40"], "-5e-05", "-0.00005"),
+          "--y-steps", "3"], "-5e-05", "-0.00005"),
         (["spectral-slice", "--omega", "5", "--x", "0.3", "--y-range", "-2", "SCI",
-          "--y-steps", "3", "--n-terms", "40"], "-1e-1", "-0.1"),
+          "--y-steps", "3"], "-1e-1", "-0.1"),
         (["twopoint", "--s", "0.3", "--x", "0.4", "--y", "SCI"], "-8e-1", "-0.8"),
     ])
     def test_negative_values_in_scientific_notation_are_values(self, argv, scientific, decimal, capsys):
@@ -434,7 +401,7 @@ class TestPlumbing:
          "--x2", "0.5", "--y2", "50"],
         ["spectral-diag", "--omega", "-1"],
         ["spectral-diag", "--omega", "5.0", "--x", "2"],
-        ["spectral-diag", "--omega", "5.0", "--n-terms", "-3"],
+        ["twopoint", "--s", "0.3", "--x", "0.4", "--n-terms", "-3"],
         ["spectral-map", "--x-steps", "0"],
         ["spectral-map", "--y-steps", "0", "--svg", "SVG"],
         ["spectral-slice", "--y-steps", "0", "--svg", "SVG"],
@@ -454,18 +421,21 @@ class TestPlumbing:
         [*BHD_README, "--a-microns", "1e-300"],  # an SI frequency that overflows
         ["spectral-diag", "--omega", "1e300", "--x", "0.5"],  # a density that would overflow
         [*BHD_README, "--calibration", "1e200"],  # a variance that would overflow
-        # offsets whose square overflows
+        # offsets whose Bessel arguments kappa |y| exceed the trapezoid-node cap
         ["spectral-map", "--y-range", "-1e300", "1e300", "--x-steps", "2", "--y-steps", "2"],
         ["spectral-slice", "--x", "0.5", "--y-range", "1e200", "1e200", "--y-steps", "1"],
         ["spectral-map", "--omega", "6", "--y-range", "1e160", "1e160", "--x-steps", "2", "--y-steps", "1"],
-        # fig2-left and the fig4 recipes draw from the exact mode sum, which has no cutoff to set
-        ["figure", "fig4-left", "--n-terms", "10", "--svg", "SVG"],
-        ["figure", "fig2-left", "--n-terms", "500", "--svg", "SVG"],
+        # high frequencies: kappa |y| = 250 000 on the default grid, and more than 2^20 modes
+        ["spectral-map", "--omega", "5000", "--svg", "SVG"],
+        ["spectral-diag", "--omega", "4e6", "--x", "0.5", "--svg", "SVG"],
         [*BHD_README, "--y1", "-inf"],  # read as a value, not as a flag
         # grid ranges with an infinite bound or a span that overflows
         ["spectral-map", "--y-range", "0", "inf", "--x-steps", "2", "--y-steps", "2", "--svg", "SVG"],
         ["spectral-slice", "--y-range", "-1.7e308", "1.7e308", "--y-steps", "3"],
         ["spectral-map", "--y-range", "-inf", "5"],
+        # a slice whose coincident density vanishes: below the first cutoff, or within rounding of a plate
+        ["spectral-slice", "--omega", "2", "--y-steps", "3", "--svg", "SVG"],
+        ["spectral-slice", "--x", "1e-200", "--y-steps", "3"],
     ])
     @pytest.mark.filterwarnings("error")  # a warning would print lines of its own outside the test
     def test_invalid_values_exit_two_with_one_line(self, argv, tmp_path, capsys):
@@ -492,6 +462,14 @@ class TestPlumbing:
         ["spectral-slice", "--y-steps", "3", "--accelerate"],
         ["figure", "fig4-right", "--accelerate"],
         ["figure", "fig2-right", "--accelerate"],
+        # the density commands and the figure recipes draw from exact sums or a fixed cutoff
+        ["spectral-diag", "--omega", "5.0", "--x", "0.5", "--n-terms", "40"],
+        ["spectral-map", "--x-steps", "2", "--y-steps", "2", "--n-terms", "40"],
+        ["spectral-slice", "--y-steps", "3", "--n-terms", "40"],
+        ["figure", "fig2-left", "--n-terms", "500"],
+        ["figure", "fig2-right", "--n-terms", "30"],
+        ["figure", "fig4-left", "--n-terms", "10"],
+        ["figure", "fig4-right", "--n-terms", "10"],
         # the LO width sizes the smear's image sum, and t0 would only phase a classical field
         [*BHD_README, "--n-terms", "5"],
         [*BHD_README, "--accelerate"],
@@ -506,7 +484,7 @@ class TestPlumbing:
     def test_a_sequence_of_calls_prints_what_each_call_prints_alone(self, tmp_path, capsys):
         # one parser serves every call of a process: no call may leave state for the next
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n-terms": 40, "format": "json"}))
+        cfg.write_text(json.dumps({"x-steps": 5, "format": "json"}))
         narrow = tmp_path / "narrow.json"
         narrow.write_text(json.dumps({"width": 0.05}))
         calls = [
@@ -516,7 +494,7 @@ class TestPlumbing:
             ["spectral-diag"],  # usage error: --omega missing
             [*BHD_README, "--n-terms", "5"],  # usage error: a flag bhd does not read
             ["twopoint", "--s", "0.3", "--x", "0.4", "--y", "0.8", "--format", "json"],
-            ["spectral-map", "--x-steps", "2", "--y-steps", "3", "--n-terms", "20"],
+            ["spectral-map", "--x-steps", "2", "--y-steps", "3"],
             ["bhd", "--omega-lo", "7", "--x1", ".5", "--y1", "0", "--x2", ".5", "--y2", "1",
              "--config", str(narrow)],
             ["twopoint", "--s", "0.3", "--x", "0.4", "--y", "0.8"],
