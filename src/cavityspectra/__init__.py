@@ -34,6 +34,7 @@ from .spectral import (
     sigma_vacuum_from_kernels,
     sigma_yy,
     sigma_yy_diag,
+    smeared_modes_diag,
     w_kernel,
 )
 
@@ -92,6 +93,7 @@ __all__ = [
     "sigma_yy",
     "sigma_yy_diag",
     "smeared_density",
+    "smeared_modes_diag",
     "to_internal",
     "two_point_yy_closed",
     "two_point_yy_fd",

@@ -10,7 +10,10 @@ density smeared in frequency by the squared LO amplitude profile,
 
 with four position pairs entering the variance.  When the diodes are far
 apart transversely the cross terms are small and the variance is close to
-twice the single-diode diagonal term.
+twice the single-diode diagonal term.  That diagonal term R(1,1) is a finite
+sum over the guided modes in closed form (``spectral.smeared_modes_diag``);
+the cross term of diodes at different y is the Gaussian-damped image smear
+of ``smeared_density``.
 
 The LO is the lowest transverse-electric running mode of the cavity with a
 small wave number along y, which makes the detector sensitive to the
@@ -26,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spectral import _SmearedLO, _sigma_yy_values
+from .spectral import _SmearedLO, _sigma_yy_values, smeared_modes_diag
 from .imagesum import TruncationPolicy
 from .units import CavityGeometry, FieldPoint, validate_point
 
@@ -158,7 +161,10 @@ def smeared_density(
     bounded below rounding of the scale A^2 width sqrt(pi) sigma_vacuum(omega_lo),
     so the result is the N = infinity smear.  Both points must share the
     plate distance x (the closed-form density covers equal-x pairs only;
-    that is the geometry of the proposed detector).
+    that is the geometry of the proposed detector).  ``variance_current``
+    takes it for the cross term of diodes at different y; at y = 0
+    ``spectral.smeared_modes_diag`` gives the same number from the guided
+    modes, and ``validate`` check 7 compares the two.
 
     ``policy`` and ``quadrature`` are not settings: both must be None.  They
     stay in the signature because perfbench's span recorder keys smear calls
@@ -241,14 +247,25 @@ def variance_current(
     and R(2,2) equals R(1,1) because both diodes share the plate distance x.
     The approximation is twice the single-diode diagonal term,
     2 calibration^2 R(1,1), valid when the diodes are transversely far apart
-    so that the cross terms are small against the diagonal ones.  Returns
-    (variance, approximation) from two smears; a calibration so large that
-    either overflows is refused with a ValueError.
+    so that the cross terms are small against the diagonal ones.  R(1,1) is
+    amplitude^2 times the guided-mode closed form ``smeared_modes_diag``,
+    whose cost does not grow as the LO narrows; R(1,2) is the image smear
+    ``smeared_density``, or R(1,1) itself for diodes at the same y, so that
+    the variance is then exactly twice the approximation, and 0 where
+    R(1,1) is 0 (the 2 x 2 matrix of smears is positive semidefinite).  Returns
+    (variance, approximation); a calibration so large that either overflows
+    is refused with a ValueError.
     """
     if config.diode1.x != config.diode2.x:
         raise ValueError("the detector variance requires both diodes at the same plate distance x")
-    r11 = smeared_density(config.diode1, config.diode1, kernel, geometry)
-    r12 = smeared_density(config.diode1, config.diode2, kernel, geometry)
+    r11 = kernel.amplitude * kernel.amplitude * smeared_modes_diag(
+        kernel.omega_lo, kernel.width, config.diode1.x, geometry)
+    # |R(1,2)| <= R(1,1) = R(2,2): R(1,2) is R(1,1) itself at the same y, and 0 where R(1,1)
+    # is, as on the plates, where the image smear at x = a would leave its residual
+    if config.diode1.y == config.diode2.y or r11 == 0.0:
+        r12 = r11
+    else:
+        r12 = smeared_density(config.diode1, config.diode2, kernel, geometry)
     c2 = config.calibration * config.calibration
     variance, approx = c2 * ((r11 + r12) + (r12 + r11)), 2.0 * c2 * r11
     if math.isinf(variance) or math.isinf(approx):

@@ -471,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lo-p", type=float, help="LO transverse wave number (default pi/|y2-y1|)")
     p.add_argument("--a-microns", type=float, default=1.0,
                    help="plate separation in micrometres (scale of the SI frequency column)")
-    _add_output(p)  # no cutoff: the LO width sizes the smear's image sum
+    _add_output(p)  # no cutoff: R(1,1) is a mode sum, and the LO width sizes the cross term's image sum
 
     command("validate", "run exact-reference cross-checks and invariant suites")
 

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from .bhd import LOKernel, smeared_density
 from .cli import _FOUR_PI, _INTERNAL, _TWO_PI, FIG2_OMEGA, _fig4_right_rows
 from .imagesum import TruncationPolicy, two_point_yy_closed, two_point_yy_fd, two_point_yy_lattice
 from .spectral import (
@@ -24,6 +25,7 @@ from .spectral import (
     sigma_vacuum,
     sigma_vacuum_from_kernels,
     sigma_yy_diag,
+    smeared_modes_diag,
 )
 from .units import DEFAULT_GUARD, FieldPoint, build_grid
 
@@ -117,13 +119,22 @@ def _check_exact_modes():
         lattice = two_point_yy_lattice(-(eps * eps) + 0j, FieldPoint(x=x, y=0.0), _INTERNAL).real
         modes = np.array([laplace_modes_diag(e, x, _INTERNAL) for e in eps.tolist()])
         rule = max(rule, float(np.max(np.abs(modes - lattice) * math.pi**2 * eps**4)))
-    ok = worst <= 1e-3 and off <= 1e-3 and rule <= 1e-12
+    # (d) the LO smear at y = 0: the image smear against the modes' closed form, in units of
+    # A^2 width sqrt(pi) sigma_vacuum(omega_lo); below the cutoff only mode 1's Gaussian tail counts
+    smears = ((3.0, 0.15, 0.5), (_TWO_PI, _TWO_PI / 20.0, 0.75), (_TWO_PI, _TWO_PI / 200.0, 0.02), (11.4, 0.57, 0.9))
+    smear = 0.0
+    for w0, w, x in smears:
+        kernel, point = LOKernel(w0, w), FieldPoint(x=x, y=0.0)
+        gap = abs(smeared_density(point, point, kernel, _INTERNAL) - smeared_modes_diag(w0, w, x, _INTERNAL))
+        smear = max(smear, gap / (kernel.squared_integral() * w0**3 / (6.0 * math.pi**2)))
+    ok = worst <= 1e-3 and off <= 1e-3 and rule <= 1e-12 and smear <= 1e-13
     count = sum(len(omegas) for omegas in schedule.values())
     return ok, (f"max kernels-vs-modes gap {worst:.1e} of scale over {count} points (tolerance 1e-3), "
                 f"the truncation error of N = {policy.n_terms}; off the axis {off:.1e} over {len(off_axis)} "
                 "points (tolerance 1e-3); max Laplace sum-rule gap, modes vs the "
                 f"untruncated lattice, {rule:.1e} of 1/(pi^2 eps^4) over {eps.size * len(xs)} (eps, x) "
-                "(tolerance 1e-12)")
+                f"(tolerance 1e-12); max LO-smear gap at y = 0, images vs modes, {smear:.1e} of scale over "
+                f"{len(smears)} LOs (tolerance 1e-13)")
 
 def _check_convergence_table():
     rows = convergence_report(_TWO_PI, FieldPoint(x=0.25, y=0.0), _INTERNAL, [100, 1000, 10000])

@@ -29,7 +29,8 @@ makes a sum in many blocks equal one in a single block, bit for bit.  All
 quantities are in internal units (c = 1), so results scale as omega^3 while
 every other argument appears as a frequency-distance product.  Smeared by
 a Gaussian LO profile, the same sums take each image term's exact Gaussian
-integral in place of omega (``_SmearedLO``).
+integral in place of omega (``_SmearedLO``); at y = 0 the guided modes give
+that smear in closed form too (``smeared_modes_diag``).
 
 The two-point density depends on y only through y^2, so the points of one
 x that share a y^2 share its evaluation; the 201 y of the ``fig2-right``
@@ -627,6 +628,119 @@ def sigma_modes_diag(omega, x: float, geometry: CavityGeometry):
     weight = np.where(q < w, 1.0, np.where(q == w, 0.5, 0.0))
     value = (weight * s2 * (w * w + q * q)).sum(axis=1) / (4.0 * math.pi * geometry.a)
     return float(value[0]) if arr.ndim == 0 else value.reshape(arr.shape)
+
+
+#: Edges of the windows in z where exp(-z^2) and erfc(z) vary: math.erfc is
+#: exactly 2.0 below -5.9 and exactly 0.0 above 27.3, where exp(-z^2) is 0.0
+#: as well (it underflows above |z| = 27.298).
+_WINDOW_EDGES = (-27.3, -5.9, 27.3)
+#: sqrt(pi), and the part of pi below math.pi, both correctly rounded.
+_SQRT_PI = 1.772453850905516
+_PI_LO = 1.2246467991473532e-16
+
+
+def _gauss_erfc(z: np.ndarray):
+    """exp(-z^2) and erfc(z) at ascending z, each computed only within its window.
+
+    The windows are slices of z, which ascends: exp(-z^2) for -27.3 < z < 27.3
+    and ``math.erfc`` (the standard library's, as numpy has none) for
+    -5.9 < z < 27.3; outside them both are their exact constants, 0.0 and 2.0
+    or 0.0, so every value is the one the full call would give, bit for bit.
+    """
+    gauss, erfc = np.zeros(z.size), np.zeros(z.size)
+    i_gauss, i_erfc, top = np.searchsorted(z, _WINDOW_EDGES).tolist()
+    inner = z[i_gauss:top]
+    gauss[i_gauss:top] = np.exp(-(inner * inner))
+    erfc[:i_erfc] = 2.0
+    erfc[i_erfc:top] = list(map(math.erfc, z[i_erfc:top].tolist()))
+    return gauss, erfc
+
+
+def _mode_reach(omega_lo: float, width: float, a: float) -> float:
+    """Reach t of a smear over the modes: the modes above omega_lo + t width add less than rounding of its scale.
+
+    In the sum of :func:`smeared_modes_diag`, a mode at c = q_n - omega_lo >= 0,
+    z = c/width, has erfc(z) <= e^{-z^2} and sin^2 <= 1, so its bracket is at
+    most f(c) = e^{-z^2} P(c) with
+
+        P(c) = width (2 omega_lo + c) + sqrt(pi) ((omega_lo + c)^2 + omega_lo^2 + width^2/2).
+
+    f decreases for c >= 2 width (there P'/P < 1.2/width < 2c/width^2).  The
+    modes above the reach sit at c >= t width + k Delta, k = 0, 1, ..., with
+    Delta = pi/a, so with t >= 2 they add at most sum_k f(t width + k Delta).
+    P has nonnegative coefficients and degree 2, so P(t width + k Delta) <=
+    (1 + k alpha)^2 P(t width) with alpha = Delta/(t width); and
+    (t width + k Delta)^2 >= (t width)^2 + 2 k t width Delta puts the Gaussian
+    at e^{-t^2} r^k, r = e^{-2 t Delta/width}.  The sum over k is then
+
+        B(t) = e^{-t^2} P(t width) s (1 + alpha r s (2 + alpha (1 + r) s)),  s = 1/(1 - r).
+
+    The scale A^2 width sqrt(pi) omega_lo^3/(6 pi^2) is (4 a sqrt(pi)/3 pi)
+    omega_lo^3 in units of the bracket sum, and tol is its rounding.  With
+    B(t) = e^{-t^2} g(t), the bound holds once t^2 >= ln(g(t)/tol); from t = 2
+    the fixed point t^2 <- ln(g(t)/tol) finds the reach in a few steps, in
+    logarithms, so no factor underflows.  It stops at z = 27.3, beyond which
+    every bracket is exactly 0.0.
+    """
+    log_tol = math.log(_ROUNDING * 4.0 * _SQRT_PI / (3.0 * math.pi)) + math.log(a) + 3.0 * math.log(omega_lo)
+    delta = math.pi / a
+    t, t_max = 2.0, _WINDOW_EDGES[-1]
+    while t < t_max:
+        c, e = t * width, 2.0 * t * delta / width
+        p = width * (2.0 * omega_lo + c) + _SQRT_PI * ((omega_lo + c) ** 2 + omega_lo**2 + 0.5 * width * width)
+        r, s, alpha = math.exp(-e), -1.0 / math.expm1(-e), delta / c
+        # r is 0.0 (and s 1.0) for an LO narrow against Delta, where alpha may overflow
+        g = p * s * (1.0 + alpha * r * s * (2.0 + alpha * (1.0 + r) * s)) if r else p
+        # g underflows to 0.0 only for omega_lo below about 1e-162; the reach is then t_max
+        need = math.log(g) - log_tol if g > 0.0 else math.inf
+        if t * t >= need:
+            return t
+        t = min(t_max, max(t + 1e-3, math.sqrt(need)))
+    return t
+
+
+def smeared_modes_diag(omega_lo: float, width: float, x: float, geometry: CavityGeometry) -> float:
+    """LO-smeared coincident-point density from the guided modes, per unit A^2: R(1,1)/A^2 in closed form.
+
+    For k^2 = A^2 exp(-(omega - omega_lo)^2/width^2), each mode of
+    :func:`sigma_modes_diag` integrates from its threshold q_n = n pi/a on.  With
+    c = q_n - omega_lo and the Gaussian moments
+
+        M0 = (width sqrt(pi)/2) erfc(c/width),  M1 = (width^2/2) e^{-c^2/width^2},
+        M2 = (width^2/2) (c e^{-c^2/width^2} + M0),
+
+    the smear is
+
+        R(1,1)/A^2 = (1/4 pi a) sum_n sin^2(q_n x) [M2 + 2 omega_lo M1 + (omega_lo^2 + q_n^2) M0],
+
+    summed as (width/8 pi a) sum_n sin^2(q_n x) [width (q_n + omega_lo)
+    e^{-c^2/width^2} + sqrt(pi) (q_n^2 + omega_lo^2 + width^2/2) erfc(c/width)].
+    The modes reach omega_lo + t width (``_mode_reach``): those beyond add less
+    than rounding of the scale A^2 width sqrt(pi) omega_lo^3/(6 pi^2), and the
+    sum runs in ascending n, so a larger reach only appends such terms.  The
+    cost is O(omega_lo a/pi) modes whatever the width, with ``math.erfc`` called
+    only for -5.9 < c/width < 27.3, where it is neither 2.0 nor 0.0.  c carries
+    the part of n pi/a below the float pi.  The plates give exact zeros
+    (``_guided_modes`` folds x), and more than MAX_IMAGE_TERMS modes (omega_lo a
+    above about 3.29e6) are refused.
+
+    This is the image smear of ``bhd.smeared_density`` at y = 0, up to the
+    Gaussian's weight below omega = 0, where the image form continues the
+    density oddly: at most e^{-omega_lo^2/width^2} of the value, e^{-100}
+    within the LO kernel's width <= omega_lo/10.
+    """
+    if not 0.0 < omega_lo <= _MAX_OMEGA:  # _check_omegas, for one float
+        raise ValueError(f"frequencies must be positive and at most {_MAX_OMEGA:g}")
+    if not (width > 0.0 and math.isfinite(width)):
+        raise ValueError("LO width must be positive and finite")
+    q, s2 = _guided_modes(omega_lo + _mode_reach(omega_lo, width, geometry.a) * width, [x], geometry)
+    c = (q - omega_lo) + np.arange(1, q.size + 1) * (_PI_LO / geometry.a)
+    with np.errstate(over="ignore"):  # a width below about 1e-308 sends c/width to +-inf, where both are constants
+        gauss, erfc = _gauss_erfc(c / width)
+    bracket = width * (q + omega_lo) * gauss
+    bracket += _SQRT_PI * (q * q + omega_lo * omega_lo + 0.5 * width * width) * erfc
+    total = np.cumsum(s2[0] * bracket)[-1]  # ascending n: the modes beyond any reach come last
+    return float(total) * width / (8.0 * math.pi * geometry.a)
 
 
 #: Most trapezoid nodes one Bessel argument r may take: r needs floor(r) + 100,

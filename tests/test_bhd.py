@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 
 import numpy as np
@@ -18,7 +19,8 @@ from cavityspectra.bhd import (
 import cavityspectra.bhd as bhd
 import cavityspectra.spectral as sp
 from cavityspectra.imagesum import TruncationPolicy
-from cavityspectra.spectral import _sigma_yy_values, sigma_vacuum, sigma_yy_diag
+from cavityspectra.cli import main
+from cavityspectra.spectral import _sigma_yy_values, sigma_vacuum, sigma_yy_diag, smeared_modes_diag
 from cavityspectra.units import CavityGeometry, FieldPoint, from_internal
 
 G = CavityGeometry(1.0)
@@ -388,6 +390,103 @@ class TestSmearedKernels:
         assert abs(r - _adaptive_reference(p1, p2, kernel, _sized(kernel))) <= 1e-12 * _scale(kernel)
 
 
+#: 2 R(1,1) at the README LO (omega_lo = 6.283185307179586, width = omega_lo/20,
+#: x = 0.75) and at the narrow LO (6.3, 5e-4, x = 0.4), from these float inputs:
+#: the mode sum of smeared_modes_diag with exact pi, erfc, exp and sin, summed
+#: to c/width = 40 with mpmath 1.3.0 at 40 digits.
+EXACT_2R11 = [
+    pytest.param(README_KERNEL, 0.75, 5.7884303550708766426, id="readme"),
+    pytest.param(LOKernel(6.3, 5e-4), 0.4, 0.010180673955323165774, id="narrow"),
+]
+
+
+def _random_los(seed, count):
+    """(kernel, x) draws: omega_lo in [0.5, 40] (below the cutoff pi too), widths omega_lo/10 to /2000."""
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(count):
+        omega_lo = rng.uniform(0.5, 40.0)
+        kernel = LOKernel(omega_lo, omega_lo / rng.choice([10.0, 20.0, 200.0, 2000.0]))
+        x = rng.choice([rng.uniform(0.0, 1.0), rng.uniform(0.0, 1e-3), 1.0 - rng.uniform(0.0, 1e-3)])
+        draws.append((kernel, x))
+    return draws
+
+
+class TestSmearedModes:
+    """R(1,1) from the guided modes in closed form, against mpmath and the image smear."""
+
+    @pytest.mark.parametrize("kernel, x, exact", EXACT_2R11)
+    def test_within_four_ulp_of_the_exact_value(self, kernel, x, exact):
+        r11 = smeared_modes_diag(kernel.omega_lo, kernel.width, x, G)
+        assert abs(2.0 * r11 - exact) <= 4.0 * math.ulp(exact)
+        config = DetectorConfig(FieldPoint(x, 0.0), FieldPoint(x, 0.7))
+        assert variance_current(config, kernel, G)[1] == 2.0 * r11
+
+    @pytest.mark.parametrize("kernel, x", [
+        *_random_los(11, 40),
+        *((kernel, x) for kernel in (LOKernel(3.0, 0.15), LOKernel(2.5, 0.25), README_KERNEL, LOKernel(6.3, 5e-4))
+          for x in (0.0, 1e-3, 0.5, 0.999, 1.0)),
+    ], ids=lambda v: f"{v.omega_lo:g}-{v.width:g}" if isinstance(v, LOKernel) else repr(v))
+    def test_agrees_with_the_image_smear(self, kernel, x):
+        pt = FieldPoint(x, 0.0)
+        modes = smeared_modes_diag(kernel.omega_lo, kernel.width, x, G)
+        assert abs(modes - smeared_density(pt, pt, kernel, G)) <= 1e-13 * _scale(kernel)
+
+    @pytest.mark.parametrize("kernel", [README_KERNEL, LOKernel(3.0, 0.15), LOKernel(6.3, 5e-4)],
+                             ids=lambda k: f"{k.omega_lo:g}-{k.width:g}")
+    def test_vanishes_exactly_on_both_plates(self, kernel):
+        for x in (0.0, G.a):
+            assert smeared_modes_diag(kernel.omega_lo, kernel.width, x, G) == 0.0
+
+    def test_the_erfc_window_gives_the_bits_of_math_erfc(self):
+        edges = [v for e in sp._WINDOW_EDGES for v in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))]
+        zs = [np.sort(np.concatenate([np.linspace(-40.0, 40.0, 8001), edges, [-1e300, -5.8, 0.0, 27.2, 1e300]]))]
+        for kernel, _ in _random_los(12, 60):  # the arguments of every mode of these LOs
+            t = sp._mode_reach(kernel.omega_lo, kernel.width, G.a)
+            q, _ = sp._guided_modes(kernel.omega_lo + t * kernel.width, [0.5], G)
+            zs.append((q - kernel.omega_lo + np.arange(1, q.size + 1) * sp._PI_LO) / kernel.width)
+        for z in zs:
+            gauss, erfc = sp._gauss_erfc(z)
+            assert erfc.tolist() == [math.erfc(v) for v in z.tolist()]
+            with np.errstate(over="ignore"):
+                assert np.array_equal(gauss, np.exp(-(z * z)))
+
+    @pytest.mark.parametrize("longer", [lambda t: t + 1.0, lambda t: 2.0 * t, lambda t: sp._WINDOW_EDGES[-1]],
+                             ids=["t+1", "2t", "t-max"])
+    def test_a_larger_reach_leaves_the_value_unchanged(self, longer, monkeypatch):
+        draws = [*_random_los(13, 60), (README_KERNEL, 0.75), (LOKernel(6.3, 5e-4), 0.4), (LOKernel(3.0, 0.15), 0.5)]
+        sized = [smeared_modes_diag(k.omega_lo, k.width, x, G) for k, x in draws]
+        reach = sp._mode_reach
+        monkeypatch.setattr(sp, "_mode_reach", lambda *args: longer(reach(*args)))
+        assert [smeared_modes_diag(k.omega_lo, k.width, x, G) for k, x in draws] == sized
+
+    @pytest.mark.parametrize("kernel", [README_KERNEL, LOKernel(1e4, 500.0), LOKernel(0.5, 0.05),
+                                        LOKernel(6.3, 5e-4), LOKernel(40.0, 4.0)],
+                             ids=lambda k: f"{k.omega_lo:g}-{k.width:g}")
+    def test_the_modes_beyond_the_reach_add_less_than_rounding_of_the_scale(self, kernel):
+        # the modes between the reach and z = 27.3, where every term is 0.0, summed apart with sin^2 = 1
+        w0, w = kernel.omega_lo, kernel.width
+        t = sp._mode_reach(w0, w, G.a)
+        q, _ = sp._guided_modes(w0 + sp._WINDOW_EDGES[-1] * w, [0.5], G)
+        beyond = q > w0 + t * w
+        z = (q[beyond] - w0) / w
+        terms = (w * (q[beyond] + w0) * np.exp(-z * z)
+                 + sp._SQRT_PI * (q[beyond] ** 2 + w0 * w0 + 0.5 * w * w) * [math.erfc(v) for v in z.tolist()])
+        assert w * terms.sum() / (8.0 * PI * G.a) <= 2.0**-53 * w * math.sqrt(PI) * w0**3 / (6.0 * PI**2)
+
+    @pytest.mark.parametrize("omega_lo, width", [(5.0, 5e-324), (5.0, 1e-300), (1e-200, 1e-201), (1e-110, 1e-111)])
+    def test_extreme_los_give_finite_values_without_warnings(self, omega_lo, width):
+        # c/width overflows to inf for the narrowest widths; the scale omega_lo^3 underflows for the lowest LOs
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r11 = smeared_modes_diag(omega_lo, width, 0.5, G)
+        assert 0.0 <= r11 < math.inf
+
+    def test_more_modes_than_the_cap_are_refused(self):
+        with pytest.raises(ValueError, match="guided modes exceed the 1048576"):
+            smeared_modes_diag(4e6, 2e5, 0.5, G)
+
+
 class TestCurrents:
     def _setup(self, amplitude=1.0):
         kernel = LOKernel(omega_lo=TWO_PI, width=TWO_PI / 20.0, amplitude=amplitude)
@@ -445,6 +544,29 @@ class TestCurrents:
         config = DetectorConfig(FieldPoint(0.75, 0.0), FieldPoint(0.75, y2))
         variance, approx = variance_current(config, README_KERNEL, G)
         assert math.isfinite(variance) and variance == approx
+
+    def test_coincident_diodes_reuse_the_diagonal_term(self, monkeypatch):
+        def no_smearing(*args, **kwargs):
+            raise AssertionError("smeared a cross term that is R(1,1) itself")
+
+        monkeypatch.setattr(bhd, "smeared_density", no_smearing)
+        config = DetectorConfig(FieldPoint(0.4, 5.0), FieldPoint(0.4, 5.0), calibration=1.3)
+        for kernel in (README_KERNEL, LOKernel(6.3, 5e-4), LOKernel(7.0, 7.0 / 200.0)):
+            variance, approx = variance_current(config, kernel, G)
+            assert variance == 2.0 * approx > 0.0
+
+    @pytest.mark.parametrize("x", [0.0, 1.0])
+    def test_diodes_on_a_plate_see_no_variance(self, x):
+        # R(1,1) is exactly 0 there, and |R(1,2)| <= R(1,1); the image smear at x = a
+        # leaves a residual of -8.8e-46, which would make the variance negative
+        config = DetectorConfig(FieldPoint(x, 0.0), FieldPoint(x, 50.0))
+        assert variance_current(config, README_KERNEL, G) == (0.0, 0.0)
+
+    def test_coincident_diodes_print_twice_the_approximation(self, capsys):
+        assert main(["bhd", "--omega-lo", "6.283185307179586", "--x1", "0.75", "--y1", "5",
+                     "--x2", "0.75", "--y2", "5"]) == 0
+        variance, approx = capsys.readouterr().out.splitlines()[1].split(",")[3:5]
+        assert float(variance) == 2.0 * float(approx)
 
     def test_a_variance_that_overflows_is_refused(self):
         diodes = (FieldPoint(0.75, 0.0), FieldPoint(0.75, 50.0))

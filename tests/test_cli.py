@@ -278,7 +278,8 @@ class TestDetectorAndTwoPoint:
                     "--x2", "0.75", "--y2", "1e300"]) == 0
         captured = capsys.readouterr()
         variance, approx = captured.out.splitlines()[1].split(",")[3:5]
-        assert variance == approx == "5.788430355070876"
+        # R(1,1) from the guided modes: 1.1 ulp from the exact 5.7884303550708766426 (TestSmearedModes)
+        assert variance == approx == "5.7884303550708776"
         assert captured.err == ""
 
     @pytest.mark.parametrize("argv", [
@@ -436,6 +437,8 @@ class TestPlumbing:
         # a slice whose coincident density vanishes: below the first cutoff, or within rounding of a plate
         ["spectral-slice", "--omega", "2", "--y-steps", "3", "--svg", "SVG"],
         ["spectral-slice", "--x", "1e-200", "--y-steps", "3"],
+        # an LO whose smear at y = 0 would sum more than 2^20 guided modes
+        ["bhd", "--omega-lo", "4e6", "--x1", "0.5", "--y1", "0", "--x2", "0.5", "--y2", "1"],
     ])
     @pytest.mark.filterwarnings("error")  # a warning would print lines of its own outside the test
     def test_invalid_values_exit_two_with_one_line(self, argv, tmp_path, capsys):
@@ -593,5 +596,18 @@ class TestExactModeCheck:
     def test_fails_when_the_lattice_is_mutated(self, monkeypatch):
         lattice = oracle.two_point_yy_lattice
         monkeypatch.setattr(oracle, "two_point_yy_lattice", lambda *args: lattice(*args) * (1.0 + 1e-10))
+        ok, detail = oracle._check_exact_modes()
+        assert not ok, detail
+
+    def test_fails_when_the_smear_over_the_modes_drops_its_first_moment(self, monkeypatch):
+        # R(1,1) without its 2 omega_lo M1 term, M1 = (width^2/2) e^{-c^2/width^2}
+        modes = oracle.smeared_modes_diag
+
+        def without_m1(w0, w, x, geometry):
+            q, s2 = spectral._guided_modes(w0 + 10.0 * w, [x], geometry)
+            m1 = 0.5 * w * w * np.exp(-((q - w0) / w) ** 2)
+            return modes(w0, w, x, geometry) - float(np.sum(s2[0] * 2.0 * w0 * m1)) / (4.0 * math.pi * geometry.a)
+
+        monkeypatch.setattr(oracle, "smeared_modes_diag", without_m1)
         ok, detail = oracle._check_exact_modes()
         assert not ok, detail
