@@ -253,21 +253,25 @@ def variance_current(
     ``smeared_density``, or R(1,1) itself for diodes at the same y, so that
     the variance is then exactly twice the approximation, and 0 where
     R(1,1) is 0 (the 2 x 2 matrix of smears is positive semidefinite).  Returns
-    (variance, approximation); a calibration so large that either overflows
-    is refused with a ValueError.
+    (variance, approximation).  A squared amplitude or calibration that
+    overflows is refused with a ValueError naming it before any smear runs,
+    and so is a variance or approximation that is not finite.
     """
     if config.diode1.x != config.diode2.x:
         raise ValueError("the detector variance requires both diodes at the same plate distance x")
-    r11 = kernel.amplitude * kernel.amplitude * smeared_modes_diag(
-        kernel.omega_lo, kernel.width, config.diode1.x, geometry)
+    a2, c2 = kernel.amplitude * kernel.amplitude, config.calibration * config.calibration
+    for name, value, square in (("LO amplitude", kernel.amplitude, a2), ("calibration", config.calibration, c2)):
+        if math.isinf(square):
+            raise ValueError(f"the detector variance overflows: {name} {value!r} squared exceeds the float range")
+    r11 = a2 * smeared_modes_diag(kernel.omega_lo, kernel.width, config.diode1.x, geometry)
     # |R(1,2)| <= R(1,1) = R(2,2): R(1,2) is R(1,1) itself at the same y, and 0 where R(1,1)
     # is, as on the plates, where the image smear at x = a would leave its residual
     if config.diode1.y == config.diode2.y or r11 == 0.0:
         r12 = r11
     else:
         r12 = smeared_density(config.diode1, config.diode2, kernel, geometry)
-    c2 = config.calibration * config.calibration
     variance, approx = c2 * ((r11 + r12) + (r12 + r11)), 2.0 * c2 * r11
-    if math.isinf(variance) or math.isinf(approx):
-        raise ValueError(f"the detector variance overflows at calibration {config.calibration!r}")
+    if not (math.isfinite(variance) and math.isfinite(approx)):  # nan included
+        raise ValueError(f"the detector variance overflows at LO amplitude {kernel.amplitude!r} "
+                         f"and calibration {config.calibration!r}")
     return variance, approx

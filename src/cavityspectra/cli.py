@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import re
 import sys
@@ -56,26 +57,25 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-class _Reprs(dict):
-    """repr of each float cell, made once per distinct value.
+def _column_cells(column: tuple) -> list[str]:
+    """The CSV text of each cell of one column, as _fmt writes it.
 
-    0.0 and -0.0 are equal keys with different reprs, and a nan never finds
-    itself, so neither is stored.
+    A column of two or more Python floats formats each distinct bit pattern
+    once, so 0.0 and -0.0 and every nan keep their own text; a single float
+    is formatted without numpy, and any other cell goes through _fmt.
     """
-
-    def __missing__(self, v):
-        text = repr(v)
-        if v != 0.0 and v == v:
-            self[v] = text
-        return text
+    if len(column) > 1 and all(type(v) is float for v in column):
+        distinct, index = np.unique(np.array(column).view(np.int64), return_inverse=True)
+        texts = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+        return texts[index].tolist()
+    return [repr(v) if type(v) is float else _fmt(v) for v in column]
 
 
 def _rows_to_csv(header, rows) -> str:
     lines = [",".join(header)]
-    # nearly every cell is a float, and most repeat (grid coordinates): a dict
-    # lookup, no call and no isinstance chain
-    reprs = _Reprs()
-    lines.extend(",".join([reprs[v] if type(v) is float else _fmt(v) for v in row]) for row in rows)
+    for _, run in itertools.groupby(rows, key=len):  # the rows of one length, column by column
+        cells = map(_column_cells, zip(*run))
+        lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"
 
 
@@ -210,11 +210,12 @@ def _emit_slice(ns, rows) -> int:
 
 
 # The density commands draw from the finite sums over the guided modes, off the
-# axis (sigma_modes) and on it (sigma_modes_diag): exact, with no cutoff to choose.
+# axis (sigma_modes) and on it (sigma_modes_diag): exact, with no cutoff to choose,
+# and one call over all the x of a command.
 
 def cmd_spectral_diag(ns) -> int:
     xs = [float(ns.x)] if ns.x is not None else _grid(0.0, 1.0, ns.x_steps, "--x-steps")
-    values = [sigma_modes_diag(ns.omega, x, _INTERNAL) for x in xs]
+    values = sigma_modes_diag(ns.omega, xs, _INTERNAL).tolist()
     _note_discontinuities([ns.omega])
     sub = bool(ns.omega < math.pi)
     rows = [(ns.omega, x, 0.0, v, sub) for x, v in zip(xs, values)]
@@ -287,7 +288,7 @@ def _fig4_left_rows(omega_count=96, x_count=41):
     omegas = _fig4_omega_grid(omega_count)
     xs = np.linspace(0.0, 1.0, x_count)
     vac = sigma_vacuum(omegas, 0.0)
-    columns = np.array([(sigma_modes_diag(omegas, x, _INTERNAL) - vac) / vac for x in xs.tolist()])
+    columns = (sigma_modes_diag(omegas, xs, _INTERNAL) - vac) / vac
     # row order: omega outer, x inner
     rows = list(zip(np.repeat(omegas, x_count).tolist(), np.tile(xs, omega_count).tolist(),
                     columns.T.ravel().tolist()))
@@ -297,10 +298,9 @@ def _fig4_left_rows(omega_count=96, x_count=41):
 def _fig4_right_rows(omega_count=160):
     """Suppression in dB at x = a/4 and a/2; a row where the density is 0 (omega < pi) has none and is dropped."""
     omegas = _fig4_omega_grid(omega_count)
-    vac = sigma_vacuum(omegas, 0.0)
-    dbs = {x: [10.0 * math.log10(r) if r > 0.0 else None
-               for r in (sigma_modes_diag(omegas, x, _INTERNAL) / vac).tolist()]
-           for x in (0.25, 0.5)}
+    xs = (0.25, 0.5)
+    ratios = sigma_modes_diag(omegas, xs, _INTERNAL) / sigma_vacuum(omegas, 0.0)
+    dbs = {x: [10.0 * math.log10(r) if r > 0.0 else None for r in row] for x, row in zip(xs, ratios.tolist())}
     rows = [(w, d025, d05) for w, d025, d05 in zip(omegas.tolist(), dbs[0.25], dbs[0.5])
             if d025 is not None and d05 is not None]
     return rows, omegas, dbs

@@ -589,6 +589,14 @@ def sigma_vacuum_from_kernels(omega, y: float):
     return pref * (q - w)
 
 
+def _mode_count(reach: float, geometry: CavityGeometry) -> int:
+    """Number of modes n = 1 .. floor(reach a/pi) + 1; more than MAX_IMAGE_TERMS are refused."""
+    count = int(reach * geometry.a / math.pi) + 1
+    if count > MAX_IMAGE_TERMS:
+        raise ValueError(f"{count:.3g} guided modes exceed the {MAX_IMAGE_TERMS} one mode sum may include")
+    return count
+
+
 def _guided_modes(reach: float, xs: Sequence[float], geometry: CavityGeometry):
     """Wave numbers q_n = n pi/a of the modes n = 1 .. floor(reach a/pi) + 1, and sin^2(q_n x), shape (xs, modes).
 
@@ -598,16 +606,13 @@ def _guided_modes(reach: float, xs: Sequence[float], geometry: CavityGeometry):
     """
     for x in xs:
         validate_point(FieldPoint(x=x, y=0.0), geometry)
-    count = int(reach * geometry.a / math.pi) + 1
-    if count > MAX_IMAGE_TERMS:
-        raise ValueError(f"{count} guided modes exceed the {MAX_IMAGE_TERMS} one mode sum may include")
-    q = np.arange(1, count + 1) * math.pi / geometry.a
+    q = np.arange(1, _mode_count(reach, geometry) + 1) * math.pi / geometry.a
     folded = np.array([min(x, geometry.a - x) for x in xs], dtype=float)
     s = np.sin(np.multiply.outer(folded, q))
     return q, s * s
 
 
-def sigma_modes_diag(omega, x: float, geometry: CavityGeometry):
+def sigma_modes_diag(omega, x, geometry: CavityGeometry):
     """Exact coincident-point density from the guided modes: sigma_yy_diag at N = infinity.
 
     The image sum is the Poisson dual of the mode expansion, and at y = 0 it
@@ -618,16 +623,29 @@ def sigma_modes_diag(omega, x: float, geometry: CavityGeometry):
     over the modes with q_n <= omega.  A mode exactly at its threshold
     (q_n == omega) has weight 1/2, the image sum's midpoint at the jump.  The
     density is 0 below the first cutoff pi/a and on the plates, and symmetric
-    under x -> a - x.  Accepts scalar or array omega.
+    under x -> a - x.  Accepts scalar or array omega, and a scalar x or a
+    sequence of them, which gives shape (len(x),) + omega's shape.  All x
+    share the modes up to the largest omega, and each (x, omega) sums its
+    terms alone, so a row equals its x's own call bit for bit.  The x are
+    taken in blocks of at most _BLOCK_ELEMENTS terms, one block for a short
+    sequence, so many x at a high omega do not hold all their sines at once.
     """
     arr = np.asarray(omega, dtype=float)
-    w = np.atleast_1d(arr)
+    w = np.atleast_1d(arr).ravel()
     _check_omegas(w)
-    q, s2 = _guided_modes(float(np.max(w, initial=0.0)), [x], geometry)
+    xs = np.atleast_1d(np.asarray(x, dtype=float)).tolist()
+    reach = float(np.max(w, initial=0.0))
     w = w[:, None]
-    weight = np.where(q < w, 1.0, np.where(q == w, 0.5, 0.0))
-    value = (weight * s2 * (w * w + q * q)).sum(axis=1) / (4.0 * math.pi * geometry.a)
-    return float(value[0]) if arr.ndim == 0 else value.reshape(arr.shape)
+    values = np.empty((len(xs), w.size))
+    step = max(1, _BLOCK_ELEMENTS // max(1, w.size * _mode_count(reach, geometry)))
+    for lo in range(0, len(xs), step):
+        q, s2 = _guided_modes(reach, xs[lo:lo + step], geometry)
+        weight = np.where(q < w, 1.0, np.where(q == w, 0.5, 0.0))
+        values[lo:lo + step] = (weight * s2[:, None, :] * (w * w + q * q)).sum(axis=-1)
+    values /= 4.0 * math.pi * geometry.a
+    if np.ndim(x) == 0:
+        return float(values[0, 0]) if arr.ndim == 0 else values[0].reshape(arr.shape)
+    return values.reshape((len(xs),) + arr.shape)
 
 
 #: Edges of the windows in z where exp(-z^2) and erfc(z) vary: math.erfc is

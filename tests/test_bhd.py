@@ -574,6 +574,27 @@ class TestCurrents:
         with pytest.raises(ValueError, match="variance overflows"):
             variance_current(DetectorConfig(*diodes, calibration=1e200), README_KERNEL, G)
 
+    @pytest.mark.parametrize("x", [0.0, 0.75])  # at a plate inf * 0 would be nan
+    def test_a_square_that_overflows_is_refused_by_name_before_any_smear(self, x, monkeypatch):
+        def no_smearing(*args, **kwargs):
+            raise AssertionError("smeared with an overflowing square")
+
+        monkeypatch.setattr(bhd, "smeared_modes_diag", no_smearing)
+        monkeypatch.setattr(bhd, "smeared_density", no_smearing)
+        diodes = (FieldPoint(x, 0.0), FieldPoint(x, 50.0))
+        loud = LOKernel(omega_lo=TWO_PI, width=TWO_PI / 20.0, amplitude=1e200)
+        with pytest.raises(ValueError, match=r"overflows: LO amplitude 1e\+200 squared"):
+            variance_current(DetectorConfig(*diodes), loud, G)
+        with pytest.raises(ValueError, match=r"overflows: calibration 1e\+200 squared"):
+            variance_current(DetectorConfig(*diodes, calibration=1e200), README_KERNEL, G)
+
+    def test_a_variance_that_is_not_finite_is_refused_nan_included(self, monkeypatch):
+        diodes = (FieldPoint(0.75, 0.0), FieldPoint(0.75, 50.0))
+        for r12 in (math.inf, math.nan):
+            monkeypatch.setattr(bhd, "smeared_density", lambda *args, r12=r12: r12)
+            with pytest.raises(ValueError, match="variance overflows at LO amplitude 1.0 and calibration 1.0"):
+                variance_current(DetectorConfig(*diodes), README_KERNEL, G)
+
     def test_unequal_plate_distances_rejected_before_smearing(self, monkeypatch):
         def no_smearing(*args, **kwargs):
             raise AssertionError("smeared before validating the diodes")

@@ -131,7 +131,7 @@ class TestDensityCommands:
         assert err.startswith("argument error: cutoff ") and err.count("\n") == 1
 
     def test_spectral_diag_rows_equal_single_points(self, tmp_path):
-        # one sigma_modes_diag call per x, as the fig4 recipes make them
+        # one sigma_modes_diag call over the 41 x, each row equal to its x's own call
         out = tmp_path / "diag.csv"
         assert run(["spectral-diag", "--omega", "7.3", "--x-steps", "41", "--out", str(out)]) == 0
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
@@ -215,6 +215,28 @@ class TestFig2Recipes:
 
 class TestFig4Recipes:
     """The fig4 recipes against the mode sum they draw from and the image sum that converges to it."""
+
+    @pytest.mark.parametrize("argv, shape", [
+        (["figure", "fig4-left"], (41, 96)),
+        (["figure", "fig4-right"], (2, 160)),
+        (["spectral-diag", "--omega", "7.3", "--x-steps", "41"], (41,)),
+    ])
+    def test_one_mode_sum_over_every_x(self, argv, shape, monkeypatch, tmp_path):
+        calls, modes = [], []
+
+        def counting(omega, x, geometry, engine=cli.sigma_modes_diag):
+            values = engine(omega, x, geometry)
+            calls.append(values.shape)
+            return values
+
+        def guided(reach, xs, geometry, engine=spectral._guided_modes):
+            modes.append(len(xs))
+            return engine(reach, xs, geometry)
+
+        monkeypatch.setattr(cli, "sigma_modes_diag", counting)
+        monkeypatch.setattr(spectral, "_guided_modes", guided)
+        assert run([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+        assert calls == [shape] and modes == [shape[0]]
 
     def test_left_rows_are_the_mode_sum_bit_for_bit(self):
         rows, omegas, xs, _ = cli._fig4_left_rows()
@@ -439,6 +461,12 @@ class TestPlumbing:
         ["spectral-slice", "--x", "1e-200", "--y-steps", "3"],
         # an LO whose smear at y = 0 would sum more than 2^20 guided modes
         ["bhd", "--omega-lo", "4e6", "--x1", "0.5", "--y1", "0", "--x2", "0.5", "--y2", "1"],
+        # a squared amplitude that overflows, at a plate where it would meet the exact 0 as nan
+        ["bhd", "--omega-lo", "6.283185307179586", "--x1", "0", "--y1", "0", "--x2", "0", "--y2", "50",
+         "--amplitude", "1e200"],
+        [*BHD_README, "--amplitude", "1e200"],
+        ["bhd", "--omega-lo", "1e100", "--x1", "0.5", "--y1", "0", "--x2", "0.5", "--y2", "1"],
+        ["spectral-diag", "--omega", "1e100", "--x", "0.5"],
     ])
     @pytest.mark.filterwarnings("error")  # a warning would print lines of its own outside the test
     def test_invalid_values_exit_two_with_one_line(self, argv, tmp_path, capsys):
@@ -447,8 +475,13 @@ class TestPlumbing:
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("argument error: ")
-        assert err.count("\n") == 1
+        assert err.count("\n") == 1 and len(err.encode()) < 200
         assert not out.exists() and not svg.exists()
+
+    def test_a_mode_count_beyond_the_cap_is_written_in_three_digits(self, capsys):
+        assert run(["spectral-diag", "--omega", "1e100", "--x", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert err == "argument error: 3.18e+99 guided modes exceed the 1048576 one mode sum may include\n"
 
     @pytest.mark.parametrize("argv", [
         ["validate", "--quick"],
@@ -543,7 +576,7 @@ class TestPlumbing:
                 "mode sum at the fig2-left frequency omega = 2 pi - 0.001; on the jump omega = 2 pi it is 0.62") in out
         assert "; off the axis 1.5e-04 over 3 points (tolerance 1e-3);" in out
 
-    def test_csv_text_caches_float_reprs_byte_for_byte(self):
+    def test_csv_text_equals_per_cell_fmt_byte_for_byte(self):
         # repeated floats share one repr; 0.0 and -0.0 compare equal but print apart
         cells = [0.0, -0.0, 0.1, 0.1, -0.0, 0.0, 1e300, math.nan, math.nan, -math.inf, 3, None, True,
                  np.float64(-0.0), 5e-324, -5e-324, 2.5, 2.5]
@@ -552,6 +585,44 @@ class TestPlumbing:
         uncached = "a,b,c\n" + "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
         assert text == uncached
         assert "0.0,-0.0,0.1" in text and "-0.0,0.0,1e+300" in text
+
+    @staticmethod
+    def _per_cell(header, rows):
+        return ",".join(header) + "\n" + "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
+
+    @pytest.mark.parametrize("rows", [
+        [],
+        [(0.3, -0.0, None, True, 1000)],
+        [(0.0, 1.0), (-0.0, 1.0), (0.0, -0.0), (-0.0, 0.0)],  # 0.0 and -0.0 in one column
+        [(math.nan, 5e-324), (-math.nan, -5e-324), (math.inf, 2.2250738585072014e-308),
+         (-math.inf, 1e-310), (math.nan, 5e-324)],
+        [(6.3, 0.25), (6.3, None), (6.3, 0.25)],  # a float column that holds None
+        [(np.float64(0.1), 3, False), (0.1, 3, True), (np.float64(-0.0), 4, True)],
+        [(1, 2.0), (1.0, 2)],  # ints and floats in one column
+    ])
+    def test_csv_columns_equal_per_cell_fmt(self, rows):
+        header = ("a", "b", "c", "d", "e")[:len(rows[0]) if rows else 1]
+        assert cli._rows_to_csv(header, rows) == self._per_cell(header, rows)
+
+    def test_csv_grids_with_repeated_coordinates_equal_per_cell_fmt(self):
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            xs = rng.choice([0.0, -0.0, 0.5, 1.0 / 3.0, 1e-300], rng.integers(1, 6)).tolist()
+            ys = rng.normal(size=rng.integers(1, 9)).round(rng.integers(0, 17)).tolist()
+            rows = [(6.283185307179586, x, y, float(v)) for x in xs for y in ys
+                    for v in rng.choice([rng.normal(), math.nan, -0.0], 1)]
+            assert cli._rows_to_csv(("omega", "x", "y", "sigma"), rows) == self._per_cell(
+                ("omega", "x", "y", "sigma"), rows)
+
+    def test_a_one_row_csv_makes_no_numpy_call(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("a numpy call for one row")
+
+        monkeypatch.setattr(cli.np, "unique", refused)
+        monkeypatch.setattr(cli.np, "array", refused)
+        row = (6.3, 1.2e15, 0.0, 0.0129, 0.0065, None)
+        assert cli._rows_to_csv(("a", "b", "c", "d", "e", "f"), [row]) == self._per_cell(
+            ("a", "b", "c", "d", "e", "f"), [row])
 
 
 class TestLeanImport:

@@ -216,13 +216,59 @@ class TestExactModeSum:
         wide = CavityGeometry(2.5)
         assert sigma_modes_diag(7.6 / 2.5, 0.3 * 2.5, wide) == pytest.approx(value / 2.5**3, rel=1e-13)
 
+    def test_many_x_equal_their_single_calls_bit_for_bit(self):
+        # plates, mirrors a - x, thresholds k pi, omega < pi, and up to 20 modes (numpy sums more than 8 pairwise)
+        rng = np.random.default_rng(23)
+        for _ in range(60):
+            xs = [0.0, G.a, *rng.choice([0.25, 0.5, 0.75], 2).tolist(), *rng.uniform(0.0, G.a, 5).tolist()]
+            xs += [G.a - x for x in xs[2:]]
+            omegas = np.concatenate([rng.uniform(0.05, rng.choice([3.0, 12.0, 60.0]), rng.integers(1, 30)),
+                                     PI * rng.integers(1, 20, 3), [2.0]])
+            rng.shuffle(omegas)
+            many = sigma_modes_diag(omegas, xs, G)
+            assert many.shape == (len(xs), omegas.size)
+            single = np.array([sigma_modes_diag(omegas, x, G) for x in xs])
+            assert np.array_equal(many.view(np.int64), single.view(np.int64))
+            # each (x, omega) is its own sum over the modes' last axis, in the arithmetic of the docstring
+            q = np.arange(1, int(omegas.max() / PI) + 2) * PI
+            w = omegas[:, None]
+            weight = np.where(q < w, 1.0, np.where(q == w, 0.5, 0.0))
+            for x, row in zip(xs, many):
+                s = np.sin(min(x, G.a - x) * q)
+                want = (weight * (s * s) * (w * w + q * q)).sum(axis=1) / (4.0 * PI)
+                assert np.array_equal(row.view(np.int64), want.view(np.int64))
+            w = float(omegas[0])
+            along = sigma_modes_diag(w, np.array(xs), G)
+            assert along.shape == (len(xs),)
+            assert along.tolist() == [sigma_modes_diag(w, x, G) for x in xs]
+
+    def test_many_x_at_a_high_omega_are_summed_in_blocks(self, monkeypatch):
+        xs = np.linspace(0.0, 1.0, 7).tolist()
+        omegas = np.array([3.0, 40.0, 41.0 * PI])  # 42 modes: blocks of 2 x below
+        whole = sigma_modes_diag(omegas, xs, G)
+        calls = []
+
+        def counting(reach, block, geometry, engine=sp._guided_modes):
+            calls.append(len(block))
+            return engine(reach, block, geometry)
+
+        monkeypatch.setattr(sp, "_guided_modes", counting)
+        monkeypatch.setattr(sp, "_BLOCK_ELEMENTS", 2 * 3 * 42)
+        assert np.array_equal(sigma_modes_diag(omegas, xs, G), whole)
+        assert calls == [2, 2, 2, 1]
+
     def test_invalid_input_is_refused(self):
         with pytest.raises(ValueError):
             sigma_modes_diag(0.0, 0.5, G)
         with pytest.raises(ValueError):
+            sigma_modes_diag(5.0, [0.5, 1.5], G)
+        with pytest.raises(ValueError):
             sigma_modes_diag(5.0, 1.5, G)
         with pytest.raises(ValueError, match="guided modes exceed"):
             sigma_modes_diag(1e7, 0.5, G)
+        # a count of 100 digits is written in three
+        with pytest.raises(ValueError, match=re.escape("3.18e+99 guided modes exceed the 1048576 one")):
+            sigma_modes_diag(1e100, 0.5, G)
         for eps in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 laplace_modes_diag(eps, 0.5, G)
