@@ -11,10 +11,14 @@ SI frequency column).  Each subcommand accepts only the flags it reads.
 
 Exit codes: 0 success, 1 validation failure, 2 argument error, 3 numerical
 guard violation, 4 I/O failure.  ``main`` returns them, usage errors
-included, and builds its parser once per process.  A command imports the
-modules only it uses (the detector, json, the SVG renderer, the ``oracle``
-checks that ``validate`` prints) when it runs, so each launch loads only what
-it runs.
+included.  It builds its parser once per process and parses a line that
+names a command once, with that command's own parser, so a usage error
+names the command; any other line goes to the top-level parser.  A
+``--config`` file sets optional flags only (required ones are checked
+before it is read), and the line is parsed again over its values.  A
+command imports the modules only it uses (the detector, json, the SVG
+renderer, the ``oracle`` checks that ``validate`` prints) when it runs, so
+each launch loads only what it runs.
 """
 from __future__ import annotations
 
@@ -241,9 +245,11 @@ def cmd_spectral_slice(ns) -> int:
     ys = _y_grid(ns)
     # the coincident point (x, 0) rides along as the last column of the row
     values = sigma_modes(ns.omega, [ns.x], ys + [0.0], _INTERNAL)[0].tolist()
-    if values[-1] == 0.0:
-        raise ValueError(f"--x {ns.x!r} lies on a plate or within rounding of one, where the coincident "
-                         "density that normalizes the slice vanishes")
+    # mode 1 has the smallest sine next to a plate; once its square is subnormal the ratios lose their digits
+    sine = math.sin(min(ns.x, _INTERNAL.a - ns.x) * (math.pi / _INTERNAL.a))
+    if sine * sine < sys.float_info.min:
+        raise ValueError(f"--x {ns.x!r} lies on a plate or so near one that sin^2(pi x/a) is below the smallest "
+                         "normal float, where the slice's normalizing density vanishes or loses its digits")
     return _emit_slice(ns, _slice_rows(ns.omega, ns.x, ys, values))
 
 
@@ -486,8 +492,12 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    parser = _shared_parser()
     try:
-        ns = _shared_parser().parse_args(argv)
+        if argv and argv[0] in parser.commands:  # one parse, by the command's own parser
+            ns = parser.commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+        else:  # no command, --help or an unknown one: the top-level parser answers
+            ns = parser.parse_args(argv)
     except SystemExit as exc:  # argparse's own exit: 2 for a usage error, 0 for --help
         return exc.code
     # the handler is looked up at call time, so a replaced cmd_* is the one that runs

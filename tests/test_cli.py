@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -77,6 +78,21 @@ class TestDensityCommands:
             ratios.append([float(line.split(",")[3]) for line in lines])
         assert np.abs(np.subtract(*ratios)).max() <= 1e-12
         assert ratios[0][0] == pytest.approx(-0.232791, abs=1e-6)
+
+    @pytest.mark.parametrize("x, ratio", [("1e-154", "-0.23279075826906462"), ("1e-155", None), ("1e-160", None)])
+    def test_slice_next_to_a_plate_is_refused_once_the_first_sine_squared_is_subnormal(self, x, ratio, capsys):
+        # sin^2(pi x) is 9.9e-308 at x = 1e-154, a normal float; at 1e-155 and 1e-160 it is subnormal,
+        # and the ratio at |y| = 1 read ...6656 and -0.23278008 where the mode sum printed it
+        argv = ["spectral-slice", "--omega", "5", "--x", x, "--y-range", "-1", "1", "--y-steps", "3"]
+        code = run(argv)
+        out, err = capsys.readouterr()
+        if ratio is None:
+            assert (code, out, err) == (2, "", f"argument error: --x {x} lies on a plate or so near one that "
+                                               "sin^2(pi x/a) is below the smallest normal float, where the "
+                                               "slice's normalizing density vanishes or loses its digits\n")
+        else:
+            assert (code, err) == (0, "")
+            assert out.splitlines()[1:] == [f"5.0,{x},-1.0,{ratio}", f"5.0,{x},0.0,1.0", f"5.0,{x},1.0,{ratio}"]
 
     def test_map_and_slice_rows_equal_single_points(self, tmp_path):
         # the rows include y = 0 and the plates x = 0 and x = 1
@@ -456,7 +472,7 @@ class TestPlumbing:
         ["spectral-map", "--y-range", "0", "inf", "--x-steps", "2", "--y-steps", "2", "--svg", "SVG"],
         ["spectral-slice", "--y-range", "-1.7e308", "1.7e308", "--y-steps", "3"],
         ["spectral-map", "--y-range", "-inf", "5"],
-        # a slice whose coincident density vanishes: below the first cutoff, or within rounding of a plate
+        # a slice whose coincident density vanishes: below the first cutoff, or next to a plate
         ["spectral-slice", "--omega", "2", "--y-steps", "3", "--svg", "SVG"],
         ["spectral-slice", "--x", "1e-200", "--y-steps", "3"],
         # an LO whose smear at y = 0 would sum more than 2^20 guided modes
@@ -467,6 +483,7 @@ class TestPlumbing:
         [*BHD_README, "--amplitude", "1e200"],
         ["bhd", "--omega-lo", "1e100", "--x1", "0.5", "--y1", "0", "--x2", "0.5", "--y2", "1"],
         ["spectral-diag", "--omega", "1e100", "--x", "0.5"],
+        ["spectral-slice", "--x", "1e-160", "--y-steps", "3"],  # sin^2(pi x) subnormal
     ])
     @pytest.mark.filterwarnings("error")  # a warning would print lines of its own outside the test
     def test_invalid_values_exit_two_with_one_line(self, argv, tmp_path, capsys):
@@ -623,6 +640,74 @@ class TestPlumbing:
         row = (6.3, 1.2e15, 0.0, 0.0129, 0.0065, None)
         assert cli._rows_to_csv(("a", "b", "c", "d", "e", "f"), [row]) == self._per_cell(
             ("a", "b", "c", "d", "e", "f"), [row])
+
+
+class TestOneParse:
+    """A line that names a command is parsed once, by that command's own parser."""
+
+    @pytest.mark.parametrize("argv", [
+        ["spectral-diag", "--omega", "5.0", "--x", "0.5"],
+        ["spectral-diag", "--omega", "5.0", "--x-st", "4"],  # an abbreviated flag
+        ["spectral-diag", "--omega", "5.0", "--config", "CFG", "--format", "csv"],
+        ["spectral-map", "--omega", "5", "--y-range", "-5e-05", "50", "--y-steps", "3", "--svg", "m.svg"],
+        ["spectral-slice", "--x", "0.3", "--y-range", "-2", "-1e-1", "--format", "json"],
+        ["figure", "fig4-left", "--out", "f.csv"],
+        ["twopoint", "--s", "0.3", "--x", "0.4", "--y", "-8e-1", "--n-terms", "7"],
+        ["bhd", "--omega-lo", "7", "--x1", ".5", "--y1", "-1e-05", "--x2", ".5", "--y2", "1", "--lo-p", "-inf"],
+        [*BHD_README, "--width", "0.05", "--a-microns", "2.5E1"],
+        ["validate"],
+    ])
+    def test_a_handler_receives_the_namespace_of_the_full_parser(self, argv, monkeypatch, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"x-steps": 3, "format": "json"}))
+        argv = [str(cfg) if a == "CFG" else a for a in argv]
+        seen = []
+        monkeypatch.setattr(cli, "cmd_" + argv[0].replace("-", "_"), lambda ns: seen.append(ns) or 0)
+        assert run(argv) == 0
+        # what main passed on before it parsed with the command's parser alone
+        assert seen == [cli._apply_config(cli.build_parser().parse_args(argv), argv)]
+        if "--config" in argv:
+            assert (seen[0].x_steps, seen[0].format) == (3, "csv")  # the config's value, and the flag's
+
+    def test_a_launch_parses_once_and_a_config_launch_twice(self, monkeypatch, tmp_path, capsys):
+        calls = []
+        parse = argparse.ArgumentParser.parse_known_args
+
+        def counting(self, *args, **kwargs):
+            calls.append(self.prog)
+            return parse(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        assert run(BHD_README) == 0
+        assert calls == ["cavityspectra bhd"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"x-steps": 3}))
+        calls.clear()
+        assert run(["spectral-diag", "--omega", "5.0", "--config", str(cfg)]) == 0
+        assert calls == ["cavityspectra spectral-diag"] * 2
+
+    def test_unrecognized_arguments_name_the_command(self, capsys):
+        assert run([*BHD_README, "--n-terms", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cavityspectra bhd")
+        assert err.endswith("cavityspectra bhd: error: unrecognized arguments: --n-terms 5\n")
+
+    @pytest.mark.parametrize("argv, code", [
+        ([], 2),
+        (["nosuch"], 2),
+        (["--help"], 0),
+        (["bhd", "--help"], 0),
+        (["spectral-diag"], 2),  # a required flag missing
+        (["figure", "fig9"], 2),  # an invalid choice
+        (["spectral-diag", "--omega", "3", "--format", "xml"], 2),
+    ])
+    def test_usage_and_help_print_what_the_full_parser_prints(self, argv, code, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        full = capsys.readouterr()
+        assert exc.value.code == code
+        assert run(argv) == code
+        assert capsys.readouterr() == full
 
 
 class TestLeanImport:
