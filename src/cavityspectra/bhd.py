@@ -29,8 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spectral import _SmearedLO, _sigma_yy_values, smeared_modes_diag
-from .imagesum import TruncationPolicy
+from .spectral import _SmearedLO, _smear_images, smeared_modes_diag
 from .units import CavityGeometry, FieldPoint, validate_point
 
 _DISPERSION_TOL = 1e-12
@@ -153,10 +152,10 @@ def smeared_density(
 ) -> float:
     """Frequency-smeared density: integral k(omega)^2 sigma_yy over all frequencies.
 
-    The two-point density of :mod:`~cavityspectra.spectral` with the LO in
-    place of its frequency axis (``spectral._SmearedLO``): each image term is
-    smeared in closed form and damped by exp(-(width D)^2/4), and the image
-    sum, with its +-n pairing, runs to the N that the LO width sizes
+    The image sum of the two-point density of :mod:`~cavityspectra.spectral`
+    with each image term smeared in closed form (``spectral._SmearedLO``) and
+    damped by exp(-(width D)^2/4), summed for this one pair with its +-n
+    pairing by ``spectral._smear_images`` to the N that the LO width sizes
     (``_SmearedLO.image_terms``, about 6/(width a)): the terms beyond it are
     bounded below rounding of the scale A^2 width sqrt(pi) sigma_vacuum(omega_lo),
     so the result is the N = infinity smear.  Both points must share the
@@ -177,9 +176,7 @@ def smeared_density(
     if pt1.x != pt2.x:
         raise ValueError("smearing requires both points at the same plate distance x")
     lo = _SmearedLO(kernel.omega_lo, kernel.width, kernel.squared_integral())
-    sized = TruncationPolicy(n_terms=lo.image_terms(geometry.L))
-    density, _ = _sigma_yy_values(lo, [FieldPoint(pt1.x, pt2.y - pt1.y)], geometry, sized)
-    return float(density[0, 0])
+    return _smear_images(lo, pt1.x, pt2.y - pt1.y, lo.image_terms(geometry.L), geometry.L)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,9 @@ Exit codes: 0 success, 1 validation failure, 2 argument error, 3 numerical
 guard violation, 4 I/O failure.  ``main`` returns them, usage errors
 included.  It builds its parser once per process and parses a line that
 names a command once, with that command's own parser, so a usage error
-names the command; any other line goes to the top-level parser.  A
-``--config`` file sets optional flags only (required ones are checked
+names the command; any other line goes to the top-level parser.  A flag
+is read only when spelt in full, and one given twice is an argument error.
+A ``--config`` file sets optional flags only (required ones are checked
 before it is read), and the line is parsed again over its values.  A
 command imports the modules only it uses (the detector, json, the SVG
 renderer, the ``oracle`` checks that ``validate`` prints) when it runs, so
@@ -430,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.commands = sub.choices  # name -> the subcommand's parser
 
     def command(name, help):
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help, allow_abbrev=False)  # a flag is read only when spelt in full
         p.add_argument("--config", help="JSON file of option defaults (explicit flags win)")
         return p
 
@@ -484,6 +485,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_repeated_flags(command: _Parser, args) -> None:
+    """Refuse a flag that args give twice, as --flag value or --flag=value; a --config file's values are not args."""
+    dest_of = {flag: action.dest for action in command.options.values() for flag in action.option_strings}
+    seen = set()
+    for token in args:
+        flag = token.split("=", 1)[0]
+        if flag in dest_of:  # once args parse, a token that reads as a flag is one
+            if dest_of[flag] in seen:
+                raise ValueError(f"{flag} is given more than once")
+            seen.add(dest_of[flag])
+
+
 @functools.cache
 def _shared_parser() -> argparse.ArgumentParser:
     """The parser of this process: built on the first call of main, then reused."""
@@ -503,6 +516,7 @@ def main(argv=None) -> int:
     # the handler is looked up at call time, so a replaced cmd_* is the one that runs
     handler = globals()["cmd_" + ns.command.replace("-", "_")]
     try:
+        _refuse_repeated_flags(parser.commands[ns.command], argv[1:])
         return handler(_apply_config(ns, argv))
     except ValueError as exc:
         print(f"argument error: {exc}", file=sys.stderr)

@@ -28,8 +28,9 @@ each; the running total carried from block to block (``_PartialSums``)
 makes a sum in many blocks equal one in a single block, bit for bit.  All
 quantities are in internal units (c = 1), so results scale as omega^3 while
 every other argument appears as a frequency-distance product.  Smeared by
-a Gaussian LO profile, the same sums take each image term's exact Gaussian
-integral in place of omega (``_SmearedLO``); at y = 0 the guided modes give
+a Gaussian LO profile, each image term has an exact Gaussian integral
+(``_SmearedLO``), and ``_smear_images`` sums those of one point in the same
+pairs and blocks, with no frequency axis; at y = 0 the guided modes give
 that smear in closed form too (``smeared_modes_diag``).
 
 The two-point density depends on y only through y^2, so the points of one
@@ -254,7 +255,7 @@ class _Frequencies:
 
 
 class _SmearedLO:
-    """The LO in place of the frequency axis: one row, the density smeared by k(omega)^2.
+    """A Gaussian LO's smear of the image terms, for ``_smear_images``: the density smeared by k(omega)^2.
 
     For k^2 = A^2 exp(-(omega - omega_lo)^2 / width^2), c = omega_lo + i width^2 D/2
     and P2 = c^2 + width^2/2, the Gaussian integrates each image term exactly:
@@ -275,7 +276,7 @@ class _SmearedLO:
     def __init__(self, omega_lo: float, width: float, weight: float):
         self.omega_lo, self.half_w2, self.top = omega_lo, 0.5 * width * width, omega_lo + 6.0 * width
         self.reach = 2.0 * math.sqrt(_EXP_UNDERFLOW) / width  # e^{-(width D)^2/4} is 0.0 beyond
-        self.size, self.pref = 1, np.array([weight / _FOUR_PI_SQ])
+        self.pref = weight / _FOUR_PI_SQ
         moments = [1.0, omega_lo]  # M_m = omega_lo M_{m-1} + (m - 1) (width^2/2) M_{m-2}
         for m in range(2, 2 * _SERIES_TERMS + 2):
             moments.append(omega_lo * moments[-1] + (m - 1) * self.half_w2 * moments[-2])
@@ -283,9 +284,6 @@ class _SmearedLO:
             raise ValueError(f"LO frequency {omega_lo!r} is too large: the Gaussian moments of its smear overflow")
         self.series = [coeffs * moments[3::2] for coeffs in (_Q[0], _W[0])]
         self.q0 = self.series[0][0]  # Qbar(0) = (2/3) M3, as the series gives it
-
-    def __getitem__(self, block):
-        return self
 
     def tail_bound(self, n: int, L: float) -> float:
         """Bound on the summed image terms of index |m| > n, per unit prefactor (inf while w n L < sqrt 2).
@@ -356,9 +354,7 @@ class _SmearedLO:
         return out
 
 
-def _axis(omegas):
-    if not isinstance(omegas, np.ndarray):
-        return omegas  # a _SmearedLO, or a block of _Frequencies
+def _axis(omegas: np.ndarray) -> _Frequencies:
     _check_omegas(omegas)
     return _Frequencies(omegas)
 
@@ -421,12 +417,12 @@ def _sigma_yy_values(omegas, points: Sequence[FieldPoint], geometry: CavityGeome
     values are copied to every point that shares it, y^2 == 0 by one
     coincident-point call and the others together (``_off_axis_pool``).
     Element for element the arithmetic is that of a single point, so a grid
-    evaluated at once equals its points evaluated one by one, bit for bit.  A
-    pointwise density refuses an offset whose square overflows; a smear takes it.
+    evaluated at once equals its points evaluated one by one, bit for bit.  An
+    offset whose square overflows is refused.
     """
     axis = _axis(omegas)
     y2 = np.array([p.y * p.y for p in points], dtype=float)
-    if isinstance(axis, _Frequencies) and np.isinf(y2).any():
+    if np.isinf(y2).any():
         y = points[int(np.argmax(np.isinf(y2)))].y
         raise ValueError(f"transverse offset y = {y!r}: its square y^2 overflows")
     x_of = np.array([p.x for p in points], dtype=float)
@@ -440,7 +436,7 @@ def _sigma_yy_values(omegas, points: Sequence[FieldPoint], geometry: CavityGeome
         on_axis = int(y2_x[0] == 0.0)
         v, e = np.empty((2, y2_x.size, axis.size))
         if on_axis:
-            v[:1], e[:1] = _sigma_diag_values(axis, [x], geometry, policy)
+            v[:1], e[:1] = _sigma_diag_values(omegas, [x], geometry, policy)
         if on_axis < y2_x.size:
             v[on_axis:], e[on_axis:] = _off_axis_pool(axis, x, y2_x[on_axis:], policy.n_terms, geometry.L)
         values[at], errs[at] = v[rows], e[rows]
@@ -504,9 +500,7 @@ def _off_axis_terms(y2: np.ndarray, q, w):
     """
     qa, pairs, q_bn, *q0 = q
     wa, w_pairs, w_bn, *w0 = w
-    # a y^2 that overflows to inf reaches here only from a smear, whose kernels
-    # are then 0: y^2 W/D^2 <= W, so the largest float in its place gives 0, not inf * 0
-    y2 = np.minimum(y2, sys.float_info.max)[:, None]
+    y2 = y2[:, None]
     # ((qa - q_b-) + (qa - q_b+)) + y^2 ((w_b- - wa) + (w_b+ - wa))
     np.subtract(qa, pairs, out=pairs)
     w_pairs -= wa
@@ -520,6 +514,53 @@ def _off_axis_terms(y2: np.ndarray, q, w):
         return pairs, None
     (q_a0, q_b0), (w_a0, w_b0) = q0, w0
     return pairs, (q_a0 - q_b0) + y2 * (w_b0 - w_a0)
+
+
+def _smear_images(lo: _SmearedLO, x: float, y: float, n: int, L: float) -> float:
+    """LO-smeared density between (x, 0) and (x, y), its images summed to |n| = N.
+
+    The terms of ``_sigma_yy_values`` with the smeared kernels of ``lo`` in
+    place of Q(omega D) and W(omega D), for one point: per block of ascending
+    n (``_image_blocks``) the kernels are evaluated once per image distance,
+    the +-n pairs are formed in the same order and added by one cumsum seeded
+    with the running total, and the n = 0 term comes last, so every value is
+    that of the pointwise sums bit for bit.  At y^2 == 0 (a subnormal y
+    included) the sum takes the coincident form: Qbar only, at n L,
+    |2x - n L|, 2x + n L and 2x, with Qbar(0) = ``lo.q0``.
+    """
+    x2, y2 = 2.0 * x, y * y
+    # an overflowing y^2 puts every image beyond lo.reach, where both kernels are 0:
+    # y^2 Wbar/D^2 <= Wbar, so the largest float in its place gives 0, not inf * 0
+    y2_w = min(y2, sys.float_info.max)
+    total = None
+    for nL, last_block in _image_blocks(n, L):
+        m = nL.size
+        if y2 == 0.0:  # n L, |2x - n L| and 2x + n L, then (last block) 2x
+            (q,) = lo.kernels(np.concatenate([nL, np.abs(x2 - nL), x2 + nL, [x2] if last_block else []]), 1)
+        else:  # D^2 = b^2 + y^2 over (n L)^2, (2x - n L)^2 and (2x + n L)^2, then (last block) 0 and (2x)^2
+            dist2 = np.concatenate([nL ** 2, (x2 - nL) ** 2, (x2 + nL) ** 2, [0.0, x2 ** 2] if last_block else []])
+            dist2 += y2
+            q, w = lo.kernels(np.sqrt(dist2))
+            w /= dist2  # D^2 >= y^2 > 0 for every image
+        # ((qa - q_b-) + (qa - q_b+)) + y^2 ((w_b- - wa) + (w_b+ - wa))
+        qa, pairs, q_bn = q[:m], q[m:2 * m], q[2 * m:3 * m]
+        np.subtract(qa, pairs, out=pairs)
+        np.subtract(qa, q_bn, out=q_bn)
+        pairs += q_bn
+        if y2 != 0.0:
+            wa, w_pairs, w_bn = w[:m], w[m:2 * m], w[2 * m:3 * m]
+            w_pairs -= wa
+            w_bn -= wa
+            w_pairs += w_bn
+            w_pairs *= y2_w
+            pairs += w_pairs
+        if m:
+            if total is not None:
+                pairs[0] += total
+            total = np.cumsum(pairs)[-1]
+        if last_block:
+            term0 = lo.q0 - q[3 * m] if y2 == 0.0 else (q[3 * m] - q[3 * m + 1]) + y2_w * (w[3 * m + 1] - w[3 * m])
+    return float(lo.pref * (term0 if total is None else total + term0))
 
 
 def sigma_yy(
@@ -598,7 +639,7 @@ def _mode_count(reach: float, geometry: CavityGeometry) -> int:
 
 
 def _guided_modes(reach: float, xs: Sequence[float], geometry: CavityGeometry):
-    """Wave numbers q_n = n pi/a of the modes n = 1 .. floor(reach a/pi) + 1, and sin^2(q_n x), shape (xs, modes).
+    """Wave numbers q_n = n pi/a of the modes n = 1 .. floor(reach a/pi) + 1, and the xs folded for ``_sine_squares``.
 
     Each x is folded to min(x, a - x), so both plates give exact zeros and
     the mirror a - x the same sines up to the rounding of a - x.  More than
@@ -607,9 +648,13 @@ def _guided_modes(reach: float, xs: Sequence[float], geometry: CavityGeometry):
     for x in xs:
         validate_point(FieldPoint(x=x, y=0.0), geometry)
     q = np.arange(1, _mode_count(reach, geometry) + 1) * math.pi / geometry.a
-    folded = np.array([min(x, geometry.a - x) for x in xs], dtype=float)
+    return q, np.array([min(x, geometry.a - x) for x in xs], dtype=float)
+
+
+def _sine_squares(folded: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """sin^2(q_n x) at the folded x and the wave numbers q, shape (xs, modes); a block of q gives the same bits."""
     s = np.sin(np.multiply.outer(folded, q))
-    return q, s * s
+    return s * s
 
 
 def sigma_modes_diag(omega, x, geometry: CavityGeometry):
@@ -639,7 +684,8 @@ def sigma_modes_diag(omega, x, geometry: CavityGeometry):
     values = np.empty((len(xs), w.size))
     step = max(1, _BLOCK_ELEMENTS // max(1, w.size * _mode_count(reach, geometry)))
     for lo in range(0, len(xs), step):
-        q, s2 = _guided_modes(reach, xs[lo:lo + step], geometry)
+        q, folded = _guided_modes(reach, xs[lo:lo + step], geometry)
+        s2 = _sine_squares(folded, q)
         weight = np.where(q < w, 1.0, np.where(q == w, 0.5, 0.0))
         values[lo:lo + step] = (weight * s2[:, None, :] * (w * w + q * q)).sum(axis=-1)
     values /= 4.0 * math.pi * geometry.a
@@ -751,7 +797,8 @@ def smeared_modes_diag(omega_lo: float, width: float, x: float, geometry: Cavity
         raise ValueError(f"frequencies must be positive and at most {_MAX_OMEGA:g}")
     if not (width > 0.0 and math.isfinite(width)):
         raise ValueError("LO width must be positive and finite")
-    q, s2 = _guided_modes(omega_lo + _mode_reach(omega_lo, width, geometry.a) * width, [x], geometry)
+    q, folded = _guided_modes(omega_lo + _mode_reach(omega_lo, width, geometry.a) * width, [x], geometry)
+    s2 = _sine_squares(folded, q)
     c = (q - omega_lo) + np.arange(1, q.size + 1) * (_PI_LO / geometry.a)
     with np.errstate(over="ignore"):  # a width below about 1e-308 sends c/width to +-inf, where both are constants
         gauss, erfc = _gauss_erfc(c / width)
@@ -815,15 +862,17 @@ def sigma_modes(omega: float, xs: Sequence[float], ys: Sequence[float], geometry
     and the mode does not decay in y).  At y = 0 it is sigma_modes_diag.  J_0
     and J_2 are evaluated once per distinct kappa_n |y| (``_bessel_j0_j2``);
     an argument that would need more than MAX_BESSEL_NODES nodes is refused
-    with a ValueError.  Returns an array of shape (len(xs), len(ys)).
+    with a ValueError.  The sines are taken in blocks of ascending modes of
+    at most _BLOCK_ELEMENTS terms, so many modes do not hold all their sines
+    at once.  Returns an array of shape (len(xs), len(ys)).
     """
     _check_omegas(np.array([omega], dtype=float))
     y = np.abs(np.asarray(ys, dtype=float))
     if not np.all(np.isfinite(y)):
         raise ValueError("transverse offsets must be finite")
-    q, s2 = _guided_modes(omega, xs, geometry)
+    q, folded = _guided_modes(omega, xs, geometry)
     guided = q <= omega
-    q, s2w = q[guided], s2[:, guided] * np.where(q < omega, 1.0, 0.5)[guided]
+    q, weight = q[guided], np.where(q < omega, 1.0, 0.5)[guided]
     kappa = np.sqrt((omega - q) * (omega + q))
     r, index = np.unique(np.multiply.outer(kappa, y), return_inverse=True)
     if r.size and not np.floor(r[-1]) + _BESSEL_MARGIN <= MAX_BESSEL_NODES:
@@ -833,9 +882,12 @@ def sigma_modes(omega: float, xs: Sequence[float], ys: Sequence[float], geometry
     j0, j2 = _bessel_j0_j2(r)
     j0, j2 = j0[index].reshape(q.size, y.size), j2[index].reshape(q.size, y.size)
     bracket = (j0 + j2) + ((q / omega) ** 2)[:, None] * (j0 - j2)
-    values = np.zeros((s2w.shape[0], y.size))
-    for n in range(q.size):  # ascending n, so each point sums its modes in one order
-        values += np.multiply.outer(s2w[:, n], bracket[n])
+    values = np.zeros((folded.size, y.size))
+    step = max(1, _BLOCK_ELEMENTS // max(1, folded.size))
+    for lo in range(0, q.size, step):
+        s2w = _sine_squares(folded, q[lo:lo + step]) * weight[lo:lo + step]
+        for n in range(s2w.shape[1]):  # ascending n, so each point sums its modes in one order
+            values += np.multiply.outer(s2w[:, n], bracket[lo + n])
     return values * (omega * omega / (4.0 * math.pi * geometry.a))
 
 
@@ -855,7 +907,8 @@ def laplace_modes_diag(eps: float, x: float, geometry: CavityGeometry) -> float:
     """
     if not (eps > 0.0 and math.isfinite(eps)):
         raise ValueError("the Laplace variable must be positive and finite")
-    q, s2 = _guided_modes(_LAPLACE_REACH / eps, [x], geometry)
+    q, folded = _guided_modes(_LAPLACE_REACH / eps, [x], geometry)
+    s2 = _sine_squares(folded, q)
     terms = s2[0] * np.exp(-eps * q) * (2.0 * q * q / eps + 2.0 * q / eps ** 2 + 2.0 / eps ** 3)
     return float(terms.sum()) / (4.0 * math.pi * geometry.a)
 

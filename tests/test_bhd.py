@@ -39,6 +39,11 @@ def _sized(kernel):
     return TruncationPolicy(n_terms=sp._SmearedLO(kernel.omega_lo, kernel.width, 1.0).image_terms(G.L))
 
 
+def _smear(lo, x, y, n):
+    """The image smear of lo between (x, 0) and (x, y), summed to |n| = n."""
+    return sp._smear_images(lo, x, y, n, G.L)
+
+
 def _window(kernel):
     """LO frequency +- 6 widths, beyond which k^2 is below exp(-36) of its peak."""
     return kernel.omega_lo - 6.0 * kernel.width, kernel.omega_lo + 6.0 * kernel.width
@@ -271,8 +276,8 @@ class TestSmearedDensity:
         pair = [FieldPoint(0.4, y)]
         lo = sp._SmearedLO(kernel.omega_lo, kernel.width, kernel.squared_integral())
         r = smeared_density(FieldPoint(0.4, 0.0), pair[0], kernel, G)
-        converged = float(_sigma_yy_values(lo, pair, G, TruncationPolicy(n_terms=40_000))[0][0, 0])
-        truncated = float(_sigma_yy_values(lo, pair, G, TruncationPolicy(n_terms=1000))[0][0, 0])
+        converged = _smear(lo, 0.4, y, 40_000)
+        truncated = _smear(lo, 0.4, y, 1000)
         assert abs(r - converged) <= 2.0**-52 * _scale(kernel)
         assert abs(truncated - converged) > 1e-3 * abs(converged)
 
@@ -297,9 +302,7 @@ class TestSmearedDensity:
         n = _sized(kernel).n_terms
         lo = sp._SmearedLO(kernel.omega_lo, kernel.width, kernel.squared_integral())
         assert lo.tail_bound(n, G.L) <= 2.0**-53 * _TWO_THIRDS * kernel.omega_lo**3
-        pair = [FieldPoint(x, y)]
-        sized, longer = (float(_sigma_yy_values(lo, pair, G, TruncationPolicy(n_terms=m))[0][0, 0])
-                         for m in (n, 4 * n))
+        sized, longer = (_smear(lo, x, y, m) for m in (n, 4 * n))
         assert abs(sized - longer) <= 2.0**-52 * _scale(kernel)
 
     @pytest.mark.parametrize("kernel", [README_KERNEL, LOKernel(1.0, 0.1), LOKernel(20.0, 0.2),
@@ -312,10 +315,9 @@ class TestSmearedDensity:
         assert lo.tail_bound(n - 1, G.L) > tol >= lo.tail_bound(n, G.L)
         # where the tail is far above rounding, the summed terms beyond m stay within it
         for x, y in [(0.0, 0.0), (0.02, 0.3), (0.5, 0.0), (0.97, 2.0), (1.0, 0.3)]:
-            pair = [FieldPoint(x, y)]
-            converged = float(_sigma_yy_values(lo, pair, G, TruncationPolicy(n_terms=4 * n))[0][0, 0])
+            converged = _smear(lo, x, y, 4 * n)
             for m in range(max(1, n // 8), n, max(1, n // 8)):
-                head = float(_sigma_yy_values(lo, pair, G, TruncationPolicy(n_terms=m))[0][0, 0])
+                head = _smear(lo, x, y, m)
                 assert abs(head - converged) <= lo.tail_bound(m, G.L)
 
     @pytest.mark.parametrize("y", [0.0, 0.7])
@@ -544,6 +546,22 @@ class TestCurrents:
         config = DetectorConfig(FieldPoint(0.75, 0.0), FieldPoint(0.75, y2))
         variance, approx = variance_current(config, README_KERNEL, G)
         assert math.isfinite(variance) and variance == approx
+
+    def test_bhd_never_enters_the_pointwise_density_engine(self, monkeypatch, capsys):
+        # R(1,1) is the mode sum and R(1,2) the smear's own image sum: the pinned rows come out
+        # with the engine's entry points refusing every call
+        def refused(*args, **kwargs):
+            raise AssertionError("bhd entered the pointwise density engine")
+
+        for name in ("_sigma_yy_values", "_sigma_diag_values", "_off_axis_pool"):
+            monkeypatch.setattr(sp, name, refused)
+        readme = ["--omega-lo", "6.283185307179586", "--x1", "0.75", "--y1", "0", "--x2", "0.75", "--y2", "50"]
+        near = ["--omega-lo", "6.0", "--width", "0.03", "--x1", "0.4", "--y1", "0.3", "--x2", "0.4", "--y2", "1.5"]
+        rows = ("6.283185307179586,1883651567308853.2,0.0,5.7884303550708776,5.7884303550708776,0.0",
+                "6.0,1798754748000000.0,0.0,0.36301292050841044,0.3511221515108042,1.4013214237952004e-16")
+        for argv, row in zip((readme, near), rows):
+            assert main(["bhd", *argv]) == 0
+            assert capsys.readouterr().out.splitlines()[1] == row
 
     def test_coincident_diodes_reuse_the_diagonal_term(self, monkeypatch):
         def no_smearing(*args, **kwargs):

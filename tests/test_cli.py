@@ -348,13 +348,44 @@ class TestPlumbing:
         rows = json.loads(out.read_text())  # config supplies the format
         assert len(rows) == 4  # flag wins over config
 
-    def test_an_abbreviated_flag_wins_over_the_config(self, tmp_path):
-        # argparse reads --x-st as --x-steps, so the flag, not the config, sets the grid
+    @pytest.mark.parametrize("argv, flag", [
+        ([*BHD_README, "--omega", "3"], "--omega"),  # a prefix of --omega-lo
+        (["spectral-diag", "--omega", "5.0", "--x-st", "4"], "--x-st"),
+        (["twopoint", "--s", "0.3", "--x", "0.4", "--n", "7"], "--n"),
+        (["spectral-map", "--y-r", "0", "1"], "--y-r"),
+    ])
+    def test_an_abbreviated_flag_is_a_usage_error_that_names_the_command(self, argv, flag, tmp_path, capsys):
+        assert run([*argv, "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: cavityspectra {argv[0]}")
+        assert f"cavityspectra {argv[0]}: error: unrecognized arguments: {flag}" in err.splitlines()[-1]
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        ([*BHD_README, "--omega-lo", "3"], "--omega-lo"),
+        (["bhd", "--omega-lo", "3", *BHD_README[1:]], "--omega-lo"),  # the first one given is not the one kept
+        ([*BHD_README, "--y2=1"], "--y2"),
+        (["spectral-diag", "--omega", "5.0", "--format", "json", "--x", "0.5", "--format", "csv"], "--format"),
+        (["spectral-map", "--y-range", "0", "1", "--y-range", "0", "2"], "--y-range"),
+        (["figure", "fig2-left", "--svg", "a.svg", "--svg=b.svg"], "--svg"),
+    ])
+    def test_a_flag_given_twice_is_one_argument_error_that_names_it(self, argv, flag, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert run([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"argument error: {flag} is given more than once\n"
+        assert not out.exists()
+        assert run([*argv, "--out", str(out), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_a_flag_may_override_its_config_value_once(self, tmp_path, capsys):
+        # the config's values are not command-line tokens: one --x-steps over the config's is not a repeat
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"x-steps": 3}))
+        cfg.write_text(json.dumps({"x-steps": 3, "format": "csv"}))
         out = tmp_path / "d.csv"
-        assert run(["spectral-diag", "--omega", "5.0", "--x-st", "4", "--config", str(cfg), "--out", str(out)]) == 0
+        assert run(["spectral-diag", "--omega", "5.0", "--x-steps", "4", "--config", str(cfg), "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 1 + 4
+        assert run(["spectral-diag", "--omega", "5.0", "--config", str(cfg), "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "argument error: --config is given more than once\n"
 
     def test_config_keys_may_be_spelt_with_dashes(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -647,7 +678,7 @@ class TestOneParse:
 
     @pytest.mark.parametrize("argv", [
         ["spectral-diag", "--omega", "5.0", "--x", "0.5"],
-        ["spectral-diag", "--omega", "5.0", "--x-st", "4"],  # an abbreviated flag
+        ["spectral-diag", "--omega", "5.0", "--x-steps=4"],  # a flag and its value in one token
         ["spectral-diag", "--omega", "5.0", "--config", "CFG", "--format", "csv"],
         ["spectral-map", "--omega", "5", "--y-range", "-5e-05", "50", "--y-steps", "3", "--svg", "m.svg"],
         ["spectral-slice", "--x", "0.3", "--y-range", "-2", "-1e-1", "--format", "json"],
@@ -760,7 +791,8 @@ class TestExactModeCheck:
         modes = oracle.smeared_modes_diag
 
         def without_m1(w0, w, x, geometry):
-            q, s2 = spectral._guided_modes(w0 + 10.0 * w, [x], geometry)
+            q, folded = spectral._guided_modes(w0 + 10.0 * w, [x], geometry)
+            s2 = spectral._sine_squares(folded, q)
             m1 = 0.5 * w * w * np.exp(-((q - w0) / w) ** 2)
             return modes(w0, w, x, geometry) - float(np.sum(s2[0] * 2.0 * w0 * m1)) / (4.0 * math.pi * geometry.a)
 

@@ -1,5 +1,7 @@
 import math
+import random
 import re
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -10,6 +12,7 @@ from numpy.polynomial import polynomial as npoly
 
 import cavityspectra.spectral as sp
 from cavityspectra import cli
+from cavityspectra.bhd import LOKernel, smeared_density
 from cavityspectra.imagesum import TruncationPolicy, two_point_yy_lattice
 from cavityspectra.spectral import (
     SERIES_THRESHOLD,
@@ -295,6 +298,25 @@ class TestExactModeSum:
         assert total == pytest.approx(laplace_modes_diag(eps, x, G), rel=1e-6)
 
 
+def _unblocked_sigma_modes(omega, xs, ys):
+    """sigma_modes as it was before it took its sines in blocks of modes: every sine at once, the reference."""
+    y = np.abs(np.asarray(ys, dtype=float))
+    q = np.arange(1, int(omega * G.a / PI) + 2) * PI / G.a
+    s = np.sin(np.multiply.outer(np.array([min(x, G.a - x) for x in xs]), q))
+    s2 = s * s
+    guided = q <= omega
+    q, s2w = q[guided], s2[:, guided] * np.where(q < omega, 1.0, 0.5)[guided]
+    kappa = np.sqrt((omega - q) * (omega + q))
+    r, index = np.unique(np.multiply.outer(kappa, y), return_inverse=True)
+    j0, j2 = sp._bessel_j0_j2(r)
+    j0, j2 = j0[index].reshape(q.size, y.size), j2[index].reshape(q.size, y.size)
+    bracket = (j0 + j2) + ((q / omega) ** 2)[:, None] * (j0 - j2)
+    values = np.zeros((s2w.shape[0], y.size))
+    for n in range(q.size):
+        values += np.multiply.outer(s2w[:, n], bracket[n])
+    return values * (omega * omega / (4.0 * math.pi * G.a))
+
+
 class TestOffAxisModeSum:
     """sigma_modes: the density off the axis at N = infinity, with J_0 and J_2 by the trapezoid rule."""
 
@@ -351,6 +373,38 @@ class TestOffAxisModeSum:
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
                 assert sigma_modes(10.6, [x], [y], G)[0, 0] == grid[i, j]
+
+    def test_sines_in_blocks_of_modes_give_the_unblocked_bits(self, monkeypatch):
+        # both plates and a mirror pair; y = 0 and -0.0; 40 pi puts mode 40 at threshold
+        xs = [0.0, 0.1, 0.3, 0.7, 0.75, 1.0, 0.5]
+        ys = [0.0, -0.0, -0.3, 2.5, 40.0]
+        cases = [(omega, _unblocked_sigma_modes(omega, xs, ys)) for omega in (3.0, 7.6, 40.0, 40.0 * PI, 127.3)]
+        sizes = []
+
+        def counting(folded, q, engine=sp._sine_squares):
+            sizes.append(folded.size * q.size)
+            return engine(folded, q)
+
+        monkeypatch.setattr(sp, "_sine_squares", counting)
+        for block in (sp._BLOCK_ELEMENTS, 7 * 3, 7 * 40, 1):  # one block, 3 or 40 modes a block, one mode
+            monkeypatch.setattr(sp, "_BLOCK_ELEMENTS", block)
+            for omega, want in cases:
+                sizes.clear()
+                assert sigma_modes(omega, xs, ys, G).tobytes() == want.tobytes()
+                assert max(sizes, default=0) <= max(block, len(xs))
+                assert sum(sizes) == len(xs) * int(omega / PI)  # each guided mode's sines once
+
+    def test_many_modes_hold_a_block_of_sines_at_a_time(self, monkeypatch):
+        # 6366 guided modes at 41 x: 261 006 sines, in two blocks
+        sizes = []
+
+        def counting(folded, q, engine=sp._sine_squares):
+            sizes.append(folded.size * q.size)
+            return engine(folded, q)
+
+        monkeypatch.setattr(sp, "_sine_squares", counting)
+        sigma_modes(2e4, np.linspace(0.0, 1.0, 41).tolist(), [0.0], G)
+        assert len(sizes) == 2 and max(sizes) <= sp._BLOCK_ELEMENTS
 
     def test_the_image_sum_at_large_n_meets_it_off_the_jumps(self):
         # N = 10^5 gaps 2.0e-7, 5.3e-7 and 1.5e-6 of vacuum; N = 1000 gaps 7.7e-5, 1.6e-5, 1.5e-4
@@ -415,6 +469,51 @@ class TestTwoPointDensity:
     def test_an_offset_whose_square_overflows_is_refused(self, y):
         with pytest.raises(ValueError, match=re.escape(f"transverse offset y = {y!r}: its square y^2 overflows")):
             sigma_yy(6.0, FieldPoint(x=0.5, y=y), G, TruncationPolicy(n_terms=10))
+
+
+def _former_smear(lo, x, y, n):
+    """The image smear as the pointwise density engine summed it, with lo as a one-row frequency axis: the reference.
+
+    _sigma_yy_values took the point to _sigma_diag_values at y^2 == 0 and to
+    _off_axis_pool otherwise, over kernel arrays of shape (rows, images) and
+    (y^2 rows, frequencies, images), with _PartialSums carrying the total
+    from block to block and a one-element prefactor array.
+    """
+    pref = np.array([lo.pref])
+    acc = sp._PartialSums()
+    y2, x2 = np.array([y * y]), 2.0 * x
+    for nL, last_block in sp._image_blocks(n, G.L):
+        m = nL.size
+        if y2[0] == 0.0:
+            distances = np.concatenate([nL, np.abs(x2 - nL), x2 + nL, [x2] if last_block else []])
+            q = lo.kernels(distances[None], 1)[0]
+            qa, pairs, reflected = q[:, :m], q[:, m:2 * m], q[:, 2 * m:3 * m]
+            np.subtract(qa, pairs, out=pairs)
+            np.subtract(qa, reflected, out=reflected)
+            pairs += reflected
+            acc.add(pairs)
+            if last_block:
+                return float((pref * acc.totals(lo.q0 - q[:, 3 * m])[0])[0])
+        else:
+            bases = np.concatenate([nL ** 2, (x2 - nL) ** 2, (x2 + nL) ** 2, [0.0, x2 ** 2] if last_block else []])
+            dist2 = (bases + y2[:, None])[:, None, :]
+            q, w = lo.kernels(np.sqrt(dist2))
+            w /= dist2
+            qa, pairs, q_bn = q[..., :m], q[..., m:2 * m], q[..., 2 * m:3 * m]
+            wa, w_pairs, w_bn = w[..., :m], w[..., m:2 * m], w[..., 2 * m:3 * m]
+            y2c = np.minimum(y2, sys.float_info.max)[:, None]
+            np.subtract(qa, pairs, out=pairs)
+            w_pairs -= wa
+            np.subtract(qa, q_bn, out=q_bn)
+            w_bn -= wa
+            pairs += q_bn
+            w_pairs += w_bn
+            w_pairs *= y2c[..., None]
+            pairs += w_pairs
+            acc.add(pairs)
+            if last_block:
+                term0 = (q[..., 3 * m] - q[..., 3 * m + 1]) + y2c * (w[..., 3 * m + 1] - w[..., 3 * m])
+                return float((pref * acc.totals(term0)[0])[0, 0])
 
 
 class TestSharedImageTerms:
@@ -500,16 +599,20 @@ class TestSharedImageTerms:
         # repeats and subnormal y whose square underflows; a full grid, then the
         # same points scattered so that blocks hold pairs (x, y^2) nobody asked for
         policy = TruncationPolicy(n_terms=n_terms)
-        omegas = self.OMEGAS if axis == "frequencies" else sp._SmearedLO(TWO_PI, TWO_PI / 20.0, 1.3)
         xs = [0.0, 1.0, 0.31, 0.69, 0.25, 0.75]
         ys = [0.0, 1.3, -1.3, 5e-324, -1e-170, 0.4, 45.0, -0.4, 1.3, -0.0]
         grid = [FieldPoint(x=x, y=y) for x in xs for y in ys]
         scattered = [FieldPoint(x=x, y=y) for x, y in zip(xs * 2, ys + ys[:2])][::-1]
+        if axis == "smeared":  # the smear sums one point at a time: each equals the engine's former sum
+            lo = sp._SmearedLO(TWO_PI, TWO_PI / 20.0, 1.3)
+            for p in grid:
+                assert repr(sp._smear_images(lo, p.x, p.y, n_terms, G.L)) == repr(_former_smear(lo, p.x, p.y, n_terms))
+            return
         for points in (grid, scattered):
-            values, errs = sp._sigma_yy_values(omegas, points, G, policy)
-            assert values.shape == errs.shape == (len(points), self.OMEGAS.size if axis == "frequencies" else 1)
+            values, errs = sp._sigma_yy_values(self.OMEGAS, points, G, policy)
+            assert values.shape == errs.shape == (len(points), self.OMEGAS.size)
             for i, point in enumerate(points):
-                alone = sp._sigma_yy_values(omegas, [point], G, policy)
+                alone = sp._sigma_yy_values(self.OMEGAS, [point], G, policy)
                 assert np.array_equal(values[i], alone[0][0]) and np.array_equal(errs[i], alone[1][0])
 
     def test_an_empty_frequency_array_gives_empty_rows(self):
@@ -556,12 +659,16 @@ class TestImageBlocks:
     @pytest.mark.parametrize("axis", ["frequencies", "smeared"])
     def test_blocks_equal_one_block_bit_for_bit(self, block, axis, monkeypatch):
         policy = TruncationPolicy(n_terms=1000)
-        omegas = self.OMEGAS if axis == "frequencies" else sp._SmearedLO(TWO_PI, TWO_PI / 20.0, 1.3)
         points = [FieldPoint(x=0.31, y=y) for y in (0.0, 0.4, -1.3, 45.0)]
         xs = [0.31, 0.75]
 
         def evaluate():
-            return (*sp._sigma_yy_values(omegas, points, G, policy), *sp._sigma_diag_values(omegas, xs, G, policy))
+            if axis == "smeared":  # the smear's own image sum, one point at a time
+                lo = sp._SmearedLO(TWO_PI, TWO_PI / 20.0, 1.3)
+                smear = [sp._smear_images(lo, p.x, p.y, policy.n_terms, G.L) for p in (*points, *map(FieldPoint, xs))]
+                return (np.array(smear),)
+            return (*sp._sigma_yy_values(self.OMEGAS, points, G, policy),
+                    *sp._sigma_diag_values(self.OMEGAS, xs, G, policy))
 
         sizes = []
 
@@ -589,7 +696,7 @@ class TestImageBlocks:
 
         def evaluate():
             return (sp._sigma_diag_values(omegas, xs, G, policy), sp._sigma_yy_values(omegas, points, G, policy),
-                    sp._sigma_yy_values(smeared, points, G, policy))
+                    (np.array([sp._smear_images(smeared, p.x, p.y, policy.n_terms, G.L) for p in points]),))
 
         blocked = evaluate()
         diag = blocked[0]
@@ -597,10 +704,11 @@ class TestImageBlocks:
             for j, omega in enumerate(omegas.tolist()):
                 s = sigma_yy_diag(omega, x, G, policy)
                 assert (diag[0][i, j], diag[1][i, j]) == (s.value, s.err)
-        for axis, (values, errs) in ((omegas, blocked[1]), (smeared, blocked[2])):
-            for i, point in enumerate(points):
-                alone = sp._sigma_yy_values(axis, [point], G, policy)
-                assert np.array_equal(values[i], alone[0][0]) and np.array_equal(errs[i], alone[1][0])
+        values, errs = blocked[1]
+        for i, point in enumerate(points):
+            alone = sp._sigma_yy_values(omegas, [point], G, policy)
+            assert np.array_equal(values[i], alone[0][0]) and np.array_equal(errs[i], alone[1][0])
+            assert blocked[2][0][i] == sp._smear_images(smeared, point.x, point.y, policy.n_terms, G.L)
         # and the blocks equal one block, a single cumsum over all the pairs of each point
         monkeypatch.setattr(sp, "_BLOCK_ELEMENTS", 2**18)
         whole = evaluate()
@@ -612,12 +720,36 @@ class TestImageBlocks:
         try:
             sigma_yy(6.0, FieldPoint(x=0.5, y=0.7), G, policy)
             sigma_yy_diag(6.0, 0.5, G, policy)
-            sp._sigma_yy_values(sp._SmearedLO(6.3, 1e-3, 1.0), [FieldPoint(x=0.4, y=0.7)], G, policy)
+            sp._smear_images(sp._SmearedLO(6.3, 1e-3, 1.0), 0.4, 0.7, policy.n_terms, G.L)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # one block array is 1 MiB; the 3 N + 2 image bases alone would be 24 MB
         assert peak < 24 * 2**20
+
+
+class TestSmearImages:
+    """The smear's own image sum, against the pointwise engine path it replaced."""
+
+    def test_equals_the_former_engine_path_bit_for_bit(self):
+        # a seeded sweep over LO widths omega_lo/10.5 to /200 and 5e-4, plate distances on
+        # both plates, next to one and inside, and offsets 0, +-1e-9, O(1), 50 and 1e300,
+        # whose square overflows; the 2e-5 LO sums its 3 N + 2 images in several blocks
+        rng = random.Random(25)
+        cases = []
+        for _ in range(200):
+            omega_lo = rng.uniform(0.5, 40.0)
+            width = rng.choice([omega_lo / rng.uniform(10.5, 200.0)] * 4 + [5e-4])
+            x = rng.choice([0.0, 1e-4, rng.uniform(0.0, 1.0), 1.0])
+            y = rng.choice([0.0, 1e-9, -1e-9, rng.uniform(-3.0, 3.0), 50.0, 1e300])
+            cases.append((LOKernel(omega_lo, width), x, rng.choice([0.0, rng.uniform(-2.0, 2.0)]), y))
+        blocked = LOKernel(6.3, 2e-5)
+        assert 3 * sp._SmearedLO(6.3, 2e-5, 1.0).image_terms(G.L) > sp._BLOCK_ELEMENTS
+        cases += [(blocked, x, 0.0, y) for x, y in ((0.4, 0.0), (0.4, 0.7), (1e-4, 1e300))]
+        for kernel, x, y1, y in cases:
+            lo = sp._SmearedLO(kernel.omega_lo, kernel.width, kernel.squared_integral())
+            r = smeared_density(FieldPoint(x, y1), FieldPoint(x, y1 + y), kernel, G)
+            assert repr(r) == repr(_former_smear(lo, x, (y1 + y) - y1, lo.image_terms(G.L))), (kernel, x, y1, y)
 
 
 def _normalized_difference(omega, x, policy):
