@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spectral import _SmearedLO, _smear_images, smeared_modes_diag
+from .spectral import _image_sum, _SmearedLO, smeared_modes_diag
 from .units import CavityGeometry, FieldPoint, validate_point
 
 _DISPERSION_TOL = 1e-12
@@ -154,9 +154,10 @@ def smeared_density(
 
     The image sum of the two-point density of :mod:`~cavityspectra.spectral`
     with each image term smeared in closed form (``spectral._SmearedLO``) and
-    damped by exp(-(width D)^2/4), summed for this one pair with its +-n
-    pairing by ``spectral._smear_images`` to the N that the LO width sizes
-    (``_SmearedLO.image_terms``, about 6/(width a)): the terms beyond it are
+    damped by exp(-(width D)^2/4), summed for this one pair, at its one y^2,
+    by the loop of the pointwise densities (``spectral._image_sum``) to the
+    N that the LO width sizes (``_SmearedLO.image_terms``, about
+    6/(width a)): the terms beyond it are
     bounded below rounding of the scale A^2 width sqrt(pi) sigma_vacuum(omega_lo),
     so the result is the N = infinity smear.  Both points must share the
     plate distance x (the closed-form density covers equal-x pairs only;
@@ -176,7 +177,9 @@ def smeared_density(
     if pt1.x != pt2.x:
         raise ValueError("smearing requires both points at the same plate distance x")
     lo = _SmearedLO(kernel.omega_lo, kernel.width, kernel.squared_integral())
-    return _smear_images(lo, pt1.x, pt2.y - pt1.y, lo.image_terms(geometry.L), geometry.L)
+    y = pt2.y - pt1.y
+    values, _ = _image_sum(lo, pt1.x, np.array([y * y]), lo.image_terms(geometry.L), geometry.L)
+    return float(values[0])
 
 
 @dataclass(frozen=True)

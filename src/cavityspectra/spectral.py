@@ -21,17 +21,17 @@ with the translated/reflected image distances A_n, B_n.  Restricting the sum
 to the n = 0 translated term reproduces the free-space (vacuum) density; the
 remainder encodes the plates.  The sums are accumulated pairwise over +-n in
 ascending |n| with the n = 0 term last, which keeps several boundary
-identities exact in floating point.  Every density is one loop: one plate
-distance x at a time, blocks of ascending |n| (one block unless the images
-of the x exceed _BLOCK_ELEMENTS), and blocks of frequencies and y^2 within
-each; the running total carried from block to block (``_PartialSums``)
-makes a sum in many blocks equal one in a single block, bit for bit.  All
-quantities are in internal units (c = 1), so results scale as omega^3 while
-every other argument appears as a frequency-distance product.  Smeared by
-a Gaussian LO profile, each image term has an exact Gaussian integral
-(``_SmearedLO``), and ``_smear_images`` sums those of one point in the same
-pairs and blocks, with no frequency axis; at y = 0 the guided modes give
-that smear in closed form too (``smeared_modes_diag``).
+identities exact in floating point.  One loop, ``_image_sum``, sums the
+images of one plate distance x at its distinct y^2: blocks of ascending |n|
+(one block unless the images exceed _BLOCK_ELEMENTS), chunks of y^2 rows
+within each, and the running total carried from block to block, so a sum
+in many blocks equals one in a single block, bit for bit.  Its kernels are
+those of one frequency (``_Pointwise``) or, smeared by a Gaussian LO
+profile, the exact Gaussian integrals of the image terms (``_SmearedLO``);
+at y = 0 the guided modes give that smear in closed form too
+(``smeared_modes_diag``).  All quantities are in internal units (c = 1), so
+results scale as omega^3 while every other argument appears as a
+frequency-distance product.
 
 The two-point density depends on y only through y^2, so the points of one
 x that share a y^2 share its evaluation; the 201 y of the ``fig2-right``
@@ -70,7 +70,7 @@ _MAX_OMEGA = 1e100
 #: Most elements of one block of images (its three families and the n = 0
 #: terms): the images of one point beyond it are summed in several blocks.
 _BLOCK_ELEMENTS = 2**17
-#: Most elements of one kernel block (frequencies or y^2 rows by images):
+#: Most elements of one kernel block (y^2 rows by images):
 #: 256 KiB of floats, so the few arrays a block keeps live stay in a core's
 #: L2 cache.  Blocks of 2^17 made a 21 x 101 grid at N = 1000 25-70% slower
 #: (best of 7, three rounds, 2-vCPU VM).
@@ -211,51 +211,21 @@ def _check_omegas(omegas: np.ndarray) -> None:
         raise ValueError(f"frequencies must be positive and at most {_MAX_OMEGA:g}")
 
 
-class _PartialSums:
-    """Row-wise running total of pairs fed in blocks of ascending |n|, and |last pair|.
+class _Pointwise:
+    """The density at one frequency omega, for ``_image_sum``: kernels at omega D, prefactor omega^3 / 4 pi^2."""
 
-    Each block's first pair is seeded with the running total before one
-    cumsum over the block, so the total equals that of one cumsum over all
-    the pairs, bit for bit.
-    """
+    def __init__(self, omega: float):
+        self.omega, self.q0 = omega, _TWO_THIRDS  # q0 = Q(0)
+        self.pref = (omega * omega * omega) / _FOUR_PI_SQ
 
-    def __init__(self):
-        self.total = None  # the running total after the blocks so far
-
-    def add(self, pairs: np.ndarray) -> None:
-        """Take the next block of pairs, overwriting its first pair."""
-        if pairs.shape[-1] == 0:
-            return
-        self.last = np.abs(pairs[..., -1])
-        if self.total is not None:
-            pairs[..., 0] += self.total
-        self.total = np.cumsum(pairs, axis=-1)[..., -1]
-
-    def totals(self, term0: np.ndarray):
-        """(totals, |last pair|) with the n = 0 term added last."""
-        if self.total is None:
-            return term0.copy(), np.zeros_like(term0)
-        return self.total + term0, self.last
-
-
-class _Frequencies:
-    """Pointwise frequency axis of a density: kernels at omega D, prefactor omega^3 / 4 pi^2."""
-
-    def __init__(self, omegas):
-        self.omegas, self.size, self.q0 = omegas, omegas.size, _TWO_THIRDS  # q0 = Q(0)
-        self.pref = (omegas * omegas * omegas) / _FOUR_PI_SQ
-
-    def __getitem__(self, block):
-        return _Frequencies(self.omegas[block])
-
-    def kernels(self, distances, count=2):
-        """Q, then W unless count is 1, at omega D: the frequencies take the axis -2 of distances."""
-        u = self.omegas[:, None] * distances
+    def kernels(self, d, count=2):
+        """Q, then W unless count is 1, at omega d."""
+        u = self.omega * d
         return [q_kernel(u)] if count == 1 else _spliced(u, _Q, _W)
 
 
 class _SmearedLO:
-    """A Gaussian LO's smear of the image terms, for ``_smear_images``: the density smeared by k(omega)^2.
+    """A Gaussian LO's smear of the image terms, for ``_image_sum``: the density smeared by k(omega)^2.
 
     For k^2 = A^2 exp(-(omega - omega_lo)^2 / width^2), c = omega_lo + i width^2 D/2
     and P2 = c^2 + width^2/2, the Gaussian integrates each image term exactly:
@@ -354,11 +324,6 @@ class _SmearedLO:
         return out
 
 
-def _axis(omegas: np.ndarray) -> _Frequencies:
-    _check_omegas(omegas)
-    return _Frequencies(omegas)
-
-
 def _image_blocks(n: int, L: float):
     """(n L, whether last) over blocks of ascending n = 1..N, one empty block at N = 0.
 
@@ -370,42 +335,91 @@ def _image_blocks(n: int, L: float):
         yield np.arange(lo + 1, hi + 1, dtype=float) * L, hi == n
 
 
+def _image_sum(kernels, x: float, y2: np.ndarray, n: int, L: float):
+    """Density between (x, 0) and (x, y) at one or more distinct, ascending y^2, summed to |n| = N: (values, errs).
+
+    ``kernels`` is a ``_Pointwise`` frequency or a ``_SmearedLO``: its image
+    terms K(D) for K = Q and W, K(0) = ``q0`` and the prefactor ``pref``,
+    which scales both results; errs is the magnitude of the last +-n pair.
+    Off the axis the terms are Q(D) and W(D)/D^2 at D^2 = b^2 + y^2 over the
+    squared bases b^2: (n L)^2, (2x - n L)^2 and (2x + n L)^2, and for n = 0
+    the bases 0 and (2x)^2.  A zero y^2 (the first, as they ascend; a
+    subnormal y whose square underflows included) takes the coincident form:
+    Q only, at n L, |2x - n L|, 2x + n L and 2x, with Q(0) = ``q0``.  Each
+    family is a slice of one kernel array.  The images go in blocks of
+    ascending n (``_image_blocks``, the n = 0 terms with the last); each
+    block's +-n pairs are added by one cumsum seeded with the running total
+    and the n = 0 term comes last, so a sum in many blocks equals one in a
+    single block, bit for bit.  The rows of y^2 go in chunks whose kernel
+    arrays stay within _CACHE_ELEMENTS, one row each when the images span
+    blocks, so memory is bounded in N.
+    """
+    x2 = 2.0 * x
+    # an overflowing y^2 (a smear's: a pointwise density refuses it) puts every image beyond the LO's
+    # reach, where both kernels are 0: y^2 W/D^2 <= W, so the largest float in its place gives 0, not inf * 0
+    y2_w = np.minimum(y2, sys.float_info.max) if y2[-1] == math.inf else y2
+    on_axis = int(y2[0] == 0.0)
+    values, errs = np.empty(y2.size), np.zeros(y2.size)  # values holds the running total until the last block
+    chunks = None
+    for nL, last_block in _image_blocks(n, L):
+        m = nL.size
+        if on_axis:  # n L, |2x - n L| and 2x + n L, then (last block) 2x
+            distances = np.concatenate([nL, np.abs(x2 - nL), x2 + nL, [x2] if last_block else []])
+        if on_axis < y2.size:
+            # (n L)^2, (2x - n L)^2 and (2x + n L)^2, then (last block) 0 and (2x)^2, a Python float power as
+            # in the pinned baselines: numpy's x*x differs from it in the last bit for about 1 in 1000 x
+            bases = np.concatenate([nL ** 2, (x2 - nL) ** 2, (x2 + nL) ** 2, [0.0, x2 ** 2] if last_block else []])
+        if chunks is None:  # the first block sizes the chunks, a row each if the images span blocks
+            step = max(1, _CACHE_ELEMENTS // (3 * m + 2)) if last_block else 1
+            # rows one at a time are indices, with kernel arrays over the images alone, else slices of rows
+            if step == 1 or y2.size - on_axis == 1:
+                chunks = range(y2.size)
+            else:
+                chunks = [0] * on_axis + [slice(r, r + step) for r in range(on_axis, y2.size, step)]
+        for rows in chunks:
+            if on_axis and rows == 0:  # the coincident form
+                (q,), w = kernels.kernels(distances, 1), None
+            else:
+                dist2 = (bases[:, None] if isinstance(rows, slice) else bases) + y2[rows]
+                q, w = kernels.kernels(np.sqrt(dist2))
+                w /= dist2  # D^2 >= y^2 > 0 for every image, so the W/D^2 terms are regular
+            # ((qa - q_b-) + (qa - q_b+)) + y^2 ((w_b- - wa) + (w_b+ - wa)), over (images[, rows])
+            qa, pairs, q_bn = q[:m], q[m:2 * m], q[2 * m:3 * m]
+            np.subtract(qa, pairs, out=pairs)
+            np.subtract(qa, q_bn, out=q_bn)
+            pairs += q_bn
+            if w is not None:
+                wa, w_pairs, w_bn = w[:m], w[m:2 * m], w[2 * m:3 * m]
+                w_pairs -= wa
+                w_bn -= wa
+                w_pairs += w_bn
+                w_pairs *= y2_w[rows]
+                pairs += w_pairs
+            if m:
+                errs[rows] = kernels.pref * abs(pairs[-1])
+                if nL[0] > L:  # a block after the first takes the running total
+                    pairs[0] += values[rows]
+                values[rows] = pairs.cumsum(axis=0)[-1]
+            if last_block:
+                if w is None:
+                    term0 = kernels.q0 - q[3 * m]
+                else:
+                    term0 = (q[3 * m] - q[3 * m + 1]) + y2_w[rows] * (w[3 * m + 1] - w[3 * m])
+                values[rows] = kernels.pref * (values[rows] + term0 if m else term0)
+    return values, errs
+
+
 def _sigma_diag_values(omegas, xs: Sequence[float], geometry: CavityGeometry, policy: TruncationPolicy):
     """Vectorized coincident-point density: (values, errs), shape (xs, omegas).
 
-    One x at a time: Q at its image distances, the translated n L, the
-    reflected |2x - n L| and 2x + n L and the n = 0 term 2x, each family a
-    slice of one kernel array.  The images are summed in blocks
-    (``_image_blocks``, the n = 0 term with the last): one block unless they
-    exceed _BLOCK_ELEMENTS, so memory is bounded in N.  Blocks of frequencies
-    stay within _CACHE_ELEMENTS where one frequency row fits, and take one row
-    each when the images span blocks.
+    One ``_image_sum`` per x and frequency, at the single y^2 = 0.
     """
-    axis = _axis(omegas)
-    n = policy.n_terms
-    values, errs = np.empty((2, len(xs), axis.size))
-    for i, x2 in enumerate((2.0 * np.asarray(xs, dtype=float)).tolist()):
-        sums = None
-        for nL, last_block in _image_blocks(n, geometry.L):
-            m = nL.size
-            # n L, |2x - n L| and 2x + n L, then (last block) 2x
-            distances = np.concatenate([nL, np.abs(x2 - nL), x2 + nL, [x2] if last_block else []])
-            if sums is None:  # the first block sizes the frequency blocks, a row each if images span blocks
-                rows = max(1, _CACHE_ELEMENTS // distances.size) if last_block else 1
-                sums = [_PartialSums() for _ in range(0, axis.size, rows)]
-            for lo, acc in zip(range(0, axis.size, rows), sums):
-                block = slice(lo, lo + rows)
-                rows_axis = axis[block]
-                q = rows_axis.kernels(distances[None], 1)[0]
-                qa, pairs, reflected = q[:, :m], q[:, m:2 * m], q[:, 2 * m:3 * m]
-                # (qa - Q(omega B-)) + (qa - Q(omega B+)), over (frequencies, images)
-                np.subtract(qa, pairs, out=pairs)
-                np.subtract(qa, reflected, out=reflected)
-                pairs += reflected
-                acc.add(pairs)
-                if last_block:
-                    totals, last = acc.totals(rows_axis.q0 - q[:, 3 * m])
-                    values[i, block], errs[i, block] = rows_axis.pref * totals, rows_axis.pref * last
+    _check_omegas(omegas)
+    values, errs = np.empty((2, len(xs), omegas.size))
+    y2 = np.zeros(1)
+    for i, x in enumerate(np.asarray(xs, dtype=float).tolist()):
+        for j, omega in enumerate(omegas.tolist()):
+            (values[i, j],), (errs[i, j],) = _image_sum(_Pointwise(omega), x, y2, policy.n_terms, geometry.L)
     return values, errs
 
 
@@ -413,154 +427,26 @@ def _sigma_yy_values(omegas, points: Sequence[FieldPoint], geometry: CavityGeome
     """Vectorized two-point density: (values, errs), shape (points, omegas).
 
     The points are taken one plate distance x at a time.  The density depends
-    on y only through y^2: each distinct y^2 of an x is evaluated once and its
-    values are copied to every point that shares it, y^2 == 0 by one
-    coincident-point call and the others together (``_off_axis_pool``).
-    Element for element the arithmetic is that of a single point, so a grid
-    evaluated at once equals its points evaluated one by one, bit for bit.  An
-    offset whose square overflows is refused.
+    on y only through y^2: each distinct y^2 of an x is evaluated once, in one
+    ``_image_sum`` per frequency, and its values are copied to every point
+    that shares it.  Element for element the arithmetic is that of a single
+    point, so a grid evaluated at once equals its points evaluated one by
+    one, bit for bit.  An offset whose square overflows is refused.
     """
-    axis = _axis(omegas)
+    _check_omegas(omegas)
     y2 = np.array([p.y * p.y for p in points], dtype=float)
     if np.isinf(y2).any():
         y = points[int(np.argmax(np.isinf(y2)))].y
         raise ValueError(f"transverse offset y = {y!r}: its square y^2 overflows")
     x_of = np.array([p.x for p in points], dtype=float)
-    values, errs = np.empty((2, len(points), axis.size))
+    values, errs = np.empty((2, len(points), omegas.size))
     for x in dict.fromkeys(x_of.tolist()):
         at = np.flatnonzero(x_of == x)
         y2_x, rows = np.unique(y2[at], return_inverse=True) if at.size > 1 else (y2[at], slice(None))
-        # y^2 == 0 includes subnormal y whose square underflows: the y^2 terms are
-        # then identically zero and the coincident-point form is the analytic limit;
-        # the distinct y^2 ascend, so only the first can be 0
-        on_axis = int(y2_x[0] == 0.0)
-        v, e = np.empty((2, y2_x.size, axis.size))
-        if on_axis:
-            v[:1], e[:1] = _sigma_diag_values(omegas, [x], geometry, policy)
-        if on_axis < y2_x.size:
-            v[on_axis:], e[on_axis:] = _off_axis_pool(axis, x, y2_x[on_axis:], policy.n_terms, geometry.L)
-        values[at], errs[at] = v[rows], e[rows]
+        for j, omega in enumerate(omegas.tolist()):
+            v, e = _image_sum(_Pointwise(omega), x, y2_x, policy.n_terms, geometry.L)
+            values[at, j], errs[at, j] = v[rows], e[rows]
     return values, errs
-
-
-def _off_axis_pool(axis, x: float, y2: np.ndarray, n: int, L: float):
-    """Two-point density at plate distance x and distinct y^2 > 0: (values, errs), shape (y2, omegas).
-
-    The image terms are Q(omega D) and W(omega D)/D^2 at D^2 = b^2 + y^2,
-    over the squared bases b^2: (n L)^2, (2x - n L)^2 and (2x + n L)^2, and
-    for n = 0 the bases 0 and (2x)^2, each family a slice of the kernel
-    arrays.  A block of y^2 rows and frequencies keeps its kernel arrays
-    within _CACHE_ELEMENTS, or takes one y^2 row when the bases alone exceed
-    it.  The images are summed in blocks (``_image_blocks``, the n = 0 bases
-    with the last): one block unless the bases exceed _BLOCK_ELEMENTS, which
-    then go one y^2 row and frequency at a time.
-    """
-    values, errs = np.empty((2, y2.size, axis.size))
-    x2 = 2.0 * x
-    sums = {}  # one running total per block of y^2 rows and frequencies
-    for nL, last_block in _image_blocks(n, L):
-        m = nL.size
-        # (n L)^2, (2x - n L)^2 and (2x + n L)^2, then (last block) 0 and (2x)^2, a Python float power as
-        # in the pinned baselines: numpy's x*x differs from it in the last bit for about 1 in 1000 x
-        bases = np.concatenate([nL ** 2, (x2 - nL) ** 2, (x2 + nL) ** 2, [0.0, x2 ** 2] if last_block else []])
-
-        def families(k):
-            n0 = (k[..., 3 * m], k[..., 3 * m + 1]) if last_block else ()
-            return (k[..., :m], k[..., m:2 * m], k[..., 2 * m:3 * m], *n0)
-        if not sums:  # the first block sizes the blocks, a y^2 row and frequency each if images span blocks
-            per_block = max(1, _CACHE_ELEMENTS // bases.size) if last_block else 1
-            freqs = max(1, min(axis.size, per_block))  # an empty frequency axis takes no block
-            step = per_block // freqs
-        for r0 in range(0, y2.size, step):
-            rows = slice(r0, r0 + step)
-            dist2 = (bases + y2[rows, None])[:, None, :]
-            d = np.sqrt(dist2)
-            for lo in range(0, axis.size, freqs):
-                block = slice(lo, lo + freqs)
-                rows_axis = axis[block]
-                q, w = rows_axis.kernels(d)
-                w /= dist2  # D^2 >= y^2 > 0 for every image, so the W/D^2 terms are regular
-                pairs, term0 = _off_axis_terms(y2[rows], families(q), families(w))
-                acc = sums.setdefault((r0, lo), _PartialSums())
-                acc.add(pairs)
-                if last_block:
-                    totals, last = acc.totals(term0)
-                    values[rows, block], errs[rows, block] = rows_axis.pref * totals, rows_axis.pref * last
-    return values, errs
-
-
-def _off_axis_terms(y2: np.ndarray, q, w):
-    """Image pairs and n = 0 term of the two-point density (None without the n = 0 families).
-
-    q holds Q(omega D) and w holds W(omega D)/D^2 per family, over
-    (y^2, frequencies, images) for the n terms and (y^2, frequencies) for
-    n = 0: the translated n L, the reflected |2x - n L| and 2x + n L (both
-    overwritten), then, if present, the translated n = 0 at |y| and the
-    reflected n = 0 at 2x.
-    """
-    qa, pairs, q_bn, *q0 = q
-    wa, w_pairs, w_bn, *w0 = w
-    y2 = y2[:, None]
-    # ((qa - q_b-) + (qa - q_b+)) + y^2 ((w_b- - wa) + (w_b+ - wa))
-    np.subtract(qa, pairs, out=pairs)
-    w_pairs -= wa
-    np.subtract(qa, q_bn, out=q_bn)
-    w_bn -= wa
-    pairs += q_bn
-    w_pairs += w_bn
-    w_pairs *= y2[..., None]
-    pairs += w_pairs
-    if not q0:
-        return pairs, None
-    (q_a0, q_b0), (w_a0, w_b0) = q0, w0
-    return pairs, (q_a0 - q_b0) + y2 * (w_b0 - w_a0)
-
-
-def _smear_images(lo: _SmearedLO, x: float, y: float, n: int, L: float) -> float:
-    """LO-smeared density between (x, 0) and (x, y), its images summed to |n| = N.
-
-    The terms of ``_sigma_yy_values`` with the smeared kernels of ``lo`` in
-    place of Q(omega D) and W(omega D), for one point: per block of ascending
-    n (``_image_blocks``) the kernels are evaluated once per image distance,
-    the +-n pairs are formed in the same order and added by one cumsum seeded
-    with the running total, and the n = 0 term comes last, so every value is
-    that of the pointwise sums bit for bit.  At y^2 == 0 (a subnormal y
-    included) the sum takes the coincident form: Qbar only, at n L,
-    |2x - n L|, 2x + n L and 2x, with Qbar(0) = ``lo.q0``.
-    """
-    x2, y2 = 2.0 * x, y * y
-    # an overflowing y^2 puts every image beyond lo.reach, where both kernels are 0:
-    # y^2 Wbar/D^2 <= Wbar, so the largest float in its place gives 0, not inf * 0
-    y2_w = min(y2, sys.float_info.max)
-    total = None
-    for nL, last_block in _image_blocks(n, L):
-        m = nL.size
-        if y2 == 0.0:  # n L, |2x - n L| and 2x + n L, then (last block) 2x
-            (q,) = lo.kernels(np.concatenate([nL, np.abs(x2 - nL), x2 + nL, [x2] if last_block else []]), 1)
-        else:  # D^2 = b^2 + y^2 over (n L)^2, (2x - n L)^2 and (2x + n L)^2, then (last block) 0 and (2x)^2
-            dist2 = np.concatenate([nL ** 2, (x2 - nL) ** 2, (x2 + nL) ** 2, [0.0, x2 ** 2] if last_block else []])
-            dist2 += y2
-            q, w = lo.kernels(np.sqrt(dist2))
-            w /= dist2  # D^2 >= y^2 > 0 for every image
-        # ((qa - q_b-) + (qa - q_b+)) + y^2 ((w_b- - wa) + (w_b+ - wa))
-        qa, pairs, q_bn = q[:m], q[m:2 * m], q[2 * m:3 * m]
-        np.subtract(qa, pairs, out=pairs)
-        np.subtract(qa, q_bn, out=q_bn)
-        pairs += q_bn
-        if y2 != 0.0:
-            wa, w_pairs, w_bn = w[:m], w[m:2 * m], w[2 * m:3 * m]
-            w_pairs -= wa
-            w_bn -= wa
-            w_pairs += w_bn
-            w_pairs *= y2_w
-            pairs += w_pairs
-        if m:
-            if total is not None:
-                pairs[0] += total
-            total = np.cumsum(pairs)[-1]
-        if last_block:
-            term0 = lo.q0 - q[3 * m] if y2 == 0.0 else (q[3 * m] - q[3 * m + 1]) + y2_w * (w[3 * m + 1] - w[3 * m])
-    return float(lo.pref * (term0 if total is None else total + term0))
 
 
 def sigma_yy(
@@ -571,10 +457,11 @@ def sigma_yy(
 ) -> SpectralSample:
     """Cavity spectral density between (x, 0) and (x, y) at frequency omega.
 
-    The y^2 W/A^2 combination is evaluated as a single expression; its only
-    singular configuration (translated distance 0) occurs at n = 0, y = 0,
-    where the whole combination has the analytic limit 0 and the computation
-    falls back to the coincident-point form.  ``err`` is the magnitude of the
+    One ``_image_sum`` at y^2.  The y^2 W/A^2 combination is evaluated as a
+    single expression; its only singular configuration (translated distance
+    0) occurs at n = 0, y = 0, where the whole combination has the analytic
+    limit 0 and the sum takes the coincident-point form, as it does for a
+    subnormal y whose square underflows.  ``err`` is the magnitude of the
     last symmetric pair's contribution -- a practical truncation indicator,
     not a rigorous bound.
     """

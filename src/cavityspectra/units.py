@@ -172,10 +172,12 @@ def build_grid(omega_min: float, omega_max: float, count: int, delta: float = DE
     Any point falling within ``delta`` of an integer multiple of pi is pushed
     outward to distance exactly ``delta`` (a point sitting exactly on the
     multiple, including 0, is pushed upward).  Raises ValueError when the
-    requested range is degenerate or entirely swallowed by one guard band.
+    requested range is degenerate, not finite or entirely swallowed by one
+    guard band, and when a point cannot leave its band because the floats
+    there are too coarse.
     """
-    if not (0.0 <= omega_min < omega_max):
-        raise ValueError(f"need 0 <= omega_min < omega_max, got [{omega_min!r}, {omega_max!r}]")
+    if not (0.0 <= omega_min < omega_max < math.inf):
+        raise ValueError(f"need 0 <= omega_min < omega_max, both finite, got [{omega_min!r}, {omega_max!r}]")
     if count < 2:
         raise ValueError("grid needs at least two points")
     if not (0.0 < delta < math.pi / 4.0):
@@ -194,10 +196,16 @@ def build_grid(omega_min: float, omega_max: float, count: int, delta: float = DE
     shift = np.where(d >= 0.0, delta, -delta)
     pts = np.where(inside, k * math.pi + shift, pts)
     # k*pi + shift can round to just inside the band when ulp(k*pi) exceeds
-    # the slack (k >= 11 at delta = 1e-3): step such points outward an ulp
+    # the slack (k >= 11 at delta = 1e-3), or onto k*pi itself when it
+    # exceeds 2 delta: step such points outward an ulp, each step moving them
+    # away from k*pi, or refuse the grid where a step cannot
     short = _inside_band(pts, delta)
     while np.any(short):
-        pts = np.where(short, np.nextafter(pts, pts + shift), pts)
+        stepped = np.where(short, np.nextafter(pts, np.copysign(np.inf, shift)), pts)
+        if not np.all(_distance_to_pi_multiple(stepped[short]) > _distance_to_pi_multiple(pts[short])):
+            raise ValueError(f"the floats near {float(pts[short][0])!r} are too coarse to keep a point "
+                             f"{delta!r} away from a multiple of pi")
+        pts = stepped
         short = _inside_band(pts, delta)
     if np.any(np.diff(pts) <= 0.0):
         raise ValueError("guard displacement produced a non-increasing grid")

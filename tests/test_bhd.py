@@ -41,7 +41,7 @@ def _sized(kernel):
 
 def _smear(lo, x, y, n):
     """The image smear of lo between (x, 0) and (x, y), summed to |n| = n."""
-    return sp._smear_images(lo, x, y, n, G.L)
+    return float(sp._image_sum(lo, x, np.array([y * y]), n, G.L)[0][0])
 
 
 def _window(kernel):
@@ -548,12 +548,12 @@ class TestCurrents:
         assert math.isfinite(variance) and variance == approx
 
     def test_bhd_never_enters_the_pointwise_density_engine(self, monkeypatch, capsys):
-        # R(1,1) is the mode sum and R(1,2) the smear's own image sum: the pinned rows come out
-        # with the engine's entry points refusing every call
+        # R(1,1) is the mode sum and R(1,2) the image sum over the smeared kernels: the pinned rows
+        # come out with the pointwise densities and their kernels refusing every call
         def refused(*args, **kwargs):
             raise AssertionError("bhd entered the pointwise density engine")
 
-        for name in ("_sigma_yy_values", "_sigma_diag_values", "_off_axis_pool"):
+        for name in ("_sigma_yy_values", "_sigma_diag_values", "_Pointwise"):
             monkeypatch.setattr(sp, name, refused)
         readme = ["--omega-lo", "6.283185307179586", "--x1", "0.75", "--y1", "0", "--x2", "0.75", "--y2", "50"]
         near = ["--omega-lo", "6.0", "--width", "0.03", "--x1", "0.4", "--y1", "0.3", "--x2", "0.4", "--y2", "1.5"]

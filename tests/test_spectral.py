@@ -471,16 +471,142 @@ class TestTwoPointDensity:
             sigma_yy(6.0, FieldPoint(x=0.5, y=y), G, TruncationPolicy(n_terms=10))
 
 
+class _PartialSums:
+    """Row-wise running total of pairs fed in blocks of ascending |n|, and |last pair|: the reference's."""
+
+    def __init__(self):
+        self.total = None
+
+    def add(self, pairs):
+        if pairs.shape[-1] == 0:
+            return
+        self.last = np.abs(pairs[..., -1])
+        if self.total is not None:
+            pairs[..., 0] += self.total
+        self.total = np.cumsum(pairs, axis=-1)[..., -1]
+
+    def totals(self, term0):
+        if self.total is None:
+            return term0.copy(), np.zeros_like(term0)
+        return self.total + term0, self.last
+
+
+class _FormerFrequencies:
+    """The reference's frequency axis: kernels at omega D over axis -2, prefactor omega^3 / 4 pi^2."""
+
+    def __init__(self, omegas):
+        self.omegas, self.size, self.q0 = omegas, omegas.size, 2.0 / 3.0
+        self.pref = (omegas * omegas * omegas) / (4.0 * math.pi**2)
+
+    def __getitem__(self, block):
+        return _FormerFrequencies(self.omegas[block])
+
+    def kernels(self, distances, count=2):
+        u = self.omegas[:, None] * distances
+        return [sp.q_kernel(u)] if count == 1 else sp._spliced(u, sp._Q, sp._W)
+
+
+def _former_diag_values(omegas, xs, n):
+    """The coincident-point density as the pointwise engine summed it, frequencies in blocks of rows: the reference."""
+    axis = _FormerFrequencies(omegas)
+    values, errs = np.empty((2, len(xs), axis.size))
+    for i, x2 in enumerate((2.0 * np.asarray(xs, dtype=float)).tolist()):
+        sums = None
+        for nL, last_block in sp._image_blocks(n, G.L):
+            m = nL.size
+            distances = np.concatenate([nL, np.abs(x2 - nL), x2 + nL, [x2] if last_block else []])
+            if sums is None:
+                rows = max(1, sp._CACHE_ELEMENTS // distances.size) if last_block else 1
+                sums = [_PartialSums() for _ in range(0, axis.size, rows)]
+            for lo, acc in zip(range(0, axis.size, rows), sums):
+                block = slice(lo, lo + rows)
+                rows_axis = axis[block]
+                q = rows_axis.kernels(distances[None], 1)[0]
+                qa, pairs, reflected = q[:, :m], q[:, m:2 * m], q[:, 2 * m:3 * m]
+                np.subtract(qa, pairs, out=pairs)
+                np.subtract(qa, reflected, out=reflected)
+                pairs += reflected
+                acc.add(pairs)
+                if last_block:
+                    totals, last = acc.totals(rows_axis.q0 - q[:, 3 * m])
+                    values[i, block], errs[i, block] = rows_axis.pref * totals, rows_axis.pref * last
+    return values, errs
+
+
+def _former_off_axis(axis, x, y2, n):
+    """The two-point density at distinct y^2 > 0 over blocks of y^2 rows and frequencies: the reference."""
+    values, errs = np.empty((2, y2.size, axis.size))
+    x2 = 2.0 * x
+    sums = {}
+    for nL, last_block in sp._image_blocks(n, G.L):
+        m = nL.size
+        bases = np.concatenate([nL ** 2, (x2 - nL) ** 2, (x2 + nL) ** 2, [0.0, x2 ** 2] if last_block else []])
+        if not sums:
+            per_block = max(1, sp._CACHE_ELEMENTS // bases.size) if last_block else 1
+            freqs = max(1, min(axis.size, per_block))
+            step = per_block // freqs
+        for r0 in range(0, y2.size, step):
+            rows = slice(r0, r0 + step)
+            dist2 = (bases + y2[rows, None])[:, None, :]
+            for lo in range(0, axis.size, freqs):
+                block = slice(lo, lo + freqs)
+                rows_axis = axis[block]
+                q, w = rows_axis.kernels(np.sqrt(dist2))
+                w /= dist2
+                qa, pairs, q_bn = q[..., :m], q[..., m:2 * m], q[..., 2 * m:3 * m]
+                wa, w_pairs, w_bn = w[..., :m], w[..., m:2 * m], w[..., 2 * m:3 * m]
+                y2c = y2[rows, None]
+                np.subtract(qa, pairs, out=pairs)
+                w_pairs -= wa
+                np.subtract(qa, q_bn, out=q_bn)
+                w_bn -= wa
+                pairs += q_bn
+                w_pairs += w_bn
+                w_pairs *= y2c[..., None]
+                pairs += w_pairs
+                acc = sums.setdefault((r0, lo), _PartialSums())
+                acc.add(pairs)
+                if last_block:
+                    term0 = (q[..., 3 * m] - q[..., 3 * m + 1]) + y2c * (w[..., 3 * m + 1] - w[..., 3 * m])
+                    totals, last = acc.totals(term0)
+                    values[rows, block], errs[rows, block] = rows_axis.pref * totals, rows_axis.pref * last
+    return values, errs
+
+
+def _former_yy_values(omegas, points, n):
+    """The two-point density as the pointwise engine summed it, one x and its distinct y^2 at a time: the reference."""
+    axis = _FormerFrequencies(omegas)
+    y2 = np.array([p.y * p.y for p in points], dtype=float)
+    x_of = np.array([p.x for p in points], dtype=float)
+    values, errs = np.empty((2, len(points), axis.size))
+    for x in dict.fromkeys(x_of.tolist()):
+        at = np.flatnonzero(x_of == x)
+        y2_x, rows = np.unique(y2[at], return_inverse=True)
+        on_axis = int(y2_x[0] == 0.0)
+        v, e = np.empty((2, y2_x.size, axis.size))
+        if on_axis:
+            v[:1], e[:1] = _former_diag_values(omegas, [x], n)
+        if on_axis < y2_x.size:
+            v[on_axis:], e[on_axis:] = _former_off_axis(axis, x, y2_x[on_axis:], n)
+        values[at], errs[at] = v[rows], e[rows]
+    return values, errs
+
+
+def _smear(lo, x, y, n):
+    """The image smear of lo between (x, 0) and (x, y), summed to |n| = n."""
+    return float(sp._image_sum(lo, x, np.array([y * y]), n, G.L)[0][0])
+
+
 def _former_smear(lo, x, y, n):
     """The image smear as the pointwise density engine summed it, with lo as a one-row frequency axis: the reference.
 
-    _sigma_yy_values took the point to _sigma_diag_values at y^2 == 0 and to
-    _off_axis_pool otherwise, over kernel arrays of shape (rows, images) and
+    The engine took the point to its coincident form at y^2 == 0 and to its
+    off-axis form otherwise, over kernel arrays of shape (rows, images) and
     (y^2 rows, frequencies, images), with _PartialSums carrying the total
     from block to block and a one-element prefactor array.
     """
     pref = np.array([lo.pref])
-    acc = sp._PartialSums()
+    acc = _PartialSums()
     y2, x2 = np.array([y * y]), 2.0 * x
     for nL, last_block in sp._image_blocks(n, G.L):
         m = nL.size
@@ -606,7 +732,7 @@ class TestSharedImageTerms:
         if axis == "smeared":  # the smear sums one point at a time: each equals the engine's former sum
             lo = sp._SmearedLO(TWO_PI, TWO_PI / 20.0, 1.3)
             for p in grid:
-                assert repr(sp._smear_images(lo, p.x, p.y, n_terms, G.L)) == repr(_former_smear(lo, p.x, p.y, n_terms))
+                assert repr(_smear(lo, p.x, p.y, n_terms)) == repr(_former_smear(lo, p.x, p.y, n_terms))
             return
         for points in (grid, scattered):
             values, errs = sp._sigma_yy_values(self.OMEGAS, points, G, policy)
@@ -621,9 +747,9 @@ class TestSharedImageTerms:
             values, errs = sp._sigma_yy_values(np.array([]), points, G, TruncationPolicy(n_terms=n_terms))
             assert values.shape == errs.shape == (3, 0)
 
-    def test_many_x_take_one_off_axis_call_each_within_the_cache_budget(self, monkeypatch):
+    def test_many_x_take_one_image_sum_each_within_the_cache_budget(self, monkeypatch):
         # at N = 3000 one x has 3 N + 2 = 9002 squared image bases, so a kernel
-        # block holds three of its y^2 rows
+        # block holds three of its y^2 rows; each x and frequency takes one sum of its distinct y^2
         policy = TruncationPolicy(n_terms=3000)
         xs, ys = np.linspace(0.0, 1.0, 41).tolist(), [0.0, -0.6, 2.5, 0.6]
         points = [FieldPoint(x=x, y=y) for x in xs for y in ys]
@@ -633,14 +759,14 @@ class TestSharedImageTerms:
             kernels.append(np.size(u))
             return inner(u, *k)
 
-        def pool(axis, x, y2, *args, inner=sp._off_axis_pool):
-            calls.append((x, y2.tolist()))
-            return inner(axis, x, y2, *args)
+        def image_sum(pointwise, x, y2, *args, inner=sp._image_sum):
+            calls.append((x, pointwise.omega, y2.tolist()))
+            return inner(pointwise, x, y2, *args)
 
         monkeypatch.setattr(sp, "_spliced", spliced)
-        monkeypatch.setattr(sp, "_off_axis_pool", pool)
+        monkeypatch.setattr(sp, "_image_sum", image_sum)
         values, errs = sp._sigma_yy_values(self.OMEGAS[:2], points, G, policy)
-        assert calls == [(x, [0.36, 6.25]) for x in xs]
+        assert calls == [(x, w, [0.0, 0.36, 6.25]) for x in xs for w in self.OMEGAS[:2].tolist()]
         assert max(kernels) <= sp._CACHE_ELEMENTS
         monkeypatch.undo()
         for i in range(0, len(points), 7):
@@ -663,9 +789,9 @@ class TestImageBlocks:
         xs = [0.31, 0.75]
 
         def evaluate():
-            if axis == "smeared":  # the smear's own image sum, one point at a time
+            if axis == "smeared":  # the image sum over the smeared kernels, one point at a time
                 lo = sp._SmearedLO(TWO_PI, TWO_PI / 20.0, 1.3)
-                smear = [sp._smear_images(lo, p.x, p.y, policy.n_terms, G.L) for p in (*points, *map(FieldPoint, xs))]
+                smear = [_smear(lo, p.x, p.y, policy.n_terms) for p in (*points, *map(FieldPoint, xs))]
                 return (np.array(smear),)
             return (*sp._sigma_yy_values(self.OMEGAS, points, G, policy),
                     *sp._sigma_diag_values(self.OMEGAS, xs, G, policy))
@@ -696,7 +822,7 @@ class TestImageBlocks:
 
         def evaluate():
             return (sp._sigma_diag_values(omegas, xs, G, policy), sp._sigma_yy_values(omegas, points, G, policy),
-                    (np.array([sp._smear_images(smeared, p.x, p.y, policy.n_terms, G.L) for p in points]),))
+                    (np.array([_smear(smeared, p.x, p.y, policy.n_terms) for p in points]),))
 
         blocked = evaluate()
         diag = blocked[0]
@@ -708,7 +834,7 @@ class TestImageBlocks:
         for i, point in enumerate(points):
             alone = sp._sigma_yy_values(omegas, [point], G, policy)
             assert np.array_equal(values[i], alone[0][0]) and np.array_equal(errs[i], alone[1][0])
-            assert blocked[2][0][i] == sp._smear_images(smeared, point.x, point.y, policy.n_terms, G.L)
+            assert blocked[2][0][i] == _smear(smeared, point.x, point.y, policy.n_terms)
         # and the blocks equal one block, a single cumsum over all the pairs of each point
         monkeypatch.setattr(sp, "_BLOCK_ELEMENTS", 2**18)
         whole = evaluate()
@@ -720,7 +846,7 @@ class TestImageBlocks:
         try:
             sigma_yy(6.0, FieldPoint(x=0.5, y=0.7), G, policy)
             sigma_yy_diag(6.0, 0.5, G, policy)
-            sp._smear_images(sp._SmearedLO(6.3, 1e-3, 1.0), 0.4, 0.7, policy.n_terms, G.L)
+            _smear(sp._SmearedLO(6.3, 1e-3, 1.0), 0.4, 0.7, policy.n_terms)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -728,8 +854,35 @@ class TestImageBlocks:
         assert peak < 24 * 2**20
 
 
+class TestImageSum:
+    """The pointwise densities, one _image_sum per x and frequency, against the engine they replaced."""
+
+    # the real blocks; N = 1000 and 2000 in 6 and 11 blocks; N = 7 in 3 blocks of 3 pairs,
+    # with chunks of two y^2 rows where the images fit one block
+    @pytest.mark.parametrize("block, cache", [(sp._BLOCK_ELEMENTS, sp._CACHE_ELEMENTS), (602, sp._CACHE_ELEMENTS),
+                                              (11, 50)])
+    def test_equals_the_former_engine_bit_for_bit(self, block, cache, monkeypatch):
+        # plate distances on both plates, next to one and inside; offsets 0, -0.0, ones whose square
+        # underflows, a repeated y^2, O(1) and 50; frequencies below 1 (series kernels), O(1) and 12
+        monkeypatch.setattr(sp, "_BLOCK_ELEMENTS", block)
+        monkeypatch.setattr(sp, "_CACHE_ELEMENTS", cache)
+        rng = random.Random(26)
+        for n in (0, 1, 7, 1000, 2000) if block > 11 else (0, 1, 7):
+            policy = TruncationPolicy(n_terms=n)
+            for count in (0, 1, 3):  # an empty frequency array first
+                xs = [0.0, 1e-4, rng.uniform(0.0, 1.0), 1.0]
+                ys = [0.0, -0.0, 5e-324, -1e-170, 0.4, -0.4, rng.uniform(-3.0, 3.0), 50.0]
+                points = [FieldPoint(x, y) for x in xs for y in rng.sample(ys, rng.randint(1, len(ys)))]
+                rng.shuffle(points)
+                omegas = np.array([rng.uniform(0.05, 0.9), rng.uniform(1.0, 12.0), 12.0][:count])
+                got = (*sp._sigma_yy_values(omegas, points, G, policy), *sp._sigma_diag_values(omegas, xs, G, policy))
+                want = (*_former_yy_values(omegas, points, n), *_former_diag_values(omegas, xs, n))
+                assert [a.shape for a in got] == [a.shape for a in want]
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), (n, xs, points, omegas)
+
+
 class TestSmearImages:
-    """The smear's own image sum, against the pointwise engine path it replaced."""
+    """The image sum over the smeared kernels, against the pointwise engine path the smear once took."""
 
     def test_equals_the_former_engine_path_bit_for_bit(self):
         # a seeded sweep over LO widths omega_lo/10.5 to /200 and 5e-4, plate distances on

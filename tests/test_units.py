@@ -123,6 +123,25 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             build_grid(0.0, 1.0, 5, delta=1.0)
 
+    @pytest.mark.parametrize("top", [math.inf, math.nan])
+    def test_a_bound_that_is_not_finite_is_refused(self, top):
+        with pytest.raises(ValueError, match="both finite"):
+            build_grid(0.0, top, 3)
+
+    def test_a_point_steps_off_a_multiple_where_the_floats_are_wider_than_the_band(self):
+        # near 3e15 the floats are 0.5 apart: k pi + delta rounds back onto k pi, and a step
+        # toward the displacement carries the point out of the band
+        grid = build_grid(3e15, 3e15 + 100, 51)
+        k = np.round(grid.points / math.pi)
+        assert np.all(np.diff(grid.points) > 0)
+        assert np.all(np.abs(grid.points - k * math.pi) >= 1e-3)
+
+    def test_floats_too_coarse_for_the_band_are_refused(self):
+        # near 1e16 the floats are 2 apart, closer together than the multiples of pi that
+        # rounding finds: a point stepped off one lands on the next
+        with pytest.raises(ValueError, match="too coarse to keep a point 0.001 away from a multiple of pi"):
+            build_grid(1e16, 1e16 + 64, 3)
+
     @given(
         lo=st.floats(min_value=0.0, max_value=10.0),
         span=st.floats(min_value=0.5, max_value=30.0),
