@@ -177,8 +177,10 @@ def smeared_density(
     if pt1.x != pt2.x:
         raise ValueError("smearing requires both points at the same plate distance x")
     lo = _SmearedLO(kernel.omega_lo, kernel.width, kernel.squared_integral())
-    y = pt2.y - pt1.y
-    values, _ = _image_sum(lo, pt1.x, np.array([y * y]), lo.image_terms(geometry.L), geometry.L)
+    n, y = lo.image_terms(geometry.L), pt2.y - pt1.y
+    if abs(y) > lo.reach:  # every image lies at D >= |y|, beyond the reach, where both smeared kernels are 0
+        return 0.0
+    values, _ = _image_sum(lo, pt1.x, np.array([y * y]), n, geometry.L)
     return float(values[0])
 
 

@@ -15,8 +15,7 @@ included.  It builds its parser once per process and parses a line that
 names a command once, with that command's own parser, so a usage error
 names the command; any other line goes to the top-level parser.  A flag
 is read only when spelt in full, and one given twice is an argument error.
-A ``--config`` file sets optional flags only (required ones are checked
-before it is read), and the line is parsed again over its values.  A
+Every option comes from the command line; there is no option file.  A
 command imports the modules only it uses (the detector, json, the SVG
 renderer, the ``oracle`` checks that ``validate`` prints) when it runs, so
 each launch loads only what it runs.
@@ -118,50 +117,6 @@ def _add_output(p: argparse.ArgumentParser, include_svg: bool = False) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     if include_svg:
         p.add_argument("--svg", help="also render a simple SVG to this path")
-
-
-#: Options a config file may not set: help, the config path and the figure name argument.
-_NOT_CONFIGURABLE = frozenset({"help", "config", "name"})
-
-
-def _config_value(key: str, value, action: argparse.Action):
-    """A config value converted and checked as the flag's command-line text would be.
-
-    It is a JSON string or number, or a list of nargs of them where the flag
-    takes nargs values; each goes through str(), the flag's type and choices.
-    """
-    items = value if action.nargs and isinstance(value, list) else [value]
-    if len(items) != (action.nargs or 1) or not all(type(v) in (str, int, float) for v in items):  # a bool is not
-        what = f"a list of {action.nargs} strings or numbers" if action.nargs else "a string or a number"
-        raise ValueError(f"config key {key!r} takes {what}, got {value!r}")
-    convert = action.type or str
-    try:
-        items = [convert(str(v)) for v in items]
-    except ValueError:
-        raise ValueError(f"config key {key!r}: invalid {convert.__name__} value {value!r}") from None
-    if action.choices is not None and any(v not in action.choices for v in items):
-        raise ValueError(f"config key {key!r} must be one of {', '.join(map(repr, action.choices))}, got {value!r}")
-    return items if action.nargs else items[0]
-
-
-def _apply_config(ns: argparse.Namespace, argv) -> argparse.Namespace:
-    """ns with the values of its --config file, which the flags of argv override."""
-    if not getattr(ns, "config", None):
-        return ns
-    import json
-    with open(ns.config, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object of option values")
-    command = _shared_parser().commands[ns.command]
-    config = argparse.Namespace(command=ns.command)
-    for key, value in data.items():
-        dest = key.replace("-", "_")
-        if dest not in command.options or dest in _NOT_CONFIGURABLE:
-            raise ValueError(f"config key {key!r} is not an option of {ns.command}")
-        setattr(config, dest, _config_value(key, value, command.options[dest]))
-    # argparse fills in only what its namespace lacks: the config's values stand where no flag is given
-    return command.parse_args(argv[1:], config)
 
 
 # -- density commands --------------------------------------------------------
@@ -407,8 +362,8 @@ class _Parser(argparse.ArgumentParser):
     argparse's own pattern misses scientific notation and the non-finite
     floats, so `--y1 -1e-05` or `--lo-p -inf` would read as a flag with no
     value; no flag of this CLI starts with a single dash.
-    ``options`` maps the dest of each argument added to its action, which
-    converts and checks the values of a config file.
+    ``options`` maps the dest of each argument added to its action, by which
+    repeated flags are found.
     """
 
     def __init__(self, *args, **kwargs):
@@ -431,9 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.commands = sub.choices  # name -> the subcommand's parser
 
     def command(name, help):
-        p = sub.add_parser(name, help=help, allow_abbrev=False)  # a flag is read only when spelt in full
-        p.add_argument("--config", help="JSON file of option defaults (explicit flags win)")
-        return p
+        return sub.add_parser(name, help=help, allow_abbrev=False)  # a flag is read only when spelt in full
 
     p = command("spectral-diag", "coincident-point density over x at fixed omega")
     p.add_argument("--omega", type=float, required=True, help="frequency in c/a units")
@@ -486,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _refuse_repeated_flags(command: _Parser, args) -> None:
-    """Refuse a flag that args give twice, as --flag value or --flag=value; a --config file's values are not args."""
+    """Refuse a flag that args give twice, as --flag value or --flag=value."""
     dest_of = {flag: action.dest for action in command.options.values() for flag in action.option_strings}
     seen = set()
     for token in args:
@@ -517,7 +470,7 @@ def main(argv=None) -> int:
     handler = globals()["cmd_" + ns.command.replace("-", "_")]
     try:
         _refuse_repeated_flags(parser.commands[ns.command], argv[1:])
-        return handler(_apply_config(ns, argv))
+        return handler(ns)
     except ValueError as exc:
         print(f"argument error: {exc}", file=sys.stderr)
         return 2

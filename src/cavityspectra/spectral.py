@@ -42,7 +42,6 @@ evaluated one by one, bit for bit.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from math import factorial
 from typing import Sequence
@@ -310,7 +309,8 @@ class _SmearedLO:
         # may be inf or nan, and the zero Gaussian times the bracket at 1 is exactly 0
         dd = np.where(small | far, 1.0, d)
         w0, b = self.omega_lo, self.half_w2 * dd  # b = Im c
-        s, c = np.sin(w0 * dd), np.cos(w0 * dd)
+        phase = w0 * dd
+        s, c = np.sin(phase), np.cos(phase)
         re1 = w0 * c - b * s  # Re(e^{i omega_lo D} c)
         im2 = w0 * (w0 * s + b * c) + b * re1 + self.half_w2 * s  # Im(e^{i omega_lo D} P2)
         gauss = np.exp(-0.5 * b * dd)
@@ -352,12 +352,11 @@ def _image_sum(kernels, x: float, y2: np.ndarray, n: int, L: float):
     and the n = 0 term comes last, so a sum in many blocks equals one in a
     single block, bit for bit.  The rows of y^2 go in chunks whose kernel
     arrays stay within _CACHE_ELEMENTS, one row each when the images span
-    blocks, so memory is bounded in N.
+    blocks, so memory is bounded in N.  Every y^2 is finite: a pointwise
+    density refuses an offset whose square overflows, and a smear returns 0
+    for an offset beyond the LO's reach before it sums.
     """
     x2 = 2.0 * x
-    # an overflowing y^2 (a smear's: a pointwise density refuses it) puts every image beyond the LO's
-    # reach, where both kernels are 0: y^2 W/D^2 <= W, so the largest float in its place gives 0, not inf * 0
-    y2_w = np.minimum(y2, sys.float_info.max) if y2[-1] == math.inf else y2
     on_axis = int(y2[0] == 0.0)
     values, errs = np.empty(y2.size), np.zeros(y2.size)  # values holds the running total until the last block
     chunks = None
@@ -393,7 +392,7 @@ def _image_sum(kernels, x: float, y2: np.ndarray, n: int, L: float):
                 w_pairs -= wa
                 w_bn -= wa
                 w_pairs += w_bn
-                w_pairs *= y2_w[rows]
+                w_pairs *= y2[rows]
                 pairs += w_pairs
             if m:
                 errs[rows] = kernels.pref * abs(pairs[-1])
@@ -404,7 +403,7 @@ def _image_sum(kernels, x: float, y2: np.ndarray, n: int, L: float):
                 if w is None:
                     term0 = kernels.q0 - q[3 * m]
                 else:
-                    term0 = (q[3 * m] - q[3 * m + 1]) + y2_w[rows] * (w[3 * m + 1] - w[3 * m])
+                    term0 = (q[3 * m] - q[3 * m + 1]) + y2[rows] * (w[3 * m + 1] - w[3 * m])
                 values[rows] = kernels.pref * (values[rows] + term0 if m else term0)
     return values, errs
 

@@ -339,15 +339,6 @@ class TestDetectorAndTwoPoint:
 
 
 class TestPlumbing:
-    def test_config_file_supplies_defaults_and_flags_win(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"format": "json", "x_steps": 3}))
-        out = tmp_path / "d.json"
-        run(["spectral-diag", "--omega", "5.0", "--config", str(cfg),
-             "--x-steps", "4", "--out", str(out)])
-        rows = json.loads(out.read_text())  # config supplies the format
-        assert len(rows) == 4  # flag wins over config
-
     @pytest.mark.parametrize("argv, flag", [
         ([*BHD_README, "--omega", "3"], "--omega"),  # a prefix of --omega-lo
         (["spectral-diag", "--omega", "5.0", "--x-st", "4"], "--x-st"),
@@ -376,69 +367,6 @@ class TestPlumbing:
         assert not out.exists()
         assert run([*argv, "--out", str(out), "--out", str(out)]) == 2
         assert not out.exists()
-
-    def test_a_flag_may_override_its_config_value_once(self, tmp_path, capsys):
-        # the config's values are not command-line tokens: one --x-steps over the config's is not a repeat
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"x-steps": 3, "format": "csv"}))
-        out = tmp_path / "d.csv"
-        assert run(["spectral-diag", "--omega", "5.0", "--x-steps", "4", "--config", str(cfg), "--out", str(out)]) == 0
-        assert len(out.read_text().splitlines()) == 1 + 4
-        assert run(["spectral-diag", "--omega", "5.0", "--config", str(cfg), "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err == "argument error: --config is given more than once\n"
-
-    def test_config_keys_may_be_spelt_with_dashes(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"x-steps": 3}))
-        via_config, via_flags = tmp_path / "c.csv", tmp_path / "f.csv"
-        assert run(["spectral-diag", "--omega", "5.0", "--config", str(cfg),
-                    "--out", str(via_config)]) == 0
-        assert run(["spectral-diag", "--omega", "5.0", "--x-steps", "3",
-                    "--out", str(via_flags)]) == 0
-        assert via_config.read_bytes() == via_flags.read_bytes()
-
-    def test_config_values_are_converted_as_flags_are(self, tmp_path):
-        # numbers and numeric strings go through each flag's type, as their command-line text would
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"omega": 5, "x-steps": "2", "y-range": [-2, "2.5"], "y-steps": 3,
-                                   "format": "json"}))
-        via_config, via_flags = tmp_path / "c.json", tmp_path / "f.json"
-        assert run(["spectral-map", "--config", str(cfg), "--out", str(via_config)]) == 0
-        assert run(["spectral-map", "--omega", "5", "--x-steps", "2", "--y-range", "-2", "2.5", "--y-steps", "3",
-                    "--format", "json", "--out", str(via_flags)]) == 0
-        assert via_config.read_bytes() == via_flags.read_bytes()
-
-    @pytest.mark.parametrize("argv, config, message", [
-        (["spectral-diag", "--omega", "3"], {"x-steps": "a"}, "config key 'x-steps': invalid int value 'a'"),
-        (["twopoint", "--s", "0.3", "--x", "0.4"], {"n-terms": 2.5}, "config key 'n-terms': invalid int value 2.5"),
-        (["spectral-map"], {"y-range": [1]}, "config key 'y-range' takes a list of 2 strings or numbers, got [1]"),
-        (["spectral-slice"], {"x": None}, "config key 'x' takes a string or a number, got None"),
-        (["spectral-diag", "--omega", "3"], {"format": "xml"},
-         "config key 'format' must be one of 'csv', 'json', got 'xml'"),
-        (["spectral-diag", "--omega", "3"], {"x-steps": True},
-         "config key 'x-steps' takes a string or a number, got True"),
-    ])
-    def test_config_values_a_flag_would_refuse_are_argument_errors(self, argv, config, message, tmp_path, capsys):
-        cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
-        cfg.write_text(json.dumps(config))
-        assert run(argv + ["--config", str(cfg), "--out", str(out)]) == 2
-        assert capsys.readouterr() == ("", f"argument error: {message}\n")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("argv, key", [
-        (["spectral-diag", "--omega", "5.0", "--x", "0.5"], "n_terms_typo"),
-        (["spectral-diag", "--omega", "5.0", "--x", "0.5"], "a-microns"),  # a flag of bhd only
-        (["figure", "fig4-right", "--out", os.devnull], "name"),  # an argument, not a flag
-        (["twopoint", "--s", "0.3", "--x", "0.4"], "func"),
-        (["validate"], "n_terms"),
-        (["spectral-diag", "--omega", "5.0", "--x", "0.5"], "help"),
-        (["spectral-diag", "--omega", "5.0", "--x", "0.5"], "accelerate"),  # no density takes an accelerated mean
-    ])
-    def test_config_keys_without_a_flag_are_argument_errors(self, argv, key, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({key: 5}))
-        assert run(argv + ["--config", str(cfg)]) == 2
-        assert capsys.readouterr() == ("", f"argument error: config key {key!r} is not an option of {argv[0]}\n")
 
     @pytest.mark.parametrize("argv, scientific, decimal", [
         (["bhd", "--omega-lo", "7", "--x1", ".5", "--y1", "SCI", "--x2", ".5", "--y2", "1"],
@@ -565,22 +493,17 @@ class TestPlumbing:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_a_sequence_of_calls_prints_what_each_call_prints_alone(self, tmp_path, capsys):
+    def test_a_sequence_of_calls_prints_what_each_call_prints_alone(self, capsys):
         # one parser serves every call of a process: no call may leave state for the next
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"x-steps": 5, "format": "json"}))
-        narrow = tmp_path / "narrow.json"
-        narrow.write_text(json.dumps({"width": 0.05}))
         calls = [
             BHD_README,
-            ["spectral-diag", "--omega", "5.0", "--x-steps", "3", "--config", str(cfg)],
-            ["spectral-diag", "--omega", "5.0", "--x-steps", "3"],  # the config's values do not stay
+            ["spectral-diag", "--omega", "5.0", "--x-steps", "3", "--format", "json"],
+            ["spectral-diag", "--omega", "5.0", "--x-steps", "3"],  # the former call's --format does not stay
             ["spectral-diag"],  # usage error: --omega missing
             [*BHD_README, "--n-terms", "5"],  # usage error: a flag bhd does not read
             ["twopoint", "--s", "0.3", "--x", "0.4", "--y", "0.8", "--format", "json"],
             ["spectral-map", "--x-steps", "2", "--y-steps", "3"],
-            ["bhd", "--omega-lo", "7", "--x1", ".5", "--y1", "0", "--x2", ".5", "--y2", "1",
-             "--config", str(narrow)],
+            ["bhd", "--omega-lo", "7", "--x1", ".5", "--y1", "0", "--x2", ".5", "--y2", "1", "--width", "0.05"],
             ["twopoint", "--s", "0.3", "--x", "0.4", "--y", "0.8"],
             BHD_README,
         ]
@@ -679,7 +602,7 @@ class TestOneParse:
     @pytest.mark.parametrize("argv", [
         ["spectral-diag", "--omega", "5.0", "--x", "0.5"],
         ["spectral-diag", "--omega", "5.0", "--x-steps=4"],  # a flag and its value in one token
-        ["spectral-diag", "--omega", "5.0", "--config", "CFG", "--format", "csv"],
+        ["spectral-diag", "--omega", "5.0", "--format", "csv"],
         ["spectral-map", "--omega", "5", "--y-range", "-5e-05", "50", "--y-steps", "3", "--svg", "m.svg"],
         ["spectral-slice", "--x", "0.3", "--y-range", "-2", "-1e-1", "--format", "json"],
         ["figure", "fig4-left", "--out", "f.csv"],
@@ -688,19 +611,14 @@ class TestOneParse:
         [*BHD_README, "--width", "0.05", "--a-microns", "2.5E1"],
         ["validate"],
     ])
-    def test_a_handler_receives_the_namespace_of_the_full_parser(self, argv, monkeypatch, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"x-steps": 3, "format": "json"}))
-        argv = [str(cfg) if a == "CFG" else a for a in argv]
+    def test_a_handler_receives_the_namespace_of_the_full_parser(self, argv, monkeypatch):
         seen = []
         monkeypatch.setattr(cli, "cmd_" + argv[0].replace("-", "_"), lambda ns: seen.append(ns) or 0)
         assert run(argv) == 0
         # what main passed on before it parsed with the command's parser alone
-        assert seen == [cli._apply_config(cli.build_parser().parse_args(argv), argv)]
-        if "--config" in argv:
-            assert (seen[0].x_steps, seen[0].format) == (3, "csv")  # the config's value, and the flag's
+        assert seen == [cli.build_parser().parse_args(argv)]
 
-    def test_a_launch_parses_once_and_a_config_launch_twice(self, monkeypatch, tmp_path, capsys):
+    def test_a_launch_parses_once(self, monkeypatch, capsys):
         calls = []
         parse = argparse.ArgumentParser.parse_known_args
 
@@ -711,17 +629,33 @@ class TestOneParse:
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
         assert run(BHD_README) == 0
         assert calls == ["cavityspectra bhd"]
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"x-steps": 3}))
         calls.clear()
-        assert run(["spectral-diag", "--omega", "5.0", "--config", str(cfg)]) == 0
-        assert calls == ["cavityspectra spectral-diag"] * 2
+        assert run(["spectral-diag", "--omega", "5.0", "--x-steps", "3"]) == 0
+        assert calls == ["cavityspectra spectral-diag"]
 
     def test_unrecognized_arguments_name_the_command(self, capsys):
         assert run([*BHD_README, "--n-terms", "5"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: cavityspectra bhd")
         assert err.endswith("cavityspectra bhd: error: unrecognized arguments: --n-terms 5\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["spectral-diag", "--omega", "5.0"],
+        ["spectral-map"],
+        ["spectral-slice"],
+        ["figure", "fig4-right"],
+        ["twopoint", "--s", "0.3", "--x", "0.4"],
+        BHD_README,
+        ["validate"],
+    ])
+    def test_config_is_an_unrecognized_argument(self, argv, tmp_path, capsys):
+        # every option comes from the command line: no command reads an option file
+        cfg, out = tmp_path / "x.json", tmp_path / "out.csv"
+        cfg.write_text(json.dumps({"x-steps": 3}))
+        assert run([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(f"cavityspectra {argv[0]}: error: unrecognized arguments: --config {cfg}")
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, code", [
         ([], 2),

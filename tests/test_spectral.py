@@ -887,7 +887,8 @@ class TestSmearImages:
     def test_equals_the_former_engine_path_bit_for_bit(self):
         # a seeded sweep over LO widths omega_lo/10.5 to /200 and 5e-4, plate distances on
         # both plates, next to one and inside, and offsets 0, +-1e-9, O(1), 50 and 1e300,
-        # whose square overflows; the 2e-5 LO sums its 3 N + 2 images in several blocks
+        # whose square overflows, and for each case the LO's reach and the next float above
+        # it; the 2e-5 LO sums its 3 N + 2 images in several blocks
         rng = random.Random(25)
         cases = []
         for _ in range(200):
@@ -901,8 +902,9 @@ class TestSmearImages:
         cases += [(blocked, x, 0.0, y) for x, y in ((0.4, 0.0), (0.4, 0.7), (1e-4, 1e300))]
         for kernel, x, y1, y in cases:
             lo = sp._SmearedLO(kernel.omega_lo, kernel.width, kernel.squared_integral())
-            r = smeared_density(FieldPoint(x, y1), FieldPoint(x, y1 + y), kernel, G)
-            assert repr(r) == repr(_former_smear(lo, x, (y1 + y) - y1, lo.image_terms(G.L))), (kernel, x, y1, y)
+            for y in (y, lo.reach, math.nextafter(lo.reach, math.inf)):
+                r = smeared_density(FieldPoint(x, y1), FieldPoint(x, y1 + y), kernel, G)
+                assert repr(r) == repr(_former_smear(lo, x, (y1 + y) - y1, lo.image_terms(G.L))), (kernel, x, y1, y)
 
 
 def _normalized_difference(omega, x, policy):
