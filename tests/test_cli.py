@@ -454,6 +454,22 @@ class TestPlumbing:
         assert err.count("\n") == 1 and len(err.encode()) < 200
         assert not out.exists() and not svg.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["spectral-diag", "--omega", "3", "--x-steps", "a"], "argument --x-steps: invalid int value: 'a'"),
+        (["twopoint", "--s", "0.3", "--x", "0.4", "--n-terms", "2.5"], "argument --n-terms: invalid int value: '2.5'"),
+        (["spectral-map", "--y-range", "1"], "argument --y-range: expected 2 arguments"),
+        (["spectral-slice", "--x"], "argument --x: expected one argument"),
+        (["spectral-diag", "--omega", "3", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+        ([*BHD_README, "--width", "narrow"], "argument --width: invalid float value: 'narrow'"),
+    ])
+    def test_a_value_its_flag_refuses_is_a_usage_error_that_names_the_command(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert run([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: cavityspectra {argv[0]}")
+        assert err.splitlines()[-1].startswith(f"cavityspectra {argv[0]}: error: {message}")
+        assert not out.exists()
+
     def test_a_mode_count_beyond_the_cap_is_written_in_three_digits(self, capsys):
         assert run(["spectral-diag", "--omega", "1e100", "--x", "0.5"]) == 2
         err = capsys.readouterr().err

@@ -11,7 +11,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 import cavityspectra.spectral as sp
-from cavityspectra import cli
+from cavityspectra import bhd, cli
 from cavityspectra.bhd import LOKernel, smeared_density
 from cavityspectra.imagesum import TruncationPolicy, two_point_yy_lattice
 from cavityspectra.spectral import (
@@ -905,6 +905,17 @@ class TestSmearImages:
             for y in (y, lo.reach, math.nextafter(lo.reach, math.inf)):
                 r = smeared_density(FieldPoint(x, y1), FieldPoint(x, y1 + y), kernel, G)
                 assert repr(r) == repr(_former_smear(lo, x, (y1 + y) - y1, lo.image_terms(G.L))), (kernel, x, y1, y)
+
+    @pytest.mark.parametrize("y", ["ABOVE", "-ABOVE", 1e300, -1e300])
+    def test_an_offset_beyond_the_reach_is_zero_without_an_image_sum(self, y, monkeypatch):
+        # every image lies at D >= |y|, where both smeared kernels are exactly 0; 1e300 squared overflows
+        kernel = LOKernel(6.283185307179586, 6.283185307179586 / 20)
+        lo = sp._SmearedLO(kernel.omega_lo, kernel.width, kernel.squared_integral())
+        above = math.nextafter(lo.reach, math.inf)
+        y = {"ABOVE": above, "-ABOVE": -above}.get(y, y)
+        assert repr(_former_smear(lo, 0.5, y, lo.image_terms(G.L))) == "0.0"
+        monkeypatch.setattr(bhd, "_image_sum", lambda *args: pytest.fail("summed images beyond the reach"))
+        assert repr(smeared_density(FieldPoint(0.5, 0.0), FieldPoint(0.5, y), kernel, G)) == "0.0"
 
 
 def _normalized_difference(omega, x, policy):
