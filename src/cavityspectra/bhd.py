@@ -125,18 +125,20 @@ def check_balance(
 
     Both diodes sit in the z = 0 plane, so the mode's time dependence is a
     common cos(omega t) factor and the maximum over a period reduces to the
-    spatial amplitudes:  residual = |A1 + A2| / max(|A1|, |A2|).  A perfectly
-    balanced arrangement (A2 = -A1) gives 0; coincident diodes give 2.  The
-    configuration counts as balanced when the residual is at most
-    ``tolerance``.  Returns 0 for the degenerate case of both amplitudes
-    vanishing.
+    spatial amplitudes:  residual = |A1 + A2| / P, where P = omega q_n
+    max(|sin q_n x1|, |sin q_n x2|) is the mode's peak over y at the diodes'
+    plate distances, so diodes near a node of cos(p y) do not read rounding
+    as imbalance.  Balanced diodes (A2 = -A1) give 0; coincident ones give
+    2|cos(p y)|.  The configuration counts as balanced when the residual is
+    at most ``tolerance``.  Returns 0 where P is 0.
     """
     _check_mode(mode, geometry)
     validate_point(config.diode1, geometry)
     validate_point(config.diode2, geometry)
     amp1 = _mode_amplitude(mode, config.diode1, geometry)
     amp2 = _mode_amplitude(mode, config.diode2, geometry)
-    peak = max(abs(amp1), abs(amp2))
+    qn = mode.n * math.pi / geometry.a
+    peak = mode.omega * qn * max(abs(math.sin(qn * config.diode1.x)), abs(math.sin(qn * config.diode2.x)))
     if peak == 0.0:
         return 0.0
     return abs(amp1 + amp2) / peak

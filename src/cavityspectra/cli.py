@@ -2,7 +2,9 @@
 
 Outputs are deterministic: fixed evaluation order and shortest round-trip
 float formatting.  CSV is the contract; JSON mirrors it and SVG renderings
-are a convenience.
+are a convenience.  A float grid (a map, a slice, a figure) reaches the
+writers as one table, formatted column by column; the other outputs, whose
+cells include ints, bools or empty cells, are formatted cell by cell.
 
 All numeric I/O is in internal units: lengths in units of the plate
 separation a, frequencies in units of c/a.  The ``bhd`` command's
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import re
 import sys
@@ -61,30 +62,26 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _column_cells(column: tuple) -> list[str]:
-    """The CSV text of each cell of one column, as _fmt writes it.
-
-    A column of two or more Python floats formats each distinct bit pattern
-    once, so 0.0 and -0.0 and every nan keep their own text; a single float
-    is formatted without numpy, and any other cell goes through _fmt.
-    """
-    if len(column) > 1 and all(type(v) is float for v in column):
-        distinct, index = np.unique(np.array(column).view(np.int64), return_inverse=True)
-        texts = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
-        return texts[index].tolist()
-    return [repr(v) if type(v) is float else _fmt(v) for v in column]
-
-
 def _rows_to_csv(header, rows) -> str:
-    lines = [",".join(header)]
-    for _, run in itertools.groupby(rows, key=len):  # the rows of one length, column by column
-        cells = map(_column_cells, zip(*run))
-        lines.extend(map(",".join, zip(*cells)))
-    return "\n".join(lines) + "\n"
+    """CSV text of rows as _fmt writes each cell: a 2-D float table column by column, any other rows cell by cell.
+
+    A table formats each distinct bit pattern of a column once, so 0.0, -0.0 and every nan keep their own text.
+    """
+    if isinstance(rows, np.ndarray):
+        columns = []
+        for bits in rows.view(np.int64).T:
+            distinct, index = np.unique(bits, return_inverse=True)
+            texts = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+            columns.append(texts[index].tolist())
+        body = zip(*columns)
+    else:
+        body = ([repr(v) if type(v) is float else _fmt(v) for v in row] for row in rows)
+    return "\n".join([",".join(header), *map(",".join, body)]) + "\n"
 
 
 def _rows_to_json(header, rows) -> str:
     import json
+    rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
     payload = [dict(zip(header, row)) for row in rows]
     return json.dumps(payload, indent=1, default=float) + "\n"
 
@@ -136,35 +133,34 @@ def _y_grid(ns) -> list[float]:
 
 
 def _map_rows(omega: float, xs: list[float], ys: list[float]):
-    """sigma_modes over the grid xs x ys: rows (omega, x, y, sigma), x outer and y inner, and the grid."""
+    """sigma_modes over the grid xs x ys: the table of rows (omega, x, y, sigma), x outer and y inner, and the grid."""
     grid = sigma_modes(omega, xs, ys, _INTERNAL)
-    rows = list(zip([omega] * grid.size, np.repeat(xs, len(ys)).tolist(), ys * len(xs), grid.ravel().tolist()))
-    return rows, grid
+    table = np.column_stack((np.full(grid.size, omega), np.repeat(xs, len(ys)), np.tile(ys, len(xs)), grid.ravel()))
+    return table, grid
 
 
-def _emit_map(ns, rows, xs, ys, grid) -> int:
-    omega = rows[0][0]
+def _emit_map(ns, table, xs, ys, grid) -> int:
+    omega = float(table[0, 0])
     _note_discontinuities([omega])
-    _emit(ns, ("omega", "x", "y", "sigma"), rows)
+    _emit(ns, ("omega", "x", "y", "sigma"), table)
     if ns.svg:
         from . import svgplot
         svgplot.render_heatmap(ns.svg, xs, ys, grid.tolist(), title=f"density map, omega={omega:g}")
     return 0
 
 
-def _slice_rows(omega: float, x: float, ys: list[float], values: list[float]):
-    """Rows (omega, x, y, ratio): the densities at ys, each divided by the last of values, the one at y = 0."""
-    diagonal = values[-1]
-    return [(omega, x, y, v / diagonal) for y, v in zip(ys, values)]
+def _slice_rows(omega: float, x: float, ys: list[float], values: np.ndarray):
+    """The table of rows (omega, x, y, ratio): the densities at ys over the last of values, the one at y = 0."""
+    return np.column_stack(np.broadcast_arrays(omega, x, ys, values[:-1] / values[-1]))
 
 
-def _emit_slice(ns, rows) -> int:
-    omega, x = rows[0][:2]
+def _emit_slice(ns, table) -> int:
+    omega, x = table[0, :2].tolist()
     _note_discontinuities([omega])
-    _emit(ns, ("omega", "x", "y", "ratio"), rows)
+    _emit(ns, ("omega", "x", "y", "ratio"), table)
     if ns.svg:
         from . import svgplot
-        svgplot.render_line_plot(ns.svg, [r[2] for r in rows], [[r[3] for r in rows]], labels=("ratio",),
+        svgplot.render_line_plot(ns.svg, table[:, 2].tolist(), [table[:, 3].tolist()], labels=("ratio",),
                                  title=f"normalized density, x={x:g}, omega={omega:g}")
     return 0
 
@@ -190,8 +186,8 @@ def cmd_spectral_diag(ns) -> int:
 def cmd_spectral_map(ns) -> int:
     xs = _grid(0.0, 1.0, ns.x_steps, "--x-steps")
     ys = _y_grid(ns)
-    rows, grid = _map_rows(ns.omega, xs, ys)
-    return _emit_map(ns, rows, xs, ys, grid)
+    table, grid = _map_rows(ns.omega, xs, ys)
+    return _emit_map(ns, table, xs, ys, grid)
 
 
 def cmd_spectral_slice(ns) -> int:
@@ -200,7 +196,7 @@ def cmd_spectral_slice(ns) -> int:
                          "where the coincident density that normalizes the slice vanishes")
     ys = _y_grid(ns)
     # the coincident point (x, 0) rides along as the last column of the row
-    values = sigma_modes(ns.omega, [ns.x], ys + [0.0], _INTERNAL)[0].tolist()
+    values = sigma_modes(ns.omega, [ns.x], ys + [0.0], _INTERNAL)[0]
     # mode 1 has the smallest sine next to a plate; once its square is subnormal the ratios lose their digits
     sine = math.sin(min(ns.x, _INTERNAL.a - ns.x) * (math.pi / _INTERNAL.a))
     if sine * sine < sys.float_info.min:
@@ -234,8 +230,8 @@ def _fig2_left_rows(x_count=21, y_count=101):
     """The density over x in [0, a] and y in [-50 a, 50 a]; rows x outer, y inner."""
     xs = np.linspace(0.0, 1.0, x_count).tolist()
     ys = np.linspace(-50.0, 50.0, y_count).tolist()
-    rows, grid = _map_rows(FIG2_OMEGA, xs, ys)
-    return rows, xs, ys, grid
+    table, grid = _map_rows(FIG2_OMEGA, xs, ys)
+    return table, xs, ys, grid
 
 
 def _fig2_right_rows(y_count=201):
@@ -243,7 +239,7 @@ def _fig2_right_rows(y_count=201):
     ys = np.linspace(-50.0, 50.0, y_count).tolist()
     points = [FieldPoint(x=0.75, y=y) for y in ys + [0.0]]
     values, _ = _sigma_yy_values(np.asarray([_TWO_PI]), points, _INTERNAL, TruncationPolicy(n_terms=FIG2_CUTOFF))
-    return _slice_rows(_TWO_PI, 0.75, ys, values[:, 0].tolist())
+    return _slice_rows(_TWO_PI, 0.75, ys, values[:, 0])
 
 
 def _fig4_left_rows(omega_count=96, x_count=41):
@@ -252,9 +248,8 @@ def _fig4_left_rows(omega_count=96, x_count=41):
     vac = sigma_vacuum(omegas, 0.0)
     columns = (sigma_modes_diag(omegas, xs, _INTERNAL) - vac) / vac
     # row order: omega outer, x inner
-    rows = list(zip(np.repeat(omegas, x_count).tolist(), np.tile(xs, omega_count).tolist(),
-                    columns.T.ravel().tolist()))
-    return rows, omegas, xs, columns
+    table = np.column_stack((np.repeat(omegas, x_count), np.tile(xs, omega_count), columns.T.ravel()))
+    return table, omegas, xs, columns
 
 
 def _fig4_right_rows(omega_count=160):
@@ -263,9 +258,8 @@ def _fig4_right_rows(omega_count=160):
     xs = (0.25, 0.5)
     ratios = sigma_modes_diag(omegas, xs, _INTERNAL) / sigma_vacuum(omegas, 0.0)
     dbs = {x: [10.0 * math.log10(r) if r > 0.0 else None for r in row] for x, row in zip(xs, ratios.tolist())}
-    rows = [(w, d025, d05) for w, d025, d05 in zip(omegas.tolist(), dbs[0.25], dbs[0.5])
-            if d025 is not None and d05 is not None]
-    return rows, omegas, dbs
+    table = np.column_stack([omegas] + [np.array(dbs[x], dtype=float) for x in xs])  # None reads as nan
+    return table[(ratios > 0.0).all(axis=0)], omegas, dbs
 
 
 def cmd_figure(ns) -> int:
@@ -277,8 +271,8 @@ def cmd_figure(ns) -> int:
     if name == "fig2-right":
         return _emit_slice(ns, _fig2_right_rows())
     if name == "fig4-left":
-        rows, omegas, xs, columns = _fig4_left_rows()
-        _emit(ns, ("omega", "x", "normdiff"), rows)
+        table, omegas, xs, columns = _fig4_left_rows()
+        _emit(ns, ("omega", "x", "normdiff"), table)
         if ns.svg:
             from . import svgplot
             svgplot.render_heatmap(ns.svg, xs.tolist(), omegas.tolist(),
@@ -286,8 +280,8 @@ def cmd_figure(ns) -> int:
                                    title="normalized difference vs (x, omega)")
         return 0
     # fig4-right
-    rows, omegas, dbs = _fig4_right_rows()
-    _emit(ns, ("omega_over_c_per_a", "db_x025", "db_x05"), rows)
+    table, omegas, dbs = _fig4_right_rows()
+    _emit(ns, ("omega_over_c_per_a", "db_x025", "db_x05"), table)
     if ns.svg:
         from . import svgplot
         svgplot.render_line_plot(ns.svg, omegas.tolist(), [dbs[0.25], dbs[0.5]],
@@ -362,18 +356,18 @@ class _Parser(argparse.ArgumentParser):
     argparse's own pattern misses scientific notation and the non-finite
     floats, so `--y1 -1e-05` or `--lo-p -inf` would read as a flag with no
     value; no flag of this CLI starts with a single dash.
-    ``options`` maps the dest of each argument added to its action, by which
-    repeated flags are found.
+    ``dests`` maps each flag added to its dest, by which repeated flags are
+    found.
     """
 
     def __init__(self, *args, **kwargs):
-        self.options = {}
+        self.dests = {}
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
-        self.options[action.dest] = action
+        self.dests.update(dict.fromkeys(action.option_strings, action.dest))
         return action
 
 
@@ -440,14 +434,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _refuse_repeated_flags(command: _Parser, args) -> None:
     """Refuse a flag that args give twice, as --flag value or --flag=value."""
-    dest_of = {flag: action.dest for action in command.options.values() for flag in action.option_strings}
     seen = set()
     for token in args:
         flag = token.split("=", 1)[0]
-        if flag in dest_of:  # once args parse, a token that reads as a flag is one
-            if dest_of[flag] in seen:
+        if flag in command.dests:  # once args parse, a token that reads as a flag is one
+            if command.dests[flag] in seen:
                 raise ValueError(f"{flag} is given more than once")
-            seen.add(dest_of[flag])
+            seen.add(command.dests[flag])
 
 
 @functools.cache

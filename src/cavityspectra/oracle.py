@@ -147,8 +147,8 @@ def _check_convergence_table():
 
 def _check_suppression_dip():
     # the rows fig4-right emits; check 7 ties the truncated kernels to the same mode sum
-    rows, _, _ = _fig4_right_rows()
-    best = min(min(r[1], r[2]) for r in rows if math.pi < r[0] < _FOUR_PI)
+    table, _, _ = _fig4_right_rows()
+    best = float(table[(math.pi < table[:, 0]) & (table[:, 0] < _FOUR_PI), 1:].min())
     return best <= -3.0, (f"deepest suppression {best:.2f} dB in (pi, 4 pi) (needs <= -3 dB), "
                           "on the fig4-right rows, from the exact mode sum")
 

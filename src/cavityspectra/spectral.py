@@ -243,7 +243,7 @@ class _SmearedLO:
     """
 
     def __init__(self, omega_lo: float, width: float, weight: float):
-        self.omega_lo, self.half_w2, self.top = omega_lo, 0.5 * width * width, omega_lo + 6.0 * width
+        self.omega_lo, self.width, self.half_w2, self.top = omega_lo, width, 0.5 * width * width, omega_lo + 6.0 * width
         self.reach = 2.0 * math.sqrt(_EXP_UNDERFLOW) / width  # e^{-(width D)^2/4} is 0.0 beyond
         self.pref = weight / _FOUR_PI_SQ
         moments = [1.0, omega_lo]  # M_m = omega_lo M_{m-1} + (m - 1) (width^2/2) M_{m-2}
@@ -283,17 +283,21 @@ class _SmearedLO:
 
         Per unit prefactor that scale is (2/3) omega_lo^3.  The bound is
         nonincreasing in N wherever it is finite, so bisection finds the
-        smallest N; it is about 12/(w L), a cost of O(1/w) image terms.  An N
-        above MAX_IMAGE_TERMS is refused with a ValueError.
+        smallest N once doubling or halving from its estimate 12/(w L), a cost
+        of O(1/w) image terms, brackets it.  An N above MAX_IMAGE_TERMS is refused.
         """
         tol = _ROUNDING * _TWO_THIRDS * self.omega_lo ** 3
-        lo, hi = 0, 1  # the bound fails at lo and holds at hi once the doubling ends
-        while self.tail_bound(hi, L) > tol:
+        lo, hi = 0, max(1, math.ceil(12.0 / max(self.width * L, 12.0 / MAX_IMAGE_TERMS)))  # no division by 0
+        while self.tail_bound(hi, L) > tol:  # up by doubling until the bound holds at hi
             if hi >= MAX_IMAGE_TERMS:
                 raise ValueError(f"the LO is too narrow: its smear would sum more than {MAX_IMAGE_TERMS} "
                                  "image pairs (about 6/(width a))")
-            lo, hi = hi, 2 * hi
-        while hi - lo > 1:
+            lo, hi = hi, min(2 * hi, MAX_IMAGE_TERMS)
+        if lo == 0:  # the estimate held: down by halving until the bound fails at lo, as it does at 0
+            lo = hi // 2
+            while lo > 0 and self.tail_bound(lo, L) <= tol:
+                lo, hi = lo // 2, lo
+        while hi - lo > 1:  # the bound fails at lo and holds at hi
             mid = (lo + hi) // 2
             lo, hi = (mid, hi) if self.tail_bound(mid, L) > tol else (lo, mid)
         return hi

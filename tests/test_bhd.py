@@ -44,6 +44,33 @@ def _smear(lo, x, y, n):
     return float(sp._image_sum(lo, x, np.array([y * y]), n, G.L)[0][0])
 
 
+class _CountedBound:
+    """A _SmearedLO whose tail_bound counts its calls."""
+
+    def __init__(self, lo):
+        self.lo, self.calls = lo, 0
+        self.omega_lo, self.width = lo.omega_lo, lo.width
+
+    def tail_bound(self, n, L):
+        self.calls += 1
+        return self.lo.tail_bound(n, L)
+
+
+def _former_image_terms(lo, L):
+    """_SmearedLO.image_terms as it searched from N = 1: doubling, then bisection (a frozen copy)."""
+    tol = sp._ROUNDING * sp._TWO_THIRDS * lo.omega_lo ** 3
+    low, hi = 0, 1
+    while lo.tail_bound(hi, L) > tol:
+        if hi >= sp.MAX_IMAGE_TERMS:
+            raise ValueError(f"the LO is too narrow: its smear would sum more than {sp.MAX_IMAGE_TERMS} "
+                             "image pairs (about 6/(width a))")
+        low, hi = hi, 2 * hi
+    while hi - low > 1:
+        mid = (low + hi) // 2
+        low, hi = (mid, hi) if lo.tail_bound(mid, L) > tol else (low, mid)
+    return hi
+
+
 def _window(kernel):
     """LO frequency +- 6 widths, beyond which k^2 is below exp(-36) of its peak."""
     return kernel.omega_lo - 6.0 * kernel.width, kernel.omega_lo + 6.0 * kernel.width
@@ -169,10 +196,29 @@ class TestBalance:
         config = DetectorConfig(FieldPoint(0.75, 0.0), FieldPoint(0.75, 50.0))
         assert check_balance(config, self._mode(p), G) == pytest.approx(0.0, abs=1e-12)
 
-    def test_coincident_diodes(self):
+    @pytest.mark.parametrize("y", [0.0, 5.0])
+    def test_coincident_diodes(self, y):
+        # the residual is normalized by the mode's peak over y, so coincident diodes read 2|cos(p y)|
         p = PI / 50.0
-        config = DetectorConfig(FieldPoint(0.75, 5.0), FieldPoint(0.75, 5.0))
-        assert check_balance(config, self._mode(p), G) == pytest.approx(2.0, rel=1e-12)
+        config = DetectorConfig(FieldPoint(0.75, y), FieldPoint(0.75, y))
+        assert check_balance(config, self._mode(p), G) == pytest.approx(2.0 * abs(math.cos(p * y)), rel=1e-12)
+
+    def test_diodes_on_a_node_of_the_lo_read_rounding(self, capsys):
+        # cos(p y1) = -5.9e-8: divided by the two small amplitudes, rounding read 2.06e-9
+        node = ["--omega-lo", "8.08497233548157", "--x1", "0.13372113297665736", "--y1", "0.7105145437022196",
+                "--x2", "0.13372113297665736", "--y2", "-0.7105144899443956"]
+        assert main(["bhd", *node]) == 0
+        assert float(capsys.readouterr().out.splitlines()[1].split(",")[5]) <= 1e-15
+
+    @pytest.mark.parametrize("omega, x, y1, y2", [
+        (8.08497233548157, 0.13372113297665736, 0.7105145437022196, -0.7105144899443956),  # on a node
+        (TWO_PI, 0.75, 0.0, 50.0),
+    ])
+    def test_a_wave_number_one_percent_off_half_period_is_far_from_balanced(self, omega, x, y1, y2):
+        p = 1.01 * PI / abs(y2 - y1)
+        mode = LOMode(omega=omega, n=1, p=p, k=math.sqrt(omega * omega - PI * PI - p * p))
+        config = DetectorConfig(FieldPoint(x, y1), FieldPoint(x, y2))
+        assert check_balance(config, mode, G) > 1e-4
 
     def test_small_wavenumber_limit(self):
         config = DetectorConfig(FieldPoint(0.75, 0.0), FieldPoint(0.75, 7.0))
@@ -319,6 +365,31 @@ class TestSmearedDensity:
             for m in range(max(1, n // 8), n, max(1, n // 8)):
                 head = _smear(lo, x, y, m)
                 assert abs(head - converged) <= lo.tail_bound(m, G.L)
+
+    @pytest.mark.parametrize("L", [G.L, 0.6, 5.0])
+    def test_the_search_from_the_estimate_sizes_the_n_of_the_search_from_one(self, L):
+        # README, near-pair and narrow LOs, then a seeded sweep of widths omega_lo/10.5 to /5000
+        rng = random.Random(2808)
+        kernels = [README_KERNEL, LOKernel(6.0, 0.03), LOKernel(6.3, 5e-4)]
+        for _ in range(200):
+            omega_lo = rng.uniform(0.5, 40.0)
+            kernels.append(LOKernel(omega_lo, omega_lo / math.exp(rng.uniform(math.log(10.5), math.log(5000.0)))))
+        calls = np.zeros(2, dtype=int)
+        for kernel in kernels:
+            lo = sp._SmearedLO(kernel.omega_lo, kernel.width, 1.0)
+            now, former = _CountedBound(lo), _CountedBound(lo)
+            assert sp._SmearedLO.image_terms(now, L) == _former_image_terms(former, L), kernel
+            calls += (now.calls, former.calls)
+        assert calls[0] <= 0.7 * calls[1], calls  # the estimate saves tail-bound calls
+
+    @pytest.mark.parametrize("width", [5e-6, 1e-300, 5e-324])
+    def test_an_lo_beyond_the_image_cap_is_refused_as_before(self, width):
+        lo = sp._SmearedLO(6.3, width, 1.0)
+        with pytest.raises(ValueError, match="too narrow") as now:
+            lo.image_terms(G.L)
+        with pytest.raises(ValueError) as former:
+            _former_image_terms(lo, G.L)
+        assert str(now.value) == str(former.value)
 
     @pytest.mark.parametrize("y", [0.0, 0.7])
     def test_smeared_kernels_see_each_image_once_within_the_block_budget(self, y, monkeypatch):
@@ -558,7 +629,7 @@ class TestCurrents:
         readme = ["--omega-lo", "6.283185307179586", "--x1", "0.75", "--y1", "0", "--x2", "0.75", "--y2", "50"]
         near = ["--omega-lo", "6.0", "--width", "0.03", "--x1", "0.4", "--y1", "0.3", "--x2", "0.4", "--y2", "1.5"]
         rows = ("6.283185307179586,1883651567308853.2,0.0,5.7884303550708776,5.7884303550708776,0.0",
-                "6.0,1798754748000000.0,0.0,0.36301292050841044,0.3511221515108042,1.4013214237952004e-16")
+                "6.0,1798754748000000.0,0.0,0.36301292050841044,0.3511221515108042,9.908838813875742e-17")
         for argv, row in zip((readme, near), rows):
             assert main(["bhd", *argv]) == 0
             assert capsys.readouterr().out.splitlines()[1] == row

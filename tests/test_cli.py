@@ -205,13 +205,12 @@ class TestFig2Recipes:
         assert cli.FIG2_OMEGA < 2.0 * math.pi and not near_discontinuity(cli.FIG2_OMEGA)
 
     def test_left_rows_are_the_mode_sum_bit_for_bit(self, tmp_path):
-        rows, xs, ys, _ = cli._fig2_left_rows()
-        want = sigma_modes(cli.FIG2_OMEGA, xs, ys, G)
-        assert (len(xs), len(ys)) == (21, 101) and len(rows) == want.size
-        for k, row in enumerate(rows):
-            i, j = divmod(k, len(ys))
-            assert row == (cli.FIG2_OMEGA, xs[i], ys[j], want[i, j])
-            assert all(type(v) is float for v in row)
+        table, xs, ys, _ = cli._fig2_left_rows()
+        want = sigma_modes(cli.FIG2_OMEGA, xs, ys, G).tolist()
+        assert (len(xs), len(ys)) == (21, 101)
+        rows = [(cli.FIG2_OMEGA, x, y, want[i][j]) for i, x in enumerate(xs) for j, y in enumerate(ys)]
+        assert table.dtype == np.float64 and table.shape == (len(rows), 4)
+        assert np.array_equal(table.view(np.int64), np.array(rows).view(np.int64))
         out = tmp_path / "f2l.csv"
         assert run(["figure", "fig2-left", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
@@ -255,14 +254,12 @@ class TestFig4Recipes:
         assert calls == [shape] and modes == [shape[0]]
 
     def test_left_rows_are_the_mode_sum_bit_for_bit(self):
-        rows, omegas, xs, _ = cli._fig4_left_rows()
+        table, omegas, xs, _ = cli._fig4_left_rows()
         vac = sigma_vacuum(omegas, 0.0)
         want = [((sigma_modes_diag(omegas, x, G) - vac) / vac).tolist() for x in xs.tolist()]
-        assert len(rows) == omegas.size * xs.size
-        for k, (w, x, nd) in enumerate(rows):
-            j, i = divmod(k, xs.size)
-            assert (w, x, nd) == (omegas[j], xs[i], want[i][j])
-            assert type(w) is type(x) is type(nd) is float
+        rows = [(w, x, want[i][j]) for j, w in enumerate(omegas.tolist()) for i, x in enumerate(xs.tolist())]
+        assert table.dtype == np.float64 and table.shape == (omegas.size * xs.size, 3)
+        assert np.array_equal(table.view(np.int64), np.array(rows).view(np.int64))
 
     def test_the_image_sum_at_large_n_meets_the_rows_off_the_jumps(self):
         rows, omegas, xs, columns = cli._fig4_left_rows()
@@ -367,6 +364,15 @@ class TestPlumbing:
         assert not out.exists()
         assert run([*argv, "--out", str(out), "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_each_command_parser_maps_every_flag_to_its_dest_once_built(self):
+        # the repeated-flag check reads the map the parser recorded as its flags were added
+        parser = cli.build_parser()
+        for name, command in parser.commands.items():
+            assert command.dests == {flag: action.dest for action in command._actions
+                                     for flag in action.option_strings}, name
+        with pytest.raises(ValueError, match="--x is given more than once"):
+            cli._refuse_repeated_flags(parser.commands["twopoint"], ["--s", "1", "--x", "0.4", "--x=0.5"])
 
     @pytest.mark.parametrize("argv, scientific, decimal", [
         (["bhd", "--omega-lo", "7", "--x1", ".5", "--y1", "SCI", "--x2", ".5", "--y2", "1"],
@@ -600,6 +606,36 @@ class TestPlumbing:
                     for v in rng.choice([rng.normal(), math.nan, -0.0], 1)]
             assert cli._rows_to_csv(("omega", "x", "y", "sigma"), rows) == self._per_cell(
                 ("omega", "x", "y", "sigma"), rows)
+
+    def test_a_float_table_writes_what_per_cell_fmt_writes_of_its_rows(self):
+        # column by column, one repr per distinct bit pattern: signed zeros, nans of both signs and
+        # another payload, infinities, subnormals, repeated grid coordinates, and one-row tables
+        rng = np.random.default_rng(2808)
+        specials = np.array([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-310,
+                             np.int64(0x7FF8000000000001).view(np.float64), 0.1])
+        for k in range(80):
+            shape = (1 if k % 8 == 0 else int(rng.integers(2, 40)), int(rng.integers(1, 6)))
+            table = np.ldexp(rng.normal(size=shape), rng.integers(-1074, 1000, size=shape))
+            special = rng.random(shape) < 0.3
+            table[special] = rng.choice(specials, int(special.sum()))
+            table[:, 0] = rng.choice(table[:, 0], shape[0])  # a coordinate column repeats its values
+            header, rows = tuple("abcde"[:shape[1]]), table.tolist()
+            assert cli._rows_to_csv(header, table) == self._per_cell(header, rows)
+            assert cli._rows_to_json(header, table) == cli._rows_to_json(header, rows)
+
+    @pytest.mark.parametrize("argv", [
+        ["figure", "fig2-left"], ["figure", "fig2-right"], ["figure", "fig4-left"], ["figure", "fig4-right"],
+        ["spectral-map", "--x-steps", "3", "--y-steps", "4"], ["spectral-slice", "--y-steps", "5"],
+    ])
+    def test_the_grids_reach_the_writer_as_float_tables(self, argv, monkeypatch, tmp_path):
+        # the writer's third argument is positional, and its length is the row count
+        seen, emit = [], cli._emit
+        monkeypatch.setattr(cli, "_emit", lambda ns, header, rows: seen.append(rows) or emit(ns, header, rows))
+        out = tmp_path / "out.csv"
+        assert run([*argv, "--out", str(out)]) == 0
+        [table] = seen
+        assert isinstance(table, np.ndarray) and table.dtype == np.float64 and table.ndim == 2
+        assert len(table) == len(out.read_text().splitlines()) - 1
 
     def test_a_one_row_csv_makes_no_numpy_call(self, monkeypatch):
         def refused(*args, **kwargs):

@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from cavityspectra import oracle
@@ -73,8 +74,8 @@ def _a_shallow_dip(monkeypatch):
     fig4 = oracle._fig4_right_rows
 
     def clipped():
-        rows, *rest = fig4()
-        return ([(r[0], max(r[1], -2.0), max(r[2], -2.0), *r[3:]) for r in rows], *rest)
+        table, *rest = fig4()
+        return (np.column_stack((table[:, 0], np.maximum(table[:, 1:], -2.0))), *rest)
 
     monkeypatch.setattr(oracle, "_fig4_right_rows", clipped)
 
