@@ -287,7 +287,7 @@ class _SmearedLO:
         of O(1/w) image terms, brackets it.  An N above MAX_IMAGE_TERMS is refused.
         """
         tol = _ROUNDING * _TWO_THIRDS * self.omega_lo ** 3
-        lo, hi = 0, max(1, math.ceil(12.0 / max(self.width * L, 12.0 / MAX_IMAGE_TERMS)))  # no division by 0
+        lo, hi = 0, max(1, math.ceil(12.0 / max(self.width * L, 12.0 / MAX_IMAGE_TERMS)))  # capped, also where w L is 0
         while self.tail_bound(hi, L) > tol:  # up by doubling until the bound holds at hi
             if hi >= MAX_IMAGE_TERMS:
                 raise ValueError(f"the LO is too narrow: its smear would sum more than {MAX_IMAGE_TERMS} "
