@@ -51,9 +51,9 @@ class LOKernel:
 
     def __post_init__(self):
         if not (self.omega_lo > 0.0 and math.isfinite(self.omega_lo)):
-            raise ValueError("LO frequency must be positive")
+            raise ValueError(f"LO frequency must be positive and finite, got {self.omega_lo!r}")
         if not (self.width > 0.0 and math.isfinite(self.width)):
-            raise ValueError("kernel width must be positive")
+            raise ValueError(f"kernel width must be positive and finite, got {self.width!r}")
         if not 0.0 <= self.amplitude < math.inf:
             raise ValueError("kernel amplitude must be nonnegative and finite")
         if self.width > self.omega_lo / 10.0:
@@ -78,7 +78,7 @@ class DetectorConfig:
 
     def __post_init__(self):
         if not (self.calibration > 0.0 and math.isfinite(self.calibration)):
-            raise ValueError("calibration constant must be positive")
+            raise ValueError(f"calibration constant must be positive and finite, got {self.calibration!r}")
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ class LOMode:
         if self.p < 0.0 or self.k < 0.0:
             raise ValueError("wave numbers must be nonnegative")
         if not (self.omega > 0.0 and math.isfinite(self.omega)):
-            raise ValueError("mode frequency must be positive")
+            raise ValueError(f"mode frequency must be positive and finite, got {self.omega!r}")
 
     def dispersion_residual(self, geometry: CavityGeometry) -> float:
         """Relative mismatch between omega^2 and (n pi/a)^2 + p^2 + k^2."""
@@ -115,12 +115,7 @@ def _mode_amplitude(mode: LOMode, point: FieldPoint, geometry: CavityGeometry) -
     return mode.omega * qn * math.sin(qn * point.x) * math.cos(mode.p * point.y)
 
 
-def check_balance(
-    config: DetectorConfig,
-    mode: LOMode,
-    geometry: CavityGeometry,
-    tolerance: float = 1e-9,
-) -> float:
+def check_balance(config: DetectorConfig, mode: LOMode, geometry: CavityGeometry) -> float:
     """Balance residual of the LO field at the two diodes.
 
     Both diodes sit in the z = 0 plane, so the mode's time dependence is a
@@ -129,8 +124,7 @@ def check_balance(
     max(|sin q_n x1|, |sin q_n x2|) is the mode's peak over y at the diodes'
     plate distances, so diodes near a node of cos(p y) do not read rounding
     as imbalance.  Balanced diodes (A2 = -A1) give 0; coincident ones give
-    2|cos(p y)|.  The configuration counts as balanced when the residual is
-    at most ``tolerance``.  Returns 0 where P is 0.
+    2|cos(p y)|.  Returns 0 where P is 0.
     """
     _check_mode(mode, geometry)
     validate_point(config.diode1, geometry)

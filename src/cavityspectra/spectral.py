@@ -22,10 +22,11 @@ to the n = 0 translated term reproduces the free-space (vacuum) density; the
 remainder encodes the plates.  The sums are accumulated pairwise over +-n in
 ascending |n| with the n = 0 term last, which keeps several boundary
 identities exact in floating point.  One loop, ``_image_sum``, sums the
-images of one plate distance x at its distinct y^2: blocks of ascending |n|
-(one block unless the images exceed _BLOCK_ELEMENTS), chunks of y^2 rows
-within each, and the running total carried from block to block, so a sum
-in many blocks equals one in a single block, bit for bit.  Its kernels are
+images of one plate distance x at its distinct y^2: blocks of ascending |n|,
+chunks of y^2 rows within each, and the running total carried from block to
+block, so a sum in many blocks equals one in a single block, bit for bit.
+Its blocks, like those of the mode sums, keep every array within one budget,
+_WORKING_SET (2^13 floats, 64 KiB, which the allocator reuses).  Its kernels are
 those of one frequency (``_Pointwise``) or, smeared by a Gaussian LO
 profile, the exact Gaussian integrals of the image terms (``_SmearedLO``);
 at y = 0 the guided modes give that smear in closed form too
@@ -66,14 +67,13 @@ _EXP_UNDERFLOW = 745.2
 #: keeps every density finite (a cube above the largest float would print inf).
 _MAX_OMEGA = 1e100
 
-#: Most elements of one block of images (its three families and the n = 0
-#: terms): the images of one point beyond it are summed in several blocks.
-_BLOCK_ELEMENTS = 2**17
-#: Most elements of one kernel block (y^2 rows by images):
-#: 256 KiB of floats, so the few arrays a block keeps live stay in a core's
-#: L2 cache.  Blocks of 2^17 made a 21 x 101 grid at N = 1000 25-70% slower
-#: (best of 7, three rounds, 2-vCPU VM).
-_CACHE_ELEMENTS = 2**15
+#: Most elements one array of a blocked loop holds: an image block, a chunk of
+#: its y^2 rows, an x block of sigma_modes_diag, a sine block of sigma_modes or
+#: a node block of _bessel_j0_j2.  64 KiB of floats, which the allocator keeps
+#: from call to call: at 2^17 (images) and 2^15 (chunks) a validate run took
+#: 2 100 minor faults, as glibc handed each 240 KiB temporary back to the kernel,
+#: and 29 ms; at 2^13 it takes none after its first run, and 25 ms (2-vCPU VM).
+_WORKING_SET = 2**13
 
 
 def _series_coefficients(cos_weight: int) -> np.ndarray:
@@ -331,9 +331,9 @@ class _SmearedLO:
 def _image_blocks(n: int, L: float):
     """(n L, whether last) over blocks of ascending n = 1..N, one empty block at N = 0.
 
-    A block's three image families and the two n = 0 terms fit _BLOCK_ELEMENTS.
+    A block's three image families and the two n = 0 terms fit _WORKING_SET.
     """
-    step = max(1, (_BLOCK_ELEMENTS - 2) // 3)
+    step = max(1, (_WORKING_SET - 2) // 3)
     for lo in range(0, max(n, 1), step):
         hi = min(n, lo + step)
         yield np.arange(lo + 1, hi + 1, dtype=float) * L, hi == n
@@ -355,7 +355,7 @@ def _image_sum(kernels, x: float, y2: np.ndarray, n: int, L: float):
     block's +-n pairs are added by one cumsum seeded with the running total
     and the n = 0 term comes last, so a sum in many blocks equals one in a
     single block, bit for bit.  The rows of y^2 go in chunks whose kernel
-    arrays stay within _CACHE_ELEMENTS, one row each when the images span
+    arrays stay within _WORKING_SET, one row each when the images span
     blocks, so memory is bounded in N.  Every y^2 is finite: a pointwise
     density refuses an offset whose square overflows, and a smear returns 0
     for an offset beyond the LO's reach before it sums.
@@ -373,7 +373,7 @@ def _image_sum(kernels, x: float, y2: np.ndarray, n: int, L: float):
             # in the pinned baselines: numpy's x*x differs from it in the last bit for about 1 in 1000 x
             bases = np.concatenate([nL ** 2, (x2 - nL) ** 2, (x2 + nL) ** 2, [0.0, x2 ** 2] if last_block else []])
         if chunks is None:  # the first block sizes the chunks, a row each if the images span blocks
-            step = max(1, _CACHE_ELEMENTS // (3 * m + 2)) if last_block else 1
+            step = max(1, _WORKING_SET // (3 * m + 2)) if last_block else 1
             # rows one at a time are indices, with kernel arrays over the images alone, else slices of rows
             if step == 1 or y2.size - on_axis == 1:
                 chunks = range(y2.size)
@@ -562,7 +562,7 @@ def sigma_modes_diag(omega, x, geometry: CavityGeometry):
     sequence of them, which gives shape (len(x),) + omega's shape.  All x
     share the modes up to the largest omega, and each (x, omega) sums its
     terms alone, so a row equals its x's own call bit for bit.  The x are
-    taken in blocks of at most _BLOCK_ELEMENTS terms, one block for a short
+    taken in blocks of at most _WORKING_SET terms, one block for a short
     sequence, so many x at a high omega do not hold all their sines at once.
     """
     arr = np.asarray(omega, dtype=float)
@@ -572,7 +572,7 @@ def sigma_modes_diag(omega, x, geometry: CavityGeometry):
     reach = float(np.max(w, initial=0.0))
     w = w[:, None]
     values = np.empty((len(xs), w.size))
-    step = max(1, _BLOCK_ELEMENTS // max(1, w.size * _mode_count(reach, geometry)))
+    step = max(1, _WORKING_SET // max(1, w.size * _mode_count(reach, geometry)))
     for lo in range(0, len(xs), step):
         q, folded = _guided_modes(reach, xs[lo:lo + step], geometry)
         s2 = _sine_squares(folded, q)
@@ -700,7 +700,7 @@ def smeared_modes_diag(omega_lo: float, width: float, x: float, geometry: Cavity
 
 #: Most trapezoid nodes one Bessel argument r may take: r needs floor(r) + 100,
 #: so r = kappa |y| of 130 973 and above is refused.
-MAX_BESSEL_NODES = _BLOCK_ELEMENTS
+MAX_BESSEL_NODES = 2**17
 _BESSEL_MARGIN = 100
 
 
@@ -714,7 +714,7 @@ def _bessel_j0_j2(r: np.ndarray):
     rounding for M = floor(r) + 100.  By the symmetry t -> 2 pi - t the 2M
     nodes take M values, the midpoints t_k = pi (k + 1/2)/M of [0, pi].  The
     nodes of all r lie in one flat array, in blocks of whole r within
-    _BLOCK_ELEMENTS, and each r's sums are one segment of it, so an r gives
+    _WORKING_SET, and each r's sums are one segment of it, so an r gives
     the same bits in any call.  J_0(0) = 1 and J_2(0) = 0 exactly.
     """
     counts = np.floor(r).astype(np.intp) + _BESSEL_MARGIN
@@ -723,8 +723,8 @@ def _bessel_j0_j2(r: np.ndarray):
     lo = 0
     while lo < r.size:
         # the r in [lo, hi) fill one block; an r that needs more nodes than a
-        # block holds (sigma_modes refuses those) takes a block of its own
-        hi = max(int(np.searchsorted(ends, ends[lo] - counts[lo] + _BLOCK_ELEMENTS, side="right")), lo + 1)
+        # block holds (at most MAX_BESSEL_NODES in sigma_modes) takes one of its own
+        hi = max(int(np.searchsorted(ends, ends[lo] - counts[lo] + _WORKING_SET, side="right")), lo + 1)
         m = counts[lo:hi]
         starts = np.cumsum(m) - m
         per_node = np.repeat(m, m)
@@ -753,7 +753,7 @@ def sigma_modes(omega: float, xs: Sequence[float], ys: Sequence[float], geometry
     and J_2 are evaluated once per distinct kappa_n |y| (``_bessel_j0_j2``);
     an argument that would need more than MAX_BESSEL_NODES nodes is refused
     with a ValueError.  The sines are taken in blocks of ascending modes of
-    at most _BLOCK_ELEMENTS terms, so many modes do not hold all their sines
+    at most _WORKING_SET terms, so many modes do not hold all their sines
     at once.  Returns an array of shape (len(xs), len(ys)).
     """
     _check_omegas(np.array([omega], dtype=float))
@@ -773,7 +773,7 @@ def sigma_modes(omega: float, xs: Sequence[float], ys: Sequence[float], geometry
     j0, j2 = j0[index].reshape(q.size, y.size), j2[index].reshape(q.size, y.size)
     bracket = (j0 + j2) + ((q / omega) ** 2)[:, None] * (j0 - j2)
     values = np.zeros((folded.size, y.size))
-    step = max(1, _BLOCK_ELEMENTS // max(1, folded.size))
+    step = max(1, _WORKING_SET // max(1, folded.size))
     for lo in range(0, q.size, step):
         s2w = _sine_squares(folded, q[lo:lo + step]) * weight[lo:lo + step]
         for n in range(s2w.shape[1]):  # ascending n, so each point sums its modes in one order

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import warnings
 
 import numpy as np
@@ -161,6 +162,9 @@ class TestMode:
             LOMode(omega=1.0, n=0, p=0.0, k=0.0)
         with pytest.raises(ValueError):
             LOMode(omega=1.0, n=1, p=-0.1, k=0.0)
+        for bad in (0.0, -1.0, math.inf, math.nan):  # the CLI's LO kernel refuses these before the mode
+            with pytest.raises(ValueError, match=re.escape(f"mode frequency must be positive and finite, got {bad!r}")):
+                LOMode(omega=bad)
 
     def test_inconsistent_mode_rejected_by_operations(self):
         bad = LOMode(omega=7.0, n=1, p=0.0, k=0.0)
@@ -405,7 +409,7 @@ class TestSmearedDensity:
         kernel = LOKernel(omega_lo=6.3, width=5e-4)
         n = _sized(kernel).n_terms
         r = smeared_density(FieldPoint(0.4, 0.0), FieldPoint(0.4, y), kernel, G)
-        assert sizes and max(sizes) <= sp._BLOCK_ELEMENTS
+        assert sizes and max(sizes) <= sp._WORKING_SET
         assert sum(sizes) == 3 * n + (1 if y == 0.0 else 2)  # three families and n = 0
         assert math.isfinite(r) and r != 0.0
 

@@ -251,7 +251,9 @@ class TestFig4Recipes:
         monkeypatch.setattr(cli, "sigma_modes_diag", counting)
         monkeypatch.setattr(spectral, "_guided_modes", guided)
         assert run([*argv, "--out", str(tmp_path / "out.csv")]) == 0
-        assert calls == [shape] and modes == [shape[0]]
+        # fig4-left's 96 frequencies reach 5 modes: 480 terms an x, so 17 x fill the working set
+        blocks = [17, 17, 7] if argv[1] == "fig4-left" else [shape[0]]
+        assert calls == [shape] and modes == blocks
 
     def test_left_rows_are_the_mode_sum_bit_for_bit(self):
         table, omegas, xs, _ = cli._fig4_left_rows()
@@ -332,6 +334,16 @@ class TestDetectorAndTwoPoint:
         out = tmp_path / "bhd.csv"
         assert run([*BHD_README, "--lo-p", lo_p, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"argument error: --lo-p must be a nonnegative wave number, got {float(lo_p)!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
+    @pytest.mark.parametrize("flag, name", [("--omega-lo", "LO frequency"), ("--width", "kernel width"),
+                                            ("--calibration", "calibration constant")])
+    def test_bhd_refuses_a_nonpositive_or_nonfinite_value_and_names_it(self, flag, name, value, tmp_path, capsys):
+        out = tmp_path / "bhd.csv"
+        argv = ["bhd", "--omega-lo", value, *BHD_README[3:]] if flag == "--omega-lo" else [*BHD_README, flag, value]
+        assert run([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"argument error: {name} must be positive and finite, got {float(value)!r}\n"
         assert not out.exists()
 
 

@@ -256,7 +256,7 @@ class TestExactModeSum:
             return engine(reach, block, geometry)
 
         monkeypatch.setattr(sp, "_guided_modes", counting)
-        monkeypatch.setattr(sp, "_BLOCK_ELEMENTS", 2 * 3 * 42)
+        monkeypatch.setattr(sp, "_WORKING_SET", 2 * 3 * 42)
         assert np.array_equal(sigma_modes_diag(omegas, xs, G), whole)
         assert calls == [2, 2, 2, 1]
 
@@ -338,7 +338,7 @@ class TestOffAxisModeSum:
         assert (j0[0], j2[0]) == (1.0, 0.0)
 
     def test_an_argument_gives_the_same_bits_in_any_call(self):
-        r = np.linspace(0.0, 2000.0, 301)  # about 3.2e5 nodes: three blocks
+        r = np.linspace(0.0, 2000.0, 301)  # about 3.3e5 nodes: 41 blocks
         j0, j2 = sp._bessel_j0_j2(r)
         for k in (0, 1, 150, 299, 300):
             alone = sp._bessel_j0_j2(r[k:k + 1])
@@ -347,7 +347,7 @@ class TestOffAxisModeSum:
     def test_an_argument_that_needs_more_than_a_block_takes_one_of_its_own(self, monkeypatch):
         r = np.array([0.5, 10.0, 300.0, 1.0])
         want = sp._bessel_j0_j2(r)
-        monkeypatch.setattr(sp, "_BLOCK_ELEMENTS", 150)  # r = 300 needs 400 nodes
+        monkeypatch.setattr(sp, "_WORKING_SET", 150)  # r = 300 needs 400 nodes
         got = sp._bessel_j0_j2(r)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
@@ -386,8 +386,8 @@ class TestOffAxisModeSum:
             return engine(folded, q)
 
         monkeypatch.setattr(sp, "_sine_squares", counting)
-        for block in (sp._BLOCK_ELEMENTS, 7 * 3, 7 * 40, 1):  # one block, 3 or 40 modes a block, one mode
-            monkeypatch.setattr(sp, "_BLOCK_ELEMENTS", block)
+        for block in (sp._WORKING_SET, 7 * 3, 7 * 40, 1):  # one block, 3 or 40 modes a block, one mode
+            monkeypatch.setattr(sp, "_WORKING_SET", block)
             for omega, want in cases:
                 sizes.clear()
                 assert sigma_modes(omega, xs, ys, G).tobytes() == want.tobytes()
@@ -395,7 +395,7 @@ class TestOffAxisModeSum:
                 assert sum(sizes) == len(xs) * int(omega / PI)  # each guided mode's sines once
 
     def test_many_modes_hold_a_block_of_sines_at_a_time(self, monkeypatch):
-        # 6366 guided modes at 41 x: 261 006 sines, in two blocks
+        # 6366 guided modes at 41 x: 261 006 sines, in 31 blocks of 199 modes and one of 197
         sizes = []
 
         def counting(folded, q, engine=sp._sine_squares):
@@ -404,7 +404,7 @@ class TestOffAxisModeSum:
 
         monkeypatch.setattr(sp, "_sine_squares", counting)
         sigma_modes(2e4, np.linspace(0.0, 1.0, 41).tolist(), [0.0], G)
-        assert len(sizes) == 2 and max(sizes) <= sp._BLOCK_ELEMENTS
+        assert sizes == [41 * 199] * 31 + [41 * 197] and max(sizes) <= sp._WORKING_SET
 
     def test_the_image_sum_at_large_n_meets_it_off_the_jumps(self):
         # N = 10^5 gaps 2.0e-7, 5.3e-7 and 1.5e-6 of vacuum; N = 1000 gaps 7.7e-5, 1.6e-5, 1.5e-4
@@ -516,7 +516,7 @@ def _former_diag_values(omegas, xs, n):
             m = nL.size
             distances = np.concatenate([nL, np.abs(x2 - nL), x2 + nL, [x2] if last_block else []])
             if sums is None:
-                rows = max(1, sp._CACHE_ELEMENTS // distances.size) if last_block else 1
+                rows = max(1, sp._WORKING_SET // distances.size) if last_block else 1
                 sums = [_PartialSums() for _ in range(0, axis.size, rows)]
             for lo, acc in zip(range(0, axis.size, rows), sums):
                 block = slice(lo, lo + rows)
@@ -542,7 +542,7 @@ def _former_off_axis(axis, x, y2, n):
         m = nL.size
         bases = np.concatenate([nL ** 2, (x2 - nL) ** 2, (x2 + nL) ** 2, [0.0, x2 ** 2] if last_block else []])
         if not sums:
-            per_block = max(1, sp._CACHE_ELEMENTS // bases.size) if last_block else 1
+            per_block = max(1, sp._WORKING_SET // bases.size) if last_block else 1
             freqs = max(1, min(axis.size, per_block))
             step = per_block // freqs
         for r0 in range(0, y2.size, step):
@@ -676,15 +676,15 @@ class TestSharedImageTerms:
         policy = TruncationPolicy(n_terms=1000)
         xs = np.linspace(0.0, 1.0, 301).tolist()
         values, errs = sp._sigma_diag_values(self.OMEGAS[:2], xs, G, policy)
-        assert len(kernel_sizes) > 1 and max(kernel_sizes) <= sp._BLOCK_ELEMENTS
+        assert len(kernel_sizes) > 1 and max(kernel_sizes) <= sp._WORKING_SET
         for i, x in enumerate(xs):
             for j, omega in enumerate(self.OMEGAS[:2]):
                 s = sigma_yy_diag(float(omega), x, G, policy)
                 assert (values[i, j], errs[i, j]) == (s.value, s.err)
 
     def test_blocks_of_points_and_frequencies_bound_the_kernel_arrays(self, monkeypatch):
-        # 3000 image pairs make 9002 image bases per y^2, room for 3 frequencies per
-        # block: 60 frequencies take 20 blocks per y^2, and 2 frequencies one y^2 per block
+        # 3000 image pairs make 9002 image bases per y^2, more than one block holds:
+        # each x, frequency and y^2 takes two blocks of images
         sizes = []
 
         def recording(u, *kernels, spliced=sp._spliced):
@@ -699,7 +699,7 @@ class TestSharedImageTerms:
                            (omegas[::30], [FieldPoint(x=0.3, y=y) for y in ys])):
             sizes.clear()
             values, errs = sp._sigma_yy_values(om, points, G, policy)
-            assert len(sizes) > 5 and max(sizes) <= sp._BLOCK_ELEMENTS
+            assert len(sizes) > 5 and max(sizes) <= sp._WORKING_SET
             for i, point in enumerate(points):
                 for j, omega in enumerate(om):
                     s = sigma_yy(float(omega), point, G, policy)
@@ -747,9 +747,9 @@ class TestSharedImageTerms:
             values, errs = sp._sigma_yy_values(np.array([]), points, G, TruncationPolicy(n_terms=n_terms))
             assert values.shape == errs.shape == (3, 0)
 
-    def test_many_x_take_one_image_sum_each_within_the_cache_budget(self, monkeypatch):
-        # at N = 3000 one x has 3 N + 2 = 9002 squared image bases, so a kernel
-        # block holds three of its y^2 rows; each x and frequency takes one sum of its distinct y^2
+    def test_many_x_take_one_image_sum_each_within_the_working_set(self, monkeypatch):
+        # at N = 3000 one x has 3 N + 2 = 9002 squared image bases, so its images span two
+        # blocks of one y^2 row each; each x and frequency takes one sum of its distinct y^2
         policy = TruncationPolicy(n_terms=3000)
         xs, ys = np.linspace(0.0, 1.0, 41).tolist(), [0.0, -0.6, 2.5, 0.6]
         points = [FieldPoint(x=x, y=y) for x in xs for y in ys]
@@ -767,7 +767,7 @@ class TestSharedImageTerms:
         monkeypatch.setattr(sp, "_image_sum", image_sum)
         values, errs = sp._sigma_yy_values(self.OMEGAS[:2], points, G, policy)
         assert calls == [(x, w, [0.0, 0.36, 6.25]) for x in xs for w in self.OMEGAS[:2].tolist()]
-        assert max(kernels) <= sp._CACHE_ELEMENTS
+        assert max(kernels) <= sp._WORKING_SET
         monkeypatch.undo()
         for i in range(0, len(points), 7):
             alone = sp._sigma_yy_values(self.OMEGAS[:2], [points[i]], G, policy)
@@ -775,7 +775,7 @@ class TestSharedImageTerms:
 
 
 class TestImageBlocks:
-    """One point whose images exceed _BLOCK_ELEMENTS is summed in blocks of images."""
+    """One point whose images exceed _WORKING_SET is summed in blocks of images."""
 
     OMEGAS = np.array([0.7, 5.0, 4.0 * PI - 1e-3])
 
@@ -805,16 +805,16 @@ class TestImageBlocks:
         monkeypatch.setattr(sp, "_spliced", recording)
         whole, calls = evaluate(), len(sizes)
         sizes.clear()
-        monkeypatch.setattr(sp, "_BLOCK_ELEMENTS", block)
+        monkeypatch.setattr(sp, "_WORKING_SET", block)
         blocked = evaluate()
         assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
         if axis == "frequencies":
             assert len(sizes) > calls and max(sizes) <= block
 
     def test_many_points_at_the_real_block_size_equal_each_point_alone(self, monkeypatch):
-        # at N = 50 000 the 3 N + 1 image terms of one x span four blocks of _BLOCK_ELEMENTS
+        # at N = 50 000 the 3 N + 1 image terms of one x span 19 blocks of _WORKING_SET
         policy = TruncationPolicy(n_terms=50_000)
-        assert 3 * policy.n_terms + 1 > sp._BLOCK_ELEMENTS
+        assert 3 * policy.n_terms + 1 > sp._WORKING_SET
         omegas = np.array([2.2, 9.1])
         xs = [0.31, 0.5, 0.9]
         points = [FieldPoint(x=x, y=y) for x, y in ((0.31, 0.0), (0.31, 0.7), (0.5, -0.7), (0.9, 0.0), (0.9, 2.0))]
@@ -836,7 +836,7 @@ class TestImageBlocks:
             assert np.array_equal(values[i], alone[0][0]) and np.array_equal(errs[i], alone[1][0])
             assert blocked[2][0][i] == _smear(smeared, point.x, point.y, policy.n_terms)
         # and the blocks equal one block, a single cumsum over all the pairs of each point
-        monkeypatch.setattr(sp, "_BLOCK_ELEMENTS", 2**18)
+        monkeypatch.setattr(sp, "_WORKING_SET", 2**18)
         whole = evaluate()
         assert all(np.array_equal(a, b) for pair in zip(whole, blocked) for a, b in zip(*pair))
 
@@ -850,22 +850,20 @@ class TestImageBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one block array is 1 MiB; the 3 N + 2 image bases alone would be 24 MB
+        # one block array is 64 KiB; the 3 N + 2 image bases alone would be 24 MB
         assert peak < 24 * 2**20
 
 
 class TestImageSum:
     """The pointwise densities, one _image_sum per x and frequency, against the engine they replaced."""
 
-    # the real blocks; N = 1000 and 2000 in 6 and 11 blocks; N = 7 in 3 blocks of 3 pairs,
-    # with chunks of two y^2 rows where the images fit one block
-    @pytest.mark.parametrize("block, cache", [(sp._BLOCK_ELEMENTS, sp._CACHE_ELEMENTS), (602, sp._CACHE_ELEMENTS),
-                                              (11, 50)])
-    def test_equals_the_former_engine_bit_for_bit(self, block, cache, monkeypatch):
+    # the real budget; at 602 N = 1000 and 2000 in 5 and 10 blocks; at 11 N = 7 in blocks of 3, 3 and 1
+    # pairs, with chunks of five and two y^2 rows where the images fit one block (N = 0 and 1)
+    @pytest.mark.parametrize("block", [sp._WORKING_SET, 602, 11])
+    def test_equals_the_former_engine_bit_for_bit(self, block, monkeypatch):
         # plate distances on both plates, next to one and inside; offsets 0, -0.0, ones whose square
         # underflows, a repeated y^2, O(1) and 50; frequencies below 1 (series kernels), O(1) and 12
-        monkeypatch.setattr(sp, "_BLOCK_ELEMENTS", block)
-        monkeypatch.setattr(sp, "_CACHE_ELEMENTS", cache)
+        monkeypatch.setattr(sp, "_WORKING_SET", block)
         rng = random.Random(26)
         for n in (0, 1, 7, 1000, 2000) if block > 11 else (0, 1, 7):
             policy = TruncationPolicy(n_terms=n)
@@ -879,6 +877,49 @@ class TestImageSum:
                 want = (*_former_yy_values(omegas, points, n), *_former_diag_values(omegas, xs, n))
                 assert [a.shape for a in got] == [a.shape for a in want]
                 assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), (n, xs, points, omegas)
+
+
+class _TrigSizes:
+    """numpy for the spectral module, recording the size of every array it takes sin or cos of."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def sin(self, a, *args, **kwargs):
+        self.sizes.append(np.size(a))
+        return np.sin(a, *args, **kwargs)
+
+    def cos(self, a, *args, **kwargs):
+        self.sizes.append(np.size(a))
+        return np.cos(a, *args, **kwargs)
+
+
+class TestWorkingSet:
+    """The blocked loops keep their kernel, sine and node arrays within _WORKING_SET, with the bits of one block."""
+
+    CASES = {
+        "coincident-n10000": lambda: sp._sigma_diag_values(np.array([TWO_PI]), [0.25, 1.0], G,
+                                                           TruncationPolicy(n_terms=10_000)),
+        "fig2-right": lambda: cli._fig2_right_rows(),
+        "smear-width-5e-4": lambda: [smeared_density(FieldPoint(0.4, 0.0), FieldPoint(0.4, y), LOKernel(6.3, 5e-4), G)
+                                     for y in (0.0, 0.7)],
+        "fig4-left": lambda: cli._fig4_left_rows()[0],
+        "off-axis-modes": lambda: sigma_modes(TWO_PI - 1e-3, [0.75], np.linspace(-50.0, 50.0, 41).tolist(), G),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_arrays_stay_within_the_budget_with_the_bits_of_one_block(self, case, monkeypatch):
+        # the sin and cos arguments are the kernel arrays of the image sums, the sines of
+        # the mode sums and the trapezoid nodes of J_0 and J_2
+        trig = _TrigSizes()
+        monkeypatch.setattr(sp, "np", trig)
+        got = np.asarray(self.CASES[case]())
+        assert trig.sizes and max(trig.sizes) <= sp._WORKING_SET
+        monkeypatch.setattr(sp, "_WORKING_SET", 2**17)
+        assert got.tobytes() == np.asarray(self.CASES[case]()).tobytes()
 
 
 class TestSmearImages:
@@ -898,7 +939,7 @@ class TestSmearImages:
             y = rng.choice([0.0, 1e-9, -1e-9, rng.uniform(-3.0, 3.0), 50.0, 1e300])
             cases.append((LOKernel(omega_lo, width), x, rng.choice([0.0, rng.uniform(-2.0, 2.0)]), y))
         blocked = LOKernel(6.3, 2e-5)
-        assert 3 * sp._SmearedLO(6.3, 2e-5, 1.0).image_terms(G.L) > sp._BLOCK_ELEMENTS
+        assert 3 * sp._SmearedLO(6.3, 2e-5, 1.0).image_terms(G.L) > sp._WORKING_SET
         cases += [(blocked, x, 0.0, y) for x, y in ((0.4, 0.0), (0.4, 0.7), (1e-4, 1e300))]
         for kernel, x, y1, y in cases:
             lo = sp._SmearedLO(kernel.omega_lo, kernel.width, kernel.squared_integral())
