@@ -521,8 +521,9 @@ def sigma_vacuum_from_kernels(omega, y: float):
 
 
 def _mode_count(reach: float, geometry: CavityGeometry) -> int:
-    """Number of modes n = 1 .. floor(reach a/pi) + 1; more than MAX_IMAGE_TERMS are refused."""
-    count = int(reach * geometry.a / math.pi) + 1
+    """Number of modes n = 1 .. floor(reach a/pi) + 1; more than MAX_IMAGE_TERMS, or an infinite reach, are refused."""
+    scaled = reach * geometry.a / math.pi
+    count = int(scaled) + 1 if math.isfinite(scaled) else math.inf
     if count > MAX_IMAGE_TERMS:
         raise ValueError(f"{count:.3g} guided modes exceed the {MAX_IMAGE_TERMS} one mode sum may include")
     return count
@@ -610,49 +611,6 @@ def _gauss_erfc(z: np.ndarray):
     return gauss, erfc
 
 
-def _mode_reach(omega_lo: float, width: float, a: float) -> float:
-    """Reach t of a smear over the modes: the modes above omega_lo + t width add less than rounding of its scale.
-
-    In the sum of :func:`smeared_modes_diag`, a mode at c = q_n - omega_lo >= 0,
-    z = c/width, has erfc(z) <= e^{-z^2} and sin^2 <= 1, so its bracket is at
-    most f(c) = e^{-z^2} P(c) with
-
-        P(c) = width (2 omega_lo + c) + sqrt(pi) ((omega_lo + c)^2 + omega_lo^2 + width^2/2).
-
-    f decreases for c >= 2 width (there P'/P < 1.2/width < 2c/width^2).  The
-    modes above the reach sit at c >= t width + k Delta, k = 0, 1, ..., with
-    Delta = pi/a, so with t >= 2 they add at most sum_k f(t width + k Delta).
-    P has nonnegative coefficients and degree 2, so P(t width + k Delta) <=
-    (1 + k alpha)^2 P(t width) with alpha = Delta/(t width); and
-    (t width + k Delta)^2 >= (t width)^2 + 2 k t width Delta puts the Gaussian
-    at e^{-t^2} r^k, r = e^{-2 t Delta/width}.  The sum over k is then
-
-        B(t) = e^{-t^2} P(t width) s (1 + alpha r s (2 + alpha (1 + r) s)),  s = 1/(1 - r).
-
-    The scale A^2 width sqrt(pi) omega_lo^3/(6 pi^2) is (4 a sqrt(pi)/3 pi)
-    omega_lo^3 in units of the bracket sum, and tol is its rounding.  With
-    B(t) = e^{-t^2} g(t), the bound holds once t^2 >= ln(g(t)/tol); from t = 2
-    the fixed point t^2 <- ln(g(t)/tol) finds the reach in a few steps, in
-    logarithms, so no factor underflows.  It stops at z = 27.3, beyond which
-    every bracket is exactly 0.0.
-    """
-    log_tol = math.log(_ROUNDING * 4.0 * _SQRT_PI / (3.0 * math.pi)) + math.log(a) + 3.0 * math.log(omega_lo)
-    delta = math.pi / a
-    t, t_max = 2.0, _WINDOW_EDGES[-1]
-    while t < t_max:
-        c, e = t * width, 2.0 * t * delta / width
-        p = width * (2.0 * omega_lo + c) + _SQRT_PI * ((omega_lo + c) ** 2 + omega_lo**2 + 0.5 * width * width)
-        r, s, alpha = math.exp(-e), -1.0 / math.expm1(-e), delta / c
-        # r is 0.0 (and s 1.0) for an LO narrow against Delta, where alpha may overflow
-        g = p * s * (1.0 + alpha * r * s * (2.0 + alpha * (1.0 + r) * s)) if r else p
-        # g underflows to 0.0 only for omega_lo below about 1e-162; the reach is then t_max
-        need = math.log(g) - log_tol if g > 0.0 else math.inf
-        if t * t >= need:
-            return t
-        t = min(t_max, max(t + 1e-3, math.sqrt(need)))
-    return t
-
-
 def smeared_modes_diag(omega_lo: float, width: float, x: float, geometry: CavityGeometry) -> float:
     """LO-smeared coincident-point density from the guided modes, per unit A^2: R(1,1)/A^2 in closed form.
 
@@ -669,14 +627,14 @@ def smeared_modes_diag(omega_lo: float, width: float, x: float, geometry: Cavity
 
     summed as (width/8 pi a) sum_n sin^2(q_n x) [width (q_n + omega_lo)
     e^{-c^2/width^2} + sqrt(pi) (q_n^2 + omega_lo^2 + width^2/2) erfc(c/width)].
-    The modes reach omega_lo + t width (``_mode_reach``): those beyond add less
-    than rounding of the scale A^2 width sqrt(pi) omega_lo^3/(6 pi^2), and the
-    sum runs in ascending n, so a larger reach only appends such terms.  The
-    cost is O(omega_lo a/pi) modes whatever the width, with ``math.erfc`` called
-    only for -5.9 < c/width < 27.3, where it is neither 2.0 nor 0.0.  c carries
-    the part of n pi/a below the float pi.  The plates give exact zeros
+    The modes reach omega_lo + 27.3 width, the window's edge: beyond it
+    c/width > 27.3, where e^{-c^2/width^2} and erfc(c/width) are both 0.0 in
+    floats, so every later mode adds exactly 0.0 and the sum is the whole sum.
+    The cost is O((omega_lo + 27.3 width) a/pi) modes, with ``math.erfc``
+    called only for -5.9 < c/width < 27.3, where it is neither 2.0 nor 0.0.  c
+    carries the part of n pi/a below the float pi.  The plates give exact zeros
     (``_guided_modes`` folds x), and more than MAX_IMAGE_TERMS modes (omega_lo a
-    above about 3.29e6) are refused.
+    above about 1.39e6 at ``bhd``'s default width omega_lo/20) are refused.
 
     This is the image smear of ``bhd.smeared_density`` at y = 0, up to the
     Gaussian's weight below omega = 0, where the image form continues the
@@ -687,14 +645,14 @@ def smeared_modes_diag(omega_lo: float, width: float, x: float, geometry: Cavity
         raise ValueError(f"frequencies must be positive and at most {_MAX_OMEGA:g}")
     if not (width > 0.0 and math.isfinite(width)):
         raise ValueError("LO width must be positive and finite")
-    q, folded = _guided_modes(omega_lo + _mode_reach(omega_lo, width, geometry.a) * width, [x], geometry)
+    q, folded = _guided_modes(omega_lo + _WINDOW_EDGES[-1] * width, [x], geometry)
     s2 = _sine_squares(folded, q)
     c = (q - omega_lo) + np.arange(1, q.size + 1) * (_PI_LO / geometry.a)
     with np.errstate(over="ignore"):  # a width below about 1e-308 sends c/width to +-inf, where both are constants
         gauss, erfc = _gauss_erfc(c / width)
     bracket = width * (q + omega_lo) * gauss
     bracket += _SQRT_PI * (q * q + omega_lo * omega_lo + 0.5 * width * width) * erfc
-    total = np.cumsum(s2[0] * bracket)[-1]  # ascending n: the modes beyond any reach come last
+    total = np.cumsum(s2[0] * bracket)[-1]  # term by term in ascending n, so modes that add 0.0 keep the bits
     return float(total) * width / (8.0 * math.pi * geometry.a)
 
 

@@ -489,6 +489,46 @@ def _random_los(seed, count):
     return draws
 
 
+def _sweep_los(seed, count):
+    """(omega_lo, width, x) draws: omega_lo in [0.1, 1000] and width/omega_lo in [1e-4, 0.1], both log-uniform.
+
+    x is inside, on a plate, or 1e-3 from one.
+    """
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(count):
+        omega_lo = 10.0 ** rng.uniform(-1.0, 3.0)
+        width = omega_lo * 10.0 ** rng.uniform(-4.0, -1.0)
+        x = rng.choice([rng.uniform(0.0, 1.0), 0.0, 1e-3, 1.0 - 1e-3, 1.0])
+        draws.append((omega_lo, width, x))
+    return draws
+
+
+def _former_reach(omega_lo, width, a):
+    """The reach t, in widths, that a tail bound once gave R(1,1)'s mode sum (a frozen copy).
+
+    The modes above omega_lo + t width add at most
+    e^{-t^2} P(t width) s (1 + alpha r s (2 + alpha (1 + r) s)), with
+    P(c) = width (2 omega_lo + c) + sqrt(pi) ((omega_lo + c)^2 + omega_lo^2 + width^2/2),
+    r = e^{-2 t (pi/a)/width}, s = 1/(1 - r) and alpha = (pi/a)/(t width); t
+    is the fixed point of t^2 <- ln(g(t)/tol) from t = 2, with tol the
+    rounding of the scale, and stops at z = 27.3.
+    """
+    log_tol = math.log(sp._ROUNDING * 4.0 * sp._SQRT_PI / (3.0 * PI)) + math.log(a) + 3.0 * math.log(omega_lo)
+    delta = PI / a
+    t, t_max = 2.0, sp._WINDOW_EDGES[-1]
+    while t < t_max:
+        c, e = t * width, 2.0 * t * delta / width
+        p = width * (2.0 * omega_lo + c) + sp._SQRT_PI * ((omega_lo + c) ** 2 + omega_lo**2 + 0.5 * width * width)
+        r, s, alpha = math.exp(-e), -1.0 / math.expm1(-e), delta / c
+        g = p * s * (1.0 + alpha * r * s * (2.0 + alpha * (1.0 + r) * s)) if r else p
+        need = math.log(g) - log_tol if g > 0.0 else math.inf
+        if t * t >= need:
+            return t
+        t = min(t_max, max(t + 1e-3, math.sqrt(need)))
+    return t
+
+
 class TestSmearedModes:
     """R(1,1) from the guided modes in closed form, against mpmath and the image smear."""
 
@@ -519,8 +559,7 @@ class TestSmearedModes:
         edges = [v for e in sp._WINDOW_EDGES for v in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))]
         zs = [np.sort(np.concatenate([np.linspace(-40.0, 40.0, 8001), edges, [-1e300, -5.8, 0.0, 27.2, 1e300]]))]
         for kernel, _ in _random_los(12, 60):  # the arguments of every mode of these LOs
-            t = sp._mode_reach(kernel.omega_lo, kernel.width, G.a)
-            q, _ = sp._guided_modes(kernel.omega_lo + t * kernel.width, [0.5], G)
+            q, _ = sp._guided_modes(kernel.omega_lo + sp._WINDOW_EDGES[-1] * kernel.width, [0.5], G)
             zs.append((q - kernel.omega_lo + np.arange(1, q.size + 1) * sp._PI_LO) / kernel.width)
         for z in zs:
             gauss, erfc = sp._gauss_erfc(z)
@@ -528,28 +567,18 @@ class TestSmearedModes:
             with np.errstate(over="ignore"):
                 assert np.array_equal(gauss, np.exp(-(z * z)))
 
-    @pytest.mark.parametrize("longer", [lambda t: t + 1.0, lambda t: 2.0 * t, lambda t: sp._WINDOW_EDGES[-1]],
-                             ids=["t+1", "2t", "t-max"])
-    def test_a_larger_reach_leaves_the_value_unchanged(self, longer, monkeypatch):
-        draws = [*_random_los(13, 60), (README_KERNEL, 0.75), (LOKernel(6.3, 5e-4), 0.4), (LOKernel(3.0, 0.15), 0.5)]
-        sized = [smeared_modes_diag(k.omega_lo, k.width, x, G) for k, x in draws]
-        reach = sp._mode_reach
-        monkeypatch.setattr(sp, "_mode_reach", lambda *args: longer(reach(*args)))
-        assert [smeared_modes_diag(k.omega_lo, k.width, x, G) for k, x in draws] == sized
-
-    @pytest.mark.parametrize("kernel", [README_KERNEL, LOKernel(1e4, 500.0), LOKernel(0.5, 0.05),
-                                        LOKernel(6.3, 5e-4), LOKernel(40.0, 4.0)],
-                             ids=lambda k: f"{k.omega_lo:g}-{k.width:g}")
-    def test_the_modes_beyond_the_reach_add_less_than_rounding_of_the_scale(self, kernel):
-        # the modes between the reach and z = 27.3, where every term is 0.0, summed apart with sin^2 = 1
-        w0, w = kernel.omega_lo, kernel.width
-        t = sp._mode_reach(w0, w, G.a)
-        q, _ = sp._guided_modes(w0 + sp._WINDOW_EDGES[-1] * w, [0.5], G)
-        beyond = q > w0 + t * w
-        z = (q[beyond] - w0) / w
-        terms = (w * (q[beyond] + w0) * np.exp(-z * z)
-                 + sp._SQRT_PI * (q[beyond] ** 2 + w0 * w0 + 0.5 * w * w) * [math.erfc(v) for v in z.tolist()])
-        assert w * terms.sum() / (8.0 * PI * G.a) <= 2.0**-53 * w * math.sqrt(PI) * w0**3 / (6.0 * PI**2)
+    def test_matches_the_former_tail_bound_sizing_bit_for_bit(self, monkeypatch):
+        # the sum beyond omega_lo + t width adds terms that are below rounding or exactly 0.0
+        draws = [*_sweep_los(14, 3000), (README_KERNEL.omega_lo, README_KERNEL.width, 0.75),
+                 (6.0, 0.03, 0.4), (6.3, 5e-4, 0.4), (1e4, 500.0, 0.5), (40.0, 4.0, 0.3)]
+        values = [smeared_modes_diag(w0, w, x, G) for w0, w, x in draws]
+        engine, reach = sp._guided_modes, [0.0]
+        monkeypatch.setattr(sp, "_guided_modes", lambda _, xs, geometry: engine(reach[0], xs, geometry))
+        former = []
+        for w0, w, x in draws:
+            reach[0] = w0 + _former_reach(w0, w, G.a) * w
+            former.append(smeared_modes_diag(w0, w, x, G))
+        assert values == former
 
     @pytest.mark.parametrize("omega_lo, width", [(5.0, 5e-324), (5.0, 1e-300), (1e-200, 1e-201), (1e-110, 1e-111)])
     def test_extreme_los_give_finite_values_without_warnings(self, omega_lo, width):
@@ -562,6 +591,49 @@ class TestSmearedModes:
     def test_more_modes_than_the_cap_are_refused(self):
         with pytest.raises(ValueError, match="guided modes exceed the 1048576"):
             smeared_modes_diag(4e6, 2e5, 0.5, G)
+
+    @pytest.mark.parametrize("omega_lo, width", [(1.4e6, 7e4), (1.0, 1e300), (1.0, 1e308)])
+    def test_the_cap_refuses_before_any_sine_is_formed(self, omega_lo, width, monkeypatch):
+        # at bhd's default width omega_lo/20 the reach omega_lo + 27.3 width passes 2^20 modes
+        # above omega_lo a = 1.393e6; at width 1e308 the reach is inf
+        monkeypatch.setattr(sp, "_sine_squares", lambda *args: pytest.fail("formed the sines of the modes"))
+        with pytest.raises(ValueError, match="guided modes exceed the 1048576"):
+            smeared_modes_diag(omega_lo, width, 0.5, G)
+
+
+def _gauss_legendre_smear(kernel, x, y, nodes=160):
+    """R(1,2)/A^2 by Gauss-Legendre over omega_lo +- 9 widths of the exact mode sum sigma_modes(omega, [x], [y]).
+
+    The panels split at the thresholds n pi/a, between which the integrand is
+    smooth (J_0 and J_2 are even in kappa); the Gaussian's weight beyond 9
+    widths is below e^{-81}.
+    """
+    w0, w = kernel.omega_lo, kernel.width
+    lo, hi = w0 - 9.0 * w, w0 + 9.0 * w
+    cuts = [n * PI / G.a for n in range(math.floor(lo * G.a / PI) + 1, math.ceil(hi * G.a / PI))]
+    t, weights = np.polynomial.legendre.leggauss(nodes)
+    total = 0.0
+    for a, b in zip([lo, *cuts], [*cuts, hi]):
+        om = 0.5 * (a + b) + 0.5 * (b - a) * t
+        sigma = np.array([sp.sigma_modes(o, [x], [y], G)[0, 0] for o in om.tolist()])
+        total += 0.5 * (b - a) * float(weights @ (sigma * np.exp(-(((om - w0) / w) ** 2))))
+    return total
+
+
+class TestOffAxisSmear:
+    """R(1,2) of the image smear against a second route: the exact mode sum, integrated numerically."""
+
+    @pytest.mark.parametrize("kernel, x, y", [
+        (README_KERNEL, 0.75, 50.0),  # the README pair, whose mode sum oscillates in y
+        (LOKernel(6.0, 0.03), 0.4, 1.2),  # the near pair
+        (LOKernel(6.3, 5e-4), 0.4, 0.7),  # the narrow LO
+        (LOKernel(9.0, 0.045), 0.3, 0.8),
+        (LOKernel(11.4, 0.57), 0.9, 2.5),
+        (LOKernel(3.0, 0.15), 0.5, 1.0),  # across the first cutoff pi
+    ], ids=["readme", "near", "narrow", "9", "11.4", "3"])
+    def test_agrees_with_gauss_legendre_over_the_mode_sum(self, kernel, x, y):
+        r12 = smeared_density(FieldPoint(x, 0.0), FieldPoint(x, y), kernel, G)
+        assert abs(r12 - _gauss_legendre_smear(kernel, x, y)) <= 1e-12 * _scale(kernel)
 
 
 class TestCurrents:

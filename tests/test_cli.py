@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import cavityspectra
-from cavityspectra import cli, oracle, spectral
+from cavityspectra import bhd, cli, oracle, spectral
 from cavityspectra.cli import main
 from cavityspectra.imagesum import TruncationPolicy
 from cavityspectra.spectral import (
@@ -344,6 +344,24 @@ class TestDetectorAndTwoPoint:
         argv = ["bhd", "--omega-lo", value, *BHD_README[3:]] if flag == "--omega-lo" else [*BHD_README, flag, value]
         assert run([*argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"argument error: {name} must be positive and finite, got {float(value)!r}\n"
+        assert not out.exists()
+
+    def test_bhd_at_a_wide_lo_prints_the_pinned_row(self, capsys):
+        # width 5 against pi/a: R(1,1) sums 76 modes, up to omega_lo + 27.3 width
+        assert run(["bhd", "--omega-lo", "100", "--x1", "0.3", "--y1", "0", "--x2", "0.3", "--y2", "0.8"]) == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        assert row == "100.0,2.99792458e+16,0.0,300799.4025363837,300798.4472116543,0.0"
+
+    def test_bhd_past_the_mode_cap_is_refused_before_any_sine_or_image(self, monkeypatch, tmp_path, capsys):
+        # at the default width omega_lo/20 the reach omega_lo + 27.3 width passes 2^20 modes
+        # above omega_lo a = 1.393e6
+        monkeypatch.setattr(spectral, "_sine_squares", lambda *args: pytest.fail("formed the sines of the modes"))
+        monkeypatch.setattr(bhd, "_image_sum", lambda *args: pytest.fail("summed the images"))
+        out = tmp_path / "bhd.csv"
+        assert run(["bhd", "--omega-lo", "1.4e6", "--x1", "0.5", "--y1", "0", "--x2", "0.5", "--y2", "1",
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "argument error: 1.05e+06 guided modes exceed the 1048576 one mode sum may include\n"
         assert not out.exists()
 
 

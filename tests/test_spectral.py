@@ -275,8 +275,9 @@ class TestExactModeSum:
         for eps in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 laplace_modes_diag(eps, 0.5, G)
-        with pytest.raises(ValueError, match="guided modes exceed"):
-            laplace_modes_diag(1e-5, 0.5, G)
+        for eps in (1e-5, 1e-310):  # the reach 60/eps is inf at 1e-310
+            with pytest.raises(ValueError, match="guided modes exceed the 1048576"):
+                laplace_modes_diag(eps, 0.5, G)
 
     @pytest.mark.parametrize("x", [1e-3, 0.1, 0.25, 0.5, 0.75, 0.97, 1.0 - 1e-3])
     def test_laplace_sum_rule(self, x):
