@@ -35,7 +35,6 @@ from .spectral import (
     sigma_yy,
     sigma_yy_diag,
     smeared_modes_diag,
-    w_kernel,
 )
 
 __version__ = "0.1.0"
@@ -99,6 +98,5 @@ __all__ = [
     "two_point_yy_fd",
     "two_point_yy_lattice",
     "validate_point",
-    "w_kernel",
     "variance_current",
 ]

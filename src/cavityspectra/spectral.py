@@ -68,8 +68,8 @@ _EXP_UNDERFLOW = 745.2
 _MAX_OMEGA = 1e100
 
 #: Most elements one array of a blocked loop holds: an image block, a chunk of
-#: its y^2 rows, an x block of sigma_modes_diag, a sine block of sigma_modes or
-#: a node block of _bessel_j0_j2.  64 KiB of floats, which the allocator keeps
+#: its y^2 rows, an x block of sigma_modes_diag, an (x, mode, y) block of
+#: sigma_modes, a mode block of smeared_modes_diag or a node block of _bessel_j0_j2.  64 KiB of floats, which the allocator keeps
 #: from call to call: at 2^17 (images) and 2^15 (chunks) a validate run took
 #: 2 100 minor faults, as glibc handed each 240 KiB temporary back to the kernel,
 #: and 29 ms; at 2^13 it takes none after its first run, and 25 ms (2-vCPU VM).
@@ -156,11 +156,12 @@ def _spliced(u, *kernels):
     """
     arr = np.asarray(u, dtype=float)
     flat = np.atleast_1d(arr)
-    if np.any(flat < 0.0) or not np.all(np.isfinite(flat)):
+    lo = flat.min(initial=math.inf)  # a nan propagates here and fails the check; an empty array passes
+    if not (lo >= 0.0 and flat.max(initial=0.0) < math.inf):
         raise ValueError("kernel argument must be finite and nonnegative")
-    small = flat < SERIES_THRESHOLD
     us2 = None
-    if small.any():  # most arrays have no small u, and the series has a fixed cost
+    if lo < SERIES_THRESHOLD:  # most arrays have no small u, and the series has a fixed cost
+        small = flat < SERIES_THRESHOLD
         us = flat[small]
         us2 = us * us
         # the series overwrites these entries; 1 keeps the direct form free of 0/0
@@ -183,14 +184,6 @@ def q_kernel(u):
     return _spliced(u, _Q)[0]
 
 
-def w_kernel(u):
-    """Oscillatory kernel W; accepts scalars or arrays, u >= 0.
-
-    W(0) = 0 with leading term -u^2/15; W(n pi) = 3 (-1)^n / (n pi)^2.
-    """
-    return _spliced(u, _W)[0]
-
-
 @dataclass(frozen=True)
 class SpectralSample:
     """One spectral-density evaluation: value, truncation-error estimate, cutoff."""
@@ -206,7 +199,8 @@ class SpectralSample:
 
 
 def _check_omegas(omegas: np.ndarray) -> None:
-    if not np.all((omegas > 0.0) & (omegas <= _MAX_OMEGA)):
+    # a nan propagates into the minimum and fails the check
+    if omegas.size and not (omegas.min() > 0.0 and omegas.max() <= _MAX_OMEGA):
         raise ValueError(f"frequencies must be positive and at most {_MAX_OMEGA:g}")
 
 
@@ -415,15 +409,10 @@ def _image_sum(kernels, x: float, y2: np.ndarray, n: int, L: float):
 def _sigma_diag_values(omegas, xs: Sequence[float], geometry: CavityGeometry, policy: TruncationPolicy):
     """Vectorized coincident-point density: (values, errs), shape (xs, omegas).
 
-    One ``_image_sum`` per x and frequency, at the single y^2 = 0.
+    ``_sigma_yy_values`` at the points (x, 0).  Kept for its callers; it goes
+    with the truncated pointwise engine.
     """
-    _check_omegas(omegas)
-    values, errs = np.empty((2, len(xs), omegas.size))
-    y2 = np.zeros(1)
-    for i, x in enumerate(np.asarray(xs, dtype=float).tolist()):
-        for j, omega in enumerate(omegas.tolist()):
-            (values[i, j],), (errs[i, j],) = _image_sum(_Pointwise(omega), x, y2, policy.n_terms, geometry.L)
-    return values, errs
+    return _sigma_yy_values(omegas, [FieldPoint(x=x) for x in xs], geometry, policy)
 
 
 def _sigma_yy_values(omegas, points: Sequence[FieldPoint], geometry: CavityGeometry, policy: TruncationPolicy):
@@ -481,12 +470,10 @@ def sigma_yy_diag(
 ) -> SpectralSample:
     """Coincident-point cavity density: (omega^3/4 pi^2) sum_n [Q(omega n L) - Q(omega |2x - n L|)].
 
-    The n = 0 term is 2/3 - Q(2 omega x).  Vanishes identically at x = 0
-    (every translated term cancels its reflected partner exactly).
+    :func:`sigma_yy` at y = 0.  The n = 0 term is 2/3 - Q(2 omega x).  Vanishes
+    identically at x = 0 (every translated term cancels its reflected partner exactly).
     """
-    validate_point(FieldPoint(x=x, y=0.0), geometry)
-    values, errs = _sigma_diag_values(np.asarray([omega], dtype=float), [x], geometry, policy)
-    return SpectralSample(omega=omega, value=float(values[0, 0]), err=float(errs[0, 0]), terms=policy.n_terms)
+    return sigma_yy(omega, FieldPoint(x=x, y=0.0), geometry, policy)
 
 
 def sigma_vacuum(omega, y: float = 0.0):
@@ -646,13 +633,18 @@ def smeared_modes_diag(omega_lo: float, width: float, x: float, geometry: Cavity
     if not (width > 0.0 and math.isfinite(width)):
         raise ValueError("LO width must be positive and finite")
     q, folded = _guided_modes(omega_lo + _WINDOW_EDGES[-1] * width, [x], geometry)
-    s2 = _sine_squares(folded, q)
-    c = (q - omega_lo) + np.arange(1, q.size + 1) * (_PI_LO / geometry.a)
-    with np.errstate(over="ignore"):  # a width below about 1e-308 sends c/width to +-inf, where both are constants
-        gauss, erfc = _gauss_erfc(c / width)
-    bracket = width * (q + omega_lo) * gauss
-    bracket += _SQRT_PI * (q * q + omega_lo * omega_lo + 0.5 * width * width) * erfc
-    total = np.cumsum(s2[0] * bracket)[-1]  # term by term in ascending n, so modes that add 0.0 keep the bits
+    total = None
+    for lo in range(0, q.size, _WORKING_SET):
+        qb = q[lo:lo + _WORKING_SET]
+        c = (qb - omega_lo) + np.arange(lo + 1, lo + qb.size + 1) * (_PI_LO / geometry.a)
+        with np.errstate(over="ignore"):  # a width below about 1e-308 sends c/width to +-inf, where both are constants
+            gauss, erfc = _gauss_erfc(c / width)
+        bracket = width * (qb + omega_lo) * gauss
+        bracket += _SQRT_PI * (qb * qb + omega_lo * omega_lo + 0.5 * width * width) * erfc
+        terms = _sine_squares(folded, qb)[0] * bracket
+        if total is not None:  # the first block stays unseeded, so a -0.0 first term keeps its sign
+            terms[0] += total
+        total = terms.cumsum()[-1]  # term by term in ascending n, so modes that add 0.0 keep the bits
     return float(total) * width / (8.0 * math.pi * geometry.a)
 
 
@@ -708,34 +700,40 @@ def sigma_modes(omega: float, xs: Sequence[float], ys: Sequence[float], geometry
     q_n = n pi/a, kappa_n = sqrt(omega^2 - q_n^2), with the weights w_n of
     :func:`sigma_modes_diag` (1 below omega, 1/2 at threshold, where kappa_n = 0
     and the mode does not decay in y).  At y = 0 it is sigma_modes_diag.  J_0
-    and J_2 are evaluated once per distinct kappa_n |y| (``_bessel_j0_j2``);
-    an argument that would need more than MAX_BESSEL_NODES nodes is refused
-    with a ValueError.  The sines are taken in blocks of ascending modes of
-    at most _WORKING_SET terms, so many modes do not hold all their sines
-    at once.  Returns an array of shape (len(xs), len(ys)).
+    and J_2 are evaluated once per distinct kappa_n |y| of a block
+    (``_bessel_j0_j2``); an argument that would need more than
+    MAX_BESSEL_NODES nodes is refused with a ValueError before any block.
+    The modes go in ascending blocks whose (x, mode, y) terms fit
+    _WORKING_SET: the running total is added to a block's first mode and a
+    cumsum along the modes adds the rest, so each point adds its modes one
+    by one in ascending n, whatever the blocks.  Returns an array of shape
+    (len(xs), len(ys)).
     """
     _check_omegas(np.array([omega], dtype=float))
     y = np.abs(np.asarray(ys, dtype=float))
     if not np.all(np.isfinite(y)):
         raise ValueError("transverse offsets must be finite")
     q, folded = _guided_modes(omega, xs, geometry)
-    guided = q <= omega
-    q, weight = q[guided], np.where(q < omega, 1.0, 0.5)[guided]
-    kappa = np.sqrt((omega - q) * (omega + q))
-    r, index = np.unique(np.multiply.outer(kappa, y), return_inverse=True)
-    if r.size and not np.floor(r[-1]) + _BESSEL_MARGIN <= MAX_BESSEL_NODES:
-        raise ValueError(f"kappa |y| = {r[-1]:g} at omega = {omega:g}: J_0 and J_2 there would take more than "
-                         f"{MAX_BESSEL_NODES} trapezoid nodes (every |y| up to "
-                         f"{(MAX_BESSEL_NODES - _BESSEL_MARGIN) / omega:.3g} a fits)")
-    j0, j2 = _bessel_j0_j2(r)
-    j0, j2 = j0[index].reshape(q.size, y.size), j2[index].reshape(q.size, y.size)
-    bracket = (j0 + j2) + ((q / omega) ** 2)[:, None] * (j0 - j2)
+    q = q[q <= omega]
+    if q.size and y.size:  # mode 1 has the largest kappa, so its largest argument is the largest of all
+        r_max = np.sqrt((omega - q[0]) * (omega + q[0])) * y.max()
+        if not np.floor(r_max) + _BESSEL_MARGIN <= MAX_BESSEL_NODES:
+            raise ValueError(f"kappa |y| = {r_max:g} at omega = {omega:g}: J_0 and J_2 there would take more "
+                             f"than {MAX_BESSEL_NODES} trapezoid nodes (every |y| up to "
+                             f"{(MAX_BESSEL_NODES - _BESSEL_MARGIN) / omega:.3g} a fits)")
     values = np.zeros((folded.size, y.size))
-    step = max(1, _WORKING_SET // max(1, folded.size))
+    step = max(1, _WORKING_SET // max(1, folded.size * y.size))
     for lo in range(0, q.size, step):
-        s2w = _sine_squares(folded, q[lo:lo + step]) * weight[lo:lo + step]
-        for n in range(s2w.shape[1]):  # ascending n, so each point sums its modes in one order
-            values += np.multiply.outer(s2w[:, n], bracket[lo + n])
+        qb = q[lo:lo + step]
+        kappa = np.sqrt((omega - qb) * (omega + qb))
+        r, index = np.unique(np.multiply.outer(kappa, y), return_inverse=True)
+        j0, j2 = _bessel_j0_j2(r)
+        j0, j2 = j0[index].reshape(qb.size, y.size), j2[index].reshape(qb.size, y.size)
+        bracket = (j0 + j2) + ((qb / omega) ** 2)[:, None] * (j0 - j2)
+        s2w = _sine_squares(folded, qb) * np.where(qb < omega, 1.0, 0.5)
+        terms = s2w[:, :, None] * bracket
+        terms[:, 0] += values
+        values = terms.cumsum(axis=1)[:, -1]
     return values * (omega * omega / (4.0 * math.pi * geometry.a))
 
 
