@@ -88,6 +88,58 @@ def _raise_near_cone(gaps: np.ndarray, indices: np.ndarray, branch: str) -> None
 
 _CANONICAL = CavityGeometry(1.0)
 
+#: Most elements one array of a blocked loop holds: a chunk of image-sum rows
+#: here, and in ``spectral`` an image block, a chunk of its y^2 rows, an x
+#: block of sigma_modes_diag or laplace_modes_diag, an (x, mode, y) block of
+#: sigma_modes, a mode block of smeared_modes_diag or a node block of
+#: _bessel_j0_j2.  64 KiB of floats, which the allocator keeps from call to
+#: call: at 2^17 (images) and 2^15 (chunks) a validate run took 2 100 minor
+#: faults, as glibc handed each 240 KiB temporary back to the kernel, and
+#: 29 ms; at 2^13 it takes none after its first run, and 25 ms (2-vCPU VM).
+_WORKING_SET = 2**13
+
+
+def _image_row(sign: int, p: SpacetimePoint, q: SpacetimePoint):
+    """(base, offset, branch) of one image sum, in Python floats as the one-point sum has always formed them."""
+    if sign not in (-1, 1):
+        raise ValueError(f"sign must be -1 or +1, got {sign!r}")
+    offset = (p.y - q.y) ** 2 + (p.z - q.z) ** 2 - (p.t - q.t) ** 2
+    return p.x + sign * q.x, offset, "translated" if sign == -1 else "reflected"
+
+
+def _image_sums(rows, N: int, L: float) -> np.ndarray:
+    """Truncated scalar image sums of the rows (base, offset, branch), in one array pass per chunk of rows.
+
+    Row r is -(1/4 pi^2) sum_n 1/((base - n L)^2 + offset) over |n| <= N.
+    Its gaps, the +n images, the -n ones and n = 0 last, are one row of a
+    2-D array, and a cumsum along it adds the +-n pairs in ascending |n| and
+    then the n = 0 term, as one row alone would.  The rows go in chunks of
+    at most _WORKING_SET gaps, one row each at large N.  A row with a gap
+    inside the guard band raises LightConeProximity before anything is
+    summed: the first such row, and in it the n = 0 gap, then the nearest
+    of the +n gaps, then of the -n ones.
+    """
+    values = np.empty(len(rows))
+    nL = np.arange(1, N + 1, dtype=float) * L
+    shifts = np.concatenate([-nL, nL, [0.0]])  # base - n L, base + n L, base
+    step = max(1, _WORKING_SET // shifts.size)
+    for lo in range(0, len(rows), step):
+        chunk = rows[lo:lo + step]
+        base, offset = np.array([row[:2] for row in chunk]).T[:, :, None]
+        gaps = (base + shifts) ** 2 + offset
+        near = (np.abs(gaps) < GUARD_BAND).any(axis=1)
+        if near.any():
+            r = int(np.argmax(near))
+            branch = chunk[r][2]
+            if abs(gaps[r, -1]) < GUARD_BAND:
+                raise LightConeProximity(0, branch, float(abs(gaps[r, -1])), GUARD_BAND)
+            _raise_near_cone(gaps[r, :N], np.arange(1, N + 1), branch)
+            _raise_near_cone(gaps[r, N:-1], -np.arange(1, N + 1), branch)
+        inv = np.reciprocal(gaps, out=gaps)
+        inv[:, N:-1] += inv[:, :N]  # the +-n pairs, then 1/d0
+        values[lo:lo + step] = -inv[:, N:].cumsum(axis=1)[:, -1] / _FOUR_PI_SQ
+    return values
+
 
 def image_sum(
     sign: int,
@@ -106,31 +158,10 @@ def image_sum(
     Coordinates are in internal units; the default geometry is the canonical
     a = 1 (image period L = 2).  The +-n terms are accumulated together in
     ascending |n| and the n = 0 term added last.  Raises LightConeProximity
-    when any denominator lies inside the guard band.
+    when any denominator lies inside the guard band.  The one-row use of the
+    array sum that ``two_point_yy_fd`` gives all its stencil points at once.
     """
-    if sign not in (-1, 1):
-        raise ValueError(f"sign must be -1 or +1, got {sign!r}")
-    L = geometry.L
-    base = p.x + sign * q.x
-    offset = (p.y - q.y) ** 2 + (p.z - q.z) ** 2 - (p.t - q.t) ** 2
-    N = policy.n_terms
-    branch = "translated" if sign == -1 else "reflected"
-
-    d0 = base * base + offset
-    if abs(d0) < GUARD_BAND:
-        raise LightConeProximity(0, branch, abs(d0), GUARD_BAND)
-    if N == 0:
-        return -(1.0 / d0) / _FOUR_PI_SQ
-
-    n = np.arange(1, N + 1, dtype=float)
-    d_plus = (base - n * L) ** 2 + offset
-    d_minus = (base + n * L) ** 2 + offset
-    _raise_near_cone(d_plus, np.arange(1, N + 1), branch)
-    _raise_near_cone(d_minus, -np.arange(1, N + 1), branch)
-
-    terms = 1.0 / d_plus + 1.0 / d_minus
-    total = float(np.cumsum(terms)[-1]) + 1.0 / d0
-    return -total / _FOUR_PI_SQ
+    return float(_image_sums([_image_row(sign, p, q)], policy.n_terms, geometry.L)[0])
 
 
 def _squared_image_distances(point: FieldPoint, N: int, L: float):
@@ -275,24 +306,36 @@ def two_point_yy_fd(
     a plate the x part switches to a one-sided interior stencil so that all
     sample points stay inside the physical strip.  Each stencil evaluation
     enforces the light-cone guard band (effectively widening it by the
-    stencil extent).
+    stencil extent).  The translated and reflected sums of all five or six
+    stencil points are rows of one array sum, and a refusal is the one the
+    points would raise taken one at a time.
     """
     validate_point(point, geometry)
     if h <= 0.0:
         raise ValueError("stencil step must be positive")
     q = SpacetimePoint(t=0.0, x=point.x, y=point.y, z=0.0)
-
-    def diff(px: float, pz: float) -> float:
-        pp = SpacetimePoint(t=s, x=px, y=0.0, z=pz)
-        return image_sum(-1, pp, q, policy, geometry) - image_sum(+1, pp, q, policy, geometry)
-
     x = point.x
-    f0 = diff(x, 0.0)
-    dzz = (diff(x, h) - 2.0 * f0 + diff(x, -h)) / (h * h)
     if x < 2.0 * h:
-        dxx = (2.0 * f0 - 5.0 * diff(x + h, 0.0) + 4.0 * diff(x + 2.0 * h, 0.0) - diff(x + 3.0 * h, 0.0)) / (h * h)
+        along_x = (x + h, x + 2.0 * h, x + 3.0 * h)
     elif x > geometry.a - 2.0 * h:
-        dxx = (2.0 * f0 - 5.0 * diff(x - h, 0.0) + 4.0 * diff(x - 2.0 * h, 0.0) - diff(x - 3.0 * h, 0.0)) / (h * h)
+        along_x = (x - h, x - 2.0 * h, x - 3.0 * h)
     else:
-        dxx = (diff(x + h, 0.0) - 2.0 * f0 + diff(x - h, 0.0)) / (h * h)
+        along_x = (x + h, x - h)
+    # the points in the order the sums were once taken, one at a time: each
+    # point's translated row, then its reflected one
+    rows = []
+    try:
+        for px, pz in [(x, 0.0), (x, h), (x, -h), *((px, 0.0) for px in along_x)]:
+            pp = SpacetimePoint(t=s, x=px, y=0.0, z=pz)
+            rows += [_image_row(-1, pp, q), _image_row(+1, pp, q)]
+    except (ValueError, OverflowError):  # a point that cannot be formed: a refusal before it comes first
+        _image_sums(rows, policy.n_terms, geometry.L)
+        raise
+    sums = _image_sums(rows, policy.n_terms, geometry.L)
+    f0, z_plus, z_minus, *fx = (sums[0::2] - sums[1::2]).tolist()
+    dzz = (z_plus - 2.0 * f0 + z_minus) / (h * h)
+    if len(fx) == 3:
+        dxx = (2.0 * f0 - 5.0 * fx[0] + 4.0 * fx[1] - fx[2]) / (h * h)
+    else:
+        dxx = (fx[0] - 2.0 * f0 + fx[1]) / (h * h)
     return dxx + dzz

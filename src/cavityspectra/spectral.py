@@ -26,7 +26,8 @@ images of one plate distance x at its distinct y^2: blocks of ascending |n|,
 chunks of y^2 rows within each, and the running total carried from block to
 block, so a sum in many blocks equals one in a single block, bit for bit.
 Its blocks, like those of the mode sums, keep every array within one budget,
-_WORKING_SET (2^13 floats, 64 KiB, which the allocator reuses).  Its kernels are
+_WORKING_SET (2^13 floats, 64 KiB, which the allocator reuses), which
+``imagesum`` defines for its own array image sum as well.  Its kernels are
 those of one frequency (``_Pointwise``) or, smeared by a Gaussian LO
 profile, the exact Gaussian integrals of the image terms (``_SmearedLO``);
 at y = 0 the guided modes give that smear in closed form too
@@ -49,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .imagesum import MAX_IMAGE_TERMS, TruncationPolicy
+from .imagesum import _WORKING_SET, MAX_IMAGE_TERMS, TruncationPolicy
 from .units import CavityGeometry, FieldPoint, validate_point
 
 #: Kernel arguments below this use the Taylor series; above, the direct form.
@@ -66,14 +67,6 @@ _EXP_UNDERFLOW = 745.2
 #: Largest frequency a density takes: its omega^3 prefactor, at most 1e300,
 #: keeps every density finite (a cube above the largest float would print inf).
 _MAX_OMEGA = 1e100
-
-#: Most elements one array of a blocked loop holds: an image block, a chunk of
-#: its y^2 rows, an x block of sigma_modes_diag, an (x, mode, y) block of
-#: sigma_modes, a mode block of smeared_modes_diag or a node block of _bessel_j0_j2.  64 KiB of floats, which the allocator keeps
-#: from call to call: at 2^17 (images) and 2^15 (chunks) a validate run took
-#: 2 100 minor faults, as glibc handed each 240 KiB temporary back to the kernel,
-#: and 29 ms; at 2^13 it takes none after its first run, and 25 ms (2-vCPU VM).
-_WORKING_SET = 2**13
 
 
 def _series_coefficients(cos_weight: int) -> np.ndarray:
@@ -476,35 +469,39 @@ def sigma_yy_diag(
     return sigma_yy(omega, FieldPoint(x=x, y=0.0), geometry, policy)
 
 
-def sigma_vacuum(omega, y: float = 0.0):
+def sigma_vacuum(omega, y=0.0):
     """Free-space spectral density at transverse offset y.
 
     (omega^3 / 2 pi^2) [sin(omega y)/(omega y)^3 - cos(omega y)/(omega y)^2],
     evaluated through a series splice so the y -> 0 limit omega^3/6 pi^2 comes
-    out without cancellation.  Accepts scalar or array omega.
+    out without cancellation.  Accepts scalar or array omega and y, which
+    broadcast against each other (a column of y against a row of omega gives
+    a grid); each element is the value of its own scalar call.  A float when
+    both are scalars.
     """
     arr = np.asarray(omega, dtype=float)
     _check_omegas(np.atleast_1d(arr))
-    u = arr * abs(y)
+    u = arr * np.abs(y)
     bracket = _spliced(u, _VAC)[0]
     value = (arr * arr * arr) / _TWO_PI_SQ * bracket
-    return float(value) if arr.ndim == 0 else value
+    return float(value) if np.ndim(value) == 0 else value
 
 
-def sigma_vacuum_from_kernels(omega, y: float):
-    """Vacuum density via the n = 0 translated term of the cavity sum; scalar or array omega.
+def sigma_vacuum_from_kernels(omega, y):
+    """Vacuum density via the n = 0 translated term of the cavity sum; omega and y broadcast as in sigma_vacuum.
 
-    That term is Q(omega A0) - (y^2/A0^2) W(omega A0) with A0 = |y| (so the
-    ratio is exactly 1 for y != 0 and the combination limits to Q(0) = 2/3 at
-    y = 0), times omega^3/4 pi^2.  Agreement with :func:`sigma_vacuum` is the
-    embedding check between the cavity sum and the free-space closed form.
+    That term is Q(omega A0) - (y^2/A0^2) W(omega A0) with A0 = |y|, so the
+    ratio is exactly 1, times omega^3/4 pi^2.  At y = 0 the series gives
+    Q(0) - W(0) = 2/3 - 0.0, the combination's limit, exactly.  Agreement with
+    :func:`sigma_vacuum` is the embedding check between the cavity sum and
+    the free-space closed form.
     """
-    _check_omegas(np.asarray([omega], dtype=float))
-    pref = (omega * omega * omega) / _FOUR_PI_SQ
-    if y == 0.0:
-        return pref * q_kernel(0.0)
-    q, w = _spliced(omega * abs(y), _Q, _W)
-    return pref * (q - w)
+    arr = np.asarray(omega, dtype=float)
+    _check_omegas(np.atleast_1d(arr))
+    pref = (arr * arr * arr) / _FOUR_PI_SQ
+    q, w = _spliced(arr * np.abs(y), _Q, _W)
+    value = pref * (q - w)
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def _mode_count(reach: float, geometry: CavityGeometry) -> int:
@@ -517,16 +514,21 @@ def _mode_count(reach: float, geometry: CavityGeometry) -> int:
 
 
 def _guided_modes(reach: float, xs: Sequence[float], geometry: CavityGeometry):
-    """Wave numbers q_n = n pi/a of the modes n = 1 .. floor(reach a/pi) + 1, and the xs folded for ``_sine_squares``.
+    """The number of modes n = 1 .. floor(reach a/pi) + 1, and the xs folded for ``_sine_squares``.
 
     Each x is folded to min(x, a - x), so both plates give exact zeros and
-    the mirror a - x the same sines up to the rounding of a - x.  More than
-    MAX_IMAGE_TERMS modes are refused.
+    the mirror a - x the same sines up to the rounding of a - x.  The xs are
+    checked first; more than MAX_IMAGE_TERMS modes are refused.  A sum forms
+    its wave numbers with ``_wave_numbers``, a block at a time where it can.
     """
     for x in xs:
         validate_point(FieldPoint(x=x, y=0.0), geometry)
-    q = np.arange(1, _mode_count(reach, geometry) + 1) * math.pi / geometry.a
-    return q, np.array([min(x, geometry.a - x) for x in xs], dtype=float)
+    return _mode_count(reach, geometry), np.array([min(x, geometry.a - x) for x in xs], dtype=float)
+
+
+def _wave_numbers(lo: int, hi: int, geometry: CavityGeometry) -> np.ndarray:
+    """q_n = n pi/a for the modes n = lo + 1 .. hi; any block of them has the bits of the whole range."""
+    return np.arange(lo + 1, hi + 1) * math.pi / geometry.a
 
 
 def _sine_squares(folded: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -560,9 +562,11 @@ def sigma_modes_diag(omega, x, geometry: CavityGeometry):
     reach = float(np.max(w, initial=0.0))
     w = w[:, None]
     values = np.empty((len(xs), w.size))
-    step = max(1, _WORKING_SET // max(1, w.size * _mode_count(reach, geometry)))
+    count = _mode_count(reach, geometry)
+    q = _wave_numbers(0, count, geometry)  # all at once: each (x, omega) sums its modes pairwise
+    step = max(1, _WORKING_SET // max(1, w.size * count))
     for lo in range(0, len(xs), step):
-        q, folded = _guided_modes(reach, xs[lo:lo + step], geometry)
+        _, folded = _guided_modes(reach, xs[lo:lo + step], geometry)
         s2 = _sine_squares(folded, q)
         weight = np.where(q < w, 1.0, np.where(q == w, 0.5, 0.0))
         values[lo:lo + step] = (weight * s2[:, None, :] * (w * w + q * q)).sum(axis=-1)
@@ -632,10 +636,10 @@ def smeared_modes_diag(omega_lo: float, width: float, x: float, geometry: Cavity
         raise ValueError(f"frequencies must be positive and at most {_MAX_OMEGA:g}")
     if not (width > 0.0 and math.isfinite(width)):
         raise ValueError("LO width must be positive and finite")
-    q, folded = _guided_modes(omega_lo + _WINDOW_EDGES[-1] * width, [x], geometry)
+    count, folded = _guided_modes(omega_lo + _WINDOW_EDGES[-1] * width, [x], geometry)
     total = None
-    for lo in range(0, q.size, _WORKING_SET):
-        qb = q[lo:lo + _WORKING_SET]
+    for lo in range(0, count, _WORKING_SET):
+        qb = _wave_numbers(lo, min(count, lo + _WORKING_SET), geometry)
         c = (qb - omega_lo) + np.arange(lo + 1, lo + qb.size + 1) * (_PI_LO / geometry.a)
         with np.errstate(over="ignore"):  # a width below about 1e-308 sends c/width to +-inf, where both are constants
             gauss, erfc = _gauss_erfc(c / width)
@@ -713,18 +717,21 @@ def sigma_modes(omega: float, xs: Sequence[float], ys: Sequence[float], geometry
     y = np.abs(np.asarray(ys, dtype=float))
     if not np.all(np.isfinite(y)):
         raise ValueError("transverse offsets must be finite")
-    q, folded = _guided_modes(omega, xs, geometry)
-    q = q[q <= omega]
-    if q.size and y.size:  # mode 1 has the largest kappa, so its largest argument is the largest of all
-        r_max = np.sqrt((omega - q[0]) * (omega + q[0])) * y.max()
+    count, folded = _guided_modes(omega, xs, geometry)
+    q1 = _wave_numbers(0, 1, geometry)[0]
+    if q1 <= omega and y.size:  # mode 1 has the largest kappa, so its largest argument is the largest of all
+        r_max = np.sqrt((omega - q1) * (omega + q1)) * y.max()
         if not np.floor(r_max) + _BESSEL_MARGIN <= MAX_BESSEL_NODES:
             raise ValueError(f"kappa |y| = {r_max:g} at omega = {omega:g}: J_0 and J_2 there would take more "
                              f"than {MAX_BESSEL_NODES} trapezoid nodes (every |y| up to "
                              f"{(MAX_BESSEL_NODES - _BESSEL_MARGIN) / omega:.3g} a fits)")
     values = np.zeros((folded.size, y.size))
     step = max(1, _WORKING_SET // max(1, folded.size * y.size))
-    for lo in range(0, q.size, step):
-        qb = q[lo:lo + step]
+    for lo in range(0, count, step):
+        qb = _wave_numbers(lo, min(count, lo + step), geometry)
+        qb = qb[qb <= omega]  # the guided modes: the q ascend, so only the last block or two loses any
+        if not qb.size:
+            break
         kappa = np.sqrt((omega - qb) * (omega + qb))
         r, index = np.unique(np.multiply.outer(kappa, y), return_inverse=True)
         j0, j2 = _bessel_j0_j2(r)
@@ -741,7 +748,7 @@ def sigma_modes(omega: float, xs: Sequence[float], ys: Sequence[float], geometry
 _LAPLACE_REACH = 60.0
 
 
-def laplace_modes_diag(eps: float, x: float, geometry: CavityGeometry) -> float:
+def laplace_modes_diag(eps: float, x, geometry: CavityGeometry):
     """Laplace transform of :func:`sigma_modes_diag`, integral_0^oo sigma e^{-eps omega} d omega, exactly.
 
     Each mode contributes from its threshold q on:
@@ -749,14 +756,23 @@ def laplace_modes_diag(eps: float, x: float, geometry: CavityGeometry) -> float:
     so the transform is (1/4 pi a) sum_n sin^2(q_n x) e^{-eps q_n} (...), summed
     while eps q_n <= 60.  The time-domain correlation at imaginary time s = -i eps
     is the same number (the Laplace sum rule): ``imagesum.two_point_yy_lattice``
-    at z^2 = -eps^2, whose n = 0 image alone gives 1/(pi^2 eps^4).
+    at z^2 = -eps^2, whose n = 0 image alone gives 1/(pi^2 eps^4).  Takes a
+    scalar x, which gives a float, or a sequence of them, which gives an
+    array; each row sums its modes pairwise as its x's own call does.  The x
+    go in blocks of at most _WORKING_SET terms, one x a block where its
+    modes alone exceed that.
     """
     if not (eps > 0.0 and math.isfinite(eps)):
         raise ValueError("the Laplace variable must be positive and finite")
-    q, folded = _guided_modes(_LAPLACE_REACH / eps, [x], geometry)
-    s2 = _sine_squares(folded, q)
-    terms = s2[0] * np.exp(-eps * q) * (2.0 * q * q / eps + 2.0 * q / eps ** 2 + 2.0 / eps ** 3)
-    return float(terms.sum()) / (4.0 * math.pi * geometry.a)
+    count, folded = _guided_modes(_LAPLACE_REACH / eps, np.atleast_1d(np.asarray(x, dtype=float)).tolist(), geometry)
+    q = _wave_numbers(0, count, geometry)  # all at once for the pairwise sum
+    decay, moments = np.exp(-eps * q), 2.0 * q * q / eps + 2.0 * q / eps ** 2 + 2.0 / eps ** 3
+    values = np.empty(folded.size)
+    step = max(1, _WORKING_SET // count)
+    for lo in range(0, folded.size, step):
+        values[lo:lo + step] = (_sine_squares(folded[lo:lo + step], q) * decay * moments).sum(axis=-1)
+    values /= 4.0 * math.pi * geometry.a
+    return float(values[0]) if np.ndim(x) == 0 else values
 
 
 def convergence_report(

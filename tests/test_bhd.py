@@ -559,7 +559,8 @@ class TestSmearedModes:
         edges = [v for e in sp._WINDOW_EDGES for v in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))]
         zs = [np.sort(np.concatenate([np.linspace(-40.0, 40.0, 8001), edges, [-1e300, -5.8, 0.0, 27.2, 1e300]]))]
         for kernel, _ in _random_los(12, 60):  # the arguments of every mode of these LOs
-            q, _ = sp._guided_modes(kernel.omega_lo + sp._WINDOW_EDGES[-1] * kernel.width, [0.5], G)
+            count, _ = sp._guided_modes(kernel.omega_lo + sp._WINDOW_EDGES[-1] * kernel.width, [0.5], G)
+            q = sp._wave_numbers(0, count, G)
             zs.append((q - kernel.omega_lo + np.arange(1, q.size + 1) * sp._PI_LO) / kernel.width)
         for z in zs:
             gauss, erfc = sp._gauss_erfc(z)

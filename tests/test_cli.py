@@ -807,7 +807,8 @@ class TestExactModeCheck:
         modes = oracle.smeared_modes_diag
 
         def without_m1(w0, w, x, geometry):
-            q, folded = spectral._guided_modes(w0 + 10.0 * w, [x], geometry)
+            count, folded = spectral._guided_modes(w0 + 10.0 * w, [x], geometry)
+            q = spectral._wave_numbers(0, count, geometry)
             s2 = spectral._sine_squares(folded, q)
             m1 = 0.5 * w * w * np.exp(-((q - w0) / w) ** 2)
             return modes(w0, w, x, geometry) - float(np.sum(s2[0] * 2.0 * w0 * m1)) / (4.0 * math.pi * geometry.a)

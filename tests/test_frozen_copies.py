@@ -1,12 +1,16 @@
-"""Bit-for-bit sweeps against frozen copies of three former code paths.
+"""Bit-for-bit sweeps against frozen copies of former code paths.
 
 The copies below are the coincident-point density as it was before it went
 through ``_sigma_yy_values`` (its own loop over x and frequency into
 ``_image_sum``), ``sigma_modes`` as it was before it added its modes by a
 seeded cumsum in blocks (one Python addition per mode, with every mode's
-Bessel values at once), and ``smeared_modes_diag`` as it was before it summed
-its modes in blocks (one erfc window over all of them).  Each sweep compares
-values, errors and refusal messages exactly.
+Bessel values at once), ``smeared_modes_diag`` as it was before it summed
+its modes in blocks (one erfc window over all of them), and the per-point
+loops that ``validate`` ran before they became array calls: the stencil's
+``image_sum`` per point and family, the vacuum densities per y,
+``laplace_modes_diag`` per x, and the bodies of checks 2, 3, 4 and 7.  All
+of them build the wave numbers of every mode at once, as ``_guided_modes``
+once did.  Each sweep compares values, errors and refusal messages exactly.
 """
 import math
 import tracemalloc
@@ -15,8 +19,20 @@ import numpy as np
 import pytest
 
 import cavityspectra.spectral as sp
-from cavityspectra.imagesum import TruncationPolicy
-from cavityspectra.units import CavityGeometry, FieldPoint, validate_point
+from cavityspectra import oracle
+from cavityspectra.bhd import LOKernel, smeared_density
+from cavityspectra.cli import _FOUR_PI, _INTERNAL, _TWO_PI
+from cavityspectra.errors import LightConeProximity
+from cavityspectra.imagesum import (
+    GUARD_BAND,
+    SpacetimePoint,
+    TruncationPolicy,
+    _raise_near_cone,
+    two_point_yy_closed,
+    two_point_yy_fd,
+    two_point_yy_lattice,
+)
+from cavityspectra.units import CavityGeometry, FieldPoint, build_grid, validate_point
 
 G = CavityGeometry(1.0)
 PI = math.pi
@@ -26,6 +42,13 @@ CUTOFFS = (0, 1, 500, 1000, 10_000)
 def _former_check_omegas(omegas):
     if not np.all((omegas > 0.0) & (omegas <= sp._MAX_OMEGA)):
         raise ValueError(f"frequencies must be positive and at most {sp._MAX_OMEGA:g}")
+
+
+def _former_guided_modes(reach, xs, geometry):
+    for x in xs:
+        validate_point(FieldPoint(x=x, y=0.0), geometry)
+    q = np.arange(1, sp._mode_count(reach, geometry) + 1) * math.pi / geometry.a
+    return q, np.array([min(x, geometry.a - x) for x in xs], dtype=float)
 
 
 def _former_diag_values(omegas, xs, geometry, policy):
@@ -49,7 +72,7 @@ def _former_sigma_modes(omega, xs, ys, geometry):
     y = np.abs(np.asarray(ys, dtype=float))
     if not np.all(np.isfinite(y)):
         raise ValueError("transverse offsets must be finite")
-    q, folded = sp._guided_modes(omega, xs, geometry)
+    q, folded = _former_guided_modes(omega, xs, geometry)
     guided = q <= omega
     q, weight = q[guided], np.where(q < omega, 1.0, 0.5)[guided]
     kappa = np.sqrt((omega - q) * (omega + q))
@@ -75,7 +98,7 @@ def _former_smeared_modes_diag(omega_lo, width, x, geometry):
         raise ValueError(f"frequencies must be positive and at most {sp._MAX_OMEGA:g}")
     if not (width > 0.0 and math.isfinite(width)):
         raise ValueError("LO width must be positive and finite")
-    q, folded = sp._guided_modes(omega_lo + sp._WINDOW_EDGES[-1] * width, [x], geometry)
+    q, folded = _former_guided_modes(omega_lo + sp._WINDOW_EDGES[-1] * width, [x], geometry)
     s2 = sp._sine_squares(folded, q)
     c = (q - omega_lo) + np.arange(1, q.size + 1) * (sp._PI_LO / geometry.a)
     with np.errstate(over="ignore"):
@@ -184,10 +207,11 @@ class TestModeBlocks:
             assert _outcome(sp.smeared_modes_diag, *args, G) == want, args
 
     @pytest.mark.parametrize("call, mib", [
-        (lambda: sp.sigma_modes(1e6, np.linspace(0.0, 1.0, 21).tolist(), [0.0], G), 11),
-        (lambda: sp.smeared_modes_diag(1.39e6, 6.95e4, 0.5, G), 20),
+        (lambda: sp.sigma_modes(1e6, np.linspace(0.0, 1.0, 21).tolist(), [0.0], G), 1),
+        (lambda: sp.smeared_modes_diag(1.39e6, 6.95e4, 0.5, G), 2),
     ], ids=["sigma_modes", "smeared_modes_diag"])
     def test_the_high_frequency_sums_hold_blocks_of_modes(self, call, mib):
+        # each block forms its own wave numbers: no array spans every mode
         tracemalloc.start()
         try:
             call()
@@ -195,3 +219,273 @@ class TestModeBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= mib * 2**20
+
+
+def _former_image_sum(sign, p, q, policy, geometry):
+    if sign not in (-1, 1):
+        raise ValueError(f"sign must be -1 or +1, got {sign!r}")
+    L = geometry.L
+    base = p.x + sign * q.x
+    offset = (p.y - q.y) ** 2 + (p.z - q.z) ** 2 - (p.t - q.t) ** 2
+    N = policy.n_terms
+    branch = "translated" if sign == -1 else "reflected"
+    d0 = base * base + offset
+    if abs(d0) < GUARD_BAND:
+        raise LightConeProximity(0, branch, abs(d0), GUARD_BAND)
+    if N == 0:
+        return -(1.0 / d0) / (4.0 * PI**2)
+    n = np.arange(1, N + 1, dtype=float)
+    d_plus = (base - n * L) ** 2 + offset
+    d_minus = (base + n * L) ** 2 + offset
+    _raise_near_cone(d_plus, np.arange(1, N + 1), branch)
+    _raise_near_cone(d_minus, -np.arange(1, N + 1), branch)
+    terms = 1.0 / d_plus + 1.0 / d_minus
+    total = float(np.cumsum(terms)[-1]) + 1.0 / d0
+    return -total / (4.0 * PI**2)
+
+
+def _former_two_point_yy_fd(s, point, geometry, policy, h=1e-3):
+    validate_point(point, geometry)
+    if h <= 0.0:
+        raise ValueError("stencil step must be positive")
+    q = SpacetimePoint(t=0.0, x=point.x, y=point.y, z=0.0)
+
+    def diff(px, pz):
+        pp = SpacetimePoint(t=s, x=px, y=0.0, z=pz)
+        return _former_image_sum(-1, pp, q, policy, geometry) - _former_image_sum(+1, pp, q, policy, geometry)
+
+    x = point.x
+    f0 = diff(x, 0.0)
+    dzz = (diff(x, h) - 2.0 * f0 + diff(x, -h)) / (h * h)
+    if x < 2.0 * h:
+        dxx = (2.0 * f0 - 5.0 * diff(x + h, 0.0) + 4.0 * diff(x + 2.0 * h, 0.0) - diff(x + 3.0 * h, 0.0)) / (h * h)
+    elif x > geometry.a - 2.0 * h:
+        dxx = (2.0 * f0 - 5.0 * diff(x - h, 0.0) + 4.0 * diff(x - 2.0 * h, 0.0) - diff(x - 3.0 * h, 0.0)) / (h * h)
+    else:
+        dxx = (diff(x + h, 0.0) - 2.0 * f0 + diff(x - h, 0.0)) / (h * h)
+    return dxx + dzz
+
+
+def _former_sigma_vacuum(omega, y=0.0):
+    arr = np.asarray(omega, dtype=float)
+    sp._check_omegas(np.atleast_1d(arr))
+    u = arr * abs(y)
+    bracket = sp._spliced(u, sp._VAC)[0]
+    value = (arr * arr * arr) / (2.0 * PI**2) * bracket
+    return float(value) if arr.ndim == 0 else value
+
+
+def _former_sigma_vacuum_from_kernels(omega, y):
+    sp._check_omegas(np.asarray([omega], dtype=float))
+    pref = (omega * omega * omega) / (4.0 * PI**2)
+    if y == 0.0:
+        return pref * sp.q_kernel(0.0)
+    q, w = sp._spliced(omega * abs(y), sp._Q, sp._W)
+    return pref * (q - w)
+
+
+def _former_laplace_modes_diag(eps, x, geometry):
+    if not (eps > 0.0 and math.isfinite(eps)):
+        raise ValueError("the Laplace variable must be positive and finite")
+    q, folded = _former_guided_modes(sp._LAPLACE_REACH / eps, [x], geometry)
+    s2 = sp._sine_squares(folded, q)
+    terms = s2[0] * np.exp(-eps * q) * (2.0 * q * q / eps + 2.0 * q / eps ** 2 + 2.0 / eps ** 3)
+    return float(terms.sum()) / (4.0 * math.pi * geometry.a)
+
+
+def _repr_outcome(f, *args):
+    """repr of a call's value, or its exception's type and message."""
+    try:
+        return repr(f(*args))
+    except (ValueError, OverflowError, LightConeProximity) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _stencil_case(rng):
+    """(s, x, y, N, h): x within 2h of a plate or inside, and now and then s on or near a stencil point's light cone."""
+    N = int(rng.choice([0, 1, 10, 400]))
+    h = float(rng.choice([1e-3, 4e-3]))
+    pick = rng.random()
+    if pick < 0.3:
+        x = float(rng.uniform(0.0, 2.0 * h))
+    elif pick < 0.6:
+        x = G.a - float(rng.uniform(0.0, 2.0 * h))
+    elif pick < 0.65:
+        x = float(rng.choice([0.0, G.a, 2.0 * h, G.a - 2.0 * h]))
+    else:
+        x = float(rng.uniform(0.0, G.a))
+    y = float(rng.choice([0.0, rng.uniform(-2.0, 2.0), rng.uniform(-1e-3, 1e-3)]))
+    if rng.random() < 0.5:
+        s = float(rng.uniform(0.0, 3.0))
+    else:  # a stencil point's distance to one image, shifted by up to twice the guard band's reach
+        px = x + h * float(rng.choice([0.0, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0]))
+        pz = h * float(rng.choice([0.0, 1.0, -1.0]))
+        sign, n = int(rng.choice([-1, 1])), int(rng.integers(-N, N + 1))
+        d2 = (px + sign * x - n * G.L) ** 2 + y * y + pz * pz
+        s = math.sqrt(d2) + float(rng.uniform(-1.0, 1.0)) * GUARD_BAND / max(math.sqrt(d2), 1e-3)
+    return abs(s), x, y, N, h
+
+
+class TestValidateLoops:
+    def test_the_stencil_equals_its_frozen_copy(self):
+        # 2 000 seeded stencils: N in {0, 1, 10, 400}, h in {1e-3, 4e-3}, x within 2h of each plate,
+        # s on or near a stencil point's light cone; then points that cannot be formed
+        rng = np.random.default_rng(36)
+        kinds = []
+        for _ in range(2000):
+            s, x, y, N, h = _stencil_case(rng)
+            args = (s, FieldPoint(x=x, y=y), G, TruncationPolicy(n_terms=N), h)
+            want = _repr_outcome(_former_two_point_yy_fd, *args)
+            assert _repr_outcome(two_point_yy_fd, *args) == want, args
+            kinds.append(want.split(":")[0])
+        assert kinds.count("LightConeProximity") > 200
+        assert len(kinds) - kinds.count("LightConeProximity") > 1000
+        for s, x, y, h in [(math.nan, 0.5, 1.0, 1e-3), (0.0, 0.5, 0.0, math.inf), (0.0, 0.5, 0.0, math.nan),
+                           (1e200, 0.5, 1.0, 1e-3), (0.3, 0.5, 0.3, 1e200), (0.3, 1.5, 1.0, 1e-3),
+                           (0.3, 0.5, 1.0, -1e-3), (2.0, 0.5, 0.0, math.inf)]:
+            args = (s, FieldPoint(x=x, y=y), G, TruncationPolicy(n_terms=10), h)
+            assert _repr_outcome(two_point_yy_fd, *args) == _repr_outcome(_former_two_point_yy_fd, *args), args
+
+    def test_the_vacuum_densities_over_a_column_of_y_equal_the_per_y_loop(self):
+        rng = np.random.default_rng(37)
+        for _ in range(200):
+            omegas = np.sort(rng.uniform(0.01, 4.0 * PI, int(rng.integers(1, 30))))
+            ys = [0.0, -0.0, *rng.uniform(-8.0, 8.0, int(rng.integers(0, 20))).tolist(),
+                  float(rng.choice([1e-9, 0.5 / omegas[-1], 1e3]))]
+            column = np.array(ys)[:, None]
+            for new, former in ((sp.sigma_vacuum, _former_sigma_vacuum),
+                                (sp.sigma_vacuum_from_kernels, _former_sigma_vacuum_from_kernels)):
+                got = new(omegas, column)
+                want = np.array([former(omegas, y) for y in ys])
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                w, y = float(omegas[0]), ys[-1]
+                assert repr(new(w, y)) == repr(former(w, y))
+            pref = (omegas * omegas * omegas) / (4.0 * PI**2)
+            assert sp.sigma_vacuum_from_kernels(omegas, column)[0].tobytes() == (pref * (2.0 / 3.0)).tobytes()
+        omegas = np.array([1.0, 2.0])
+        for bad in (math.nan, math.inf, -math.inf):
+            for f in (sp.sigma_vacuum, sp.sigma_vacuum_from_kernels):
+                with pytest.raises(ValueError, match="kernel argument must be finite"):
+                    f(omegas, np.array([[0.5], [bad]]))
+                with pytest.raises(ValueError, match="kernel argument must be finite"):
+                    f(2.0, bad)
+
+    def test_laplace_modes_over_many_x_equal_one_call_per_x(self):
+        # 300 seeded (eps, xs): plates, a mirror pair and near-plate x; eps down to 2e-3 (9 550 modes)
+        rng = np.random.default_rng(38)
+        for k in range(300):
+            eps = float(np.exp(rng.uniform(math.log(2e-3), math.log(5.0))))
+            xs = [0.0, G.a, 0.3, 0.7, 1e-3, *rng.uniform(0.0, G.a, int(rng.integers(0, 12))).tolist()]
+            rng.shuffle(xs)
+            got = sp.laplace_modes_diag(eps, xs, G)
+            want = np.array([_former_laplace_modes_diag(eps, x, G) for x in xs])
+            assert got.tobytes() == want.tobytes(), (eps, xs)
+            x = xs[0]
+            assert repr(sp.laplace_modes_diag(eps, x, G)) == repr(_former_laplace_modes_diag(eps, x, G))
+        for eps, x in [(0.0, 0.5), (math.nan, 0.5), (1e-5, 0.5), (1e-310, 0.5), (0.3, 1.5), (0.3, -0.1), (1e-5, 1.5)]:
+            assert _repr_outcome(sp.laplace_modes_diag, eps, x, G) == _repr_outcome(_former_laplace_modes_diag, eps, x, G)
+            assert _repr_outcome(sp.laplace_modes_diag, eps, [0.5, x], G) == \
+                _repr_outcome(_former_laplace_modes_diag, eps, x, G)
+
+    def test_the_laplace_x_go_in_blocks_with_the_bits_of_one(self, monkeypatch):
+        xs = np.linspace(0.0, 1.0, 9).tolist()
+        whole = sp.laplace_modes_diag(0.3, xs, G)  # 64 modes
+        monkeypatch.setattr(sp, "_WORKING_SET", 2 * 64)
+        assert sp.laplace_modes_diag(0.3, xs, G).tobytes() == whole.tobytes()
+
+
+def _former_check_vacuum_embedding():
+    omegas = build_grid(0.5, _FOUR_PI, 20).points
+    worst = 0.0
+    for y in np.linspace(0.0, 8.0, 20).tolist():
+        ref = _former_sigma_vacuum(omegas, y)
+        got = _former_sigma_vacuum_from_kernels(omegas, y)
+        worst = max(worst, float(np.max(np.abs(got - ref) / np.abs(ref))))
+    return worst <= 1e-12, f"max relative deviation {worst:.2e} on a 20x20 grid (tolerance 1e-12)"
+
+
+def _former_check_boundary_zeros():
+    policy_small = TruncationPolicy(n_terms=500)
+    policy_big = TruncationPolicy(n_terms=10_000)
+    details = []
+    ok = True
+    for w in (2.0, 5.0, 8.0, 11.0):
+        at0 = sp.sigma_yy_diag(w, 0.0, _INTERNAL, policy_small).value
+        ok &= at0 == 0.0
+        resid = abs(sp.sigma_yy_diag(w, 1.0, _INTERNAL, policy_big).value) / _former_sigma_vacuum(w, 0.0)
+        ok &= resid <= 1e-3
+        details.append(f"omega={w:g}: plate0={at0:g}, plate-a residual {resid:.2e}")
+    return ok, "; ".join(details)
+
+
+def _former_check_sub_cutoff():
+    policy = TruncationPolicy(n_terms=1000)
+    worst = 0.0
+    for w in (1.0, 2.0, 3.0):
+        for x in (0.25, 0.5, 0.75):
+            ratio = abs(sp.sigma_yy_diag(w, x, _INTERNAL, policy).value) / _former_sigma_vacuum(w, 0.0)
+            worst = max(worst, ratio)
+    return worst < 0.05, f"max |sigma|/sigma_vacuum = {worst:.4f} below cutoff (tolerance 5%)"
+
+
+def _former_check_exact_modes():
+    policy = TruncationPolicy(n_terms=1000)
+    schedule = {0.25: (3.6, 6.9, 9.7), 0.5: (4.4, 7.6, 10.6, 12.2), 0.75: (5.2, 8.4, 11.4)}
+    worst = 0.0
+    for x, omegas in schedule.items():
+        omegas = np.asarray(omegas)
+        values, _ = sp._sigma_diag_values(omegas, [x], _INTERNAL, policy)
+        exact = sp.sigma_modes_diag(omegas, x, _INTERNAL)
+        scale = np.maximum(np.abs(exact), _former_sigma_vacuum(omegas, 0.0))
+        worst = max(worst, float(np.max(np.abs(values[0] - exact) / scale)))
+    off_axis = ((7.6, 0.3, 0.4), (10.6, 0.5, 2.2), (5.2, 0.75, 1.3))
+    off = 0.0
+    for w, x, y in off_axis:
+        value = sp._sigma_yy_values(np.asarray([w]), [FieldPoint(x=x, y=y)], _INTERNAL, policy)[0][0, 0]
+        exact = sp.sigma_modes(w, [x], [y], _INTERNAL)[0, 0]
+        off = max(off, abs(value - exact) / max(abs(exact), _former_sigma_vacuum(w, 0.0)))
+    eps = np.array([0.05, 0.3, 1.0, 3.0])
+    xs = (0.1, 0.25, 0.5, 0.75, 0.97)
+    rule = 0.0
+    for x in xs:
+        lattice = two_point_yy_lattice(-(eps * eps) + 0j, FieldPoint(x=x, y=0.0), _INTERNAL).real
+        modes = np.array([_former_laplace_modes_diag(e, x, _INTERNAL) for e in eps.tolist()])
+        rule = max(rule, float(np.max(np.abs(modes - lattice) * math.pi**2 * eps**4)))
+    smears = ((3.0, 0.15, 0.5), (_TWO_PI, _TWO_PI / 20.0, 0.75), (_TWO_PI, _TWO_PI / 200.0, 0.02), (11.4, 0.57, 0.9))
+    smear = 0.0
+    for w0, w, x in smears:
+        kernel, point = LOKernel(w0, w), FieldPoint(x=x, y=0.0)
+        gap = abs(smeared_density(point, point, kernel, _INTERNAL) - sp.smeared_modes_diag(w0, w, x, _INTERNAL))
+        smear = max(smear, gap / (kernel.squared_integral() * w0**3 / (6.0 * math.pi**2)))
+    ok = worst <= 1e-3 and off <= 1e-3 and rule <= 1e-12 and smear <= 1e-13
+    count = sum(len(omegas) for omegas in schedule.values())
+    return ok, (f"max kernels-vs-modes gap {worst:.1e} of scale over {count} points (tolerance 1e-3), "
+                f"the truncation error of N = {policy.n_terms}; off the axis {off:.1e} over {len(off_axis)} "
+                "points (tolerance 1e-3); max Laplace sum-rule gap, modes vs the "
+                f"untruncated lattice, {rule:.1e} of 1/(pi^2 eps^4) over {eps.size * len(xs)} (eps, x) "
+                f"(tolerance 1e-12); max LO-smear gap at y = 0, images vs modes, {smear:.1e} of scale over "
+                f"{len(smears)} LOs (tolerance 1e-13)")
+
+
+def _former_check_two_point_routes():
+    policy = TruncationPolicy(n_terms=400)
+    samples = [(0.3, 0.35, 1.1), (0.2, 0.6, 0.9), (0.45, 0.75, 1.4), (0.15, 0.5, 0.7), (0.55, 0.25, 1.2)]
+    worst = 0.0
+    for s, x, y in samples:
+        point = FieldPoint(x=x, y=y)
+        closed = two_point_yy_closed(s, point, _INTERNAL, policy)
+        fd = _former_two_point_yy_fd(s, point, _INTERNAL, policy, h=1e-3)
+        worst = max(worst, abs(fd - closed) / abs(closed))
+    return worst <= 1e-4, f"max relative gap closed-form vs stencil {worst:.2e} (tolerance 1e-4)"
+
+
+@pytest.mark.parametrize("check, former", [
+    (oracle._check_vacuum_embedding, _former_check_vacuum_embedding),
+    (oracle._check_boundary_zeros, _former_check_boundary_zeros),
+    (oracle._check_sub_cutoff, _former_check_sub_cutoff),
+    (oracle._check_two_point_routes, _former_check_two_point_routes),
+    (oracle._check_exact_modes, _former_check_exact_modes),
+], ids=["2", "3", "4", "6", "7"])
+def test_the_batched_check_reads_as_its_frozen_copy(check, former):
+    ok, detail = check()
+    assert (type(ok), ok, detail) == (bool, *former())

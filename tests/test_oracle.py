@@ -45,14 +45,14 @@ def _scaled(fn, factor):
 
 
 def _plates_moved_inward(monkeypatch):
-    diag = oracle.sigma_yy_diag
-    monkeypatch.setattr(oracle, "sigma_yy_diag", lambda w, x, g, p: diag(w, abs(x - 0.01), g, p))
+    diag = oracle._sigma_diag_values
+    monkeypatch.setattr(oracle, "_sigma_diag_values", lambda ws, xs, g, p: diag(ws, [abs(x - 0.01) for x in xs], g, p))
 
 
 def _a_wider_cavity(monkeypatch):
     # twice the plate separation: the cutoff drops to pi/2, below the checked frequencies
-    diag = oracle.sigma_yy_diag
-    monkeypatch.setattr(oracle, "sigma_yy_diag", lambda w, x, g, p: diag(w, x, CavityGeometry(2.0 * g.L), p))
+    diag = oracle._sigma_diag_values
+    monkeypatch.setattr(oracle, "_sigma_diag_values", lambda ws, xs, g, p: diag(ws, xs, CavityGeometry(2.0 * g.a), p))
 
 
 def _no_decay_in_y(monkeypatch):
