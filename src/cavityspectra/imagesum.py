@@ -9,9 +9,9 @@ over mirror images spaced by the period L = 2a.  Two routes are provided:
   B_n = sqrt((2x - nL)^2 + y^2) (reflected copies), truncated at real time
   separations and summed over the whole image lattice (N = oo) at complex
   ones;
-* the scalar image sums themselves plus a finite-difference Laplacian
-  (d^2/dx^2 + d^2/dz^2), which serves as an independent cross-check of the
-  closed form.
+* the scalar image sums themselves, over the whole lattice in closed form,
+  plus a finite-difference Laplacian (d^2/dx^2 + d^2/dz^2), which serves as
+  an independent cross-check of the lattice.
 
 Everything operates in internal units (c = 1).  Evaluations near a pole of
 the correlation function (time separation on an image light cone) raise
@@ -21,6 +21,7 @@ meaningless huge number.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,80 +89,92 @@ def _raise_near_cone(gaps: np.ndarray, indices: np.ndarray, branch: str) -> None
 
 _CANONICAL = CavityGeometry(1.0)
 
-#: Most elements one array of a blocked loop holds: a chunk of image-sum rows
-#: here, and in ``spectral`` an image block, a chunk of its y^2 rows, an x
-#: block of sigma_modes_diag or laplace_modes_diag, an (x, mode, y) block of
-#: sigma_modes, a mode block of smeared_modes_diag or a node block of
-#: _bessel_j0_j2.  64 KiB of floats, which the allocator keeps from call to
-#: call: at 2^17 (images) and 2^15 (chunks) a validate run took 2 100 minor
-#: faults, as glibc handed each 240 KiB temporary back to the kernel, and
-#: 29 ms; at 2^13 it takes none after its first run, and 25 ms (2-vCPU VM).
-_WORKING_SET = 2**13
 
+def _nearest_pole(base: float, offset: float, L: float):
+    """(n, |gap|) of the image n in Z whose gap (base - n L)^2 + offset lies nearest 0.
 
-def _image_row(sign: int, p: SpacetimePoint, q: SpacetimePoint):
-    """(base, offset, branch) of one image sum, in Python floats as the one-point sum has always formed them."""
-    if sign not in (-1, 1):
-        raise ValueError(f"sign must be -1 or +1, got {sign!r}")
-    offset = (p.y - q.y) ** 2 + (p.z - q.z) ** 2 - (p.t - q.t) ** 2
-    return p.x + sign * q.x, offset, "translated" if sign == -1 else "reflected"
-
-
-def _image_sums(rows, N: int, L: float) -> np.ndarray:
-    """Truncated scalar image sums of the rows (base, offset, branch), in one array pass per chunk of rows.
-
-    Row r is -(1/4 pi^2) sum_n 1/((base - n L)^2 + offset) over |n| <= N.
-    Its gaps, the +n images, the -n ones and n = 0 last, are one row of a
-    2-D array, and a cumsum along it adds the +-n pairs in ascending |n| and
-    then the n = 0 term, as one row alone would.  The rows go in chunks of
-    at most _WORKING_SET gaps, one row each at large N.  A row with a gap
-    inside the guard band raises LightConeProximity before anything is
-    summed: the first such row, and in it the n = 0 gap, then the nearest
-    of the +n gaps, then of the -n ones.
+    With u = base - n L the gap |u^2 + offset| falls towards u = 0 when
+    offset >= 0, and towards u = +-sqrt(-offset) when offset < 0, rising on
+    either side, so its least value over the lattice sits at one of the two
+    lattice points around one of those roots.  Ties go to the smaller |n|,
+    then to the n > 0 image.
     """
-    values = np.empty(len(rows))
-    nL = np.arange(1, N + 1, dtype=float) * L
-    shifts = np.concatenate([-nL, nL, [0.0]])  # base - n L, base + n L, base
-    step = max(1, _WORKING_SET // shifts.size)
-    for lo in range(0, len(rows), step):
-        chunk = rows[lo:lo + step]
-        base, offset = np.array([row[:2] for row in chunk]).T[:, :, None]
-        gaps = (base + shifts) ** 2 + offset
-        near = (np.abs(gaps) < GUARD_BAND).any(axis=1)
-        if near.any():
-            r = int(np.argmax(near))
-            branch = chunk[r][2]
-            if abs(gaps[r, -1]) < GUARD_BAND:
-                raise LightConeProximity(0, branch, float(abs(gaps[r, -1])), GUARD_BAND)
-            _raise_near_cone(gaps[r, :N], np.arange(1, N + 1), branch)
-            _raise_near_cone(gaps[r, N:-1], -np.arange(1, N + 1), branch)
-        inv = np.reciprocal(gaps, out=gaps)
-        inv[:, N:-1] += inv[:, :N]  # the +-n pairs, then 1/d0
-        values[lo:lo + step] = -inv[:, N:].cumsum(axis=1)[:, -1] / _FOUR_PI_SQ
-    return values
+    roots = (base,) if offset >= 0.0 else (base - math.sqrt(-offset), base + math.sqrt(-offset))
+    candidates = {n for r in roots for n in (math.floor(r / L), math.floor(r / L) + 1)}
+
+    def gap(n):
+        u = base - n * L
+        return abs(u * u + offset)  # u * u: u ** 2 would raise where u^2 overflows
+
+    nearest, _, _, n = min((gap(n), abs(n), n < 0, n) for n in candidates)
+    return n, nearest
+
+
+def _lattice_sum(base: float, offset: float, L: float) -> float:
+    """S(b, c) = sum over all n in Z of 1/((b - n L)^2 + c), in closed form.
+
+    S has period L in b, so b is taken as base's remainder modulo L.  With
+    k = pi/L, the Mittag-Leffler expansion of cot (DLMF 4.22.3) sums it as
+
+        c > 0:  (k/g) coth(k g) / (1 + (sin(k b)/sinh(k g))^2),  g = sqrt(c),
+                written through e = exp(-2 k g) and 1 - e = -expm1(-2 k g)
+                as (k/g) (1 - e)(1 + e) / ((1 - e)^2 + 4 e sin^2(k b)),
+                so that neither a huge nor a tiny c overflows;
+        c < 0:  (k/2a) sin(2 k a) / (sin(k (b - a)) sin(k (b + a))),  a = sqrt(-c),
+                whose sines keep their product under a -> a + L (two of
+                them change sign), so a enters them modulo L;
+        c = 0:  k^2 / sin^2(k b).
+
+    A timelike row exactly on a pole gives inf in place of a division by
+    zero: where the spacing of floats near |c| exceeds the guard band (|c| of
+    about 1e10 and more), the rounded gap of that pole can lie outside it.
+    """
+    k = math.pi / L
+    b = math.remainder(base, L)
+    if offset > 0.0:
+        g = math.sqrt(offset)
+        e, one_minus_e = math.exp(-2.0 * k * g), -math.expm1(-2.0 * k * g)
+        sine = math.sin(k * b)
+        return (k / g) * one_minus_e * (1.0 + e) / (one_minus_e * one_minus_e + 4.0 * e * sine * sine)
+    if offset < 0.0:
+        alpha = math.sqrt(-offset)
+        ar = math.remainder(alpha, L)
+        poles = math.sin(k * (b - ar)) * math.sin(k * (b + ar))
+        return (0.5 * k / alpha) * math.sin(2.0 * k * ar) / poles if poles else math.inf
+    sine = math.sin(k * b)
+    return k * k / (sine * sine)
 
 
 def image_sum(
     sign: int,
     p: SpacetimePoint,
     q: SpacetimePoint,
-    policy: TruncationPolicy,
     geometry: CavityGeometry = _CANONICAL,
 ) -> float:
-    """Truncated scalar image sum.
+    """Scalar image sum over the whole image lattice (N = oo).
 
     ``sign=-1`` sums the translated images (relative x coordinate enters) and
     ``sign=+1`` the reflected ones (the x coordinates add):
 
-        -(1/4 pi^2) * sum_n 1 / ((p.x + sign*q.x - n L)^2 + dy^2 + dz^2 - dt^2)
+        -(1/4 pi^2) * sum_n 1 / ((p.x + sign*q.x - n L)^2 + dy^2 + dz^2 - dt^2),  n in Z,
 
-    Coordinates are in internal units; the default geometry is the canonical
-    a = 1 (image period L = 2).  The +-n terms are accumulated together in
-    ascending |n| and the n = 0 term added last.  Raises LightConeProximity
-    when any denominator lies inside the guard band.  The one-row use of the
-    array sum that ``two_point_yy_fd`` gives all its stencil points at once.
+    in closed form (``_lattice_sum``), one O(1) evaluation whatever the
+    offset.  Coordinates are in internal units; the default geometry is the
+    canonical a = 1 (image period L = 2).  Raises LightConeProximity, naming
+    the image, when the nearest of all the lattice's poles lies inside the
+    guard band, and a ValueError when p.x + sign*q.x overflows.
     """
-    return float(_image_sums([_image_row(sign, p, q)], policy.n_terms, geometry.L)[0])
+    if sign not in (-1, 1):
+        raise ValueError(f"sign must be -1 or +1, got {sign!r}")
+    base = p.x + sign * q.x
+    if not math.isfinite(base):
+        raise ValueError(f"the image base p.x {'+' if sign == 1 else '-'} q.x = {base!r} overflows")
+    offset = (p.y - q.y) ** 2 + (p.z - q.z) ** 2 - (p.t - q.t) ** 2
+    n, gap = _nearest_pole(base, offset, geometry.L)
+    total = _lattice_sum(base, offset, geometry.L) if gap >= GUARD_BAND else math.inf
+    if math.isinf(total):
+        raise LightConeProximity(n, "translated" if sign == -1 else "reflected", gap, GUARD_BAND)
+    return -total / _FOUR_PI_SQ
 
 
 def _squared_image_distances(point: FieldPoint, N: int, L: float):
@@ -295,47 +308,36 @@ def two_point_yy_fd(
     s: float,
     point: FieldPoint,
     geometry: CavityGeometry,
-    policy: TruncationPolicy,
     h: float = 1e-3,
 ) -> float:
-    """Two-point function via finite differences of the scalar image sums.
+    """Two-point function via finite differences of the scalar image sums (N = oo).
 
     Applies the five-point Laplacian stencil (d^2/dx^2 + d^2/dz^2, step ``h``,
     second-order accurate) to the difference of direct and reflected image
     sums, differentiating with respect to the first event only.  Within 2h of
     a plate the x part switches to a one-sided interior stencil so that all
     sample points stay inside the physical strip.  Each stencil evaluation
-    enforces the light-cone guard band (effectively widening it by the
-    stencil extent).  The translated and reflected sums of all five or six
-    stencil points are rows of one array sum, and a refusal is the one the
-    points would raise taken one at a time.
+    enforces the light-cone guard band over the whole lattice (effectively
+    widening it by the stencil extent), point by point in the order below.
+    A step that is not finite and positive, or whose square is not a normal
+    float, is refused with a ValueError that names h.
     """
     validate_point(point, geometry)
-    if h <= 0.0:
-        raise ValueError("stencil step must be positive")
+    if not (h > 0.0 and sys.float_info.min <= h * h <= sys.float_info.max):
+        raise ValueError(f"stencil step h must be positive and finite with a normal square h^2, got {h!r}")
     q = SpacetimePoint(t=0.0, x=point.x, y=point.y, z=0.0)
+
+    def diff(px, pz):
+        pp = SpacetimePoint(t=s, x=px, y=0.0, z=pz)
+        return image_sum(-1, pp, q, geometry) - image_sum(+1, pp, q, geometry)
+
     x = point.x
+    f0 = diff(x, 0.0)
+    dzz = (diff(x, h) - 2.0 * f0 + diff(x, -h)) / (h * h)
     if x < 2.0 * h:
-        along_x = (x + h, x + 2.0 * h, x + 3.0 * h)
+        dxx = (2.0 * f0 - 5.0 * diff(x + h, 0.0) + 4.0 * diff(x + 2.0 * h, 0.0) - diff(x + 3.0 * h, 0.0)) / (h * h)
     elif x > geometry.a - 2.0 * h:
-        along_x = (x - h, x - 2.0 * h, x - 3.0 * h)
+        dxx = (2.0 * f0 - 5.0 * diff(x - h, 0.0) + 4.0 * diff(x - 2.0 * h, 0.0) - diff(x - 3.0 * h, 0.0)) / (h * h)
     else:
-        along_x = (x + h, x - h)
-    # the points in the order the sums were once taken, one at a time: each
-    # point's translated row, then its reflected one
-    rows = []
-    try:
-        for px, pz in [(x, 0.0), (x, h), (x, -h), *((px, 0.0) for px in along_x)]:
-            pp = SpacetimePoint(t=s, x=px, y=0.0, z=pz)
-            rows += [_image_row(-1, pp, q), _image_row(+1, pp, q)]
-    except (ValueError, OverflowError):  # a point that cannot be formed: a refusal before it comes first
-        _image_sums(rows, policy.n_terms, geometry.L)
-        raise
-    sums = _image_sums(rows, policy.n_terms, geometry.L)
-    f0, z_plus, z_minus, *fx = (sums[0::2] - sums[1::2]).tolist()
-    dzz = (z_plus - 2.0 * f0 + z_minus) / (h * h)
-    if len(fx) == 3:
-        dxx = (2.0 * f0 - 5.0 * fx[0] + 4.0 * fx[1] - fx[2]) / (h * h)
-    else:
-        dxx = (fx[0] - 2.0 * f0 + fx[1]) / (h * h)
+        dxx = (diff(x + h, 0.0) - 2.0 * f0 + diff(x - h, 0.0)) / (h * h)
     return dxx + dzz

@@ -26,14 +26,13 @@ images of one plate distance x at its distinct y^2: blocks of ascending |n|,
 chunks of y^2 rows within each, and the running total carried from block to
 block, so a sum in many blocks equals one in a single block, bit for bit.
 Its blocks, like those of the mode sums, keep every array within one budget,
-_WORKING_SET (2^13 floats, 64 KiB, which the allocator reuses), which
-``imagesum`` defines for its own array image sum as well.  Its kernels are
-those of one frequency (``_Pointwise``) or, smeared by a Gaussian LO
-profile, the exact Gaussian integrals of the image terms (``_SmearedLO``);
-at y = 0 the guided modes give that smear in closed form too
-(``smeared_modes_diag``).  All quantities are in internal units (c = 1), so
-results scale as omega^3 while every other argument appears as a
-frequency-distance product.
+_WORKING_SET (2^13 floats, 64 KiB, which the allocator reuses).  Its
+kernels are those of one frequency (``_Pointwise``) or, smeared by a
+Gaussian LO profile, the exact Gaussian integrals of the image terms
+(``_SmearedLO``); at y = 0 the guided modes give that smear in
+closed form too (``smeared_modes_diag``).  All quantities are in internal
+units (c = 1), so results scale as omega^3 while every other argument
+appears as a frequency-distance product.
 
 The two-point density depends on y only through y^2, so the points of one
 x that share a y^2 share its evaluation; the 201 y of the ``fig2-right``
@@ -50,12 +49,22 @@ from typing import Sequence
 
 import numpy as np
 
-from .imagesum import _WORKING_SET, MAX_IMAGE_TERMS, TruncationPolicy
+from .imagesum import MAX_IMAGE_TERMS, TruncationPolicy
 from .units import CavityGeometry, FieldPoint, validate_point
 
 #: Kernel arguments below this use the Taylor series; above, the direct form.
 SERIES_THRESHOLD = 0.5
 _SERIES_TERMS = 10
+
+#: Most elements one array of a blocked loop holds: an image block, a chunk
+#: of its y^2 rows, an x block of sigma_modes_diag or laplace_modes_diag, an
+#: (x, mode, y) block of sigma_modes, a mode block of smeared_modes_diag or a
+#: node block of _bessel_j0_j2.  64 KiB of floats, which the allocator keeps
+#: from call to call: at 2^17 (images) and 2^15 (chunks) a validate run took
+#: 2 100 minor faults, as glibc handed each 240 KiB temporary back to the
+#: kernel, and 29 ms; at 2^13 it takes none after its first run, and 25 ms
+#: (2-vCPU VM).
+_WORKING_SET = 2**13
 
 _FOUR_PI_SQ = 4.0 * math.pi**2
 _TWO_PI_SQ = 2.0 * math.pi**2

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -66,21 +67,100 @@ class TestImageDistances:
         assert b2_pos[0] == 0.0 and a2[0] == math.hypot(2.0, 0.0) ** 2
 
 
+def _tails(base, offset, L, N):
+    """sum_n 1/((base - n L)^2 + offset) over the two tails |n| > N.
+
+    Each tail sum_{m > N} g(m), g(u) = 1/((u L - beta)^2 + offset) with beta =
+    +-base, is its Euler-Maclaurin midpoint form: the integral of g from
+    N + 1/2 on, plus g'(N + 1/2)/24; what that leaves is about
+    7 |g'''| / 5760 ~ 0.03 / (L^2 N^5).
+    """
+    total = 0.0
+    for beta in (base, -base):
+        v = (N + 0.5) * L - beta
+        if offset > 0.0:
+            g = math.sqrt(offset)
+            integral = math.atan(g / v) / g
+        elif offset < 0.0:
+            alpha = math.sqrt(-offset)
+            integral = math.atanh(alpha / v) / alpha
+        else:
+            integral = 1.0 / v
+        d = v * v + offset
+        total += integral / L - 2.0 * L * v / d / d / 24.0
+    return total
+
+
+def _truncated_plus_tail(base, offset, L, N):
+    """sum_n 1/((base - n L)^2 + offset) over |n| <= N, plus the tails beyond."""
+    n = np.arange(-N, N + 1, dtype=float)
+    return math.fsum((1.0 / ((base - n * L) ** 2 + offset)).tolist()) + _tails(base, offset, L, N)
+
+
+def _seeded_rows(rng, count, regime):
+    """(base, offset) rows of one regime whose nearest gap is at least 0.01, offsets from 1e-300 to 1e300."""
+    rows = []
+    while len(rows) < count:
+        base = float(rng.choice([rng.uniform(-5.0, 5.0), rng.uniform(-1e3, 1e3)]))
+        if regime == "spacelike":
+            offset = float(10.0 ** rng.uniform(-300.0, 300.0)) if rng.random() < 0.5 else float(rng.uniform(0.0, 9.0))
+        elif regime == "timelike":
+            offset = -float(rng.choice([rng.uniform(0.0, 100.0), 10.0 ** rng.uniform(-300.0, 0.0)]))
+        else:
+            offset = 0.0
+        if imagesum._nearest_pole(base, offset, G.L)[1] >= 0.01:
+            rows.append((base, offset))
+    return rows
+
+
 class TestImageSum:
+    # every sum is over the whole image lattice, N = oo
     def test_single_term_is_the_free_space_kernel(self):
+        # the N = oo sum in a cavity of a = 1e8, whose n != 0 images add about
+        # 2 zeta(2)/L^2 = 8e-17, 3e-18 of the n = 0 term alone
         p = SpacetimePoint(t=0.2, x=0.3, y=0.1, z=0.0)
         q = SpacetimePoint(t=0.0, x=0.5, y=0.0, z=0.0)
         interval = (0.3 - 0.5) ** 2 + 0.1**2 - 0.2**2
         expected = -1.0 / (4.0 * PI_SQ * interval)
-        assert image_sum(-1, p, q, TruncationPolicy(n_terms=0)) == pytest.approx(expected, rel=1e-15)
+        assert image_sum(-1, p, q, CavityGeometry(1e8)) == pytest.approx(expected, rel=1e-15)
 
-    @pytest.mark.parametrize("n_terms", [1, 10, 100])
-    def test_plate_cancellation_is_exact(self, n_terms):
-        # on the plate the translated and reflected term sets coincide pairwise
-        p = SpacetimePoint(t=0.13, x=0.0, y=0.2, z=0.05)
-        q = SpacetimePoint(t=0.0, x=0.37, y=0.9, z=0.0)
-        policy = TruncationPolicy(n_terms=n_terms)
-        assert image_sum(-1, p, q, policy) - image_sum(+1, p, q, policy) == 0.0
+    @pytest.mark.parametrize("regime", ["spacelike", "timelike", "null"])
+    def test_each_regime_is_the_long_sum_plus_its_tail(self, regime):
+        # 2 * 10^5 + 1 terms and their tails, with numpy's floating-point warnings raised, up to offset 1e300
+        rng = np.random.default_rng({"spacelike": 41, "timelike": 42, "null": 43}[regime])
+        rows = _seeded_rows(rng, 30, regime) + {
+            "spacelike": [(0.7, 1e300), (-3.3, 1e-300), (0.7, 5e-324), (1e3 + 0.5, 1e-6), (0.0, 1e-6)],
+            "timelike": [(0.7, -1e-300), (-3.3, -5e-324), (0.5, -0.01), (999.0, -99.0)],
+            "null": [(0.01, 0.0), (-1.0, 0.0)],
+        }[regime]
+        with np.errstate(all="raise"):
+            for base, offset in rows:
+                want = _truncated_plus_tail(base, offset, G.L, 100_000)
+                assert imagesum._lattice_sum(base, offset, G.L) == pytest.approx(want, rel=1e-12), (base, offset)
+
+    def test_the_public_sum_is_the_lattice_sum_of_its_row(self):
+        p = SpacetimePoint(t=0.7, x=0.3, y=0.4, z=-0.2)
+        q = SpacetimePoint(t=0.0, x=0.6, y=0.0, z=0.0)
+        for sign in (-1, +1):
+            base, offset = p.x + sign * q.x, 0.4**2 + 0.2**2 - 0.7**2
+            want = -_truncated_plus_tail(base, offset, G.L, 100_000) / (4.0 * PI_SQ)
+            assert image_sum(sign, p, q) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("t", [0.0, 0.13, 0.9, 3.0])
+    def test_plate_cancellation_is_exact(self, t):
+        # on the plate the translated and reflected bases are -q.x and +q.x: the same sum, to the bit
+        rng = np.random.default_rng(44)
+        compared = 0
+        for _ in range(50):
+            p = SpacetimePoint(t=t, x=0.0, y=0.2, z=0.05)
+            q = SpacetimePoint(t=0.0, x=float(rng.uniform(0.0, 1.0)), y=float(rng.uniform(-2.0, 2.0)), z=0.0)
+            try:
+                translated = image_sum(-1, p, q)
+            except LightConeProximity:
+                continue
+            assert translated - image_sum(+1, p, q) == 0.0
+            compared += 1
+        assert compared > 40
 
     @pytest.mark.parametrize(
         "p,q",
@@ -92,34 +172,63 @@ class TestImageSum:
     @pytest.mark.parametrize("sign", [-1, +1])
     def test_truncation_converges(self, p, q, sign):
         # spacelike, closely separated pair: the tail decays like 1/(nL)^2
-        f_small = image_sum(sign, p, q, TruncationPolicy(n_terms=100))
-        f_large = image_sum(sign, p, q, TruncationPolicy(n_terms=10_000))
-        assert abs(f_small - f_large) / abs(f_large) < 1e-4
+        base = p.x + sign * q.x
+        offset = (p.y - q.y) ** 2 + (p.z - q.z) ** 2 - (p.t - q.t) ** 2
+        n = np.arange(-100, 101, dtype=float)
+        f_small = -float(np.sum(1.0 / ((base - n * G.L) ** 2 + offset))) / (4.0 * PI_SQ)
+        f_lattice = image_sum(sign, p, q)
+        assert abs(f_small - f_lattice) / abs(f_lattice) < 1e-4
 
-    def test_sequential_accumulation_agrees_with_pairwise(self):
-        # image_sum adds the +-n pairs in ascending |n| with n = 0 last; an
-        # in-order n = -N..N loop reaches the same sum up to rounding
+    def test_sequential_accumulation_plus_its_tails_agrees(self):
+        # an in-order n = -N..N loop plus the tails |n| > N reaches the N = oo sum up to rounding
         p = SpacetimePoint(0.1, 0.3, 0.4, 0.0)
         q = SpacetimePoint(0.0, 0.6, 0.0, 0.0)
         N, L = 500, G.L
+        base = p.x - q.x
         offset = (p.y - q.y) ** 2 + (p.z - q.z) ** 2 - (p.t - q.t) ** 2
         total = 0.0
         for n in range(-N, N + 1):
-            total += 1.0 / ((p.x - q.x - n * L) ** 2 + offset)
-        sequential = -total / (4.0 * PI_SQ)
-        assert image_sum(-1, p, q, TruncationPolicy(n_terms=N)) == pytest.approx(sequential, rel=1e-12)
+            total += 1.0 / ((base - n * L) ** 2 + offset)
+        sequential = -(total + _tails(base, offset, L, N)) / (4.0 * PI_SQ)
+        assert image_sum(-1, p, q) == pytest.approx(sequential, rel=1e-12)
 
     def test_light_cone_guard(self):
         # null-separated from the n=0 image
         p = SpacetimePoint(t=0.5, x=0.3, y=0.4, z=0.0)
         q = SpacetimePoint(t=0.0, x=0.6, y=0.0, z=0.0)
         with pytest.raises(LightConeProximity):
-            image_sum(-1, p, q, TruncationPolicy(n_terms=10))
+            image_sum(-1, p, q)
+
+    @pytest.mark.parametrize("sign, n", [(-1, 1500), (-1, -2001), (+1, -1200), (+1, 5000)])
+    def test_a_pole_beyond_any_former_cutoff_is_refused_by_index_and_branch(self, sign, n):
+        # the truncated sums stopped at N = 10, 400 or 1000 and summed straight across these cones
+        q = SpacetimePoint(t=0.0, x=0.2, y=0.0, z=0.0)
+        p = SpacetimePoint(t=abs(0.5 + sign * q.x - n * G.L), x=0.5, y=0.0, z=0.0)
+        with pytest.raises(LightConeProximity) as exc:
+            image_sum(sign, p, q)
+        branch = "translated" if sign == -1 else "reflected"
+        assert (exc.value.image_index, exc.value.branch) == (n, branch)
+        assert f"{branch} image light cone at image index n={n} " in str(exc.value)
+
+    def test_an_exact_pole_whose_rounded_gap_lies_outside_the_band_is_refused(self):
+        # base = sqrt(-offset) to the bit: the closed form's sine vanishes, while the rounded gap
+        # base^2 + offset at |offset| = 3e10 reads 3.8e-6, where a division by zero once followed
+        t, y = 173205.3, 0.7
+        p = SpacetimePoint(t=t, x=math.sqrt(t**2 - y**2), y=y, z=0.0)
+        with pytest.raises(LightConeProximity) as exc:
+            image_sum(-1, p, SpacetimePoint(0.0, 0.0, 0.0, 0.0))
+        assert (exc.value.image_index, exc.value.branch) == (0, "translated")
+        assert exc.value.gap > imagesum.GUARD_BAND
 
     def test_sign_validated(self):
         p = SpacetimePoint(0.0, 0.3, 0.0, 0.0)
         with pytest.raises(ValueError):
-            image_sum(0, p, p, TruncationPolicy(n_terms=1))
+            image_sum(0, p, p)
+
+    def test_an_overflowing_base_is_refused(self):
+        p = SpacetimePoint(0.0, 1e308, 0.0, 0.0)
+        with pytest.raises(ValueError, match="overflows"):
+            image_sum(+1, p, p)
 
 
 def _former_two_point_yy_closed(s, point, geometry, policy):
@@ -236,39 +345,59 @@ class TestTwoPointClosed:
         assert len(values) == 1
 
 
+def _lattice_at_real_time(s, point):
+    """The two-point function at N = oo and real time separation s: the lattice at z^2 = s^2."""
+    return float(two_point_yy_lattice(np.array([s * s + 0j]), point, G)[0].real)
+
+
 class TestTwoPointStencil:
+    # the stencil of the N = oo scalar sums against the lattice, also at N = oo
     def test_agrees_with_closed_form(self):
-        policy = TruncationPolicy(n_terms=400)
         for s, x, y in [(0.3, 0.35, 1.1), (0.2, 0.6, 0.9), (0.45, 0.75, 1.4)]:
             point = FieldPoint(x=x, y=y)
-            closed = two_point_yy_closed(s, point, G, policy)
-            fd = two_point_yy_fd(s, point, G, policy, h=1e-3)
-            assert fd == pytest.approx(closed, rel=1e-4)
+            fd = two_point_yy_fd(s, point, G, h=1e-3)
+            assert fd == pytest.approx(_lattice_at_real_time(s, point), rel=1e-4)
 
     def test_second_order_in_h(self):
-        policy = TruncationPolicy(n_terms=400)
         point = FieldPoint(x=0.35, y=1.1)
-        closed = two_point_yy_closed(0.3, point, G, policy)
-        errs = [abs(two_point_yy_fd(0.3, point, G, policy, h=h) - closed) for h in (4e-3, 2e-3, 1e-3)]
+        closed = _lattice_at_real_time(0.3, point)
+        errs = [abs(two_point_yy_fd(0.3, point, G, h=h) - closed) for h in (4e-3, 2e-3, 1e-3)]
         ratios = [errs[i] / errs[i + 1] for i in range(2)]
         assert all(3.2 < r < 4.8 for r in ratios)
 
     def test_plate_value_within_stencil_error(self):
-        policy = TruncationPolicy(n_terms=300)
-        v = two_point_yy_fd(0.3, FieldPoint(x=0.0, y=0.9), G, policy, h=1e-3)
+        v = two_point_yy_fd(0.3, FieldPoint(x=0.0, y=0.9), G, h=1e-3)
         assert abs(v) <= 1e-6
 
     def test_interior_stencil_near_both_plates(self):
-        policy = TruncationPolicy(n_terms=300)
         for x in (5e-4, 1.0 - 5e-4):
             point = FieldPoint(x=x, y=0.9)
-            closed = two_point_yy_closed(0.3, point, G, policy)
-            fd = two_point_yy_fd(0.3, point, G, policy, h=1e-3)
-            assert fd == pytest.approx(closed, rel=5e-4)
+            fd = two_point_yy_fd(0.3, point, G, h=1e-3)
+            assert fd == pytest.approx(_lattice_at_real_time(0.3, point), rel=5e-4)
 
     def test_invalid_step(self):
         with pytest.raises(ValueError):
-            two_point_yy_fd(0.3, FieldPoint(0.5, 1.0), G, TruncationPolicy(n_terms=10), h=0.0)
+            two_point_yy_fd(0.3, FieldPoint(0.5, 1.0), G, h=0.0)
+
+    @pytest.mark.parametrize("h", [-0.0, -1e-3, math.nan, math.inf, -math.inf, 1e-320, 1e-170, 1e200])
+    def test_a_step_that_is_not_positive_finite_with_a_normal_square_is_refused_by_name(self, h):
+        # 1e-320 and 1e-170 square to a subnormal or to 0.0, where h * h once divided by zero;
+        # nan and inf were refused only as a coordinate, 1e200 as an overflow of its square
+        with pytest.raises(ValueError, match=re.escape(f"stencil step h must be positive and finite "
+                                                       f"with a normal square h^2, got {h!r}")):
+            two_point_yy_fd(0.3, FieldPoint(0.5, 1.0), G, h=h)
+
+    def test_the_smallest_step_with_a_normal_square_is_taken(self):
+        h = math.sqrt(sys.float_info.min) * (1.0 + 2**-40)
+        assert h * h >= sys.float_info.min
+        assert math.isfinite(two_point_yy_fd(0.3, FieldPoint(0.5, 1.0), G, h=h))
+
+    def test_a_pole_beyond_the_former_cutoff_is_refused_by_index_and_branch(self):
+        # at x = 0.5, y = 0 the centre point's translated images n = +-700 sit on the cone s = 1400;
+        # validate's stencil once stopped at N = 400
+        with pytest.raises(LightConeProximity) as exc:
+            two_point_yy_fd(1400.0, FieldPoint(0.5, 0.0), G, h=1e-3)
+        assert (exc.value.image_index, exc.value.branch) == (700, "translated")
 
 
 def _term_by_term(z2, x, y, n_images):

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +32,12 @@ def test_validate_prints_one_line_per_check_then_the_tally(capsys):
     lines = [line for line in out.splitlines() if line.startswith("[")]
     assert [line.split(": ", 1)[0] for line in lines] == [f"[PASS] {name}" for name in NAMES]
     assert out.endswith("9/9 validation checks passed\n")
+
+
+def test_validate_prints_the_pinned_bytes(capsys):
+    # tests/baselines/validate.txt holds what validate printed before check 6 moved to N = oo
+    assert main(["validate"]) == 0
+    assert capsys.readouterr().out.encode() == (Path(__file__).parent / "baselines" / "validate.txt").read_bytes()
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -80,29 +87,33 @@ def _a_shallow_dip(monkeypatch):
     monkeypatch.setattr(oracle, "_fig4_right_rows", clipped)
 
 
-# check 7's mutations are in test_cli.py::TestExactModeCheck
+# check 7's mutations are in test_cli.py::TestExactModeCheck; each mutation listed must fail its check alone
 MUTATIONS = {
     "vacuum diagonal closed form":
-        lambda mp: mp.setattr(oracle, "sigma_vacuum", _scaled(oracle.sigma_vacuum, 1.0 + 1e-10)),
+        (lambda mp: mp.setattr(oracle, "sigma_vacuum", _scaled(oracle.sigma_vacuum, 1.0 + 1e-10)),),
     "vacuum embedding of the image sum":
-        lambda mp: mp.setattr(oracle, "sigma_vacuum_from_kernels",
-                              _scaled(oracle.sigma_vacuum_from_kernels, 1.0 + 1e-10)),
-    "boundary zeros at the plates": _plates_moved_inward,
-    "sub-cutoff vanishing": _a_wider_cavity,
-    "off-diagonal decay at large |y|": _no_decay_in_y,
-    "two-point closed form vs stencil":
+        (lambda mp: mp.setattr(oracle, "sigma_vacuum_from_kernels",
+                               _scaled(oracle.sigma_vacuum_from_kernels, 1.0 + 1e-10)),),
+    "boundary zeros at the plates": (_plates_moved_inward,),
+    "sub-cutoff vanishing": (_a_wider_cavity,),
+    "off-diagonal decay at large |y|": (_no_decay_in_y,),
+    "two-point closed form vs stencil": (
         lambda mp: mp.setattr(oracle, "two_point_yy_fd", _scaled(oracle.two_point_yy_fd, 1.0 + 1e-3)),
-    "image-sum convergence table": _a_table_that_stops_converging,
-    "suppression dips below -3 dB": _a_shallow_dip,
+        lambda mp: mp.setattr(oracle, "two_point_yy_lattice", _scaled(oracle.two_point_yy_lattice, 1.0 + 1e-3)),
+    ),
+    "image-sum convergence table": (_a_table_that_stops_converging,),
+    "suppression dips below -3 dB": (_a_shallow_dip,),
 }
 
 
 @pytest.mark.parametrize("name", list(MUTATIONS))
 def test_each_check_fails_on_a_mutated_quantity(name, monkeypatch):
-    MUTATIONS[name](monkeypatch)
-    ok, detail = CHECKS[name]()
-    assert not ok, detail
-    assert isinstance(detail, str) and detail
+    for mutate in MUTATIONS[name]:
+        with monkeypatch.context() as mp:
+            mutate(mp)
+            ok, detail = CHECKS[name]()
+        assert not ok, detail
+        assert isinstance(detail, str) and detail
 
 
 def test_a_failing_check_fails_validate_by_name(monkeypatch, capsys):

@@ -129,15 +129,14 @@ def test_truncated_density_is_positive_above_cutoff():
     t=st.floats(min_value=0.0, max_value=0.15),
 )
 def test_plate_cancellation_for_arbitrary_partners(qx, y, z, t):
-    # with the first event on the plate the translated and reflected sums
-    # coincide pairwise, so their difference is exactly zero at any cutoff
+    # with the first event on the plate the translated and reflected bases
+    # are -qx and +qx, so the N = oo sums agree to the bit
     p = SpacetimePoint(t=t, x=0.0, y=0.0, z=0.0)
     q = SpacetimePoint(t=0.0, x=qx, y=y, z=z)
     interval = qx * qx + y * y + z * z - t * t
     if abs(interval) < 1e-3:  # stay clear of the n = 0 light cone guard
         return
-    policy = TruncationPolicy(n_terms=50)
-    assert image_sum(-1, p, q, policy) - image_sum(+1, p, q, policy) == 0.0
+    assert image_sum(-1, p, q) - image_sum(+1, p, q) == 0.0
 
 
 def test_repeated_evaluation_is_bit_identical():
