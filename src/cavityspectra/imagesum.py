@@ -162,14 +162,18 @@ def image_sum(
     offset.  Coordinates are in internal units; the default geometry is the
     canonical a = 1 (image period L = 2).  Raises LightConeProximity, naming
     the image, when the nearest of all the lattice's poles lies inside the
-    guard band, and a ValueError when p.x + sign*q.x overflows.
+    guard band, and a ValueError when p.x + sign*q.x or the offset
+    dy^2 + dz^2 - dt^2 overflows.
     """
     if sign not in (-1, 1):
         raise ValueError(f"sign must be -1 or +1, got {sign!r}")
     base = p.x + sign * q.x
     if not math.isfinite(base):
         raise ValueError(f"the image base p.x {'+' if sign == 1 else '-'} q.x = {base!r} overflows")
-    offset = (p.y - q.y) ** 2 + (p.z - q.z) ** 2 - (p.t - q.t) ** 2
+    dy, dz, dt = p.y - q.y, p.z - q.z, p.t - q.t
+    offset = dy * dy + dz * dz - dt * dt  # products: a Python float ** raises OverflowError where they give inf
+    if not math.isfinite(offset):
+        raise ValueError(f"the image offset dy^2 + dz^2 - dt^2 = {offset!r} overflows")
     n, gap = _nearest_pole(base, offset, geometry.L)
     total = _lattice_sum(base, offset, geometry.L) if gap >= GUARD_BAND else math.inf
     if math.isinf(total):
@@ -204,7 +208,9 @@ def two_point_yy_closed(
 
     summed pairwise over +-n with the n = 0 term last.  The n = 0, y = 0
     term needs no special handling: A = 0 there and the expression reduces to
-    its analytic limit s^2/s^6 = 1/s^4 with the y^2 part vanishing.
+    its analytic limit s^2/s^6 = 1/s^4 with the y^2 part vanishing.  A
+    time separation within the guard band of any image's light cone, beyond
+    the cutoff too (``_nearest_pole``), raises LightConeProximity.
     """
     validate_point(point, geometry)
     if not math.isfinite(s):
@@ -233,6 +239,10 @@ def two_point_yy_closed(
     _raise_near_cone(dA, idx, "translated")
     _raise_near_cone(dBp, idx, "reflected")
     _raise_near_cone(dBn, -idx, "reflected")
+    for base, branch in ((0.0, "translated"), (2.0 * point.x, "reflected")):
+        n, gap = _nearest_pole(base, y2 - s2, geometry.L)
+        if gap < GUARD_BAND:
+            raise LightConeProximity(n, branch, gap, GUARD_BAND)
 
     def per_image(translated, inv_a3, b2v, db3):
         # translated = (A^2 + s^2)/dA^3 and inv_a3 = 1/dA^3 are shared by both

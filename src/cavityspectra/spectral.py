@@ -57,9 +57,8 @@ SERIES_THRESHOLD = 0.5
 _SERIES_TERMS = 10
 
 #: Most elements one array of a blocked loop holds: an image block, a chunk
-#: of its y^2 rows, an x block of sigma_modes_diag or laplace_modes_diag, an
-#: (x, mode, y) block of sigma_modes, a mode block of smeared_modes_diag or a
-#: node block of _bessel_j0_j2.  64 KiB of floats, which the allocator keeps
+#: of its y^2 rows, an (x, mode, column) block of _mode_sum or a node block
+#: of _bessel_j0_j2.  64 KiB of floats, which the allocator keeps
 #: from call to call: at 2^17 (images) and 2^15 (chunks) a validate run took
 #: 2 100 minor faults, as glibc handed each 240 KiB temporary back to the
 #: kernel, and 29 ms; at 2^13 it takes none after its first run, and 25 ms
@@ -522,28 +521,41 @@ def _mode_count(reach: float, geometry: CavityGeometry) -> int:
     return count
 
 
-def _guided_modes(reach: float, xs: Sequence[float], geometry: CavityGeometry):
-    """The number of modes n = 1 .. floor(reach a/pi) + 1, and the xs folded for ``_sine_squares``.
-
-    Each x is folded to min(x, a - x), so both plates give exact zeros and
-    the mirror a - x the same sines up to the rounding of a - x.  The xs are
-    checked first; more than MAX_IMAGE_TERMS modes are refused.  A sum forms
-    its wave numbers with ``_wave_numbers``, a block at a time where it can.
-    """
-    for x in xs:
-        validate_point(FieldPoint(x=x, y=0.0), geometry)
-    return _mode_count(reach, geometry), np.array([min(x, geometry.a - x) for x in xs], dtype=float)
-
-
-def _wave_numbers(lo: int, hi: int, geometry: CavityGeometry) -> np.ndarray:
-    """q_n = n pi/a for the modes n = lo + 1 .. hi; any block of them has the bits of the whole range."""
-    return np.arange(lo + 1, hi + 1) * math.pi / geometry.a
-
-
 def _sine_squares(folded: np.ndarray, q: np.ndarray) -> np.ndarray:
     """sin^2(q_n x) at the folded x and the wave numbers q, shape (xs, modes); a block of q gives the same bits."""
     s = np.sin(np.multiply.outer(folded, q))
     return s * s
+
+
+def _mode_sum(reach: float, xs, columns: int, geometry: CavityGeometry, terms) -> np.ndarray:
+    """sum_n terms(s2, q, n) over the modes n = 1 .. floor(reach a/pi) + 1 at each x: the loop of every mode sum.
+
+    The xs, a float or a sequence of them, are checked first, then folded to
+    min(x, a - x), so both plates give exact zeros and the mirror a - x the
+    same sines up to the rounding of a - x; more than MAX_IMAGE_TERMS modes
+    are refused before any sine.  The modes go in ascending blocks whose
+    (x, mode, column) terms fit _WORKING_SET.  A block forms q_n = n pi/a and
+    s2 = sin^2(q_n x), shape (xs, modes) (``_sine_squares``), and
+    ``terms(s2, q, n)`` gives its terms, shape (xs, modes, columns).  The
+    running total is added to a block's first mode and a cumsum along the
+    modes adds the rest, so each (x, column) adds its modes one by one in
+    ascending n, whatever the blocks, and an x gives the bits of its own
+    call.  Returns the sums, shape (len(xs), columns).
+    """
+    xs = np.atleast_1d(np.asarray(xs, dtype=float)).tolist()
+    for x in xs:
+        validate_point(FieldPoint(x=x, y=0.0), geometry)
+    folded = np.array([min(x, geometry.a - x) for x in xs])
+    count = _mode_count(reach, geometry)
+    total = np.zeros((folded.size, columns))
+    step = max(1, _WORKING_SET // max(1, folded.size * columns))
+    for lo in range(0, count, step):
+        n = np.arange(lo + 1, min(count, lo + step) + 1)
+        q = n * math.pi / geometry.a
+        block = terms(_sine_squares(folded, q), q, n)
+        block[:, 0] += total
+        total = block.cumsum(axis=1)[:, -1]
+    return total
 
 
 def sigma_modes_diag(omega, x, geometry: CavityGeometry):
@@ -559,30 +571,24 @@ def sigma_modes_diag(omega, x, geometry: CavityGeometry):
     density is 0 below the first cutoff pi/a and on the plates, and symmetric
     under x -> a - x.  Accepts scalar or array omega, and a scalar x or a
     sequence of them, which gives shape (len(x),) + omega's shape.  All x
-    share the modes up to the largest omega, and each (x, omega) sums its
-    terms alone, so a row equals its x's own call bit for bit.  The x are
-    taken in blocks of at most _WORKING_SET terms, one block for a short
-    sequence, so many x at a high omega do not hold all their sines at once.
+    share the modes up to the largest omega (``_mode_sum``), and each
+    (x, omega) adds its own terms in ascending n, so a row equals its x's own
+    call bit for bit.
     """
     arr = np.asarray(omega, dtype=float)
     w = np.atleast_1d(arr).ravel()
     _check_omegas(w)
-    xs = np.atleast_1d(np.asarray(x, dtype=float)).tolist()
-    reach = float(np.max(w, initial=0.0))
-    w = w[:, None]
-    values = np.empty((len(xs), w.size))
-    count = _mode_count(reach, geometry)
-    q = _wave_numbers(0, count, geometry)  # all at once: each (x, omega) sums its modes pairwise
-    step = max(1, _WORKING_SET // max(1, w.size * count))
-    for lo in range(0, len(xs), step):
-        _, folded = _guided_modes(reach, xs[lo:lo + step], geometry)
-        s2 = _sine_squares(folded, q)
+
+    def terms(s2, q, n):
+        q = q[:, None]
         weight = np.where(q < w, 1.0, np.where(q == w, 0.5, 0.0))
-        values[lo:lo + step] = (weight * s2[:, None, :] * (w * w + q * q)).sum(axis=-1)
+        return weight * s2[:, :, None] * (w * w + q * q)
+
+    values = _mode_sum(float(np.max(w, initial=0.0)), x, w.size, geometry, terms)
     values /= 4.0 * math.pi * geometry.a
     if np.ndim(x) == 0:
         return float(values[0, 0]) if arr.ndim == 0 else values[0].reshape(arr.shape)
-    return values.reshape((len(xs),) + arr.shape)
+    return values.reshape(values.shape[:1] + arr.shape)
 
 
 #: Edges of the windows in z where exp(-z^2) and erfc(z) vary: math.erfc is
@@ -633,7 +639,7 @@ def smeared_modes_diag(omega_lo: float, width: float, x: float, geometry: Cavity
     The cost is O((omega_lo + 27.3 width) a/pi) modes, with ``math.erfc``
     called only for -5.9 < c/width < 27.3, where it is neither 2.0 nor 0.0.  c
     carries the part of n pi/a below the float pi.  The plates give exact zeros
-    (``_guided_modes`` folds x), and more than MAX_IMAGE_TERMS modes (omega_lo a
+    (``_mode_sum`` folds x), and more than MAX_IMAGE_TERMS modes (omega_lo a
     above about 1.39e6 at ``bhd``'s default width omega_lo/20) are refused.
 
     This is the image smear of ``bhd.smeared_density`` at y = 0, up to the
@@ -645,20 +651,17 @@ def smeared_modes_diag(omega_lo: float, width: float, x: float, geometry: Cavity
         raise ValueError(f"frequencies must be positive and at most {_MAX_OMEGA:g}")
     if not (width > 0.0 and math.isfinite(width)):
         raise ValueError("LO width must be positive and finite")
-    count, folded = _guided_modes(omega_lo + _WINDOW_EDGES[-1] * width, [x], geometry)
-    total = None
-    for lo in range(0, count, _WORKING_SET):
-        qb = _wave_numbers(lo, min(count, lo + _WORKING_SET), geometry)
-        c = (qb - omega_lo) + np.arange(lo + 1, lo + qb.size + 1) * (_PI_LO / geometry.a)
+
+    def terms(s2, q, n):
+        c = (q - omega_lo) + n * (_PI_LO / geometry.a)
         with np.errstate(over="ignore"):  # a width below about 1e-308 sends c/width to +-inf, where both are constants
             gauss, erfc = _gauss_erfc(c / width)
-        bracket = width * (qb + omega_lo) * gauss
-        bracket += _SQRT_PI * (qb * qb + omega_lo * omega_lo + 0.5 * width * width) * erfc
-        terms = _sine_squares(folded, qb)[0] * bracket
-        if total is not None:  # the first block stays unseeded, so a -0.0 first term keeps its sign
-            terms[0] += total
-        total = terms.cumsum()[-1]  # term by term in ascending n, so modes that add 0.0 keep the bits
-    return float(total) * width / (8.0 * math.pi * geometry.a)
+        bracket = width * (q + omega_lo) * gauss
+        bracket += _SQRT_PI * (q * q + omega_lo * omega_lo + 0.5 * width * width) * erfc
+        return (s2 * bracket)[:, :, None]
+
+    total = _mode_sum(omega_lo + _WINDOW_EDGES[-1] * width, x, 1, geometry, terms)
+    return float(total[0, 0]) * width / (8.0 * math.pi * geometry.a)
 
 
 #: Most trapezoid nodes one Bessel argument r may take: r needs floor(r) + 100,
@@ -713,44 +716,34 @@ def sigma_modes(omega: float, xs: Sequence[float], ys: Sequence[float], geometry
     q_n = n pi/a, kappa_n = sqrt(omega^2 - q_n^2), with the weights w_n of
     :func:`sigma_modes_diag` (1 below omega, 1/2 at threshold, where kappa_n = 0
     and the mode does not decay in y).  At y = 0 it is sigma_modes_diag.  J_0
-    and J_2 are evaluated once per distinct kappa_n |y| of a block
+    and J_2 are evaluated once per distinct kappa_n |y| of a block of modes
     (``_bessel_j0_j2``); an argument that would need more than
     MAX_BESSEL_NODES nodes is refused with a ValueError before any block.
-    The modes go in ascending blocks whose (x, mode, y) terms fit
-    _WORKING_SET: the running total is added to a block's first mode and a
-    cumsum along the modes adds the rest, so each point adds its modes one
-    by one in ascending n, whatever the blocks.  Returns an array of shape
-    (len(xs), len(ys)).
+    Returns an array of shape (len(xs), len(ys)).
     """
     _check_omegas(np.array([omega], dtype=float))
     y = np.abs(np.asarray(ys, dtype=float))
     if not np.all(np.isfinite(y)):
         raise ValueError("transverse offsets must be finite")
-    count, folded = _guided_modes(omega, xs, geometry)
-    q1 = _wave_numbers(0, 1, geometry)[0]
+    q1 = math.pi / geometry.a
     if q1 <= omega and y.size:  # mode 1 has the largest kappa, so its largest argument is the largest of all
         r_max = np.sqrt((omega - q1) * (omega + q1)) * y.max()
         if not np.floor(r_max) + _BESSEL_MARGIN <= MAX_BESSEL_NODES:
             raise ValueError(f"kappa |y| = {r_max:g} at omega = {omega:g}: J_0 and J_2 there would take more "
                              f"than {MAX_BESSEL_NODES} trapezoid nodes (every |y| up to "
                              f"{(MAX_BESSEL_NODES - _BESSEL_MARGIN) / omega:.3g} a fits)")
-    values = np.zeros((folded.size, y.size))
-    step = max(1, _WORKING_SET // max(1, folded.size * y.size))
-    for lo in range(0, count, step):
-        qb = _wave_numbers(lo, min(count, lo + step), geometry)
-        qb = qb[qb <= omega]  # the guided modes: the q ascend, so only the last block or two loses any
-        if not qb.size:
-            break
-        kappa = np.sqrt((omega - qb) * (omega + qb))
+
+    def terms(s2, q, n):
+        weight = np.where(q < omega, 1.0, np.where(q == omega, 0.5, 0.0))
+        q = np.minimum(q, omega)  # the mode above omega that _mode_sum adds: kappa = 0 and weight 0, so +0.0
+        kappa = np.sqrt((omega - q) * (omega + q))
         r, index = np.unique(np.multiply.outer(kappa, y), return_inverse=True)
         j0, j2 = _bessel_j0_j2(r)
-        j0, j2 = j0[index].reshape(qb.size, y.size), j2[index].reshape(qb.size, y.size)
-        bracket = (j0 + j2) + ((qb / omega) ** 2)[:, None] * (j0 - j2)
-        s2w = _sine_squares(folded, qb) * np.where(qb < omega, 1.0, 0.5)
-        terms = s2w[:, :, None] * bracket
-        terms[:, 0] += values
-        values = terms.cumsum(axis=1)[:, -1]
-    return values * (omega * omega / (4.0 * math.pi * geometry.a))
+        j0, j2 = j0[index].reshape(q.size, y.size), j2[index].reshape(q.size, y.size)
+        bracket = (j0 + j2) + ((q / omega) ** 2)[:, None] * (j0 - j2)
+        return (s2 * weight)[:, :, None] * bracket
+
+    return _mode_sum(omega, xs, y.size, geometry, terms) * (omega * omega / (4.0 * math.pi * geometry.a))
 
 
 #: Modes of a Laplace sum reach eps q_n = 60, where e^{-eps q_n} (eps q_n)^2 is 3e-23.
@@ -767,20 +760,15 @@ def laplace_modes_diag(eps: float, x, geometry: CavityGeometry):
     is the same number (the Laplace sum rule): ``imagesum.two_point_yy_lattice``
     at z^2 = -eps^2, whose n = 0 image alone gives 1/(pi^2 eps^4).  Takes a
     scalar x, which gives a float, or a sequence of them, which gives an
-    array; each row sums its modes pairwise as its x's own call does.  The x
-    go in blocks of at most _WORKING_SET terms, one x a block where its
-    modes alone exceed that.
+    array; each row equals its x's own call bit for bit (``_mode_sum``).
     """
     if not (eps > 0.0 and math.isfinite(eps)):
         raise ValueError("the Laplace variable must be positive and finite")
-    count, folded = _guided_modes(_LAPLACE_REACH / eps, np.atleast_1d(np.asarray(x, dtype=float)).tolist(), geometry)
-    q = _wave_numbers(0, count, geometry)  # all at once for the pairwise sum
-    decay, moments = np.exp(-eps * q), 2.0 * q * q / eps + 2.0 * q / eps ** 2 + 2.0 / eps ** 3
-    values = np.empty(folded.size)
-    step = max(1, _WORKING_SET // count)
-    for lo in range(0, folded.size, step):
-        values[lo:lo + step] = (_sine_squares(folded[lo:lo + step], q) * decay * moments).sum(axis=-1)
-    values /= 4.0 * math.pi * geometry.a
+
+    def terms(s2, q, n):
+        return (s2 * np.exp(-eps * q) * (2.0 * q * q / eps + 2.0 * q / eps ** 2 + 2.0 / eps ** 3))[:, :, None]
+
+    values = _mode_sum(_LAPLACE_REACH / eps, x, 1, geometry, terms)[:, 0] / (4.0 * math.pi * geometry.a)
     return float(values[0]) if np.ndim(x) == 0 else values
 
 

@@ -559,8 +559,8 @@ class TestSmearedModes:
         edges = [v for e in sp._WINDOW_EDGES for v in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))]
         zs = [np.sort(np.concatenate([np.linspace(-40.0, 40.0, 8001), edges, [-1e300, -5.8, 0.0, 27.2, 1e300]]))]
         for kernel, _ in _random_los(12, 60):  # the arguments of every mode of these LOs
-            count, _ = sp._guided_modes(kernel.omega_lo + sp._WINDOW_EDGES[-1] * kernel.width, [0.5], G)
-            q = sp._wave_numbers(0, count, G)
+            count = sp._mode_count(kernel.omega_lo + sp._WINDOW_EDGES[-1] * kernel.width, G)
+            q = np.arange(1, count + 1) * math.pi / G.a
             zs.append((q - kernel.omega_lo + np.arange(1, q.size + 1) * sp._PI_LO) / kernel.width)
         for z in zs:
             gauss, erfc = sp._gauss_erfc(z)
@@ -573,8 +573,8 @@ class TestSmearedModes:
         draws = [*_sweep_los(14, 3000), (README_KERNEL.omega_lo, README_KERNEL.width, 0.75),
                  (6.0, 0.03, 0.4), (6.3, 5e-4, 0.4), (1e4, 500.0, 0.5), (40.0, 4.0, 0.3)]
         values = [smeared_modes_diag(w0, w, x, G) for w0, w, x in draws]
-        engine, reach = sp._guided_modes, [0.0]
-        monkeypatch.setattr(sp, "_guided_modes", lambda _, xs, geometry: engine(reach[0], xs, geometry))
+        engine, reach = sp._mode_sum, [0.0]
+        monkeypatch.setattr(sp, "_mode_sum", lambda _, *args: engine(reach[0], *args))
         former = []
         for w0, w, x in draws:
             reach[0] = w0 + _former_reach(w0, w, G.a) * w

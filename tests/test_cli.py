@@ -237,23 +237,24 @@ class TestFig4Recipes:
         (["spectral-diag", "--omega", "7.3", "--x-steps", "41"], (41,)),
     ])
     def test_one_mode_sum_over_every_x(self, argv, shape, monkeypatch, tmp_path):
-        calls, modes = [], []
+        calls, sines = [], []
 
         def counting(omega, x, geometry, engine=cli.sigma_modes_diag):
             values = engine(omega, x, geometry)
             calls.append(values.shape)
             return values
 
-        def guided(reach, xs, geometry, engine=spectral._guided_modes):
-            modes.append(len(xs))
-            return engine(reach, xs, geometry)
+        def sine_squares(folded, q, engine=spectral._sine_squares):
+            sines.append((folded.size, q.size))
+            return engine(folded, q)
 
         monkeypatch.setattr(cli, "sigma_modes_diag", counting)
-        monkeypatch.setattr(spectral, "_guided_modes", guided)
+        monkeypatch.setattr(spectral, "_sine_squares", sine_squares)
         assert run([*argv, "--out", str(tmp_path / "out.csv")]) == 0
-        # fig4-left's 96 frequencies reach 5 modes: 480 terms an x, so 17 x fill the working set
-        blocks = [17, 17, 7] if argv[1] == "fig4-left" else [shape[0]]
-        assert calls == [shape] and modes == blocks
+        # every block holds every x; fig4-left's 41 x and 96 frequencies reach 5 modes,
+        # 3 936 terms a mode, so 2 modes fill the working set
+        blocks = {"fig4-left": [2, 2, 1], "fig4-right": [5], "--omega": [3]}[argv[1]]
+        assert calls == [shape] and sines == [(shape[0], m) for m in blocks]
 
     def test_left_rows_are_the_mode_sum_bit_for_bit(self):
         table, omegas, xs, _ = cli._fig4_left_rows()
@@ -807,9 +808,8 @@ class TestExactModeCheck:
         modes = oracle.smeared_modes_diag
 
         def without_m1(w0, w, x, geometry):
-            count, folded = spectral._guided_modes(w0 + 10.0 * w, [x], geometry)
-            q = spectral._wave_numbers(0, count, geometry)
-            s2 = spectral._sine_squares(folded, q)
+            q = np.arange(1, spectral._mode_count(w0 + 10.0 * w, geometry) + 1) * math.pi / geometry.a
+            s2 = spectral._sine_squares(np.array([min(x, geometry.a - x)]), q)
             m1 = 0.5 * w * w * np.exp(-((q - w0) / w) ** 2)
             return modes(w0, w, x, geometry) - float(np.sum(s2[0] * 2.0 * w0 * m1)) / (4.0 * math.pi * geometry.a)
 

@@ -5,14 +5,17 @@ through ``_sigma_yy_values`` (its own loop over x and frequency into
 ``_image_sum``), ``sigma_modes`` as it was before it added its modes by a
 seeded cumsum in blocks (one Python addition per mode, with every mode's
 Bessel values at once), ``smeared_modes_diag`` as it was before it summed
-its modes in blocks (one erfc window over all of them), and the per-point
+its modes in blocks (one erfc window over all of them), ``sigma_modes_diag``
+and ``laplace_modes_diag`` as they were before they went through
+``_mode_sum`` (numpy's pairwise sum over every mode at once), and the per-point
 loops that ``validate`` ran before they became array calls: the stencil's
 truncated ``image_sum`` per point and family, the vacuum densities per y,
 ``laplace_modes_diag`` per x, and the bodies of checks 2, 3, 4, 6 and 7.
 The stencil is now summed at N = oo, so its sweep runs the former per-point
 stencil over the N = oo ``image_sum``.  All of them build the wave numbers
-of every mode at once, as ``_guided_modes`` once did.  Each sweep compares
-values, errors and refusal messages exactly.
+of every mode at once, as the former ``_guided_modes`` did.  Each sweep
+compares values, errors and refusal messages exactly, except where a pairwise
+sum meets the sequential one of ``_mode_sum`` over more than 7 modes.
 """
 import math
 import tracemalloc
@@ -94,6 +97,21 @@ def _former_sigma_modes(omega, xs, ys, geometry):
         for n in range(s2w.shape[1]):
             values += np.multiply.outer(s2w[:, n], bracket[lo + n])
     return values * (omega * omega / (4.0 * math.pi * geometry.a))
+
+
+def _former_sigma_modes_diag(omega, x, geometry):
+    arr = np.asarray(omega, dtype=float)
+    w = np.atleast_1d(arr).ravel()
+    sp._check_omegas(w)
+    xs = np.atleast_1d(np.asarray(x, dtype=float)).tolist()
+    q, folded = _former_guided_modes(float(np.max(w, initial=0.0)), xs, geometry)
+    w = w[:, None]
+    weight = np.where(q < w, 1.0, np.where(q == w, 0.5, 0.0))
+    values = (weight * sp._sine_squares(folded, q)[:, None, :] * (w * w + q * q)).sum(axis=-1)
+    values /= 4.0 * math.pi * geometry.a
+    if np.ndim(x) == 0:
+        return float(values[0, 0]) if arr.ndim == 0 else values[0].reshape(arr.shape)
+    return values.reshape((len(xs),) + arr.shape)
 
 
 def _former_smeared_modes_diag(omega_lo, width, x, geometry):
@@ -209,10 +227,38 @@ class TestModeBlocks:
             want = _outcome(_former_smeared_modes_diag, *args, G)
             assert _outcome(sp.smeared_modes_diag, *args, G) == want, args
 
+    def test_the_diagonal_and_laplace_sums_meet_their_pairwise_copies(self):
+        # 600 seeded calls of each: exact where numpy's pairwise sum is still sequential (at most
+        # 7 modes), within count ulp-halves of the value beyond; then the refusals
+        rng = np.random.default_rng(39)
+        summed = [0, 0]
+        for _ in range(600):
+            omegas = np.concatenate([rng.uniform(0.05, rng.choice([7.0, 25.0, 400.0]), rng.integers(1, 12)),
+                                     PI * rng.integers(1, 9, 2)])
+            xs = [0.0, G.a, *rng.uniform(0.0, G.a, int(rng.integers(1, 5))).tolist()]
+            eps = float(np.exp(rng.uniform(math.log(2e-3), math.log(40.0))))
+            x = xs[-1]
+            for k, (count, got, want) in enumerate([
+                (int(omegas.max() / PI) + 1, sp.sigma_modes_diag(omegas, xs, G),
+                 _former_sigma_modes_diag(omegas, xs, G)),
+                (int(sp._LAPLACE_REACH / eps / PI) + 1, sp.laplace_modes_diag(eps, x, G),
+                 _former_laplace_modes_diag(eps, x, G)),
+            ]):
+                if count <= 7:
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (omegas, xs, eps)
+                else:
+                    assert np.all(np.abs(got - want) <= count * 2.0**-53 * np.abs(want)), (omegas, xs, eps)
+                summed[k] += count > 7
+        assert all(100 < n < 500 for n in summed), summed
+        for args in [(0.0, 0.5), (1e7, 0.5), (5.0, 1.5), (1e100, 0.5), (5.0, [0.5, -0.1])]:
+            assert _outcome(sp.sigma_modes_diag, *args, G) == _outcome(_former_sigma_modes_diag, *args, G), args
+
     @pytest.mark.parametrize("call, mib", [
         (lambda: sp.sigma_modes(1e6, np.linspace(0.0, 1.0, 21).tolist(), [0.0], G), 1),
         (lambda: sp.smeared_modes_diag(1.39e6, 6.95e4, 0.5, G), 2),
-    ], ids=["sigma_modes", "smeared_modes_diag"])
+        (lambda: sp.sigma_modes_diag(np.linspace(1.0, 1e5, 96), 0.5, G), 1),
+        (lambda: sp.laplace_modes_diag(6e-5, 0.5, G), 1),
+    ], ids=["sigma_modes", "smeared_modes_diag", "sigma_modes_diag", "laplace_modes_diag"])
     def test_the_high_frequency_sums_hold_blocks_of_modes(self, call, mib):
         # each block forms its own wave numbers: no array spans every mode
         tracemalloc.start()
@@ -306,6 +352,14 @@ def _former_laplace_modes_diag(eps, x, geometry):
     return float(terms.sum()) / (4.0 * math.pi * geometry.a)
 
 
+def _sequential_laplace_modes_diag(eps, x, geometry):
+    """The former copy with its terms added one by one in ascending n: the order of ``_mode_sum``."""
+    q, folded = _former_guided_modes(sp._LAPLACE_REACH / eps, [x], geometry)
+    moments = 2.0 * q * q / eps + 2.0 * q / eps ** 2 + 2.0 / eps ** 3
+    terms = sp._sine_squares(folded, q)[0] * np.exp(-eps * q) * moments
+    return float(np.cumsum(terms)[-1]) / (4.0 * math.pi * geometry.a)
+
+
 def _repr_outcome(f, *args):
     """repr of a call's value, or its exception's type and message."""
     try:
@@ -383,25 +437,26 @@ class TestValidateLoops:
                     f(2.0, bad)
 
     def test_laplace_modes_over_many_x_equal_one_call_per_x(self):
-        # 300 seeded (eps, xs): plates, a mirror pair and near-plate x; eps down to 2e-3 (9 550 modes)
+        # 300 seeded (eps, xs): plates, a mirror pair and near-plate x; eps down to 2e-3 (9 550 modes);
+        # each x adds its modes one by one in ascending n
         rng = np.random.default_rng(38)
         for k in range(300):
             eps = float(np.exp(rng.uniform(math.log(2e-3), math.log(5.0))))
             xs = [0.0, G.a, 0.3, 0.7, 1e-3, *rng.uniform(0.0, G.a, int(rng.integers(0, 12))).tolist()]
             rng.shuffle(xs)
             got = sp.laplace_modes_diag(eps, xs, G)
-            want = np.array([_former_laplace_modes_diag(eps, x, G) for x in xs])
+            want = np.array([sp.laplace_modes_diag(eps, x, G) for x in xs])
             assert got.tobytes() == want.tobytes(), (eps, xs)
             x = xs[0]
-            assert repr(sp.laplace_modes_diag(eps, x, G)) == repr(_former_laplace_modes_diag(eps, x, G))
+            assert repr(sp.laplace_modes_diag(eps, x, G)) == repr(_sequential_laplace_modes_diag(eps, x, G))
         for eps, x in [(0.0, 0.5), (math.nan, 0.5), (1e-5, 0.5), (1e-310, 0.5), (0.3, 1.5), (0.3, -0.1), (1e-5, 1.5)]:
             assert _repr_outcome(sp.laplace_modes_diag, eps, x, G) == _repr_outcome(_former_laplace_modes_diag, eps, x, G)
             assert _repr_outcome(sp.laplace_modes_diag, eps, [0.5, x], G) == \
                 _repr_outcome(_former_laplace_modes_diag, eps, x, G)
 
-    def test_the_laplace_x_go_in_blocks_with_the_bits_of_one(self, monkeypatch):
+    def test_the_laplace_modes_go_in_blocks_with_the_bits_of_one(self, monkeypatch):
         xs = np.linspace(0.0, 1.0, 9).tolist()
-        whole = sp.laplace_modes_diag(0.3, xs, G)  # 64 modes
+        whole = sp.laplace_modes_diag(0.3, xs, G)  # 64 modes: blocks of 14 modes below
         monkeypatch.setattr(sp, "_WORKING_SET", 2 * 64)
         assert sp.laplace_modes_diag(0.3, xs, G).tobytes() == whole.tobytes()
 

@@ -230,6 +230,19 @@ class TestImageSum:
         with pytest.raises(ValueError, match="overflows"):
             image_sum(+1, p, p)
 
+    @pytest.mark.parametrize("axis", ["y", "t"])
+    @pytest.mark.parametrize("big", [1e200, -1e200])
+    def test_an_overflowing_offset_is_refused_by_name(self, axis, big):
+        # dy^2 or dt^2 past the float range was a bare OverflowError from the Python float **
+        p = SpacetimePoint(0.0, 0.3, 0.0, 0.0)
+        q = SpacetimePoint(**{"t": 0.0, "x": 0.6, "y": 0.0, "z": 0.0, axis: big})
+        for sign in (-1, 1):
+            with pytest.raises(ValueError, match=re.escape("the image offset dy^2 + dz^2 - dt^2 = ")):
+                image_sum(sign, p, q, G)
+        s, y = (big, 1.0) if axis == "t" else (0.3, big)
+        with pytest.raises(ValueError, match="the image offset .* overflows"):
+            two_point_yy_fd(s, FieldPoint(0.5, y), G)
+
 
 def _former_two_point_yy_closed(s, point, geometry, policy):
     """two_point_yy_closed as it was before each light-cone gap was cubed once: the reference."""
@@ -280,9 +293,11 @@ def _outcome(f, *args):
 class TestTwoPointClosed:
     def test_equals_the_former_form_bit_for_bit(self):
         # a seeded sweep over cutoffs, times and points, with values and refusals compared as text;
-        # s = 2 at y = 0 lies on the first translated light cone and s = 1e308 or y = 1e200 overflow
+        # s = 2 at y = 0 lies on the first translated light cone and s = 1e308 or y = 1e200 overflow.
+        # The former form summed across the cones of images beyond its cutoff: there it gave a value
+        # where the present one refuses, naming an image |n| > N
         rng = np.random.default_rng(15)
-        outcomes = []
+        outcomes, beyond = [], 0
         for _ in range(400):
             n_terms = int(rng.choice([0, 1, 10, 400, 1000]))
             s = float(rng.choice([rng.uniform(0.0, 5.0), rng.uniform(0.0, 0.5), rng.uniform(0.0, 3000.0), 2.0, 1e308]))
@@ -290,10 +305,31 @@ class TestTwoPointClosed:
             y = float(rng.choice([rng.uniform(-3.0, 3.0), rng.uniform(-1e3, 1e3), 0.0, 1e50, 1e200]))
             args = (s, FieldPoint(x=x, y=y), G, TruncationPolicy(n_terms=n_terms))
             outcomes.append(_outcome(two_point_yy_closed, *args))
-            assert outcomes[-1] == _outcome(_former_two_point_yy_closed, *args), args
+            want = _outcome(_former_two_point_yy_closed, *args)
+            if outcomes[-1] != want:
+                with pytest.raises(LightConeProximity) as exc:
+                    two_point_yy_closed(*args)
+                assert abs(exc.value.image_index) > n_terms and ":" not in want, (args, want)
+                beyond += 1
         kinds = [o.split(":")[0] for o in outcomes]
         assert kinds.count("LightConeProximity") > 10 and kinds.count("ValueError") > 10
         assert len(kinds) - kinds.count("LightConeProximity") - kinds.count("ValueError") > 100
+        assert 0 < beyond < 40
+
+    @pytest.mark.parametrize("s, x, y, n_terms, branch, n", [
+        (2400.0, 0.5, 0.0, 1000, "translated", 1200),
+        (2.0, 0.5, 0.0, 0, "translated", 1),
+        (math.sqrt(2.8**2 + 0.25), 0.4, 0.5, 0, "reflected", -1),
+        (math.sqrt(2000.8**2 + 9.0), 0.4, -3.0, 400, "reflected", -1000),
+    ])
+    def test_a_light_cone_beyond_the_cutoff_is_refused(self, s, x, y, n_terms, branch, n):
+        # the image sums diverge there at N = oo; the former form summed across them and returned a value
+        with pytest.raises(LightConeProximity) as exc:
+            two_point_yy_closed(s, FieldPoint(x=x, y=y), G, TruncationPolicy(n_terms=n_terms))
+        assert (exc.value.branch, exc.value.image_index) == (branch, n)
+        assert exc.value.gap < imagesum.GUARD_BAND
+        assert ":" not in _outcome(_former_two_point_yy_closed, s, FieldPoint(x=x, y=y), G,
+                                   TruncationPolicy(n_terms=n_terms))
 
     @pytest.mark.parametrize("s, y", [(1e308, 1.0), (0.3, 1e200), (0.3, 1e100)])
     def test_overflowing_gaps_are_refused(self, s, y):

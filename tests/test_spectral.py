@@ -224,7 +224,7 @@ class TestExactModeSum:
         assert sigma_modes_diag(7.6 / 2.5, 0.3 * 2.5, wide) == pytest.approx(value / 2.5**3, rel=1e-13)
 
     def test_many_x_equal_their_single_calls_bit_for_bit(self):
-        # plates, mirrors a - x, thresholds k pi, omega < pi, and up to 20 modes (numpy sums more than 8 pairwise)
+        # plates, mirrors a - x, thresholds k pi, omega < pi, and up to 20 modes (numpy's sum goes pairwise above 7)
         rng = np.random.default_rng(23)
         for _ in range(60):
             xs = [0.0, G.a, *rng.choice([0.25, 0.5, 0.75], 2).tolist(), *rng.uniform(0.0, G.a, 5).tolist()]
@@ -236,13 +236,13 @@ class TestExactModeSum:
             assert many.shape == (len(xs), omegas.size)
             single = np.array([sigma_modes_diag(omegas, x, G) for x in xs])
             assert np.array_equal(many.view(np.int64), single.view(np.int64))
-            # each (x, omega) is its own sum over the modes' last axis, in the arithmetic of the docstring
+            # each (x, omega) adds its modes one by one in ascending n, in the arithmetic of the docstring
             q = np.arange(1, int(omegas.max() / PI) + 2) * PI
             w = omegas[:, None]
             weight = np.where(q < w, 1.0, np.where(q == w, 0.5, 0.0))
             for x, row in zip(xs, many):
                 s = np.sin(min(x, G.a - x) * q)
-                want = (weight * (s * s) * (w * w + q * q)).sum(axis=1) / (4.0 * PI)
+                want = np.cumsum(weight * (s * s) * (w * w + q * q), axis=1)[:, -1] / (4.0 * PI)
                 assert np.array_equal(row.view(np.int64), want.view(np.int64))
             w = float(omegas[0])
             along = sigma_modes_diag(w, np.array(xs), G)
@@ -251,18 +251,18 @@ class TestExactModeSum:
 
     def test_many_x_at_a_high_omega_are_summed_in_blocks(self, monkeypatch):
         xs = np.linspace(0.0, 1.0, 7).tolist()
-        omegas = np.array([3.0, 40.0, 41.0 * PI])  # 42 modes: blocks of 2 x below
+        omegas = np.array([3.0, 40.0, 41.0 * PI])  # 42 modes: blocks of 10 modes below
         whole = sigma_modes_diag(omegas, xs, G)
         calls = []
 
-        def counting(reach, block, geometry, engine=sp._guided_modes):
-            calls.append(len(block))
-            return engine(reach, block, geometry)
+        def counting(folded, q, engine=sp._sine_squares):
+            calls.append((folded.size, q.size))
+            return engine(folded, q)
 
-        monkeypatch.setattr(sp, "_guided_modes", counting)
-        monkeypatch.setattr(sp, "_WORKING_SET", 2 * 3 * 42)
-        assert np.array_equal(sigma_modes_diag(omegas, xs, G), whole)
-        assert calls == [2, 2, 2, 1]
+        monkeypatch.setattr(sp, "_sine_squares", counting)
+        monkeypatch.setattr(sp, "_WORKING_SET", 7 * 3 * 10)
+        assert sigma_modes_diag(omegas, xs, G).tobytes() == whole.tobytes()
+        assert calls == [(7, 10)] * 4 + [(7, 2)]
 
     def test_invalid_input_is_refused(self):
         with pytest.raises(ValueError):
@@ -391,16 +391,16 @@ class TestOffAxisModeSum:
             return engine(folded, q)
 
         monkeypatch.setattr(sp, "_sine_squares", counting)
-        for block in (sp._WORKING_SET, 7 * 3, 7 * 40, 1):  # one block, 3 or 40 modes a block, one mode
+        for block in (sp._WORKING_SET, 7 * 3, 7 * 40, 1):  # 35 terms a mode: one block, 1 or 8 modes a block, 1 mode
             monkeypatch.setattr(sp, "_WORKING_SET", block)
             for omega, want in cases:
                 sizes.clear()
                 assert sigma_modes(omega, xs, ys, G).tobytes() == want.tobytes()
-                assert max(sizes, default=0) <= max(block, len(xs))
-                assert sum(sizes) == len(xs) * int(omega / PI)  # each guided mode's sines once
+                assert max(sizes) <= max(block, len(xs))
+                assert sum(sizes) == len(xs) * (int(omega / PI) + 1)  # each guided mode's sines, and the next's, once
 
     def test_many_modes_hold_a_block_of_sines_at_a_time(self, monkeypatch):
-        # 6366 guided modes at 41 x: 261 006 sines, in 31 blocks of 199 modes and one of 197
+        # 6366 guided modes and the one above omega at 41 x: 261 047 sines, in 31 blocks of 199 modes and one of 198
         sizes = []
 
         def counting(folded, q, engine=sp._sine_squares):
@@ -409,7 +409,7 @@ class TestOffAxisModeSum:
 
         monkeypatch.setattr(sp, "_sine_squares", counting)
         sigma_modes(2e4, np.linspace(0.0, 1.0, 41).tolist(), [0.0], G)
-        assert sizes == [41 * 199] * 31 + [41 * 197] and max(sizes) <= sp._WORKING_SET
+        assert sizes == [41 * 199] * 31 + [41 * 198] and max(sizes) <= sp._WORKING_SET
 
     def test_the_image_sum_at_large_n_meets_it_off_the_jumps(self):
         # N = 10^5 gaps 2.0e-7, 5.3e-7 and 1.5e-6 of vacuum; N = 1000 gaps 7.7e-5, 1.6e-5, 1.5e-4
