@@ -60,8 +60,11 @@ class TruncationPolicy:
     """Symmetric truncation of the image sums.
 
     ``n_terms`` is the cutoff N: image indices n in [-N, N] are included.
-    Every sum accumulates the +n and -n terms together in ascending |n| and
-    adds the n = 0 term last; this symmetric order is what makes several
+    Two sums still take it: the pointwise densities of ``spectral``
+    (``sigma_yy`` and ``sigma_yy_diag``) and :func:`two_point_yy_closed`;
+    ``image_sum``, the stencil and the lattice sum every image (N = oo).
+    Both accumulate the +n and -n terms together in ascending |n| and add
+    the n = 0 term last; this symmetric order is what makes several
     boundary cancellations exact in floating point.  A numpy integer cutoff
     is stored as an int; one that is not an integer (a bool included), is
     negative or is above MAX_IMAGE_TERMS is refused with a ValueError.
@@ -78,13 +81,6 @@ class TruncationPolicy:
             raise ValueError("cutoff must be nonnegative")
         if self.n_terms > MAX_IMAGE_TERMS:
             raise ValueError(f"cutoff {self.n_terms} exceeds the {MAX_IMAGE_TERMS} image pairs one sum may include")
-
-
-def _raise_near_cone(gaps: np.ndarray, indices: np.ndarray, branch: str) -> None:
-    bad = np.abs(gaps) < GUARD_BAND
-    if np.any(bad):
-        pos = int(np.argmin(np.abs(np.where(bad, gaps, np.inf))))
-        raise LightConeProximity(int(indices[pos]), branch, float(abs(gaps[pos])), GUARD_BAND)
 
 
 _CANONICAL = CavityGeometry(1.0)
@@ -208,41 +204,35 @@ def two_point_yy_closed(
 
     summed pairwise over +-n with the n = 0 term last.  The n = 0, y = 0
     term needs no special handling: A = 0 there and the expression reduces to
-    its analytic limit s^2/s^6 = 1/s^4 with the y^2 part vanishing.  A
-    time separation within the guard band of any image's light cone, beyond
-    the cutoff too (``_nearest_pole``), raises LightConeProximity.
+    its analytic limit s^2/s^6 = 1/s^4 with the y^2 part vanishing.  Before
+    any image array is built, ``_nearest_pole`` finds the nearest light cone
+    over every image n in Z (beyond the cutoff too), translated family
+    first; a time separation within its guard band raises LightConeProximity
+    naming that image (at x = a, where the two families share their cones,
+    the translated one).
     """
     validate_point(point, geometry)
     if not math.isfinite(s):
         raise ValueError(f"time separation s must be finite, got {s!r}")
     N = policy.n_terms
+    s2 = s * s
+    y2 = point.y * point.y
     # every gap s^2 - D^2 is at most s^2 + y^2 + ((N + 1) L)^2 in size and the
     # closed form cubes it: refuse where that overflows rather than return nan
-    reach = s * s + point.y * point.y + ((N + 1) * geometry.L) ** 2
+    reach = s2 + y2 + ((N + 1) * geometry.L) ** 2
     if not math.isfinite(reach * reach * reach):
         raise ValueError(f"time separation s = {s!r} at offset y = {point.y!r}: "
                          "the cubed light-cone gaps s^2 - D^2 overflow")
-    a2, b2_pos, b2_neg, a2_0, b2_0 = _squared_image_distances(point, N, geometry.L)
-    s2 = s * s
-    y2 = point.y * point.y
-
-    dA0 = s2 - a2_0
-    dB0 = s2 - b2_0
-    if abs(dA0) < GUARD_BAND:
-        raise LightConeProximity(0, "translated", abs(dA0), GUARD_BAND)
-    if abs(dB0) < GUARD_BAND:
-        raise LightConeProximity(0, "reflected", abs(dB0), GUARD_BAND)
-    dA = s2 - a2
-    dBp = s2 - b2_pos
-    dBn = s2 - b2_neg
-    idx = np.arange(1, N + 1)
-    _raise_near_cone(dA, idx, "translated")
-    _raise_near_cone(dBp, idx, "reflected")
-    _raise_near_cone(dBn, -idx, "reflected")
     for base, branch in ((0.0, "translated"), (2.0 * point.x, "reflected")):
         n, gap = _nearest_pole(base, y2 - s2, geometry.L)
         if gap < GUARD_BAND:
             raise LightConeProximity(n, branch, gap, GUARD_BAND)
+    a2, b2_pos, b2_neg, a2_0, b2_0 = _squared_image_distances(point, N, geometry.L)
+    dA0 = s2 - a2_0
+    dB0 = s2 - b2_0
+    dA = s2 - a2
+    dBp = s2 - b2_pos
+    dBn = s2 - b2_neg
 
     def per_image(translated, inv_a3, b2v, db3):
         # translated = (A^2 + s^2)/dA^3 and inv_a3 = 1/dA^3 are shared by both

@@ -77,25 +77,17 @@ _EXP_UNDERFLOW = 745.2
 _MAX_OMEGA = 1e100
 
 
-def _series_coefficients(cos_weight: int) -> np.ndarray:
-    """Taylor coefficients in u^2 of sin(u)/u + w cos(u)/u^2 - w sin(u)/u^3.
+def _series_coefficients(sin_weight: int, cos_weight: int) -> np.ndarray:
+    """Taylor coefficients in u^2 of v sin(u)/u + w cos(u)/u^2 - w sin(u)/u^3.
 
-    The m-th is (-1)^m [1/(2m+1)! - w (2m+2)/(2m+3)!], one exact ratio of
+    The m-th is (-1)^m [v/(2m+1)! - w (2m+2)/(2m+3)!], one exact ratio of
     integers whose true division is correctly rounded; with ten terms the
-    truncation error at the splice point is ~1e-26.
+    truncation error at the splice point is ~1e-26.  Q is (v, w) = (1, 1),
+    W is (1, 3) and the vacuum bracket sin(u)/u^3 - cos(u)/u^2 is (0, -1).
     """
     coeffs = []
     for m in range(_SERIES_TERMS):
-        c = ((2 * m + 2) * (2 * m + 3) - cos_weight * (2 * m + 2)) / factorial(2 * m + 3)
-        coeffs.append(c if m % 2 == 0 else -c)
-    return np.asarray(coeffs)
-
-
-def _vacuum_coefficients() -> np.ndarray:
-    """Taylor coefficients in u^2 of sin(u)/u^3 - cos(u)/u^2 (limit 1/3)."""
-    coeffs = []
-    for m in range(_SERIES_TERMS):
-        c = (2 * m + 2) / factorial(2 * m + 3)  # correctly rounded, as for the kernels
+        c = (sin_weight * (2 * m + 2) * (2 * m + 3) - cos_weight * (2 * m + 2)) / factorial(2 * m + 3)
         coeffs.append(c if m % 2 == 0 else -c)
     return np.asarray(coeffs)
 
@@ -130,7 +122,7 @@ def _q_family(k: int):
         out -= k_times_over(s, u2, out=t)
         return out
 
-    return _series_coefficients(k), direct
+    return _series_coefficients(1, k), direct
 
 
 def _vac_direct(u, s, c):
@@ -144,7 +136,7 @@ def _vac_direct(u, s, c):
 
 _Q = _q_family(1)
 _W = _q_family(3)
-_VAC = (_vacuum_coefficients(), _vac_direct)
+_VAC = (_series_coefficients(0, -1), _vac_direct)
 
 
 def _spliced(u, *kernels):

@@ -162,8 +162,9 @@ def _inside_band(omega, delta):
 
 
 def near_discontinuity(omega: float, delta: float = DEFAULT_GUARD) -> bool:
-    """True when ``omega`` (internal units) lies within ``delta`` of n*pi."""
-    return bool(_distance_to_pi_multiple(omega) < delta)
+    """True when ``omega`` (internal units) lies within ``delta`` of n*pi, n >= 1 (no mode starts at 0)."""
+    n = max(round(omega / math.pi, 0), 1.0)  # round(., 0) keeps a nan or an inf, which is near no jump
+    return bool(abs(omega - n * math.pi) < delta)
 
 
 def build_grid(omega_min: float, omega_max: float, count: int, delta: float = DEFAULT_GUARD) -> FrequencyGrid:

@@ -31,12 +31,15 @@ def run(argv):
 
 class TestDensityCommands:
     def test_spectral_diag_flags_sub_cutoff(self, tmp_path, capsys):
-        # below the first cutoff pi/a no mode is guided: the density is exactly 0
+        # below the first cutoff pi/a no mode is guided: the density is exactly 0, and with no
+        # mode threshold at omega = 0 there is no jump to note
         out = tmp_path / "diag.csv"
-        assert run(["spectral-diag", "--omega", "2", "--x", "0.5", "--out", str(out)]) == 0
-        header, row = out.read_text().splitlines()
-        assert header == "omega,x,y,sigma,sub_cutoff"
-        assert row == "2.0,0.5,0.0,0.0,true"
+        for omega in ("2", "1e-4"):
+            assert run(["spectral-diag", "--omega", omega, "--x", "0.5", "--out", str(out)]) == 0
+            header, row = out.read_text().splitlines()
+            assert header == "omega,x,y,sigma,sub_cutoff"
+            assert row == f"{float(omega)!r},0.5,0.0,0.0,true"
+            assert capsys.readouterr().err == ""
 
     def test_density_columns_are_the_contract(self, tmp_path):
         out = tmp_path / "map.csv"

@@ -32,7 +32,6 @@ from cavityspectra.imagesum import (
     GUARD_BAND,
     SpacetimePoint,
     TruncationPolicy,
-    _raise_near_cone,
     image_sum,
     two_point_yy_closed,
     two_point_yy_fd,
@@ -270,6 +269,13 @@ class TestModeBlocks:
         assert peak <= mib * 2**20
 
 
+def _former_raise_near_cone(gaps, indices, branch):
+    bad = np.abs(gaps) < GUARD_BAND
+    if np.any(bad):
+        pos = int(np.argmin(np.abs(np.where(bad, gaps, np.inf))))
+        raise LightConeProximity(int(indices[pos]), branch, float(abs(gaps[pos])), GUARD_BAND)
+
+
 def _former_image_sum(sign, p, q, policy, geometry):
     if sign not in (-1, 1):
         raise ValueError(f"sign must be -1 or +1, got {sign!r}")
@@ -286,8 +292,8 @@ def _former_image_sum(sign, p, q, policy, geometry):
     n = np.arange(1, N + 1, dtype=float)
     d_plus = (base - n * L) ** 2 + offset
     d_minus = (base + n * L) ** 2 + offset
-    _raise_near_cone(d_plus, np.arange(1, N + 1), branch)
-    _raise_near_cone(d_minus, -np.arange(1, N + 1), branch)
+    _former_raise_near_cone(d_plus, np.arange(1, N + 1), branch)
+    _former_raise_near_cone(d_minus, -np.arange(1, N + 1), branch)
     terms = 1.0 / d_plus + 1.0 / d_minus
     total = float(np.cumsum(terms)[-1]) + 1.0 / d0
     return -total / (4.0 * PI**2)

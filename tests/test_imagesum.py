@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,13 @@ class TestImageSum:
             two_point_yy_fd(s, FieldPoint(0.5, y), G)
 
 
+def _former_raise_near_cone(gaps, indices, branch):
+    bad = np.abs(gaps) < imagesum.GUARD_BAND
+    if np.any(bad):
+        pos = int(np.argmin(np.abs(np.where(bad, gaps, np.inf))))
+        raise LightConeProximity(int(indices[pos]), branch, float(abs(gaps[pos])), imagesum.GUARD_BAND)
+
+
 def _former_two_point_yy_closed(s, point, geometry, policy):
     """two_point_yy_closed as it was before each light-cone gap was cubed once: the reference."""
     imagesum.validate_point(point, geometry)
@@ -266,9 +274,9 @@ def _former_two_point_yy_closed(s, point, geometry, policy):
     dBp = s2 - b2_pos
     dBn = s2 - b2_neg
     idx = np.arange(1, N + 1)
-    imagesum._raise_near_cone(dA, idx, "translated")
-    imagesum._raise_near_cone(dBp, idx, "reflected")
-    imagesum._raise_near_cone(dBn, -idx, "reflected")
+    _former_raise_near_cone(dA, idx, "translated")
+    _former_raise_near_cone(dBp, idx, "reflected")
+    _former_raise_near_cone(dBn, -idx, "reflected")
 
     def per_image(a2v, da, b2v, db):
         main = (a2v + s2) / da**3 - (b2v + s2) / db**3
@@ -295,9 +303,11 @@ class TestTwoPointClosed:
         # a seeded sweep over cutoffs, times and points, with values and refusals compared as text;
         # s = 2 at y = 0 lies on the first translated light cone and s = 1e308 or y = 1e200 overflow.
         # The former form summed across the cones of images beyond its cutoff: there it gave a value
-        # where the present one refuses, naming an image |n| > N
+        # where the present one refuses, naming an image |n| > N.  On the plate x = a the two families
+        # share their cones: both forms refuse, the former naming the reflected image n = 0 and the
+        # present one the translated image n = 1 on the same cone
         rng = np.random.default_rng(15)
-        outcomes, beyond = [], 0
+        outcomes, beyond, on_plate = [], 0, 0
         for _ in range(400):
             n_terms = int(rng.choice([0, 1, 10, 400, 1000]))
             s = float(rng.choice([rng.uniform(0.0, 5.0), rng.uniform(0.0, 0.5), rng.uniform(0.0, 3000.0), 2.0, 1e308]))
@@ -309,27 +319,48 @@ class TestTwoPointClosed:
             if outcomes[-1] != want:
                 with pytest.raises(LightConeProximity) as exc:
                     two_point_yy_closed(*args)
+                if x == G.a and want.startswith("LightConeProximity: "):
+                    assert "reflected image light cone at image index n=0 " in want, (args, want)
+                    assert (exc.value.branch, exc.value.image_index) == ("translated", 1), args
+                    on_plate += 1
+                    continue
                 assert abs(exc.value.image_index) > n_terms and ":" not in want, (args, want)
                 beyond += 1
         kinds = [o.split(":")[0] for o in outcomes]
         assert kinds.count("LightConeProximity") > 10 and kinds.count("ValueError") > 10
         assert len(kinds) - kinds.count("LightConeProximity") - kinds.count("ValueError") > 100
-        assert 0 < beyond < 40
+        assert 0 < beyond < 40 and 0 < on_plate < 10
 
     @pytest.mark.parametrize("s, x, y, n_terms, branch, n", [
         (2400.0, 0.5, 0.0, 1000, "translated", 1200),
         (2.0, 0.5, 0.0, 0, "translated", 1),
         (math.sqrt(2.8**2 + 0.25), 0.4, 0.5, 0, "reflected", -1),
         (math.sqrt(2000.8**2 + 9.0), 0.4, -3.0, 400, "reflected", -1000),
+        (2.0, 1.0, 0.0, 1000, "translated", 1),
     ])
-    def test_a_light_cone_beyond_the_cutoff_is_refused(self, s, x, y, n_terms, branch, n):
-        # the image sums diverge there at N = oo; the former form summed across them and returned a value
+    def test_a_light_cone_is_refused_naming_its_nearest_image(self, s, x, y, n_terms, branch, n):
+        # the image sums diverge there at N = oo.  Beyond the cutoff the former form summed across the
+        # cone and returned a value; on the plate x = a it refused, naming the reflected image n = 0
         with pytest.raises(LightConeProximity) as exc:
             two_point_yy_closed(s, FieldPoint(x=x, y=y), G, TruncationPolicy(n_terms=n_terms))
         assert (exc.value.branch, exc.value.image_index) == (branch, n)
         assert exc.value.gap < imagesum.GUARD_BAND
-        assert ":" not in _outcome(_former_two_point_yy_closed, s, FieldPoint(x=x, y=y), G,
-                                   TruncationPolicy(n_terms=n_terms))
+        former = _outcome(_former_two_point_yy_closed, s, FieldPoint(x=x, y=y), G, TruncationPolicy(n_terms=n_terms))
+        if abs(n) > n_terms:
+            assert ":" not in former
+        else:
+            assert "reflected image light cone at image index n=0 " in former
+
+    def test_a_refused_call_builds_no_image_array(self):
+        # the guard runs before the image arrays: at N = 2^20 they would trace about 73 MiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(LightConeProximity):
+                two_point_yy_closed(2.0, FieldPoint(0.5, 0.0), G, TruncationPolicy(2**20))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize("s, y", [(1e308, 1.0), (0.3, 1e200), (0.3, 1e100)])
     def test_overflowing_gaps_are_refused(self, s, y):

@@ -165,3 +165,6 @@ class TestBuildGrid:
         assert near_discontinuity(2.0 * math.pi)
         assert near_discontinuity(math.pi + 5e-4)
         assert not near_discontinuity(math.pi + 0.1)
+        # the modes of E_y start at n = 1: no threshold sits at 0
+        for omega in (0.0, 1e-4, 5e-4, -1e-4):
+            assert not near_discontinuity(omega)
