@@ -155,7 +155,10 @@ def smeared_density(
     N that the LO width sizes (``_SmearedLO.image_terms``, about
     6/(width a)): the terms beyond it are
     bounded below rounding of the scale A^2 width sqrt(pi) sigma_vacuum(omega_lo),
-    so the result is the N = infinity smear.  Both points must share the
+    so the result is the N = infinity smear.  An offset beyond the LO's
+    ``reach`` (about 55/width), where every image's Gaussian factor
+    underflows, gives 0.0 before N is sized, so it needs no image count
+    whatever the width.  Both points must share the
     plate distance x (the closed-form density covers equal-x pairs only;
     that is the geometry of the proposed detector).  ``variance_current``
     takes it for the cross term of diodes at different y; at y = 0
@@ -173,10 +176,10 @@ def smeared_density(
     if pt1.x != pt2.x:
         raise ValueError("smearing requires both points at the same plate distance x")
     lo = _SmearedLO(kernel.omega_lo, kernel.width, kernel.squared_integral())
-    n, y = lo.image_terms(geometry.L), pt2.y - pt1.y
+    y = pt2.y - pt1.y
     if abs(y) > lo.reach:  # every image lies at D >= |y|, beyond the reach, where both smeared kernels are 0
         return 0.0
-    values, _ = _image_sum(lo, pt1.x, np.array([y * y]), n, geometry.L)
+    values, _ = _image_sum(lo, pt1.x, np.array([y * y]), lo.image_terms(geometry.L), geometry.L)
     return float(values[0])
 
 

@@ -270,8 +270,11 @@ class _SmearedLO:
 
         Per unit prefactor that scale is (2/3) omega_lo^3.  The bound is
         nonincreasing in N wherever it is finite, so bisection finds the
-        smallest N once doubling or halving from its estimate 12/(w L), a cost
-        of O(1/w) image terms, brackets it.  An N above MAX_IMAGE_TERMS is refused.
+        smallest N once doubling from its estimate 12/(w L), a cost of O(1/w)
+        image terms, brackets it: between the last N whose bound failed, or 0
+        (whose bound is inf) if the estimate held, and the first N whose bound
+        holds.  Where the estimate held, the bisection's midpoints are the
+        halvings of the estimate until one fails.  An N above MAX_IMAGE_TERMS is refused.
         """
         tol = _ROUNDING * _TWO_THIRDS * self.omega_lo ** 3
         lo, hi = 0, max(1, math.ceil(12.0 / max(self.width * L, 12.0 / MAX_IMAGE_TERMS)))  # capped, also where w L is 0
@@ -280,10 +283,6 @@ class _SmearedLO:
                 raise ValueError(f"the LO is too narrow: its smear would sum more than {MAX_IMAGE_TERMS} "
                                  "image pairs (about 6/(width a))")
             lo, hi = hi, min(2 * hi, MAX_IMAGE_TERMS)
-        if lo == 0:  # the estimate held: down by halving until the bound fails at lo, as it does at 0
-            lo = hi // 2
-            while lo > 0 and self.tail_bound(lo, L) <= tol:
-                lo, hi = lo // 2, lo
         while hi - lo > 1:  # the bound fails at lo and holds at hi
             mid = (lo + hi) // 2
             lo, hi = (mid, hi) if self.tail_bound(mid, L) > tol else (lo, mid)
@@ -315,17 +314,6 @@ class _SmearedLO:
         return out
 
 
-def _image_blocks(n: int, L: float):
-    """(n L, whether last) over blocks of ascending n = 1..N, one empty block at N = 0.
-
-    A block's three image families and the two n = 0 terms fit _WORKING_SET.
-    """
-    step = max(1, (_WORKING_SET - 2) // 3)
-    for lo in range(0, max(n, 1), step):
-        hi = min(n, lo + step)
-        yield np.arange(lo + 1, hi + 1, dtype=float) * L, hi == n
-
-
 def _image_sum(kernels, x: float, y2: np.ndarray, n: int, L: float):
     """Density between (x, 0) and (x, y) at one or more distinct, ascending y^2, summed to |n| = N: (values, errs).
 
@@ -338,34 +326,35 @@ def _image_sum(kernels, x: float, y2: np.ndarray, n: int, L: float):
     subnormal y whose square underflows included) takes the coincident form:
     Q only, at n L, |2x - n L|, 2x + n L and 2x, with Q(0) = ``q0``.  Each
     family is a slice of one kernel array.  The images go in blocks of
-    ascending n (``_image_blocks``, the n = 0 terms with the last); each
-    block's +-n pairs are added by one cumsum seeded with the running total
-    and the n = 0 term comes last, so a sum in many blocks equals one in a
-    single block, bit for bit.  The rows of y^2 go in chunks whose kernel
-    arrays stay within _WORKING_SET, one row each when the images span
-    blocks, so memory is bounded in N.  Every y^2 is finite: a pointwise
-    density refuses an offset whose square overflows, and a smear returns 0
-    for an offset beyond the LO's reach before it sums.
+    ascending n = 1..N, whose three families and the two n = 0 terms fit
+    _WORKING_SET (one empty block at N = 0, the n = 0 terms with the last);
+    each block's +-n pairs are added by one cumsum seeded with the running
+    total and the n = 0 term comes last, so a sum in many blocks equals one
+    in a single block, bit for bit.  The rows of y^2 go in chunks whose
+    kernel arrays stay within _WORKING_SET, one row each when the images
+    span blocks, so memory is bounded in N.  Every y^2 is finite: a
+    pointwise density refuses an offset whose square overflows, and a smear
+    returns 0 for an offset beyond the LO's reach before it sums.
     """
     x2 = 2.0 * x
     on_axis = int(y2[0] == 0.0)
     values, errs = np.empty(y2.size), np.zeros(y2.size)  # values holds the running total until the last block
-    chunks = None
-    for nL, last_block in _image_blocks(n, L):
-        m = nL.size
+    step = max(1, (_WORKING_SET - 2) // 3)
+    per_chunk = max(1, _WORKING_SET // (3 * n + 2)) if n <= step else 1
+    # rows one at a time are indices, with kernel arrays over the images alone, else slices of rows
+    if per_chunk == 1 or y2.size - on_axis == 1:
+        chunks = range(y2.size)
+    else:
+        chunks = [0] * on_axis + [slice(r, r + per_chunk) for r in range(on_axis, y2.size, per_chunk)]
+    for lo in range(0, max(n, 1), step):
+        hi = min(n, lo + step)
+        nL, last_block, m = np.arange(lo + 1, hi + 1, dtype=float) * L, hi == n, hi - lo
         if on_axis:  # n L, |2x - n L| and 2x + n L, then (last block) 2x
             distances = np.concatenate([nL, np.abs(x2 - nL), x2 + nL, [x2] if last_block else []])
         if on_axis < y2.size:
             # (n L)^2, (2x - n L)^2 and (2x + n L)^2, then (last block) 0 and (2x)^2, a Python float power as
             # in the pinned baselines: numpy's x*x differs from it in the last bit for about 1 in 1000 x
             bases = np.concatenate([nL ** 2, (x2 - nL) ** 2, (x2 + nL) ** 2, [0.0, x2 ** 2] if last_block else []])
-        if chunks is None:  # the first block sizes the chunks, a row each if the images span blocks
-            step = max(1, _WORKING_SET // (3 * m + 2)) if last_block else 1
-            # rows one at a time are indices, with kernel arrays over the images alone, else slices of rows
-            if step == 1 or y2.size - on_axis == 1:
-                chunks = range(y2.size)
-            else:
-                chunks = [0] * on_axis + [slice(r, r + step) for r in range(on_axis, y2.size, step)]
         for rows in chunks:
             if on_axis and rows == 0:  # the coincident form
                 (q,), w = kernels.kernels(distances, 1), None
@@ -387,7 +376,7 @@ def _image_sum(kernels, x: float, y2: np.ndarray, n: int, L: float):
                 pairs += w_pairs
             if m:
                 errs[rows] = kernels.pref * abs(pairs[-1])
-                if nL[0] > L:  # a block after the first takes the running total
+                if lo:  # a block after the first takes the running total
                     pairs[0] += values[rows]
                 values[rows] = pairs.cumsum(axis=0)[-1]
             if last_block:
@@ -583,33 +572,15 @@ def sigma_modes_diag(omega, x, geometry: CavityGeometry):
     return values.reshape(values.shape[:1] + arr.shape)
 
 
-#: Edges of the windows in z where exp(-z^2) and erfc(z) vary: math.erfc is
-#: exactly 2.0 below -5.9 and exactly 0.0 above 27.3, where exp(-z^2) is 0.0
-#: as well (it underflows above |z| = 27.298).
-_WINDOW_EDGES = (-27.3, -5.9, 27.3)
+#: Modes of R(1,1) reach z = (q_n - omega_lo)/width = 27.3: above it exp(-z^2)
+#: and math.erfc(z) are both exactly 0.0 (exp(-z^2) underflows above |z| = 27.298).
+_ERFC_REACH = 27.3
 #: sqrt(pi), and the part of pi below math.pi, both correctly rounded.
 _SQRT_PI = 1.772453850905516
 _PI_LO = 1.2246467991473532e-16
 
 
-def _gauss_erfc(z: np.ndarray):
-    """exp(-z^2) and erfc(z) at ascending z, each computed only within its window.
-
-    The windows are slices of z, which ascends: exp(-z^2) for -27.3 < z < 27.3
-    and ``math.erfc`` (the standard library's, as numpy has none) for
-    -5.9 < z < 27.3; outside them both are their exact constants, 0.0 and 2.0
-    or 0.0, so every value is the one the full call would give, bit for bit.
-    """
-    gauss, erfc = np.zeros(z.size), np.zeros(z.size)
-    i_gauss, i_erfc, top = np.searchsorted(z, _WINDOW_EDGES).tolist()
-    inner = z[i_gauss:top]
-    gauss[i_gauss:top] = np.exp(-(inner * inner))
-    erfc[:i_erfc] = 2.0
-    erfc[i_erfc:top] = list(map(math.erfc, z[i_erfc:top].tolist()))
-    return gauss, erfc
-
-
-def smeared_modes_diag(omega_lo: float, width: float, x: float, geometry: CavityGeometry) -> float:
+def smeared_modes_diag(omega_lo: float, width: float, x, geometry: CavityGeometry):
     """LO-smeared coincident-point density from the guided modes, per unit A^2: R(1,1)/A^2 in closed form.
 
     For k^2 = A^2 exp(-(omega - omega_lo)^2/width^2), each mode of
@@ -625,14 +596,16 @@ def smeared_modes_diag(omega_lo: float, width: float, x: float, geometry: Cavity
 
     summed as (width/8 pi a) sum_n sin^2(q_n x) [width (q_n + omega_lo)
     e^{-c^2/width^2} + sqrt(pi) (q_n^2 + omega_lo^2 + width^2/2) erfc(c/width)].
-    The modes reach omega_lo + 27.3 width, the window's edge: beyond it
-    c/width > 27.3, where e^{-c^2/width^2} and erfc(c/width) are both 0.0 in
-    floats, so every later mode adds exactly 0.0 and the sum is the whole sum.
-    The cost is O((omega_lo + 27.3 width) a/pi) modes, with ``math.erfc``
-    called only for -5.9 < c/width < 27.3, where it is neither 2.0 nor 0.0.  c
-    carries the part of n pi/a below the float pi.  The plates give exact zeros
+    The modes reach omega_lo + 27.3 width: beyond it c/width > 27.3, where
+    e^{-c^2/width^2} and erfc(c/width) are both 0.0 in floats, so every later
+    mode adds exactly 0.0 and the sum is the whole sum.  The cost is
+    O((omega_lo + 27.3 width) a/pi) modes, each with one exp and one
+    ``math.erfc`` (the standard library's, as numpy has none).  c carries the
+    part of n pi/a below the float pi.  The plates give exact zeros
     (``_mode_sum`` folds x), and more than MAX_IMAGE_TERMS modes (omega_lo a
     above about 1.39e6 at ``bhd``'s default width omega_lo/20) are refused.
+    Takes a scalar x, which gives a float, or a sequence of them, which gives
+    an array; each element equals its x's own call bit for bit (``_mode_sum``).
 
     This is the image smear of ``bhd.smeared_density`` at y = 0, up to the
     Gaussian's weight below omega = 0, where the image form continues the
@@ -647,13 +620,16 @@ def smeared_modes_diag(omega_lo: float, width: float, x: float, geometry: Cavity
     def terms(s2, q, n):
         c = (q - omega_lo) + n * (_PI_LO / geometry.a)
         with np.errstate(over="ignore"):  # a width below about 1e-308 sends c/width to +-inf, where both are constants
-            gauss, erfc = _gauss_erfc(c / width)
+            z = c / width
+            gauss = np.exp(-(z * z))
+        erfc = np.fromiter(map(math.erfc, z.tolist()), float, z.size)
         bracket = width * (q + omega_lo) * gauss
         bracket += _SQRT_PI * (q * q + omega_lo * omega_lo + 0.5 * width * width) * erfc
         return (s2 * bracket)[:, :, None]
 
-    total = _mode_sum(omega_lo + _WINDOW_EDGES[-1] * width, x, 1, geometry, terms)
-    return float(total[0, 0]) * width / (8.0 * math.pi * geometry.a)
+    values = _mode_sum(omega_lo + _ERFC_REACH * width, x, 1, geometry, terms)[:, 0]
+    values = values * width / (8.0 * math.pi * geometry.a)
+    return float(values[0]) if np.ndim(x) == 0 else values
 
 
 #: Most trapezoid nodes one Bessel argument r may take: r needs floor(r) + 100,

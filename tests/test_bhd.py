@@ -72,6 +72,35 @@ def _former_image_terms(lo, L):
     return hi
 
 
+def _halving_image_terms(lo, L):
+    """_SmearedLO.image_terms as it halved down from an estimate that held before it bisected (a frozen copy)."""
+    tol = sp._ROUNDING * sp._TWO_THIRDS * lo.omega_lo ** 3
+    low, hi = 0, max(1, math.ceil(12.0 / max(lo.width * L, 12.0 / sp.MAX_IMAGE_TERMS)))
+    while lo.tail_bound(hi, L) > tol:
+        if hi >= sp.MAX_IMAGE_TERMS:
+            raise ValueError(f"the LO is too narrow: its smear would sum more than {sp.MAX_IMAGE_TERMS} "
+                             "image pairs (about 6/(width a))")
+        low, hi = hi, min(2 * hi, sp.MAX_IMAGE_TERMS)
+    if low == 0:
+        low = hi // 2
+        while low > 0 and lo.tail_bound(low, L) <= tol:
+            low, hi = low // 2, low
+    while hi - low > 1:
+        mid = (low + hi) // 2
+        low, hi = (mid, hi) if lo.tail_bound(mid, L) > tol else (low, mid)
+    return hi
+
+
+def _search_kernels(seed, count):
+    """README, near-pair and narrow LOs, then a seeded sweep of widths omega_lo/10.5 to /5000."""
+    rng = random.Random(seed)
+    kernels = [README_KERNEL, LOKernel(6.0, 0.03), LOKernel(6.3, 5e-4)]
+    for _ in range(count):
+        omega_lo = rng.uniform(0.5, 40.0)
+        kernels.append(LOKernel(omega_lo, omega_lo / math.exp(rng.uniform(math.log(10.5), math.log(5000.0)))))
+    return kernels
+
+
 def _window(kernel):
     """LO frequency +- 6 widths, beyond which k^2 is below exp(-36) of its peak."""
     return kernel.omega_lo - 6.0 * kernel.width, kernel.omega_lo + 6.0 * kernel.width
@@ -290,6 +319,18 @@ class TestSmearedDensity:
         with pytest.raises(ValueError, match="too narrow"):
             smeared_density(pt, pt, LOKernel(omega_lo=6.3, width=width), G)
 
+    def test_diodes_beyond_the_reach_of_an_lo_too_narrow_for_the_cap_need_no_image_count(self, monkeypatch, capsys):
+        # width 1e-6 would sum about 5.5e6 image pairs, but every image of diodes farther apart
+        # than the reach (about 5.5e7) is 0, so their cross term is 0.0 before any image count
+        kernel = LOKernel(omega_lo=6.0, width=1e-6)
+        above = math.nextafter(sp._SmearedLO(kernel.omega_lo, kernel.width, 1.0).reach, math.inf)
+        monkeypatch.setattr(sp._SmearedLO, "image_terms", lambda *args: pytest.fail("sized N beyond the reach"))
+        for y in (above, -above):
+            assert repr(smeared_density(FieldPoint(0.5, 0.0), FieldPoint(0.5, y), kernel, G)) == "0.0"
+        argv = ["--omega-lo", "6", "--width", "1e-6", "--x1", "0.5", "--y1", "0", "--x2", "0.5", "--y2", "1e9"]
+        assert main(["bhd", *argv]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split(",")[3:5] == ["1.2939576502275608e-05"] * 2
+
     @pytest.mark.parametrize("kernel, x, y", [
         *(pytest.param(README_KERNEL, 0.75, y, id=repr(y)) for y in (0.0, 1.0, 50.0)),
         *(pytest.param(LOKernel(TWO_PI, TWO_PI / 100.0), 0.3, y, id=f"narrow-{y!r}") for y in (0.0, 0.5, 2.0)),
@@ -372,19 +413,22 @@ class TestSmearedDensity:
 
     @pytest.mark.parametrize("L", [G.L, 0.6, 5.0])
     def test_the_search_from_the_estimate_sizes_the_n_of_the_search_from_one(self, L):
-        # README, near-pair and narrow LOs, then a seeded sweep of widths omega_lo/10.5 to /5000
-        rng = random.Random(2808)
-        kernels = [README_KERNEL, LOKernel(6.0, 0.03), LOKernel(6.3, 5e-4)]
-        for _ in range(200):
-            omega_lo = rng.uniform(0.5, 40.0)
-            kernels.append(LOKernel(omega_lo, omega_lo / math.exp(rng.uniform(math.log(10.5), math.log(5000.0)))))
         calls = np.zeros(2, dtype=int)
-        for kernel in kernels:
+        for kernel in _search_kernels(2808, 200):
             lo = sp._SmearedLO(kernel.omega_lo, kernel.width, 1.0)
             now, former = _CountedBound(lo), _CountedBound(lo)
             assert sp._SmearedLO.image_terms(now, L) == _former_image_terms(former, L), kernel
             calls += (now.calls, former.calls)
         assert calls[0] <= 0.7 * calls[1], calls  # the estimate saves tail-bound calls
+
+    @pytest.mark.parametrize("L", [G.L, 0.6, 5.0])
+    def test_the_bisection_makes_the_tail_bound_calls_of_the_halving_search(self, L):
+        # from an estimate that held, the bisection's midpoints are the halvings of the estimate
+        for kernel in _search_kernels(3706, 1000):
+            lo = sp._SmearedLO(kernel.omega_lo, kernel.width, 1.0)
+            now, former = _CountedBound(lo), _CountedBound(lo)
+            assert sp._SmearedLO.image_terms(now, L) == _halving_image_terms(former, L), kernel
+            assert now.calls == former.calls, kernel
 
     @pytest.mark.parametrize("width", [5e-6, 1e-300, 5e-324])
     def test_an_lo_beyond_the_image_cap_is_refused_as_before(self, width):
@@ -504,6 +548,11 @@ def _sweep_los(seed, count):
     return draws
 
 
+#: Edges of the former windows in z: math.erfc is exactly 2.0 below -5.9 and
+#: 0.0 above 27.3, and exp(-z^2) is 0.0 outside +-27.3.
+_WINDOW_EDGES = (-27.3, -5.9, 27.3)
+
+
 def _former_reach(omega_lo, width, a):
     """The reach t, in widths, that a tail bound once gave R(1,1)'s mode sum (a frozen copy).
 
@@ -516,7 +565,7 @@ def _former_reach(omega_lo, width, a):
     """
     log_tol = math.log(sp._ROUNDING * 4.0 * sp._SQRT_PI / (3.0 * PI)) + math.log(a) + 3.0 * math.log(omega_lo)
     delta = PI / a
-    t, t_max = 2.0, sp._WINDOW_EDGES[-1]
+    t, t_max = 2.0, _WINDOW_EDGES[-1]
     while t < t_max:
         c, e = t * width, 2.0 * t * delta / width
         p = width * (2.0 * omega_lo + c) + sp._SQRT_PI * ((omega_lo + c) ** 2 + omega_lo**2 + 0.5 * width * width)
@@ -527,6 +576,31 @@ def _former_reach(omega_lo, width, a):
             return t
         t = min(t_max, max(t + 1e-3, math.sqrt(need)))
     return t
+
+
+def _windowed_modes_diag(omega_lo, width, x, geometry):
+    """smeared_modes_diag as it took exp(-z^2) and erfc(z) only within their windows (a frozen copy).
+
+    The windows are slices of the ascending z = c/width: exp(-z^2) for
+    -27.3 < z < 27.3 and ``math.erfc`` for -5.9 < z < 27.3; outside them both
+    are their constants, 0.0 and 2.0 or 0.0.
+    """
+    def terms(s2, q, n):
+        c = (q - omega_lo) + n * (sp._PI_LO / geometry.a)
+        with np.errstate(over="ignore"):
+            z = c / width
+            gauss, erfc = np.zeros(z.size), np.zeros(z.size)
+            i_gauss, i_erfc, top = np.searchsorted(z, _WINDOW_EDGES).tolist()
+            inner = z[i_gauss:top]
+            gauss[i_gauss:top] = np.exp(-(inner * inner))
+            erfc[:i_erfc] = 2.0
+            erfc[i_erfc:top] = list(map(math.erfc, z[i_erfc:top].tolist()))
+        bracket = width * (q + omega_lo) * gauss
+        bracket += sp._SQRT_PI * (q * q + omega_lo * omega_lo + 0.5 * width * width) * erfc
+        return (s2 * bracket)[:, :, None]
+
+    total = sp._mode_sum(omega_lo + _WINDOW_EDGES[-1] * width, x, 1, geometry, terms)
+    return float(total[0, 0]) * width / (8.0 * math.pi * geometry.a)
 
 
 class TestSmearedModes:
@@ -555,18 +629,27 @@ class TestSmearedModes:
         for x in (0.0, G.a):
             assert smeared_modes_diag(kernel.omega_lo, kernel.width, x, G) == 0.0
 
+    @pytest.mark.parametrize("omega_lo, width", [(6.0, 0.3), (README_KERNEL.omega_lo, README_KERNEL.width),
+                                                 (6.3, 5e-4), (1e4, 500.0)])
+    def test_a_sequence_of_x_gives_each_x_its_own_value(self, omega_lo, width):
+        # 7 x share blocks of 1 170 modes, where one x takes 8 192: the 7 529 modes at 1e4 span several
+        xs = [0.2, 0.4, 0.0, 1e-3, 0.999, 1.0, 0.4]
+        many = smeared_modes_diag(omega_lo, width, xs, G)
+        assert isinstance(many, np.ndarray) and many.shape == (len(xs),)
+        assert [repr(v) for v in many.tolist()] == [repr(smeared_modes_diag(omega_lo, width, x, G)) for x in xs]
+        assert type(smeared_modes_diag(omega_lo, width, 0.2, G)) is float
+
     def test_the_erfc_window_gives_the_bits_of_math_erfc(self):
-        edges = [v for e in sp._WINDOW_EDGES for v in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))]
-        zs = [np.sort(np.concatenate([np.linspace(-40.0, 40.0, 8001), edges, [-1e300, -5.8, 0.0, 27.2, 1e300]]))]
-        for kernel, _ in _random_los(12, 60):  # the arguments of every mode of these LOs
-            count = sp._mode_count(kernel.omega_lo + sp._WINDOW_EDGES[-1] * kernel.width, G)
-            q = np.arange(1, count + 1) * math.pi / G.a
-            zs.append((q - kernel.omega_lo + np.arange(1, q.size + 1) * sp._PI_LO) / kernel.width)
-        for z in zs:
-            gauss, erfc = sp._gauss_erfc(z)
-            assert erfc.tolist() == [math.erfc(v) for v in z.tolist()]
-            with np.errstate(over="ignore"):
-                assert np.array_equal(gauss, np.exp(-(z * z)))
+        # math.erfc and exp at every mode give the bits of the former windows: 3 000 seeded LOs, the
+        # README LO (its mode 1 at z = -10), the near-pair, narrow and wide LOs, and widths down to
+        # 5e-324, where c/width is +-inf
+        draws = [*_sweep_los(15, 3000), (README_KERNEL.omega_lo, README_KERNEL.width, 0.75), (6.0, 0.03, 0.4),
+                 (6.3, 5e-4, 0.4), (1e4, 500.0, 0.5), (40.0, 4.0, 0.3), (100.0, 5.0, 0.3)]
+        draws += [(w0, w, 0.5) for w0 in (3.0, 6.0, 100.0) for w in (1e-300, 1e-310, 5e-324)]
+        below = sum((PI / G.a - w0) / w < _WINDOW_EDGES[1] for w0, w, _ in draws)
+        assert below > 1000  # mode 1 below z = -5.9; every LO's last mode lies above z = 27.3
+        for w0, w, x in draws:
+            assert repr(smeared_modes_diag(w0, w, x, G)) == repr(_windowed_modes_diag(w0, w, x, G)), (w0, w, x)
 
     def test_matches_the_former_tail_bound_sizing_bit_for_bit(self, monkeypatch):
         # the sum beyond omega_lo + t width adds terms that are below rounding or exactly 0.0

@@ -5,7 +5,8 @@ through ``_sigma_yy_values`` (its own loop over x and frequency into
 ``_image_sum``), ``sigma_modes`` as it was before it added its modes by a
 seeded cumsum in blocks (one Python addition per mode, with every mode's
 Bessel values at once), ``smeared_modes_diag`` as it was before it summed
-its modes in blocks (one erfc window over all of them), ``sigma_modes_diag``
+its modes in blocks (one erfc window over all of them, with exp(-z^2) and
+erfc(z) computed only where they are not constants), ``sigma_modes_diag``
 and ``laplace_modes_diag`` as they were before they went through
 ``_mode_sum`` (numpy's pairwise sum over every mode at once), and the per-point
 loops that ``validate`` ran before they became array calls: the stencil's
@@ -113,16 +114,32 @@ def _former_sigma_modes_diag(omega, x, geometry):
     return values.reshape((len(xs),) + arr.shape)
 
 
+#: Edges of the former windows in z: math.erfc is exactly 2.0 below -5.9 and
+#: 0.0 above 27.3, and exp(-z^2) is 0.0 outside +-27.3.
+_WINDOW_EDGES = (-27.3, -5.9, 27.3)
+
+
+def _former_gauss_erfc(z):
+    """exp(-z^2) and erfc(z) at ascending z, each computed only within its window."""
+    gauss, erfc = np.zeros(z.size), np.zeros(z.size)
+    i_gauss, i_erfc, top = np.searchsorted(z, _WINDOW_EDGES).tolist()
+    inner = z[i_gauss:top]
+    gauss[i_gauss:top] = np.exp(-(inner * inner))
+    erfc[:i_erfc] = 2.0
+    erfc[i_erfc:top] = list(map(math.erfc, z[i_erfc:top].tolist()))
+    return gauss, erfc
+
+
 def _former_smeared_modes_diag(omega_lo, width, x, geometry):
     if not 0.0 < omega_lo <= sp._MAX_OMEGA:
         raise ValueError(f"frequencies must be positive and at most {sp._MAX_OMEGA:g}")
     if not (width > 0.0 and math.isfinite(width)):
         raise ValueError("LO width must be positive and finite")
-    q, folded = _former_guided_modes(omega_lo + sp._WINDOW_EDGES[-1] * width, [x], geometry)
+    q, folded = _former_guided_modes(omega_lo + _WINDOW_EDGES[-1] * width, [x], geometry)
     s2 = sp._sine_squares(folded, q)
     c = (q - omega_lo) + np.arange(1, q.size + 1) * (sp._PI_LO / geometry.a)
     with np.errstate(over="ignore"):
-        gauss, erfc = sp._gauss_erfc(c / width)
+        gauss, erfc = _former_gauss_erfc(c / width)
     bracket = width * (q + omega_lo) * gauss
     bracket += sp._SQRT_PI * (q * q + omega_lo * omega_lo + 0.5 * width * width) * erfc
     total = np.cumsum(s2[0] * bracket)[-1]

@@ -476,6 +476,18 @@ class TestTwoPointDensity:
             sigma_yy(6.0, FieldPoint(x=0.5, y=y), G, TruncationPolicy(n_terms=10))
 
 
+def _former_image_blocks(n, L):
+    """(n L, whether last) over blocks of ascending n = 1..N, one empty block at N = 0: the reference's blocks.
+
+    A block's three image families and the two n = 0 terms fit _WORKING_SET
+    (a frozen copy of the generator ``_image_sum`` once looped over).
+    """
+    step = max(1, (sp._WORKING_SET - 2) // 3)
+    for lo in range(0, max(n, 1), step):
+        hi = min(n, lo + step)
+        yield np.arange(lo + 1, hi + 1, dtype=float) * L, hi == n
+
+
 class _PartialSums:
     """Row-wise running total of pairs fed in blocks of ascending |n|, and |last pair|: the reference's."""
 
@@ -517,7 +529,7 @@ def _former_diag_values(omegas, xs, n):
     values, errs = np.empty((2, len(xs), axis.size))
     for i, x2 in enumerate((2.0 * np.asarray(xs, dtype=float)).tolist()):
         sums = None
-        for nL, last_block in sp._image_blocks(n, G.L):
+        for nL, last_block in _former_image_blocks(n, G.L):
             m = nL.size
             distances = np.concatenate([nL, np.abs(x2 - nL), x2 + nL, [x2] if last_block else []])
             if sums is None:
@@ -543,7 +555,7 @@ def _former_off_axis(axis, x, y2, n):
     values, errs = np.empty((2, y2.size, axis.size))
     x2 = 2.0 * x
     sums = {}
-    for nL, last_block in sp._image_blocks(n, G.L):
+    for nL, last_block in _former_image_blocks(n, G.L):
         m = nL.size
         bases = np.concatenate([nL ** 2, (x2 - nL) ** 2, (x2 + nL) ** 2, [0.0, x2 ** 2] if last_block else []])
         if not sums:
@@ -613,7 +625,7 @@ def _former_smear(lo, x, y, n):
     pref = np.array([lo.pref])
     acc = _PartialSums()
     y2, x2 = np.array([y * y]), 2.0 * x
-    for nL, last_block in sp._image_blocks(n, G.L):
+    for nL, last_block in _former_image_blocks(n, G.L):
         m = nL.size
         if y2[0] == 0.0:
             distances = np.concatenate([nL, np.abs(x2 - nL), x2 + nL, [x2] if last_block else []])
