@@ -25,7 +25,6 @@ from .imagesum import (
 from .spectral import (
     SERIES_THRESHOLD,
     SpectralSample,
-    convergence_report,
     laplace_modes_diag,
     q_kernel,
     sigma_modes,
@@ -77,7 +76,6 @@ __all__ = [
     "TruncationPolicy",
     "build_grid",
     "check_balance",
-    "convergence_report",
     "from_internal",
     "image_sum",
     "laplace_modes_diag",

@@ -132,23 +132,6 @@ def _y_grid(ns) -> list[float]:
     return _grid(lo, hi, ns.y_steps, "--y-steps")
 
 
-def _map_rows(omega: float, xs: list[float], ys: list[float]):
-    """sigma_modes over the grid xs x ys: the table of rows (omega, x, y, sigma), x outer and y inner, and the grid."""
-    grid = sigma_modes(omega, xs, ys, _INTERNAL)
-    table = np.column_stack((np.full(grid.size, omega), np.repeat(xs, len(ys)), np.tile(ys, len(xs)), grid.ravel()))
-    return table, grid
-
-
-def _emit_map(ns, table, xs, ys, grid) -> int:
-    omega = float(table[0, 0])
-    _note_discontinuities([omega])
-    _emit(ns, ("omega", "x", "y", "sigma"), table)
-    if ns.svg:
-        from . import svgplot
-        svgplot.render_heatmap(ns.svg, xs, ys, grid.tolist(), title=f"density map, omega={omega:g}")
-    return 0
-
-
 def _slice_rows(omega: float, x: float, ys: list[float], values: np.ndarray):
     """The table of rows (omega, x, y, ratio): the densities at ys over the last of values, the one at y = 0."""
     return np.column_stack(np.broadcast_arrays(omega, x, ys, values[:-1] / values[-1]))
@@ -186,8 +169,15 @@ def cmd_spectral_diag(ns) -> int:
 def cmd_spectral_map(ns) -> int:
     xs = _grid(0.0, 1.0, ns.x_steps, "--x-steps")
     ys = _y_grid(ns)
-    table, grid = _map_rows(ns.omega, xs, ys)
-    return _emit_map(ns, table, xs, ys, grid)
+    grid = sigma_modes(ns.omega, xs, ys, _INTERNAL)
+    # rows (omega, x, y, sigma): x outer, y inner
+    table = np.column_stack((np.full(grid.size, ns.omega), np.repeat(xs, len(ys)), np.tile(ys, len(xs)), grid.ravel()))
+    _note_discontinuities([ns.omega])
+    _emit(ns, ("omega", "x", "y", "sigma"), table)
+    if ns.svg:
+        from . import svgplot
+        svgplot.render_heatmap(ns.svg, xs, ys, grid.tolist(), title=f"density map, omega={ns.omega:g}")
+    return 0
 
 
 def cmd_spectral_slice(ns) -> int:
@@ -226,35 +216,27 @@ FIG2_OMEGA = _TWO_PI - DEFAULT_GUARD
 FIG2_CUTOFF = 500
 
 
-def _fig2_left_rows(x_count=21, y_count=101):
-    """The density over x in [0, a] and y in [-50 a, 50 a]; rows x outer, y inner."""
-    xs = np.linspace(0.0, 1.0, x_count).tolist()
-    ys = np.linspace(-50.0, 50.0, y_count).tolist()
-    table, grid = _map_rows(FIG2_OMEGA, xs, ys)
-    return table, xs, ys, grid
-
-
-def _fig2_right_rows(y_count=201):
+def _fig2_right_rows():
     """The N = FIG2_CUTOFF image sum at x = 3a/4 over y in [-50 a, 50 a], divided by its value at y = 0."""
-    ys = np.linspace(-50.0, 50.0, y_count).tolist()
+    ys = np.linspace(-50.0, 50.0, 201).tolist()
     points = [FieldPoint(x=0.75, y=y) for y in ys + [0.0]]
     values, _ = _sigma_yy_values(np.asarray([_TWO_PI]), points, _INTERNAL, TruncationPolicy(n_terms=FIG2_CUTOFF))
     return _slice_rows(_TWO_PI, 0.75, ys, values[:, 0])
 
 
-def _fig4_left_rows(omega_count=96, x_count=41):
-    omegas = _fig4_omega_grid(omega_count)
-    xs = np.linspace(0.0, 1.0, x_count)
+def _fig4_left_rows():
+    omegas = _fig4_omega_grid(96)
+    xs = np.linspace(0.0, 1.0, 41)
     vac = sigma_vacuum(omegas, 0.0)
     columns = (sigma_modes_diag(omegas, xs, _INTERNAL) - vac) / vac
     # row order: omega outer, x inner
-    table = np.column_stack((np.repeat(omegas, x_count), np.tile(xs, omega_count), columns.T.ravel()))
+    table = np.column_stack((np.repeat(omegas, xs.size), np.tile(xs, omegas.size), columns.T.ravel()))
     return table, omegas, xs, columns
 
 
-def _fig4_right_rows(omega_count=160):
+def _fig4_right_rows():
     """Suppression in dB at x = a/4 and a/2; a row where the density is 0 (omega < pi) has none and is dropped."""
-    omegas = _fig4_omega_grid(omega_count)
+    omegas = _fig4_omega_grid(160)
     xs = (0.25, 0.5)
     ratios = sigma_modes_diag(omegas, xs, _INTERNAL) / sigma_vacuum(omegas, 0.0)
     dbs = {x: [10.0 * math.log10(r) if r > 0.0 else None for r in row] for x, row in zip(xs, ratios.tolist())}
@@ -266,8 +248,9 @@ def cmd_figure(ns) -> int:
     name = ns.name
     ns.out = ns.out or f"{name}.csv"
 
-    if name == "fig2-left":
-        return _emit_map(ns, *_fig2_left_rows())
+    if name == "fig2-left":  # spectral-map --omega FIG2_OMEGA, on the map's default grid
+        spectral_map = _shared_parser().commands["spectral-map"]
+        return cmd_spectral_map(spectral_map.parse_args(["--omega", repr(FIG2_OMEGA)], ns))
     if name == "fig2-right":
         return _emit_slice(ns, _fig2_right_rows())
     if name == "fig4-left":
@@ -317,7 +300,9 @@ def cmd_bhd(ns) -> int:
     if ns.lo_p is not None:
         p = ns.lo_p
     elif ns.y2 != ns.y1:
-        p = math.pi / abs(ns.y2 - ns.y1)  # half-period diode spacing balances the LO
+        # half-period diode spacing balances the LO; a spacing past the float range is halved first, exactly
+        spacing = abs(ns.y2 - ns.y1)
+        p = math.pi / spacing if math.isfinite(spacing) else (0.5 * math.pi) / abs(0.5 * ns.y2 - 0.5 * ns.y1)
     else:
         p = 0.0
     ksq = ns.omega_lo**2 - math.pi**2 - p * p

@@ -255,11 +255,6 @@ def two_point_yy_closed(
     return total / _PI_SQ
 
 
-#: Samples the lattice sum handles at once: its dozen complex temporaries
-#: stay small however many samples a call takes.
-_BLOCK_SAMPLES = 8192
-
-
 def two_point_yy_lattice(
     z2: np.ndarray,
     point: FieldPoint,
@@ -285,23 +280,22 @@ def two_point_yy_lattice(
     and G is exactly 0 on a plate, where beta = 0.  At real z2 = s^2 it is
     the N = oo limit of :func:`two_point_yy_closed`; at z2 = -eps^2 it is the
     Laplace transform of the spectral density (``spectral.laplace_modes_diag``).
+    All samples go through in one pass, each element with its own arithmetic,
+    so a call's result equals its samples' one-sample calls bit for bit.
     """
     y2 = point.y * point.y
     k = math.pi / geometry.L
     q = math.sin(k * math.fmod(2.0 * point.x, geometry.L)) ** 2
-    total = np.empty_like(z2)
-    for start in range(0, z2.size, _BLOCK_SAMPLES):
-        zeta2 = z2[start:start + _BLOCK_SAMPLES] - y2
-        zeta = np.sqrt(zeta2)
-        t = np.reciprocal(np.tan(k * zeta))
-        t2 = t * t
-        e = 1.0 + t2
-        r = np.reciprocal(1.0 - q * e)
-        bracket = (2.0 * k * k) * t * (e + (e + 2.0) * r + 4.0 * t2 * r * r)
-        bracket += k * (e + 2.0 * t2 * r) / zeta
-        bracket += t / zeta2
-        total[start:start + _BLOCK_SAMPLES] = (-0.25 * k * q) * e * r * bracket / zeta
-    return total / _PI_SQ
+    zeta2 = z2 - y2
+    zeta = np.sqrt(zeta2)
+    t = np.reciprocal(np.tan(k * zeta))
+    t2 = t * t
+    e = 1.0 + t2
+    r = np.reciprocal(1.0 - q * e)
+    bracket = (2.0 * k * k) * t * (e + (e + 2.0) * r + 4.0 * t2 * r * r)
+    bracket += k * (e + 2.0 * t2 * r) / zeta
+    bracket += t / zeta2
+    return (-0.25 * k * q) * e * r * bracket / zeta / _PI_SQ
 
 
 def two_point_yy_fd(

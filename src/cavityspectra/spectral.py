@@ -738,21 +738,3 @@ def laplace_modes_diag(eps: float, x, geometry: CavityGeometry):
 
     values = _mode_sum(_LAPLACE_REACH / eps, x, 1, geometry, terms)[:, 0] / (4.0 * math.pi * geometry.a)
     return float(values[0]) if np.ndim(x) == 0 else values
-
-
-def convergence_report(
-    omega: float,
-    point: FieldPoint,
-    geometry: CavityGeometry,
-    n_list: Sequence[int],
-) -> list[SpectralSample]:
-    """Density at a fixed point for increasing cutoffs, for convergence studies.
-
-    Successive differences between rows are expected to shrink; the cli
-    validation command renders this as a table.
-    """
-    if len(n_list) == 0:
-        raise ValueError("cutoff list must be nonempty")
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("cutoff list must be strictly increasing")
-    return [sigma_yy(omega, point, geometry, TruncationPolicy(n_terms=n)) for n in n_list]

@@ -208,17 +208,28 @@ class TestFig2Recipes:
         assert cli.FIG2_OMEGA < 2.0 * math.pi and not near_discontinuity(cli.FIG2_OMEGA)
 
     def test_left_rows_are_the_mode_sum_bit_for_bit(self, tmp_path):
-        table, xs, ys, _ = cli._fig2_left_rows()
+        # the map's default grid: 21 x over [0, a], 101 y over [-50 a, 50 a]
+        xs = np.linspace(0.0, 1.0, 21).tolist()
+        ys = np.linspace(-50.0, 50.0, 101).tolist()
         want = sigma_modes(cli.FIG2_OMEGA, xs, ys, G).tolist()
-        assert (len(xs), len(ys)) == (21, 101)
         rows = [(cli.FIG2_OMEGA, x, y, want[i][j]) for i, x in enumerate(xs) for j, y in enumerate(ys)]
-        assert table.dtype == np.float64 and table.shape == (len(rows), 4)
-        assert np.array_equal(table.view(np.int64), np.array(rows).view(np.int64))
         out = tmp_path / "f2l.csv"
         assert run(["figure", "fig2-left", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "omega,x,y,sigma"
         assert lines[1:] == [",".join(repr(v) for v in row) for row in rows]
+
+    @pytest.mark.parametrize("outputs", [["--out", "{}/rows.csv", "--svg", "{}/map.svg"],
+                                         ["--format", "json", "--out", "{}/rows.json"]])
+    def test_left_writes_the_bytes_of_spectral_map_at_its_frequency(self, outputs, tmp_path):
+        written = []
+        for argv in (["figure", "fig2-left"], ["spectral-map", "--omega", repr(cli.FIG2_OMEGA)]):
+            folder = tmp_path / argv[0]
+            folder.mkdir()
+            assert run([*argv, *(arg.format(folder) for arg in outputs)]) == 0
+            written.append({path.name: path.read_bytes() for path in folder.iterdir()})
+        assert written[0] == written[1]
+        assert len(written[0]) == sum("{}" in arg for arg in outputs) and all(written[0].values())
 
     def test_a_bessel_argument_above_the_node_cap_is_refused_in_one_line(self, monkeypatch, tmp_path, capsys):
         # fig2-left reaches kappa_1 |y| = 50 sqrt(omega^2 - pi^2) = 272.0 (372 nodes); a cap of 300 refuses it
@@ -326,6 +337,7 @@ class TestDetectorAndTwoPoint:
     @pytest.mark.parametrize("argv", [
         ["bhd", "--omega-lo", "2.0", "--x1", "0.5", "--y1", "0", "--x2", "0.5", "--y2", "10"],
         [*BHD_README, "--lo-p", "1e200"],  # finite, beyond the dispersion
+        ["bhd", "--omega-lo", "6", "--x1", "0.5", "--y1", "0", "--x2", "0.5", "--y2", "5e-324"],  # p = pi/5e-324 = inf
     ])
     def test_bhd_below_dispersion_omits_residual(self, argv, tmp_path, capsys):
         out = tmp_path / "bhd.csv"
@@ -349,6 +361,15 @@ class TestDetectorAndTwoPoint:
         assert run([*argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"argument error: {name} must be positive and finite, got {float(value)!r}\n"
         assert not out.exists()
+
+    def test_bhd_balances_diodes_whose_spacing_overflows(self, capsys):
+        # y2 - y1 = 2e308 overflows; the default p is still pi over the true spacing, 1.5707963267948966e-308
+        assert run(["bhd", "--omega-lo", "6", "--x1", "0.5", "--y1", "-1e308", "--x2", "0.5", "--y2", "1e308"]) == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        assert abs(float(row.split(",")[5])) <= 1e-12
+        assert run(["bhd", "--omega-lo", "6", "--x1", "0.5", "--y1", "-1e308", "--x2", "0.5", "--y2", "1e308",
+                    "--lo-p", "1.5707963267948966e-308"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == row
 
     def test_bhd_at_a_wide_lo_prints_the_pinned_row(self, capsys):
         # width 5 against pi/a: R(1,1) sums 76 modes, up to omega_lo + 27.3 width

@@ -503,16 +503,22 @@ class TestLattice:
         got = two_point_yy_lattice(np.array(self.Z2), FieldPoint(x, y), G)
         assert got.tolist() == self.FROZEN[x, y]
 
+    @pytest.mark.parametrize("x, y", list(FROZEN))
+    def test_a_call_equals_its_samples_one_by_one(self, x, y):
+        z2 = (np.linspace(0.0, 30.0, 20_001) - 0.0125j) ** 2
+        whole = np.ascontiguousarray(two_point_yy_lattice(z2, FieldPoint(x, y), G)[::97])
+        ones = np.array([two_point_yy_lattice(z2[i:i + 1], FieldPoint(x, y), G)[0] for i in range(0, z2.size, 97)])
+        assert np.array_equal(whole.view(np.int64), ones.view(np.int64))
+
     @pytest.mark.parametrize("x, y, n_images", [
         (0.3, 0.0, 20), (0.5, 0.0, 20), (0.3, 1.3, 20), (0.5, 1.3, 20), (0.5, 0.0, 200), (0.3, 1.3, 200)])
     def test_closed_form_matches_the_image_sum_within_its_tail_bound(self, x, y, n_images):
-        # 20 001 samples span three evaluation blocks.  Every image the cut
-        # drops lies at |b| >= B = n_images L, one sequence of spacing L per
-        # lattice and side, and bounds its term by h(b) = (b^2 + T)/(b^2 - T)^3
-        # with T = |z2 - y^2| < B^2; h decreases and h <= -d/db b/(b^2 - T)^2,
-        # so each sequence sums to at most h(B) + B/(L (B^2 - T)^2) ~ B^-3.
+        # Every image the cut drops lies at |b| >= B = n_images L, one
+        # sequence of spacing L per lattice and side, and bounds its term by
+        # h(b) = (b^2 + T)/(b^2 - T)^3 with T = |z2 - y^2| < B^2; h decreases
+        # and h <= -d/db b/(b^2 - T)^2, so each sequence sums to at most
+        # h(B) + B/(L (B^2 - T)^2) ~ B^-3.
         z2 = (np.linspace(0.0, 30.0, 20_001) - 0.0125j) ** 2
-        assert z2.size > 2 * imagesum._BLOCK_SAMPLES
         got = two_point_yy_lattice(z2, FieldPoint(x, y), G)
         ref = _term_by_term(z2, x, y, n_images)
         b, t = n_images * G.L, np.abs(z2 - y * y)

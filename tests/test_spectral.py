@@ -17,7 +17,6 @@ from cavityspectra.imagesum import TruncationPolicy, two_point_yy_lattice
 from cavityspectra.spectral import (
     SERIES_THRESHOLD,
     SpectralSample,
-    convergence_report,
     laplace_modes_diag,
     q_kernel,
     sigma_modes,
@@ -1023,25 +1022,29 @@ class TestDerivedQuantities:
             SpectralSample(omega=1.0, value=0.0, err=-1.0, terms=10)
 
 
-class TestConvergenceReport:
+class TestCutoffSequence:
+    """sigma_yy at a fixed point over increasing cutoffs N, as validate check 8 tabulates it."""
+
+    @staticmethod
+    def rows(omega, point, cutoffs):
+        return [sigma_yy(omega, point, G, TruncationPolicy(n_terms=n)) for n in cutoffs]
+
     def test_plate_rows_are_exactly_zero(self):
-        rows = convergence_report(TWO_PI, FieldPoint(0.0, 0.0), G, [10, 100, 1000])
-        assert all(r.value == 0.0 for r in rows)
+        assert all(r.value == 0.0 for r in self.rows(TWO_PI, FieldPoint(0.0, 0.0), [10, 100, 1000]))
 
     def test_single_image_row(self):
         omega, x = TWO_PI, 0.25
-        rows = convergence_report(omega, FieldPoint(x, 0.0), G, [0])
+        (row,) = self.rows(omega, FieldPoint(x, 0.0), [0])
         expected = omega**3 / (4.0 * PI**2) * (2.0 / 3.0 - q_kernel(2.0 * omega * x))
-        assert rows[0].value == pytest.approx(expected, rel=1e-15)
+        assert row.value == pytest.approx(expected, rel=1e-15)
 
     def test_successive_differences_shrink(self):
-        rows = convergence_report(TWO_PI, FieldPoint(0.25, 0.0), G, [100, 1000, 10_000])
+        rows = self.rows(TWO_PI, FieldPoint(0.25, 0.0), [100, 1000, 10_000])
         deltas = [abs(b.value - a.value) for a, b in zip(rows, rows[1:])]
         assert deltas[1] < deltas[0]
         assert [r.terms for r in rows] == [100, 1000, 10_000]
 
-    @pytest.mark.parametrize("n_list", [[], [100, 100], [100.7, 1000], [True, 1000]])
-    def test_cutoff_list_validated(self, n_list):
-        # a float or a bool cutoff reaches TruncationPolicy unconverted, which refuses it
+    @pytest.mark.parametrize("n_terms", [100.7, True])
+    def test_a_float_or_bool_cutoff_is_refused(self, n_terms):
         with pytest.raises(ValueError):
-            convergence_report(TWO_PI, FieldPoint(0.25, 0.0), G, n_list)
+            TruncationPolicy(n_terms=n_terms)
