@@ -6,7 +6,6 @@ from .errors import LightConeProximity, NumericalGuardError
 from .units import (
     CavityGeometry,
     FieldPoint,
-    FrequencyGrid,
     build_grid,
     from_internal,
     near_discontinuity,
@@ -64,7 +63,6 @@ __all__ = [
     "ClassicalComponent",
     "DetectorConfig",
     "FieldPoint",
-    "FrequencyGrid",
     "GUARD_BAND",
     "LOKernel",
     "LOMode",

@@ -198,7 +198,7 @@ def cmd_spectral_slice(ns) -> int:
 # -- figure data -------------------------------------------------------------
 
 def _fig4_omega_grid(count: int):
-    return build_grid(_FOUR_PI / count, _FOUR_PI, count).points
+    return build_grid(_FOUR_PI / count, _FOUR_PI, count)
 
 
 # fig2-left and the fig4 recipes draw from the guided-mode sums as the density

@@ -106,6 +106,20 @@ def _nearest_pole(base: float, offset: float, L: float):
     return n, nearest
 
 
+def _refuse_near_cone(point: FieldPoint, s2: float, L: float) -> None:
+    """Raise LightConeProximity when s^2 lies within GUARD_BAND of the light cone of an image of ``point``.
+
+    ``_nearest_pole`` searches every image n in Z of the translated family
+    (base 0), then of the reflected one (base 2x), so at x = a, where the two
+    share their cones, the translated image is named.
+    """
+    y2 = point.y * point.y
+    for base, branch in ((0.0, "translated"), (2.0 * point.x, "reflected")):
+        n, gap = _nearest_pole(base, y2 - s2, L)
+        if gap < GUARD_BAND:
+            raise LightConeProximity(n, branch, gap, GUARD_BAND)
+
+
 def _lattice_sum(base: float, offset: float, L: float) -> float:
     """S(b, c) = sum over all n in Z of 1/((b - n L)^2 + c), in closed form.
 
@@ -223,10 +237,7 @@ def two_point_yy_closed(
     if not math.isfinite(reach * reach * reach):
         raise ValueError(f"time separation s = {s!r} at offset y = {point.y!r}: "
                          "the cubed light-cone gaps s^2 - D^2 overflow")
-    for base, branch in ((0.0, "translated"), (2.0 * point.x, "reflected")):
-        n, gap = _nearest_pole(base, y2 - s2, geometry.L)
-        if gap < GUARD_BAND:
-            raise LightConeProximity(n, branch, gap, GUARD_BAND)
+    _refuse_near_cone(point, s2, geometry.L)
     a2, b2_pos, b2_neg, a2_0, b2_0 = _squared_image_distances(point, N, geometry.L)
     dA0 = s2 - a2_0
     dB0 = s2 - b2_0
@@ -282,7 +293,13 @@ def two_point_yy_lattice(
     Laplace transform of the spectral density (``spectral.laplace_modes_diag``).
     All samples go through in one pass, each element with its own arithmetic,
     so a call's result equals its samples' one-sample calls bit for bit.
+    Before any arithmetic, every finite real z2 = s^2 goes through the light-cone
+    guard of :func:`two_point_yy_closed`: one within GUARD_BAND of an image's
+    cone raises LightConeProximity naming that image.
     """
+    zs = np.asarray(z2)
+    for s2 in zs[(zs.imag == 0.0) & np.isfinite(zs.real)].real.tolist():
+        _refuse_near_cone(point, s2, geometry.L)
     y2 = point.y * point.y
     k = math.pi / geometry.L
     q = math.sin(k * math.fmod(2.0 * point.x, geometry.L)) ** 2

@@ -30,13 +30,13 @@ from .units import DEFAULT_GUARD, FieldPoint, build_grid
 
 
 def _check_vacuum_diagonal():
-    omegas = build_grid(0.1, _FOUR_PI, 50).points
+    omegas = build_grid(0.1, _FOUR_PI, 50)
     exact = omegas**3 / (6.0 * math.pi**2)
     dev = float(np.max(np.abs(sigma_vacuum(omegas, 0.0) - exact) / exact))
     return dev <= 1e-12, f"max relative deviation {dev:.2e} (tolerance 1e-12)"
 
 def _check_vacuum_embedding():
-    omegas = build_grid(0.5, _FOUR_PI, 20).points
+    omegas = build_grid(0.5, _FOUR_PI, 20)
     ys = np.linspace(0.0, 8.0, 20)[:, None]  # a column of y against the row of omega: the 20x20 grid
     ref = sigma_vacuum(omegas, ys)
     got = sigma_vacuum_from_kernels(omegas, ys)

@@ -42,7 +42,9 @@ evaluated one by one, bit for bit.
 """
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
 from dataclasses import dataclass
 from math import factorial
 from typing import Sequence
@@ -72,6 +74,8 @@ _TWO_THIRDS = 2.0 / 3.0
 _ROUNDING = 2.0**-53
 #: exp(-t) rounds to 0.0 for every t above this (at 745.13 it is the smallest subnormal).
 _EXP_UNDERFLOW = 745.2
+#: u^3 is finite at and below this float cube root of the largest float, which rounds below the true bound.
+_CUBE_MAX = sys.float_info.max ** (1.0 / 3.0)
 #: Largest frequency a density takes: its omega^3 prefactor, at most 1e300,
 #: keeps every density finite (a cube above the largest float would print inf).
 _MAX_OMEGA = 1e100
@@ -149,8 +153,8 @@ def _spliced(u, *kernels):
     """
     arr = np.asarray(u, dtype=float)
     flat = np.atleast_1d(arr)
-    lo = flat.min(initial=math.inf)  # a nan propagates here and fails the check; an empty array passes
-    if not (lo >= 0.0 and flat.max(initial=0.0) < math.inf):
+    lo, hi = flat.min(initial=math.inf), flat.max(initial=0.0)  # a nan fails the check; an empty array passes
+    if not (lo >= 0.0 and hi < math.inf):
         raise ValueError("kernel argument must be finite and nonnegative")
     us2 = None
     if lo < SERIES_THRESHOLD:  # most arrays have no small u, and the series has a fixed cost
@@ -162,7 +166,9 @@ def _spliced(u, *kernels):
     s, c = np.sin(flat), np.cos(flat)
     results = []
     for coeffs, direct in kernels:
-        out = direct(flat, s, c)
+        # above _CUBE_MAX u^3 (and further up u^2) overflows to inf, and the terms over it are exactly 0
+        with np.errstate(over="ignore") if hi > _CUBE_MAX else contextlib.nullcontext():
+            out = direct(flat, s, c)
         if us2 is not None:
             out[small] = _polyval(us2, coeffs)
         results.append(float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape))
@@ -340,12 +346,8 @@ def _image_sum(kernels, x: float, y2: np.ndarray, n: int, L: float):
     on_axis = int(y2[0] == 0.0)
     values, errs = np.empty(y2.size), np.zeros(y2.size)  # values holds the running total until the last block
     step = max(1, (_WORKING_SET - 2) // 3)
-    per_chunk = max(1, _WORKING_SET // (3 * n + 2)) if n <= step else 1
-    # rows one at a time are indices, with kernel arrays over the images alone, else slices of rows
-    if per_chunk == 1 or y2.size - on_axis == 1:
-        chunks = range(y2.size)
-    else:
-        chunks = [0] * on_axis + [slice(r, r + per_chunk) for r in range(on_axis, y2.size, per_chunk)]
+    per_chunk = max(1, _WORKING_SET // (3 * min(n, step) + 2))
+    chunks = [0] * on_axis + [slice(r, r + per_chunk) for r in range(on_axis, y2.size, per_chunk)]
     for lo in range(0, max(n, 1), step):
         hi = min(n, lo + step)
         nL, last_block, m = np.arange(lo + 1, hi + 1, dtype=float) * L, hi == n, hi - lo
@@ -359,10 +361,10 @@ def _image_sum(kernels, x: float, y2: np.ndarray, n: int, L: float):
             if on_axis and rows == 0:  # the coincident form
                 (q,), w = kernels.kernels(distances, 1), None
             else:
-                dist2 = (bases[:, None] if isinstance(rows, slice) else bases) + y2[rows]
+                dist2 = bases[:, None] + y2[rows]
                 q, w = kernels.kernels(np.sqrt(dist2))
                 w /= dist2  # D^2 >= y^2 > 0 for every image, so the W/D^2 terms are regular
-            # ((qa - q_b-) + (qa - q_b+)) + y^2 ((w_b- - wa) + (w_b+ - wa)), over (images[, rows])
+            # ((qa - q_b-) + (qa - q_b+)) + y^2 ((w_b- - wa) + (w_b+ - wa)), over (images, rows)
             qa, pairs, q_bn = q[:m], q[m:2 * m], q[2 * m:3 * m]
             np.subtract(qa, pairs, out=pairs)
             np.subtract(qa, q_bn, out=q_bn)
@@ -728,12 +730,15 @@ def laplace_modes_diag(eps: float, x, geometry: CavityGeometry):
     is the same number (the Laplace sum rule): ``imagesum.two_point_yy_lattice``
     at z^2 = -eps^2, whose n = 0 image alone gives 1/(pi^2 eps^4).  Takes a
     scalar x, which gives a float, or a sequence of them, which gives an
-    array; each row equals its x's own call bit for bit (``_mode_sum``).
+    array; each row equals its x's own call bit for bit (``_mode_sum``).  Where
+    eps pi/a exceeds 745.2 every e^{-eps q_n} is 0.0, and the transform is exactly 0.
     """
     if not (eps > 0.0 and math.isfinite(eps)):
         raise ValueError("the Laplace variable must be positive and finite")
 
     def terms(s2, q, n):
+        if eps * q[0] > _EXP_UNDERFLOW:  # e^{-eps q_n} is 0.0 at every mode of the block, where eps^3 may overflow
+            return np.zeros(s2.shape + (1,))
         return (s2 * np.exp(-eps * q) * (2.0 * q * q / eps + 2.0 * q / eps ** 2 + 2.0 / eps ** 3))[:, :, None]
 
     values = _mode_sum(_LAPLACE_REACH / eps, x, 1, geometry, terms)[:, 0] / (4.0 * math.pi * geometry.a)

@@ -18,7 +18,7 @@ import numpy as np
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 MICRON = 1e-6  # m
 
-#: Default guard distance around multiples of pi for frequency grids.
+#: Guard distance around multiples of pi for frequency grids.
 DEFAULT_GUARD = 1e-3
 
 _UNIT_TAGS = ("length", "frequency", "time")
@@ -122,70 +122,40 @@ def from_internal(value: float, unit: str, geometry: CavityGeometry) -> float:
     return _finite_result(result, value, unit)
 
 
-@dataclass(frozen=True)
-class FrequencyGrid:
-    """Strictly increasing frequencies, none within ``delta`` of a multiple of pi.
-
-    Frequencies are in internal units (omega * a / c), where the cavity
-    spectral density has jump discontinuities at every integer multiple of pi.
-    """
-
-    points: np.ndarray
-    delta: float
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        if pts.ndim != 1 or pts.size < 1:
-            raise ValueError("grid must be a one-dimensional, nonempty sequence")
-        if np.any(np.diff(pts) <= 0.0):
-            raise ValueError("grid points must be strictly increasing")
-        # displaced points sit at distance exactly delta; allow rounding slack
-        if np.any(_inside_band(pts, self.delta)):
-            raise ValueError("grid point inside the guard band around a multiple of pi")
-
-    def __len__(self) -> int:
-        return int(self.points.size)
-
-    def __iter__(self):
-        return iter(self.points.tolist())
-
-
 def _distance_to_pi_multiple(omega):
     k = np.round(np.asarray(omega, dtype=float) / math.pi)
     return np.abs(omega - k * math.pi)
 
 
-def _inside_band(omega, delta):
-    return _distance_to_pi_multiple(omega) < delta * (1.0 - 1e-12)
+def _inside_band(omega):
+    # displaced points sit at distance exactly DEFAULT_GUARD; allow rounding slack
+    return _distance_to_pi_multiple(omega) < DEFAULT_GUARD * (1.0 - 1e-12)
 
 
-def near_discontinuity(omega: float, delta: float = DEFAULT_GUARD) -> bool:
-    """True when ``omega`` (internal units) lies within ``delta`` of n*pi, n >= 1 (no mode starts at 0)."""
+def near_discontinuity(omega: float) -> bool:
+    """True when ``omega`` (internal units) lies within DEFAULT_GUARD of n*pi, n >= 1 (no mode starts at 0)."""
     n = max(round(omega / math.pi, 0), 1.0)  # round(., 0) keeps a nan or an inf, which is near no jump
-    return bool(abs(omega - n * math.pi) < delta)
+    return bool(abs(omega - n * math.pi) < DEFAULT_GUARD)
 
 
-def build_grid(omega_min: float, omega_max: float, count: int, delta: float = DEFAULT_GUARD) -> FrequencyGrid:
-    """Uniform frequency grid with points displaced off multiples of pi.
+def build_grid(omega_min: float, omega_max: float, count: int) -> np.ndarray:
+    """Uniform frequency grid with points displaced off multiples of pi, as a read-only float64 array.
 
-    Any point falling within ``delta`` of an integer multiple of pi is pushed
-    outward to distance exactly ``delta`` (a point sitting exactly on the
-    multiple, including 0, is pushed upward).  Raises ValueError when the
-    requested range is degenerate, not finite or entirely swallowed by one
-    guard band, and when a point cannot leave its band because the floats
-    there are too coarse.
+    Any point falling within DEFAULT_GUARD of an integer multiple of pi is
+    pushed outward to distance exactly DEFAULT_GUARD (a point sitting exactly
+    on the multiple, including 0, is pushed upward).  The points are
+    strictly increasing and none lies inside a guard band.  Raises
+    ValueError when the requested range is degenerate, not finite or
+    entirely swallowed by one guard band, and when a point cannot leave its
+    band because the floats there are too coarse.
     """
     if not (0.0 <= omega_min < omega_max < math.inf):
         raise ValueError(f"need 0 <= omega_min < omega_max, both finite, got [{omega_min!r}, {omega_max!r}]")
     if count < 2:
         raise ValueError("grid needs at least two points")
-    if not (0.0 < delta < math.pi / 4.0):
-        raise ValueError(f"guard offset must lie in (0, pi/4), got {delta!r}")
 
     k_mid = round(0.5 * (omega_min + omega_max) / math.pi)
-    if k_mid * math.pi - delta < omega_min and omega_max < k_mid * math.pi + delta:
+    if k_mid * math.pi - DEFAULT_GUARD < omega_min and omega_max < k_mid * math.pi + DEFAULT_GUARD:
         raise ValueError(
             f"guard band around {k_mid}*pi swallows the range [{omega_min!r}, {omega_max!r}]"
         )
@@ -193,21 +163,22 @@ def build_grid(omega_min: float, omega_max: float, count: int, delta: float = DE
     pts = np.linspace(omega_min, omega_max, count)
     k = np.round(pts / math.pi)
     d = pts - k * math.pi
-    inside = np.abs(d) < delta
-    shift = np.where(d >= 0.0, delta, -delta)
+    inside = np.abs(d) < DEFAULT_GUARD
+    shift = np.where(d >= 0.0, DEFAULT_GUARD, -DEFAULT_GUARD)
     pts = np.where(inside, k * math.pi + shift, pts)
     # k*pi + shift can round to just inside the band when ulp(k*pi) exceeds
-    # the slack (k >= 11 at delta = 1e-3), or onto k*pi itself when it
-    # exceeds 2 delta: step such points outward an ulp, each step moving them
-    # away from k*pi, or refuse the grid where a step cannot
-    short = _inside_band(pts, delta)
+    # the slack (k >= 11), or onto k*pi itself when it exceeds twice the
+    # guard: step such points outward an ulp, each step moving them away
+    # from k*pi, or refuse the grid where a step cannot
+    short = _inside_band(pts)
     while np.any(short):
         stepped = np.where(short, np.nextafter(pts, np.copysign(np.inf, shift)), pts)
         if not np.all(_distance_to_pi_multiple(stepped[short]) > _distance_to_pi_multiple(pts[short])):
             raise ValueError(f"the floats near {float(pts[short][0])!r} are too coarse to keep a point "
-                             f"{delta!r} away from a multiple of pi")
+                             f"{DEFAULT_GUARD!r} away from a multiple of pi")
         pts = stepped
-        short = _inside_band(pts, delta)
+        short = _inside_band(pts)
     if np.any(np.diff(pts) <= 0.0):
         raise ValueError("guard displacement produced a non-increasing grid")
-    return FrequencyGrid(points=pts, delta=delta)
+    pts.setflags(write=False)
+    return pts

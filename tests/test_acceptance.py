@@ -29,7 +29,7 @@ def _report(number: int, name: str, ok: bool, detail: str) -> bool:
 
 
 def test_criterion_01_vacuum_diagonal():
-    omegas = build_grid(4.0 * PI / 50.0, FOUR_PI, 50).points
+    omegas = build_grid(4.0 * PI / 50.0, FOUR_PI, 50)
     worst = 0.0
     for omega in omegas:
         exact = float(omega) ** 3 / (6.0 * PI**2)
@@ -40,7 +40,7 @@ def test_criterion_01_vacuum_diagonal():
 
 
 def test_criterion_02_vacuum_embedding():
-    omegas = build_grid(0.5, FOUR_PI, 20).points
+    omegas = build_grid(0.5, FOUR_PI, 20)
     ys = np.linspace(0.0, 8.0, 20)
     worst = 0.0
     for omega in omegas:

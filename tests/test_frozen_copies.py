@@ -485,7 +485,7 @@ class TestValidateLoops:
 
 
 def _former_check_vacuum_embedding():
-    omegas = build_grid(0.5, _FOUR_PI, 20).points
+    omegas = build_grid(0.5, _FOUR_PI, 20)
     worst = 0.0
     for y in np.linspace(0.0, 8.0, 20).tolist():
         ref = _former_sigma_vacuum(omegas, y)

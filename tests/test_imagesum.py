@@ -540,6 +540,25 @@ class TestLattice:
         mirror = two_point_yy_lattice(z2, FieldPoint(G.a - x, y), G)
         assert np.max(np.abs(mirror - got) / np.abs(got)) <= 1e-13
 
+    @pytest.mark.parametrize("s2, x, y, image", [
+        (4.0, 0.5, 0.0, (1, "translated")),  # s = L
+        (0.36, 0.3, 0.0, (0, "reflected")),  # s = 2x
+        (5.0, 0.5, 1.0, (1, "translated")),  # s^2 = L^2 + y^2
+        (2.0, 0.5, 1.0, (0, "reflected")),  # s^2 = (2x)^2 + y^2
+    ])
+    def test_a_real_time_on_an_image_light_cone_is_refused_by_index_and_branch(self, s2, x, y, image):
+        # the lattice returned -5.3e46 and -3.7e47 at the first two, where two_point_yy_closed refuses
+        point = FieldPoint(x, y)
+        with pytest.raises(LightConeProximity) as closed:
+            two_point_yy_closed(math.sqrt(s2), point, G, TruncationPolicy(n_terms=10))
+        assert (closed.value.image_index, closed.value.branch) == image
+        off_axis = [-s2 + 0j, (0.3 - 0.01j) ** 2, s2 + 1e-9j]  # imaginary times and a time off the real axis
+        for z2 in (s2, np.array([*off_axis, s2 + 0j])):
+            with pytest.raises(LightConeProximity) as exc:
+                two_point_yy_lattice(z2, point, G)
+            assert (exc.value.image_index, exc.value.branch) == image
+        assert np.all(np.isfinite(two_point_yy_lattice(np.array(off_axis), point, G)))
+
     @pytest.mark.parametrize("s, x, y", [(0.3, 0.35, 1.1), (0.55, 0.25, 1.2), (3.3, 0.3, 0.4)])
     def test_at_real_time_it_is_the_untruncated_closed_form(self, s, x, y):
         lattice = two_point_yy_lattice(np.array([s * s + 0j]), FieldPoint(x, y), G)[0]

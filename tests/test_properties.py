@@ -113,7 +113,7 @@ def test_smeared_density_scale_covariance(lam, x, y):
 def test_truncated_density_is_positive_above_cutoff():
     # the exact density is a positive measure; above the cavity cutoff the
     # truncated sum may undershoot by at most the reported estimate
-    grid = build_grid(PI + 0.05, 4.0 * PI, 40).points
+    grid = build_grid(PI + 0.05, 4.0 * PI, 40)
     for policy in (TruncationPolicy(n_terms=500), TruncationPolicy(n_terms=1000)):
         for omega in grid:
             for x in np.linspace(0.05, 0.95, 7):

@@ -73,6 +73,22 @@ class TestKernels:
             for y in (0.0, 0.3, 1.7):
                 assert np.array_equal(sigma_vacuum(omegas, y), [sigma_vacuum(float(w), y) for w in omegas])
 
+    @pytest.mark.parametrize("call, limit", [
+        (lambda: q_kernel(1e103), math.sin(1e103) / 1e103 + math.cos(1e103) / 1e206),
+        (lambda: sigma_vacuum(1.0, 1e103), (1.0 / (2.0 * PI**2)) * -(math.cos(1e103) / 1e206)),
+        (lambda: sigma_vacuum_from_kernels(1.0, 1e103), None),
+        (lambda: sigma_yy(6.0, FieldPoint(0.5, 1e150), G, TruncationPolicy(n_terms=10)).value, None),
+    ], ids=["q_kernel", "sigma_vacuum", "sigma_vacuum_from_kernels", "sigma_yy"])
+    def test_an_argument_whose_cube_overflows_gives_the_limit_without_a_warning(self, call, limit):
+        # u^3 overflows to inf in the direct forms above u = 5.6e102, and the s/u^3 term is exactly 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = call()
+        if limit is not None:
+            assert value == limit
+        else:  # the densities fall as 1/(omega y)^2: far below the coincident vacuum density
+            assert abs(value) <= 1e-200 * sigma_vacuum(6.0, 0.0)
+
     def test_negative_argument_rejected(self):
         with pytest.raises(ValueError):
             q_kernel(-0.1)
@@ -124,14 +140,14 @@ class TestVacuumDensity:
     def test_embedding_matches_closed_form(self):
         # the n = 0 translated term of the cavity sum must equal the
         # free-space density essentially to machine precision
-        for omega in build_grid(0.5, 4 * PI, 12).points:
+        for omega in build_grid(0.5, 4 * PI, 12):
             for y in np.linspace(0.0, 8.0, 12):
                 ref = sigma_vacuum(float(omega), float(y))
                 got = sigma_vacuum_from_kernels(float(omega), float(y))
                 assert got == pytest.approx(ref, rel=1e-12)
 
     def test_embedding_over_a_frequency_array_equals_scalar_calls(self):
-        omegas = build_grid(0.5, 4 * PI, 20).points
+        omegas = build_grid(0.5, 4 * PI, 20)
         for y in (0.0, 1e-3, 0.4, 8.0):
             got, ref = sigma_vacuum_from_kernels(omegas, y), sigma_vacuum(omegas, y)
             assert got.tolist() == [sigma_vacuum_from_kernels(float(w), y) for w in omegas]
@@ -281,6 +297,14 @@ class TestExactModeSum:
         for eps in (1e-5, 1e-310):  # the reach 60/eps is inf at 1e-310
             with pytest.raises(ValueError, match="guided modes exceed the 1048576"):
                 laplace_modes_diag(eps, 0.5, G)
+
+    @pytest.mark.parametrize("eps", [1e103, 1e300, 238.0])
+    def test_a_laplace_variable_beyond_the_underflow_of_every_decay_gives_exact_zeros(self, eps):
+        # eps pi/a > 745.2: e^{-eps q_n} is 0.0 at every mode, and eps^3 overflows from about 5.6e102 on
+        assert laplace_modes_diag(eps, 0.5, G) == 0.0
+        assert laplace_modes_diag(eps, [0.0, 0.3, 1.0], G).tolist() == [0.0, 0.0, 0.0]
+        with pytest.raises(ValueError, match="outside the cavity strip"):
+            laplace_modes_diag(eps, 1.5, G)
 
     @pytest.mark.parametrize("x", [1e-3, 0.1, 0.25, 0.5, 0.75, 0.97, 1.0 - 1e-3])
     def test_laplace_sum_rule(self, x):
