@@ -60,8 +60,9 @@ class LOKernel:
             raise ValueError("kernel must be sharply concentrated: width <= omega_lo/10")
 
     def __call__(self, omega):
-        d = (np.asarray(omega, dtype=float) - self.omega_lo) / self.width
-        return self.amplitude * np.exp(-0.5 * d * d)
+        with np.errstate(over="ignore"):  # a d past about 1.3e154 squares to inf, where the profile is exactly 0.0
+            d = (np.asarray(omega, dtype=float) - self.omega_lo) / self.width
+            return self.amplitude * np.exp(-0.5 * d * d)
 
     def squared_integral(self) -> float:
         """Closed form of integral k(omega)^2 domega for the Gaussian profile."""

@@ -1,8 +1,8 @@
 """Command-line interface: density grids, figure data, detector predictions.
 
 Outputs are deterministic: fixed evaluation order and shortest round-trip
-float formatting.  CSV is the contract; JSON mirrors it and SVG renderings
-are a convenience.  A float grid (a map, a slice, a figure) reaches the
+float formatting.  CSV is the contract and JSON mirrors it; no command
+renders a plot.  A float grid (a map, a slice, a figure) reaches the
 writers as one table, formatted column by column; the other outputs, whose
 cells include ints, bools or empty cells, are formatted cell by cell.
 
@@ -18,9 +18,9 @@ names a command once, with that command's own parser, so a usage error
 names the command; any other line goes to the top-level parser.  A flag
 is read only when spelt in full, and one given twice is an argument error.
 Every option comes from the command line; there is no option file.  A
-command imports the modules only it uses (the detector, json, the SVG
-renderer, the ``oracle`` checks that ``validate`` prints) when it runs, so
-each launch loads only what it runs.
+command imports the modules only it uses (the detector, json, the
+``oracle`` checks that ``validate`` prints) when it runs, so each launch
+loads only what it runs.
 """
 from __future__ import annotations
 
@@ -96,12 +96,10 @@ def _emit(ns, header, rows) -> None:
         sys.stdout.write(text)
 
 
-def _note_discontinuities(omegas) -> None:
-    flagged = sorted({float(w) for w in np.atleast_1d(omegas) if near_discontinuity(w)})
-    if flagged:
-        listed = ", ".join(f"{w:g}" for w in flagged)
+def _note_discontinuities(omega: float) -> None:
+    if near_discontinuity(omega):
         print(
-            f"note: omega in {{{listed}}} lies within {DEFAULT_GUARD:g} of a spectral "
+            f"note: omega in {{{omega:g}}} lies within {DEFAULT_GUARD:g} of a spectral "
             "discontinuity at n*pi; the threshold mode weighs 1/2",
             file=sys.stderr,
         )
@@ -109,11 +107,9 @@ def _note_discontinuities(omegas) -> None:
 
 # -- argument plumbing -------------------------------------------------------
 
-def _add_output(p: argparse.ArgumentParser, include_svg: bool = False) -> None:
+def _add_output(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output file (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    if include_svg:
-        p.add_argument("--svg", help="also render a simple SVG to this path")
 
 
 # -- density commands --------------------------------------------------------
@@ -138,13 +134,8 @@ def _slice_rows(omega: float, x: float, ys: list[float], values: np.ndarray):
 
 
 def _emit_slice(ns, table) -> int:
-    omega, x = table[0, :2].tolist()
-    _note_discontinuities([omega])
+    _note_discontinuities(float(table[0, 0]))
     _emit(ns, ("omega", "x", "y", "ratio"), table)
-    if ns.svg:
-        from . import svgplot
-        svgplot.render_line_plot(ns.svg, table[:, 2].tolist(), [table[:, 3].tolist()], labels=("ratio",),
-                                 title=f"normalized density, x={x:g}, omega={omega:g}")
     return 0
 
 
@@ -155,14 +146,10 @@ def _emit_slice(ns, table) -> int:
 def cmd_spectral_diag(ns) -> int:
     xs = [float(ns.x)] if ns.x is not None else _grid(0.0, 1.0, ns.x_steps, "--x-steps")
     values = sigma_modes_diag(ns.omega, xs, _INTERNAL).tolist()
-    _note_discontinuities([ns.omega])
+    _note_discontinuities(ns.omega)
     sub = bool(ns.omega < math.pi)
     rows = [(ns.omega, x, 0.0, v, sub) for x, v in zip(xs, values)]
     _emit(ns, ("omega", "x", "y", "sigma", "sub_cutoff"), rows)
-    if ns.svg:
-        from . import svgplot
-        svgplot.render_line_plot(ns.svg, xs, [values], labels=("sigma",),
-                                 title=f"diagonal density, omega={ns.omega:g}")
     return 0
 
 
@@ -172,11 +159,8 @@ def cmd_spectral_map(ns) -> int:
     grid = sigma_modes(ns.omega, xs, ys, _INTERNAL)
     # rows (omega, x, y, sigma): x outer, y inner
     table = np.column_stack((np.full(grid.size, ns.omega), np.repeat(xs, len(ys)), np.tile(ys, len(xs)), grid.ravel()))
-    _note_discontinuities([ns.omega])
+    _note_discontinuities(ns.omega)
     _emit(ns, ("omega", "x", "y", "sigma"), table)
-    if ns.svg:
-        from . import svgplot
-        svgplot.render_heatmap(ns.svg, xs, ys, grid.tolist(), title=f"density map, omega={ns.omega:g}")
     return 0
 
 
@@ -230,18 +214,17 @@ def _fig4_left_rows():
     vac = sigma_vacuum(omegas, 0.0)
     columns = (sigma_modes_diag(omegas, xs, _INTERNAL) - vac) / vac
     # row order: omega outer, x inner
-    table = np.column_stack((np.repeat(omegas, xs.size), np.tile(xs, omegas.size), columns.T.ravel()))
-    return table, omegas, xs, columns
+    return np.column_stack((np.repeat(omegas, xs.size), np.tile(xs, omegas.size), columns.T.ravel()))
 
 
 def _fig4_right_rows():
-    """Suppression in dB at x = a/4 and a/2; a row where the density is 0 (omega < pi) has none and is dropped."""
+    """Suppression in dB at x = a/4 and a/2; a frequency where a density is 0 (omega < pi) has none and is dropped."""
     omegas = _fig4_omega_grid(160)
-    xs = (0.25, 0.5)
-    ratios = sigma_modes_diag(omegas, xs, _INTERNAL) / sigma_vacuum(omegas, 0.0)
-    dbs = {x: [10.0 * math.log10(r) if r > 0.0 else None for r in row] for x, row in zip(xs, ratios.tolist())}
-    table = np.column_stack([omegas] + [np.array(dbs[x], dtype=float) for x in xs])  # None reads as nan
-    return table[(ratios > 0.0).all(axis=0)], omegas, dbs
+    ratios = sigma_modes_diag(omegas, (0.25, 0.5), _INTERNAL) / sigma_vacuum(omegas, 0.0)
+    kept = (ratios > 0.0).all(axis=0)
+    # math.log10 per element: numpy's log10 is not known to give the same bits
+    dbs = [[10.0 * math.log10(r) for r in row] for row in ratios[:, kept].tolist()]
+    return np.column_stack([omegas[kept], *dbs])
 
 
 def cmd_figure(ns) -> int:
@@ -254,22 +237,9 @@ def cmd_figure(ns) -> int:
     if name == "fig2-right":
         return _emit_slice(ns, _fig2_right_rows())
     if name == "fig4-left":
-        table, omegas, xs, columns = _fig4_left_rows()
-        _emit(ns, ("omega", "x", "normdiff"), table)
-        if ns.svg:
-            from . import svgplot
-            svgplot.render_heatmap(ns.svg, xs.tolist(), omegas.tolist(),
-                                   [c.tolist() for c in columns],
-                                   title="normalized difference vs (x, omega)")
-        return 0
-    # fig4-right
-    table, omegas, dbs = _fig4_right_rows()
-    _emit(ns, ("omega_over_c_per_a", "db_x025", "db_x05"), table)
-    if ns.svg:
-        from . import svgplot
-        svgplot.render_line_plot(ns.svg, omegas.tolist(), [dbs[0.25], dbs[0.5]],
-                                 labels=("x=0.25a", "x=0.5a"),
-                                 title="suppression of vacuum fluctuations [dB]")
+        _emit(ns, ("omega", "x", "normdiff"), _fig4_left_rows())
+    else:
+        _emit(ns, ("omega_over_c_per_a", "db_x025", "db_x05"), _fig4_right_rows())
     return 0
 
 
@@ -371,25 +341,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=float, required=True, help="frequency in c/a units")
     p.add_argument("--x", type=float, help="single evaluation point (units of a)")
     p.add_argument("--x-steps", type=int, default=21, help="grid size over [0, a] when --x is absent")
-    _add_output(p, include_svg=True)
+    _add_output(p)
 
     p = command("spectral-map", "two-point density over the (x, y) plane")
     p.add_argument("--omega", type=float, default=_TWO_PI)
     p.add_argument("--x-steps", type=int, default=21)
     p.add_argument("--y-range", type=float, nargs=2, default=(-50.0, 50.0), metavar=("YMIN", "YMAX"))
     p.add_argument("--y-steps", type=int, default=101)
-    _add_output(p, include_svg=True)
+    _add_output(p)
 
     p = command("spectral-slice", "density normalized by its coincident value, over y")
     p.add_argument("--omega", type=float, default=_TWO_PI)
     p.add_argument("--x", type=float, default=0.75)
     p.add_argument("--y-range", type=float, nargs=2, default=(-50.0, 50.0), metavar=("YMIN", "YMAX"))
     p.add_argument("--y-steps", type=int, default=201)
-    _add_output(p, include_svg=True)
+    _add_output(p)
 
     p = command("figure", "reproduce a bundled figure data set")
     p.add_argument("name", choices=("fig2-left", "fig2-right", "fig4-left", "fig4-right"))
-    _add_output(p, include_svg=True)
+    _add_output(p)
 
     p = command("twopoint", "closed-form two-point function at time separation s")
     p.add_argument("--s", type=float, required=True)

@@ -293,12 +293,16 @@ def two_point_yy_lattice(
     Laplace transform of the spectral density (``spectral.laplace_modes_diag``).
     All samples go through in one pass, each element with its own arithmetic,
     so a call's result equals its samples' one-sample calls bit for bit.
-    Before any arithmetic, every finite real z2 = s^2 goes through the light-cone
+    Before any arithmetic, a sample with an infinite or nan part raises
+    ValueError naming it, and every real z2 = s^2 goes through the light-cone
     guard of :func:`two_point_yy_closed`: one within GUARD_BAND of an image's
     cone raises LightConeProximity naming that image.
     """
     zs = np.asarray(z2)
-    for s2 in zs[(zs.imag == 0.0) & np.isfinite(zs.real)].real.tolist():
+    bad = zs[~np.isfinite(zs)].tolist()
+    if bad:
+        raise ValueError(f"squared time z2 = {bad[0]!r} is not finite")
+    for s2 in zs[zs.imag == 0.0].real.tolist():
         _refuse_near_cone(point, s2, geometry.L)
     y2 = point.y * point.y
     k = math.pi / geometry.L

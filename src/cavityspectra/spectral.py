@@ -731,15 +731,23 @@ def laplace_modes_diag(eps: float, x, geometry: CavityGeometry):
     at z^2 = -eps^2, whose n = 0 image alone gives 1/(pi^2 eps^4).  Takes a
     scalar x, which gives a float, or a sequence of them, which gives an
     array; each row equals its x's own call bit for bit (``_mode_sum``).  Where
-    eps pi/a exceeds 745.2 every e^{-eps q_n} is 0.0, and the transform is exactly 0.
+    eps pi/a exceeds 745.2 every e^{-eps q_n} is 0.0, and the transform is exactly 0;
+    so it is where eps exceeds _CUBE_MAX, as the transform, of order
+    1/(pi^2 eps^4), lies below 1e-400 there.  A transform beyond the largest
+    float, at eps below about 1e-77 a, is refused.
     """
     if not (eps > 0.0 and math.isfinite(eps)):
         raise ValueError("the Laplace variable must be positive and finite")
 
     def terms(s2, q, n):
-        if eps * q[0] > _EXP_UNDERFLOW:  # e^{-eps q_n} is 0.0 at every mode of the block, where eps^3 may overflow
+        if eps > _CUBE_MAX or eps * q[0] > _EXP_UNDERFLOW:  # every term is 0.0, where eps^3 may overflow
             return np.zeros(s2.shape + (1,))
-        return (s2 * np.exp(-eps * q) * (2.0 * q * q / eps + 2.0 * q / eps ** 2 + 2.0 / eps ** 3))[:, :, None]
+        # a float64 eps^3 that underflows to 0.0 divides to inf, which is refused below
+        moments = 2.0 * q * q / eps + 2.0 * q / eps ** 2 + 2.0 / np.float64(eps ** 3)
+        return (s2 * np.exp(-eps * q) * moments)[:, :, None]
 
-    values = _mode_sum(_LAPLACE_REACH / eps, x, 1, geometry, terms)[:, 0] / (4.0 * math.pi * geometry.a)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        values = _mode_sum(_LAPLACE_REACH / eps, x, 1, geometry, terms)[:, 0] / (4.0 * math.pi * geometry.a)
+    if not np.isfinite(values).all():
+        raise ValueError(f"the Laplace transform at eps = {eps!r} lies beyond the largest float")
     return float(values[0]) if np.ndim(x) == 0 else values

@@ -153,6 +153,15 @@ class TestKernel:
         numeric = np.trapezoid(k(om) ** 2, om)
         assert k.squared_integral() == pytest.approx(numeric, rel=1e-12)
 
+    def test_far_from_the_lo_the_profile_is_exactly_zero_without_a_warning(self):
+        # there (omega - omega_lo)/width squares to inf, which warned of an overflow in multiply
+        k = LOKernel(6.0, 0.3)
+        got = k(np.array([6.0, 6.9, 1e300, -1e300]))
+        d = (np.array([6.0, 6.9]) - 6.0) / 0.3
+        assert got[:2].tobytes() == np.exp(-0.5 * d * d).tobytes() and got[2:].tolist() == [0.0, 0.0]
+        config = DetectorConfig(FieldPoint(0.5, 0.0), FieldPoint(0.5, 2.0))
+        assert mean_current(config, k, [ClassicalComponent(frequency=1e300, amplitude1=1.0, amplitude2=0.0)]) == 0.0
+
     def test_concentration_enforced(self):
         with pytest.raises(ValueError):
             LOKernel(omega_lo=10.0, width=1.5)

@@ -190,11 +190,9 @@ class TestFigureCommands:
             if w < math.pi - 0.01:  # the sub-cutoff plateau, with a margin below the jump
                 assert nd == pytest.approx(-1.0, abs=0.01)
 
-    def test_fig2_right_svg_smoke(self, tmp_path, capsys):
+    def test_fig2_right_header_and_jump_note(self, tmp_path, capsys):
         out = tmp_path / "f2r.csv"
-        svg = tmp_path / "f2r.svg"
-        assert run(["figure", "fig2-right", "--out", str(out), "--svg", str(svg)]) == 0
-        assert svg.read_text().startswith("<svg")
+        assert run(["figure", "fig2-right", "--out", str(out)]) == 0
         assert out.read_text().splitlines()[0] == "omega,x,y,ratio"
         err = capsys.readouterr().err
         assert err.startswith("note: omega in {6.28319}") and err.count("\n") == 1  # the jump note alone
@@ -219,7 +217,7 @@ class TestFig2Recipes:
         assert lines[0] == "omega,x,y,sigma"
         assert lines[1:] == [",".join(repr(v) for v in row) for row in rows]
 
-    @pytest.mark.parametrize("outputs", [["--out", "{}/rows.csv", "--svg", "{}/map.svg"],
+    @pytest.mark.parametrize("outputs", [["--out", "{}/rows.csv"],
                                          ["--format", "json", "--out", "{}/rows.json"]])
     def test_left_writes_the_bytes_of_spectral_map_at_its_frequency(self, outputs, tmp_path):
         written = []
@@ -240,6 +238,12 @@ class TestFig2Recipes:
         assert err.startswith("argument error: kappa |y| = 272.012 at omega = 6.28219: ")
         assert "more than 300 trapezoid nodes (every |y| up to 31.8 a fits)" in err
         assert err.count("\n") == 1 and not out.exists()
+
+
+def _fig4_left_axes(table):
+    """The frequencies and plate distances of the fig4-left table, whose rows run over omega outer, x inner."""
+    xs = table[table[:, 0] == table[0, 0], 1]
+    return table[::xs.size, 0], xs
 
 
 class TestFig4Recipes:
@@ -271,7 +275,8 @@ class TestFig4Recipes:
         assert calls == [shape] and sines == [(shape[0], m) for m in blocks]
 
     def test_left_rows_are_the_mode_sum_bit_for_bit(self):
-        table, omegas, xs, _ = cli._fig4_left_rows()
+        table = cli._fig4_left_rows()
+        omegas, xs = _fig4_left_axes(table)
         vac = sigma_vacuum(omegas, 0.0)
         want = [((sigma_modes_diag(omegas, x, G) - vac) / vac).tolist() for x in xs.tolist()]
         rows = [(w, x, want[i][j]) for j, w in enumerate(omegas.tolist()) for i, x in enumerate(xs.tolist())]
@@ -279,7 +284,9 @@ class TestFig4Recipes:
         assert np.array_equal(table.view(np.int64), np.array(rows).view(np.int64))
 
     def test_the_image_sum_at_large_n_meets_the_rows_off_the_jumps(self):
-        rows, omegas, xs, columns = cli._fig4_left_rows()
+        table = cli._fig4_left_rows()
+        omegas, xs = _fig4_left_axes(table)
+        columns = table[:, 2].reshape(omegas.size, xs.size).T
         picks = [9, 30, 55, 84]  # omega near 1.3, 4.0, 7.3 and 11.1: clear of every n pi
         assert all(abs(w - round(w / math.pi) * math.pi) > 0.1 for w in omegas[picks])
         cols = [10, 20, 30, 39]  # x = a/4, a/2, 3a/4 and 0.975 a
@@ -289,7 +296,9 @@ class TestFig4Recipes:
         assert gap.max() <= 2e-5
 
     def test_more_images_close_the_gap_at_the_guard_point_below_pi(self):
-        _, omegas, xs, columns = cli._fig4_left_rows()
+        table = cli._fig4_left_rows()
+        omegas, xs = _fig4_left_axes(table)
+        columns = table[:, 2].reshape(omegas.size, xs.size).T
         j = int(np.argmin(np.abs(omegas - (math.pi - 1e-3))))
         assert abs(omegas[j] - (math.pi - 1e-3)) < 1e-12
         w, vac = omegas[j:j + 1], sigma_vacuum(omegas[j], 0.0)
@@ -410,7 +419,7 @@ class TestPlumbing:
         ([*BHD_README, "--y2=1"], "--y2"),
         (["spectral-diag", "--omega", "5.0", "--format", "json", "--x", "0.5", "--format", "csv"], "--format"),
         (["spectral-map", "--y-range", "0", "1", "--y-range", "0", "2"], "--y-range"),
-        (["figure", "fig2-left", "--svg", "a.svg", "--svg=b.svg"], "--svg"),
+        (["figure", "fig2-left", "--format", "csv", "--format=json"], "--format"),
     ])
     def test_a_flag_given_twice_is_one_argument_error_that_names_it(self, argv, flag, tmp_path, capsys):
         out = tmp_path / "o.csv"
@@ -462,11 +471,11 @@ class TestPlumbing:
         ["spectral-diag", "--omega", "5.0", "--x", "2"],
         ["twopoint", "--s", "0.3", "--x", "0.4", "--n-terms", "-3"],
         ["spectral-map", "--x-steps", "0"],
-        ["spectral-map", "--y-steps", "0", "--svg", "SVG"],
-        ["spectral-slice", "--y-steps", "0", "--svg", "SVG"],
-        ["spectral-diag", "--omega", "5.0", "--x-steps", "0", "--svg", "SVG"],
+        ["spectral-map", "--y-steps", "0"],
+        ["spectral-slice", "--y-steps", "0"],
+        ["spectral-diag", "--omega", "5.0", "--x-steps", "0"],
         ["spectral-slice", "--x", "0", "--y-steps", "3"],
-        ["spectral-slice", "--x", "1", "--y-steps", "3", "--svg", "SVG"],
+        ["spectral-slice", "--x", "1", "--y-steps", "3"],
         ["spectral-diag", "--omega", "-1e-3", "--x", "0.5"],  # reaches the value check
         ["bhd", "--omega-lo", "6.3", "--width", "1e-9", "--x1", "0.4", "--y1", "0",
          "--x2", "0.4", "--y2", "0.7"],  # an LO too narrow to smear
@@ -485,15 +494,15 @@ class TestPlumbing:
         ["spectral-slice", "--x", "0.5", "--y-range", "1e200", "1e200", "--y-steps", "1"],
         ["spectral-map", "--omega", "6", "--y-range", "1e160", "1e160", "--x-steps", "2", "--y-steps", "1"],
         # high frequencies: kappa |y| = 250 000 on the default grid, and more than 2^20 modes
-        ["spectral-map", "--omega", "5000", "--svg", "SVG"],
-        ["spectral-diag", "--omega", "4e6", "--x", "0.5", "--svg", "SVG"],
+        ["spectral-map", "--omega", "5000"],
+        ["spectral-diag", "--omega", "4e6", "--x", "0.5"],
         [*BHD_README, "--y1", "-inf"],  # read as a value, not as a flag
         # grid ranges with an infinite bound or a span that overflows
-        ["spectral-map", "--y-range", "0", "inf", "--x-steps", "2", "--y-steps", "2", "--svg", "SVG"],
+        ["spectral-map", "--y-range", "0", "inf", "--x-steps", "2", "--y-steps", "2"],
         ["spectral-slice", "--y-range", "-1.7e308", "1.7e308", "--y-steps", "3"],
         ["spectral-map", "--y-range", "-inf", "5"],
         # a slice whose coincident density vanishes: below the first cutoff, or next to a plate
-        ["spectral-slice", "--omega", "2", "--y-steps", "3", "--svg", "SVG"],
+        ["spectral-slice", "--omega", "2", "--y-steps", "3"],
         ["spectral-slice", "--x", "1e-200", "--y-steps", "3"],
         # an LO whose smear at y = 0 would sum more than 2^20 guided modes
         ["bhd", "--omega-lo", "4e6", "--x1", "0.5", "--y1", "0", "--x2", "0.5", "--y2", "1"],
@@ -507,13 +516,12 @@ class TestPlumbing:
     ])
     @pytest.mark.filterwarnings("error")  # a warning would print lines of its own outside the test
     def test_invalid_values_exit_two_with_one_line(self, argv, tmp_path, capsys):
-        out, svg = tmp_path / "out.csv", tmp_path / "out.svg"
-        argv = [str(svg) if a == "SVG" else a for a in argv] + ["--out", str(out)]
-        assert run(argv) == 2
+        out = tmp_path / "out.csv"
+        assert run(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("argument error: ")
         assert err.count("\n") == 1 and len(err.encode()) < 200
-        assert not out.exists() and not svg.exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
         (["spectral-diag", "--omega", "3", "--x-steps", "a"], "argument --x-steps: invalid int value: 'a'"),
@@ -563,11 +571,20 @@ class TestPlumbing:
         [*BHD_README, "--n-terms", "5"],
         [*BHD_README, "--accelerate"],
         [*BHD_README, "--t0", "1.7"],
+        # CSV is the figure contract: no command renders a plot
+        ["spectral-diag", "--omega", "5.0", "--x", "0.5", "--svg", "d.svg"],
+        ["spectral-map", "--x-steps", "2", "--y-steps", "2", "--svg", "m.svg"],
+        ["spectral-slice", "--y-steps", "3", "--svg", "s.svg"],
+        ["figure", "fig2-right", "--svg", "f.svg"],
     ])
     def test_flags_a_command_does_not_read_are_usage_errors(self, argv, tmp_path, capsys):
         out = tmp_path / "out.csv"
         assert run(argv + ["--out", str(out)]) == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        # the first flag the command does not read opens the arguments argparse names
+        dests = cli.build_parser().commands[argv[0]].dests
+        first = next((i for i, a in enumerate(argv) if a.startswith("--") and a not in dests), len(argv))
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert f"cavityspectra {argv[0]}: error: unrecognized arguments: {' '.join(argv[first:])}" in last
         assert not out.exists()
 
     def test_a_sequence_of_calls_prints_what_each_call_prints_alone(self, capsys):
@@ -710,7 +727,7 @@ class TestOneParse:
         ["spectral-diag", "--omega", "5.0", "--x", "0.5"],
         ["spectral-diag", "--omega", "5.0", "--x-steps=4"],  # a flag and its value in one token
         ["spectral-diag", "--omega", "5.0", "--format", "csv"],
-        ["spectral-map", "--omega", "5", "--y-range", "-5e-05", "50", "--y-steps", "3", "--svg", "m.svg"],
+        ["spectral-map", "--omega", "5", "--y-range", "-5e-05", "50", "--y-steps", "3"],
         ["spectral-slice", "--x", "0.3", "--y-range", "-2", "-1e-1", "--format", "json"],
         ["figure", "fig4-left", "--out", "f.csv"],
         ["twopoint", "--s", "0.3", "--x", "0.4", "--y", "-8e-1", "--n-terms", "7"],
@@ -790,7 +807,7 @@ class TestLeanImport:
         code = ("import sys; import cavityspectra.cli as c; c.build_parser(); "
                 "print(' '.join(m for m in sys.argv[1:] if m in sys.modules))")
         lazy = ["fractions", "decimal", "numpy.polynomial", "json",
-                "cavityspectra.bhd", "cavityspectra.oracle", "cavityspectra.svgplot"]
+                "cavityspectra.bhd", "cavityspectra.oracle"]
         done = subprocess.run([sys.executable, "-c", code, *lazy], env=env, capture_output=True,
                               text=True, timeout=60, check=True)
         assert done.stdout.split() == []

@@ -559,6 +559,14 @@ class TestLattice:
             assert (exc.value.image_index, exc.value.branch) == image
         assert np.all(np.isfinite(two_point_yy_lattice(np.array(off_axis), point, G)))
 
+    @pytest.mark.parametrize("z2", [math.inf, math.nan, complex(-math.inf, 0.0), complex(1.0, math.inf)])
+    def test_a_sample_that_is_not_finite_is_refused_by_name(self, z2):
+        # inf warned in tan, nan came back as nan, and the complex two warned in multiply
+        point = FieldPoint(0.5, 0.0)
+        for samples in ([z2], [0.25, z2]):
+            with pytest.raises(ValueError, match=re.escape(f"squared time z2 = {z2!r} is not finite")):
+                two_point_yy_lattice(np.array(samples), point, G)
+
     @pytest.mark.parametrize("s, x, y", [(0.3, 0.35, 1.1), (0.55, 0.25, 1.2), (3.3, 0.3, 0.4)])
     def test_at_real_time_it_is_the_untruncated_closed_form(self, s, x, y):
         lattice = two_point_yy_lattice(np.array([s * s + 0j]), FieldPoint(x, y), G)[0]

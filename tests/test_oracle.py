@@ -81,8 +81,8 @@ def _a_shallow_dip(monkeypatch):
     fig4 = oracle._fig4_right_rows
 
     def clipped():
-        table, *rest = fig4()
-        return (np.column_stack((table[:, 0], np.maximum(table[:, 1:], -2.0))), *rest)
+        table = fig4()
+        return np.column_stack((table[:, 0], np.maximum(table[:, 1:], -2.0)))
 
     monkeypatch.setattr(oracle, "_fig4_right_rows", clipped)
 

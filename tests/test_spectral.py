@@ -306,6 +306,20 @@ class TestExactModeSum:
         with pytest.raises(ValueError, match="outside the cavity strip"):
             laplace_modes_diag(eps, 1.5, G)
 
+    @pytest.mark.parametrize("eps", [1e103, 1e150, 1e160, 1e200, 1e300])
+    def test_a_laplace_variable_above_the_cube_root_of_the_largest_float_gives_exact_zeros(self, eps):
+        # at a = eps, eps pi/a = pi keeps every decay finite: eps^3 overflowed from about 5.6e102 on, eps^2 from 1.3e154
+        geometry = CavityGeometry(eps)
+        assert laplace_modes_diag(eps, 0.5 * eps, geometry) == 0.0
+        assert laplace_modes_diag(eps, [0.0, 0.3 * eps, eps], geometry).tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("eps", [1e-78, 1e-110])
+    def test_a_laplace_transform_beyond_the_largest_float_is_refused(self, eps):
+        # about 1/(pi^2 eps^4) at a = eps: 9.76e306 at 1e-77, past the largest float at 1e-78; eps^3 is 0.0 at 1e-110
+        assert repr(laplace_modes_diag(1e-77, 0.5e-77, CavityGeometry(1e-77))) == "9.764602900721415e+306"
+        with pytest.raises(ValueError, match=re.escape(f"the Laplace transform at eps = {eps!r} lies beyond")):
+            laplace_modes_diag(eps, 0.5 * eps, CavityGeometry(eps))
+
     @pytest.mark.parametrize("x", [1e-3, 0.1, 0.25, 0.5, 0.75, 0.97, 1.0 - 1e-3])
     def test_laplace_sum_rule(self, x):
         # integral sigma e^{-eps omega} d omega is the correlation at s = -i eps,
@@ -946,7 +960,7 @@ class TestWorkingSet:
         "fig2-right": lambda: cli._fig2_right_rows(),
         "smear-width-5e-4": lambda: [smeared_density(FieldPoint(0.4, 0.0), FieldPoint(0.4, y), LOKernel(6.3, 5e-4), G)
                                      for y in (0.0, 0.7)],
-        "fig4-left": lambda: cli._fig4_left_rows()[0],
+        "fig4-left": lambda: cli._fig4_left_rows(),
         "off-axis-modes": lambda: sigma_modes(TWO_PI - 1e-3, [0.75], np.linspace(-50.0, 50.0, 41).tolist(), G),
     }
 
@@ -1022,7 +1036,7 @@ class TestDerivedQuantities:
 
     def test_suppression_matches_the_ratio(self):
         # every fig4-right value is 10 log10 of the exact coincident density over vacuum
-        rows, omegas, _ = cli._fig4_right_rows()
+        rows = cli._fig4_right_rows()
         assert len(rows) > 100
         for omega, d025, d05 in rows:
             for x, db in ((0.25, d025), (0.5, d05)):
@@ -1033,13 +1047,13 @@ class TestDerivedQuantities:
         policy = TruncationPolicy(n_terms=1000)
         assert sigma_yy_diag(2.0, 0.5, G, policy).value / sigma_vacuum(2.0, 0.0) == pytest.approx(-5.4e-4, abs=2e-4)
         # fig4-right has no dB value where the exact density is 0 (below pi), and drops the row
-        rows, omegas, dbs = cli._fig4_right_rows()
+        rows = cli._fig4_right_rows()
+        omegas = cli._fig4_omega_grid(160).tolist()
         for x in (0.25, 0.5):
-            for omega, db in zip(omegas.tolist(), dbs[x]):
-                assert (db is None) == (sigma_modes_diag(omega, x, G) <= 0.0)
-        dropped = [w for j, w in enumerate(omegas) if dbs[0.25][j] is None or dbs[0.5][j] is None]
-        assert dropped == [w for w in omegas.tolist() if w < PI] and len(dropped) == 39
-        assert len(rows) == len(omegas) - len(dropped)
+            assert [w for w in omegas if sigma_modes_diag(w, x, G) <= 0.0] == [w for w in omegas if w < PI]
+        # the table drops exactly the 39 grid frequencies below pi, and each row it keeps holds two dB values
+        assert rows[:, 0].tolist() == [w for w in omegas if w > PI] and len(omegas) - len(rows) == 39
+        assert not np.isnan(rows).any()
 
     def test_sample_validation(self):
         with pytest.raises(ValueError):
