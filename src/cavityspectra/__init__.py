@@ -14,11 +14,8 @@ from .units import (
 )
 from .imagesum import (
     GUARD_BAND,
-    SpacetimePoint,
     TruncationPolicy,
-    image_sum,
     two_point_yy_closed,
-    two_point_yy_fd,
     two_point_yy_lattice,
 )
 from .spectral import (
@@ -69,13 +66,11 @@ __all__ = [
     "LightConeProximity",
     "NumericalGuardError",
     "SERIES_THRESHOLD",
-    "SpacetimePoint",
     "SpectralSample",
     "TruncationPolicy",
     "build_grid",
     "check_balance",
     "from_internal",
-    "image_sum",
     "laplace_modes_diag",
     "mean_current",
     "mode_field_components",
@@ -91,7 +86,6 @@ __all__ = [
     "smeared_modes_diag",
     "to_internal",
     "two_point_yy_closed",
-    "two_point_yy_fd",
     "two_point_yy_lattice",
     "validate_point",
     "variance_current",

@@ -2,16 +2,13 @@
 
 The ground-state correlation of the transverse (y) electric-field component
 between two perfectly conducting plates at x = 0 and x = a is built from sums
-over mirror images spaced by the period L = 2a.  Two routes are provided:
-
-* a closed form for the equal-x two-point function, with image distances
-  A_n = sqrt((nL)^2 + y^2) (translated copies) and
-  B_n = sqrt((2x - nL)^2 + y^2) (reflected copies), truncated at real time
-  separations and summed over the whole image lattice (N = oo) at complex
-  ones;
-* the scalar image sums themselves, over the whole lattice in closed form,
-  plus a finite-difference Laplacian (d^2/dx^2 + d^2/dz^2), which serves as
-  an independent cross-check of the lattice.
+over mirror images spaced by the period L = 2a.  Its closed form for the
+equal-x two-point function has image distances A_n = sqrt((nL)^2 + y^2)
+(translated copies) and B_n = sqrt((2x - nL)^2 + y^2) (reflected copies); it
+is truncated at real time separations and summed over the whole image
+lattice (N = oo) at complex squared times.  The lattice's cross-check is the
+guided-mode sum of ``spectral``: its Laplace transform at complex eps is the
+lattice at z^2 = -eps^2.
 
 Everything operates in internal units (c = 1).  Evaluations near a pole of
 the correlation function (time separation on an image light cone) raise
@@ -21,7 +18,6 @@ meaningless huge number.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +28,6 @@ from .units import CavityGeometry, FieldPoint, validate_point
 #: Refuse to evaluate when a squared pole separation is closer than this.
 GUARD_BAND = 1e-6
 
-_FOUR_PI_SQ = 4.0 * math.pi**2
 _PI_SQ = math.pi**2
 
 #: Most image pairs one sum may include: a density holds a few floats per
@@ -41,31 +36,16 @@ MAX_IMAGE_TERMS = 2**20
 
 
 @dataclass(frozen=True)
-class SpacetimePoint:
-    """Event (t, x, y, z) in internal units."""
-
-    t: float
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        for name in ("t", "x", "y", "z"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"coordinate {name} must be finite")
-
-
-@dataclass(frozen=True)
 class TruncationPolicy:
     """Symmetric truncation of the image sums.
 
     ``n_terms`` is the cutoff N: image indices n in [-N, N] are included.
-    Two sums still take it: the pointwise densities of ``spectral``
-    (``sigma_yy`` and ``sigma_yy_diag``) and :func:`two_point_yy_closed`;
-    ``image_sum``, the stencil and the lattice sum every image (N = oo).
-    Both accumulate the +n and -n terms together in ascending |n| and add
-    the n = 0 term last; this symmetric order is what makes several
-    boundary cancellations exact in floating point.  A numpy integer cutoff
+    Two sums still take it, while the lattice sums every image (N = oo):
+    the pointwise densities of ``spectral`` (``sigma_yy`` and
+    ``sigma_yy_diag``) and :func:`two_point_yy_closed`.  Both accumulate the
+    +n and -n terms together in ascending |n| and add the n = 0 term last;
+    this symmetric order is what makes several boundary cancellations exact
+    in floating point.  A numpy integer cutoff
     is stored as an int; one that is not an integer (a bool included), is
     negative or is above MAX_IMAGE_TERMS is refused with a ValueError.
     """
@@ -81,9 +61,6 @@ class TruncationPolicy:
             raise ValueError("cutoff must be nonnegative")
         if self.n_terms > MAX_IMAGE_TERMS:
             raise ValueError(f"cutoff {self.n_terms} exceeds the {MAX_IMAGE_TERMS} image pairs one sum may include")
-
-
-_CANONICAL = CavityGeometry(1.0)
 
 
 def _nearest_pole(base: float, offset: float, L: float):
@@ -118,77 +95,6 @@ def _refuse_near_cone(point: FieldPoint, s2: float, L: float) -> None:
         n, gap = _nearest_pole(base, y2 - s2, L)
         if gap < GUARD_BAND:
             raise LightConeProximity(n, branch, gap, GUARD_BAND)
-
-
-def _lattice_sum(base: float, offset: float, L: float) -> float:
-    """S(b, c) = sum over all n in Z of 1/((b - n L)^2 + c), in closed form.
-
-    S has period L in b, so b is taken as base's remainder modulo L.  With
-    k = pi/L, the Mittag-Leffler expansion of cot (DLMF 4.22.3) sums it as
-
-        c > 0:  (k/g) coth(k g) / (1 + (sin(k b)/sinh(k g))^2),  g = sqrt(c),
-                written through e = exp(-2 k g) and 1 - e = -expm1(-2 k g)
-                as (k/g) (1 - e)(1 + e) / ((1 - e)^2 + 4 e sin^2(k b)),
-                so that neither a huge nor a tiny c overflows;
-        c < 0:  (k/2a) sin(2 k a) / (sin(k (b - a)) sin(k (b + a))),  a = sqrt(-c),
-                whose sines keep their product under a -> a + L (two of
-                them change sign), so a enters them modulo L;
-        c = 0:  k^2 / sin^2(k b).
-
-    A timelike row exactly on a pole gives inf in place of a division by
-    zero: where the spacing of floats near |c| exceeds the guard band (|c| of
-    about 1e10 and more), the rounded gap of that pole can lie outside it.
-    """
-    k = math.pi / L
-    b = math.remainder(base, L)
-    if offset > 0.0:
-        g = math.sqrt(offset)
-        e, one_minus_e = math.exp(-2.0 * k * g), -math.expm1(-2.0 * k * g)
-        sine = math.sin(k * b)
-        return (k / g) * one_minus_e * (1.0 + e) / (one_minus_e * one_minus_e + 4.0 * e * sine * sine)
-    if offset < 0.0:
-        alpha = math.sqrt(-offset)
-        ar = math.remainder(alpha, L)
-        poles = math.sin(k * (b - ar)) * math.sin(k * (b + ar))
-        return (0.5 * k / alpha) * math.sin(2.0 * k * ar) / poles if poles else math.inf
-    sine = math.sin(k * b)
-    return k * k / (sine * sine)
-
-
-def image_sum(
-    sign: int,
-    p: SpacetimePoint,
-    q: SpacetimePoint,
-    geometry: CavityGeometry = _CANONICAL,
-) -> float:
-    """Scalar image sum over the whole image lattice (N = oo).
-
-    ``sign=-1`` sums the translated images (relative x coordinate enters) and
-    ``sign=+1`` the reflected ones (the x coordinates add):
-
-        -(1/4 pi^2) * sum_n 1 / ((p.x + sign*q.x - n L)^2 + dy^2 + dz^2 - dt^2),  n in Z,
-
-    in closed form (``_lattice_sum``), one O(1) evaluation whatever the
-    offset.  Coordinates are in internal units; the default geometry is the
-    canonical a = 1 (image period L = 2).  Raises LightConeProximity, naming
-    the image, when the nearest of all the lattice's poles lies inside the
-    guard band, and a ValueError when p.x + sign*q.x or the offset
-    dy^2 + dz^2 - dt^2 overflows.
-    """
-    if sign not in (-1, 1):
-        raise ValueError(f"sign must be -1 or +1, got {sign!r}")
-    base = p.x + sign * q.x
-    if not math.isfinite(base):
-        raise ValueError(f"the image base p.x {'+' if sign == 1 else '-'} q.x = {base!r} overflows")
-    dy, dz, dt = p.y - q.y, p.z - q.z, p.t - q.t
-    offset = dy * dy + dz * dz - dt * dt  # products: a Python float ** raises OverflowError where they give inf
-    if not math.isfinite(offset):
-        raise ValueError(f"the image offset dy^2 + dz^2 - dt^2 = {offset!r} overflows")
-    n, gap = _nearest_pole(base, offset, geometry.L)
-    total = _lattice_sum(base, offset, geometry.L) if gap >= GUARD_BAND else math.inf
-    if math.isinf(total):
-        raise LightConeProximity(n, "translated" if sign == -1 else "reflected", gap, GUARD_BAND)
-    return -total / _FOUR_PI_SQ
 
 
 def _squared_image_distances(point: FieldPoint, N: int, L: float):
@@ -317,42 +223,3 @@ def two_point_yy_lattice(
     bracket += k * (e + 2.0 * t2 * r) / zeta
     bracket += t / zeta2
     return (-0.25 * k * q) * e * r * bracket / zeta / _PI_SQ
-
-
-def two_point_yy_fd(
-    s: float,
-    point: FieldPoint,
-    geometry: CavityGeometry,
-    h: float = 1e-3,
-) -> float:
-    """Two-point function via finite differences of the scalar image sums (N = oo).
-
-    Applies the five-point Laplacian stencil (d^2/dx^2 + d^2/dz^2, step ``h``,
-    second-order accurate) to the difference of direct and reflected image
-    sums, differentiating with respect to the first event only.  Within 2h of
-    a plate the x part switches to a one-sided interior stencil so that all
-    sample points stay inside the physical strip.  Each stencil evaluation
-    enforces the light-cone guard band over the whole lattice (effectively
-    widening it by the stencil extent), point by point in the order below.
-    A step that is not finite and positive, or whose square is not a normal
-    float, is refused with a ValueError that names h.
-    """
-    validate_point(point, geometry)
-    if not (h > 0.0 and sys.float_info.min <= h * h <= sys.float_info.max):
-        raise ValueError(f"stencil step h must be positive and finite with a normal square h^2, got {h!r}")
-    q = SpacetimePoint(t=0.0, x=point.x, y=point.y, z=0.0)
-
-    def diff(px, pz):
-        pp = SpacetimePoint(t=s, x=px, y=0.0, z=pz)
-        return image_sum(-1, pp, q, geometry) - image_sum(+1, pp, q, geometry)
-
-    x = point.x
-    f0 = diff(x, 0.0)
-    dzz = (diff(x, h) - 2.0 * f0 + diff(x, -h)) / (h * h)
-    if x < 2.0 * h:
-        dxx = (2.0 * f0 - 5.0 * diff(x + h, 0.0) + 4.0 * diff(x + 2.0 * h, 0.0) - diff(x + 3.0 * h, 0.0)) / (h * h)
-    elif x > geometry.a - 2.0 * h:
-        dxx = (2.0 * f0 - 5.0 * diff(x - h, 0.0) + 4.0 * diff(x - 2.0 * h, 0.0) - diff(x - 3.0 * h, 0.0)) / (h * h)
-    else:
-        dxx = (diff(x + h, 0.0) - 2.0 * f0 + diff(x - h, 0.0)) / (h * h)
-    return dxx + dzz

@@ -8,13 +8,14 @@ in the order ``validate`` prints them.  The CLI imports this module only when
 """
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
 from .bhd import LOKernel, smeared_density
 from .cli import _FOUR_PI, _INTERNAL, _TWO_PI, FIG2_OMEGA, _fig4_right_rows
-from .imagesum import TruncationPolicy, two_point_yy_fd, two_point_yy_lattice
+from .imagesum import TruncationPolicy, two_point_yy_lattice
 from .spectral import (
     _sigma_diag_values,
     _sigma_yy_values,
@@ -73,15 +74,21 @@ def _check_offdiagonal_decay():
                           "and does not decay (see README)")
 
 def _check_two_point_routes():
-    # two N = oo routes: the stencil over the closed-form scalar sums against the lattice at z^2 = s^2
-    samples = [(0.3, 0.35, 1.1), (0.2, 0.6, 0.9), (0.45, 0.75, 1.4), (0.15, 0.5, 0.7), (0.55, 0.25, 1.2)]
+    # the untruncated lattice at z^2 = -eps^2 against the modes' Laplace transform at complex eps = e + i s,
+    # at Re z^2 = s^2 - e^2 > 0 past several image cones; the lattice depends on (s, y) only through
+    # zeta^2 = z^2 - y^2, so off the axis the modes' transform is taken at sqrt(eps^2 + y^2)
+    samples = [(0.05, 3.3, 0.35, 0.0), (0.05, 3.3, 0.2, 0.6), (0.05, 3.3, 0.75, 1.1), (0.02, 2.5, 0.6, 0.3),
+               (0.1, 2.2, 0.75, 1.1), (0.3, 1.5, 0.5, 0.0), (1.0, 2.2, 0.9, 0.4)]
     worst = 0.0
-    for s, x, y in samples:
-        point = FieldPoint(x=x, y=y)
-        lattice = float(two_point_yy_lattice(np.array([s * s + 0j]), point, _INTERNAL)[0].real)
-        fd = two_point_yy_fd(s, point, _INTERNAL, h=1e-3)
-        worst = max(worst, abs(fd - lattice) / abs(lattice))
-    return worst <= 1e-4, f"max relative gap closed-form vs stencil {worst:.2e} (tolerance 1e-4)"
+    for e, s, x, y in samples:
+        eps = complex(e, s)
+        lattice = complex(two_point_yy_lattice(np.array([-eps * eps]), FieldPoint(x=x, y=y), _INTERNAL)[0])
+        modes = laplace_modes_diag(cmath.sqrt(eps * eps + y * y), x, _INTERNAL)
+        worst = max(worst, abs(lattice - modes) / abs(modes))
+    re_z2 = [s * s - e * e for e, s, _, _ in samples]
+    return worst <= 1e-10, (f"max relative gap, lattice at z^2 = -eps^2 vs the modes' Laplace transform at "
+                            f"complex eps, {worst:.2e} over {len(samples)} (eps, x, y), Re z^2 from "
+                            f"{min(re_z2):.3g} to {max(re_z2):.3g} (tolerance 1e-10)")
 
 def _check_exact_modes():
     # (a) the kernels against the exact mode sum at y = 0, one call per point x
@@ -150,7 +157,7 @@ CHECKS = (
     ("boundary zeros at the plates", _check_boundary_zeros),
     ("sub-cutoff vanishing", _check_sub_cutoff),
     ("off-diagonal decay at large |y|", _check_offdiagonal_decay),
-    ("two-point closed form vs stencil", _check_two_point_routes),
+    ("two-point lattice vs modes at complex time", _check_two_point_routes),
     ("exact mode sum on and off the axis", _check_exact_modes),
     ("image-sum convergence table", _check_convergence_table),
     ("suppression dips below -3 dB", _check_suppression_dip),

@@ -42,6 +42,7 @@ evaluated one by one, bit for bit.
 """
 from __future__ import annotations
 
+import cmath
 import contextlib
 import math
 import sys
@@ -720,34 +721,51 @@ def sigma_modes(omega: float, xs: Sequence[float], ys: Sequence[float], geometry
 _LAPLACE_REACH = 60.0
 
 
-def laplace_modes_diag(eps: float, x, geometry: CavityGeometry):
+def laplace_modes_diag(eps, x, geometry: CavityGeometry):
     """Laplace transform of :func:`sigma_modes_diag`, integral_0^oo sigma e^{-eps omega} d omega, exactly.
 
     Each mode contributes from its threshold q on:
     integral_q^oo (omega^2 + q^2) e^{-eps omega} d omega = e^{-eps q} (2 q^2/eps + 2 q/eps^2 + 2/eps^3),
     so the transform is (1/4 pi a) sum_n sin^2(q_n x) e^{-eps q_n} (...), summed
-    while eps q_n <= 60.  The time-domain correlation at imaginary time s = -i eps
-    is the same number (the Laplace sum rule): ``imagesum.two_point_yy_lattice``
-    at z^2 = -eps^2, whose n = 0 image alone gives 1/(pi^2 eps^4).  Takes a
-    scalar x, which gives a float, or a sequence of them, which gives an
-    array; each row equals its x's own call bit for bit (``_mode_sum``).  Where
-    eps pi/a exceeds 745.2 every e^{-eps q_n} is 0.0, and the transform is exactly 0;
-    so it is where eps exceeds _CUBE_MAX, as the transform, of order
-    1/(pi^2 eps^4), lies below 1e-400 there.  A transform beyond the largest
-    float, at eps below about 1e-77 a, is refused.
+    while Re(eps) q_n <= 60.  The time-domain correlation at complex time
+    s = -i eps is the same number (the Laplace sum rule):
+    ``imagesum.two_point_yy_lattice`` at z^2 = -eps^2, whose n = 0 image alone
+    gives 1/(pi^2 eps^4).  eps is a real or a complex number with Re(eps) > 0;
+    a complex one gives complex values, and a real one the same bits as when
+    only a real eps was taken.  Takes a scalar x, which gives a scalar, or a
+    sequence of them, which gives an array; each row equals its x's own call
+    bit for bit (``_mode_sum``).  Since |e^{-eps omega}| = e^{-Re(eps) omega}
+    and sigma >= 0, the transform is at most its value at Re(eps) in size.  So
+    it is exactly 0, summed over one mode of zeros, where Re(eps) pi/a exceeds
+    745.2 (every e^{-eps q_n} is 0.0) or Re(eps) exceeds _CUBE_MAX (the
+    transform, of order 1/(pi^2 Re(eps)^4), lies below 1e-400), whatever the
+    plate separation; and it is exactly 0 at a point on a plate, whose sines
+    are 0 where 2/eps^3 may be inf.  A transform beyond the largest float, at
+    |eps| below about 1e-77 a, is refused.
     """
-    if not (eps > 0.0 and math.isfinite(eps)):
+    if np.iscomplexobj(eps):
+        eps = complex(eps)
+        if not (eps.real > 0.0 and cmath.isfinite(eps)):
+            raise ValueError("the Laplace variable must be finite with a positive real part")
+    elif not (eps > 0.0 and math.isfinite(eps)):
         raise ValueError("the Laplace variable must be positive and finite")
+    zero = eps.real > _CUBE_MAX or eps.real * (math.pi / geometry.a) > _EXP_UNDERFLOW
 
     def terms(s2, q, n):
-        if eps > _CUBE_MAX or eps * q[0] > _EXP_UNDERFLOW:  # every term is 0.0, where eps^3 may overflow
-            return np.zeros(s2.shape + (1,))
-        # a float64 eps^3 that underflows to 0.0 divides to inf, which is refused below
-        moments = 2.0 * q * q / eps + 2.0 * q / eps ** 2 + 2.0 / np.float64(eps ** 3)
+        if zero:
+            return np.zeros(s2.shape + (1,), dtype=np.result_type(eps, 0.0))
+        if isinstance(eps, complex):  # in w = 1/eps, which goes to 0 where eps^3 overflows at a large Im(eps)
+            w = 1.0 / eps
+            moments = 2.0 * w * (q * q + w * (q + w))
+        else:  # a float64 eps^3 that underflows to 0.0 divides to inf, which is refused below
+            moments = 2.0 * q * q / eps + 2.0 * q / eps ** 2 + 2.0 / np.float64(eps ** 3)
         return (s2 * np.exp(-eps * q) * moments)[:, :, None]
 
+    reach = 0.0 if zero else _LAPLACE_REACH / eps.real
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        values = _mode_sum(_LAPLACE_REACH / eps, x, 1, geometry, terms)[:, 0] / (4.0 * math.pi * geometry.a)
+        values = _mode_sum(reach, x, 1, geometry, terms)[:, 0] / (4.0 * math.pi * geometry.a)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    values[(xs == 0.0) | (xs == geometry.a)] = 0.0
     if not np.isfinite(values).all():
         raise ValueError(f"the Laplace transform at eps = {eps!r} lies beyond the largest float")
-    return float(values[0]) if np.ndim(x) == 0 else values
+    return values[0].item() if np.ndim(x) == 0 else values

@@ -15,6 +15,7 @@ from cavityspectra.cli import FIG2_OMEGA, main
 from cavityspectra.imagesum import TruncationPolicy
 from cavityspectra.spectral import _sigma_yy_values
 from cavityspectra.units import CavityGeometry, FieldPoint, build_grid
+from stencil import two_point_fd
 
 G = CavityGeometry(1.0)
 PI = math.pi
@@ -134,20 +135,18 @@ def _lattice_at_real_time(s, point):
 
 
 def test_criterion_07_stencil_matches_closed_form():
-    # both routes at N = oo: the stencil over the closed-form scalar sums, the lattice at z^2 = s^2
+    # both routes at N = oo: the tests' stencil over the closed-form scalar sums, the lattice at z^2 = s^2
     worst = 0.0
     samples = _guarded_samples()
     for s, x, y in samples:
-        point = FieldPoint(x=x, y=y)
-        closed = _lattice_at_real_time(s, point)
-        fd = cs.two_point_yy_fd(s, point, G, h=1e-3)
+        closed = _lattice_at_real_time(s, FieldPoint(x=x, y=y))
+        fd = two_point_fd(s, x, y, G.L, h=1e-3)
         worst = max(worst, abs(fd - closed) / abs(closed))
     # measured convergence order on three of the samples
     orders_ok = True
     for s, x, y in samples[:3]:
-        point = FieldPoint(x=x, y=y)
-        closed = _lattice_at_real_time(s, point)
-        errs = [abs(cs.two_point_yy_fd(s, point, G, h=h) - closed) for h in (4e-3, 2e-3, 1e-3)]
+        closed = _lattice_at_real_time(s, FieldPoint(x=x, y=y))
+        errs = [abs(two_point_fd(s, x, y, G.L, h=h) - closed) for h in (4e-3, 2e-3, 1e-3)]
         orders_ok &= all(3.2 < errs[i] / errs[i + 1] < 4.8 for i in range(2))
     ok = _report(7, "finite-difference route matches the closed form",
                  worst <= 1e-4 and orders_ok,

@@ -9,12 +9,10 @@ its modes in blocks (one erfc window over all of them, with exp(-z^2) and
 erfc(z) computed only where they are not constants), ``sigma_modes_diag``
 and ``laplace_modes_diag`` as they were before they went through
 ``_mode_sum`` (numpy's pairwise sum over every mode at once), and the per-point
-loops that ``validate`` ran before they became array calls: the stencil's
-truncated ``image_sum`` per point and family, the vacuum densities per y,
-``laplace_modes_diag`` per x, and the bodies of checks 2, 3, 4, 6 and 7.
-The stencil is now summed at N = oo, so its sweep runs the former per-point
-stencil over the N = oo ``image_sum``.  All of them build the wave numbers
-of every mode at once, as the former ``_guided_modes`` did.  Each sweep
+loops that ``validate`` ran before they became array calls: the vacuum
+densities per y, ``laplace_modes_diag`` per x, and the bodies of checks 2, 3,
+4 and 7.  All of them build the wave numbers of every mode at once, as the
+former ``_guided_modes`` did.  Each sweep
 compares values, errors and refusal messages exactly, except where a pairwise
 sum meets the sequential one of ``_mode_sum`` over more than 7 modes.
 """
@@ -28,16 +26,7 @@ import cavityspectra.spectral as sp
 from cavityspectra import oracle
 from cavityspectra.bhd import LOKernel, smeared_density
 from cavityspectra.cli import _FOUR_PI, _INTERNAL, _TWO_PI
-from cavityspectra.errors import LightConeProximity
-from cavityspectra.imagesum import (
-    GUARD_BAND,
-    SpacetimePoint,
-    TruncationPolicy,
-    image_sum,
-    two_point_yy_closed,
-    two_point_yy_fd,
-    two_point_yy_lattice,
-)
+from cavityspectra.imagesum import TruncationPolicy, two_point_yy_lattice
 from cavityspectra.units import CavityGeometry, FieldPoint, build_grid, validate_point
 
 G = CavityGeometry(1.0)
@@ -286,68 +275,6 @@ class TestModeBlocks:
         assert peak <= mib * 2**20
 
 
-def _former_raise_near_cone(gaps, indices, branch):
-    bad = np.abs(gaps) < GUARD_BAND
-    if np.any(bad):
-        pos = int(np.argmin(np.abs(np.where(bad, gaps, np.inf))))
-        raise LightConeProximity(int(indices[pos]), branch, float(abs(gaps[pos])), GUARD_BAND)
-
-
-def _former_image_sum(sign, p, q, policy, geometry):
-    if sign not in (-1, 1):
-        raise ValueError(f"sign must be -1 or +1, got {sign!r}")
-    L = geometry.L
-    base = p.x + sign * q.x
-    offset = (p.y - q.y) ** 2 + (p.z - q.z) ** 2 - (p.t - q.t) ** 2
-    N = policy.n_terms
-    branch = "translated" if sign == -1 else "reflected"
-    d0 = base * base + offset
-    if abs(d0) < GUARD_BAND:
-        raise LightConeProximity(0, branch, abs(d0), GUARD_BAND)
-    if N == 0:
-        return -(1.0 / d0) / (4.0 * PI**2)
-    n = np.arange(1, N + 1, dtype=float)
-    d_plus = (base - n * L) ** 2 + offset
-    d_minus = (base + n * L) ** 2 + offset
-    _former_raise_near_cone(d_plus, np.arange(1, N + 1), branch)
-    _former_raise_near_cone(d_minus, -np.arange(1, N + 1), branch)
-    terms = 1.0 / d_plus + 1.0 / d_minus
-    total = float(np.cumsum(terms)[-1]) + 1.0 / d0
-    return -total / (4.0 * PI**2)
-
-
-def _former_stencil(s, point, geometry, h, pair_sum):
-    """two_point_yy_fd as it was, one point at a time, over the scalar sums pair_sum(sign, p, q)."""
-    validate_point(point, geometry)
-    if h <= 0.0:
-        raise ValueError("stencil step must be positive")
-    q = SpacetimePoint(t=0.0, x=point.x, y=point.y, z=0.0)
-
-    def diff(px, pz):
-        pp = SpacetimePoint(t=s, x=px, y=0.0, z=pz)
-        return pair_sum(-1, pp, q) - pair_sum(+1, pp, q)
-
-    x = point.x
-    f0 = diff(x, 0.0)
-    dzz = (diff(x, h) - 2.0 * f0 + diff(x, -h)) / (h * h)
-    if x < 2.0 * h:
-        dxx = (2.0 * f0 - 5.0 * diff(x + h, 0.0) + 4.0 * diff(x + 2.0 * h, 0.0) - diff(x + 3.0 * h, 0.0)) / (h * h)
-    elif x > geometry.a - 2.0 * h:
-        dxx = (2.0 * f0 - 5.0 * diff(x - h, 0.0) + 4.0 * diff(x - 2.0 * h, 0.0) - diff(x - 3.0 * h, 0.0)) / (h * h)
-    else:
-        dxx = (diff(x + h, 0.0) - 2.0 * f0 + diff(x - h, 0.0)) / (h * h)
-    return dxx + dzz
-
-
-def _former_two_point_yy_fd(s, point, geometry, policy, h=1e-3):
-    return _former_stencil(s, point, geometry, h, lambda sign, p, q: _former_image_sum(sign, p, q, policy, geometry))
-
-
-def _per_point_two_point_yy_fd(s, point, geometry, h):
-    """The former stencil, one point at a time, over the N = oo scalar sums."""
-    return _former_stencil(s, point, geometry, h, lambda sign, p, q: image_sum(sign, p, q, geometry))
-
-
 def _former_sigma_vacuum(omega, y=0.0):
     arr = np.asarray(omega, dtype=float)
     sp._check_omegas(np.atleast_1d(arr))
@@ -387,54 +314,11 @@ def _repr_outcome(f, *args):
     """repr of a call's value, or its exception's type and message."""
     try:
         return repr(f(*args))
-    except (ValueError, OverflowError, LightConeProximity) as exc:
+    except (ValueError, OverflowError) as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
-def _stencil_case(rng):
-    """(s, x, y, N, h): x within 2h of a plate or inside, and now and then s on or near a stencil point's light cone."""
-    N = int(rng.choice([0, 1, 10, 400]))
-    h = float(rng.choice([1e-3, 4e-3]))
-    pick = rng.random()
-    if pick < 0.3:
-        x = float(rng.uniform(0.0, 2.0 * h))
-    elif pick < 0.6:
-        x = G.a - float(rng.uniform(0.0, 2.0 * h))
-    elif pick < 0.65:
-        x = float(rng.choice([0.0, G.a, 2.0 * h, G.a - 2.0 * h]))
-    else:
-        x = float(rng.uniform(0.0, G.a))
-    y = float(rng.choice([0.0, rng.uniform(-2.0, 2.0), rng.uniform(-1e-3, 1e-3)]))
-    if rng.random() < 0.5:
-        s = float(rng.uniform(0.0, 3.0))
-    else:  # a stencil point's distance to one image, shifted by up to twice the guard band's reach
-        px = x + h * float(rng.choice([0.0, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0]))
-        pz = h * float(rng.choice([0.0, 1.0, -1.0]))
-        sign, n = int(rng.choice([-1, 1])), int(rng.integers(-N, N + 1))
-        d2 = (px + sign * x - n * G.L) ** 2 + y * y + pz * pz
-        s = math.sqrt(d2) + float(rng.uniform(-1.0, 1.0)) * GUARD_BAND / max(math.sqrt(d2), 1e-3)
-    return abs(s), x, y, N, h
-
-
 class TestValidateLoops:
-    def test_the_stencil_equals_its_frozen_copy(self):
-        # 2 000 seeded stencils at N = oo against the former per-point stencil over the same scalar sums:
-        # h in {1e-3, 4e-3}, x within 2h of each plate, s on or near the cone of a stencil point's image
-        # n, |n| <= N with N in {0, 1, 10, 400}; then points that cannot be formed
-        rng = np.random.default_rng(36)
-        kinds = []
-        for _ in range(2000):
-            s, x, y, _, h = _stencil_case(rng)
-            args = (s, FieldPoint(x=x, y=y), G, h)
-            want = _repr_outcome(_per_point_two_point_yy_fd, *args)
-            assert _repr_outcome(two_point_yy_fd, *args) == want, args
-            kinds.append(want.split(":")[0])
-        assert kinds.count("LightConeProximity") > 200
-        assert len(kinds) - kinds.count("LightConeProximity") > 1000
-        for s, x, y in [(math.nan, 0.5, 1.0), (1e200, 0.5, 1.0), (0.3, 1.5, 1.0)]:
-            args = (s, FieldPoint(x=x, y=y), G, 1e-3)
-            assert _repr_outcome(two_point_yy_fd, *args) == _repr_outcome(_per_point_two_point_yy_fd, *args), args
-
     def test_the_vacuum_densities_over_a_column_of_y_equal_the_per_y_loop(self):
         rng = np.random.default_rng(37)
         for _ in range(200):
@@ -557,25 +441,12 @@ def _former_check_exact_modes():
                 f"{len(smears)} LOs (tolerance 1e-13)")
 
 
-def _former_check_two_point_routes():
-    policy = TruncationPolicy(n_terms=400)
-    samples = [(0.3, 0.35, 1.1), (0.2, 0.6, 0.9), (0.45, 0.75, 1.4), (0.15, 0.5, 0.7), (0.55, 0.25, 1.2)]
-    worst = 0.0
-    for s, x, y in samples:
-        point = FieldPoint(x=x, y=y)
-        closed = two_point_yy_closed(s, point, _INTERNAL, policy)
-        fd = _former_two_point_yy_fd(s, point, _INTERNAL, policy, h=1e-3)
-        worst = max(worst, abs(fd - closed) / abs(closed))
-    return worst <= 1e-4, f"max relative gap closed-form vs stencil {worst:.2e} (tolerance 1e-4)"
-
-
 @pytest.mark.parametrize("check, former", [
     (oracle._check_vacuum_embedding, _former_check_vacuum_embedding),
     (oracle._check_boundary_zeros, _former_check_boundary_zeros),
     (oracle._check_sub_cutoff, _former_check_sub_cutoff),
-    (oracle._check_two_point_routes, _former_check_two_point_routes),
     (oracle._check_exact_modes, _former_check_exact_modes),
-], ids=["2", "3", "4", "6", "7"])
+], ids=["2", "3", "4", "7"])
 def test_the_batched_check_reads_as_its_frozen_copy(check, former):
     ok, detail = check()
     assert (type(ok), ok, detail) == (bool, *former())

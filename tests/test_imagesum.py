@@ -1,6 +1,5 @@
 import math
 import re
-import sys
 import tracemalloc
 
 import numpy as np
@@ -10,11 +9,8 @@ from cavityspectra.errors import LightConeProximity
 from cavityspectra import imagesum, spectral
 from cavityspectra.imagesum import (
     MAX_IMAGE_TERMS,
-    SpacetimePoint,
     TruncationPolicy,
-    image_sum,
     two_point_yy_closed,
-    two_point_yy_fd,
     two_point_yy_lattice,
     _squared_image_distances,
 )
@@ -66,183 +62,6 @@ class TestImageDistances:
     def test_first_reflected_image_vanishes_at_the_far_plate(self):
         a2, b2_pos, _, _, _ = _squared_image_distances(FieldPoint(x=1.0, y=0.0), 1, G.L)
         assert b2_pos[0] == 0.0 and a2[0] == math.hypot(2.0, 0.0) ** 2
-
-
-def _tails(base, offset, L, N):
-    """sum_n 1/((base - n L)^2 + offset) over the two tails |n| > N.
-
-    Each tail sum_{m > N} g(m), g(u) = 1/((u L - beta)^2 + offset) with beta =
-    +-base, is its Euler-Maclaurin midpoint form: the integral of g from
-    N + 1/2 on, plus g'(N + 1/2)/24; what that leaves is about
-    7 |g'''| / 5760 ~ 0.03 / (L^2 N^5).
-    """
-    total = 0.0
-    for beta in (base, -base):
-        v = (N + 0.5) * L - beta
-        if offset > 0.0:
-            g = math.sqrt(offset)
-            integral = math.atan(g / v) / g
-        elif offset < 0.0:
-            alpha = math.sqrt(-offset)
-            integral = math.atanh(alpha / v) / alpha
-        else:
-            integral = 1.0 / v
-        d = v * v + offset
-        total += integral / L - 2.0 * L * v / d / d / 24.0
-    return total
-
-
-def _truncated_plus_tail(base, offset, L, N):
-    """sum_n 1/((base - n L)^2 + offset) over |n| <= N, plus the tails beyond."""
-    n = np.arange(-N, N + 1, dtype=float)
-    return math.fsum((1.0 / ((base - n * L) ** 2 + offset)).tolist()) + _tails(base, offset, L, N)
-
-
-def _seeded_rows(rng, count, regime):
-    """(base, offset) rows of one regime whose nearest gap is at least 0.01, offsets from 1e-300 to 1e300."""
-    rows = []
-    while len(rows) < count:
-        base = float(rng.choice([rng.uniform(-5.0, 5.0), rng.uniform(-1e3, 1e3)]))
-        if regime == "spacelike":
-            offset = float(10.0 ** rng.uniform(-300.0, 300.0)) if rng.random() < 0.5 else float(rng.uniform(0.0, 9.0))
-        elif regime == "timelike":
-            offset = -float(rng.choice([rng.uniform(0.0, 100.0), 10.0 ** rng.uniform(-300.0, 0.0)]))
-        else:
-            offset = 0.0
-        if imagesum._nearest_pole(base, offset, G.L)[1] >= 0.01:
-            rows.append((base, offset))
-    return rows
-
-
-class TestImageSum:
-    # every sum is over the whole image lattice, N = oo
-    def test_single_term_is_the_free_space_kernel(self):
-        # the N = oo sum in a cavity of a = 1e8, whose n != 0 images add about
-        # 2 zeta(2)/L^2 = 8e-17, 3e-18 of the n = 0 term alone
-        p = SpacetimePoint(t=0.2, x=0.3, y=0.1, z=0.0)
-        q = SpacetimePoint(t=0.0, x=0.5, y=0.0, z=0.0)
-        interval = (0.3 - 0.5) ** 2 + 0.1**2 - 0.2**2
-        expected = -1.0 / (4.0 * PI_SQ * interval)
-        assert image_sum(-1, p, q, CavityGeometry(1e8)) == pytest.approx(expected, rel=1e-15)
-
-    @pytest.mark.parametrize("regime", ["spacelike", "timelike", "null"])
-    def test_each_regime_is_the_long_sum_plus_its_tail(self, regime):
-        # 2 * 10^5 + 1 terms and their tails, with numpy's floating-point warnings raised, up to offset 1e300
-        rng = np.random.default_rng({"spacelike": 41, "timelike": 42, "null": 43}[regime])
-        rows = _seeded_rows(rng, 30, regime) + {
-            "spacelike": [(0.7, 1e300), (-3.3, 1e-300), (0.7, 5e-324), (1e3 + 0.5, 1e-6), (0.0, 1e-6)],
-            "timelike": [(0.7, -1e-300), (-3.3, -5e-324), (0.5, -0.01), (999.0, -99.0)],
-            "null": [(0.01, 0.0), (-1.0, 0.0)],
-        }[regime]
-        with np.errstate(all="raise"):
-            for base, offset in rows:
-                want = _truncated_plus_tail(base, offset, G.L, 100_000)
-                assert imagesum._lattice_sum(base, offset, G.L) == pytest.approx(want, rel=1e-12), (base, offset)
-
-    def test_the_public_sum_is_the_lattice_sum_of_its_row(self):
-        p = SpacetimePoint(t=0.7, x=0.3, y=0.4, z=-0.2)
-        q = SpacetimePoint(t=0.0, x=0.6, y=0.0, z=0.0)
-        for sign in (-1, +1):
-            base, offset = p.x + sign * q.x, 0.4**2 + 0.2**2 - 0.7**2
-            want = -_truncated_plus_tail(base, offset, G.L, 100_000) / (4.0 * PI_SQ)
-            assert image_sum(sign, p, q) == pytest.approx(want, rel=1e-12)
-
-    @pytest.mark.parametrize("t", [0.0, 0.13, 0.9, 3.0])
-    def test_plate_cancellation_is_exact(self, t):
-        # on the plate the translated and reflected bases are -q.x and +q.x: the same sum, to the bit
-        rng = np.random.default_rng(44)
-        compared = 0
-        for _ in range(50):
-            p = SpacetimePoint(t=t, x=0.0, y=0.2, z=0.05)
-            q = SpacetimePoint(t=0.0, x=float(rng.uniform(0.0, 1.0)), y=float(rng.uniform(-2.0, 2.0)), z=0.0)
-            try:
-                translated = image_sum(-1, p, q)
-            except LightConeProximity:
-                continue
-            assert translated - image_sum(+1, p, q) == 0.0
-            compared += 1
-        assert compared > 40
-
-    @pytest.mark.parametrize(
-        "p,q",
-        [
-            (SpacetimePoint(0.02, 0.04, 0.06, 0.0), SpacetimePoint(0.0, 0.05, 0.0, 0.0)),
-            (SpacetimePoint(0.01, 0.03, 0.0, 0.0), SpacetimePoint(0.0, 0.02, 0.0, 0.05)),
-        ],
-    )
-    @pytest.mark.parametrize("sign", [-1, +1])
-    def test_truncation_converges(self, p, q, sign):
-        # spacelike, closely separated pair: the tail decays like 1/(nL)^2
-        base = p.x + sign * q.x
-        offset = (p.y - q.y) ** 2 + (p.z - q.z) ** 2 - (p.t - q.t) ** 2
-        n = np.arange(-100, 101, dtype=float)
-        f_small = -float(np.sum(1.0 / ((base - n * G.L) ** 2 + offset))) / (4.0 * PI_SQ)
-        f_lattice = image_sum(sign, p, q)
-        assert abs(f_small - f_lattice) / abs(f_lattice) < 1e-4
-
-    def test_sequential_accumulation_plus_its_tails_agrees(self):
-        # an in-order n = -N..N loop plus the tails |n| > N reaches the N = oo sum up to rounding
-        p = SpacetimePoint(0.1, 0.3, 0.4, 0.0)
-        q = SpacetimePoint(0.0, 0.6, 0.0, 0.0)
-        N, L = 500, G.L
-        base = p.x - q.x
-        offset = (p.y - q.y) ** 2 + (p.z - q.z) ** 2 - (p.t - q.t) ** 2
-        total = 0.0
-        for n in range(-N, N + 1):
-            total += 1.0 / ((base - n * L) ** 2 + offset)
-        sequential = -(total + _tails(base, offset, L, N)) / (4.0 * PI_SQ)
-        assert image_sum(-1, p, q) == pytest.approx(sequential, rel=1e-12)
-
-    def test_light_cone_guard(self):
-        # null-separated from the n=0 image
-        p = SpacetimePoint(t=0.5, x=0.3, y=0.4, z=0.0)
-        q = SpacetimePoint(t=0.0, x=0.6, y=0.0, z=0.0)
-        with pytest.raises(LightConeProximity):
-            image_sum(-1, p, q)
-
-    @pytest.mark.parametrize("sign, n", [(-1, 1500), (-1, -2001), (+1, -1200), (+1, 5000)])
-    def test_a_pole_beyond_any_former_cutoff_is_refused_by_index_and_branch(self, sign, n):
-        # the truncated sums stopped at N = 10, 400 or 1000 and summed straight across these cones
-        q = SpacetimePoint(t=0.0, x=0.2, y=0.0, z=0.0)
-        p = SpacetimePoint(t=abs(0.5 + sign * q.x - n * G.L), x=0.5, y=0.0, z=0.0)
-        with pytest.raises(LightConeProximity) as exc:
-            image_sum(sign, p, q)
-        branch = "translated" if sign == -1 else "reflected"
-        assert (exc.value.image_index, exc.value.branch) == (n, branch)
-        assert f"{branch} image light cone at image index n={n} " in str(exc.value)
-
-    def test_an_exact_pole_whose_rounded_gap_lies_outside_the_band_is_refused(self):
-        # base = sqrt(-offset) to the bit: the closed form's sine vanishes, while the rounded gap
-        # base^2 + offset at |offset| = 3e10 reads 3.8e-6, where a division by zero once followed
-        t, y = 173205.3, 0.7
-        p = SpacetimePoint(t=t, x=math.sqrt(t**2 - y**2), y=y, z=0.0)
-        with pytest.raises(LightConeProximity) as exc:
-            image_sum(-1, p, SpacetimePoint(0.0, 0.0, 0.0, 0.0))
-        assert (exc.value.image_index, exc.value.branch) == (0, "translated")
-        assert exc.value.gap > imagesum.GUARD_BAND
-
-    def test_sign_validated(self):
-        p = SpacetimePoint(0.0, 0.3, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            image_sum(0, p, p)
-
-    def test_an_overflowing_base_is_refused(self):
-        p = SpacetimePoint(0.0, 1e308, 0.0, 0.0)
-        with pytest.raises(ValueError, match="overflows"):
-            image_sum(+1, p, p)
-
-    @pytest.mark.parametrize("axis", ["y", "t"])
-    @pytest.mark.parametrize("big", [1e200, -1e200])
-    def test_an_overflowing_offset_is_refused_by_name(self, axis, big):
-        # dy^2 or dt^2 past the float range was a bare OverflowError from the Python float **
-        p = SpacetimePoint(0.0, 0.3, 0.0, 0.0)
-        q = SpacetimePoint(**{"t": 0.0, "x": 0.6, "y": 0.0, "z": 0.0, axis: big})
-        for sign in (-1, 1):
-            with pytest.raises(ValueError, match=re.escape("the image offset dy^2 + dz^2 - dt^2 = ")):
-                image_sum(sign, p, q, G)
-        s, y = (big, 1.0) if axis == "t" else (0.3, big)
-        with pytest.raises(ValueError, match="the image offset .* overflows"):
-            two_point_yy_fd(s, FieldPoint(0.5, y), G)
 
 
 def _former_raise_near_cone(gaps, indices, branch):
@@ -412,61 +231,6 @@ class TestTwoPointClosed:
         assert len(values) == 1
 
 
-def _lattice_at_real_time(s, point):
-    """The two-point function at N = oo and real time separation s: the lattice at z^2 = s^2."""
-    return float(two_point_yy_lattice(np.array([s * s + 0j]), point, G)[0].real)
-
-
-class TestTwoPointStencil:
-    # the stencil of the N = oo scalar sums against the lattice, also at N = oo
-    def test_agrees_with_closed_form(self):
-        for s, x, y in [(0.3, 0.35, 1.1), (0.2, 0.6, 0.9), (0.45, 0.75, 1.4)]:
-            point = FieldPoint(x=x, y=y)
-            fd = two_point_yy_fd(s, point, G, h=1e-3)
-            assert fd == pytest.approx(_lattice_at_real_time(s, point), rel=1e-4)
-
-    def test_second_order_in_h(self):
-        point = FieldPoint(x=0.35, y=1.1)
-        closed = _lattice_at_real_time(0.3, point)
-        errs = [abs(two_point_yy_fd(0.3, point, G, h=h) - closed) for h in (4e-3, 2e-3, 1e-3)]
-        ratios = [errs[i] / errs[i + 1] for i in range(2)]
-        assert all(3.2 < r < 4.8 for r in ratios)
-
-    def test_plate_value_within_stencil_error(self):
-        v = two_point_yy_fd(0.3, FieldPoint(x=0.0, y=0.9), G, h=1e-3)
-        assert abs(v) <= 1e-6
-
-    def test_interior_stencil_near_both_plates(self):
-        for x in (5e-4, 1.0 - 5e-4):
-            point = FieldPoint(x=x, y=0.9)
-            fd = two_point_yy_fd(0.3, point, G, h=1e-3)
-            assert fd == pytest.approx(_lattice_at_real_time(0.3, point), rel=5e-4)
-
-    def test_invalid_step(self):
-        with pytest.raises(ValueError):
-            two_point_yy_fd(0.3, FieldPoint(0.5, 1.0), G, h=0.0)
-
-    @pytest.mark.parametrize("h", [-0.0, -1e-3, math.nan, math.inf, -math.inf, 1e-320, 1e-170, 1e200])
-    def test_a_step_that_is_not_positive_finite_with_a_normal_square_is_refused_by_name(self, h):
-        # 1e-320 and 1e-170 square to a subnormal or to 0.0, where h * h once divided by zero;
-        # nan and inf were refused only as a coordinate, 1e200 as an overflow of its square
-        with pytest.raises(ValueError, match=re.escape(f"stencil step h must be positive and finite "
-                                                       f"with a normal square h^2, got {h!r}")):
-            two_point_yy_fd(0.3, FieldPoint(0.5, 1.0), G, h=h)
-
-    def test_the_smallest_step_with_a_normal_square_is_taken(self):
-        h = math.sqrt(sys.float_info.min) * (1.0 + 2**-40)
-        assert h * h >= sys.float_info.min
-        assert math.isfinite(two_point_yy_fd(0.3, FieldPoint(0.5, 1.0), G, h=h))
-
-    def test_a_pole_beyond_the_former_cutoff_is_refused_by_index_and_branch(self):
-        # at x = 0.5, y = 0 the centre point's translated images n = +-700 sit on the cone s = 1400;
-        # validate's stencil once stopped at N = 400
-        with pytest.raises(LightConeProximity) as exc:
-            two_point_yy_fd(1400.0, FieldPoint(0.5, 0.0), G, h=1e-3)
-        assert (exc.value.image_index, exc.value.branch) == (700, "translated")
-
-
 def _term_by_term(z2, x, y, n_images):
     """The image sum of two_point_yy_lattice's docstring, one term per image, cut at n_images."""
     y2 = y * y
@@ -573,3 +337,71 @@ class TestLattice:
         closed = two_point_yy_closed(s, FieldPoint(x, y), G, TruncationPolicy(n_terms=100_000))
         assert abs(lattice.imag) <= 1e-12 * abs(lattice.real)
         assert lattice.real == pytest.approx(closed, rel=1e-11)
+
+
+def _bytes_or_refusal(z2, point):
+    """The lattice's bytes at the samples z2, or its refusal's type and message."""
+    try:
+        return two_point_yy_lattice(z2, point, G).tobytes()
+    except (ValueError, LightConeProximity) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestComplexTime:
+    # the lattice depends on (s, y) only through zeta^2 = z^2 - y^2, and the modes' Laplace transform
+    # holds at complex eps: validate check 6 compares the two at z^2 = -eps^2, off the axis through zeta^2
+    def test_the_lattice_depends_on_s_and_y_only_through_zeta_squared(self):
+        # 400 seeded samples: real and complex z^2, off-axis y, and real z^2 on or within the guard band
+        # of an image's cone; (z^2, y) and (z^2 - y^2, 0) give the same bits or the same refusal
+        rng = np.random.default_rng(41)
+        kinds = []
+        for _ in range(400):
+            x = float(rng.choice([rng.uniform(0.0, G.a), 0.0, G.a, 0.5]))
+            y = float(rng.choice([rng.uniform(-3.0, 3.0), rng.uniform(-1e-3, 1e-3), 0.0]))
+            pick = rng.random()
+            if pick < 0.3:  # on or beside the cone of image n of either family
+                n = int(rng.integers(-3, 4))
+                b = n * G.L if rng.random() < 0.5 else 2.0 * x - n * G.L
+                z2 = complex(b * b + y * y + float(rng.uniform(-1.0, 1.0)) * imagesum.GUARD_BAND, 0.0)
+            elif pick < 0.6:
+                z2 = complex(float(rng.uniform(-10.0, 30.0)), 0.0)
+            else:
+                z2 = complex(float(rng.uniform(-10.0, 30.0)), float(rng.uniform(-5.0, 5.0)))
+            samples = np.array([z2, (0.7 - 0.05j) ** 2])
+            got = _bytes_or_refusal(samples, FieldPoint(x, y))
+            assert got == _bytes_or_refusal(samples - y * y, FieldPoint(x, 0.0)), (z2, x, y)
+            kinds.append(got.split(":")[0] if isinstance(got, str) else "value")
+        assert kinds.count("LightConeProximity") > 40 and kinds.count("value") > 250
+
+    def test_the_laplace_transform_at_the_conjugate_is_the_conjugate(self):
+        # 200 seeded eps off the real axis, with x inside the cavity: the sum is exact under conjugation
+        rng = np.random.default_rng(42)
+        for _ in range(200):
+            eps = complex(float(np.exp(rng.uniform(math.log(0.01), math.log(5.0)))), float(rng.uniform(-5.0, 5.0)))
+            xs = rng.uniform(0.01, 0.99, int(rng.integers(1, 8))) * G.a
+            got = spectral.laplace_modes_diag(eps.conjugate(), xs, G)
+            assert got.tobytes() == np.conj(spectral.laplace_modes_diag(eps, xs, G)).tobytes(), eps
+            x = float(xs[0])
+            assert abs(spectral.laplace_modes_diag(eps, x, G)) <= spectral.laplace_modes_diag(eps.real, x, G)
+
+    def test_a_complex_eps_on_the_real_axis_is_the_real_transform(self):
+        for eps in (0.05, 0.3, 1.0, 3.0):
+            got = spectral.laplace_modes_diag(complex(eps, 0.0), 0.3, G)
+            assert type(got) is complex and got.imag == 0.0
+            assert got.real == pytest.approx(spectral.laplace_modes_diag(eps, 0.3, G), rel=1e-14)
+
+    @pytest.mark.parametrize("eps", [0j, complex(-1.0, 1.0), complex(0.0, 2.0), complex(-0.0, -1.0),
+                                     complex(math.inf, 1.0), complex(0.3, math.inf), complex(0.3, -math.inf),
+                                     complex(math.nan, 0.0), complex(0.3, math.nan), np.complex64(-1.0 + 1.0j)])
+    def test_a_complex_eps_off_the_right_half_plane_or_not_finite_is_refused(self, eps):
+        with pytest.raises(ValueError, match="the Laplace variable must be finite with a positive real part"):
+            spectral.laplace_modes_diag(eps, 0.5, G)
+
+    def test_the_reach_and_the_zeros_read_the_real_part(self):
+        # a large imaginary part neither lengthens the sum nor overflows eps^3 into a refusal
+        assert spectral.laplace_modes_diag(complex(1e103, 1.0), [0.5], G).tolist() == [0j]
+        assert spectral.laplace_modes_diag(complex(238.0, -5e300), 0.5, G) == 0j
+        value = spectral.laplace_modes_diag(complex(1.0, 1e200), 0.5, G)
+        assert 0.0 < abs(value) < 1e-200
+        with pytest.raises(ValueError, match="guided modes exceed the 1048576"):
+            spectral.laplace_modes_diag(complex(1e-5, 1.0), 0.5, G)

@@ -14,7 +14,7 @@ NAMES = [
     "boundary zeros at the plates",
     "sub-cutoff vanishing",
     "off-diagonal decay at large |y|",
-    "two-point closed form vs stencil",
+    "two-point lattice vs modes at complex time",
     "exact mode sum on and off the axis",
     "image-sum convergence table",
     "suppression dips below -3 dB",
@@ -35,7 +35,7 @@ def test_validate_prints_one_line_per_check_then_the_tally(capsys):
 
 
 def test_validate_prints_the_pinned_bytes(capsys):
-    # tests/baselines/validate.txt holds what validate printed before check 6 moved to N = oo
+    # tests/baselines/validate.txt holds what validate prints since check 6 compares the lattice with the modes
     assert main(["validate"]) == 0
     assert capsys.readouterr().out.encode() == (Path(__file__).parent / "baselines" / "validate.txt").read_bytes()
 
@@ -97,8 +97,8 @@ MUTATIONS = {
     "boundary zeros at the plates": (_plates_moved_inward,),
     "sub-cutoff vanishing": (_a_wider_cavity,),
     "off-diagonal decay at large |y|": (_no_decay_in_y,),
-    "two-point closed form vs stencil": (
-        lambda mp: mp.setattr(oracle, "two_point_yy_fd", _scaled(oracle.two_point_yy_fd, 1.0 + 1e-3)),
+    "two-point lattice vs modes at complex time": (
+        lambda mp: mp.setattr(oracle, "laplace_modes_diag", _scaled(oracle.laplace_modes_diag, 1.0 + 1e-3)),
         lambda mp: mp.setattr(oracle, "two_point_yy_lattice", _scaled(oracle.two_point_yy_lattice, 1.0 + 1e-3)),
     ),
     "image-sum convergence table": (_a_table_that_stops_converging,),

@@ -320,6 +320,22 @@ class TestExactModeSum:
         with pytest.raises(ValueError, match=re.escape(f"the Laplace transform at eps = {eps!r} lies beyond")):
             laplace_modes_diag(eps, 0.5 * eps, CavityGeometry(eps))
 
+    def test_a_point_on_a_plate_gives_zero_where_the_transform_elsewhere_is_refused(self):
+        # eps^3 is 0.0 at 1e-110, so 2/eps^3 is inf, which sin^2 = 0 on a plate once met as nan
+        geometry = CavityGeometry(1e-110)
+        assert laplace_modes_diag(1e-110, 0.0, geometry) == 0.0
+        assert laplace_modes_diag(1e-110, [0.0, 1e-110], geometry).tolist() == [0.0, 0.0]
+        with pytest.raises(ValueError, match=re.escape("the Laplace transform at eps = 1e-110 lies beyond")):
+            laplace_modes_diag(1e-110, 5e-111, geometry)
+
+    def test_an_exact_zero_is_found_before_the_mode_cap(self):
+        # eps > _CUBE_MAX at a = 1e120: the 1.91e18 modes that the cap once refused add to exactly 0.0
+        geometry = CavityGeometry(1e120)
+        assert laplace_modes_diag(1e103, 5e119, geometry) == 0.0
+        assert laplace_modes_diag(1e103, 0.5, G) == 0.0
+        with pytest.raises(ValueError, match="outside the cavity strip"):
+            laplace_modes_diag(1e103, 2e120, geometry)
+
     @pytest.mark.parametrize("x", [1e-3, 0.1, 0.25, 0.5, 0.75, 0.97, 1.0 - 1e-3])
     def test_laplace_sum_rule(self, x):
         # integral sigma e^{-eps omega} d omega is the correlation at s = -i eps,
