@@ -48,6 +48,40 @@ class TestTruncationPolicy:
         assert spectral.MAX_IMAGE_TERMS is MAX_IMAGE_TERMS
 
 
+class TestNearestPole:
+    # the image n in Z whose gap |(base - n L)^2 + offset| is least: the light-cone guard of the closed form
+    # and of the lattice names it
+    @pytest.mark.parametrize("regime", ["spacelike", "timelike", "null"])
+    def test_it_is_the_least_gap_of_a_search_around_its_roots(self, regime):
+        # the gap rises on either side of each root of (base - n L)^2 + offset, so no image beyond the
+        # 101 around each root can be nearer; ties go to the smaller |n|, then to n > 0
+        rng = np.random.default_rng({"spacelike": 51, "timelike": 52, "null": 53}[regime])
+        for _ in range(300):
+            base = float(rng.choice([rng.uniform(-5.0, 5.0), rng.uniform(-1e3, 1e3), 0.5 * G.L * rng.integers(-9, 10)]))
+            if regime == "spacelike":
+                offset = float(rng.choice([rng.uniform(0.0, 100.0), 10.0 ** rng.uniform(-10.0, 10.0)]))
+            elif regime == "timelike":
+                n = int(rng.integers(-3000, 3000))
+                offset = -float(rng.choice([rng.uniform(0.0, 1e4), (base - n * G.L) ** 2]))
+            else:
+                offset = 0.0
+            roots = (base,) if offset >= 0.0 else (base - math.sqrt(-offset), base + math.sqrt(-offset))
+            images = {int(math.floor(r / G.L)) + m for r in roots for m in range(-50, 51)}
+            gap, _, _, n = min((abs((base - m * G.L) * (base - m * G.L) + offset), abs(m), m < 0, m) for m in images)
+            assert imagesum._nearest_pole(base, offset, G.L) == (n, gap), (base, offset)
+
+    @pytest.mark.parametrize("base, offset, image", [
+        (0.0, -16.0, 2),  # the translated images n = +-2 share the cone s = 4: the n > 0 one is named
+        (1.0, -9.0, -1),  # n = -1 and n = 2 lie on the cone: the smaller |n|, though it is negative
+        (1.0, 0.0, 0),  # midway between n = 0 and n = 1
+        (3.0, 0.0, 1),  # midway between n = 1 and n = 2
+        (-3.0, 0.0, -1),  # midway between n = -2 and n = -1
+    ])
+    def test_a_tie_goes_to_the_smaller_index_then_to_the_positive_one(self, base, offset, image):
+        n, gap = imagesum._nearest_pole(base, offset, G.L)
+        assert n == image and gap == abs((base - n * G.L) ** 2 + offset)
+
+
 class TestImageDistances:
     # the squared distances the closed-form sums use, against math.hypot
     def test_central_image(self):
@@ -323,6 +357,17 @@ class TestLattice:
             assert (exc.value.image_index, exc.value.branch) == image
         assert np.all(np.isfinite(two_point_yy_lattice(np.array(off_axis), point, G)))
 
+    @pytest.mark.parametrize("x, branch, n", [
+        (0.2, "translated", 1500), (0.2, "translated", 2001), (0.2, "reflected", -1200), (0.2, "reflected", 5000),
+        (0.5, "translated", 700)])
+    def test_a_cone_beyond_any_former_cutoff_is_refused_by_index_and_branch(self, x, branch, n):
+        # the truncated sums stopped at N = 10, 400 or 1000 and summed straight across these cones
+        b = n * G.L if branch == "translated" else 2.0 * x - n * G.L
+        with pytest.raises(LightConeProximity) as exc:
+            two_point_yy_lattice(np.array([b * b + 0j]), FieldPoint(x, 0.0), G)
+        assert (exc.value.image_index, exc.value.branch) == (n, branch)
+        assert f"{branch} image light cone at image index n={n} " in str(exc.value)
+
     @pytest.mark.parametrize("z2", [math.inf, math.nan, complex(-math.inf, 0.0), complex(1.0, math.inf)])
     def test_a_sample_that_is_not_finite_is_refused_by_name(self, z2):
         # inf warned in tan, nan came back as nan, and the complex two warned in multiply
@@ -384,11 +429,11 @@ class TestComplexTime:
             x = float(xs[0])
             assert abs(spectral.laplace_modes_diag(eps, x, G)) <= spectral.laplace_modes_diag(eps.real, x, G)
 
-    def test_a_complex_eps_on_the_real_axis_is_the_real_transform(self):
-        for eps in (0.05, 0.3, 1.0, 3.0):
-            got = spectral.laplace_modes_diag(complex(eps, 0.0), 0.3, G)
-            assert type(got) is complex and got.imag == 0.0
-            assert got.real == pytest.approx(spectral.laplace_modes_diag(eps, 0.3, G), rel=1e-14)
+    @pytest.mark.parametrize("eps", [0.05, 0.3, 1.0, 3.0])
+    def test_a_complex_eps_on_the_real_axis_is_the_real_transform(self, eps):
+        got = spectral.laplace_modes_diag(complex(eps, 0.0), 0.3, G)
+        assert type(got) is complex and got.imag == 0.0
+        assert got.real == pytest.approx(spectral.laplace_modes_diag(eps, 0.3, G), rel=1e-14)
 
     @pytest.mark.parametrize("eps", [0j, complex(-1.0, 1.0), complex(0.0, 2.0), complex(-0.0, -1.0),
                                      complex(math.inf, 1.0), complex(0.3, math.inf), complex(0.3, -math.inf),
